@@ -105,6 +105,9 @@ def _lassos(alphabet, max_prefix: int, max_period: int):
 def cmd_check(args) -> int:
     condition = load_condition(args.condition)
     bound = args.bound if args.bound is not None else 2 * len(condition.alphabet)
+    if bound < 0:
+        print(f"error: --bound must be at least 0, not {bound}", file=sys.stderr)
+        return 2
     if bound == 0:
         print("warning: bound 0 checks no lasso; vacuous pass")
         return 0

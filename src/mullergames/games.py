@@ -5,16 +5,22 @@ parity automaton of the condition to decide the winner, then compose it
 with the good-for-games Rabin automaton and extract a positional strategy
 of the Rabin product, whose automaton component becomes the memory
 structure for the original game.
+
+There is one solver per kind of game, both on the same edge-midpoint split
+with integer node ids: Zielonka's recursion for parity games
+(`solve_parity_game`) and its Rabin form, where Exist always has a
+positional strategy (`positional_rabin_strategy`).  Each result is
+re-checked by cycle analysis of the strategy before it is returned, and the
+two products must agree on the winner of the initial vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from ._graph import reachable, strongly_connected_components
+from ._graph import strongly_connected_components
 from .automata import Automaton, Transition, accepts_colour_set, condition_colours
 from .conditions import (
     AnyCondition,
@@ -272,13 +278,33 @@ class ParitySolution:
         return frozenset(v for v, w in self.winners.items() if w == player)
 
 
+def _split_edges(game: GameGraph) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The arena with every edge split by a midpoint, on integer node ids:
+    node i < len(game.vertices) is game.vertices[i], and node
+    len(game.vertices) + j is the midpoint of game.edges[j].  Returns
+    (succ, preds, owners) with owner 0 for Exist and 1 for Univ; a midpoint
+    has one successor, so its owner (Univ) never matters."""
+    index = {v: i for i, v in enumerate(game.vertices)}
+    succ: list[list[int]] = [[] for _ in game.vertices]
+    for j, e in enumerate(game.edges):
+        succ[index[e.src]].append(len(index) + j)
+    succ.extend([index[e.dst]] for e in game.edges)
+    preds: list[list[int]] = [[] for _ in succ]
+    for u, outs in enumerate(succ):
+        for w in outs:
+            preds[w].append(u)
+    owners = [0 if game.owner(v) == EXIST else 1 for v in game.vertices]
+    owners += [1] * len(game.edges)
+    return succ, preds, owners
+
+
 def _attract(
     player: int,
     base: set,
     nodes: set,
-    succ: Mapping,
-    preds: Mapping,
-    owners: Mapping,
+    succ: Mapping | Sequence,
+    preds: Mapping | Sequence,
+    owners: Mapping | Sequence,
 ) -> tuple[set, dict]:
     """Attractor of `base` for `player` inside `nodes`, with the moves that
     player uses to advance towards the base."""
@@ -292,7 +318,7 @@ def _attract(
     queue = list(base)
     while queue:
         n = queue.pop()
-        for p in preds.get(n, ()):
+        for p in preds[n]:
             if p not in nodes or p in attr:
                 continue
             if owners[p] == player:
@@ -374,39 +400,20 @@ def solve_parity_game(
         shift = 1 - lowest
         shift += shift % 2  # keep parities intact
 
-    # Split each edge with a midpoint carrying its priority; original
-    # vertices are neutral.  No silent-only cycles, so priority 0 never
-    # decides anything.
-    nodes = [("v", v) for v in game.vertices]
-    owners = {("v", v): 0 if game.owner(v) == EXIST else 1 for v in game.vertices}
-    prio = {("v", v): 0 for v in game.vertices}
-    succ: dict = {n: [] for n in nodes}
-    mid_edge: dict = {}
-    for i, e in enumerate(game.edges):
-        mid = ("e", i)
-        nodes.append(mid)
-        owners[mid] = 1
-        prio[mid] = _edge_priority(condition, shift, e.colour)
-        succ[("v", e.src)].append(mid)
-        succ[mid] = [("v", e.dst)]
-        mid_edge[mid] = e
-    preds: dict = {n: [] for n in nodes}
-    for n, outs in succ.items():
-        for w in outs:
-            preds[w].append(n)
-
+    # Midpoints carry their edge's priority and original vertices are
+    # neutral.  No silent-only cycles, so priority 0 never decides anything.
+    succ, preds, owners = _split_edges(game)
+    base = len(game.vertices)
+    prio = [0] * base + [_edge_priority(condition, shift, e.colour) for e in game.edges]
     w_even, w_odd, strat = _zielonka_solve(
-        frozenset(nodes), succ, preds, owners, prio
+        frozenset(range(len(succ))), succ, preds, owners, prio
     )
-    winners = {}
-    for v in game.vertices:
-        winners[v] = EXIST if ("v", v) in w_even else UNIV
+    winners = {v: EXIST if i in w_even else UNIV for i, v in enumerate(game.vertices)}
     exist_strategy = {}
     univ_strategy = {}
-    for v in game.vertices:
-        node = ("v", v)
-        if node in strat:
-            chosen = mid_edge[strat[node]]
+    for i, v in enumerate(game.vertices):
+        if i in strat:
+            chosen = game.edges[strat[i] - base]
             if game.owner(v) == EXIST and winners[v] == EXIST:
                 exist_strategy[v] = chosen
             elif game.owner(v) == UNIV and winners[v] == UNIV:
@@ -555,125 +562,6 @@ class RabinStrategySolution:
     strategy: dict[Vertex, GameEdge]
 
 
-def _event_attractor(
-    game: GameGraph,
-    zone: set,
-    winset: set,
-    green,
-    red,
-) -> tuple[set, dict[Vertex, GameEdge]]:
-    """Vertices of `zone` from which Exist forces an event -- entering
-    `winset`, or taking a green edge back into `zone` -- using no red edge
-    beforehand."""
-
-    def is_event(e: GameEdge) -> bool:
-        if e.dst in winset:
-            return True
-        return e.colour is not None and e.colour in green and e.dst in zone
-
-    def usable(e: GameEdge, region: set) -> bool:
-        return (
-            (e.colour is None or e.colour not in red)
-            and e.dst in zone
-            and e.dst in region
-        )
-
-    region: set = set()
-    strat: dict[Vertex, GameEdge] = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in zone:
-            if v in region:
-                continue
-            moves = game.out(v)
-            if game.owner(v) == EXIST:
-                pick = None
-                for e in moves:
-                    if is_event(e) or usable(e, region):
-                        pick = e
-                        break
-                if pick is not None:
-                    region.add(v)
-                    strat[v] = pick
-                    changed = True
-            else:
-                if all(is_event(e) or usable(e, region) for e in moves):
-                    region.add(v)
-                    changed = True
-    return region, strat
-
-
-def _buchi_region(
-    game: GameGraph, nodes: set, winset: set, green, red
-) -> tuple[set, dict[Vertex, GameEdge]]:
-    """Largest subset of `nodes` where Exist can avoid red edges forever
-    while taking green edges infinitely often (or falling into `winset`)."""
-    zone = set(nodes)
-    while True:
-        region, strat = _event_attractor(game, zone, winset, green, red)
-        if region == zone:
-            return region, strat
-        zone = region
-        if not zone:
-            return set(), {}
-
-
-def _exist_attractor_to(
-    game: GameGraph, nodes: set, base: set, winset: set
-) -> tuple[set, dict[Vertex, GameEdge]]:
-    attr = set(base)
-    strat: dict[Vertex, GameEdge] = {}
-    changed = True
-    while changed:
-        changed = False
-        for v in nodes:
-            if v in attr:
-                continue
-            good = lambda e: e.dst in attr or e.dst in winset
-            if game.owner(v) == EXIST:
-                for e in game.out(v):
-                    if good(e):
-                        attr.add(v)
-                        strat[v] = e
-                        changed = True
-                        break
-            else:
-                if all(good(e) for e in game.out(v)):
-                    attr.add(v)
-                    changed = True
-    return attr, strat
-
-
-def _peel_rabin(
-    game: GameGraph, condition: RabinCondition
-) -> tuple[set, dict[Vertex, GameEdge]]:
-    """Greedy attractor-guided candidate: peel off regions where a single
-    pair wins a red-free recurrence game, treating everything peeled so far
-    as already won."""
-    won: set = set()
-    strategy: dict[Vertex, GameEdge] = {}
-    progress = True
-    while progress:
-        progress = False
-        for green, red in condition.pairs:
-            remaining = set(game.vertices) - won
-            if not remaining:
-                break
-            region, region_strat = _buchi_region(game, remaining, won, green, red)
-            if not region:
-                continue
-            attr, attr_strat = _exist_attractor_to(game, remaining, region, won)
-            for v in attr:
-                if v in strategy:
-                    continue
-                if game.owner(v) == EXIST:
-                    strategy[v] = region_strat.get(v) or attr_strat.get(v) or game.out(v)[0]
-            won |= attr
-            progress = True
-    return won, strategy
-
-
 def _strategy_avail(
     game: GameGraph, region: Iterable[Vertex], strategy: Mapping[Vertex, GameEdge]
 ) -> dict[Vertex, list[GameEdge]]:
@@ -686,98 +574,83 @@ def _strategy_avail(
     return avail
 
 
-def _rabin_region_via_parity(
-    game: GameGraph, condition: RabinCondition, seeds: Sequence[Vertex]
-) -> dict[Vertex, str]:
-    """Winners of a Rabin game, decided through the parity-automaton product
-    of the condition read as a Muller condition over its colours."""
-    parity_automaton, _ = _automaton_for_rabin(condition)
-    product = _build_product(game, parity_automaton, list(seeds))
-    solution = solve_parity_game(product.game)
-    q0 = parity_automaton.initial[0]
-    return {x: solution.winners[("s", x, q0)] for x in seeds}
-
-
-_RABIN_AUTOMATON_CACHE: dict = {}
-
-
-def _automaton_for_rabin(condition: RabinCondition):
-    key = (
-        condition.colours.symbols,
-        tuple((g.mask, r.mask) for g, r in condition.pairs),
-    )
-    if key not in _RABIN_AUTOMATON_CACHE:
-        colours = condition.colours
-        members = [
-            list(colours.from_mask(mask))
-            for mask in range(1, 1 << len(colours))
-            if condition.accepts_mask(mask)
-        ]
-        as_muller = MullerCondition(colours, members)
-        _RABIN_AUTOMATON_CACHE[key] = (
-            build_parity_automaton(as_muller),
-            as_muller,
-        )
-    return _RABIN_AUTOMATON_CACHE[key]
-
-
-def _winning_set_of_sigma(
-    game: GameGraph, condition: RabinCondition, sigma: Mapping[Vertex, GameEdge]
-) -> set:
-    avail = _strategy_avail(game, game.vertices, sigma)
-    bad_vertices: set = set()
-    for members, _ in _rejecting_cores(set(game.vertices), avail, condition):
-        bad_vertices |= members
-    if not bad_vertices:
-        return set(game.vertices)
-    preds: dict[Vertex, list[Vertex]] = {v: [] for v in game.vertices}
-    for v in game.vertices:
-        for e in avail[v]:
-            preds[e.dst].append(v)
-    losing = reachable(bad_vertices, lambda v: preds[v])
-    return set(game.vertices) - losing
-
-
 def positional_rabin_strategy(
-    game: GameGraph,
-    condition: Optional[RabinCondition] = None,
-    budget: int = 10**6,
-    region_check: str = "full",
+    game: GameGraph, condition: Optional[RabinCondition] = None
 ) -> RabinStrategySolution:
-    """A positional Exist strategy winning from her whole winning region.
+    """Exist's whole winning region of an edge-coloured Rabin game, with one
+    positional strategy that wins from all of it.
 
-    Search order: the greedy attractor-guided candidate first, then
-    exhaustive enumeration capped by `budget` candidates.  Every returned
-    strategy passes the one-player rejecting-cycle check, and the claimed
-    region is cross-checked against an independent parity reduction
-    (`region_check`: "full", "initial", or "off").
+    Zielonka's recursion over the set of colours present in a subgame, on
+    the edge-midpoint split with integer node ids (so the result does not
+    depend on string hashing).  If some pair (g, r) is live on the present
+    colours -- g present, r absent -- Exist attracts to g and the rest is
+    solved; she wins everything once Univ wins nothing in the rest, and
+    otherwise Univ's attractor to his region there is removed.  If no pair
+    is live, each child `present & ~r` that still meets its g is tried
+    inside the complement of Univ's attractor to the colours outside it;
+    Exist's attractor to what she wins there is hers.  Every recursive call
+    has strictly fewer colours present.  The strategy is re-checked by the
+    one-player rejecting-cycle analysis before returning.
     """
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, RabinCondition):
         raise GameError("positional_rabin_strategy expects a Rabin condition")
-    region, strategy = _peel_rabin(game, condition)
-    _assert_rabin_strategy_wins(game, condition, region, strategy)
+    succ, preds, owners = _split_edges(game)
+    base = len(game.vertices)
+    colour = [0] * base + [
+        0 if e.colour is None else 1 << condition.colours.index(e.colour)
+        for e in game.edges
+    ]
+    pairs = [(g.mask, r.mask) for g, r in condition.pairs]
 
-    if region_check != "off":
-        seeds = list(game.vertices) if region_check == "full" else [game.initial]
-        winners = _rabin_region_via_parity(game, condition, seeds)
-        expected = {v for v, w in winners.items() if w == EXIST}
-        if expected != region & set(seeds):
-            if expected <= region:
-                raise GameError(
-                    "internal: verified greedy strategy and parity regions disagree"
-                )
-            if region_check != "full":
-                winners = _rabin_region_via_parity(game, condition, game.vertices)
-                expected = {v for v, w in winners.items() if w == EXIST}
-            region, strategy = _exhaustive_rabin(game, condition, expected, budget)
-            _assert_rabin_strategy_wins(game, condition, region, strategy)
-    exist_region_strategy = {
-        v: e
-        for v, e in strategy.items()
-        if v in region and game.owner(v) == EXIST
+    def attract(player: int, target: set, nodes: set) -> tuple[set, dict]:
+        return _attract(player, target, nodes, succ, preds, owners)
+
+    def with_colour(nodes: set, mask: int) -> set:
+        return {v for v in nodes if colour[v] & mask}
+
+    def solve(nodes: set) -> tuple[set, dict]:
+        won: set = set()
+        strategy: dict = {}
+        while nodes:
+            present = 0
+            for v in nodes:
+                present |= colour[v]
+            live = next((g for g, r in pairs if g & present and not r & present), 0)
+            if live:
+                attr, attr_strat = attract(0, with_colour(nodes, live), nodes)
+                sub_won, sub_strat = solve(nodes - attr)
+                lost = nodes - attr - sub_won
+                if not lost:
+                    strategy.update(sub_strat)
+                    strategy.update(attr_strat)
+                    return won | nodes, strategy
+                nodes = nodes - attract(1, lost, nodes)[0]
+                continue
+            children = {present & ~r for g, r in pairs if g & present}
+            for child in sorted(children):
+                rest = nodes - attract(1, with_colour(nodes, ~child), nodes)[0]
+                sub_won, sub_strat = solve(rest)
+                if sub_won:
+                    attr, attr_strat = attract(0, sub_won, nodes)
+                    strategy.update(sub_strat)
+                    strategy.update(attr_strat)
+                    won |= attr
+                    nodes = nodes - attr
+                    break
+            else:
+                return won, strategy
+        return won, strategy
+
+    won, strat = solve(set(range(len(succ))))
+    region = frozenset(v for i, v in enumerate(game.vertices) if i in won)
+    strategy = {
+        v: game.edges[strat[i] - base]
+        for i, v in enumerate(game.vertices)
+        if i in strat
     }
-    return RabinStrategySolution(frozenset(region), exist_region_strategy)
+    _assert_rabin_strategy_wins(game, condition, region, strategy)
+    return RabinStrategySolution(region, strategy)
 
 
 def _assert_rabin_strategy_wins(game, condition, region, strategy) -> None:
@@ -791,24 +664,6 @@ def _assert_rabin_strategy_wins(game, condition, region, strategy) -> None:
     avail = _strategy_avail(game, region, strategy)
     if _rejecting_cores(set(region), avail, condition):
         raise GameError("candidate strategy admits a rejecting reachable cycle")
-
-
-def _exhaustive_rabin(
-    game: GameGraph, condition: RabinCondition, want: set, budget: int
-) -> tuple[set, dict[Vertex, GameEdge]]:
-    exist_vs = [v for v in game.vertices if game.owner(v) == EXIST]
-    total = 1
-    for v in exist_vs:
-        total *= len(game.out(v))
-        if total > budget:
-            raise GameError(
-                f"positional strategy search budget exceeded ({total} > {budget})"
-            )
-    for combo in itertools.product(*(game.out(v) for v in exist_vs)):
-        sigma = dict(zip(exist_vs, combo))
-        if want <= _winning_set_of_sigma(game, condition, sigma):
-            return set(want), sigma
-    raise GameError("no positional strategy covers the expected winning region")
 
 
 # -- memory extraction and Muller solving ---------------------------------------
@@ -827,9 +682,7 @@ def memory_from_gfg(
     if condition.alphabet != gfg.automaton.alphabet:
         raise GameError("alphabet mismatch between game condition and automaton")
     product = _build_product(game, gfg.automaton, [game.initial])
-    solution = positional_rabin_strategy(
-        product.game, region_check="initial"
-    )
+    solution = positional_rabin_strategy(product.game)
     q0 = gfg.automaton.initial[0]
     if ("s", game.initial, q0) not in solution.region:
         raise NotWonByExist("the existential player does not win this game")
@@ -869,7 +722,13 @@ def solve_muller_game(
     game: GameGraph, condition: Optional[MullerCondition] = None
 ) -> MullerSolution:
     """Decide a Muller game through the parity-automaton product; when Exist
-    wins, extract a memory structure of size memtree from the GFG product."""
+    wins, extract a memory structure of size memtree from the GFG product.
+
+    The two products are independent certificates of the winner at the
+    initial vertex: if the parity product says Exist but her Rabin region
+    in the GFG product misses its initial vertex, this raises `GameError`.
+    The positional strategy behind the memory is itself re-checked by
+    `positional_rabin_strategy`."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, MullerCondition):
         raise GameError("solve_muller_game expects a Muller condition")
@@ -886,7 +745,13 @@ def solve_muller_game(
     winner = solution.winners[product.game.initial]
     if winner != EXIST:
         return MullerSolution(UNIV, None)
-    memory = memory_from_gfg(game, build_gfg_rabin(condition), condition)
+    try:
+        memory = memory_from_gfg(game, build_gfg_rabin(condition), condition)
+    except NotWonByExist:
+        raise GameError(
+            "internal: parity product and GFG Rabin product disagree on the "
+            "winner of the initial vertex"
+        ) from None
     return MullerSolution(EXIST, memory)
 
 

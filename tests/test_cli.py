@@ -1,4 +1,9 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +106,13 @@ def test_cmd_check_vacuous(capsys, condition_file):
     assert "vacuous" in capsys.readouterr().out
 
 
+def test_cmd_check_negative_bound(capsys, condition_file):
+    assert main(["check", condition_file, "--bound", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_cmd_check_hoa_round_trip(capsys, condition_file, tmp_path):
     hoa = tmp_path / "rf.hoa"
     assert main(["build", condition_file, "--kind", "gfg-rabin", "--hoa", str(hoa)]) == 0
@@ -180,6 +192,58 @@ def test_cmd_solve_reports_dead_end(capsys, condition_file, tmp_path):
     )
     assert main(["solve", "--game", game, "--condition", condition_file]) == 2
     assert "at least one move from every position" in capsys.readouterr().err
+
+
+def test_cmd_solve_reports_product_disagreement(capsys, condition_file, tmp_path, monkeypatch):
+    from mullergames import games
+
+    monkeypatch.setattr(
+        games,
+        "positional_rabin_strategy",
+        lambda game, condition=None: games.RabinStrategySolution(frozenset(), {}),
+    )
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "x", "owner": "Exist"}],
+            "edges": [{"src": "x", "colour": "b", "dst": "x"}],
+            "initial": "x",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: parity product and GFG Rabin product disagree")
+    assert err.count("\n") == 1
+
+
+def test_cmd_solve_memory_out_independent_of_string_hashing(condition_file, tmp_path):
+    rng = random.Random(11)
+    names = [f"v{i}" for i in range(60)]
+    doc = {
+        "vertices": [{"name": v, "owner": rng.choice(["Exist", "Univ"])} for v in names],
+        "edges": [
+            {"src": v, "colour": rng.choice("abc"), "dst": rng.choice(names)}
+            for v in names
+            for _ in range(rng.randint(1, 3))
+        ],
+        "initial": names[0],
+    }
+    game = game_file(tmp_path, doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"memory-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["solve", "--game", game, "--condition", condition_file, "--memory-out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "mullergames.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "winner: Exist" in result.stdout
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cmd_succinctness(capsys, tmp_path):

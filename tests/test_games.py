@@ -10,6 +10,7 @@ from mullergames.conditions import (
     RabinCondition,
 )
 from mullergames.construction import build_gfg_rabin, build_parity_automaton
+from mullergames import games
 from mullergames.games import (
     EXIST,
     UNIV,
@@ -18,6 +19,8 @@ from mullergames.games import (
     GameGraph,
     MemoryStructure,
     NotWonByExist,
+    RabinStrategySolution,
+    _build_product,
     brute_force_winner,
     game_from_dict,
     is_chromatic,
@@ -178,6 +181,70 @@ def test_solve_parity_mixed_game():
     assert solution.exist_strategy["a"] == GameEdge("a", "2", "b")
 
 
+# -- Rabin games: reference solver and agreement ------------------------------
+
+
+def _automaton_for_rabin(condition):
+    """The parity automaton of a Rabin condition read as a Muller condition
+    over its colours.  Scans all 2^colours masks: small alphabets only."""
+    colours = condition.colours
+    members = [
+        list(colours.from_mask(mask))
+        for mask in range(1, 1 << len(colours))
+        if condition.accepts_mask(mask)
+    ]
+    return build_parity_automaton(MullerCondition(colours, members))
+
+
+def _rabin_region_via_parity(game, automaton=None):
+    """Exist's winning region of a Rabin game, decided through the
+    parity-automaton product seeded at every vertex."""
+    automaton = automaton or _automaton_for_rabin(game.condition)
+    product = _build_product(game, automaton, list(game.vertices))
+    solution = solve_parity_game(product.game)
+    q0 = automaton.initial[0]
+    return frozenset(
+        x for x in game.vertices if solution.winners[("s", x, q0)] == EXIST
+    )
+
+
+def solved_rabin(game):
+    """The solver's region and strategy, after checking the region against
+    the reference solver and that the strategy covers Exist's part of it."""
+    solution = positional_rabin_strategy(game)
+    assert solution.region == _rabin_region_via_parity(game)
+    assert set(solution.strategy) == {
+        v for v in solution.region if game.owner(v) == EXIST
+    }
+    return solution
+
+
+def random_rabin_game(rng, colours, max_vertices=7, silent_prob=0.2):
+    """A game with out-degree 1-3 over a random Rabin condition; silent edges
+    only go forward, so no cycle is silent."""
+    alphabet = Alphabet(colours)
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        marks = [rng.choice("gro") for _ in colours]
+        pairs.append(
+            (
+                [c for c, m in zip(colours, marks) if m == "g"],
+                [c for c, m in zip(colours, marks) if m == "r"],
+            )
+        )
+    condition = RabinCondition(alphabet, pairs)
+    n = rng.randint(1, max_vertices)
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(n):
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(n)
+            silent = j > i and rng.random() < silent_prob
+            edges.append((names[i], None if silent else rng.choice(colours), names[j]))
+    vertices = [(v, rng.choice([EXIST, UNIV])) for v in names]
+    return GameGraph(vertices, edges, names[0], condition)
+
+
 def all_green_condition():
     return RabinCondition(Alphabet(["g"]), [(["g"], [])])
 
@@ -189,7 +256,7 @@ def test_positional_rabin_all_green():
         "x",
         all_green_condition(),
     )
-    solution = positional_rabin_strategy(game)
+    solution = solved_rabin(game)
     assert solution.region == {"x", "y"}
     assert set(solution.strategy) == {"x", "y"}
 
@@ -197,7 +264,7 @@ def test_positional_rabin_all_green():
 def test_positional_rabin_on_gfg_product(running_condition):
     gfg = build_gfg_rabin(running_condition)
     product = product_with_automaton(one_vertex_abc_game(running_condition), gfg.automaton)
-    solution = positional_rabin_strategy(product.game)
+    solution = solved_rabin(product.game)
     assert product.game.initial in solution.region
 
 
@@ -209,7 +276,7 @@ def test_positional_rabin_losing_region_empty_domain():
         "x",
         cond,
     )
-    solution = positional_rabin_strategy(game)
+    solution = solved_rabin(game)
     assert solution.region == frozenset()
     assert solution.strategy == {}
 
@@ -230,8 +297,21 @@ def test_positional_rabin_requires_pair_switching():
         "u",
         cond,
     )
-    solution = positional_rabin_strategy(game)
+    solution = solved_rabin(game)
     assert solution.region == {"u", "a", "b"}
+
+
+def test_positional_rabin_agrees_with_parity_reference():
+    rng = random.Random(2204)
+    regions = set()
+    for _ in range(3000):
+        game = random_rabin_game(rng, list("abcd"[: rng.randint(1, 4)]))
+        solution = solved_rabin(game)
+        regions.add((len(solution.region), len(game.vertices)))
+    # Both empty, partial and full regions occur.
+    assert any(k == 0 for k, _ in regions)
+    assert any(0 < k < n for k, n in regions)
+    assert any(k == n for k, n in regions)
 
 
 def test_memory_from_gfg_running_example(running_condition):
@@ -298,6 +378,48 @@ def test_solve_muller_accept_everything():
         game = random_game(rng, cond)
         solution = solve_muller_game(game)
         assert solution.winner == EXIST
+
+
+def f5_exist_game():
+    # Four vertices over the half-size condition F_5 (memtree 2).  Its GFG
+    # product has 31 colours, too many for a 2^colours scan of the
+    # Rabin condition.
+    from mullergames.succinctness import condition_fn
+
+    cond = condition_fn(5)
+    edges = [
+        ("v0", "1", "v2"),
+        ("v1", "2", "v2"),
+        ("v1", "1", "v3"),
+        ("v1", "5", "v3"),
+        ("v2", "5", "v1"),
+        ("v2", "2", "v0"),
+        ("v3", "2", "v0"),
+        ("v3", "1", "v1"),
+        ("v3", "1", "v0"),
+    ]
+    owners = [("v0", EXIST), ("v1", EXIST), ("v2", UNIV), ("v3", EXIST)]
+    return GameGraph(owners, edges, "v0", cond), cond
+
+
+def test_solve_muller_f5_exist_game():
+    game, cond = f5_exist_game()
+    solution = solve_muller_game(game)
+    assert solution.winner == EXIST
+    assert solution.memory.size <= build_zielonka(cond).memtree() == 2
+    assert verify_strategy(game, cond, solution.memory)
+    assert brute_force_winner(game, cond) == EXIST
+
+
+def test_solve_muller_reports_product_disagreement(running_condition, monkeypatch):
+    monkeypatch.setattr(
+        games,
+        "positional_rabin_strategy",
+        lambda game, condition=None: RabinStrategySolution(frozenset(), {}),
+    )
+    with pytest.raises(GameError, match="parity product and GFG Rabin product disagree") as err:
+        solve_muller_game(alternation_game(running_condition))
+    assert not isinstance(err.value, NotWonByExist)
 
 
 def test_verify_strategy_rejects_bad_loop(running_condition):
