@@ -88,20 +88,15 @@ class Automaton:
         self._by_source: dict[tuple[State, str], list[Transition]] = {}
         for t in self.transitions:
             self._by_source.setdefault((t.src, t.letter), []).append(t)
+        # Single initial state and exactly one transition per (state, letter):
+        # every key above is a valid pair, so the three counts agree exactly
+        # when each pair has one transition.
+        self.is_deterministic = len(self.initial) == 1 and (
+            len(self.transitions) == len(self._by_source) == len(self.states) * len(alphabet)
+        )
 
     def transitions_from(self, state: State, letter: str) -> tuple[Transition, ...]:
         return tuple(self._by_source.get((state, letter), ()))
-
-    @property
-    def is_deterministic(self) -> bool:
-        """Single initial state and exactly one transition per (state, letter)."""
-        if len(self.initial) != 1:
-            return False
-        return all(
-            len(self._by_source.get((q, a), ())) == 1
-            for q in self.states
-            for a in self.alphabet
-        )
 
     @property
     def colour_alphabet(self) -> Alphabet:
@@ -134,13 +129,13 @@ def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
     and whether the colours of its eventual cycle satisfy the acceptance."""
     if not automaton.is_deterministic:
         raise AutomatonError("run_deterministic needs a deterministic, complete automaton")
+    moves = automaton._by_source
     state = automaton.initial[0]
     steps: list[Transition] = []
 
     def advance(letter: str) -> None:
         nonlocal state
-        options = automaton.transitions_from(state, letter)
-        t = options[0]
+        t = moves[(state, letter)][0]
         steps.append(t)
         state = t.dst
 
@@ -172,6 +167,10 @@ class RabinLassoChecker:
         if not isinstance(automaton.acceptance, RabinCondition):
             raise AutomatonError("lasso membership oracle expects Rabin acceptance")
         self.automaton = automaton
+        colours = automaton.colour_alphabet
+        self._bit = {c: 1 << i for i, c in enumerate(colours.symbols)}
+        self._pairs = [(g.mask, r.mask) for g, r in automaton.acceptance.pairs]
+        self._state_index = {q: i for i, q in enumerate(automaton.states)}
         self._period_memo: dict[tuple[str, ...], dict[State, bool]] = {}
         self._prefix_memo: dict[tuple[str, ...], frozenset[State]] = {}
 
@@ -202,41 +201,51 @@ class RabinLassoChecker:
             return self._period_memo[period]
         aut = self.automaton
         length = len(period)
-        nodes = [(q, i) for q in aut.states for i in range(length)]
-        edges: dict[tuple[State, int], list[tuple[tuple[State, int], str]]] = {
-            node: [] for node in nodes
-        }
-        for q, i in nodes:
-            for t in aut.transitions_from(q, period[i]):
-                edges[(q, i)].append(((t.dst, (i + 1) % length), t.colour))
-
-        pairs = aut.acceptance.pairs
-        winning_nodes: set[tuple[State, int]] = set()
-        for green, red in pairs:
-            def safe_succ(node):
-                return [dst for dst, colour in edges[node] if colour not in red]
-
-            for component in strongly_connected_components(nodes, safe_succ):
+        index, bit = self._state_index, self._bit
+        # Node s * length + i is state number s at phase i of the period;
+        # each edge carries its colour's bit.
+        edges: list[list[tuple[int, int]]] = []
+        for q in aut.states:
+            for i, letter in enumerate(period):
+                phase = (i + 1) % length
+                edges.append(
+                    [
+                        (index[t.dst] * length + phase, bit[t.colour])
+                        for t in aut._by_source.get((q, letter), ())
+                    ]
+                )
+        present = 0
+        for out in edges:
+            for _, b in out:
+                present |= b
+        winning_nodes: set[int] = set()
+        for green, red in self._pairs:
+            if not green & present:
+                continue
+            safe = [[dst for dst, b in out if not b & red] for out in edges]
+            # Only a component holding a green edge wins, and the search
+            # from that edge's source finds it.
+            sources = [n for n, out in enumerate(edges) if any(b & green for _, b in out)]
+            for component in strongly_connected_components(sources, safe.__getitem__):
                 members = set(component)
                 has_green_inside = any(
-                    dst in members and colour in green
+                    dst in members and b & green
                     for node in component
-                    for dst, colour in edges[node]
-                    if colour not in red
+                    for dst, b in edges[node]
+                    if not b & red
                 )
                 if has_green_inside:
                     winning_nodes.update(members)
         # A lasso from q is accepted iff some winning cycle is reachable
         # from (q, 0) in the full period graph.
-        out = {
-            q: bool(
-                reachable([(q, 0)], lambda n: [dst for dst, _ in edges[n]])
-                & winning_nodes
-            )
-            for q in aut.states
-        }
-        self._period_memo[period] = out
-        return out
+        preds: list[list[int]] = [[] for _ in edges]
+        for node, out in enumerate(edges):
+            for dst, _ in out:
+                preds[dst].append(node)
+        good = reachable(winning_nodes, preds.__getitem__)
+        result = {q: s * length in good for s, q in enumerate(aut.states)}
+        self._period_memo[period] = result
+        return result
 
 
 def accepts_lasso(automaton: Automaton, w: LassoWord) -> bool:
@@ -408,17 +417,25 @@ def _parity_formula(top: int) -> str:
     return f"{atom} {op} {wrapped}"
 
 
-def _transition_marks(acceptance: AnyCondition, colour: str) -> tuple[int, ...]:
+def _colour_marks(acceptance: AnyCondition, colours: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """The HOA marks of each colour: 2i when it is red and 2i + 1 when it is
+    green for Rabin pair i, or its priority for parity acceptance."""
     if isinstance(acceptance, RabinCondition):
-        marks = []
-        for i, (green, red) in enumerate(acceptance.pairs):
-            if colour in red:
-                marks.append(2 * i)
-            if colour in green:
-                marks.append(2 * i + 1)
-        return tuple(marks)
+        index = acceptance.colours.index
+        pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
+        out = {}
+        for colour in colours:
+            bit = 1 << index(colour)
+            marks = []
+            for i, (green, red) in enumerate(pairs):
+                if red & bit:
+                    marks.append(2 * i)
+                if green & bit:
+                    marks.append(2 * i + 1)
+            out[colour] = tuple(marks)
+        return out
     if isinstance(acceptance, ParityCondition):
-        return (acceptance.priority(colour),)
+        return {colour: (acceptance.priority(colour),) for colour in colours}
     raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
 
@@ -452,18 +469,22 @@ def export_hoa(automaton: Automaton) -> str:
     lines.append(f"Acceptance: {n_sets} {formula}")
     lines.append("properties: trans-labels explicit-labels trans-acc")
     lines.append("--BODY--")
-    letter_idx = {a: i for i, a in enumerate(automaton.alphabet.symbols)}
     n_ap = len(automaton.alphabet)
+    labels = [
+        "&".join(("%d" if i == ap else "!%d") % i for i in range(n_ap)) for ap in range(n_ap)
+    ]
+    marks = _colour_marks(acc, {t.colour for t in automaton.transitions})
+    mark_text = {
+        c: (" {%s}" % " ".join(map(str, m))) if m else "" for c, m in marks.items()
+    }
     for q in automaton.states:
         lines.append(f"State: {idx[q]}")
         rows = []
-        for a in automaton.alphabet.symbols:
+        for ap, a in enumerate(automaton.alphabet.symbols):
             for t in automaton.transitions_from(q, a):
-                rows.append((letter_idx[a], idx[t.dst], _transition_marks(acc, t.colour)))
-        for ap, dst, marks in sorted(rows):
-            label = "&".join(("%d" if i == ap else "!%d") % i for i in range(n_ap))
-            mark_text = (" {%s}" % " ".join(map(str, marks))) if marks else ""
-            lines.append(f"[{label}] {dst}{mark_text}")
+                rows.append((ap, idx[t.dst], marks[t.colour], mark_text[t.colour]))
+        for ap, dst, _, text in sorted(rows):
+            lines.append(f"[{labels[ap]}] {dst}{text}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -474,47 +495,64 @@ def parse_hoa(text: str) -> Automaton:
     Output colours are reconstructed from acceptance marks, so the result
     equals the exported automaton up to colour renaming.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    headers: dict[str, list[str]] = {}
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+    def integer(value: str, no: int, line: str) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            raise AutomatonError(f"HOA line {no}: expected an integer in {line!r}") from None
+
+    headers: dict[str, list[tuple[str, int, str]]] = {}
     body_at = None
-    for i, line in enumerate(lines):
+    for i, (no, line) in enumerate(lines):
         if line == "--BODY--":
             body_at = i
             break
         key, _, value = line.partition(" ")
-        headers.setdefault(key.rstrip(":"), []).append(value)
+        headers.setdefault(key.rstrip(":"), []).append((value, no, line))
     if body_at is None:
         raise AutomatonError("HOA document has no --BODY-- marker")
 
-    n_states = int(headers["States"][0])
-    starts = [int(v) for v in headers.get("Start", [])]
-    ap_parts = headers["AP"][0].split('"')[1::2]
-    alphabet = Alphabet(ap_parts)
-    acc_name = headers["acc-name"][0]
+    def header(name: str) -> tuple[str, int, str]:
+        if name not in headers:
+            raise AutomatonError(f"HOA document has no '{name}:' header line")
+        return headers[name][0]
+
+    n_states = integer(*header("States"))
+    starts = [integer(*entry) for entry in headers.get("Start", [])]
+    alphabet = Alphabet(header("AP")[0].split('"')[1::2])
+    acc_name, acc_no, acc_line = header("acc-name")
 
     # Transitions, keyed by the current "State:" block.
     transitions: list[tuple[int, str, tuple[int, ...], int]] = []
     current = None
-    for line in lines[body_at + 1 :]:
+    for no, line in lines[body_at + 1 :]:
         if line == "--END--":
             break
         if line.startswith("State:"):
-            current = int(line.split()[1])
+            parts = line.split()
+            current = integer(parts[1] if len(parts) > 1 else "", no, line)
             continue
-        if not line.startswith("["):
-            raise AutomatonError(f"unexpected HOA body line: {line!r}")
+        if not line.startswith("[") or "]" not in line:
+            raise AutomatonError(f"HOA line {no}: unexpected body line {line!r}")
         label, rest = line[1:].split("]", 1)
         positive = [term for term in label.split("&") if not term.startswith("!")]
         if len(positive) != 1:
-            raise AutomatonError(f"expected an exactly-one letter encoding: {label!r}")
-        letter = alphabet.symbols[int(positive[0])]
+            raise AutomatonError(
+                f"HOA line {no}: expected an exactly-one letter encoding: {label!r}"
+            )
+        ap = integer(positive[0], no, line)
+        if not 0 <= ap < len(alphabet):
+            raise AutomatonError(f"HOA line {no}: atomic proposition {ap} out of range")
         rest = rest.strip()
         if "{" in rest:
             dst_text, marks_text = rest.split("{", 1)
-            marks = tuple(sorted(int(m) for m in marks_text.rstrip("}").split()))
+            marks = tuple(sorted(integer(m, no, line) for m in marks_text.rstrip("}").split()))
         else:
             dst_text, marks = rest, ()
-        transitions.append((current, letter, marks, int(dst_text.strip())))
+        dst = integer(dst_text.strip(), no, line)
+        transitions.append((current, alphabet.symbols[ap], marks, dst))
 
     mark_sets = sorted({marks for _, _, marks, _ in transitions})
     colour_names = {marks: ("-" if not marks else "m" + "_".join(map(str, marks))) for marks in mark_sets}
@@ -522,7 +560,7 @@ def parse_hoa(text: str) -> Automaton:
 
     acceptance: AnyCondition
     if acc_name.startswith("Rabin"):
-        r = int(acc_name.split()[1]) if len(acc_name.split()) > 1 else 0
+        r = integer(acc_name.split()[1], acc_no, acc_line) if len(acc_name.split()) > 1 else 0
         pairs = []
         for i in range(r):
             green = [colour_names[m] for m in mark_sets if 2 * i + 1 in m]
@@ -556,11 +594,12 @@ def parse_hoa(text: str) -> Automaton:
 def hoa_signature(automaton: Automaton):
     """What HOA preserves: sizes, start states, and mark-labelled edges."""
     idx = {q: i for i, q in enumerate(automaton.states)}
+    marks = _colour_marks(automaton.acceptance, {t.colour for t in automaton.transitions})
     return (
         len(automaton.states),
         tuple(sorted(idx[q] for q in automaton.initial)),
         frozenset(
-            (idx[t.src], t.letter, _transition_marks(automaton.acceptance, t.colour), idx[t.dst])
+            (idx[t.src], t.letter, marks[t.colour], idx[t.dst])
             for t in automaton.transitions
         ),
     )

@@ -41,7 +41,7 @@ class Alphabet:
         return symbol in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
+        return self is other or (isinstance(other, Alphabet) and self.symbols == other.symbols)
 
     def __hash__(self) -> int:
         return hash(self.symbols)

@@ -34,18 +34,20 @@ def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
     """One Rabin pair per round node n: green is n itself, red is every node
     that is neither n nor a descendant of n (strict descendants stay orange)."""
     colours = node_alphabet(tree)
-    pairs = []
-    for n in range(len(tree)):
-        if not tree.is_round(n):
-            continue
-        green = [tree.node_name(n)]
-        red = [
-            tree.node_name(m)
-            for m in range(len(tree))
-            if m != n and not tree.is_ancestor(n, m)
-        ]
-        pairs.append((green, red))
-    return RabinCondition(colours, pairs)
+    # BFS ids put every child after its parent, so one backward sweep fills
+    # each node's subtree mask.
+    below = [1 << n for n in range(len(tree))]
+    for n in range(len(tree) - 1, 0, -1):
+        below[tree.parent(n)] |= below[n]
+    full = colours.full().mask
+    return RabinCondition(
+        colours,
+        [
+            (colours.from_mask(1 << n), colours.from_mask(full & ~below[n]))
+            for n in range(len(tree))
+            if tree.is_round(n)
+        ],
+    )
 
 
 def check_node_sequence(tree: ZielonkaTree, w: LassoWord) -> bool:
@@ -77,7 +79,8 @@ def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
     """Priorities decreasing with depth, parity-aligned so that round nodes
     are even; the unique minimal node recurring in a run then decides
     acceptance through the maximum."""
-    base = {n: tree.height - tree.depth(n) for n in range(len(tree))}
+    height = tree.height
+    base = {n: height - tree.depth(n) for n in range(len(tree))}
     root_even = base[tree.root] % 2 == 0
     offset = 0 if root_even == tree.is_round(tree.root) else 1
     return {n: p + offset for n, p in base.items()}
@@ -104,11 +107,11 @@ def build_gfg_rabin(condition: MullerCondition) -> GfgRabinAutomaton:
     size = tree.memtree()
     transitions: list[Transition] = []
     provenance: dict[Transition, tuple[int, int, int]] = {}
+    names = [tree.node_name(n) for n in range(len(tree))]
     # First leaf provenance wins when two leaves induce the same transition.
-    for leaf in tree.leaves():
-        for letter in condition.alphabet.symbols:
-            witness, target = tree.step(leaf, letter)
-            t = Transition(eta[leaf], letter, tree.node_name(witness), eta[target])
+    for leaf, row in tree.step_table.items():
+        for letter, (witness, target) in zip(condition.alphabet.symbols, row):
+            t = Transition(eta[leaf], letter, names[witness], eta[target])
             if t not in provenance:
                 provenance[t] = (leaf, witness, target)
                 transitions.append(t)
@@ -128,11 +131,11 @@ def build_parity_automaton(condition: MullerCondition) -> Automaton:
     prio = node_priorities(tree)
     colours = Alphabet([str(p) for p in sorted(set(prio.values()))])
     priorities = {str(p): p for p in set(prio.values())}
-    transitions = []
-    for leaf in tree.leaves():
-        for letter in condition.alphabet.symbols:
-            witness, target = tree.step(leaf, letter)
-            transitions.append(Transition(leaf, letter, str(prio[witness]), target))
+    transitions = [
+        Transition(leaf, letter, str(prio[witness]), target)
+        for leaf, row in tree.step_table.items()
+        for letter, (witness, target) in zip(condition.alphabet.symbols, row)
+    ]
     return Automaton(
         tree.leaves(),
         condition.alphabet,
@@ -151,9 +154,10 @@ def check_quotient(parity: Automaton, gfg: GfgRabinAutomaton, eta: dict[int, int
         raise ConditionError("parity automaton does not run over this tree's leaves")
     if set(eta) != set(tree.leaves()):
         raise ConditionError("eta labelling does not cover this tree's leaves")
+    letter_index = tree.alphabet.index
     merged = set()
     for t in parity.transitions:
-        witness, expected_target = tree.step(t.src, t.letter)
+        witness, expected_target = tree.step_table[t.src][letter_index(t.letter)]
         if expected_target != t.dst:
             raise ConditionError("parity automaton does not follow this tree's jumps")
         merged.add(Transition(eta[t.src], t.letter, tree.node_name(witness), eta[t.dst]))
@@ -175,7 +179,7 @@ class Resolver:
 
     def step(self, letter: str) -> Transition:
         tree = self.gfg.tree
-        witness, target = tree.step(self.leaf, letter)
+        witness, target = tree.step_table[self.leaf][tree.alphabet.index(letter)]
         t = Transition(
             self.gfg.eta[self.leaf], letter, tree.node_name(witness), self.gfg.eta[target]
         )

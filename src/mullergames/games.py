@@ -106,18 +106,18 @@ class GameGraph:
 
     def _check_no_epsilon_cycle(self) -> None:
         # Colour-free DFS over silent edges only; any back edge is a cycle.
+        def silent(v: Vertex):
+            return iter([e.dst for e in self._out[v] if e.colour is None])
+
         state: dict[Vertex, int] = {}
         for root in self.vertices:
             if state.get(root):
                 continue
-            stack: list[tuple[Vertex, int]] = [(root, 0)]
+            stack = [(root, silent(root))]
             state[root] = 1
             while stack:
-                v, i = stack[-1]
-                eps = [e for e in self._out[v] if e.colour is None]
-                if i < len(eps):
-                    stack[-1] = (v, i + 1)
-                    nxt = eps[i].dst
+                v, pending = stack[-1]
+                for nxt in pending:
                     if state.get(nxt) == 1:
                         raise GameError(
                             "game violates 'no cycle is labelled exclusively by "
@@ -125,7 +125,8 @@ class GameGraph:
                         )
                     if state.get(nxt, 0) == 0:
                         state[nxt] = 1
-                        stack.append((nxt, 0))
+                        stack.append((nxt, silent(nxt)))
+                        break
                 else:
                     state[v] = 2
                     stack.pop()
@@ -945,19 +946,32 @@ def game_from_dict(doc: Mapping, condition: Optional[AnyCondition] = None) -> Ga
     for fieldname in ("vertices", "edges", "initial"):
         if fieldname not in doc:
             raise GameError(f"game document lacks field {fieldname!r}")
+    for fieldname in ("vertices", "edges"):
+        if not isinstance(doc[fieldname], list):
+            raise GameError(f"field {fieldname!r} must be a list")
     vertices = []
     for row in doc["vertices"]:
         try:
-            vertices.append((row["name"], row["owner"]))
+            name, owner = row["name"], row["owner"]
         except (TypeError, KeyError):
             raise GameError(f"malformed vertex entry {row!r}") from None
+        vertices.append((_text(name, "vertex name"), _text(owner, f"owner of {name!r}")))
     edges = []
     for row in doc["edges"]:
         try:
-            edges.append(GameEdge(row["src"], row["colour"], row["dst"]))
+            src, colour, dst = row["src"], row["colour"], row["dst"]
         except (TypeError, KeyError):
             raise GameError(f"malformed edge entry {row!r}") from None
-    return GameGraph(vertices, edges, doc["initial"], condition)
+        if colour is not None:
+            _text(colour, "edge colour")
+        edges.append(GameEdge(_text(src, "edge source"), colour, _text(dst, "edge target")))
+    return GameGraph(vertices, edges, _text(doc["initial"], "initial vertex"), condition)
+
+
+def _text(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise GameError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def load_game(path: str, condition: Optional[AnyCondition] = None) -> GameGraph:

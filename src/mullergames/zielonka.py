@@ -5,6 +5,14 @@ The tree of a Muller condition alternates round (accepting) and square
 label with the opposite membership.  Node ids are dense integers in BFS
 construction order and children are kept sorted by label bit pattern, so
 the whole structure is reproducible.
+
+The constructor also fills integer tables that every later query reads:
+depth-first pre-order numbers with the last number inside each subtree (so
+`is_ancestor` is an interval test), the leftmost leaf and the cyclic next
+sibling of every node, the leaf tuple with each node's slice of it, and
+`step_table`, which maps a leaf and a letter index to the tree walk's
+(witness, target) move.  The automaton builders, the resolver and the
+quotient check all read that one table.
 """
 
 from __future__ import annotations
@@ -44,20 +52,79 @@ class ZielonkaTree:
             for mask in order(_maximal_flipped_subsets(condition, node.label.mask)):
                 node.children.append(self._add_node(mask, node.ident))
             head += 1
-        self._memtree: dict[int, int] = {}
-        self._depth: dict[int, int] = {}
-        for node in self.nodes:
-            self._depth[node.ident] = (
-                0 if node.parent is None else self._depth[node.parent] + 1
-            )
+        count = len(self.nodes)
+        self._depth = [0] * count
+        for node in self.nodes[1:]:
+            self._depth[node.ident] = self._depth[node.parent] + 1
+        self._height = 1 + max(self._depth)
+        self._memtree = [1] * count
         for node in reversed(self.nodes):
             kids = node.children
+            if kids:
+                parts = [self._memtree[k] for k in kids]
+                self._memtree[node.ident] = sum(parts) if node.round else max(parts)
+        self._number_depth_first()
+        self.step_table = self._step_table()
+
+    def _number_depth_first(self) -> None:
+        """Pre-order numbers, subtree intervals, leftmost leaves, the leaf
+        tuple with each node's slice of it, and cyclic next siblings."""
+        count = len(self.nodes)
+        order: list[int] = []
+        stack = [self.root]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            stack.extend(reversed(self.nodes[n].children))
+        self._pre = [0] * count
+        for i, n in enumerate(order):
+            self._pre[n] = i
+        leaves = [n for n in order if not self.nodes[n].children]
+        self._leaves = tuple(leaves)
+        leaf_index = {leaf: i for i, leaf in enumerate(leaves)}
+        self._last = [0] * count  # largest pre-order number in n's subtree
+        self._leftmost = [0] * count
+        self._leaf_span = [(0, 0)] * count
+        self._next_sibling = list(range(count))
+        for n in reversed(order):
+            kids = self.nodes[n].children
             if not kids:
-                self._memtree[node.ident] = 1
-            elif node.round:
-                self._memtree[node.ident] = sum(self._memtree[k] for k in kids)
-            else:
-                self._memtree[node.ident] = max(self._memtree[k] for k in kids)
+                self._last[n] = self._pre[n]
+                self._leftmost[n] = n
+                self._leaf_span[n] = (leaf_index[n], leaf_index[n] + 1)
+                continue
+            self._last[n] = self._last[kids[-1]]
+            self._leftmost[n] = self._leftmost[kids[0]]
+            self._leaf_span[n] = (self._leaf_span[kids[0]][0], self._leaf_span[kids[-1]][1])
+            for i, k in enumerate(kids):
+                self._next_sibling[k] = kids[(i + 1) % len(kids)]
+
+    def _step_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """leaf -> (witness, target) per letter index.
+
+        The witness is the deepest node on the leaf's root path whose label
+        holds the letter (labels shrink along the path, and the root holds
+        every letter).  The target is the leaf itself when the witness is the
+        leaf, and otherwise the leftmost leaf below the next sibling of the
+        path's child of the witness.  Rows are pushed down from the root: a
+        letter in the child's label gets the child as witness, and a letter
+        whose witness was the parent now knows which child the path took.
+        """
+        rows = {self.root: [(self.root, self.root)] * len(self.alphabet)}
+        for node in self.nodes:  # BFS: every parent before its children
+            if not node.children:
+                continue
+            n = node.ident
+            row = rows.pop(n)
+            # The parent is the witness of exactly the letters of its label.
+            letters = [i for i in range(len(row)) if node.label.mask >> i & 1]
+            for c in node.children:
+                mask = self.nodes[c].label.mask
+                here, jump = (c, c), (n, self._leftmost[self._next_sibling[c]])
+                rows[c] = child_row = row.copy()
+                for i in letters:
+                    child_row[i] = here if mask >> i & 1 else jump
+        return {leaf: tuple(rows[leaf]) for leaf in self._leaves}
 
     def _add_node(self, mask: int, parent: Optional[int]) -> int:
         ident = len(self.nodes)
@@ -94,7 +161,7 @@ class ZielonkaTree:
 
     @property
     def height(self) -> int:
-        return 1 + max(self._depth.values())
+        return self._height
 
     def node_name(self, n: int) -> str:
         return f"n{n}"
@@ -109,52 +176,25 @@ class ZielonkaTree:
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff a lies on the root path of b (a node is its own ancestor)."""
-        cur: Optional[int] = b
-        while cur is not None:
-            if cur == a:
-                return True
-            cur = self.nodes[cur].parent
-        return False
+        return self._pre[a] <= self._pre[b] <= self._last[a]
 
     def leaves(self) -> tuple[int, ...]:
         """All leaves in leftmost-first (depth-first) order."""
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            kids = self.nodes[n].children
-            if not kids:
-                out.append(n)
-            else:
-                stack.extend(reversed(kids))
-        return tuple(out)
+        return self._leaves
 
     def leftmost_leaf(self, n: int) -> int:
-        while self.nodes[n].children:
-            n = self.nodes[n].children[0]
-        return n
+        return self._leftmost[n]
 
     def leaves_below(self, n: int) -> tuple[int, ...]:
-        out = []
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            kids = self.nodes[m].children
-            if not kids:
-                out.append(m)
-            else:
-                stack.extend(reversed(kids))
-        return tuple(out)
+        lo, hi = self._leaf_span[n]
+        return self._leaves[lo:hi]
 
     # -- navigation --------------------------------------------------------
 
     def next_child(self, n: int, c: int) -> int:
-        kids = self.nodes[n].children
-        try:
-            i = kids.index(c)
-        except ValueError:
-            raise ConditionError(f"node {c} is not a child of node {n}") from None
-        return kids[(i + 1) % len(kids)]
+        if not 0 <= c < len(self.nodes) or self.nodes[c].parent != n:
+            raise ConditionError(f"node {c} is not a child of node {n}")
+        return self._next_sibling[c]
 
     def jump(self, n: int, leaf: int) -> tuple[frozenset[int], int]:
         """Leaves reachable by going up to n, switching to its next child, and
@@ -166,29 +206,15 @@ class ZielonkaTree:
         branch = leaf
         while self.nodes[branch].parent != n:
             branch = self.nodes[branch].parent
-        target = self.next_child(n, branch)
-        below = self.leaves_below(target)
-        return frozenset(below), self.leftmost_leaf(target)
-
-    def deepest_ancestor_containing(self, leaf: int, letter: str) -> int:
-        """The maximal (deepest) ancestor of `leaf` whose label contains `letter`.
-
-        The root is labelled with the full alphabet, so this always exists.
-        """
-        idx = self.alphabet.index(letter)
-        best = None
-        for n in self.ancestors(leaf):
-            if self.nodes[n].label.mask >> idx & 1:
-                best = n
-        if best is None:
-            raise ConditionError(f"letter {letter!r} outside the tree's alphabet")
-        return best
+        target = self._next_sibling[branch]
+        return frozenset(self.leaves_below(target)), self._leftmost[target]
 
     def step(self, leaf: int, letter: str) -> tuple[int, int]:
         """One move of the tree walk: (witness node, next leaf) for a letter."""
-        n = self.deepest_ancestor_containing(leaf, letter)
-        _, nxt = self.jump(n, leaf)
-        return n, nxt
+        row = self.step_table.get(leaf)
+        if row is None:
+            raise ConditionError(f"node {leaf} is not a leaf of this tree")
+        return row[self.alphabet.index(letter)]
 
     # -- derived quantities -------------------------------------------------
 

@@ -32,3 +32,48 @@ def random_muller_condition(rng, alphabet):
     if not masks:
         masks = [rng.randrange(1, 1 << len(alphabet))]
     return MullerCondition(alphabet, [alphabet.from_mask(m) for m in masks])
+
+
+def table_oracle_conditions():
+    """The trees the integer tables are checked on: every condition over at
+    most three letters, F_2..F_8, and 200 seeded random 4- and 5-letter
+    conditions."""
+    import random
+
+    from mullergames.succinctness import condition_fn
+
+    for letters in ("a", "ab", "abc"):
+        yield from all_muller_conditions(Alphabet(letters))
+    for n in range(2, 9):
+        yield condition_fn(n)
+    rng = random.Random(3311)
+    for _ in range(200):
+        yield random_muller_condition(rng, Alphabet("abcde"[: rng.choice((4, 5))]))
+
+
+def reference_root_path(tree, n):
+    """Root-to-n path by parent pointers."""
+    path = [n]
+    while tree.parent(path[-1]) is not None:
+        path.append(tree.parent(path[-1]))
+    return path[::-1]
+
+
+def reference_is_ancestor(tree, a, b):
+    return a in reference_root_path(tree, b)
+
+
+def reference_step(tree, leaf, letter):
+    """The tree walk by parent pointers: the deepest ancestor whose label
+    holds the letter, then the leftmost leaf below its next child."""
+    idx = tree.alphabet.index(letter)
+    path = reference_root_path(tree, leaf)
+    depth = max(d for d, n in enumerate(path) if tree.label(n).mask >> idx & 1)
+    witness = path[depth]
+    if witness == leaf:
+        return witness, leaf
+    kids = tree.children(witness)
+    target = kids[(kids.index(path[depth + 1]) + 1) % len(kids)]
+    while tree.children(target):
+        target = tree.children(target)[0]
+    return witness, target

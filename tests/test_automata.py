@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -27,6 +28,8 @@ from mullergames.conditions import (
     rabin_from_parity,
 )
 from mullergames.construction import build_gfg_rabin, build_parity_automaton
+from mullergames.succinctness import condition_fn
+from conftest import random_muller_condition
 
 
 def fig2_automaton(running_condition):
@@ -92,6 +95,25 @@ def test_run_deterministic_rejects_nondeterministic(running_condition):
     gfg = build_gfg_rabin(running_condition)
     with pytest.raises(AutomatonError):
         run_deterministic(gfg.automaton, LassoWord.from_letters("", "a"))
+
+
+def test_is_deterministic_decided_at_construction(running_condition):
+    assert build_parity_automaton(running_condition).is_deterministic
+    colours = ParityCondition(Alphabet(["2"]), {"2": 2})
+    cases = [
+        # two initial states
+        (["p", "q"], ["p", "q"], [("p", "a", "2", "q"), ("q", "a", "2", "p")]),
+        # no move from q
+        (["p", "q"], ["p"], [("p", "a", "2", "q")]),
+        # two moves from p
+        (["p", "q"], ["p"], [("p", "a", "2", "q"), ("p", "a", "2", "p"), ("q", "a", "2", "q")]),
+    ]
+    for states, initial, transitions in cases:
+        aut = Automaton(states, Alphabet("a"), initial, transitions, colours)
+        assert aut.is_deterministic is False
+        with pytest.raises(AutomatonError):
+            run_deterministic(aut, LassoWord.from_letters("", "a"))
+    assert build_gfg_rabin(running_condition).automaton.is_deterministic is False
 
 
 def test_accepts_lasso_examples(running_condition):
@@ -371,3 +393,57 @@ def test_accepts_lasso_rotation_and_pumping(running_condition):
         assert checker.accepts(LassoWord(u, v + v)) == base
         k = rng.randrange(len(v))
         assert checker.accepts(LassoWord(u + v[:k], v[k:] + v[:k])) == base
+
+
+# SHA-256 of export_hoa, recorded before the tree walk moved to integer tables.
+HOA_DIGESTS = {
+    ("running", "gfg"): "c12eac6dddea48b69c6bc7499c60b6c256f7ebd75132beb0c586b4b38b8b0d70",
+    ("running", "parity"): "d73422d4086343d2c4399472912038476ef60ed97b44dc796ffb9993272fd70e",
+    ("F6", "gfg"): "675b0e474e29999845bd24385f7de600ec136deac03d44a632771511e3a221d0",
+    ("F6", "parity"): "9ba014cd6c5013a782649235c61743546d4aa8f50baab910544d43355acc1be2",
+    ("F8", "gfg"): "b7ede6e6748c62904838cdb62a0bf7e98837f92c653f089c6688cb86a307ce54",
+    ("F8", "parity"): "32a4ac7bfcbaac906cf6469eab91b02b5e9786417c28da7eb0cf49e1f0ddad46",
+    ("random5", "gfg"): "2ff8d9e6d45cc9a5a0b091a4b401e36095f15e7a1f99373281197e57f6aaea27",
+    ("random5", "parity"): "3b0b42a5e4012a70db24a69214104b4fece5fa808e8db3eef7adef80b934d9cd",
+}
+
+
+def test_export_hoa_bytes_are_pinned(running_condition):
+    conditions = {
+        "running": running_condition,
+        "F6": condition_fn(6),
+        "F8": condition_fn(8),
+        "random5": random_muller_condition(random.Random(2204), Alphabet("abcde")),
+    }
+    for name, cond in conditions.items():
+        built = {
+            "gfg": build_gfg_rabin(cond).automaton,
+            "parity": build_parity_automaton(cond),
+        }
+        for kind, aut in built.items():
+            digest = hashlib.sha256(export_hoa(aut).encode()).hexdigest()
+            assert digest == HOA_DIGESTS[(name, kind)], (name, kind)
+
+
+def running_hoa_lines(running_condition):
+    return export_hoa(fig2_automaton(running_condition)).splitlines()
+
+
+HOA_DEFECTS = {
+    "no-States": (lambda ls: [ln for ln in ls if not ln.startswith("States:")], "'States:'"),
+    "no-AP": (lambda ls: [ln for ln in ls if not ln.startswith("AP:")], "'AP:'"),
+    "no-acc-name": (lambda ls: [ln for ln in ls if not ln.startswith("acc-name:")], "'acc-name:'"),
+    "States-two": (lambda ls: [ln.replace("States: 2", "States: two") for ln in ls], "line 2"),
+    "Start-x": (lambda ls: [ln.replace("Start: 0", "Start: x") for ln in ls], "line 3"),
+    "State-x": (lambda ls: [ln.replace("State: 1", "State: x") for ln in ls], "line 16"),
+    "destination": (lambda ls: ls[:9] + [ls[9].replace("] 0", "] zero")] + ls[10:], "line 10"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(HOA_DEFECTS))
+def test_parse_hoa_names_the_offending_line(running_condition, defect):
+    edit, where = HOA_DEFECTS[defect]
+    lines = edit(export_hoa(fig2_automaton(running_condition)).splitlines())
+    with pytest.raises(AutomatonError) as err:
+        parse_hoa("\n".join(lines) + "\n")
+    assert where in str(err.value)

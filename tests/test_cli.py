@@ -131,6 +131,22 @@ def test_cmd_check_detects_corruption(capsys, condition_file, tmp_path):
     assert "counterexample" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("States: 2", "States: two"), ("States: 2\n", "")],
+    ids=["non-integer-states", "missing-states"],
+)
+def test_cmd_check_reports_malformed_hoa(capsys, condition_file, tmp_path, old, new):
+    hoa = tmp_path / "rf.hoa"
+    assert main(["build", condition_file, "--kind", "gfg-rabin", "--hoa", str(hoa)]) == 0
+    hoa.write_text(hoa.read_text().replace(old, new))
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa), "--bound", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "States" in err
+
+
 def game_file(tmp_path, doc):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
@@ -192,6 +208,27 @@ def test_cmd_solve_reports_dead_end(capsys, condition_file, tmp_path):
     )
     assert main(["solve", "--game", game, "--condition", condition_file]) == 2
     assert "at least one move from every position" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, initial",
+    [
+        ([{"name": ["x"], "owner": "Exist"}], [{"src": "x", "colour": "a", "dst": "x"}], "x"),
+        ([{"name": "x", "owner": 1}], [{"src": "x", "colour": "a", "dst": "x"}], "x"),
+        ([{"name": "x", "owner": "Exist"}], [{"src": 0, "colour": "a", "dst": "x"}], "x"),
+        ([{"name": "x", "owner": "Exist"}], [{"src": "x", "colour": 3, "dst": "x"}], "x"),
+        ([{"name": "x", "owner": "Exist"}], [{"src": "x", "colour": "a", "dst": "x"}], ["x"]),
+        ([{"name": "x", "owner": "Exist"}], {"src": "x"}, "x"),
+    ],
+    ids=["list-name", "int-owner", "int-src", "int-colour", "list-initial", "edges-object"],
+)
+def test_cmd_solve_rejects_mistyped_game(
+    capsys, condition_file, tmp_path, vertices, edges, initial
+):
+    game = game_file(tmp_path, {"vertices": vertices, "edges": edges, "initial": initial})
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cmd_solve_reports_product_disagreement(capsys, condition_file, tmp_path, monkeypatch):

@@ -27,7 +27,12 @@ from mullergames.construction import (
     resolve_run,
 )
 from mullergames.zielonka import build_zielonka, eta_labelling, memtree
-from conftest import all_muller_conditions, random_muller_condition
+from conftest import (
+    all_muller_conditions,
+    random_muller_condition,
+    reference_is_ancestor,
+    table_oracle_conditions,
+)
 
 ALPHA, BETA, GAMMA, DELTA, EPS, ZETA = range(6)
 
@@ -55,6 +60,26 @@ def test_node_rabin_pairs_running_example(running_tree):
     g1, r1 = pairs.pairs[1]
     assert g0.names() == ("n1",) and set(r0.names()) == {"n0", "n2", "n4", "n5"}
     assert g1.names() == ("n2",) and set(r1.names()) == {"n0", "n1", "n3"}
+
+
+def test_node_rabin_pairs_match_ancestor_comprehension():
+    for cond in table_oracle_conditions():
+        tree = build_zielonka(cond)
+        names = [tree.node_name(m) for m in range(len(tree))]
+        expected = [
+            (
+                (names[n],),
+                tuple(
+                    names[m]
+                    for m in range(len(tree))
+                    if m != n and not reference_is_ancestor(tree, n, m)
+                ),
+            )
+            for n in range(len(tree))
+            if tree.is_round(n)
+        ]
+        got = [(g.names(), r.names()) for g, r in node_rabin_pairs(tree).pairs]
+        assert got == expected
 
 
 def test_node_rabin_pairs_degenerate_trees():

@@ -12,7 +12,13 @@ from mullergames.zielonka import (
     memtree,
     next_child,
 )
-from conftest import all_muller_conditions, random_muller_condition
+from conftest import (
+    all_muller_conditions,
+    random_muller_condition,
+    reference_root_path,
+    reference_step,
+    table_oracle_conditions,
+)
 
 ALPHA, BETA, GAMMA, DELTA, EPS, ZETA = range(6)
 
@@ -192,3 +198,52 @@ def test_dot_export_is_stable(running_tree):
     assert 'n0 [shape=box, label="{a,b,c}"]' in dot
     assert 'n1 [shape=ellipse, label="{a,b}"]' in dot
     assert dot.index("n0 -> n1") < dot.index("n0 -> n2")
+
+
+def reference_leaves_below(tree, n):
+    kids = tree.children(n)
+    if not kids:
+        return (n,)
+    return tuple(leaf for k in kids for leaf in reference_leaves_below(tree, k))
+
+
+def test_step_table_matches_parent_pointer_walk():
+    for cond in table_oracle_conditions():
+        tree = build_zielonka(cond)
+        assert tree.leaves() == reference_leaves_below(tree, tree.root)
+        assert tuple(tree.step_table) == tree.leaves()
+        for leaf in tree.leaves():
+            for letter in cond.alphabet:
+                assert tree.step(leaf, letter) == reference_step(tree, leaf, letter)
+
+
+def test_is_ancestor_matches_parent_pointer_walk():
+    for cond in table_oracle_conditions():
+        tree = build_zielonka(cond)
+        for b in range(len(tree)):
+            path = reference_root_path(tree, b)
+            assert tree.ancestors(b) == path
+            for a in range(len(tree)):
+                assert tree.is_ancestor(a, b) == (a in path)
+
+
+def test_leaf_tables_match_recursive_descent():
+    for cond in table_oracle_conditions():
+        tree = build_zielonka(cond)
+        for n in range(len(tree)):
+            below = reference_leaves_below(tree, n)
+            assert tree.leaves_below(n) == below
+            assert tree.leftmost_leaf(n) == below[0]
+            parent = tree.parent(n)
+            if parent is not None:
+                kids = tree.children(parent)
+                expected = kids[(kids.index(n) + 1) % len(kids)]
+                assert tree.next_child(parent, n) == expected
+
+
+def test_step_rejects_inner_nodes_and_foreign_letters(running_tree):
+    assert running_tree.step(DELTA, "c") == (ALPHA, EPS)
+    with pytest.raises(ConditionError):
+        running_tree.step(GAMMA, "a")
+    with pytest.raises(ConditionError):
+        running_tree.step(DELTA, "z")
