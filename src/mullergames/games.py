@@ -10,18 +10,25 @@ There is one solver per kind of game, both on the same edge-midpoint split
 with integer node ids: Zielonka's recursion for parity games
 (`solve_parity_game`) and its Rabin form, where Exist always has a
 positional strategy (`positional_rabin_strategy`).  Each result is
-re-checked by cycle analysis of the strategy before it is returned, and the
-two products must agree on the winner of the initial vertex.
+re-checked before it is returned, and the two products must agree on the
+winner of the initial vertex.
+
+One cycle check backs every certificate: the solvers' strategies,
+`verify_strategy` and the brute-force oracle all ask `_rejected_core`
+whether a one-player graph has a cycle whose colour set the condition
+rejects.  It refines strongly connected components as the condition directs
+(for a Muller condition, down its Zielonka tree), so it takes polynomial
+time where a scan of colour subsets would take 2^colours passes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from ._graph import strongly_connected_components
-from .automata import Automaton, Transition, accepts_colour_set, condition_colours
+from .automata import Automaton, Transition, condition_colours
 from .conditions import (
     AnyCondition,
     MullerCondition,
@@ -311,11 +318,7 @@ def _attract(
     player uses to advance towards the base."""
     attr = set(base)
     strat: dict = {}
-    degree = {
-        v: sum(1 for w in succ[v] if w in nodes)
-        for v in nodes
-        if owners[v] != player
-    }
+    degree: dict = {}  # opponent node -> its successors in `nodes` not yet in attr
     queue = list(base)
     while queue:
         n = queue.pop()
@@ -327,6 +330,8 @@ def _attract(
                 strat[p] = n
                 queue.append(p)
             else:
+                if p not in degree:
+                    degree[p] = sum(1 for w in succ[p] if w in nodes)
                 degree[p] -= 1
                 if degree[p] == 0:
                     attr.add(p)
@@ -350,10 +355,8 @@ def _zielonka_solve(
         return set(), set(), {}
     top = max(prio[v] for v in nodes)
     player = top % 2
-    local_succ = {v: [w for w in succ[v] if w in nodes] for v in nodes}
-    local_preds = {v: [w for w in preds[v] if w in nodes] for v in nodes}
     target = {v for v in nodes if prio[v] == top}
-    attr, attr_strat = _attract(player, target, set(nodes), local_succ, local_preds, owners)
+    attr, attr_strat = _attract(player, target, nodes, succ, preds, owners)
     rest = frozenset(nodes - attr)
     w_even, w_odd, strat = _zielonka_solve(rest, succ, preds, owners, prio)
     w_opp = w_odd if player == 0 else w_even
@@ -362,11 +365,11 @@ def _zielonka_solve(
         full_strat.update(attr_strat)
         for v in target:
             if owners[v] == player and v not in full_strat:
-                full_strat[v] = local_succ[v][0]
+                full_strat[v] = next(w for w in succ[v] if w in nodes)
         win = set(nodes)
         return (win, set(), full_strat) if player == 0 else (set(), win, full_strat)
     opp = 1 - player
-    oattr, oattr_strat = _attract(opp, set(w_opp), set(nodes), local_succ, local_preds, owners)
+    oattr, oattr_strat = _attract(opp, set(w_opp), nodes, succ, preds, owners)
     rest2 = frozenset(nodes - oattr)
     w_even2, w_odd2, strat2 = _zielonka_solve(rest2, succ, preds, owners, prio)
     merged = dict(strat2)
@@ -427,131 +430,148 @@ def solve_parity_game(
 def _verify_parity_solution(
     game: GameGraph, condition: ParityCondition, solution: ParitySolution
 ) -> None:
-    for player, strategy in (
-        (EXIST, solution.exist_strategy),
-        (UNIV, solution.univ_strategy),
+    for player, strategy, losing in (
+        (EXIST, solution.exist_strategy, 1),
+        (UNIV, solution.univ_strategy, 0),
     ):
         region = solution.region(player)
-        avail: dict[Vertex, list[GameEdge]] = {}
-        for v in region:
-            if game.owner(v) == player:
-                chosen = strategy.get(v)
-                if chosen is None:
-                    raise RuntimeError(f"missing {player} strategy at {v!r}")
-                if chosen.dst not in region:
-                    raise RuntimeError(f"{player} strategy leaves the winning region")
-                avail[v] = [chosen]
-            else:
-                for e in game.out(v):
-                    if e.dst not in region:
-                        raise RuntimeError(
-                            f"{player} region is not closed under opponent moves"
-                        )
-                avail[v] = list(game.out(v))
-        bad_parity = 1 if player == EXIST else 0
-        for p in _occurring_priorities(game, condition, region, avail):
-            if p % 2 != bad_parity:
-                continue
-            restricted = {
-                v: [
-                    e
-                    for e in avail[v]
-                    if _edge_priority(condition, 0, e.colour) <= p or e.colour is None
-                ]
-                for v in region
-            }
-            for members, core_edges in _realisable_cores(region, restricted):
-                if any(
-                    e.colour is not None
-                    and _edge_priority(condition, 0, e.colour) == p
-                    for e in core_edges
-                ):
-                    raise RuntimeError(
-                        f"cycle analysis refutes the {player} strategy at priority {p}"
-                    )
+        graph = _strategy_graph(game, region, strategy, player, condition)
+        if _rejected_core(region, graph, _refiner(condition, losing)) is not None:
+            raise GameError(f"internal: cycle analysis refutes the {player} strategy")
 
 
-def _occurring_priorities(game, condition, region, avail) -> set[int]:
-    return {
-        condition.priority(e.colour)
-        for v in region
-        for e in avail[v]
-        if e.colour is not None
-    }
+# -- the one cycle check behind every certificate --------------------------------
 
 
-# -- realisable recurrence sets -------------------------------------------------
+Refine = Callable[[int], Optional[Sequence[int]]]
 
 
-def _realisable_cores(
-    vertex_set: Iterable[Vertex], avail: Mapping[Vertex, Sequence[GameEdge]]
-) -> list[tuple[frozenset, list[GameEdge]]]:
-    """Maximal strongly connected edge sets that a play can visit forever.
+def _rejected_core(
+    nodes: Iterable[Vertex],
+    out: Mapping[Vertex, Sequence[tuple[Vertex, int]]],
+    refine: Refine,
+) -> Optional[frozenset]:
+    """A strongly connected set of nodes whose colours a play can repeat
+    forever and the condition rejects, or None if there is none.
 
-    `avail` already fixes the strategy of whoever is restricted (those
-    vertices carry exactly one edge); vertices without an edge staying in
-    the component cannot recur and are pruned.
+    `out[v]` lists (successor, colour bit) pairs, bit 0 for a silent edge.
+    A play can stay in a component forever and take every one of its
+    edges, so the component's colour mask is realisable.  `refine(mask)`
+    returns None when that mask is rejected, and otherwise masks, each a
+    proper subset of it, that between them contain every rejected subset;
+    the component is searched again under each.
     """
-    out: list[tuple[frozenset, list[GameEdge]]] = []
-
-    def explore(members: frozenset) -> None:
-        def succ(v):
-            return [e.dst for e in avail[v] if e.dst in members]
-
-        for comp in strongly_connected_components(members, succ):
-            comp_set = frozenset(comp)
-            internal = {
-                v: [e for e in avail[v] if e.dst in comp_set] for v in comp_set
-            }
-            dead = {v for v in comp_set if not internal[v]}
-            if dead:
-                rest = comp_set - dead
-                if rest and rest != members:
-                    explore(rest)
-            else:
-                edges = [e for v in comp_set for e in internal[v]]
-                if edges:
-                    out.append((comp_set, edges))
-
-    explore(frozenset(vertex_set))
-    return out
-
-
-def _rejecting_cores(
-    vertex_set: Iterable[Vertex],
-    avail: Mapping[Vertex, Sequence[GameEdge]],
-    condition: RabinCondition,
-) -> list[tuple[frozenset, list[GameEdge]]]:
-    """All realisable cores whose colour set satisfies no Rabin pair.
-
-    Cores satisfying some pair are refined by deleting the green edges of
-    every satisfied pair, since a rejecting subset cannot use them.
-    """
-    found = []
-    for members, edges in _realisable_cores(vertex_set, avail):
-        colours = {e.colour for e in edges if e.colour is not None}
-        if not colours:
-            raise GameError("silent-only recurrence set; the arena is malformed")
-        satisfied = [
-            (green, red)
-            for green, red in condition.pairs
-            if any(c in green for c in colours) and not any(c in red for c in colours)
-        ]
-        if not satisfied:
-            found.append((members, edges))
-            continue
-        banned = {
-            e
-            for e in edges
-            if e.colour is not None
-            and any(e.colour in green for green, _ in satisfied)
-        }
-        refined = {
-            v: [e for e in avail[v] if e.dst in members and e not in banned]
+    work = [(frozenset(nodes), -1)]
+    while work:
+        members, allowed = work.pop()
+        local = {
+            v: [(w, bit) for w, bit in out[v] if w in members and (not bit or bit & allowed)]
             for v in members
         }
-        found.extend(_rejecting_cores(members, refined, condition))
-    return found
+        for comp in strongly_connected_components(members, lambda v: [w for w, _ in local[v]]):
+            inside = frozenset(comp)
+            inner = [bit for v in comp for w, bit in local[v] if w in inside]
+            if not inner:
+                continue
+            mask = 0
+            for bit in inner:
+                mask |= bit
+            if not mask:
+                raise GameError("silent-only recurrence set; the arena is malformed")
+            parts = refine(mask)
+            if parts is None:
+                return inside
+            for part in parts:
+                if part & mask == mask:  # would search the same component forever
+                    raise GameError("internal: a refinement kept the whole colour set")
+                work.append((inside, part & mask))
+    return None
+
+
+def _refiner(condition: AnyCondition, losing: int = 1) -> Refine:
+    """`refine` for `_rejected_core` under a condition.  For a parity
+    condition, `losing` is the parity of the priorities that lose (1 for
+    Exist's side, 0 for Univ's)."""
+    if isinstance(condition, MullerCondition):
+        # The deepest tree node whose label holds the mask is round exactly
+        # when the mask is accepted, and then every rejected subset of the
+        # mask lies inside one of that node's children.
+        tree = build_zielonka(condition)
+        labels = [tree.label(n).mask for n in range(len(tree))]
+
+        def refine(mask: int) -> Optional[list[int]]:
+            node = tree.root
+            while True:
+                kids = tree.children(node)
+                deeper = next((k for k in kids if not mask & ~labels[k]), None)
+                if deeper is None:
+                    return [labels[k] for k in kids] if tree.is_round(node) else None
+                node = deeper
+
+    elif isinstance(condition, RabinCondition):
+        pairs = [(g.mask, r.mask) for g, r in condition.pairs]
+
+        def refine(mask: int) -> Optional[list[int]]:
+            # A rejected subset fails every pair the mask satisfies, and it
+            # avoids their reds already, so it must avoid their greens.
+            greens = 0
+            for g, r in pairs:
+                if g & mask and not r & mask:
+                    greens |= g
+            return [mask & ~greens] if greens else None
+
+    else:
+        prio = [condition.priority(c) for c in condition.colours]
+
+        def refine(mask: int) -> Optional[list[int]]:
+            present = [(p, 1 << i) for i, p in enumerate(prio) if mask >> i & 1]
+            if max(p for p, _ in present) % 2 == losing:
+                return None
+            # A subset whose top priority loses stays at or below the
+            # highest losing priority present.
+            cap = max((p for p, _ in present if p % 2 == losing), default=None)
+            if cap is None:
+                return []
+            return [sum(bit for p, bit in present if p <= cap)]
+
+    return refine
+
+
+def _colour_bit(condition: AnyCondition) -> Callable[[Optional[str]], int]:
+    """An edge colour's bit in the condition's colour masks; 0 when silent."""
+    index = condition_colours(condition).index
+    return lambda colour: 0 if colour is None else 1 << index(colour)
+
+
+def _strategy_graph(
+    game: GameGraph,
+    region: frozenset,
+    strategy: Mapping[Vertex, GameEdge],
+    player: str,
+    condition: AnyCondition,
+) -> dict[Vertex, list[tuple[Vertex, int]]]:
+    """The one-player graph of `region` when `player` follows a positional
+    strategy and the opponent moves freely, as `_rejected_core` reads it.
+    Raises unless the strategy is defined and stays in the region and the
+    opponent cannot leave it."""
+    bit = _colour_bit(condition)
+    graph = {}
+    for v in region:
+        if game.owner(v) == player:
+            chosen = strategy.get(v)
+            if chosen is None:
+                raise GameError(f"internal: missing {player} strategy at {v!r}")
+            if chosen.dst not in region:
+                raise GameError(f"internal: {player} strategy leaves the winning region")
+            moves = [chosen]
+        else:
+            moves = game.out(v)
+            if any(e.dst not in region for e in moves):
+                raise GameError(
+                    f"internal: {player} region is not closed under opponent moves"
+                )
+        graph[v] = [(e.dst, bit(e.colour)) for e in moves]
+    return graph
 
 
 # -- Rabin games ---------------------------------------------------------------
@@ -561,18 +581,6 @@ def _rejecting_cores(
 class RabinStrategySolution:
     region: frozenset
     strategy: dict[Vertex, GameEdge]
-
-
-def _strategy_avail(
-    game: GameGraph, region: Iterable[Vertex], strategy: Mapping[Vertex, GameEdge]
-) -> dict[Vertex, list[GameEdge]]:
-    avail = {}
-    for v in region:
-        if game.owner(v) == EXIST:
-            avail[v] = [strategy[v]]
-        else:
-            avail[v] = list(game.out(v))
-    return avail
 
 
 def positional_rabin_strategy(
@@ -655,16 +663,9 @@ def positional_rabin_strategy(
 
 
 def _assert_rabin_strategy_wins(game, condition, region, strategy) -> None:
-    for v in region:
-        if game.owner(v) == UNIV:
-            for e in game.out(v):
-                if e.dst not in region:
-                    raise GameError(
-                        "claimed winning region is not closed under Univ moves"
-                    )
-    avail = _strategy_avail(game, region, strategy)
-    if _rejecting_cores(set(region), avail, condition):
-        raise GameError("candidate strategy admits a rejecting reachable cycle")
+    graph = _strategy_graph(game, region, strategy, EXIST, condition)
+    if _rejected_core(region, graph, _refiner(condition)) is not None:
+        raise GameError("internal: candidate strategy admits a rejecting reachable cycle")
 
 
 # -- memory extraction and Muller solving ---------------------------------------
@@ -761,91 +762,68 @@ def solve_muller_game(
 
 def _memory_product(game: GameGraph, memory: MemoryStructure):
     """Reachable (vertex, memory) graph under the induced strategy: Exist
-    follows the memory's choice, Univ moves freely."""
+    follows the memory's choice, Univ moves freely.  Maps each node to its
+    (game edge, next node) moves."""
     start = (game.initial, memory.initial)
     nodes = {start}
     queue = [start]
-    avail: dict = {}
-    taken: dict = {}
+    moves_of: dict = {}
     while queue:
         node = queue.pop()
         x, m = node
         if game.owner(x) == EXIST:
             moves = [memory.strategy[(m, x)]]
         else:
-            moves = list(game.out(x))
-        outs = []
+            moves = game.out(x)
+        outs = moves_of[node] = []
         for e in moves:
             nxt = (e.dst, memory.update[(m, e)])
-            outs.append(GameEdge(node, e.colour, nxt))
-            taken[(node, e.colour, nxt)] = e
+            outs.append((e, nxt))
             if nxt not in nodes:
                 nodes.add(nxt)
                 queue.append(nxt)
-        avail[node] = outs
-    return nodes, avail, taken
+    return moves_of
 
 
-def _all_recurrence_sets_satisfy(
-    nodes, avail, condition: AnyCondition, budget: int
+def _memory_strategy_wins(
+    game: GameGraph,
+    memory: MemoryStructure,
+    bit: Callable[[Optional[str]], int],
+    refine: Refine,
 ) -> bool:
-    """Check every realisable infinitely-recurring edge set of a one-player
-    restricted graph: scan colour subsets, then the recurrence cores of each
-    restricted subgraph (whose colour set is then exactly the scanned one)."""
-    occurring = sorted(
-        {e.colour for outs in avail.values() for e in outs if e.colour is not None}
-    )
-    if 1 << len(occurring) > budget:
-        raise GameError(
-            f"colour-subset enumeration needs {1 << len(occurring)} cases, over budget {budget}"
-        )
-    for mask in range(1, 1 << len(occurring)):
-        allowed = {occurring[i] for i in range(len(occurring)) if mask >> i & 1}
-        restricted = {
-            v: [e for e in outs if e.colour is None or e.colour in allowed]
-            for v, outs in avail.items()
-        }
-        for _, edges in _realisable_cores(nodes, restricted):
-            colours = {e.colour for e in edges if e.colour is not None}
-            if not colours:
-                raise GameError("silent-only recurrence set; the arena is malformed")
-            if not accepts_colour_set(condition, colours):
-                return False
-    return True
+    """True iff no cycle of the (vertex, memory) graph has a rejected colour set."""
+    graph = {
+        node: [(nxt, bit(e.colour)) for e, nxt in outs]
+        for node, outs in _memory_product(game, memory).items()
+    }
+    return _rejected_core(graph, graph, refine) is None
 
 
 def verify_strategy(
-    game: GameGraph,
-    condition: AnyCondition,
-    memory: MemoryStructure,
-    budget: int = 1 << 16,
+    game: GameGraph, condition: AnyCondition, memory: MemoryStructure
 ) -> bool:
     """True iff every infinitely recurring edge set that Univ can realise
     against the induced strategy has a colour set satisfying the condition.
 
-    Enumerates colour subsets and checks the recurrence cores of each
-    restricted graph; exponential in the number of occurring colours, so
-    guarded by `budget`.
+    One condition-driven SCC refinement of the (vertex, memory) graph (see
+    `_rejected_core`), polynomial in that graph and the condition's
+    Zielonka tree.
     """
     memory.validate(game)
-    nodes, avail, _ = _memory_product(game, memory)
-    return _all_recurrence_sets_satisfy(nodes, avail, condition, budget)
+    return _memory_strategy_wins(game, memory, _colour_bit(condition), _refiner(condition))
 
 
 def is_chromatic(memory: MemoryStructure, game: GameGraph) -> bool:
     """True iff the reachable part of the update function factors through
     edge colours, with silent edges leaving the memory unchanged."""
-    _, avail, taken = _memory_product(game, memory)
     seen: dict[tuple[Hashable, Optional[str]], Hashable] = {}
-    for node, outs in avail.items():
-        _, m = node
-        for pe in outs:
-            next_m = pe.dst[1]
-            if pe.colour is None:
+    for (_, m), outs in _memory_product(game, memory).items():
+        for e, (_, next_m) in outs:
+            if e.colour is None:
                 if next_m != m:
                     return False
                 continue
-            key = (m, pe.colour)
+            key = (m, e.colour)
             if key in seen and seen[key] != next_m:
                 return False
             seen[key] = next_m
@@ -861,7 +839,8 @@ def brute_force_winner(
     budget: int = 2_000_000,
 ) -> str:
     """Exhaustively enumerate Exist strategies with memory up to memtree and
-    check each by realisable-edge-set analysis.  Test oracle only."""
+    check each complete one by the cycle check of `verify_strategy`; `budget`
+    caps the enumeration.  Test oracle only."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, MullerCondition):
         raise GameError("brute_force_winner expects a Muller condition")
@@ -869,10 +848,12 @@ def brute_force_winner(
     states = tuple(range(size))
     counter = [0]
 
+    bit = _colour_bit(condition)
+    refine = _refiner(condition)
     start = (game.initial, 0)
 
-    def closed_reachable(sigma, mu):
-        """Reachable (vertex, memory) nodes, or the first missing decision."""
+    def missing_decision(sigma, mu):
+        """The first decision a reachable (vertex, memory) node lacks, or None."""
         seen = {start}
         stack = [start]
         while stack:
@@ -880,40 +861,29 @@ def brute_force_winner(
             if game.owner(x) == EXIST:
                 e = sigma.get((m, x))
                 if e is None:
-                    return None, ("sigma", (m, x))
+                    return "sigma", (m, x)
                 moves = [e]
             else:
                 moves = game.out(x)
             for e in moves:
                 m2 = mu.get((m, e))
                 if m2 is None:
-                    return None, ("mu", (m, e))
+                    return "mu", (m, e)
                 nxt = (e.dst, m2)
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return seen, None
-
-    def winning(sigma, mu) -> bool:
-        nodes, _ = closed_reachable(sigma, mu)
-        avail = {}
-        for x, m in nodes:
-            if game.owner(x) == EXIST:
-                moves = [sigma[(m, x)]]
-            else:
-                moves = game.out(x)
-            avail[(x, m)] = [
-                GameEdge((x, m), e.colour, (e.dst, mu[(m, e)])) for e in moves
-            ]
-        return _all_recurrence_sets_satisfy(nodes, avail, condition, budget)
+        return None
 
     def search(sigma, mu) -> bool:
         counter[0] += 1
         if counter[0] > budget:
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
-        _, missing = closed_reachable(sigma, mu)
+        missing = missing_decision(sigma, mu)
         if missing is None:
-            return winning(sigma, mu)
+            return _memory_strategy_wins(
+                game, MemoryStructure(states, 0, mu, sigma), bit, refine
+            )
         kind, key = missing
         if kind == "sigma":
             m, x = key

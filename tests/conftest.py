@@ -77,3 +77,67 @@ def reference_step(tree, leaf, letter):
     while tree.children(target):
         target = tree.children(target)[0]
     return witness, target
+
+
+def reference_realisable_cores(vertex_set, avail):
+    """Maximal strongly connected edge sets that a play can visit forever.
+
+    `avail` already fixes the strategy of whoever is restricted (those
+    vertices carry exactly one edge); vertices without an edge staying in
+    the component cannot recur and are pruned.
+    """
+    from mullergames._graph import strongly_connected_components
+
+    out = []
+
+    def explore(members):
+        def succ(v):
+            return [e.dst for e in avail[v] if e.dst in members]
+
+        for comp in strongly_connected_components(members, succ):
+            comp_set = frozenset(comp)
+            internal = {
+                v: [e for e in avail[v] if e.dst in comp_set] for v in comp_set
+            }
+            dead = {v for v in comp_set if not internal[v]}
+            if dead:
+                rest = comp_set - dead
+                if rest and rest != members:
+                    explore(rest)
+            else:
+                edges = [e for v in comp_set for e in internal[v]]
+                if edges:
+                    out.append((comp_set, edges))
+
+    explore(frozenset(vertex_set))
+    return out
+
+
+def reference_recurrence_sets_satisfy(nodes, avail, condition, budget):
+    """Check every realisable infinitely-recurring edge set of a one-player
+    restricted graph: scan colour subsets, then the recurrence cores of each
+    restricted subgraph (whose colour set is then exactly the scanned one).
+    `avail` maps each node to its `GameEdge`s."""
+    from mullergames.automata import accepts_colour_set
+    from mullergames.games import GameError
+
+    occurring = sorted(
+        {e.colour for outs in avail.values() for e in outs if e.colour is not None}
+    )
+    if 1 << len(occurring) > budget:
+        raise GameError(
+            f"colour-subset enumeration needs {1 << len(occurring)} cases, over budget {budget}"
+        )
+    for mask in range(1, 1 << len(occurring)):
+        allowed = {occurring[i] for i in range(len(occurring)) if mask >> i & 1}
+        restricted = {
+            v: [e for e in outs if e.colour is None or e.colour in allowed]
+            for v, outs in avail.items()
+        }
+        for _, edges in reference_realisable_cores(nodes, restricted):
+            colours = {e.colour for e in edges if e.colour is not None}
+            if not colours:
+                raise GameError("silent-only recurrence set; the arena is malformed")
+            if not accepts_colour_set(condition, colours):
+                return False
+    return True

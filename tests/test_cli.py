@@ -253,6 +253,42 @@ def test_cmd_solve_reports_product_disagreement(capsys, condition_file, tmp_path
     assert err.count("\n") == 1
 
 
+def test_cmd_solve_reports_failed_certificate(capsys, condition_file, tmp_path, monkeypatch):
+    from mullergames import games
+
+    monkeypatch.setattr(games, "_rejected_core", lambda nodes, out, refine: frozenset(nodes))
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "x", "owner": "Exist"}],
+            "edges": [{"src": "x", "colour": "b", "dst": "x"}],
+            "initial": "x",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: cycle analysis refutes") and err.count("\n") == 1
+
+
+def test_cmd_solve_seventeen_letters(capsys, tmp_path):
+    # Exist must see every letter: memory 17, one per letter.  A scan of
+    # colour subsets would need 2^17 cases to verify her strategy.
+    letters = [chr(ord("a") + i) for i in range(17)]
+    condition = tmp_path / "all17.json"
+    condition.write_text(json.dumps({"alphabet": letters, "accepting": [letters]}))
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "x", "owner": "Exist"}],
+            "edges": [{"src": "x", "colour": c, "dst": "x"} for c in letters],
+            "initial": "x",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", str(condition)]) == 0
+    out = capsys.readouterr().out
+    assert "winner: Exist" in out and "memory size: 17" in out
+
+
 def test_cmd_solve_memory_out_independent_of_string_hashing(condition_file, tmp_path):
     rng = random.Random(11)
     names = [f"v{i}" for i in range(60)]

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 
@@ -34,7 +35,7 @@ from mullergames.games import (
     verify_strategy,
 )
 from mullergames.zielonka import build_zielonka
-from conftest import random_muller_condition
+from conftest import random_muller_condition, reference_recurrence_sets_satisfy
 
 
 def one_vertex_abc_game(condition):
@@ -181,6 +182,36 @@ def test_solve_parity_mixed_game():
     assert solution.exist_strategy["a"] == GameEdge("a", "2", "b")
 
 
+@pytest.mark.parametrize(
+    "winners, exist_strategy, univ_strategy, message",
+    [
+        ({"x": EXIST, "u": EXIST}, {}, {}, "missing Exist strategy at 'x'"),
+        ({"x": EXIST, "u": UNIV}, {"x": ("x", "2", "u")}, {"u": ("u", "2", "u")},
+         "Exist strategy leaves the winning region"),
+        ({"x": UNIV, "u": EXIST}, {}, {}, "Exist region is not closed"),
+        ({"x": UNIV, "u": UNIV}, {}, {"u": ("u", "2", "u")},
+         "cycle analysis refutes the Univ strategy"),
+    ],
+)
+def test_parity_certificate_failures_are_game_errors(
+    winners, exist_strategy, univ_strategy, message
+):
+    # Exist wins everywhere: every cycle's top priority is 2.
+    game = GameGraph(
+        [("x", EXIST), ("u", UNIV)],
+        [("x", "2", "u"), ("u", "1", "x"), ("u", "2", "u")],
+        "x",
+        single_priority_condition(),
+    )
+    solution = games.ParitySolution(
+        winners,
+        {v: GameEdge(*e) for v, e in exist_strategy.items()},
+        {v: GameEdge(*e) for v, e in univ_strategy.items()},
+    )
+    with pytest.raises(GameError, match="internal: " + message):
+        games._verify_parity_solution(game, game.condition, solution)
+
+
 # -- Rabin games: reference solver and agreement ------------------------------
 
 
@@ -219,10 +250,8 @@ def solved_rabin(game):
     return solution
 
 
-def random_rabin_game(rng, colours, max_vertices=7, silent_prob=0.2):
-    """A game with out-degree 1-3 over a random Rabin condition; silent edges
-    only go forward, so no cycle is silent."""
-    alphabet = Alphabet(colours)
+def random_rabin_condition(rng, colours):
+    """One to three pairs, each colour green, red or neither in each."""
     pairs = []
     for _ in range(rng.randint(1, 3)):
         marks = [rng.choice("gro") for _ in colours]
@@ -232,7 +261,13 @@ def random_rabin_game(rng, colours, max_vertices=7, silent_prob=0.2):
                 [c for c, m in zip(colours, marks) if m == "r"],
             )
         )
-    condition = RabinCondition(alphabet, pairs)
+    return RabinCondition(Alphabet(colours), pairs)
+
+
+def random_rabin_game(rng, colours, max_vertices=7, silent_prob=0.2):
+    """A game with out-degree 1-3 over a random Rabin condition; silent edges
+    only go forward, so no cycle is silent."""
+    condition = random_rabin_condition(rng, colours)
     n = rng.randint(1, max_vertices)
     names = [f"v{i}" for i in range(n)]
     edges = []
@@ -469,6 +504,59 @@ def test_parity_positional_passes_verify(running_condition):
         strategy.setdefault((1, v), game.out(v)[0])
     memory = MemoryStructure((1,), 1, {(1, e): 1 for e in game.edges}, strategy)
     assert verify_strategy(game, game.condition, memory)
+
+
+# -- the cycle check behind every certificate -----------------------------------
+
+
+def random_cycle_check_case(rng):
+    """A one-player graph of at most seven nodes with coloured self-loops and
+    forward-only silent edges, under a random Muller, Rabin or parity
+    condition over at most five colours."""
+    colours = list("abcde"[: rng.randint(1, 5)])
+    alphabet = Alphabet(colours)
+    kind = rng.choice(("muller", "rabin", "parity"))
+    if kind == "muller":
+        condition = random_muller_condition(rng, alphabet)
+    elif kind == "rabin":
+        condition = random_rabin_condition(rng, colours)
+    else:
+        condition = ParityCondition(alphabet, {c: rng.randint(0, 5) for c in colours})
+    n = rng.randint(1, 7)
+    graph = {}
+    for v in range(n):
+        outs = []
+        for _ in range(rng.randint(1, 3)):
+            w = rng.randrange(n)
+            silent = w > v and rng.random() < 0.25
+            outs.append((w, None if silent else rng.choice(colours)))
+        if rng.random() < 0.3:
+            outs.append((v, rng.choice(colours)))
+        graph[v] = outs
+    return kind, condition, graph
+
+
+def test_rejected_core_agrees_with_subset_scan():
+    rng = random.Random(1998)
+    verdicts = collections.Counter()
+    for _ in range(6000):
+        kind, condition, graph = random_cycle_check_case(rng)
+        avail = {v: [GameEdge(v, c, w) for w, c in outs] for v, outs in graph.items()}
+        bit = games._colour_bit(condition)
+        out = {v: [(w, bit(c)) for w, c in outs] for v, outs in graph.items()}
+        sides = [(condition, 1, condition)]
+        if kind == "parity":
+            # Univ's side: even priorities lose, which is Exist's view once
+            # every priority is raised by one.
+            raised = {c: p + 1 for c, p in condition.priorities.items()}
+            sides.append((condition, 0, ParityCondition(condition.colours, raised)))
+        for checked, losing, reference in sides:
+            expected = reference_recurrence_sets_satisfy(graph, avail, reference, 1 << 16)
+            core = games._rejected_core(graph, out, games._refiner(checked, losing))
+            assert (core is None) == expected, (condition, losing, graph)
+            verdicts[kind, expected] += 1
+    for kind in ("muller", "rabin", "parity"):
+        assert verdicts[kind, True] >= 300 and verdicts[kind, False] >= 300, verdicts
 
 
 def test_is_chromatic_examples(running_condition):
