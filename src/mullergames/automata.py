@@ -2,7 +2,10 @@
 
 Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
-membership; duplicated edges can be merged without changing the language.
+membership.  The lasso checkers compute verdicts per (state after prefix,
+period): each period is analysed once for every state and each prefix is
+run once, so sweeping many lassos shares both.  Duplicated edges can be
+merged without changing the language.
 """
 
 from __future__ import annotations
@@ -152,6 +155,100 @@ def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
     run = Run(tuple(steps[:start]), tuple(steps[start:]))
     accepted = accepts_colour_set(automaton.acceptance, run.cycle_colours())
     return run, accepted
+
+
+class DeterministicLassoChecker:
+    """Membership oracle for a deterministic complete automaton on lasso words.
+
+    Works on integer tables: `table[s][a]` is the (colour bit, next state
+    index) of state index s on letter index a, and a colour bit is
+    `1 << i` for colour i of `acceptance`.  The verdict on u v^omega
+    depends only on the state after u and on v, so verdicts are computed
+    per (state after prefix, period).  For each new period one pass over
+    all states gives each start state's end state and the colours it saw;
+    following that functional graph of end states to its cycle, every start
+    state gets the cycle's verdict through `acceptance.accepts_mask`.
+    Period verdicts and prefix states are memoised.
+    """
+
+    def __init__(
+        self,
+        table: Sequence[Sequence[tuple[int, int]]],
+        initial: int,
+        alphabet: Alphabet,
+        acceptance: AnyCondition,
+    ):
+        letters = range(len(alphabet))
+        self._colour = [[row[a][0] for row in table] for a in letters]
+        self._next = [[row[a][1] for row in table] for a in letters]
+        self._size = len(table)
+        self._letter = {symbol: a for a, symbol in enumerate(alphabet.symbols)}
+        self._accepts_mask = acceptance.accepts_mask
+        self._period_memo: dict[tuple[str, ...], list[bool]] = {}
+        self._prefix_memo: dict[tuple[str, ...], int] = {(): initial}
+
+    @classmethod
+    def from_automaton(cls, automaton: Automaton) -> "DeterministicLassoChecker":
+        if not automaton.is_deterministic:
+            raise AutomatonError("lasso checker needs a deterministic, complete automaton")
+        index = {q: i for i, q in enumerate(automaton.states)}
+        colour = automaton.colour_alphabet.index
+        moves = automaton._by_source
+        table = [
+            [
+                (1 << colour(t.colour), index[t.dst])
+                for t in (moves[(q, a)][0] for a in automaton.alphabet.symbols)
+            ]
+            for q in automaton.states
+        ]
+        return cls(table, index[automaton.initial[0]], automaton.alphabet, automaton.acceptance)
+
+    def accepts(self, w: LassoWord) -> bool:
+        return self._verdicts(w.period)[self._state_after(w.prefix)]
+
+    def _state_after(self, prefix: tuple[str, ...]) -> int:
+        state = self._prefix_memo.get(prefix)
+        if state is None:
+            state = self._next[self._letter[prefix[-1]]][self._state_after(prefix[:-1])]
+            self._prefix_memo[prefix] = state
+        return state
+
+    def _verdicts(self, period: tuple[str, ...]) -> list[bool]:
+        verdict = self._period_memo.get(period)
+        if verdict is not None:
+            return verdict
+        size = self._size
+        end = list(range(size))
+        seen = [0] * size
+        for symbol in period:
+            a = self._letter[symbol]
+            colour, nxt = self._colour[a], self._next[a]
+            seen = [m | colour[s] for m, s in zip(seen, end)]
+            end = [nxt[s] for s in end]
+        # Period after period, a run from s visits s, end[s], end[end[s]],
+        # ...; the colours of the cycle it runs into recur forever.
+        verdict = [None] * size
+        walk = [-1] * size  # the start whose walk visited each state
+        for start in range(size):
+            if verdict[start] is not None:
+                continue
+            path = []
+            s = start
+            while verdict[s] is None and walk[s] != start:
+                walk[s] = start
+                path.append(s)
+                s = end[s]
+            if verdict[s] is None:  # s is on this walk: a new cycle
+                mask = 0
+                for q in path[path.index(s):]:
+                    mask |= seen[q]
+                outcome = self._accepts_mask(mask)
+            else:
+                outcome = verdict[s]
+            for q in path:
+                verdict[q] = outcome
+        self._period_memo[period] = verdict
+        return verdict
 
 
 class RabinLassoChecker:

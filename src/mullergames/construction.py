@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, Run, Transition, accepts_colour_set
+from .automata import (
+    Automaton,
+    DeterministicLassoChecker,
+    Run,
+    Transition,
+    accepts_colour_set,
+)
 from .conditions import (
     Alphabet,
     ConditionError,
@@ -34,20 +40,21 @@ def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
     """One Rabin pair per round node n: green is n itself, red is every node
     that is neither n nor a descendant of n (strict descendants stay orange)."""
     colours = node_alphabet(tree)
-    # BFS ids put every child after its parent, so one backward sweep fills
-    # each node's subtree mask.
-    below = [1 << n for n in range(len(tree))]
-    for n in range(len(tree) - 1, 0, -1):
-        below[tree.parent(n)] |= below[n]
     full = colours.full().mask
-    return RabinCondition(
-        colours,
-        [
-            (colours.from_mask(1 << n), colours.from_mask(full & ~below[n]))
-            for n in range(len(tree))
-            if tree.is_round(n)
-        ],
-    )
+    # BFS ids put every child after its parent, so a backward sweep has
+    # finished a node's subtree mask when it reaches the node: its pair is
+    # built then, and the mask is merged into the parent's and dropped.
+    below = [0] * len(tree)
+    pairs = []
+    for n in range(len(tree) - 1, -1, -1):
+        mask = below[n] | (1 << n)
+        below[n] = 0
+        if tree.is_round(n):
+            pairs.append((colours.from_mask(1 << n), colours.from_mask(full & ~mask)))
+        if n:
+            below[tree.parent(n)] |= mask
+    pairs.reverse()
+    return RabinCondition(colours, pairs)
 
 
 def check_node_sequence(tree: ZielonkaTree, w: LassoWord) -> bool:
@@ -206,6 +213,27 @@ def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:
     run = Run(tuple(steps[:start]), tuple(steps[start:]))
     accepted = accepts_colour_set(gfg.automaton.acceptance, run.cycle_colours())
     return run, accepted
+
+
+def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
+    """The leaf-memory resolver's walk as a lasso checker: its states are the
+    tree's leaves, and each move outputs the colour bit of its witness node.
+    It gives the verdicts of `resolve_run`, computed per (state after
+    prefix, period)."""
+    tree = gfg.tree
+    colour = gfg.automaton.colour_alphabet.index
+    bit = [1 << colour(tree.node_name(n)) for n in range(len(tree))]
+    leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
+    table = [
+        [(bit[witness], leaf_index[target]) for witness, target in tree.step_table[leaf]]
+        for leaf in tree.leaves()
+    ]
+    return DeterministicLassoChecker(
+        table,
+        leaf_index[tree.leftmost_leaf(tree.root)],
+        tree.alphabet,
+        gfg.automaton.acceptance,
+    )
 
 
 def provenance_document(gfg: GfgRabinAutomaton) -> list[dict]:

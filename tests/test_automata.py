@@ -7,6 +7,7 @@ import pytest
 from mullergames.automata import (
     Automaton,
     AutomatonError,
+    DeterministicLassoChecker,
     RabinLassoChecker,
     Transition,
     accepts_lasso,
@@ -95,6 +96,46 @@ def test_run_deterministic_rejects_nondeterministic(running_condition):
     gfg = build_gfg_rabin(running_condition)
     with pytest.raises(AutomatonError):
         run_deterministic(gfg.automaton, LassoWord.from_letters("", "a"))
+
+
+def random_deterministic_automaton(rng, acceptance_kind):
+    """A complete deterministic automaton with random moves and colours,
+    under parity or Rabin acceptance."""
+    states = list(range(rng.randint(1, 6)))
+    alphabet = Alphabet("abc"[: rng.randint(1, 3)])
+    colours = Alphabet([f"c{i}" for i in range(rng.randint(1, 5))])
+    if acceptance_kind == "parity":
+        acceptance = ParityCondition(
+            colours, {c: rng.randrange(5) for c in colours.symbols}
+        )
+    else:
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            green = [c for c in colours if rng.random() < 0.4]
+            red = [c for c in colours if c not in green and rng.random() < 0.4]
+            pairs.append((green, red))
+        acceptance = RabinCondition(colours, pairs)
+    transitions = [
+        Transition(q, a, rng.choice(colours.symbols), rng.choice(states))
+        for q in states
+        for a in alphabet.symbols
+    ]
+    return Automaton(states, alphabet, [rng.choice(states)], transitions, acceptance)
+
+
+def test_deterministic_lasso_checker_agrees_with_run_deterministic():
+    rng = random.Random(1133)
+    for trial in range(300):
+        aut = random_deterministic_automaton(rng, ("parity", "rabin")[trial % 2])
+        checker = DeterministicLassoChecker.from_automaton(aut)
+        for w in lassos_up_to(aut.alphabet, 3):
+            assert checker.accepts(w) == run_deterministic(aut, w)[1], (trial, w)
+
+
+def test_deterministic_lasso_checker_rejects_nondeterministic(running_condition):
+    gfg = build_gfg_rabin(running_condition)
+    with pytest.raises(AutomatonError):
+        DeterministicLassoChecker.from_automaton(gfg.automaton)
 
 
 def test_is_deterministic_decided_at_construction(running_condition):

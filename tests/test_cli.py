@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -102,8 +103,133 @@ def test_cmd_check_self(capsys, condition_file):
 
 
 def test_cmd_check_vacuous(capsys, condition_file):
-    assert main(["check", condition_file, "--bound", "0"]) == 0
-    assert "vacuous" in capsys.readouterr().out
+    # Bound 0 would check no lasso, so it is rejected like negative bounds.
+    assert main(["check", condition_file, "--bound", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_cmd_check_counts_every_lasso(capsys, tmp_path):
+    path = tmp_path / "four.json"
+    path.write_text(
+        json.dumps({"alphabet": ["a", "b", "c", "d"], "accepting": [["a", "b"], ["c"], ["a", "c", "d"]]})
+    )
+    assert main(["check", str(path), "--bound", "4"]) == 0
+    # 21 prefixes of length <= 2 times 340 periods of length 1..4.
+    assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
+
+
+def per_lasso_check(condition, gfg, parity, bound):
+    """The first counterexample line of the per-lasso loop: every lasso in
+    `check`'s order, the Rabin checker, then one parity run and one resolver
+    run each, against the condition."""
+    from mullergames.automata import RabinLassoChecker, run_deterministic
+    from mullergames.conditions import LassoWord, inf_set, satisfies_muller
+    from mullergames.construction import resolve_run
+
+    checker = RabinLassoChecker(gfg.automaton)
+    symbols = condition.alphabet.symbols
+    for lu in range(3):
+        for prefix in itertools.product(symbols, repeat=lu):
+            for lv in range(1, bound + 1):
+                for period in itertools.product(symbols, repeat=lv):
+                    w = LassoWord(prefix, period)
+                    expected = satisfies_muller(condition, inf_set(w))
+                    verdicts = {
+                        "rabin": checker.accepts(w),
+                        "parity": run_deterministic(parity, w)[1],
+                        "resolver": resolve_run(gfg, w)[1],
+                    }
+                    for name, got in verdicts.items():
+                        if got != expected:
+                            return f"counterexample: {w!r} expected {expected} but {name} gives {got}\n"
+    return None
+
+
+def assert_same_verdict_as_per_lasso_loop(capsys, condition_file, condition, gfg, parity):
+    expected_line = per_lasso_check(condition, gfg, parity, 4)
+    capsys.readouterr()
+    code = main(["check", condition_file, "--bound", "4"])
+    out = capsys.readouterr().out
+    if expected_line is None:
+        assert code == 0 and out.startswith("pass: ")
+    else:
+        assert code == 1 and out == expected_line
+    return expected_line is not None
+
+
+def test_cmd_check_flipped_parity_priority(capsys, monkeypatch, condition_file):
+    from mullergames import cli
+    from mullergames.automata import Automaton, Transition
+    from mullergames.conditions import Alphabet, ParityCondition, load_condition
+    from mullergames.construction import build_gfg_rabin, build_parity_automaton
+
+    condition = load_condition(condition_file)
+    parity = build_parity_automaton(condition)
+    priorities = {int(c) for c in parity.colour_alphabet.symbols}
+    detected = 0
+    for i, t in enumerate(parity.transitions):
+        flipped = int(t.colour) ^ 1
+        names = [str(p) for p in sorted(priorities | {flipped})]
+        transitions = list(parity.transitions)
+        transitions[i] = Transition(t.src, t.letter, str(flipped), t.dst)
+        corrupted = Automaton(
+            parity.states,
+            parity.alphabet,
+            parity.initial,
+            transitions,
+            ParityCondition(Alphabet(names), {p: int(p) for p in names}),
+        )
+        monkeypatch.setattr(cli, "build_parity_automaton", lambda _cond: corrupted)
+        gfg = build_gfg_rabin(condition)
+        detected += assert_same_verdict_as_per_lasso_loop(
+            capsys, condition_file, condition, gfg, corrupted
+        )
+    assert detected, "no flipped priority was detected"
+
+
+def test_cmd_check_corrupted_step_table_witness(capsys, monkeypatch, condition_file):
+    from mullergames import cli
+    from mullergames.conditions import load_condition
+    from mullergames.construction import build_gfg_rabin, build_parity_automaton
+
+    condition = load_condition(condition_file)
+    parity = build_parity_automaton(condition)
+    tree = build_gfg_rabin(condition).tree
+    detected = 0
+    for leaf in tree.leaves():
+        for a in range(len(condition.alphabet)):
+
+            def corrupted_gfg(cond, leaf=leaf, a=a):
+                gfg = build_gfg_rabin(cond)
+                row = list(gfg.tree.step_table[leaf])
+                witness, target = row[a]
+                row[a] = ((witness + 1) % len(gfg.tree), target)
+                gfg.tree.step_table[leaf] = tuple(row)
+                return gfg
+
+            monkeypatch.setattr(cli, "build_gfg_rabin", corrupted_gfg)
+            detected += assert_same_verdict_as_per_lasso_loop(
+                capsys, condition_file, condition, corrupted_gfg(condition), parity
+            )
+    assert detected, "no corrupted witness was detected"
+
+
+def test_cmd_check_hoa_file_builds_no_automaton(capsys, monkeypatch, condition_file, tmp_path):
+    from mullergames import cli
+
+    hoa = tmp_path / "rf.hoa"
+    assert main(["build", condition_file, "--kind", "gfg-rabin", "--hoa", str(hoa)]) == 0
+
+    def refuse(_condition):
+        raise AssertionError("check --automaton FILE built an automaton")
+
+    monkeypatch.setattr(cli, "build_gfg_rabin", refuse)
+    monkeypatch.setattr(cli, "build_parity_automaton", refuse)
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa), "--bound", "4"]) == 0
+    assert capsys.readouterr().out == "pass: 1560 lassos agree with the condition (bound 4)\n"
 
 
 def test_cmd_check_negative_bound(capsys, condition_file):

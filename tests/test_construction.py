@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mullergames.automata import (
+    DeterministicLassoChecker,
     Transition,
     accepts_lasso,
     run_deterministic,
@@ -25,7 +26,9 @@ from mullergames.construction import (
     node_priorities,
     node_rabin_pairs,
     resolve_run,
+    resolver_lasso_checker,
 )
+from mullergames.succinctness import condition_fn
 from mullergames.zielonka import build_zielonka, eta_labelling, memtree
 from conftest import (
     all_muller_conditions,
@@ -265,6 +268,33 @@ def exhaustive_language_check(cond, max_prefix=2, max_period=None):
         assert det == expected
         _, res = resolve_run(gfg, w)
         assert res == expected
+
+
+def lasso_checker_conditions(family):
+    """Every condition over at most three letters, F_4..F_6, or 50 seeded
+    random 4-letter conditions."""
+    if family == "up-to-three-letters":
+        for letters in ("a", "ab", "abc"):
+            yield from all_muller_conditions(Alphabet(letters))
+    elif family == "f4-f6":
+        for n in range(4, 7):
+            yield condition_fn(n)
+    else:
+        rng = random.Random(2204)
+        for _ in range(50):
+            yield random_muller_condition(rng, Alphabet("abcd"))
+
+
+@pytest.mark.parametrize("family", ["up-to-three-letters", "f4-f6", "random-four-letters"])
+def test_lasso_checkers_agree_with_runs(family):
+    for cond in lasso_checker_conditions(family):
+        gfg = build_gfg_rabin(cond)
+        parity = build_parity_automaton(cond)
+        parity_checker = DeterministicLassoChecker.from_automaton(parity)
+        leaf_walk = resolver_lasso_checker(gfg)
+        for w in all_lassos(cond.alphabet, 2, 4):
+            assert parity_checker.accepts(w) == run_deterministic(parity, w)[1], (cond, w)
+            assert leaf_walk.accepts(w) == resolve_run(gfg, w)[1], (cond, w)
 
 
 def test_language_correctness_small_exhaustive():
