@@ -108,12 +108,15 @@ def cmd_check(args) -> int:
         print(f"error: --bound must be at least 1, not {bound}", file=sys.stderr)
         return 2
     if args.automaton == "self":
-        gfg = build_gfg_rabin(condition)
+        # One tree serves both automata.  The parity automaton is built
+        # first: `gfg.tree` is that same tree, and an edit made through it
+        # must not reach the parity checker.
+        tree = build_zielonka(condition)
+        parity = build_parity_automaton(tree)
+        gfg = build_gfg_rabin(tree)
         checkers = {
             "rabin": RabinLassoChecker(gfg.automaton),
-            "parity": DeterministicLassoChecker.from_automaton(
-                build_parity_automaton(condition)
-            ),
+            "parity": DeterministicLassoChecker.from_automaton(parity),
             "resolver": resolver_lasso_checker(gfg),
         }
     else:

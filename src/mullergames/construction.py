@@ -107,9 +107,15 @@ class GfgRabinAutomaton:
         return self.tree.condition
 
 
-def build_gfg_rabin(condition: MullerCondition) -> GfgRabinAutomaton:
-    """The GFG Rabin automaton with memtree(Z_F) states recognising L_F."""
-    tree = build_zielonka(condition)
+def _tree(source: MullerCondition | ZielonkaTree) -> ZielonkaTree:
+    return source if isinstance(source, ZielonkaTree) else build_zielonka(source)
+
+
+def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton:
+    """The GFG Rabin automaton with memtree(Z_F) states recognising L_F, from
+    the condition F or its Zielonka tree."""
+    tree = _tree(source)
+    condition = tree.condition
     eta = tree.eta()
     size = tree.memtree()
     transitions: list[Transition] = []
@@ -132,9 +138,11 @@ def build_gfg_rabin(condition: MullerCondition) -> GfgRabinAutomaton:
     return GfgRabinAutomaton(automaton, tree, eta, provenance)
 
 
-def build_parity_automaton(condition: MullerCondition) -> Automaton:
-    """The deterministic parity automaton whose states are the tree's leaves."""
-    tree = build_zielonka(condition)
+def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
+    """The deterministic parity automaton whose states are the leaves of the
+    Zielonka tree of the condition (or of the given tree)."""
+    tree = _tree(source)
+    condition = tree.condition
     prio = node_priorities(tree)
     colours = Alphabet([str(p) for p in sorted(set(prio.values()))])
     priorities = {str(p): p for p in set(prio.values())}

@@ -6,12 +6,13 @@ with the good-for-games Rabin automaton and extract a positional strategy
 of the Rabin product, whose automaton component becomes the memory
 structure for the original game.
 
-There is one solver per kind of game, both on the same edge-midpoint split
-with integer node ids: Zielonka's recursion for parity games
-(`solve_parity_game`) and its Rabin form, where Exist always has a
-positional strategy (`positional_rabin_strategy`).  Each result is
-re-checked before it is returned, and the two products must agree on the
-winner of the initial vertex.
+Every game has one integer form, its `Arena`, with each edge split by a
+midpoint.  A product is built straight into it and names its vertices only
+when a caller reads them.  There is one solver per kind of game, both on
+the arena: Zielonka's recursion for parity games (`solve_parity_game`) and
+its Rabin form, where Exist always has a positional strategy
+(`positional_rabin_strategy`).  Each result is re-checked before it is
+returned, and the two products must agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -24,11 +25,12 @@ time where a scan of colour subsets would take 2^colours passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._graph import strongly_connected_components
-from .automata import Automaton, Transition, condition_colours
+from .automata import Automaton, condition_colours
 from .conditions import (
     AnyCondition,
     MullerCondition,
@@ -42,7 +44,6 @@ Vertex = Hashable
 
 EXIST = "Exist"
 UNIV = "Univ"
-EPSILON = None
 
 
 class GameError(ValueError):
@@ -60,8 +61,36 @@ class GameEdge:
     dst: Vertex
 
 
+class Arena(NamedTuple):
+    """A game on integer node ids: node v < base is a vertex, and node
+    base + j the midpoint of edge j, carrying its colour (None if silent).
+    Owner 0 is Exist and 1 Univ, which owns every (one-successor) midpoint."""
+
+    succ: list[list[int]]
+    preds: list[list[int]]
+    owners: list[int]
+    colours: list[Optional[str]]
+    base: int
+    initial: int
+
+
+def _split(owners: list[int], edges: list[tuple[int, int, Optional[str]]], initial: int) -> Arena:
+    base = len(owners)
+    succ: list[list[int]] = [[] for _ in owners]
+    preds: list[list[int]] = [[] for _ in owners]
+    for m, (src, dst, _) in enumerate(edges, base):
+        succ[src].append(m)
+        preds[dst].append(m)
+    succ += [[dst] for _, dst, _ in edges]
+    preds += [[src] for src, _, _ in edges]
+    colours = [None] * base + [colour for _, _, colour in edges]
+    return Arena(succ, preds, owners + [1] * len(edges), colours, base, initial)
+
+
 class GameGraph:
-    """A two-player arena with colours from an alphabet plus silent edges."""
+    """A two-player arena with colours from an alphabet plus silent edges;
+    `arena` is its integer form.  A product (`_build_product`) is made from
+    its arena alone and names its vertices and edges when first read."""
 
     def __init__(
         self,
@@ -70,73 +99,73 @@ class GameGraph:
         initial: Vertex,
         condition: Optional[AnyCondition] = None,
     ):
-        self._owner: dict[Vertex, str] = {}
-        order: list[Vertex] = []
-        for name, owner in vertices:
-            owner = owner.capitalize()
-            if owner not in (EXIST, UNIV):
+        owner: dict[Vertex, str] = {}
+        for name, who in vertices:
+            who = who.capitalize()
+            if who not in (EXIST, UNIV):
                 raise GameError(f"owner of {name!r} must be Exist or Univ")
-            if name in self._owner:
+            if name in owner:
                 raise GameError(f"duplicate vertex {name!r}")
-            self._owner[name] = owner
-            order.append(name)
-        self.vertices = tuple(order)
-        if initial not in self._owner:
+            owner[name] = who
+        if initial not in owner:
             raise GameError(f"initial vertex {initial!r} is not a vertex")
-        self.initial = initial
-        self.condition = condition
-
-        seen: set[GameEdge] = set()
-        out: dict[Vertex, list[GameEdge]] = {v: [] for v in self.vertices}
-        ordered: list[GameEdge] = []
         colours = condition_colours(condition).symbols if condition is not None else None
+        unique: dict[GameEdge, None] = {}
         for e in edges:
             e = e if isinstance(e, GameEdge) else GameEdge(*e)
-            if e.src not in self._owner or e.dst not in self._owner:
+            if e.src not in owner or e.dst not in owner:
                 raise GameError(f"edge {e} uses an unknown vertex")
             if e.colour is not None and colours is not None and e.colour not in colours:
                 raise GameError(f"edge colour {e.colour!r} is not a condition colour")
-            if e in seen:
-                continue
-            seen.add(e)
-            out[e.src].append(e)
-            ordered.append(e)
-        self.edges = tuple(ordered)
-        self._out = {v: tuple(es) for v, es in out.items()}
-
-        for v in self.vertices:
-            if not self._out[v]:
+            unique[e] = None
+        self.vertices, self.edges, self._owner = tuple(owner), tuple(unique), owner
+        self.initial, self.condition = initial, condition
+        index = {v: i for i, v in enumerate(owner)}
+        self.arena = _split(
+            [0 if who == EXIST else 1 for who in owner.values()],
+            [(index[e.src], index[e.dst], e.colour) for e in self.edges],
+            index[initial],
+        )
+        succ, colour = self.arena.succ, self.arena.colours
+        for v, moves in zip(self.vertices, succ):
+            if not moves:
                 raise GameError(
                     f"vertex {v!r} violates 'at least one move from every position'"
                 )
-        self._check_no_epsilon_cycle()
+        silent = [[succ[m][0] for m in moves if colour[m] is None] for moves in succ[: len(owner)]]
+        for comp in strongly_connected_components(range(len(owner)), silent.__getitem__):
+            if len(comp) > 1 or comp[0] in silent[comp[0]]:
+                raise GameError("game violates 'no cycle is labelled exclusively by ε'")
 
-    def _check_no_epsilon_cycle(self) -> None:
-        # Colour-free DFS over silent edges only; any back edge is a cycle.
-        def silent(v: Vertex):
-            return iter([e.dst for e in self._out[v] if e.colour is None])
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return tuple(map(self._name, range(self.arena.base)))
 
-        state: dict[Vertex, int] = {}
-        for root in self.vertices:
-            if state.get(root):
-                continue
-            stack = [(root, silent(root))]
-            state[root] = 1
-            while stack:
-                v, pending = stack[-1]
-                for nxt in pending:
-                    if state.get(nxt) == 1:
-                        raise GameError(
-                            "game violates 'no cycle is labelled exclusively by "
-                            + "ε'"
-                        )
-                    if state.get(nxt, 0) == 0:
-                        state[nxt] = 1
-                        stack.append((nxt, silent(nxt)))
-                        break
-                else:
-                    state[v] = 2
-                    stack.pop()
+    @cached_property
+    def edges(self) -> tuple[GameEdge, ...]:
+        names = self.vertices
+        succ, preds, _, colours, base, _ = self.arena
+        return tuple(
+            GameEdge(names[preds[m][0]], colours[m], names[succ[m][0]])
+            for m in range(base, len(succ))
+        )
+
+    @cached_property
+    def _owner(self) -> dict[Vertex, str]:
+        return {v: (EXIST, UNIV)[who] for v, who in zip(self.vertices, self.arena.owners)}
+
+    @cached_property
+    def _out(self) -> dict[Vertex, tuple[GameEdge, ...]]:
+        edges, base = self.edges, self.arena.base
+        return {
+            v: tuple(edges[m - base] for m in moves)
+            for v, moves in zip(self.vertices, self.arena.succ)
+        }
+
+    def _named(self, moves: Mapping[int, int]) -> dict[Vertex, GameEdge]:
+        """A strategy on node ids (vertex -> midpoint) by name."""
+        names, edges, base = self.vertices, self.edges, self.arena.base
+        return {names[v]: edges[moves[v] - base] for v in range(base) if v in moves}
 
     def owner(self, v: Vertex) -> str:
         return self._owner[v]
@@ -148,7 +177,8 @@ class GameGraph:
         return tuple(v for v in self.vertices if self._owner[v] == EXIST)
 
     def __repr__(self) -> str:
-        return f"GameGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        base = self.arena.base
+        return f"GameGraph({base} vertices, {len(self.arena.succ) - base} edges)"
 
 
 @dataclass
@@ -186,76 +216,92 @@ class ProductGame:
     State vertices pair a game vertex with an automaton state; choice
     vertices remember the pending letter and the automaton state before it,
     so each resolution edge carries the output colour of one transition.
-    """
+    `ids` maps a key (see `_build_product`) to its node, or -1, and `keys`
+    a node to its key."""
 
     game: GameGraph
     original: GameGraph
     automaton: Automaton
-    move_edge: dict[GameEdge, GameEdge] = field(default_factory=dict)
-    resolve_transition: dict[GameEdge, Transition] = field(default_factory=dict)
+    ids: list[int]
+    keys: list[int]
 
-    def state_vertex(self, x: Vertex, q) -> tuple:
-        return ("s", x, q)
+    def node(self, x: int, q: int, a: int = -1) -> int:
+        """The state vertex (x, q), or the choice vertex (x, a, q)."""
+        base, letters = self.original.arena.base, len(self.automaton.alphabet)
+        return self.ids[(x if a < 0 else base + x * letters + a) * len(self.automaton.states) + q]
 
 
-def _build_product(game: GameGraph, automaton: Automaton, seeds: Sequence[Vertex]) -> ProductGame:
+def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) -> ProductGame:
+    """The product reachable from the game vertices `seeds`, built into
+    its arena.  By index, state vertex (x, q) has key x|Q| + q and choice
+    vertex (y, a, q) key (|V| + y|A| + a)|Q| + q.  Nodes are numbered as
+    first reached, depth first.  A silent product cycle passes no choice
+    vertex, so it projects to a game cycle, which `GameGraph` rejects."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
-    for e in game.edges:
-        if e.colour is not None and e.colour not in automaton.alphabet:
+    alphabet, states = automaton.alphabet, automaton.states
+    succ, owner, colours, base = game.arena.succ, game.arena.owners, game.arena.colours, game.arena.base
+    for colour in colours[base:]:
+        if colour is not None and colour not in alphabet:
             raise GameError(
-                f"alphabet mismatch: game colour {e.colour!r} unknown to the automaton"
+                f"alphabet mismatch: game colour {colour!r} unknown to the automaton"
             )
-    q0 = automaton.initial[0]
-    move_edge: dict[GameEdge, GameEdge] = {}
-    resolve_transition: dict[GameEdge, Transition] = {}
-    vertices: list[tuple[Vertex, str]] = []
-    edges: list[GameEdge] = []
-    seen: set = set()
-    queue: list = []
+    width, letters = len(states), len(alphabet)
+    letter = [-1 if c is None else alphabet.index(c) for c in colours]
+    state_index = {q: i for i, q in enumerate(states)}
+    resolutions: list = [None] * (width * letters)
+    ids = [-1] * ((base + base * letters) * width)
+    keys: list[int] = []
+    owners: list[int] = []
+    edges: list[tuple[int, int, Optional[str]]] = []
+    stack: list[int] = []
 
-    def visit(vertex, owner: str) -> None:
-        if vertex not in seen:
-            seen.add(vertex)
-            vertices.append((vertex, owner))
-            queue.append(vertex)
+    def visit(key: int, who: int) -> int:
+        node = ids[key]
+        if node < 0:
+            node = ids[key] = len(keys)
+            keys.append(key)
+            owners.append(who)
+            stack.append(node)
+        return node
 
     for x in seeds:
-        visit(("s", x, q0), game.owner(x))
-    while queue:
-        vertex = queue.pop()
-        if vertex[0] == "s":
-            _, x, q = vertex
-            for e in game.out(x):
-                if e.colour is None:
-                    target = ("s", e.dst, q)
-                    visit(target, game.owner(e.dst))
-                else:
-                    target = ("c", e.dst, e.colour, q)
-                    visit(target, EXIST)
-                pe = GameEdge(vertex, EPSILON, target)
-                if pe not in move_edge:
-                    edges.append(pe)
-                    move_edge[pe] = e
-        else:
-            _, x, letter, q = vertex
-            options = automaton.transitions_from(q, letter)
-            if not options:
-                raise GameError(
-                    f"automaton is not complete: no {letter!r}-transition from {q!r}"
-                )
-            for t in options:
-                target = ("s", x, t.dst)
-                visit(target, game.owner(x))
-                pe = GameEdge(vertex, t.colour, target)
-                if pe not in resolve_transition:
-                    edges.append(pe)
-                    resolve_transition[pe] = t
+        visit(x * width + state_index[automaton.initial[0]], owner[x])
+    while stack:
+        node = stack.pop()
+        x, q = divmod(keys[node], width)
+        if x < base:
+            for m in succ[x]:
+                y, a = succ[m][0], letter[m]
+                target = (y if a < 0 else base + y * letters + a) * width + q
+                edges.append((node, visit(target, owner[y] if a < 0 else 0), None))
+            continue
+        y, a = divmod(x - base, letters)
+        options = resolutions[q * letters + a]
+        if options is None:
+            options = resolutions[q * letters + a] = [
+                (t.colour, state_index[t.dst])
+                for t in automaton.transitions_from(states[q], alphabet.symbols[a])
+            ]
+        if not options:
+            raise GameError(
+                f"automaton is not complete: no {alphabet.symbols[a]!r}-transition "
+                f"from {states[q]!r}"
+            )
+        for colour, r in options:
+            edges.append((node, visit(y * width + r, owner[y]), colour))
 
-    product = GameGraph(
-        vertices, edges, ("s", seeds[0], q0), condition=automaton.acceptance
-    )
-    return ProductGame(product, game, automaton, move_edge, resolve_transition)
+    def name(v: int) -> tuple:
+        x, q = divmod(keys[v], width)
+        if x < base:
+            return ("s", game.vertices[x], states[q])
+        y, a = divmod(x - base, letters)
+        return ("c", game.vertices[y], alphabet.symbols[a], states[q])
+
+    product = GameGraph.__new__(GameGraph)
+    product.arena, product._name = _split(owners, edges, 0), name
+    product.initial, product.condition = name(0), automaton.acceptance
+    return ProductGame(product, game, automaton, ids, keys)
 
 
 def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame:
@@ -270,52 +316,55 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
         raise GameError("product_with_automaton expects a game with a Muller condition")
     if condition.alphabet != automaton.alphabet:
         raise GameError("alphabet mismatch between game condition and automaton")
-    return _build_product(game, automaton, [game.initial])
+    return _build_product(game, automaton, [game.arena.initial])
 
 
 # -- parity games --------------------------------------------------------------
 
 
-@dataclass
-class ParitySolution:
-    winners: dict[Vertex, str]
-    exist_strategy: dict[Vertex, GameEdge]
-    univ_strategy: dict[Vertex, GameEdge]
+class GameSolution:
+    """A solver's result on node ids: `won` holds the nodes Exist wins and
+    `moves` maps a node to its winner's successor.  Named when read."""
 
-    def region(self, player: str) -> frozenset:
-        return frozenset(v for v, w in self.winners.items() if w == player)
+    def __init__(self, game: GameGraph, won: set, moves: dict[int, int]):
+        self.game, self.won, self.moves = game, won, moves
+
+    def strategy_of(self, player: int) -> dict[int, int]:
+        """The moves of `player` (0 Exist, 1 Univ) in its region."""
+        base, owners = self.game.arena.base, self.game.arena.owners
+        return {
+            v: m
+            for v, m in self.moves.items()
+            if v < base and owners[v] == player and (v in self.won) == (player == 0)
+        }
+
+    @cached_property
+    def winners(self) -> dict[Vertex, str]:
+        return {v: EXIST if i in self.won else UNIV for i, v in enumerate(self.game.vertices)}
+
+    @cached_property
+    def region(self) -> frozenset:
+        """Exist's winning region."""
+        return frozenset(v for v, w in self.winners.items() if w == EXIST)
+
+    @cached_property
+    def exist_strategy(self) -> dict[Vertex, GameEdge]:
+        return self.game._named(self.strategy_of(0))
+
+    @cached_property
+    def univ_strategy(self) -> dict[Vertex, GameEdge]:
+        return self.game._named(self.strategy_of(1))
+
+    @property
+    def strategy(self) -> dict[Vertex, GameEdge]:
+        return self.exist_strategy
 
 
-def _split_edges(game: GameGraph) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """The arena with every edge split by a midpoint, on integer node ids:
-    node i < len(game.vertices) is game.vertices[i], and node
-    len(game.vertices) + j is the midpoint of game.edges[j].  Returns
-    (succ, preds, owners) with owner 0 for Exist and 1 for Univ; a midpoint
-    has one successor, so its owner (Univ) never matters."""
-    index = {v: i for i, v in enumerate(game.vertices)}
-    succ: list[list[int]] = [[] for _ in game.vertices]
-    for j, e in enumerate(game.edges):
-        succ[index[e.src]].append(len(index) + j)
-    succ.extend([index[e.dst]] for e in game.edges)
-    preds: list[list[int]] = [[] for _ in succ]
-    for u, outs in enumerate(succ):
-        for w in outs:
-            preds[w].append(u)
-    owners = [0 if game.owner(v) == EXIST else 1 for v in game.vertices]
-    owners += [1] * len(game.edges)
-    return succ, preds, owners
-
-
-def _attract(
-    player: int,
-    base: set,
-    nodes: set,
-    succ: Mapping | Sequence,
-    preds: Mapping | Sequence,
-    owners: Mapping | Sequence,
-) -> tuple[set, dict]:
+def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dict]:
     """Attractor of `base` for `player` inside `nodes`, with the moves that
-    player uses to advance towards the base."""
+    player uses to advance towards the base.  An opponent node with one
+    successor (every midpoint) joins as soon as that successor does."""
+    succ, preds, owners = arena.succ, arena.preds, arena.owners
     attr = set(base)
     strat: dict = {}
     degree: dict = {}  # opponent node -> its successors in `nodes` not yet in attr
@@ -329,6 +378,9 @@ def _attract(
                 attr.add(p)
                 strat[p] = n
                 queue.append(p)
+            elif len(succ[p]) == 1:
+                attr.add(p)
+                queue.append(p)
             else:
                 if p not in degree:
                     degree[p] = sum(1 for w in succ[p] if w in nodes)
@@ -339,13 +391,7 @@ def _attract(
     return attr, strat
 
 
-def _zielonka_solve(
-    nodes: frozenset,
-    succ: Mapping,
-    preds: Mapping,
-    owners: Mapping,
-    prio: Mapping,
-) -> tuple[set, set, dict]:
+def _zielonka_solve(nodes: frozenset, arena: Arena, prio: Sequence[int]) -> tuple[set, set, dict]:
     """Recursive attractor decomposition for max-parity vertex games.
 
     Returns (win_even, win_odd, strategy) where the strategy maps each node
@@ -353,12 +399,13 @@ def _zielonka_solve(
     """
     if not nodes:
         return set(), set(), {}
+    succ, owners = arena.succ, arena.owners
     top = max(prio[v] for v in nodes)
     player = top % 2
     target = {v for v in nodes if prio[v] == top}
-    attr, attr_strat = _attract(player, target, nodes, succ, preds, owners)
+    attr, attr_strat = _attract(player, target, nodes, arena)
     rest = frozenset(nodes - attr)
-    w_even, w_odd, strat = _zielonka_solve(rest, succ, preds, owners, prio)
+    w_even, w_odd, strat = _zielonka_solve(rest, arena, prio)
     w_opp = w_odd if player == 0 else w_even
     if not w_opp:
         full_strat = dict(strat)
@@ -369,9 +416,9 @@ def _zielonka_solve(
         win = set(nodes)
         return (win, set(), full_strat) if player == 0 else (set(), win, full_strat)
     opp = 1 - player
-    oattr, oattr_strat = _attract(opp, set(w_opp), nodes, succ, preds, owners)
+    oattr, oattr_strat = _attract(opp, set(w_opp), nodes, arena)
     rest2 = frozenset(nodes - oattr)
-    w_even2, w_odd2, strat2 = _zielonka_solve(rest2, succ, preds, owners, prio)
+    w_even2, w_odd2, strat2 = _zielonka_solve(rest2, arena, prio)
     merged = dict(strat2)
     for v, w in strat.items():
         if v in w_opp and owners[v] == opp:
@@ -383,13 +430,9 @@ def _zielonka_solve(
     return set(w_even2) | oattr, w_odd2, merged
 
 
-def _edge_priority(condition: ParityCondition, shift: int, colour: Optional[str]) -> int:
-    return 0 if colour is None else condition.priority(colour) + shift
-
-
 def solve_parity_game(
     game: GameGraph, condition: Optional[ParityCondition] = None
-) -> ParitySolution:
+) -> GameSolution:
     """Winning regions and positional strategies for an edge-coloured
     max-even parity game; silent edges never dominate a cycle.
 
@@ -406,38 +449,42 @@ def solve_parity_game(
 
     # Midpoints carry their edge's priority and original vertices are
     # neutral.  No silent-only cycles, so priority 0 never decides anything.
-    succ, preds, owners = _split_edges(game)
-    base = len(game.vertices)
-    prio = [0] * base + [_edge_priority(condition, shift, e.colour) for e in game.edges]
-    w_even, w_odd, strat = _zielonka_solve(
-        frozenset(range(len(succ))), succ, preds, owners, prio
-    )
-    winners = {v: EXIST if i in w_even else UNIV for i, v in enumerate(game.vertices)}
-    exist_strategy = {}
-    univ_strategy = {}
-    for i, v in enumerate(game.vertices):
-        if i in strat:
-            chosen = game.edges[strat[i] - base]
-            if game.owner(v) == EXIST and winners[v] == EXIST:
-                exist_strategy[v] = chosen
-            elif game.owner(v) == UNIV and winners[v] == UNIV:
-                univ_strategy[v] = chosen
-    solution = ParitySolution(winners, exist_strategy, univ_strategy)
-    _verify_parity_solution(game, condition, solution)
+    arena = game.arena
+    prio = [0 if c is None else condition.priority(c) + shift for c in arena.colours]
+    w_even, _, strat = _zielonka_solve(frozenset(range(len(prio))), arena, prio)
+    solution = GameSolution(game, w_even, strat)
+    _verify_solution(solution, condition)
     return solution
 
 
-def _verify_parity_solution(
-    game: GameGraph, condition: ParityCondition, solution: ParitySolution
-) -> None:
-    for player, strategy, losing in (
-        (EXIST, solution.exist_strategy, 1),
-        (UNIV, solution.univ_strategy, 0),
-    ):
-        region = solution.region(player)
-        graph = _strategy_graph(game, region, strategy, player, condition)
-        if _rejected_core(region, graph, _refiner(condition, losing)) is not None:
-            raise GameError(f"internal: cycle analysis refutes the {player} strategy")
+def _verify_solution(solution: GameSolution, condition: AnyCondition, players=(0, 1)) -> None:
+    """Certify each player's positional strategy (0 Exist, 1 Univ): it is
+    defined on the player's region and stays there, the opponent cannot
+    leave it, and `_rejected_core` finds no cycle the player loses in the
+    one-player graph left.  Raises `GameError` otherwise."""
+    game = solution.game
+    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    bits = _node_bits(game.arena, condition)
+    for player in players:
+        who = (EXIST, UNIV)[player]
+        strategy = solution.strategy_of(player)
+        region = {v for v in range(base) if (v in solution.won) == (player == 0)}
+        graph = {}
+        for v in region:
+            if owners[v] == player:
+                chosen = strategy.get(v)
+                if chosen is None:
+                    raise GameError(f"internal: missing {who} strategy at {game.vertices[v]!r}")
+                if succ[chosen][0] not in region:
+                    raise GameError(f"internal: {who} strategy leaves the winning region")
+                moves = [chosen]
+            else:
+                moves = succ[v]
+                if any(succ[m][0] not in region for m in moves):
+                    raise GameError(f"internal: {who} region is not closed under opponent moves")
+            graph[v] = [(succ[m][0], bits[m]) for m in moves]
+        if _rejected_core(region, graph, _refiner(condition, 1 - player)) is not None:
+            raise GameError(f"internal: cycle analysis refutes the {who} strategy")
 
 
 # -- the one cycle check behind every certificate --------------------------------
@@ -543,77 +590,39 @@ def _colour_bit(condition: AnyCondition) -> Callable[[Optional[str]], int]:
     return lambda colour: 0 if colour is None else 1 << index(colour)
 
 
-def _strategy_graph(
-    game: GameGraph,
-    region: frozenset,
-    strategy: Mapping[Vertex, GameEdge],
-    player: str,
-    condition: AnyCondition,
-) -> dict[Vertex, list[tuple[Vertex, int]]]:
-    """The one-player graph of `region` when `player` follows a positional
-    strategy and the opponent moves freely, as `_rejected_core` reads it.
-    Raises unless the strategy is defined and stays in the region and the
-    opponent cannot leave it."""
-    bit = _colour_bit(condition)
-    graph = {}
-    for v in region:
-        if game.owner(v) == player:
-            chosen = strategy.get(v)
-            if chosen is None:
-                raise GameError(f"internal: missing {player} strategy at {v!r}")
-            if chosen.dst not in region:
-                raise GameError(f"internal: {player} strategy leaves the winning region")
-            moves = [chosen]
-        else:
-            moves = game.out(v)
-            if any(e.dst not in region for e in moves):
-                raise GameError(
-                    f"internal: {player} region is not closed under opponent moves"
-                )
-        graph[v] = [(e.dst, bit(e.colour)) for e in moves]
-    return graph
+def _node_bits(arena: Arena, condition: AnyCondition) -> list[int]:
+    """Each node's colour bit in the condition's colour masks; 0 when none."""
+    bit = {c: 1 << i for i, c in enumerate(condition_colours(condition))}
+    bit[None] = 0
+    return [bit[c] for c in arena.colours]
 
 
 # -- Rabin games ---------------------------------------------------------------
 
 
-@dataclass
-class RabinStrategySolution:
-    region: frozenset
-    strategy: dict[Vertex, GameEdge]
-
-
 def positional_rabin_strategy(
     game: GameGraph, condition: Optional[RabinCondition] = None
-) -> RabinStrategySolution:
+) -> GameSolution:
     """Exist's whole winning region of an edge-coloured Rabin game, with one
     positional strategy that wins from all of it.
 
     Zielonka's recursion over the set of colours present in a subgame, on
-    the edge-midpoint split with integer node ids (so the result does not
-    depend on string hashing).  If some pair (g, r) is live on the present
-    colours -- g present, r absent -- Exist attracts to g and the rest is
-    solved; she wins everything once Univ wins nothing in the rest, and
-    otherwise Univ's attractor to his region there is removed.  If no pair
-    is live, each child `present & ~r` that still meets its g is tried
-    inside the complement of Univ's attractor to the colours outside it;
-    Exist's attractor to what she wins there is hers.  Every recursive call
-    has strictly fewer colours present.  The strategy is re-checked by the
-    one-player rejecting-cycle analysis before returning.
+    the arena (so the result does not depend on string hashing).  If some
+    pair (g, r) is live on the present colours -- g present, r absent --
+    Exist attracts to g and the rest is solved; she wins everything once
+    Univ wins nothing in the rest, and otherwise Univ's attractor to his
+    region there is removed.  If no pair is live, each child `present & ~r`
+    that still meets its g is tried inside the complement of Univ's
+    attractor to the colours outside it; Exist's attractor to what she wins
+    there is hers.  Every recursive call has strictly fewer colours
+    present.  The strategy is re-checked by `_verify_solution`.
     """
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, RabinCondition):
         raise GameError("positional_rabin_strategy expects a Rabin condition")
-    succ, preds, owners = _split_edges(game)
-    base = len(game.vertices)
-    colour = [0] * base + [
-        0 if e.colour is None else 1 << condition.colours.index(e.colour)
-        for e in game.edges
-    ]
+    arena = game.arena
+    colour = _node_bits(arena, condition)
     pairs = [(g.mask, r.mask) for g, r in condition.pairs]
-
-    def attract(player: int, target: set, nodes: set) -> tuple[set, dict]:
-        return _attract(player, target, nodes, succ, preds, owners)
 
     def with_colour(nodes: set, mask: int) -> set:
         return {v for v in nodes if colour[v] & mask}
@@ -627,21 +636,21 @@ def positional_rabin_strategy(
                 present |= colour[v]
             live = next((g for g, r in pairs if g & present and not r & present), 0)
             if live:
-                attr, attr_strat = attract(0, with_colour(nodes, live), nodes)
+                attr, attr_strat = _attract(0, with_colour(nodes, live), nodes, arena)
                 sub_won, sub_strat = solve(nodes - attr)
                 lost = nodes - attr - sub_won
                 if not lost:
                     strategy.update(sub_strat)
                     strategy.update(attr_strat)
                     return won | nodes, strategy
-                nodes = nodes - attract(1, lost, nodes)[0]
+                nodes = nodes - _attract(1, lost, nodes, arena)[0]
                 continue
             children = {present & ~r for g, r in pairs if g & present}
             for child in sorted(children):
-                rest = nodes - attract(1, with_colour(nodes, ~child), nodes)[0]
+                rest = nodes - _attract(1, with_colour(nodes, ~child), nodes, arena)[0]
                 sub_won, sub_strat = solve(rest)
                 if sub_won:
-                    attr, attr_strat = attract(0, sub_won, nodes)
+                    attr, attr_strat = _attract(0, sub_won, nodes, arena)
                     strategy.update(sub_strat)
                     strategy.update(attr_strat)
                     won |= attr
@@ -651,21 +660,9 @@ def positional_rabin_strategy(
                 return won, strategy
         return won, strategy
 
-    won, strat = solve(set(range(len(succ))))
-    region = frozenset(v for i, v in enumerate(game.vertices) if i in won)
-    strategy = {
-        v: game.edges[strat[i] - base]
-        for i, v in enumerate(game.vertices)
-        if i in strat
-    }
-    _assert_rabin_strategy_wins(game, condition, region, strategy)
-    return RabinStrategySolution(region, strategy)
-
-
-def _assert_rabin_strategy_wins(game, condition, region, strategy) -> None:
-    graph = _strategy_graph(game, region, strategy, EXIST, condition)
-    if _rejected_core(region, graph, _refiner(condition)) is not None:
-        raise GameError("internal: candidate strategy admits a rejecting reachable cycle")
+    solution = GameSolution(game, *solve(set(range(len(colour)))))
+    _verify_solution(solution, condition, (0,))
+    return solution
 
 
 # -- memory extraction and Muller solving ---------------------------------------
@@ -683,35 +680,34 @@ def memory_from_gfg(
         raise GameError("memory_from_gfg expects a game with a Muller condition")
     if condition.alphabet != gfg.automaton.alphabet:
         raise GameError("alphabet mismatch between game condition and automaton")
-    product = _build_product(game, gfg.automaton, [game.initial])
+    product = _build_product(game, gfg.automaton, [game.arena.initial])
     solution = positional_rabin_strategy(product.game)
-    q0 = gfg.automaton.initial[0]
-    if ("s", game.initial, q0) not in solution.region:
+    if product.game.arena.initial not in solution.won:
         raise NotWonByExist("the existential player does not win this game")
 
-    states = tuple(gfg.automaton.states)
+    automaton = gfg.automaton
+    states, letter = automaton.states, automaton.alphabet.index
+    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    target = product.game.arena.succ
     update: dict[tuple[Hashable, GameEdge], Hashable] = {}
     strategy: dict[tuple[Hashable, Vertex], GameEdge] = {}
-    for q in states:
-        for e in game.edges:
+    for qi, q in enumerate(states):
+        for m, e in enumerate(game.edges, base):
             if e.colour is None:
                 update[(q, e)] = q
                 continue
-            pv = ("c", e.dst, e.colour, q)
-            chosen = solution.strategy.get(pv)
-            if chosen is not None:
-                update[(q, e)] = product.resolve_transition[chosen].dst
+            chosen = solution.moves.get(product.node(succ[m][0], qi, letter(e.colour)))
+            if chosen is not None:  # to the state vertex (e.dst, next state)
+                update[(q, e)] = states[product.keys[target[chosen][0]] % len(states)]
             else:
-                options = gfg.automaton.transitions_from(q, e.colour)
+                options = automaton.transitions_from(q, e.colour)
                 update[(q, e)] = options[0].dst if options else q
-        for x in game.exist_vertices():
-            pv = ("s", x, q)
-            chosen = solution.strategy.get(pv)
-            if chosen is not None:
-                strategy[(q, x)] = product.move_edge[chosen]
-            else:
-                strategy[(q, x)] = game.out(x)[0]
-    return MemoryStructure(states, q0, update, strategy)
+        for x, v in enumerate(game.vertices):
+            if owners[x] == 0:  # a state vertex has the moves of its game vertex
+                node = product.node(x, qi)
+                chosen = solution.moves.get(node)
+                strategy[(q, v)] = game.out(v)[0 if chosen is None else target[node].index(chosen)]
+    return MemoryStructure(states, automaton.initial[0], update, strategy)
 
 
 @dataclass
@@ -726,15 +722,16 @@ def solve_muller_game(
     """Decide a Muller game through the parity-automaton product; when Exist
     wins, extract a memory structure of size memtree from the GFG product.
 
-    The two products are independent certificates of the winner at the
-    initial vertex: if the parity product says Exist but her Rabin region
-    in the GFG product misses its initial vertex, this raises `GameError`.
-    The positional strategy behind the memory is itself re-checked by
-    `positional_rabin_strategy`."""
+    One Zielonka tree serves both automata, and each product is built
+    straight into its arena, numbered as `_build_product` explores it.  The
+    products are independent certificates of the initial vertex's winner:
+    if the parity product says Exist but her Rabin region in the GFG
+    product misses its initial vertex, this raises `GameError`."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, MullerCondition):
         raise GameError("solve_muller_game expects a Muller condition")
-    parity_automaton = build_parity_automaton(condition)
+    tree = build_zielonka(condition)
+    parity_automaton = build_parity_automaton(tree)
     if game.condition is not condition:
         game = GameGraph(
             [(v, game.owner(v)) for v in game.vertices],
@@ -744,11 +741,10 @@ def solve_muller_game(
         )
     product = product_with_automaton(game, parity_automaton)
     solution = solve_parity_game(product.game)
-    winner = solution.winners[product.game.initial]
-    if winner != EXIST:
+    if product.game.arena.initial not in solution.won:
         return MullerSolution(UNIV, None)
     try:
-        memory = memory_from_gfg(game, build_gfg_rabin(condition), condition)
+        memory = memory_from_gfg(game, build_gfg_rabin(tree), condition)
     except NotWonByExist:
         raise GameError(
             "internal: parity product and GFG Rabin product disagree on the "

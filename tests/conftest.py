@@ -141,3 +141,81 @@ def reference_recurrence_sets_satisfy(nodes, avail, condition, budget):
             if not accepts_colour_set(condition, colours):
                 return False
     return True
+
+
+def reference_product(game, automaton, seeds):
+    """The product builder the arena builder replaced: a name-keyed
+    `GameGraph` of ("s", x, q) state and ("c", y, a, q) choice vertices,
+    explored depth first from the game vertices `seeds`, with every edge
+    deduplicated through `GameEdge` hashing."""
+    from mullergames.games import EXIST, GameEdge, GameError, GameGraph
+
+    if len(automaton.initial) != 1:
+        raise GameError("product requires an automaton with a single initial state")
+    for e in game.edges:
+        if e.colour is not None and e.colour not in automaton.alphabet:
+            raise GameError(
+                f"alphabet mismatch: game colour {e.colour!r} unknown to the automaton"
+            )
+    q0 = automaton.initial[0]
+    vertices, edges, seen, queue, kept = [], [], set(), [], set()
+
+    def visit(vertex, owner):
+        if vertex not in seen:
+            seen.add(vertex)
+            vertices.append((vertex, owner))
+            queue.append(vertex)
+
+    def add(edge):
+        if edge not in kept:
+            kept.add(edge)
+            edges.append(edge)
+
+    for x in seeds:
+        visit(("s", x, q0), game.owner(x))
+    while queue:
+        vertex = queue.pop()
+        if vertex[0] == "s":
+            _, x, q = vertex
+            for e in game.out(x):
+                if e.colour is None:
+                    target = ("s", e.dst, q)
+                    visit(target, game.owner(e.dst))
+                else:
+                    target = ("c", e.dst, e.colour, q)
+                    visit(target, EXIST)
+                add(GameEdge(vertex, None, target))
+        else:
+            _, x, letter, q = vertex
+            options = automaton.transitions_from(q, letter)
+            if not options:
+                raise GameError(
+                    f"automaton is not complete: no {letter!r}-transition from {q!r}"
+                )
+            for t in options:
+                target = ("s", x, t.dst)
+                visit(target, game.owner(x))
+                add(GameEdge(vertex, t.colour, target))
+    return GameGraph(vertices, edges, ("s", seeds[0], q0), condition=automaton.acceptance)
+
+
+def reference_split_edges(game):
+    """The edge-midpoint split rebuilt from a game's names: node i <
+    len(game.vertices) is game.vertices[i] and node len(game.vertices) + j
+    the midpoint of game.edges[j].  Returns (succ, preds, owners, colours),
+    owner 0 for Exist and 1 for Univ (every midpoint)."""
+    from mullergames.games import EXIST
+
+    index = {v: i for i, v in enumerate(game.vertices)}
+    succ = [[] for _ in game.vertices]
+    for j, e in enumerate(game.edges):
+        succ[index[e.src]].append(len(index) + j)
+    succ.extend([index[e.dst]] for e in game.edges)
+    preds = [[] for _ in succ]
+    for u, outs in enumerate(succ):
+        for w in outs:
+            preds[w].append(u)
+    owners = [0 if game.owner(v) == EXIST else 1 for v in game.vertices]
+    owners += [1] * len(game.edges)
+    colours = [None] * len(index) + [e.colour for e in game.edges]
+    return succ, preds, owners, colours

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -232,6 +233,23 @@ def test_cmd_check_hoa_file_builds_no_automaton(capsys, monkeypatch, condition_f
     assert capsys.readouterr().out == "pass: 1560 lassos agree with the condition (bound 4)\n"
 
 
+def test_cmd_check_self_builds_one_tree(capsys, monkeypatch, condition_file):
+    from mullergames import cli, construction
+    from mullergames.zielonka import build_zielonka
+
+    built = []
+
+    def counting(condition, child_order=None):
+        built.append(condition)
+        return build_zielonka(condition, child_order)
+
+    monkeypatch.setattr(cli, "build_zielonka", counting)
+    monkeypatch.setattr(construction, "build_zielonka", counting)
+    assert main(["check", condition_file, "--bound", "3"]) == 0
+    assert capsys.readouterr().out.startswith("pass: ")
+    assert len(built) == 1
+
+
 def test_cmd_check_negative_bound(capsys, condition_file):
     assert main(["check", condition_file, "--bound", "-1"]) == 2
     captured = capsys.readouterr()
@@ -363,7 +381,7 @@ def test_cmd_solve_reports_product_disagreement(capsys, condition_file, tmp_path
     monkeypatch.setattr(
         games,
         "positional_rabin_strategy",
-        lambda game, condition=None: games.RabinStrategySolution(frozenset(), {}),
+        lambda game, condition=None: games.GameSolution(game, set(), {}),
     )
     game = game_file(
         tmp_path,
@@ -443,6 +461,49 @@ def test_cmd_solve_memory_out_independent_of_string_hashing(condition_file, tmp_
         assert "winner: Exist" in result.stdout
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# SHA-256 of `solve --memory-out` on `pinned_solve_case(seed)`, recorded
+# before products were built straight into the solvers' arena.
+MEMORY_DIGESTS = {
+    3: "83214093575130598cb697d51449c4fc547a15412f3c71b6612922f3087a27a5",
+    4: "5e3e9d96a4c575ff9e953d3e8c90966ba381efb54d4031fcf9145a1b281d93d6",
+    5: "9b51ba04a52efbe74c31f1803f0ed7a908e650a7c254637fb6520aa95a497144",
+    6: "bc7ad0491ef3b58aad0bb7f3ace2ec22dbc05ed1625de1480e1f2be0a564a225",
+    11: "dd677075c3602ab3ccc00f6e82d3b77f631f51b94ea75525b6f097d8c1e4a27e",
+    13: "526b6f5bb975dba9e13a2ffceb41c069cd2377a6834a8f653d6d7c245138c9ac",
+}
+
+
+def pinned_solve_case(seed):
+    """A 20-60 vertex game over a random three-letter condition, out-degree
+    1-3, with some forward silent edges."""
+    from conftest import random_muller_condition
+    from mullergames.conditions import Alphabet, condition_to_dict
+
+    rng = random.Random(seed)
+    condition = random_muller_condition(rng, Alphabet("abc"))
+    names = [f"v{i}" for i in range(rng.randint(20, 60))]
+    edges = []
+    for i, v in enumerate(names):
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(names))
+            colour = None if j > i and rng.random() < 0.1 else rng.choice("abc")
+            edges.append({"src": v, "colour": colour, "dst": names[j]})
+    owners = [{"name": v, "owner": rng.choice(["Exist", "Univ"])} for v in names]
+    return condition_to_dict(condition), {"vertices": owners, "edges": edges, "initial": names[0]}
+
+
+@pytest.mark.parametrize("seed", sorted(MEMORY_DIGESTS))
+def test_cmd_solve_memory_out_bytes_are_pinned(capsys, tmp_path, seed):
+    condition, doc = pinned_solve_case(seed)
+    condition_path = tmp_path / "condition.json"
+    condition_path.write_text(json.dumps(condition))
+    out = tmp_path / "memory.json"
+    argv = ["solve", "--game", game_file(tmp_path, doc), "--condition", str(condition_path)]
+    assert main(argv + ["--memory-out", str(out)]) == 0
+    assert "winner: Exist" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MEMORY_DIGESTS[seed]
 
 
 def test_cmd_succinctness(capsys, tmp_path):

@@ -329,3 +329,16 @@ def test_trichotomy_per_transition(running_condition):
                     assert status == "orange"
                 else:
                     assert status == "red"
+
+
+def test_builders_accept_a_tree():
+    from mullergames.automata import export_hoa
+
+    for condition in (condition_fn(5), random_muller_condition(random.Random(8), Alphabet("abcd"))):
+        tree = build_zielonka(condition)
+        gfg = build_gfg_rabin(tree)
+        assert gfg.tree is tree
+        assert export_hoa(gfg.automaton) == export_hoa(build_gfg_rabin(condition).automaton)
+        assert export_hoa(build_parity_automaton(tree)) == export_hoa(
+            build_parity_automaton(condition)
+        )

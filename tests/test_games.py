@@ -18,9 +18,9 @@ from mullergames.games import (
     GameEdge,
     GameError,
     GameGraph,
+    GameSolution,
     MemoryStructure,
     NotWonByExist,
-    RabinStrategySolution,
     _build_product,
     brute_force_winner,
     game_from_dict,
@@ -35,7 +35,12 @@ from mullergames.games import (
     verify_strategy,
 )
 from mullergames.zielonka import build_zielonka
-from conftest import random_muller_condition, reference_recurrence_sets_satisfy
+from conftest import (
+    random_muller_condition,
+    reference_product,
+    reference_recurrence_sets_satisfy,
+    reference_split_edges,
+)
 
 
 def one_vertex_abc_game(condition):
@@ -131,6 +136,67 @@ def test_product_epsilon_edges(running_condition):
     assert any(e.src[0] == "s" and e.dst[0] == "s" for e in eps_edges)
 
 
+def product_cases(count):
+    """Seeded random games over random conditions on one to three letters,
+    a third of their edges silent, each with its GFG and parity automata and
+    two seedings: the initial vertex, and every vertex."""
+    rng = random.Random(2204)
+    for _ in range(count):
+        condition = random_muller_condition(rng, Alphabet("abc"[: rng.randint(1, 3)]))
+        game = random_game(rng, condition, max_vertices=6, max_edges=12, eps_prob=0.3)
+        for automaton in (build_gfg_rabin(condition).automaton, build_parity_automaton(condition)):
+            for seeds in ([game.initial], list(game.vertices)):
+                ids = [game.vertices.index(x) for x in seeds]
+                yield game, automaton, ids, reference_product(game, automaton, seeds)
+
+
+def test_product_arena_matches_reference():
+    silent = 0
+    for game, automaton, ids, reference in product_cases(300):
+        product = _build_product(game, automaton, ids)
+        assert product.game.vertices == reference.vertices
+        assert product.game.edges == reference.edges
+        assert product.game.initial == reference.initial
+        split = reference_split_edges(reference)
+        assert tuple(product.game.arena[:4]) == split
+        assert tuple(reference.arena[:4]) == split  # a named game's own arena
+        assert all(product.ids[key] == v for v, key in enumerate(product.keys))
+        assert sum(i >= 0 for i in product.ids) == len(product.keys)
+        silent += any(e.colour is None for e in game.edges)
+    assert silent >= 300
+
+
+def test_solvers_agree_on_both_arenas():
+    for game, automaton, ids, reference in product_cases(150):
+        product = _build_product(game, automaton, ids).game
+        if isinstance(automaton.acceptance, ParityCondition):
+            ours, theirs = solve_parity_game(product), solve_parity_game(reference)
+            assert ours.winners == theirs.winners
+            assert ours.exist_strategy == theirs.exist_strategy
+            assert ours.univ_strategy == theirs.univ_strategy
+        else:
+            ours, theirs = positional_rabin_strategy(product), positional_rabin_strategy(reference)
+            assert ours.region == theirs.region
+            assert ours.strategy == theirs.strategy
+
+
+def test_product_builder_names_bad_automata():
+    from mullergames.automata import Automaton
+
+    condition = MullerCondition(Alphabet("ab"), [["a"]])
+    game = GameGraph([("x", EXIST)], [("x", "a", "x"), ("x", "b", "x")], "x", condition)
+    parity = ParityCondition(Alphabet(["1"]), {"1": 1})
+    incomplete = Automaton([0], Alphabet("ab"), [0], [(0, "a", "1", 0)], parity)
+    with pytest.raises(GameError, match="automaton is not complete: no 'b'-transition from 0"):
+        product_with_automaton(game, incomplete)
+    foreign = Automaton([0], Alphabet("a"), [0], [(0, "a", "1", 0)], parity)
+    with pytest.raises(GameError, match="alphabet mismatch: game colour 'b' unknown"):
+        _build_product(game, foreign, [0])
+    two_initial = Automaton([0, 1], Alphabet("ab"), [0, 1], [], parity)
+    with pytest.raises(GameError, match="single initial state"):
+        product_with_automaton(game, two_initial)
+
+
 def single_priority_condition():
     return ParityCondition(Alphabet(["1", "2"]), {"1": 1, "2": 2})
 
@@ -203,13 +269,18 @@ def test_parity_certificate_failures_are_game_errors(
         "x",
         single_priority_condition(),
     )
-    solution = games.ParitySolution(
-        winners,
-        {v: GameEdge(*e) for v, e in exist_strategy.items()},
-        {v: GameEdge(*e) for v, e in univ_strategy.items()},
-    )
+    # The certificate reads node ids: vertex i, and the midpoint of edge j.
+    index = {v: i for i, v in enumerate(game.vertices)}
+    midpoint = {e: len(game.vertices) + j for j, e in enumerate(game.edges)}
+    even = {index[v] for v, w in winners.items() if w == EXIST}
+    moves = {
+        index[v]: midpoint[GameEdge(*e)]
+        for strategy in (exist_strategy, univ_strategy)
+        for v, e in strategy.items()
+    }
+    solution = games.GameSolution(game, even, moves)
     with pytest.raises(GameError, match="internal: " + message):
-        games._verify_parity_solution(game, game.condition, solution)
+        games._verify_solution(solution, game.condition)
 
 
 # -- Rabin games: reference solver and agreement ------------------------------
@@ -231,7 +302,7 @@ def _rabin_region_via_parity(game, automaton=None):
     """Exist's winning region of a Rabin game, decided through the
     parity-automaton product seeded at every vertex."""
     automaton = automaton or _automaton_for_rabin(game.condition)
-    product = _build_product(game, automaton, list(game.vertices))
+    product = _build_product(game, automaton, range(len(game.vertices)))
     solution = solve_parity_game(product.game)
     q0 = automaton.initial[0]
     return frozenset(
@@ -450,11 +521,27 @@ def test_solve_muller_reports_product_disagreement(running_condition, monkeypatc
     monkeypatch.setattr(
         games,
         "positional_rabin_strategy",
-        lambda game, condition=None: RabinStrategySolution(frozenset(), {}),
+        lambda game, condition=None: GameSolution(game, set(), {}),
     )
     with pytest.raises(GameError, match="parity product and GFG Rabin product disagree") as err:
         solve_muller_game(alternation_game(running_condition))
     assert not isinstance(err.value, NotWonByExist)
+
+
+def test_solve_muller_builds_one_tree(running_condition, monkeypatch):
+    from mullergames import construction
+
+    built = []
+
+    def counting(condition, child_order=None):
+        built.append(condition)
+        return build_zielonka(condition, child_order)
+
+    monkeypatch.setattr(games, "build_zielonka", counting)
+    monkeypatch.setattr(construction, "build_zielonka", counting)
+    solution = solve_muller_game(alternation_game(running_condition))
+    assert solution.winner == EXIST and solution.memory.size == 2
+    assert len(built) == 1
 
 
 def test_verify_strategy_rejects_bad_loop(running_condition):
