@@ -16,7 +16,7 @@ from .conditions import (
     satisfies_parity,
     satisfies_rabin,
 )
-from .zielonka import ZielonkaTree, build_zielonka, eta_labelling, memtree
+from .zielonka import ZielonkaTree, build_zielonka
 
 __all__ = [
     "Alphabet",
@@ -28,10 +28,8 @@ __all__ = [
     "RabinCondition",
     "ZielonkaTree",
     "build_zielonka",
-    "eta_labelling",
     "inf_set",
     "load_condition",
-    "memtree",
     "restrict",
     "satisfies_muller",
     "satisfies_parity",

@@ -2,7 +2,9 @@
 
 Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
-membership.  The lasso checkers compute verdicts per (state after prefix,
+membership.  Both lasso checkers read one table form, decoded from an
+`Automaton` in one place: the (colour bit, next state index) moves of each
+state index on each letter index.  They compute verdicts per (state,
 period): each period is analysed once for every state and each prefix is
 run once, so sweeping many lassos shares both.  Duplicated edges can be
 merged without changing the language.
@@ -11,13 +13,12 @@ merged without changing the language.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Sequence
 
 from ._graph import reachable, strongly_connected_components
 from .conditions import (
     Alphabet,
     AnyCondition,
-    ConditionError,
     LassoWord,
     MullerCondition,
     ParityCondition,
@@ -25,6 +26,8 @@ from .conditions import (
 )
 
 State = Hashable
+# table[s][a]: the (colour bit, next state index) moves of state s on letter a.
+MoveTable = Sequence[Sequence[Sequence[tuple[int, int]]]]
 
 
 class AutomatonError(ValueError):
@@ -105,9 +108,6 @@ class Automaton:
     def colour_alphabet(self) -> Alphabet:
         return condition_colours(self.acceptance)
 
-    def state_index(self, state: State) -> int:
-        return self.states.index(state)
-
     def __repr__(self) -> str:
         kind = type(self.acceptance).__name__.replace("Condition", "")
         return (
@@ -157,76 +157,109 @@ def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
     return run, accepted
 
 
-class DeterministicLassoChecker:
-    """Membership oracle for a deterministic complete automaton on lasso words.
+class _LassoChecker:
+    """Membership oracle on lasso words u v^omega over an integer table.
 
-    Works on integer tables: `table[s][a]` is the (colour bit, next state
-    index) of state index s on letter index a, and a colour bit is
-    `1 << i` for colour i of `acceptance`.  The verdict on u v^omega
-    depends only on the state after u and on v, so verdicts are computed
-    per (state after prefix, period).  For each new period one pass over
-    all states gives each start state's end state and the colours it saw;
-    following that functional graph of end states to its cycle, every start
-    state gets the cycle's verdict through `acceptance.accepts_mask`.
-    Period verdicts and prefix states are memoised.
+    `table[s][a]` lists the (colour bit, next state index) moves of state
+    index s on letter index a, and a colour bit is `1 << i` for colour i of
+    `acceptance`.  A prefix maps to the tuple of states it reaches, and a
+    subclass's `_verdicts` gives, for one period, each state's verdict on
+    that period repeated forever; u v^omega is accepted when some state
+    after u accepts v.  Verdicts are computed once per (state, period) and
+    each prefix is run once, so sweeping many lassos shares both.
     """
 
     def __init__(
-        self,
-        table: Sequence[Sequence[tuple[int, int]]],
-        initial: int,
-        alphabet: Alphabet,
-        acceptance: AnyCondition,
+        self, table: MoveTable, initial: Sequence[int], alphabet: Alphabet, acceptance: AnyCondition
     ):
-        letters = range(len(alphabet))
-        self._colour = [[row[a][0] for row in table] for a in letters]
-        self._next = [[row[a][1] for row in table] for a in letters]
-        self._size = len(table)
+        self._table = table
         self._letter = {symbol: a for a, symbol in enumerate(alphabet.symbols)}
-        self._accepts_mask = acceptance.accepts_mask
+        self._acceptance = acceptance
         self._period_memo: dict[tuple[str, ...], list[bool]] = {}
-        self._prefix_memo: dict[tuple[str, ...], int] = {(): initial}
+        self._prefix_memo: dict[tuple[str, ...], tuple[int, ...]] = {(): tuple(initial)}
 
     @classmethod
-    def from_automaton(cls, automaton: Automaton) -> "DeterministicLassoChecker":
-        if not automaton.is_deterministic:
-            raise AutomatonError("lasso checker needs a deterministic, complete automaton")
+    def from_automaton(cls, automaton: Automaton):
+        """The checker on `automaton`'s moves; the one place an `Automaton`
+        becomes a move table, deterministic or not."""
         index = {q: i for i, q in enumerate(automaton.states)}
         colour = automaton.colour_alphabet.index
         moves = automaton._by_source
         table = [
             [
-                (1 << colour(t.colour), index[t.dst])
-                for t in (moves[(q, a)][0] for a in automaton.alphabet.symbols)
+                [(1 << colour(t.colour), index[t.dst]) for t in moves.get((q, a), ())]
+                for a in automaton.alphabet.symbols
             ]
             for q in automaton.states
         ]
-        return cls(table, index[automaton.initial[0]], automaton.alphabet, automaton.acceptance)
+        initial = [index[q] for q in automaton.initial]
+        return cls(table, initial, automaton.alphabet, automaton.acceptance)
 
     def accepts(self, w: LassoWord) -> bool:
-        return self._verdicts(w.period)[self._state_after(w.prefix)]
+        verdict = self._period_memo.get(w.period)
+        if verdict is None:
+            verdict = self._verdicts([self._index(symbol) for symbol in w.period])
+            self._period_memo[w.period] = verdict
+        states = self._prefix_memo.get(w.prefix)
+        if states is None:
+            states = self._states_after(w.prefix)
+        for state in states:
+            if verdict[state]:
+                return True
+        return False
 
-    def _state_after(self, prefix: tuple[str, ...]) -> int:
-        state = self._prefix_memo.get(prefix)
-        if state is None:
-            state = self._next[self._letter[prefix[-1]]][self._state_after(prefix[:-1])]
-            self._prefix_memo[prefix] = state
-        return state
+    def _index(self, symbol: str) -> int:
+        a = self._letter.get(symbol)
+        if a is None:
+            raise AutomatonError(f"lasso letter {symbol!r} not in the automaton's alphabet")
+        return a
 
-    def _verdicts(self, period: tuple[str, ...]) -> list[bool]:
-        verdict = self._period_memo.get(period)
-        if verdict is not None:
-            return verdict
-        size = self._size
+    def _states_after(self, prefix: tuple[str, ...]) -> tuple[int, ...]:
+        states = self._prefix_memo.get(prefix)
+        if states is None:
+            a = self._index(prefix[-1])
+            before = self._states_after(prefix[:-1])
+            states = tuple(sorted({nxt for s in before for _, nxt in self._table[s][a]}))
+            self._prefix_memo[prefix] = states
+        return states
+
+    def _verdicts(self, period: list[int]) -> list[bool]:
+        raise NotImplementedError
+
+
+class DeterministicLassoChecker(_LassoChecker):
+    """Membership oracle for a deterministic complete automaton: one initial
+    state and exactly one move per (state, letter).
+
+    For each new period one pass over all states gives each start state's
+    end state and the colours it saw; following that functional graph of
+    end states to its cycle, every start state gets the cycle's verdict
+    through `acceptance.accepts_mask`.
+    """
+
+    def __init__(
+        self, table: MoveTable, initial: Sequence[int], alphabet: Alphabet, acceptance: AnyCondition
+    ):
+        super().__init__(table, initial, alphabet, acceptance)
+        letters = range(len(alphabet))
+        if len(initial) != 1 or any(
+            len(row) != len(letters) or any(len(moves) != 1 for moves in row) for row in table
+        ):
+            raise AutomatonError("lasso checker needs a deterministic, complete automaton")
+        self._colour = [[row[a][0][0] for row in table] for a in letters]
+        self._next = [[row[a][0][1] for row in table] for a in letters]
+
+    def _verdicts(self, period: list[int]) -> list[bool]:
+        size = len(self._table)
         end = list(range(size))
         seen = [0] * size
-        for symbol in period:
-            a = self._letter[symbol]
+        for a in period:
             colour, nxt = self._colour[a], self._next[a]
             seen = [m | colour[s] for m, s in zip(seen, end)]
             end = [nxt[s] for s in end]
         # Period after period, a run from s visits s, end[s], end[end[s]],
         # ...; the colours of the cycle it runs into recur forever.
+        accepts_mask = self._acceptance.accepts_mask
         verdict = [None] * size
         walk = [-1] * size  # the start whose walk visited each state
         for start in range(size):
@@ -242,112 +275,83 @@ class DeterministicLassoChecker:
                 mask = 0
                 for q in path[path.index(s):]:
                     mask |= seen[q]
-                outcome = self._accepts_mask(mask)
+                outcome = accepts_mask(mask)
             else:
                 outcome = verdict[s]
             for q in path:
                 verdict[q] = outcome
-        self._period_memo[period] = verdict
         return verdict
 
 
-class RabinLassoChecker:
-    """Nondeterministic membership oracle for Rabin automata on lasso words.
+class RabinLassoChecker(_LassoChecker):
+    """Nondeterministic membership oracle for Rabin automata.
 
-    Searches the product of states with the lasso phase for a reachable
-    cycle avoiding some pair's red colours while using one of its greens.
-    Period analyses are memoised, so sweeping many lassos against one
-    automaton stays cheap.
+    For each new period it builds the graph of (state, phase) nodes once
+    and searches it, pair by pair, for a reachable cycle that avoids the
+    pair's red colours and uses one of its greens.  A node's red edges are
+    filtered out only when the search reaches it.
     """
 
-    def __init__(self, automaton: Automaton):
-        if not isinstance(automaton.acceptance, RabinCondition):
+    def __init__(
+        self, table: MoveTable, initial: Sequence[int], alphabet: Alphabet, acceptance: AnyCondition
+    ):
+        if not isinstance(acceptance, RabinCondition):
             raise AutomatonError("lasso membership oracle expects Rabin acceptance")
-        self.automaton = automaton
-        colours = automaton.colour_alphabet
-        self._bit = {c: 1 << i for i, c in enumerate(colours.symbols)}
-        self._pairs = [(g.mask, r.mask) for g, r in automaton.acceptance.pairs]
-        self._state_index = {q: i for i, q in enumerate(automaton.states)}
-        self._period_memo: dict[tuple[str, ...], dict[State, bool]] = {}
-        self._prefix_memo: dict[tuple[str, ...], frozenset[State]] = {}
+        super().__init__(table, initial, alphabet, acceptance)
+        self._pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
 
-    def accepts(self, w: LassoWord) -> bool:
-        reach = self._reach_after(w.prefix)
-        if not reach:
-            return False
-        good_from = self._analyse_period(w.period)
-        return any(good_from.get(q, False) for q in reach)
-
-    def _reach_after(self, prefix: tuple[str, ...]) -> frozenset[State]:
-        if prefix in self._prefix_memo:
-            return self._prefix_memo[prefix]
-        if not prefix:
-            out = frozenset(self.automaton.initial)
-        else:
-            before = self._reach_after(prefix[:-1])
-            out = frozenset(
-                t.dst
-                for q in before
-                for t in self.automaton.transitions_from(q, prefix[-1])
-            )
-        self._prefix_memo[prefix] = out
-        return out
-
-    def _analyse_period(self, period: tuple[str, ...]) -> dict[State, bool]:
-        if period in self._period_memo:
-            return self._period_memo[period]
-        aut = self.automaton
+    def _verdicts(self, period: list[int]) -> list[bool]:
         length = len(period)
-        index, bit = self._state_index, self._bit
-        # Node s * length + i is state number s at phase i of the period;
-        # each edge carries its colour's bit.
-        edges: list[list[tuple[int, int]]] = []
-        for q in aut.states:
-            for i, letter in enumerate(period):
+        # Node s * length + i is state s at phase i of the period; `bits`
+        # holds the colour bit of each edge in `succ`, and `seen` their OR.
+        succ: list[list[int]] = []
+        bits: list[list[int]] = []
+        seen: list[int] = []
+        for row in self._table:
+            for i, a in enumerate(period):
                 phase = (i + 1) % length
-                edges.append(
-                    [
-                        (index[t.dst] * length + phase, bit[t.colour])
-                        for t in aut._by_source.get((q, letter), ())
-                    ]
-                )
+                moves = row[a]
+                succ.append([nxt * length + phase for _, nxt in moves])
+                colours = [b for b, _ in moves]
+                bits.append(colours)
+                mask = 0
+                for b in colours:
+                    mask |= b
+                seen.append(mask)
         present = 0
-        for out in edges:
-            for _, b in out:
-                present |= b
-        winning_nodes: set[int] = set()
+        for mask in seen:
+            present |= mask
+        winning: set[int] = set()
         for green, red in self._pairs:
             if not green & present:
                 continue
-            safe = [[dst for dst, b in out if not b & red] for out in edges]
+
+            def safe(n: int) -> list[int]:
+                if not seen[n] & red:
+                    return succ[n]
+                return [d for d, b in zip(succ[n], bits[n]) if not b & red]
+
             # Only a component holding a green edge wins, and the search
             # from that edge's source finds it.
-            sources = [n for n, out in enumerate(edges) if any(b & green for _, b in out)]
-            for component in strongly_connected_components(sources, safe.__getitem__):
+            sources = [n for n, mask in enumerate(seen) if mask & green]
+            for component in strongly_connected_components(sources, safe):
                 members = set(component)
-                has_green_inside = any(
-                    dst in members and b & green
-                    for node in component
-                    for dst, b in edges[node]
-                    if not b & red
-                )
-                if has_green_inside:
-                    winning_nodes.update(members)
-        # A lasso from q is accepted iff some winning cycle is reachable
-        # from (q, 0) in the full period graph.
-        preds: list[list[int]] = [[] for _ in edges]
-        for node, out in enumerate(edges):
-            for dst, _ in out:
-                preds[dst].append(node)
-        good = reachable(winning_nodes, preds.__getitem__)
-        result = {q: s * length in good for s, q in enumerate(aut.states)}
-        self._period_memo[period] = result
-        return result
-
-
-def accepts_lasso(automaton: Automaton, w: LassoWord) -> bool:
-    """True iff some run of the Rabin automaton over u v^omega is accepting."""
-    return RabinLassoChecker(automaton).accepts(w)
+                # Green and red are disjoint, so a green edge is never red.
+                if any(
+                    b & green and d in members
+                    for n in component
+                    if seen[n] & green
+                    for d, b in zip(succ[n], bits[n])
+                ):
+                    winning.update(component)
+        # A lasso from s is accepted iff some winning cycle is reachable
+        # from (s, 0) in the full period graph.
+        preds: list[list[int]] = [[] for _ in succ]
+        for n, out in enumerate(succ):
+            for d in out:
+                preds[d].append(n)
+        good = reachable(winning, preds.__getitem__)
+        return [s * length in good for s in range(len(self._table))]
 
 
 def has_duplicated_edges(automaton: Automaton) -> bool:
@@ -442,62 +446,6 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
         automaton.initial,
         transitions,
         RabinCondition(colours, pairs),
-    )
-
-
-def simplify_muller(automaton: Automaton, budget: int = 1 << 18) -> Automaton:
-    """Merge duplicated edges of a transition-coloured Muller automaton.
-
-    A merged colour set is accepting when non-empty sub-bundles can be
-    picked whose union is accepting in the original automaton; this is
-    materialised by scanning every subset of the merged colour alphabet,
-    which is exponential and therefore guarded by `budget`.
-    """
-    if not isinstance(automaton.acceptance, MullerCondition):
-        raise AutomatonError("simplify_muller expects Muller acceptance")
-    merged = _merge_bundles(automaton)
-    names = _bundle_names(automaton, (b for *_x, b in merged))
-    seen_fresh: list[str] = []
-    for *_x, bundle in merged:
-        name = names[bundle]
-        if name not in automaton.colour_alphabet and name not in seen_fresh:
-            seen_fresh.append(name)
-    colours = Alphabet(tuple(automaton.colour_alphabet.symbols) + tuple(seen_fresh))
-    bundle_of: dict[str, frozenset[str]] = {c: frozenset([c]) for c in automaton.colour_alphabet}
-    for bundle, name in names.items():
-        bundle_of[name] = frozenset(bundle)
-
-    if (1 << len(colours)) > budget:
-        raise AutomatonError(
-            f"bundle-subset enumeration needs {1 << len(colours)} subsets, over budget {budget}"
-        )
-
-    old = automaton.acceptance
-    old_alphabet = old.alphabet
-    old_members = [frozenset(old_alphabet.from_mask(m)) for m in old.masks]
-    symbols = colours.symbols
-    accepted = []
-    for mask in range(1, 1 << len(symbols)):
-        chosen = [symbols[i] for i in range(len(symbols)) if mask >> i & 1]
-        union = frozenset().union(*(bundle_of[c] for c in chosen))
-        for member in old_members:
-            # Witness form of the sub-bundle rule: picking S_x = member & bundle(x)
-            # works exactly when the member sits inside the union and meets
-            # every chosen bundle.
-            if member <= union and all(member & bundle_of[c] for c in chosen):
-                accepted.append(chosen)
-                break
-
-    transitions = [
-        Transition(src, letter, names[bundle], dst)
-        for src, letter, dst, bundle in merged
-    ]
-    return Automaton(
-        automaton.states,
-        automaton.alphabet,
-        automaton.initial,
-        transitions,
-        MullerCondition(colours, accepted),
     )
 
 

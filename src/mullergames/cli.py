@@ -115,7 +115,7 @@ def cmd_check(args) -> int:
         parity = build_parity_automaton(tree)
         gfg = build_gfg_rabin(tree)
         checkers = {
-            "rabin": RabinLassoChecker(gfg.automaton),
+            "rabin": RabinLassoChecker.from_automaton(gfg.automaton),
             "parity": DeterministicLassoChecker.from_automaton(parity),
             "resolver": resolver_lasso_checker(gfg),
         }
@@ -124,7 +124,7 @@ def cmd_check(args) -> int:
             rabin = parse_hoa(handle.read())
         if rabin.alphabet != condition.alphabet:
             raise AutomatonError("checked automaton runs over a different alphabet")
-        checkers = {"rabin": RabinLassoChecker(rabin)}
+        checkers = {"rabin": RabinLassoChecker.from_automaton(rabin)}
     symbols = condition.alphabet.symbols
     periods = [
         (period, satisfies_muller(condition, period))

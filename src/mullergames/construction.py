@@ -233,12 +233,12 @@ def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
     bit = [1 << colour(tree.node_name(n)) for n in range(len(tree))]
     leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
     table = [
-        [(bit[witness], leaf_index[target]) for witness, target in tree.step_table[leaf]]
+        [[(bit[witness], leaf_index[target])] for witness, target in tree.step_table[leaf]]
         for leaf in tree.leaves()
     ]
     return DeterministicLassoChecker(
         table,
-        leaf_index[tree.leftmost_leaf(tree.root)],
+        [leaf_index[tree.leftmost_leaf(tree.root)]],
         tree.alphabet,
         gfg.automaton.acceptance,
     )

@@ -284,19 +284,3 @@ def build_zielonka(
     condition: MullerCondition, child_order: Optional[ChildOrder] = None
 ) -> ZielonkaTree:
     return ZielonkaTree(condition, child_order)
-
-
-def memtree(tree: ZielonkaTree) -> int:
-    return tree.memtree()
-
-
-def next_child(tree: ZielonkaTree, n: int, c: int) -> int:
-    return tree.next_child(n, c)
-
-
-def jump(tree: ZielonkaTree, n: int, leaf: int) -> tuple[frozenset[int], int]:
-    return tree.jump(n, leaf)
-
-
-def eta_labelling(tree: ZielonkaTree) -> dict[int, int]:
-    return tree.eta()

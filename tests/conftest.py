@@ -219,3 +219,94 @@ def reference_split_edges(game):
     owners += [1] * len(game.edges)
     colours = [None] * len(index) + [e.colour for e in game.edges]
     return succ, preds, owners, colours
+
+
+class ReferenceRabinLassoChecker:
+    """The Rabin lasso checker the integer table replaced: it walks the
+    automaton's `Transition`s and colour names, rebuilds the red-free edge
+    lists and scans for green sources once per Rabin pair and period."""
+
+    def __init__(self, automaton):
+        from mullergames.automata import AutomatonError
+        from mullergames.conditions import RabinCondition
+
+        if not isinstance(automaton.acceptance, RabinCondition):
+            raise AutomatonError("lasso membership oracle expects Rabin acceptance")
+        self.automaton = automaton
+        colours = automaton.colour_alphabet
+        self._bit = {c: 1 << i for i, c in enumerate(colours.symbols)}
+        self._pairs = [(g.mask, r.mask) for g, r in automaton.acceptance.pairs]
+        self._state_index = {q: i for i, q in enumerate(automaton.states)}
+        self._period_memo = {}
+        self._prefix_memo = {}
+
+    def accepts(self, w):
+        reach = self._reach_after(w.prefix)
+        if not reach:
+            return False
+        good_from = self._analyse_period(w.period)
+        return any(good_from.get(q, False) for q in reach)
+
+    def _reach_after(self, prefix):
+        if prefix in self._prefix_memo:
+            return self._prefix_memo[prefix]
+        if not prefix:
+            out = frozenset(self.automaton.initial)
+        else:
+            before = self._reach_after(prefix[:-1])
+            out = frozenset(
+                t.dst
+                for q in before
+                for t in self.automaton.transitions_from(q, prefix[-1])
+            )
+        self._prefix_memo[prefix] = out
+        return out
+
+    def _analyse_period(self, period):
+        from mullergames._graph import reachable, strongly_connected_components
+
+        if period in self._period_memo:
+            return self._period_memo[period]
+        aut = self.automaton
+        length = len(period)
+        index, bit = self._state_index, self._bit
+        # Node s * length + i is state number s at phase i of the period;
+        # each edge carries its colour's bit.
+        edges = []
+        for q in aut.states:
+            for i, letter in enumerate(period):
+                phase = (i + 1) % length
+                edges.append(
+                    [
+                        (index[t.dst] * length + phase, bit[t.colour])
+                        for t in aut.transitions_from(q, letter)
+                    ]
+                )
+        present = 0
+        for out in edges:
+            for _, b in out:
+                present |= b
+        winning_nodes = set()
+        for green, red in self._pairs:
+            if not green & present:
+                continue
+            safe = [[dst for dst, b in out if not b & red] for out in edges]
+            sources = [n for n, out in enumerate(edges) if any(b & green for _, b in out)]
+            for component in strongly_connected_components(sources, safe.__getitem__):
+                members = set(component)
+                has_green_inside = any(
+                    dst in members and b & green
+                    for node in component
+                    for dst, b in edges[node]
+                    if not b & red
+                )
+                if has_green_inside:
+                    winning_nodes.update(members)
+        preds = [[] for _ in edges]
+        for node, out in enumerate(edges):
+            for dst, _ in out:
+                preds[dst].append(node)
+        good = reachable(winning_nodes, preds.__getitem__)
+        result = {q: s * length in good for s, q in enumerate(aut.states)}
+        self._period_memo[period] = result
+        return result

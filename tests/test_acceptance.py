@@ -214,7 +214,7 @@ def _sweep_condition(cond, prefixes, periods, spot_check_every=211):
     assert len(gfg.automaton.states) == tree.memtree()
     assert check_quotient(parity, gfg, gfg.eta)
 
-    checker = RabinLassoChecker(gfg.automaton)
+    checker = RabinLassoChecker.from_automaton(gfg.automaton)
     p0 = parity.initial[0]
     leaf0 = gfg.tree.leftmost_leaf(gfg.tree.root)
     prefix_states = {
@@ -366,8 +366,8 @@ def test_criterion_4_simplification_soundness():
         assert len(simplified.states) == len(automaton.states)
         assert len(simplified.acceptance) == len(automaton.acceptance)
         assert not has_duplicated_edges(simplified)
-        before = RabinLassoChecker(automaton)
-        after = RabinLassoChecker(simplified)
+        before = RabinLassoChecker.from_automaton(automaton)
+        after = RabinLassoChecker.from_automaton(simplified)
         prefixes, periods = _all_lasso_parts(automaton.alphabet, 4, 4)
         for v in periods:
             for u in prefixes:

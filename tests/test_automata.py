@@ -10,14 +10,12 @@ from mullergames.automata import (
     DeterministicLassoChecker,
     RabinLassoChecker,
     Transition,
-    accepts_lasso,
     export_dot,
     export_hoa,
     has_duplicated_edges,
     hoa_signature,
     parse_hoa,
     run_deterministic,
-    simplify_muller,
     simplify_rabin,
 )
 from mullergames.conditions import (
@@ -30,7 +28,7 @@ from mullergames.conditions import (
 )
 from mullergames.construction import build_gfg_rabin, build_parity_automaton
 from mullergames.succinctness import condition_fn
-from conftest import random_muller_condition
+from conftest import ReferenceRabinLassoChecker, random_muller_condition
 
 
 def fig2_automaton(running_condition):
@@ -64,9 +62,9 @@ def random_rabin_automaton(rng, n_states=3, n_letters=2, n_pairs=3, n_colours=4)
     )
 
 
-def lassos_up_to(alphabet, max_len):
+def lassos_up_to(alphabet, max_len, max_prefix=None):
     out = []
-    for lu in range(max_len + 1):
+    for lu in range((max_len if max_prefix is None else max_prefix) + 1):
         for prefix in itertools.product(alphabet.symbols, repeat=lu):
             for lv in range(1, max_len + 1):
                 for period in itertools.product(alphabet.symbols, repeat=lv):
@@ -158,9 +156,9 @@ def test_is_deterministic_decided_at_construction(running_condition):
 
 
 def test_accepts_lasso_examples(running_condition):
-    aut = fig2_automaton(running_condition)
-    assert accepts_lasso(aut, LassoWord.from_letters("", "ab"))
-    assert not accepts_lasso(aut, LassoWord.from_letters("", "c"))
+    checker = RabinLassoChecker.from_automaton(fig2_automaton(running_condition))
+    assert checker.accepts(LassoWord.from_letters("", "ab"))
+    assert not checker.accepts(LassoWord.from_letters("", "c"))
     partial = Automaton(
         [0],
         Alphabet("ab"),
@@ -168,7 +166,7 @@ def test_accepts_lasso_examples(running_condition):
         [Transition(0, "a", "c0", 0)],
         RabinCondition(Alphabet(["c0"]), [(["c0"], [])]),
     )
-    assert not accepts_lasso(partial, LassoWord.from_letters("", "b"))
+    assert not RabinLassoChecker.from_automaton(partial).accepts(LassoWord.from_letters("", "b"))
 
 
 def test_has_duplicated_edges(running_condition):
@@ -232,113 +230,10 @@ def test_simplify_rabin_preserves_language_random():
         assert len(out.states) == len(aut.states)
         assert len(out.acceptance) == len(aut.acceptance)
         assert not has_duplicated_edges(out)
-        before = RabinLassoChecker(aut)
-        after = RabinLassoChecker(out)
+        before = RabinLassoChecker.from_automaton(aut)
+        after = RabinLassoChecker.from_automaton(out)
         for w in lassos_up_to(aut.alphabet, 4):
             assert before.accepts(w) == after.accepts(w)
-
-
-def muller_bundle_oracle(families, bundle_of, chosen):
-    """Direct evaluation of the sub-bundle rule: try every way of picking a
-    non-empty subset of each chosen colour's bundle."""
-    pools = [
-        [
-            frozenset(pick)
-            for r in range(1, len(bundle_of[c]) + 1)
-            for pick in itertools.combinations(sorted(bundle_of[c]), r)
-        ]
-        for c in chosen
-    ]
-    for picks in itertools.product(*pools):
-        union = frozenset().union(*picks)
-        if union in families:
-            return True
-    return False
-
-
-def test_simplify_muller_examples():
-    colours = Alphabet(["c1", "c2"])
-    two_loops = Automaton(
-        [0],
-        Alphabet("a"),
-        [0],
-        [Transition(0, "a", "c1", 0), Transition(0, "a", "c2", 0)],
-        MullerCondition(colours, [["c1"]]),
-    )
-    out = simplify_muller(two_loops)
-    assert [t.colour for t in out.transitions] == ["(c1c2)"]
-    assert out.acceptance.accepts_mask(
-        out.acceptance.alphabet.letters(["(c1c2)"]).mask
-    )
-    both = Automaton(
-        [0],
-        Alphabet("a"),
-        [0],
-        [Transition(0, "a", "c1", 0), Transition(0, "a", "c2", 0)],
-        MullerCondition(colours, [["c1", "c2"]]),
-    )
-    out2 = simplify_muller(both)
-    assert out2.acceptance.accepts_mask(
-        out2.acceptance.alphabet.letters(["(c1c2)"]).mask
-    )
-    plain = Automaton(
-        [0, 1],
-        Alphabet("a"),
-        [0],
-        [Transition(0, "a", "c1", 1), Transition(1, "a", "c2", 0)],
-        MullerCondition(colours, [["c1"], ["c1", "c2"]]),
-    )
-    out3 = simplify_muller(plain)
-    assert out3.acceptance == plain.acceptance
-
-
-def test_simplify_muller_agrees_with_bundle_enumeration():
-    rng = random.Random(53)
-    for _ in range(30):
-        n_colours = rng.randint(1, 4)
-        colours = Alphabet([f"c{i}" for i in range(n_colours)])
-        states = list(range(rng.randint(1, 2)))
-        alphabet = Alphabet("ab"[: rng.randint(1, 2)])
-        transitions = []
-        for q in states:
-            for a in alphabet:
-                for _ in range(rng.randint(1, 3)):
-                    transitions.append(
-                        Transition(q, a, rng.choice(colours.symbols), rng.choice(states))
-                    )
-        members = [
-            colours.from_mask(m)
-            for m in range(1, 1 << n_colours)
-            if rng.random() < 0.4
-        ]
-        aut = Automaton(
-            states, alphabet, [0], transitions, MullerCondition(colours, members)
-        )
-        out = simplify_muller(aut)
-        families = {frozenset(colours.from_mask(m)) for m in aut.acceptance.masks}
-        bundle_of = {c: frozenset([c]) for c in colours}
-        for t in out.transitions:
-            if t.colour not in bundle_of:
-                inner = [c for c in colours if c in t.colour]
-                bundle_of[t.colour] = frozenset(inner)
-        new_symbols = out.acceptance.alphabet.symbols
-        for mask in range(1, 1 << len(new_symbols)):
-            chosen = [new_symbols[i] for i in range(len(new_symbols)) if mask >> i & 1]
-            want = muller_bundle_oracle(families, bundle_of, chosen)
-            assert out.acceptance.accepts_mask(mask) == want
-
-
-def test_simplify_muller_budget():
-    colours = Alphabet([f"c{i}" for i in range(6)])
-    aut = Automaton(
-        [0],
-        Alphabet("a"),
-        [0],
-        [Transition(0, "a", "c0", 0)],
-        MullerCondition(colours, [["c0"]]),
-    )
-    with pytest.raises(AutomatonError):
-        simplify_muller(aut, budget=16)
 
 
 def test_export_hoa_rabin_headers(running_condition):
@@ -416,7 +311,7 @@ def test_accepts_lasso_agrees_with_deterministic(running_condition):
         parity.transitions,
         rabin_from_parity(parity.acceptance),
     )
-    checker = RabinLassoChecker(rabin)
+    checker = RabinLassoChecker.from_automaton(rabin)
     for w in lassos_up_to(parity.alphabet, 3):
         _, expected = run_deterministic(parity, w)
         assert checker.accepts(w) == expected
@@ -424,7 +319,7 @@ def test_accepts_lasso_agrees_with_deterministic(running_condition):
 
 def test_accepts_lasso_rotation_and_pumping(running_condition):
     aut = fig2_automaton(running_condition)
-    checker = RabinLassoChecker(aut)
+    checker = RabinLassoChecker.from_automaton(aut)
     rng = random.Random(71)
     letters = aut.alphabet.symbols
     for _ in range(80):
@@ -434,6 +329,57 @@ def test_accepts_lasso_rotation_and_pumping(running_condition):
         assert checker.accepts(LassoWord(u, v + v)) == base
         k = rng.randrange(len(v))
         assert checker.accepts(LassoWord(u + v[:k], v[k:] + v[:k])) == base
+
+
+def random_nondeterministic_rabin_automaton(rng):
+    """1-6 states over 1-3 letters, 0-3 moves per (state, letter), 1-3
+    initial states and 1-4 Rabin pairs over 1-5 colours."""
+    states = list(range(rng.randint(1, 6)))
+    alphabet = Alphabet("abc"[: rng.randint(1, 3)])
+    colours = Alphabet([f"c{i}" for i in range(rng.randint(1, 5))])
+    transitions = [
+        Transition(q, a, rng.choice(colours.symbols), rng.choice(states))
+        for q in states
+        for a in alphabet
+        for _ in range(rng.randint(0, 3))
+    ]
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        green = [c for c in colours if rng.random() < 0.4]
+        red = [c for c in colours if c not in green and rng.random() < 0.4]
+        pairs.append((green, red))
+    initial = rng.sample(states, min(len(states), rng.randint(1, 3)))
+    return Automaton(states, alphabet, initial, transitions, RabinCondition(colours, pairs))
+
+
+def test_rabin_lasso_checker_agrees_with_reference_random():
+    rng = random.Random(2204)
+    for trial in range(200):
+        aut = random_nondeterministic_rabin_automaton(rng)
+        checker = RabinLassoChecker.from_automaton(aut)
+        reference = ReferenceRabinLassoChecker(aut)
+        for w in lassos_up_to(aut.alphabet, 3, max_prefix=2):
+            assert checker.accepts(w) == reference.accepts(w), (trial, w)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_rabin_lasso_checker_agrees_with_reference_on_fn(n):
+    aut = build_gfg_rabin(condition_fn(n)).automaton
+    checker = RabinLassoChecker.from_automaton(aut)
+    reference = ReferenceRabinLassoChecker(aut)
+    for w in lassos_up_to(aut.alphabet, 3, max_prefix=2):
+        assert checker.accepts(w) == reference.accepts(w), w
+
+
+def test_lasso_checkers_reject_letters_outside_the_alphabet(running_condition):
+    checkers = (
+        RabinLassoChecker.from_automaton(fig2_automaton(running_condition)),
+        DeterministicLassoChecker.from_automaton(build_parity_automaton(running_condition)),
+    )
+    for checker in checkers:
+        for w in (LassoWord(("z",), ("b",)), LassoWord((), ("a", "z"))):
+            with pytest.raises(AutomatonError, match="'z'"):
+                checker.accepts(w)
 
 
 # SHA-256 of export_hoa, recorded before the tree walk moved to integer tables.

@@ -125,11 +125,13 @@ def per_lasso_check(condition, gfg, parity, bound):
     """The first counterexample line of the per-lasso loop: every lasso in
     `check`'s order, the Rabin checker, then one parity run and one resolver
     run each, against the condition."""
-    from mullergames.automata import RabinLassoChecker, run_deterministic
+    from mullergames.automata import run_deterministic
     from mullergames.conditions import LassoWord, inf_set, satisfies_muller
     from mullergames.construction import resolve_run
 
-    checker = RabinLassoChecker(gfg.automaton)
+    from conftest import ReferenceRabinLassoChecker
+
+    checker = ReferenceRabinLassoChecker(gfg.automaton)
     symbols = condition.alphabet.symbols
     for lu in range(3):
         for prefix in itertools.product(symbols, repeat=lu):

@@ -5,8 +5,8 @@ import pytest
 
 from mullergames.automata import (
     DeterministicLassoChecker,
+    RabinLassoChecker,
     Transition,
-    accepts_lasso,
     run_deterministic,
 )
 from mullergames.conditions import (
@@ -29,7 +29,7 @@ from mullergames.construction import (
     resolver_lasso_checker,
 )
 from mullergames.succinctness import condition_fn
-from mullergames.zielonka import build_zielonka, eta_labelling, memtree
+from mullergames.zielonka import build_zielonka
 from conftest import (
     all_muller_conditions,
     random_muller_condition,
@@ -233,7 +233,8 @@ def test_resolve_run_examples(running_condition):
     assert cycle_colours <= {"n2", "n4", "n5"}
     _, ok = resolve_run(gfg, LassoWord.from_letters("", "c"))
     assert not ok
-    assert not accepts_lasso(gfg.automaton, LassoWord.from_letters("", "c"))
+    checker = RabinLassoChecker.from_automaton(gfg.automaton)
+    assert not checker.accepts(LassoWord.from_letters("", "c"))
     _, ok = resolve_run(gfg, LassoWord.from_letters("", "b"))
     assert ok
 
@@ -256,11 +257,9 @@ def exhaustive_language_check(cond, max_prefix=2, max_period=None):
     gfg = build_gfg_rabin(cond)
     parity = build_parity_automaton(cond)
     tree = gfg.tree
-    assert len(gfg.automaton.states) == memtree(tree)
+    assert len(gfg.automaton.states) == tree.memtree()
     assert check_quotient(parity, gfg, gfg.eta)
-    from mullergames.automata import RabinLassoChecker
-
-    checker = RabinLassoChecker(gfg.automaton)
+    checker = RabinLassoChecker.from_automaton(gfg.automaton)
     for w in all_lassos(cond.alphabet, max_prefix, max_period):
         expected = satisfies_muller(cond, inf_set(w))
         assert checker.accepts(w) == expected

@@ -4,14 +4,7 @@ import random
 import pytest
 
 from mullergames.conditions import Alphabet, ConditionError, MullerCondition, restrict
-from mullergames.zielonka import (
-    ZielonkaTree,
-    build_zielonka,
-    eta_labelling,
-    jump,
-    memtree,
-    next_child,
-)
+from mullergames.zielonka import ZielonkaTree, build_zielonka
 from conftest import (
     all_muller_conditions,
     random_muller_condition,
@@ -87,40 +80,40 @@ def test_fn4_tree_shape():
 
 
 def test_memtree_examples(running_tree):
-    assert memtree(running_tree) == 2
+    assert running_tree.memtree() == 2
     single = build_zielonka(MullerCondition(Alphabet("a"), [["a"]]))
-    assert memtree(single) == 1
-    assert memtree(build_zielonka(condition_fn4())) == 2
+    assert single.memtree() == 1
+    assert build_zielonka(condition_fn4()).memtree() == 2
 
 
 def test_next_child_examples(running_tree):
-    assert next_child(running_tree, ALPHA, BETA) == GAMMA
-    assert next_child(running_tree, ALPHA, GAMMA) == BETA
-    assert next_child(running_tree, BETA, DELTA) == DELTA
+    assert running_tree.next_child(ALPHA, BETA) == GAMMA
+    assert running_tree.next_child(ALPHA, GAMMA) == BETA
+    assert running_tree.next_child(BETA, DELTA) == DELTA
     with pytest.raises(ConditionError):
-        next_child(running_tree, ALPHA, DELTA)
+        running_tree.next_child(ALPHA, DELTA)
 
 
 def test_jump_examples(running_tree):
-    assert jump(running_tree, ALPHA, DELTA) == (frozenset({EPS, ZETA}), EPS)
-    assert jump(running_tree, GAMMA, ZETA) == (frozenset({EPS}), EPS)
-    assert jump(running_tree, DELTA, DELTA) == (frozenset({DELTA}), DELTA)
+    assert running_tree.jump(ALPHA, DELTA) == (frozenset({EPS, ZETA}), EPS)
+    assert running_tree.jump(GAMMA, ZETA) == (frozenset({EPS}), EPS)
+    assert running_tree.jump(DELTA, DELTA) == (frozenset({DELTA}), DELTA)
     with pytest.raises(ConditionError):
-        jump(running_tree, BETA, ZETA)
+        running_tree.jump(BETA, ZETA)
 
 
 def test_eta_running_example(running_tree):
-    assert eta_labelling(running_tree) == {DELTA: 1, EPS: 1, ZETA: 2}
+    assert running_tree.eta() == {DELTA: 1, EPS: 1, ZETA: 2}
 
 
 def test_eta_single_leaf():
     t = build_zielonka(MullerCondition(Alphabet("a"), [["a"]]))
-    assert eta_labelling(t) == {t.root: 1}
+    assert t.eta() == {t.root: 1}
 
 
 def test_eta_fn4_satisfies_star():
     t = build_zielonka(condition_fn4())
-    eta = eta_labelling(t)
+    eta = t.eta()
     assert set(eta.values()) == {1, 2}
     for n in t.children(t.root):
         assert sorted(eta[leaf] for leaf in t.children(n)) == [1, 2]
@@ -144,9 +137,9 @@ def test_random_trees_structure_and_eta():
             for k1, k2 in itertools.combinations(kids, 2):
                 m1, m2 = t.label(k1).mask, t.label(k2).mask
                 assert m1 & ~m2 and m2 & ~m1
-        assert memtree(t) == brute_memtree(t)
-        eta = eta_labelling(t)
-        assert set(eta.values()) == set(range(1, memtree(t) + 1))
+        assert t.memtree() == brute_memtree(t)
+        eta = t.eta()
+        assert set(eta.values()) == set(range(1, t.memtree() + 1))
         assert eta[t.leftmost_leaf(t.root)] == 1
         check_star_property(t, eta)
 
@@ -189,7 +182,7 @@ def test_size_and_memtree_independent_of_child_order():
         for order in (reverse_order, shuffled):
             other = build_zielonka(cond, child_order=order)
             assert len(other) == len(base)
-            assert memtree(other) == memtree(base)
+            assert other.memtree() == base.memtree()
 
 
 def test_dot_export_is_stable(running_tree):
