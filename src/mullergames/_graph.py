@@ -19,52 +19,87 @@ def reachable(starts: Iterable[N], succ: Callable[[N], Iterable[N]]) -> set[N]:
     return seen
 
 
+def dense_components(
+    succ: Callable[[int], Iterable[int]], roots: Iterable[int], index: list[int]
+) -> list[list[int]]:
+    """Tarjan's algorithm on node ids, iterative; the components reachable
+    from `roots`, in reverse topological order.
+
+    `succ(v)` is called once for each node the search enters, and
+    `index[v]` is -1 for a node not yet visited.  The search numbers the
+    nodes it visits, and sets a node's entry to `len(index)` once its
+    component is out, so a finished node never lowers a link and is never
+    entered again: a caller may pre-set a node's entry to `len(index)` to
+    leave it out of the graph.
+    """
+    done = len(index)
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = counter
+        counter += 1
+        stack.append(root)
+        # A frame is (node, its successor iterator, its stack height), and
+        # `lows` holds the frames' low links.
+        work = [(root, iter(succ(root)), 0)]
+        lows = [index[root]]
+        while work:
+            node, it, height = work[-1]
+            low = lows[-1]
+            for nxt in it:
+                seen = index[nxt]
+                if seen < 0:
+                    lows[-1] = low
+                    index[nxt] = counter
+                    work.append((nxt, iter(succ(nxt)), len(stack)))
+                    lows.append(counter)
+                    counter += 1
+                    stack.append(nxt)
+                    break
+                if seen < low:
+                    low = seen
+            else:
+                work.pop()
+                lows.pop()
+                if low == index[node]:
+                    component = stack[height:]
+                    del stack[height:]
+                    component.reverse()
+                    for member in component:
+                        index[member] = done
+                    out.append(component)
+                elif low < lows[-1]:
+                    lows[-1] = low
+    return out
+
+
 def strongly_connected_components(
     nodes: Iterable[N], succ: Callable[[N], Iterable[N]]
 ) -> list[list[N]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index: dict[N, int] = {}
-    low: dict[N, int] = {}
-    on_stack: set[N] = set()
-    stack: list[N] = []
-    out: list[list[N]] = []
-    counter = 0
+    """Tarjan's algorithm, iterative; components in reverse topological order.
 
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                out.append(component)
-    return out
+    Numbers the nodes reachable from `nodes` and runs `dense_components`."""
+    roots = list(nodes)
+    ids: dict[N, int] = {}
+    names: list[N] = []
+    for node in roots:
+        if node not in ids:
+            ids[node] = len(names)
+            names.append(node)
+    adjacency: list[list[int]] = []
+    while len(adjacency) < len(names):
+        row = []
+        for nxt in succ(names[len(adjacency)]):
+            i = ids.get(nxt)
+            if i is None:
+                i = ids[nxt] = len(names)
+                names.append(nxt)
+            row.append(i)
+        adjacency.append(row)
+    components = dense_components(
+        adjacency.__getitem__, [ids[node] for node in roots], [-1] * len(names)
+    )
+    return [[names[i] for i in component] for component in components]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from ._graph import reachable, strongly_connected_components
+from ._graph import dense_components, reachable
 from .conditions import (
     Alphabet,
     AnyCondition,
@@ -334,7 +334,7 @@ class RabinLassoChecker(_LassoChecker):
             # Only a component holding a green edge wins, and the search
             # from that edge's source finds it.
             sources = [n for n, mask in enumerate(seen) if mask & green]
-            for component in strongly_connected_components(sources, safe):
+            for component in dense_components(safe, sources, [-1] * len(succ)):
                 members = set(component)
                 # Green and red are disjoint, so a green edge is never red.
                 if any(

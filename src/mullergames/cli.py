@@ -32,7 +32,7 @@ from .construction import (
     provenance_document,
     resolver_lasso_checker,
 )
-from .games import GameError, is_chromatic, load_game, memory_to_dict, solve_muller_game, verify_strategy
+from .games import GameError, is_chromatic, load_game, memory_to_json, solve_muller_game, verify_strategy
 from .succinctness import (
     SearchBudgetError,
     report_to_dict,
@@ -151,18 +151,19 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     condition = load_condition(args.condition)
     game = load_game(args.game, condition)
-    solution = solve_muller_game(game, condition)
+    tree = build_zielonka(condition)  # one tree for the solver and the check
+    solution = solve_muller_game(game, tree)
     print(f"winner: {solution.winner}")
     if solution.memory is None:
         return 0
     memory = solution.memory
-    if not verify_strategy(game, condition, memory):
+    if not verify_strategy(game, tree, memory):
         raise GameError("extracted memory failed strategy verification")
     chromatic = is_chromatic(memory, game)
     print(f"memory size: {memory.size}")
     print(f"chromatic: {'yes' if chromatic else 'no'}")
     if args.memory_out:
-        _write_json(args.memory_out, memory_to_dict(memory))
+        _write(args.memory_out, memory_to_json(memory))
     return 0
 
 

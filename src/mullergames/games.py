@@ -19,7 +19,9 @@ One cycle check backs every certificate: the solvers' strategies,
 whether a one-player graph has a cycle whose colour set the condition
 rejects.  It refines strongly connected components as the condition directs
 (for a Muller condition, down its Zielonka tree), so it takes polynomial
-time where a scan of colour subsets would take 2^colours passes.
+time where a scan of colour subsets would take 2^colours passes.  It runs
+on node indices, and one array kernel (`_graph.dense_components`) finds
+the components of every refinement.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from ._graph import strongly_connected_components
+from ._graph import dense_components
 from .automata import Automaton, condition_colours
 from .conditions import (
     AnyCondition,
@@ -38,7 +42,7 @@ from .conditions import (
     RabinCondition,
 )
 from .construction import GfgRabinAutomaton, build_gfg_rabin, build_parity_automaton
-from .zielonka import build_zielonka
+from .zielonka import ZielonkaTree, build_zielonka
 
 Vertex = Hashable
 
@@ -54,8 +58,7 @@ class NotWonByExist(GameError):
     """Raised when a memory structure is requested for a game Univ wins."""
 
 
-@dataclass(frozen=True)
-class GameEdge:
+class GameEdge(NamedTuple):
     src: Vertex
     colour: Optional[str]
     dst: Vertex
@@ -133,7 +136,7 @@ class GameGraph:
                     f"vertex {v!r} violates 'at least one move from every position'"
                 )
         silent = [[succ[m][0] for m in moves if colour[m] is None] for moves in succ[: len(owner)]]
-        for comp in strongly_connected_components(range(len(owner)), silent.__getitem__):
+        for comp in dense_components(silent.__getitem__, range(len(owner)), [-1] * len(owner)):
             if len(comp) > 1 or comp[0] in silent[comp[0]]:
                 raise GameError("game violates 'no cycle is labelled exclusively by ε'")
 
@@ -464,26 +467,33 @@ def _verify_solution(solution: GameSolution, condition: AnyCondition, players=(0
     one-player graph left.  Raises `GameError` otherwise."""
     game = solution.game
     succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    won, moves = solution.won, solution.moves
     bits = _node_bits(game.arena, condition)
     for player in players:
         who = (EXIST, UNIV)[player]
-        strategy = solution.strategy_of(player)
-        region = {v for v in range(base) if (v in solution.won) == (player == 0)}
-        graph = {}
+        region = [v for v in range(base) if (v in won) == (player == 0)]
+        position = [-1] * base
+        for i, v in enumerate(region):
+            position[v] = i
+        out = []
         for v in region:
             if owners[v] == player:
-                chosen = strategy.get(v)
+                chosen = moves.get(v)
                 if chosen is None:
                     raise GameError(f"internal: missing {who} strategy at {game.vertices[v]!r}")
-                if succ[chosen][0] not in region:
+                j = position[succ[chosen][0]]
+                if j < 0:
                     raise GameError(f"internal: {who} strategy leaves the winning region")
-                moves = [chosen]
-            else:
-                moves = succ[v]
-                if any(succ[m][0] not in region for m in moves):
+                out.append(((j, bits[chosen]),))
+                continue
+            row = []
+            for m in succ[v]:
+                j = position[succ[m][0]]
+                if j < 0:
                     raise GameError(f"internal: {who} region is not closed under opponent moves")
-            graph[v] = [(succ[m][0], bits[m]) for m in moves]
-        if _rejected_core(region, graph, _refiner(condition, 1 - player)) is not None:
+                row.append((j, bits[m]))
+            out.append(row)
+        if _rejected_core(region, out, _refiner(condition, 1 - player)) is not None:
             raise GameError(f"internal: cycle analysis refutes the {who} strategy")
 
 
@@ -495,55 +505,68 @@ Refine = Callable[[int], Optional[Sequence[int]]]
 
 def _rejected_core(
     nodes: Iterable[Vertex],
-    out: Mapping[Vertex, Sequence[tuple[Vertex, int]]],
+    out: Sequence[Sequence[tuple[int, int]]],
     refine: Refine,
 ) -> Optional[frozenset]:
     """A strongly connected set of nodes whose colours a play can repeat
     forever and the condition rejects, or None if there is none.
 
-    `out[v]` lists (successor, colour bit) pairs, bit 0 for a silent edge.
-    A play can stay in a component forever and take every one of its
-    edges, so the component's colour mask is realisable.  `refine(mask)`
-    returns None when that mask is rejected, and otherwise masks, each a
-    proper subset of it, that between them contain every rejected subset;
-    the component is searched again under each.
+    The graph is on node indices: `out[i]` lists (j, colour bit) pairs, one
+    per edge from the i-th node to the j-th, bit 0 for a silent edge.  A
+    play can stay in a component forever and take every one of its edges,
+    so the component's colour mask is realisable.  `refine(mask)` returns
+    None when that mask is rejected, and otherwise masks, each a proper
+    subset of it, that between them contain every rejected subset; the
+    component is searched again under each.
     """
-    work = [(frozenset(nodes), -1)]
+    names = list(nodes)
+    done = len(names)
+    # Nodes outside the work item keep index `done`, which the kernel
+    # skips; `component` numbers the components found so far.
+    index = [done] * done
+    succ: list = [()] * done
+    component = [0] * done
+    found = 0
+    work: list = [(range(done), -1)]
     while work:
         members, allowed = work.pop()
-        local = {
-            v: [(w, bit) for w, bit in out[v] if w in members and (not bit or bit & allowed)]
-            for v in members
-        }
-        for comp in strongly_connected_components(members, lambda v: [w for w, _ in local[v]]):
-            inside = frozenset(comp)
-            inner = [bit for v in comp for w, bit in local[v] if w in inside]
+        for v in members:
+            index[v] = -1
+            succ[v] = [j for j, bit in out[v] if not bit or bit & allowed]
+        for comp in dense_components(succ.__getitem__, members, index):
+            found += 1
+            for v in comp:
+                component[v] = found
+            inner = False
+            mask = 0
+            for v in comp:
+                for j, bit in out[v]:
+                    if component[j] == found and (not bit or bit & allowed):
+                        inner = True
+                        mask |= bit
             if not inner:
                 continue
-            mask = 0
-            for bit in inner:
-                mask |= bit
             if not mask:
                 raise GameError("silent-only recurrence set; the arena is malformed")
             parts = refine(mask)
             if parts is None:
-                return inside
+                return frozenset(names[v] for v in comp)
             for part in parts:
                 if part & mask == mask:  # would search the same component forever
                     raise GameError("internal: a refinement kept the whole colour set")
-                work.append((inside, part & mask))
+                work.append((comp, part & mask))
     return None
 
 
-def _refiner(condition: AnyCondition, losing: int = 1) -> Refine:
-    """`refine` for `_rejected_core` under a condition.  For a parity
-    condition, `losing` is the parity of the priorities that lose (1 for
-    Exist's side, 0 for Univ's)."""
-    if isinstance(condition, MullerCondition):
+def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
+    """`refine` for `_rejected_core` under a condition, or under a Muller
+    condition's Zielonka tree.  For a parity condition, `losing` is the
+    parity of the priorities that lose (1 for Exist's side, 0 for Univ's)."""
+    if isinstance(condition, (MullerCondition, ZielonkaTree)):
         # The deepest tree node whose label holds the mask is round exactly
         # when the mask is accepted, and then every rejected subset of the
         # mask lies inside one of that node's children.
-        tree = build_zielonka(condition)
+        tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
         labels = [tree.label(n).mask for n in range(len(tree))]
 
         def refine(mask: int) -> Optional[list[int]]:
@@ -717,20 +740,22 @@ class MullerSolution:
 
 
 def solve_muller_game(
-    game: GameGraph, condition: Optional[MullerCondition] = None
+    game: GameGraph, condition: Optional[MullerCondition | ZielonkaTree] = None
 ) -> MullerSolution:
     """Decide a Muller game through the parity-automaton product; when Exist
     wins, extract a memory structure of size memtree from the GFG product.
 
-    One Zielonka tree serves both automata, and each product is built
-    straight into its arena, numbered as `_build_product` explores it.  The
-    products are independent certificates of the initial vertex's winner:
-    if the parity product says Exist but her Rabin region in the GFG
-    product misses its initial vertex, this raises `GameError`."""
+    One Zielonka tree (built here, or given for the condition) serves both
+    automata, and each product is built straight into its arena, numbered
+    as `_build_product` explores it.  The products are independent
+    certificates of the initial vertex's winner: if the parity product says
+    Exist but her Rabin region in the GFG product misses its initial
+    vertex, this raises `GameError`."""
     condition = condition if condition is not None else game.condition
-    if not isinstance(condition, MullerCondition):
+    if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("solve_muller_game expects a Muller condition")
-    tree = build_zielonka(condition)
+    tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
+    condition = tree.condition
     parity_automaton = build_parity_automaton(tree)
     if game.condition is not condition:
         game = GameGraph(
@@ -788,25 +813,26 @@ def _memory_strategy_wins(
     refine: Refine,
 ) -> bool:
     """True iff no cycle of the (vertex, memory) graph has a rejected colour set."""
-    graph = {
-        node: [(nxt, bit(e.colour)) for e, nxt in outs]
-        for node, outs in _memory_product(game, memory).items()
-    }
-    return _rejected_core(graph, graph, refine) is None
+    moves_of = _memory_product(game, memory)
+    index = {node: i for i, node in enumerate(moves_of)}
+    out = [[(index[nxt], bit(e.colour)) for e, nxt in outs] for outs in moves_of.values()]
+    return _rejected_core(moves_of, out, refine) is None
 
 
 def verify_strategy(
-    game: GameGraph, condition: AnyCondition, memory: MemoryStructure
+    game: GameGraph, condition: AnyCondition | ZielonkaTree, memory: MemoryStructure
 ) -> bool:
     """True iff every infinitely recurring edge set that Univ can realise
-    against the induced strategy has a colour set satisfying the condition.
+    against the induced strategy has a colour set satisfying the condition
+    (given as such, or for a Muller condition as its Zielonka tree).
 
     One condition-driven SCC refinement of the (vertex, memory) graph (see
     `_rejected_core`), polynomial in that graph and the condition's
     Zielonka tree.
     """
     memory.validate(game)
-    return _memory_strategy_wins(game, memory, _colour_bit(condition), _refiner(condition))
+    colours = condition.condition if isinstance(condition, ZielonkaTree) else condition
+    return _memory_strategy_wins(game, memory, _colour_bit(colours), _refiner(condition))
 
 
 def is_chromatic(memory: MemoryStructure, game: GameGraph) -> bool:
@@ -831,21 +857,22 @@ def is_chromatic(memory: MemoryStructure, game: GameGraph) -> bool:
 
 def brute_force_winner(
     game: GameGraph,
-    condition: Optional[MullerCondition] = None,
+    condition: Optional[MullerCondition | ZielonkaTree] = None,
     budget: int = 2_000_000,
 ) -> str:
     """Exhaustively enumerate Exist strategies with memory up to memtree and
     check each complete one by the cycle check of `verify_strategy`; `budget`
-    caps the enumeration.  Test oracle only."""
+    caps the enumeration.  The condition may be given as its Zielonka tree.
+    Test oracle only."""
     condition = condition if condition is not None else game.condition
-    if not isinstance(condition, MullerCondition):
+    if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("brute_force_winner expects a Muller condition")
-    size = build_zielonka(condition).memtree()
-    states = tuple(range(size))
+    tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
+    states = tuple(range(tree.memtree()))
     counter = [0]
 
-    bit = _colour_bit(condition)
-    refine = _refiner(condition)
+    bit = _colour_bit(tree.condition)
+    refine = _refiner(tree)
     start = (game.initial, 0)
 
     def missing_decision(sigma, mu):
@@ -969,3 +996,66 @@ def memory_to_dict(memory: MemoryStructure) -> dict:
             )
         ],
     }
+
+
+def memory_to_json(memory: MemoryStructure) -> str:
+    """`json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\\n"`,
+    written row by row: `indent` would send `json` to its pure-Python
+    encoder.  Rows keep `memory_to_dict`'s order; each state's and edge's
+    text and sort key is made once per object, and strings and ints go
+    through `json`'s C encoders."""
+    # id(state) and id(edge) -> (str(object), its text in a row)
+    state_made: dict[int, tuple[str, str]] = {}
+    edge_made: dict[int, tuple[str, str]] = {}
+
+    def text(value: object, indent: str) -> str:
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+    def state(m: Hashable) -> tuple[str, str]:
+        got = state_made.get(id(m))
+        if got is None:
+            got = state_made[id(m)] = (str(m), text(m, "      "))
+        return got
+
+    def edge(e: GameEdge) -> tuple[str, str]:
+        got = edge_made.get(id(e))
+        if got is None:
+            fields = ",\n".join(
+                f'        "{key}": ' + text(value, "        ")
+                for key, value in (("colour", e.colour), ("dst", e.dst), ("src", e.src))
+            )
+            got = edge_made[id(e)] = (str(e), '    {\n      "edge": {\n' + fields + "\n      },\n")
+        return got
+
+    def rows(items: list[tuple[str, str, str]]) -> str:
+        if not items:
+            return "[]"
+        items.sort(key=itemgetter(0, 1))
+        return "[\n" + ",\n".join(row for _, _, row in items) + "\n  ]"
+
+    update = []
+    for (m, e), nxt in memory.update.items():
+        m_key, m_text = state(m)
+        e_key, e_text = edge(e)
+        row = e_text + '      "next": ' + text(nxt, "      ") + ',\n      "state": ' + m_text + "\n    }"
+        update.append((m_key, e_key, row))
+    strategy = []
+    for (m, x), e in memory.strategy.items():
+        m_key, m_text = state(m)
+        row = edge(e)[1] + '      "state": ' + m_text + ',\n      "vertex": ' + text(x, "      ") + "\n    }"
+        strategy.append((m_key, str(x), row))
+    states = ",\n    ".join(text(m, "    ") for m in memory.states)
+    return (
+        '{\n  "initial": ' + text(memory.initial, "  ")
+        + ',\n  "states": ' + ("[\n    " + states + "\n  ]" if memory.states else "[]")
+        + ',\n  "strategy": ' + rows(strategy)
+        + ',\n  "update": ' + rows(update)
+        + "\n}\n"
+    )

@@ -327,6 +327,36 @@ def test_cmd_solve_alternation(capsys, condition_file, tmp_path):
     assert doc["states"] == [1, 2]
 
 
+def test_cmd_solve_builds_one_tree(capsys, condition_file, tmp_path, monkeypatch):
+    # The solver, both automata and the strategy check share one tree.
+    from mullergames import cli, construction, games
+    from mullergames.zielonka import build_zielonka
+
+    built = []
+
+    def counting(condition, child_order=None):
+        built.append(condition)
+        return build_zielonka(condition, child_order)
+
+    for module in (cli, construction, games):
+        monkeypatch.setattr(module, "build_zielonka", counting)
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "u", "owner": "Univ"}, {"name": "x", "owner": "Exist"}],
+            "edges": [
+                {"src": "u", "colour": "a", "dst": "x"},
+                {"src": "x", "colour": "b", "dst": "u"},
+                {"src": "x", "colour": "c", "dst": "u"},
+            ],
+            "initial": "u",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 0
+    assert "memory size: 2" in capsys.readouterr().out
+    assert len(built) == 1
+
+
 def test_cmd_solve_univ_wins(capsys, condition_file, tmp_path):
     game = game_file(
         tmp_path,

@@ -28,6 +28,7 @@ from mullergames.games import (
     load_game,
     memory_from_gfg,
     memory_to_dict,
+    memory_to_json,
     positional_rabin_strategy,
     product_with_automaton,
     solve_muller_game,
@@ -768,3 +769,48 @@ def test_memory_document(running_condition):
     assert doc["states"] == [1, 2]
     assert len(doc["update"]) == 2 * len(game.edges)
     json.dumps(doc)
+
+
+def test_memory_to_json_is_the_indented_dump(running_condition):
+    """The row writer's text is `json.dumps` with `indent=2` and sorted
+    keys, on solved memories (int states) and on random ones (str states),
+    over names that JSON escapes and whose `repr` order differs from their
+    own order ("v1'" is written with double quotes, so its edges sort
+    before those of "v1")."""
+    names = ["v1", "v1'", "v10", 'say "hi"', "back\\slash", "café", "dice \U0001F3B2"]
+    rng = random.Random(2204)
+    seen = collections.Counter()
+    while min(seen[k] for k in ("solved", "no exist", "silent", "repr order", "str states")) < 10:
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        no_exist = rng.random() < 0.2
+        vertices = [(v, UNIV if no_exist else rng.choice([EXIST, UNIV])) for v in chosen]
+        edges = {
+            (v, None if rng.random() < 0.15 else rng.choice("abc"), rng.choice(chosen))
+            for v in chosen
+            for _ in range(rng.randint(1, 3))
+        }
+        try:
+            game = GameGraph(vertices, sorted(edges, key=str), chosen[0], running_condition)
+        except GameError:  # a silent cycle
+            continue
+        memories = []
+        solution = solve_muller_game(game)
+        if solution.winner == EXIST:
+            memories.append(solution.memory)
+            seen["solved"] += 1
+        states = ("m'", "m", "m10")
+        memories.append(
+            MemoryStructure(
+                states,
+                "m",
+                {(m, e): rng.choice(states) for m in states for e in game.edges},
+                {(m, x): rng.choice(game.out(x)) for m in states for x in game.exist_vertices()},
+            )
+        )
+        seen["str states"] += 1
+        seen["no exist"] += not game.exist_vertices()
+        seen["silent"] += any(e.colour is None for e in game.edges)
+        seen["repr order"] += "v1" in chosen and "v1'" in chosen
+        for memory in memories:
+            expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
+            assert memory_to_json(memory) == expected
