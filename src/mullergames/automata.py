@@ -2,18 +2,17 @@
 
 Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
-membership.  Both lasso checkers read one table form, decoded from an
-`Automaton` in one place: the (colour bit, next state index) moves of each
-state index on each letter index.  They compute verdicts per (state,
-period): each period is analysed once for every state and each prefix is
-run once, so sweeping many lassos shares both.  Duplicated edges can be
-merged without changing the language.
+membership.  An `Automaton` holds its transitions as one integer move
+table, which the lasso checkers, HOA/DOT export and `simplify_rabin` read.
+The checkers compute verdicts per (state, period): each period is analysed
+once for every state and each prefix is run once, so sweeping many lassos
+shares both.  Duplicated edges can be merged without changing the language.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from ._graph import dense_components, reachable
 from .conditions import (
@@ -26,7 +25,7 @@ from .conditions import (
 )
 
 State = Hashable
-# table[s][a]: the (colour bit, next state index) moves of state s on letter a.
+# table[s][a]: the (colour index, next state index) moves of state s on letter a.
 MoveTable = Sequence[Sequence[Sequence[tuple[int, int]]]]
 
 
@@ -54,7 +53,11 @@ def accepts_colour_set(acceptance: AnyCondition, colours: Iterable[str]) -> bool
 
 
 class Automaton:
-    """A non-deterministic automaton with colours on transitions."""
+    """A non-deterministic automaton with colours on transitions.
+
+    `moves[s][a]` lists the (colour index, target index) of each transition
+    from state index s on letter index a, in transition order; `start` holds
+    the indices of the initial states."""
 
     def __init__(
         self,
@@ -65,44 +68,50 @@ class Automaton:
         acceptance: AnyCondition,
     ):
         self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
+        index = {q: i for i, q in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise AutomatonError("duplicate states")
         self.alphabet = alphabet
         self.acceptance = acceptance
         self.initial = tuple(initial)
         if not self.initial:
             raise AutomatonError("at least one initial state is required")
-        known = set(self.states)
         for q in self.initial:
-            if q not in known:
+            if q not in index:
                 raise AutomatonError(f"initial state {q!r} not among the states")
-        colours = condition_colours(acceptance)
+        self.start = tuple(index[q] for q in self.initial)
+        letter = {a: i for i, a in enumerate(alphabet.symbols)}
+        colour = {c: i for i, c in enumerate(condition_colours(acceptance).symbols)}
+        moves: list[list[list[tuple[int, int]]]] = [[[] for _ in letter] for _ in index]
         seen: set[Transition] = set()
         ordered: list[Transition] = []
         for t in transitions:
             t = t if isinstance(t, Transition) else Transition(*t)
-            if t.src not in known or t.dst not in known:
+            if t.src not in index or t.dst not in index:
                 raise AutomatonError(f"transition {t} uses an unknown state")
-            if t.letter not in alphabet:
+            if t.letter not in letter:
                 raise AutomatonError(f"transition letter {t.letter!r} not in input alphabet")
-            if t.colour not in colours:
+            if t.colour not in colour:
                 raise AutomatonError(f"transition colour {t.colour!r} not in output alphabet")
             if t not in seen:
                 seen.add(t)
                 ordered.append(t)
+                move = (colour[t.colour], index[t.dst])
+                moves[index[t.src]][letter[t.letter]].append(move)
         self.transitions = tuple(ordered)
-        self._by_source: dict[tuple[State, str], list[Transition]] = {}
-        for t in self.transitions:
-            self._by_source.setdefault((t.src, t.letter), []).append(t)
-        # Single initial state and exactly one transition per (state, letter):
-        # every key above is a valid pair, so the three counts agree exactly
-        # when each pair has one transition.
-        self.is_deterministic = len(self.initial) == 1 and (
-            len(self.transitions) == len(self._by_source) == len(self.states) * len(alphabet)
+        self.moves: MoveTable = moves
+        self.is_deterministic = len(self.start) == 1 and all(
+            len(cell) == 1 for row in moves for cell in row
         )
+        self._by_name: Optional[dict[tuple[State, str], list[Transition]]] = None
 
     def transitions_from(self, state: State, letter: str) -> tuple[Transition, ...]:
-        return tuple(self._by_source.get((state, letter), ()))
+        """The transitions from `state` on `letter`, in transition order."""
+        if self._by_name is None:
+            self._by_name = {}
+            for t in self.transitions:
+                self._by_name.setdefault((t.src, t.letter), []).append(t)
+        return tuple(self._by_name.get((state, letter), ()))
 
     @property
     def colour_alphabet(self) -> Alphabet:
@@ -132,21 +141,22 @@ def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
     and whether the colours of its eventual cycle satisfy the acceptance."""
     if not automaton.is_deterministic:
         raise AutomatonError("run_deterministic needs a deterministic, complete automaton")
-    moves = automaton._by_source
-    state = automaton.initial[0]
+    states, colours = automaton.states, automaton.colour_alphabet.symbols
+    letter_index = automaton.alphabet.index
+    state = automaton.start[0]
     steps: list[Transition] = []
 
     def advance(letter: str) -> None:
         nonlocal state
-        t = moves[(state, letter)][0]
-        steps.append(t)
-        state = t.dst
+        c, d = automaton.moves[state][letter_index(letter)][0]
+        steps.append(Transition(states[state], letter, colours[c], states[d]))
+        state = d
 
     for letter in w.prefix:
         advance(letter)
     # Iterate whole periods until the state at the period boundary repeats;
     # the transitions between the two occurrences form the eventual cycle.
-    seen: dict[State, int] = {}
+    seen: dict[int, int] = {}
     while state not in seen:
         seen[state] = len(steps)
         for letter in w.period:
@@ -160,19 +170,19 @@ def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
 class _LassoChecker:
     """Membership oracle on lasso words u v^omega over an integer table.
 
-    `table[s][a]` lists the (colour bit, next state index) moves of state
-    index s on letter index a, and a colour bit is `1 << i` for colour i of
-    `acceptance`.  A prefix maps to the tuple of states it reaches, and a
-    subclass's `_verdicts` gives, for one period, each state's verdict on
-    that period repeated forever; u v^omega is accepted when some state
-    after u accepts v.  Verdicts are computed once per (state, period) and
-    each prefix is run once, so sweeping many lassos shares both.
+    `table` is a move table like `Automaton.moves`, kept with each colour
+    index i turned into its bit `1 << i`.  A prefix maps to the tuple of
+    states it reaches, and a subclass's `_verdicts` gives, for one period,
+    each state's verdict on that period repeated forever; u v^omega is
+    accepted when some state after u accepts v.  Verdicts are computed once
+    per (state, period) and each prefix is run once, so sweeping many lassos
+    shares both.
     """
 
     def __init__(
         self, table: MoveTable, initial: Sequence[int], alphabet: Alphabet, acceptance: AnyCondition
     ):
-        self._table = table
+        self._table = [[[(1 << c, d) for c, d in cell] for cell in row] for row in table]
         self._letter = {symbol: a for a, symbol in enumerate(alphabet.symbols)}
         self._acceptance = acceptance
         self._period_memo: dict[tuple[str, ...], list[bool]] = {}
@@ -180,20 +190,8 @@ class _LassoChecker:
 
     @classmethod
     def from_automaton(cls, automaton: Automaton):
-        """The checker on `automaton`'s moves; the one place an `Automaton`
-        becomes a move table, deterministic or not."""
-        index = {q: i for i, q in enumerate(automaton.states)}
-        colour = automaton.colour_alphabet.index
-        moves = automaton._by_source
-        table = [
-            [
-                [(1 << colour(t.colour), index[t.dst]) for t in moves.get((q, a), ())]
-                for a in automaton.alphabet.symbols
-            ]
-            for q in automaton.states
-        ]
-        initial = [index[q] for q in automaton.initial]
-        return cls(table, initial, automaton.alphabet, automaton.acceptance)
+        """The checker on `automaton`'s move table, deterministic or not."""
+        return cls(automaton.moves, automaton.start, automaton.alphabet, automaton.acceptance)
 
     def accepts(self, w: LassoWord) -> bool:
         verdict = self._period_memo.get(w.period)
@@ -246,8 +244,8 @@ class DeterministicLassoChecker(_LassoChecker):
             len(row) != len(letters) or any(len(moves) != 1 for moves in row) for row in table
         ):
             raise AutomatonError("lasso checker needs a deterministic, complete automaton")
-        self._colour = [[row[a][0][0] for row in table] for a in letters]
-        self._next = [[row[a][0][1] for row in table] for a in letters]
+        self._colour = [[row[a][0][0] for row in self._table] for a in letters]
+        self._next = [[row[a][0][1] for row in self._table] for a in letters]
 
     def _verdicts(self, period: list[int]) -> list[bool]:
         size = len(self._table)
@@ -356,96 +354,61 @@ class RabinLassoChecker(_LassoChecker):
 
 def has_duplicated_edges(automaton: Automaton) -> bool:
     """True iff two transitions share source, input letter, and target."""
-    seen = set()
-    for t in automaton.transitions:
-        key = (t.src, t.letter, t.dst)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
-def _merge_bundles(automaton: Automaton) -> list[tuple[State, str, State, tuple[str, ...]]]:
-    """Group parallel transitions; bundles keep the output-colour order."""
-    colour_idx = {c: i for i, c in enumerate(automaton.colour_alphabet.symbols)}
-    groups: dict[tuple[State, str, State], list[str]] = {}
-    for t in automaton.transitions:
-        groups.setdefault((t.src, t.letter, t.dst), []).append(t.colour)
-    state_idx = {q: i for i, q in enumerate(automaton.states)}
-    letter_idx = {a: i for i, a in enumerate(automaton.alphabet.symbols)}
-    out = []
-    for (src, letter, dst), colours in groups.items():
-        bundle = tuple(sorted(set(colours), key=colour_idx.__getitem__))
-        out.append((src, letter, dst, bundle))
-    out.sort(key=lambda g: (state_idx[g[0]], letter_idx[g[1]], state_idx[g[2]]))
-    return out
-
-
-def _bundle_names(
-    automaton: Automaton, bundles: Iterable[tuple[str, ...]]
-) -> dict[tuple[str, ...], str]:
-    """A fresh colour name per multi-colour bundle, rendered like "(ab)"."""
-    taken = set(automaton.colour_alphabet.symbols)
-    names: dict[tuple[str, ...], str] = {}
-    for bundle in bundles:
-        if bundle in names:
-            continue
-        if len(bundle) == 1:
-            names[bundle] = bundle[0]
-            continue
-        name = "(%s)" % "".join(bundle)
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        names[bundle] = name
-    return names
+    return any(
+        len({d for _, d in cell}) < len(cell) for row in automaton.moves for cell in row
+    )
 
 
 def simplify_rabin(automaton: Automaton) -> Automaton:
     """Merge duplicated edges of a Rabin automaton, preserving the language.
 
-    Each merged transition gets one colour standing for its bundle: green
-    for pair i when some bundled colour was green, red when all of them
-    were red.  States and the number of pairs are unchanged.
+    Each (state, letter, target) keeps one transition, whose colour stands
+    for the mask of its bundled colours: a fresh colour named like "(ab)"
+    for two or more, green for pair i when some bundled colour was green,
+    red when all of them were red.  States and the number of pairs are
+    unchanged.
     """
-    if not isinstance(automaton.acceptance, RabinCondition):
+    acceptance = automaton.acceptance
+    if not isinstance(acceptance, RabinCondition):
         raise AutomatonError("simplify_rabin expects Rabin acceptance")
-    merged = _merge_bundles(automaton)
-    names = _bundle_names(automaton, (b for *_x, b in merged))
-    fresh = [
-        names[b] for *_x, b in merged
-        if len(b) > 1 and names[b] not in automaton.colour_alphabet
-    ]
-    seen_fresh: list[str] = []
-    for name in fresh:
-        if name not in seen_fresh:
-            seen_fresh.append(name)
-    colours = Alphabet(tuple(automaton.colour_alphabet.symbols) + tuple(seen_fresh))
-
-    old = automaton.acceptance
+    states, letters = automaton.states, automaton.alphabet.symbols
+    symbols = list(acceptance.colours.symbols)
+    base, taken = len(symbols), set(symbols)
+    colour_of = {1 << c: c for c in range(base)}  # bundle mask -> colour
+    fresh: list[int] = []  # the bundle of each colour from `base` on
+    transitions = []
+    for s, row in enumerate(automaton.moves):
+        for a, cell in enumerate(row):
+            bundles: dict[int, int] = {}
+            for c, d in cell:
+                bundles[d] = bundles.get(d, 0) | 1 << c
+            for d in sorted(bundles):
+                mask = bundles[d]
+                if mask not in colour_of:
+                    name = "(%s)" % "".join(
+                        symbols[c] for c in range(mask.bit_length()) if mask >> c & 1
+                    )
+                    while name in taken:
+                        name += "'"
+                    taken.add(name)
+                    colour_of[mask] = len(symbols)
+                    symbols.append(name)
+                    fresh.append(mask)
+                transitions.append(
+                    Transition(states[s], letters[a], symbols[colour_of[mask]], states[d])
+                )
+    colours = Alphabet(symbols)
     pairs = []
-    for green, red in old.pairs:
-        new_green = list(green)
-        new_red = list(red)
-        for bundle, name in names.items():
-            if len(bundle) == 1:
-                continue
-            if any(c in green for c in bundle):
-                new_green.append(name)
-            if all(c in red for c in bundle):
-                new_red.append(name)
-        pairs.append((new_green, new_red))
-
-    transitions = [
-        Transition(src, letter, names[bundle], dst)
-        for src, letter, dst, bundle in merged
-    ]
+    for green, red in acceptance.pairs:
+        g, r = green.mask, red.mask
+        for c, mask in enumerate(fresh, base):
+            if mask & green.mask:
+                g |= 1 << c
+            if not mask & ~red.mask:
+                r |= 1 << c
+        pairs.append((colours.from_mask(g), colours.from_mask(r)))
     return Automaton(
-        automaton.states,
-        automaton.alphabet,
-        automaton.initial,
-        transitions,
-        RabinCondition(colours, pairs),
+        states, automaton.alphabet, automaton.initial, transitions, RabinCondition(colours, pairs)
     )
 
 
@@ -462,15 +425,17 @@ def _parity_formula(top: int) -> str:
     return f"{atom} {op} {wrapped}"
 
 
-def _colour_marks(acceptance: AnyCondition, colours: Iterable[str]) -> dict[str, tuple[int, ...]]:
-    """The HOA marks of each colour: 2i when it is red and 2i + 1 when it is
-    green for Rabin pair i, or its priority for parity acceptance."""
+def _colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:
+    """The HOA marks of each colour index on a transition: 2i when it is red
+    and 2i + 1 when it is green for Rabin pair i, or its priority for parity
+    acceptance."""
+    acceptance = automaton.acceptance
+    colours = {c for row in automaton.moves for cell in row for c, _ in cell}
     if isinstance(acceptance, RabinCondition):
-        index = acceptance.colours.index
         pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
         out = {}
         for colour in colours:
-            bit = 1 << index(colour)
+            bit = 1 << colour
             marks = []
             for i, (green, red) in enumerate(pairs):
                 if red & bit:
@@ -480,7 +445,8 @@ def _colour_marks(acceptance: AnyCondition, colours: Iterable[str]) -> dict[str,
             out[colour] = tuple(marks)
         return out
     if isinstance(acceptance, ParityCondition):
-        return {colour: (acceptance.priority(colour),) for colour in colours}
+        symbols = acceptance.colours.symbols
+        return {colour: (acceptance.priority(symbols[colour]),) for colour in colours}
     raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
 
@@ -504,10 +470,9 @@ def export_hoa(automaton: Automaton) -> str:
     else:
         raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
-    idx = {q: i for i, q in enumerate(automaton.states)}
     lines = ["HOA: v1", f"States: {len(automaton.states)}"]
-    for q in sorted(automaton.initial, key=idx.__getitem__):
-        lines.append(f"Start: {idx[q]}")
+    for s in sorted(automaton.start):
+        lines.append(f"Start: {s}")
     aps = " ".join(f'"{a}"' for a in automaton.alphabet.symbols)
     lines.append(f"AP: {len(automaton.alphabet)} {aps}")
     lines.append(f"acc-name: {acc_name}")
@@ -518,18 +483,17 @@ def export_hoa(automaton: Automaton) -> str:
     labels = [
         "&".join(("%d" if i == ap else "!%d") % i for i in range(n_ap)) for ap in range(n_ap)
     ]
-    marks = _colour_marks(acc, {t.colour for t in automaton.transitions})
+    marks = _colour_marks(automaton)
     mark_text = {
         c: (" {%s}" % " ".join(map(str, m))) if m else "" for c, m in marks.items()
     }
-    for q in automaton.states:
-        lines.append(f"State: {idx[q]}")
-        rows = []
-        for ap, a in enumerate(automaton.alphabet.symbols):
-            for t in automaton.transitions_from(q, a):
-                rows.append((ap, idx[t.dst], marks[t.colour], mark_text[t.colour]))
-        for ap, dst, _, text in sorted(rows):
-            lines.append(f"[{labels[ap]}] {dst}{text}")
+    for s, row in enumerate(automaton.moves):
+        lines.append(f"State: {s}")
+        rows = sorted(
+            (ap, d, marks[c], mark_text[c]) for ap, cell in enumerate(row) for c, d in cell
+        )
+        for ap, d, _, text in rows:
+            lines.append(f"[{labels[ap]}] {d}{text}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -638,32 +602,34 @@ def parse_hoa(text: str) -> Automaton:
 
 def hoa_signature(automaton: Automaton):
     """What HOA preserves: sizes, start states, and mark-labelled edges."""
-    idx = {q: i for i, q in enumerate(automaton.states)}
-    marks = _colour_marks(automaton.acceptance, {t.colour for t in automaton.transitions})
+    marks, letters = _colour_marks(automaton), automaton.alphabet.symbols
     return (
         len(automaton.states),
-        tuple(sorted(idx[q] for q in automaton.initial)),
+        tuple(sorted(automaton.start)),
         frozenset(
-            (idx[t.src], t.letter, marks[t.colour], idx[t.dst])
-            for t in automaton.transitions
+            (s, letters[a], marks[c], d)
+            for s, row in enumerate(automaton.moves)
+            for a, cell in enumerate(row)
+            for c, d in cell
         ),
     )
 
 
 def export_dot(automaton: Automaton) -> str:
-    idx = {q: i for i, q in enumerate(automaton.states)}
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    for q in automaton.states:
-        lines.append(f'  q{idx[q]} [shape=circle, label="{q}"];')
-    for q in sorted(automaton.initial, key=idx.__getitem__):
-        lines.append(f"  init{idx[q]} [shape=point];")
-        lines.append(f"  init{idx[q]} -> q{idx[q]};")
-    letter_idx = {a: i for i, a in enumerate(automaton.alphabet.symbols)}
+    for s, q in enumerate(automaton.states):
+        lines.append(f'  q{s} [shape=circle, label="{q}"];')
+    for s in sorted(automaton.start):
+        lines.append(f"  init{s} [shape=point];")
+        lines.append(f"  init{s} -> q{s};")
+    letters, colours = automaton.alphabet.symbols, automaton.colour_alphabet.symbols
     rows = sorted(
-        automaton.transitions,
-        key=lambda t: (idx[t.src], letter_idx[t.letter], idx[t.dst], t.colour),
+        (s, a, d, colours[c])
+        for s, row in enumerate(automaton.moves)
+        for a, cell in enumerate(row)
+        for c, d in cell
     )
-    for t in rows:
-        lines.append(f'  q{idx[t.src]} -> q{idx[t.dst]} [label="{t.letter} : {t.colour}"];')
+    for s, a, d, colour in rows:
+        lines.append(f'  q{s} -> q{d} [label="{letters[a]} : {colour}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

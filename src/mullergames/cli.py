@@ -41,6 +41,9 @@ from .succinctness import (
 )
 from .zielonka import build_zielonka
 
+# `check` refuses to run more lassos than this; 10^7 of them take minutes.
+LASSO_LIMIT = 10**7
+
 
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
@@ -93,6 +96,13 @@ def cmd_build(args) -> int:
     return 0
 
 
+def lasso_count(letters: int, bound: int) -> int:
+    """How many lassos `check` runs: (1 + |A| + |A|^2) prefixes times the
+    |A| + |A|^2 + ... + |A|^bound periods."""
+    periods = bound if letters == 1 else (letters ** (bound + 1) - letters) // (letters - 1)
+    return (1 + letters + letters * letters) * periods
+
+
 def cmd_check(args) -> int:
     """Certify automata against L_F on every lasso u v^omega with |u| <= 2
     and 1 <= |v| <= bound, in the order of u, then |v|, then v.
@@ -106,6 +116,19 @@ def cmd_check(args) -> int:
     bound = args.bound if args.bound is not None else 2 * len(condition.alphabet)
     if bound < 1:
         print(f"error: --bound must be at least 1, not {bound}", file=sys.stderr)
+        return 2
+    letters = len(condition.alphabet)
+    # Two or more letters pass the limit from bound 20 on; counting period
+    # lengths up to 64 keeps the number short.
+    counted = bound if letters == 1 else min(bound, 64)
+    lassos = lasso_count(letters, counted)
+    if lassos > LASSO_LIMIT:
+        more = "more than " if counted < bound else ""
+        print(
+            f"error: check would run {more}{lassos:,} lassos (bound {bound}), over the "
+            f"limit of {LASSO_LIMIT:,}; pass a smaller --bound",
+            file=sys.stderr,
+        )
         return 2
     if args.automaton == "self":
         # One tree serves both automata.  The parity automaton is built

@@ -229,11 +229,10 @@ def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
     It gives the verdicts of `resolve_run`, computed per (state after
     prefix, period)."""
     tree = gfg.tree
-    colour = gfg.automaton.colour_alphabet.index
-    bit = [1 << colour(tree.node_name(n)) for n in range(len(tree))]
     leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
+    # Colour n of the GFG automaton is node n (`node_alphabet`).
     table = [
-        [[(bit[witness], leaf_index[target])] for witness, target in tree.step_table[leaf]]
+        [[(witness, leaf_index[target])] for witness, target in tree.step_table[leaf]]
         for leaf in tree.leaves()
     ]
     return DeterministicLassoChecker(

@@ -251,8 +251,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
             )
     width, letters = len(states), len(alphabet)
     letter = [-1 if c is None else alphabet.index(c) for c in colours]
-    state_index = {q: i for i, q in enumerate(states)}
-    resolutions: list = [None] * (width * letters)
+    moves, colour_names = automaton.moves, automaton.colour_alphabet.symbols
     ids = [-1] * ((base + base * letters) * width)
     keys: list[int] = []
     owners: list[int] = []
@@ -269,7 +268,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
         return node
 
     for x in seeds:
-        visit(x * width + state_index[automaton.initial[0]], owner[x])
+        visit(x * width + automaton.start[0], owner[x])
     while stack:
         node = stack.pop()
         x, q = divmod(keys[node], width)
@@ -280,19 +279,14 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                 edges.append((node, visit(target, owner[y] if a < 0 else 0), None))
             continue
         y, a = divmod(x - base, letters)
-        options = resolutions[q * letters + a]
-        if options is None:
-            options = resolutions[q * letters + a] = [
-                (t.colour, state_index[t.dst])
-                for t in automaton.transitions_from(states[q], alphabet.symbols[a])
-            ]
+        options = moves[q][a]
         if not options:
             raise GameError(
                 f"automaton is not complete: no {alphabet.symbols[a]!r}-transition "
                 f"from {states[q]!r}"
             )
-        for colour, r in options:
-            edges.append((node, visit(y * width + r, owner[y]), colour))
+        for c, r in options:
+            edges.append((node, visit(y * width + r, owner[y]), colour_names[c]))
 
     def name(v: int) -> tuple:
         x, q = divmod(keys[v], width)
@@ -719,12 +713,13 @@ def memory_from_gfg(
             if e.colour is None:
                 update[(q, e)] = q
                 continue
-            chosen = solution.moves.get(product.node(succ[m][0], qi, letter(e.colour)))
+            a = letter(e.colour)
+            chosen = solution.moves.get(product.node(succ[m][0], qi, a))
             if chosen is not None:  # to the state vertex (e.dst, next state)
                 update[(q, e)] = states[product.keys[target[chosen][0]] % len(states)]
             else:
-                options = automaton.transitions_from(q, e.colour)
-                update[(q, e)] = options[0].dst if options else q
+                options = automaton.moves[qi][a]
+                update[(q, e)] = states[options[0][1]] if options else q
         for x, v in enumerate(game.vertices):
             if owners[x] == 0:  # a state vertex has the moves of its game vertex
                 node = product.node(x, qi)

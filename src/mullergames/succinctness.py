@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._graph import strongly_connected_components
+from ._graph import dense_components
 from .automata import Automaton
 from .conditions import (
     Alphabet,
@@ -25,6 +25,12 @@ ASYMPTOTIC_NOTE = (
     "asymptotically the deterministic-Rabin lower bound grows at least like "
     "1.116^n (known analysis, not recomputed here)"
 )
+
+
+# The largest n `succinctness_report` takes.  F_n has C(n, n/2) accepting
+# sets and its Zielonka tree more nodes still: n = 15 takes seconds, n = 16
+# minutes, and n = 40 would not fit in memory.
+MAX_REPORT_N = 15
 
 
 class SearchBudgetError(RuntimeError):
@@ -261,24 +267,21 @@ def binomial_lower_bound(n: int) -> BinomialBound:
 def fscc(automaton: Automaton, letters: LetterLike) -> set[frozenset]:
     """All final strongly connected components for a letter set: state sets
     mutually reachable and closed under transitions on those letters."""
-    subset = automaton.alphabet.letters(letters)
-    moves: dict = {}
-    for q in automaton.states:
-        outs = []
-        for a in subset:
-            options = automaton.transitions_from(q, a)
-            if len(options) != 1:
+    mask = automaton.alphabet.letters(letters).mask
+    states, symbols = automaton.states, automaton.alphabet.symbols
+    succ: list[list[int]] = []
+    for s, row in enumerate(automaton.moves):
+        for a, cell in enumerate(row):
+            if mask >> a & 1 and len(cell) != 1:
                 raise ConditionError(
-                    f"undefined or ambiguous {a!r}-transition from {q!r}"
+                    f"undefined or ambiguous {symbols[a]!r}-transition from {states[s]!r}"
                 )
-            outs.append(options[0].dst)
-        moves[q] = outs
-    components = strongly_connected_components(automaton.states, moves.__getitem__)
+        succ.append([cell[0][1] for a, cell in enumerate(row) if mask >> a & 1])
     out = set()
-    for comp in components:
-        members = frozenset(comp)
-        if all(dst in members for q in comp for dst in moves[q]):
-            out.add(members)
+    for comp in dense_components(succ.__getitem__, range(len(states)), [-1] * len(states)):
+        members = set(comp)
+        if all(d in members for s in comp for d in succ[s]):
+            out.add(frozenset(states[s] for s in comp))
     return out
 
 
@@ -324,6 +327,8 @@ def succinctness_report(
     count), and the best available deterministic Rabin lower bound."""
     if n < 2:
         raise ConditionError("succinctness report needs n >= 2")
+    if n > MAX_REPORT_N:
+        raise ConditionError(f"succinctness report needs n <= {MAX_REPORT_N}, not {n}")
     condition = condition_fn(n)
     tree = build_zielonka(condition)
     gfg_size = tree.memtree()

@@ -1,6 +1,9 @@
+from typing import Iterable
+
 import pytest
 
-from mullergames.conditions import Alphabet, MullerCondition
+from mullergames.automata import Automaton, AutomatonError, State, Transition
+from mullergames.conditions import Alphabet, MullerCondition, RabinCondition
 from mullergames.zielonka import build_zielonka
 
 
@@ -310,3 +313,91 @@ class ReferenceRabinLassoChecker:
         result = {q: s * length in good for s, q in enumerate(aut.states)}
         self._period_memo[period] = result
         return result
+
+
+def _merge_bundles(automaton: Automaton) -> list[tuple[State, str, State, tuple[str, ...]]]:
+    """Group parallel transitions; bundles keep the output-colour order."""
+    colour_idx = {c: i for i, c in enumerate(automaton.colour_alphabet.symbols)}
+    groups: dict[tuple[State, str, State], list[str]] = {}
+    for t in automaton.transitions:
+        groups.setdefault((t.src, t.letter, t.dst), []).append(t.colour)
+    state_idx = {q: i for i, q in enumerate(automaton.states)}
+    letter_idx = {a: i for i, a in enumerate(automaton.alphabet.symbols)}
+    out = []
+    for (src, letter, dst), colours in groups.items():
+        bundle = tuple(sorted(set(colours), key=colour_idx.__getitem__))
+        out.append((src, letter, dst, bundle))
+    out.sort(key=lambda g: (state_idx[g[0]], letter_idx[g[1]], state_idx[g[2]]))
+    return out
+
+
+def _bundle_names(
+    automaton: Automaton, bundles: Iterable[tuple[str, ...]]
+) -> dict[tuple[str, ...], str]:
+    """A fresh colour name per multi-colour bundle, rendered like "(ab)"."""
+    taken = set(automaton.colour_alphabet.symbols)
+    names: dict[tuple[str, ...], str] = {}
+    for bundle in bundles:
+        if bundle in names:
+            continue
+        if len(bundle) == 1:
+            names[bundle] = bundle[0]
+            continue
+        name = "(%s)" % "".join(bundle)
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        names[bundle] = name
+    return names
+
+
+def reference_simplify_rabin(automaton: Automaton) -> Automaton:
+    """The duplicated-edge merge the move table replaced: it groups the
+    named transitions, sorts each bundle's colour names and names bundles
+    from those.
+
+    Merge duplicated edges of a Rabin automaton, preserving the language.
+
+    Each merged transition gets one colour standing for its bundle: green
+    for pair i when some bundled colour was green, red when all of them
+    were red.  States and the number of pairs are unchanged.
+    """
+    if not isinstance(automaton.acceptance, RabinCondition):
+        raise AutomatonError("simplify_rabin expects Rabin acceptance")
+    merged = _merge_bundles(automaton)
+    names = _bundle_names(automaton, (b for *_x, b in merged))
+    fresh = [
+        names[b] for *_x, b in merged
+        if len(b) > 1 and names[b] not in automaton.colour_alphabet
+    ]
+    seen_fresh: list[str] = []
+    for name in fresh:
+        if name not in seen_fresh:
+            seen_fresh.append(name)
+    colours = Alphabet(tuple(automaton.colour_alphabet.symbols) + tuple(seen_fresh))
+
+    old = automaton.acceptance
+    pairs = []
+    for green, red in old.pairs:
+        new_green = list(green)
+        new_red = list(red)
+        for bundle, name in names.items():
+            if len(bundle) == 1:
+                continue
+            if any(c in green for c in bundle):
+                new_green.append(name)
+            if all(c in red for c in bundle):
+                new_red.append(name)
+        pairs.append((new_green, new_red))
+
+    transitions = [
+        Transition(src, letter, names[bundle], dst)
+        for src, letter, dst, bundle in merged
+    ]
+    return Automaton(
+        automaton.states,
+        automaton.alphabet,
+        automaton.initial,
+        transitions,
+        RabinCondition(colours, pairs),
+    )

@@ -28,7 +28,12 @@ from mullergames.conditions import (
 )
 from mullergames.construction import build_gfg_rabin, build_parity_automaton
 from mullergames.succinctness import condition_fn
-from conftest import ReferenceRabinLassoChecker, random_muller_condition
+from mullergames.zielonka import build_zielonka
+from conftest import (
+    ReferenceRabinLassoChecker,
+    random_muller_condition,
+    reference_simplify_rabin,
+)
 
 
 def fig2_automaton(running_condition):
@@ -434,3 +439,125 @@ def test_parse_hoa_names_the_offending_line(running_condition, defect):
     with pytest.raises(AutomatonError) as err:
         parse_hoa("\n".join(lines) + "\n")
     assert where in str(err.value)
+
+
+def random_table_automaton_args(rng, acceptance_kind):
+    """The constructor arguments of a random automaton: 1-6 states over 1-3
+    letters, 0-3 moves per (state, letter) with some repeated verbatim, in
+    shuffled order, 1-3 initial states, and Rabin or parity acceptance."""
+    states = list(range(rng.randint(1, 6)))
+    alphabet = Alphabet("abc"[: rng.randint(1, 3)])
+    colours = Alphabet([f"c{i}" for i in range(rng.randint(1, 5))])
+    if acceptance_kind == "parity":
+        acceptance = ParityCondition(colours, {c: rng.randrange(5) for c in colours.symbols})
+    else:
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            green = [c for c in colours if rng.random() < 0.4]
+            red = [c for c in colours if c not in green and rng.random() < 0.4]
+            pairs.append((green, red))
+        acceptance = RabinCondition(colours, pairs)
+    transitions = [
+        Transition(q, a, rng.choice(colours.symbols), rng.choice(states))
+        for q in states
+        for a in alphabet
+        for _ in range(rng.randint(0, 3))
+    ]
+    transitions += rng.sample(transitions, min(len(transitions), rng.randint(0, 2)))
+    rng.shuffle(transitions)
+    initial = rng.sample(states, min(len(states), rng.randint(1, 3)))
+    return states, alphabet, initial, transitions, acceptance
+
+
+def assert_table_matches_transitions(aut):
+    """`moves` and `start` rebuilt by name from `transitions` and `initial`,
+    and `is_deterministic` by counting transitions and (state, letter) keys."""
+    index = {q: i for i, q in enumerate(aut.states)}
+    letter, colour = aut.alphabet.index, aut.colour_alphabet.index
+    moves = [[[] for _ in aut.alphabet] for _ in aut.states]
+    for t in aut.transitions:
+        moves[index[t.src]][letter(t.letter)].append((colour(t.colour), index[t.dst]))
+    assert [[list(cell) for cell in row] for row in aut.moves] == moves
+    assert list(aut.start) == [index[q] for q in aut.initial]
+    keys = {(t.src, t.letter) for t in aut.transitions}
+    assert aut.is_deterministic == (
+        len(aut.initial) == 1
+        and len(aut.transitions) == len(keys) == len(aut.states) * len(aut.alphabet)
+    )
+    for q in aut.states:
+        for a in aut.alphabet:
+            expected = tuple(t for t in aut.transitions if (t.src, t.letter) == (q, a))
+            assert aut.transitions_from(q, a) == expected
+
+
+def test_automaton_moves_match_transitions():
+    rng = random.Random(1110)
+    kinds = 0
+    for trial in range(300):
+        if trial % 3 == 0:
+            aut = random_deterministic_automaton(rng, ("parity", "rabin")[trial % 2])
+        else:
+            args = random_table_automaton_args(rng, ("parity", "rabin")[trial % 2])
+            aut = Automaton(*args)
+            # Repeated transitions keep their first place.
+            assert aut.transitions == tuple(dict.fromkeys(args[3]))
+        assert_table_matches_transitions(aut)
+        kinds |= 1 << aut.is_deterministic
+    assert kinds == 3  # both deterministic and nondeterministic automata ran
+    for n in range(2, 9):
+        tree = build_zielonka(condition_fn(n))
+        assert_table_matches_transitions(build_gfg_rabin(tree).automaton)
+        assert_table_matches_transitions(build_parity_automaton(tree))
+
+
+# SHA-256 of export_dot, recorded before export read the move table.
+DOT_DIGESTS = {
+    "gfg": "3a1fe5f6b33768d618a94d9db37b20ef2e0f2bbff955e8fd65274cd3093f48a7",
+    "simplified": "12bf4e19f97bb19e146632786cebd3357b0745ff899f0bc3d363bb2e303b8fe9",
+    "parity": "fda6cfcea1455b3ed78a1313f90389f130ae3b0f15116f2eb485b9b2b6f84495",
+    "F6-gfg": "814409509fbf3be0541ff4b7a36dfd0d2eaf7f3425936fcba2f0c16545f8fd71",
+}
+
+
+def test_export_dot_bytes_are_pinned(running_condition):
+    gfg = fig2_automaton(running_condition)
+    built = {
+        "gfg": gfg,
+        "simplified": simplify_rabin(gfg),
+        "parity": build_parity_automaton(running_condition),
+        "F6-gfg": build_gfg_rabin(condition_fn(6)).automaton,
+    }
+    for name, aut in built.items():
+        assert hashlib.sha256(export_dot(aut).encode()).hexdigest() == DOT_DIGESTS[name], name
+
+
+def assert_simplified_like_reference(aut):
+    got, want = simplify_rabin(aut), reference_simplify_rabin(aut)
+    assert got.transitions == want.transitions
+    assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
+    assert [(g.mask, r.mask) for g, r in got.acceptance.pairs] == [
+        (g.mask, r.mask) for g, r in want.acceptance.pairs
+    ]
+    assert (got.states, got.initial) == (want.states, want.initial)
+    return got
+
+
+def test_simplify_rabin_matches_reference():
+    rng = random.Random(4111)
+    for _ in range(200):
+        assert_simplified_like_reference(random_nondeterministic_rabin_automaton(rng))
+    for n in range(4, 9):
+        assert_simplified_like_reference(build_gfg_rabin(condition_fn(n)).automaton)
+    # The bundle of c0 and c1 would be named "(c0c1)", which is taken twice.
+    colours = Alphabet(["c0", "c1", "(c0c1)", "(c0c1)'"])
+    aut = Automaton(
+        [0, 1],
+        Alphabet("ab"),
+        [0],
+        [(0, "a", "c1", 1), (0, "a", "c0", 1), (0, "b", "(c0c1)", 0), (1, "a", "c0", 0)],
+        RabinCondition(colours, [(["c0"], ["c1", "(c0c1)'"]), (["(c0c1)"], ["c0", "c1"])]),
+    )
+    out = assert_simplified_like_reference(aut)
+    assert out.colour_alphabet.symbols[-1] == "(c0c1)''"
+    assert Transition(0, "a", "(c0c1)''", 1) in out.transitions
+

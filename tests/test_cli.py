@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,19 @@ def test_cmd_check_counts_every_lasso(capsys, tmp_path):
     assert main(["check", str(path), "--bound", "4"]) == 0
     # 21 prefixes of length <= 2 times 340 periods of length 1..4.
     assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
+
+
+def test_cmd_check_refuses_too_many_lassos(capsys, tmp_path):
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"alphabet": list("abcde"), "accepting": [["a", "b"], ["c"]]}))
+    # The default bound 10 makes 31 prefixes times 12,207,030 periods.
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "378,417,930 lassos" in captured.err and "--bound" in captured.err
+    assert main(["check", str(path), "--bound", "1000000000"]) == 2
+    assert "more than" in capsys.readouterr().err
 
 
 def per_lasso_check(condition, gfg, parity, bound):
@@ -559,6 +573,16 @@ def test_cmd_succinctness_n3(capsys):
     assert main(["succinctness", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert "  3 |         1 |" in out
+
+
+def test_cmd_succinctness_refuses_large_n(capsys):
+    start = time.perf_counter()
+    assert main(["succinctness", "--n", "40"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "15" in captured.err
 
 
 def test_cli_outputs_deterministic(capsys, condition_file, tmp_path):
