@@ -1,4 +1,5 @@
-"""Small graph helpers shared across modules: reachability and Tarjan SCCs."""
+"""Small graph helpers shared across modules: reachability and Tarjan SCCs
+on dense node ids."""
 
 from __future__ import annotations
 
@@ -75,31 +76,3 @@ def dense_components(
                     lows[-1] = low
     return out
 
-
-def strongly_connected_components(
-    nodes: Iterable[N], succ: Callable[[N], Iterable[N]]
-) -> list[list[N]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order.
-
-    Numbers the nodes reachable from `nodes` and runs `dense_components`."""
-    roots = list(nodes)
-    ids: dict[N, int] = {}
-    names: list[N] = []
-    for node in roots:
-        if node not in ids:
-            ids[node] = len(names)
-            names.append(node)
-    adjacency: list[list[int]] = []
-    while len(adjacency) < len(names):
-        row = []
-        for nxt in succ(names[len(adjacency)]):
-            i = ids.get(nxt)
-            if i is None:
-                i = ids[nxt] = len(names)
-                names.append(nxt)
-            row.append(i)
-        adjacency.append(row)
-    components = dense_components(
-        adjacency.__getitem__, [ids[node] for node in roots], [-1] * len(names)
-    )
-    return [[names[i] for i in component] for component in components]

@@ -12,7 +12,7 @@ shares both.  Duplicated edges can be merged without changing the language.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from ._graph import dense_components, reachable
 from .conditions import (
@@ -136,35 +136,55 @@ class Run:
         return frozenset(t.colour for t in self.cycle)
 
 
+def walk_lasso(
+    automaton: Automaton,
+    step: Callable[[int, int], tuple[int, int]],
+    start: int,
+    state_name: Sequence[State] | Mapping[int, State],
+    w: LassoWord,
+) -> tuple[Run, bool]:
+    """The run on u v^omega of a deterministic walk over `automaton`'s
+    letters and colours, and whether its eventual cycle's colours satisfy
+    the acceptance.  `step(s, a)` is the (colour index, next state) of state
+    s on letter index a, and `state_name[s]` is the automaton state s names.
+
+    Whole periods are walked until the state at a period boundary repeats;
+    the steps between the two occurrences form the eventual cycle."""
+    index = automaton.alphabet.index
+    prefix, period = [index(a) for a in w.prefix], [index(a) for a in w.period]
+    steps: list[tuple[int, int, int, int]] = []
+    state = start
+    for a in prefix:
+        c, d = step(state, a)
+        steps.append((state, a, c, d))
+        state = d
+    seen: dict[int, int] = {}
+    while state not in seen:
+        seen[state] = len(steps)
+        for a in period:
+            c, d = step(state, a)
+            steps.append((state, a, c, d))
+            state = d
+    begin = seen[state]
+    mask = 0
+    for _, _, c, _ in steps[begin:]:
+        mask |= 1 << c
+    letters, colours = automaton.alphabet.symbols, automaton.colour_alphabet.symbols
+    named = [
+        Transition(state_name[s], letters[a], colours[c], state_name[d]) for s, a, c, d in steps
+    ]
+    return Run(tuple(named[:begin]), tuple(named[begin:])), automaton.acceptance.accepts_mask(mask)
+
+
 def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
     """The unique run of a deterministic complete automaton on u v^omega,
     and whether the colours of its eventual cycle satisfy the acceptance."""
     if not automaton.is_deterministic:
         raise AutomatonError("run_deterministic needs a deterministic, complete automaton")
-    states, colours = automaton.states, automaton.colour_alphabet.symbols
-    letter_index = automaton.alphabet.index
-    state = automaton.start[0]
-    steps: list[Transition] = []
-
-    def advance(letter: str) -> None:
-        nonlocal state
-        c, d = automaton.moves[state][letter_index(letter)][0]
-        steps.append(Transition(states[state], letter, colours[c], states[d]))
-        state = d
-
-    for letter in w.prefix:
-        advance(letter)
-    # Iterate whole periods until the state at the period boundary repeats;
-    # the transitions between the two occurrences form the eventual cycle.
-    seen: dict[int, int] = {}
-    while state not in seen:
-        seen[state] = len(steps)
-        for letter in w.period:
-            advance(letter)
-    start = seen[state]
-    run = Run(tuple(steps[:start]), tuple(steps[start:]))
-    accepted = accepts_colour_set(automaton.acceptance, run.cycle_colours())
-    return run, accepted
+    moves = automaton.moves
+    return walk_lasso(
+        automaton, lambda s, a: moves[s][a][0], automaton.start[0], automaton.states, w
+    )
 
 
 class _LassoChecker:

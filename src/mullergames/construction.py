@@ -17,7 +17,7 @@ from .automata import (
     DeterministicLassoChecker,
     Run,
     Transition,
-    accepts_colour_set,
+    walk_lasso,
 )
 from .conditions import (
     Alphabet,
@@ -206,21 +206,12 @@ def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:
     """The run of the GFG automaton driven by the leaf-memory resolver.
 
     Accepting whenever the lasso's letter set is a member of the condition:
-    this is the good-for-games guarantee.
+    this is the good-for-games guarantee.  The walk is on the tree's
+    `step_table` (leaf, letter index) -> (witness, next leaf); colour n of
+    the automaton is node n, and leaf l stands for state eta[l].
     """
-    resolver = Resolver(gfg)
-    steps: list[Transition] = []
-    for letter in w.prefix:
-        steps.append(resolver.step(letter))
-    seen: dict[int, int] = {}
-    while resolver.leaf not in seen:
-        seen[resolver.leaf] = len(steps)
-        for letter in w.period:
-            steps.append(resolver.step(letter))
-    start = seen[resolver.leaf]
-    run = Run(tuple(steps[:start]), tuple(steps[start:]))
-    accepted = accepts_colour_set(gfg.automaton.acceptance, run.cycle_colours())
-    return run, accepted
+    table, start = gfg.tree.step_table, gfg.tree.leftmost_leaf(gfg.tree.root)
+    return walk_lasso(gfg.automaton, lambda leaf, a: table[leaf][a], start, gfg.eta, w)
 
 
 def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:

@@ -22,6 +22,12 @@ rejects.  It refines strongly connected components as the condition directs
 time where a scan of colour subsets would take 2^colours passes.  It runs
 on node indices, and one array kernel (`_graph.dense_components`) finds
 the components of every refinement.
+
+A memory structure is checked on the same ids.  `_memory_tables` decodes
+it once into a choice table and an update table, and rejects a memory that
+leaves the states it declares.  One walk (`_walk`) over the (vertex,
+memory) nodes x|M| + m then serves `verify_strategy`, `is_chromatic` and
+`brute_force_winner`, which searches by filling those tables in place.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from ._graph import dense_components
 from .automata import Automaton, condition_colours
 from .conditions import (
     AnyCondition,
+    ConditionError,
     MullerCondition,
     ParityCondition,
     RabinCondition,
@@ -186,7 +193,10 @@ class GameGraph:
 
 @dataclass
 class MemoryStructure:
-    """Finite-state strategy memory (M, m0, update, choice)."""
+    """Finite-state strategy memory (M, m0, update, choice) keyed by names:
+    `update[(m, edge)]` is the state after `edge` from state m, and
+    `strategy[(m, v)]` Exist's edge at v in state m.  The checks decode it
+    with `_memory_tables`, which holds it to the `size` states it declares."""
 
     states: tuple[Hashable, ...]
     initial: Hashable
@@ -196,17 +206,6 @@ class MemoryStructure:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    def validate(self, game: GameGraph) -> None:
-        for v in game.exist_vertices():
-            for m in self.states:
-                chosen = self.strategy.get((m, v))
-                if chosen is None or chosen not in game.out(v):
-                    raise GameError(f"strategy at ({m!r}, {v!r}) is not a move of {v!r}")
-        for e in game.edges:
-            for m in self.states:
-                if (m, e) not in self.update:
-                    raise GameError(f"memory update missing for ({m!r}, {e})")
 
 
 # -- product games -------------------------------------------------------------
@@ -601,17 +600,14 @@ def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
     return refine
 
 
-def _colour_bit(condition: AnyCondition) -> Callable[[Optional[str]], int]:
-    """An edge colour's bit in the condition's colour masks; 0 when silent."""
-    index = condition_colours(condition).index
-    return lambda colour: 0 if colour is None else 1 << index(colour)
-
-
 def _node_bits(arena: Arena, condition: AnyCondition) -> list[int]:
     """Each node's colour bit in the condition's colour masks; 0 when none."""
     bit = {c: 1 << i for i, c in enumerate(condition_colours(condition))}
     bit[None] = 0
-    return [bit[c] for c in arena.colours]
+    try:
+        return [bit[c] for c in arena.colours]
+    except KeyError as err:
+        raise ConditionError(f"letter {err.args[0]!r} not in alphabet") from None
 
 
 # -- Rabin games ---------------------------------------------------------------
@@ -776,42 +772,83 @@ def solve_muller_game(
 # -- strategy verification -------------------------------------------------------
 
 
-def _memory_product(game: GameGraph, memory: MemoryStructure):
-    """Reachable (vertex, memory) graph under the induced strategy: Exist
-    follows the memory's choice, Univ moves freely.  Maps each node to its
-    (game edge, next node) moves."""
-    start = (game.initial, memory.initial)
-    nodes = {start}
-    queue = [start]
-    moves_of: dict = {}
-    while queue:
-        node = queue.pop()
-        x, m = node
-        if game.owner(x) == EXIST:
-            moves = [memory.strategy[(m, x)]]
+def _memory_tables(game: GameGraph, memory: MemoryStructure) -> tuple[list[int], list[int], int]:
+    """`memory` on the game's arena ids, with m the index of a state in
+    `memory.states`: `choice[x|M| + m]` is the index of Exist's edge at
+    vertex x in state m (-1 at Univ's vertices), `update[j|M| + m]` the
+    state after edge j, and the start node is initial|M| + m0.  Raises
+    `GameError` if a choice or an update is missing, a choice is not a move
+    of its vertex, or the initial state or an update is not in `states`."""
+    states, update, strategy = memory.states, memory.update, memory.strategy
+    index = {m: i for i, m in enumerate(states)}
+    if memory.initial not in index:
+        raise GameError(f"initial memory state {memory.initial!r} is not a declared state")
+    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    choice: list[int] = []
+    for x, v in enumerate(game.vertices):
+        if owners[x]:
+            choice += [-1] * len(states)
+            continue
+        outs, moves = game.out(v), succ[x]
+        for m in states:
+            try:
+                choice.append(moves[outs.index(strategy.get((m, v)))] - base)
+            except ValueError:
+                raise GameError(f"strategy at ({m!r}, {v!r}) is not a move of {v!r}") from None
+    after: list[int] = []
+    missing = object()
+    for e in game.edges:
+        for m in states:
+            k = index.get(update.get((m, e), missing))
+            if k is None:
+                if (m, e) not in update:
+                    raise GameError(f"memory update missing for ({m!r}, {e})")
+                raise GameError(
+                    f"memory update for ({m!r}, {e}) goes to undeclared state {update[(m, e)]!r}"
+                )
+            after.append(k)
+    return choice, after, game.arena.initial * len(states) + index[memory.initial]
+
+
+def _walk(
+    arena: Arena, width: int, choice: list[int], update: list[int], start: int, label: Sequence
+) -> tuple[list[int], list, Optional[tuple[list[int], int]]]:
+    """Depth first over the (vertex, memory) nodes x·width + m reachable
+    from `start`: Exist takes the edge `choice` gives, Univ every edge, and
+    edge j leads from memory m to `update[j·width + m]`.  Returns (nodes,
+    rows, gap): `nodes` in the order first reached, and `rows[i]` the
+    (position of the next node, `label[j]`) pair of each move of nodes[i]
+    along an edge j.  The walk stops at the first -1 entry it needs, with
+    `gap` = (table, slot) and the rows incomplete; `gap` is None otherwise."""
+    succ, owners, base = arena.succ, arena.owners, arena.base
+    nodes, rows, position, stack = [start], [None], {start: 0}, [0]
+    while stack:
+        i = stack.pop()
+        node = nodes[i]
+        x, m = divmod(node, width)
+        if owners[x]:
+            moves = succ[x]
         else:
-            moves = game.out(x)
-        outs = moves_of[node] = []
-        for e in moves:
-            nxt = (e.dst, memory.update[(m, e)])
-            outs.append((e, nxt))
-            if nxt not in nodes:
-                nodes.add(nxt)
-                queue.append(nxt)
-    return moves_of
-
-
-def _memory_strategy_wins(
-    game: GameGraph,
-    memory: MemoryStructure,
-    bit: Callable[[Optional[str]], int],
-    refine: Refine,
-) -> bool:
-    """True iff no cycle of the (vertex, memory) graph has a rejected colour set."""
-    moves_of = _memory_product(game, memory)
-    index = {node: i for i, node in enumerate(moves_of)}
-    out = [[(index[nxt], bit(e.colour)) for e, nxt in outs] for outs in moves_of.values()]
-    return _rejected_core(moves_of, out, refine) is None
+            j = choice[node]
+            if j < 0:
+                return nodes, rows, (choice, node)
+            moves = (base + j,)
+        row = []
+        for mid in moves:
+            j = mid - base
+            k = update[j * width + m]
+            if k < 0:
+                return nodes, rows, (update, j * width + m)
+            nxt = succ[mid][0] * width + k
+            p = position.get(nxt)
+            if p is None:
+                p = position[nxt] = len(nodes)
+                nodes.append(nxt)
+                rows.append(None)
+                stack.append(p)
+            row.append((p, label[j]))
+        rows[i] = row
+    return nodes, rows, None
 
 
 def verify_strategy(
@@ -821,29 +858,34 @@ def verify_strategy(
     against the induced strategy has a colour set satisfying the condition
     (given as such, or for a Muller condition as its Zielonka tree).
 
-    One condition-driven SCC refinement of the (vertex, memory) graph (see
-    `_rejected_core`), polynomial in that graph and the condition's
-    Zielonka tree.
+    The memory is decoded once (`_memory_tables`, which raises `GameError`
+    on a memory that is incomplete or leaves its declared states), and the
+    reachable (vertex, memory) graph goes to one condition-driven SCC
+    refinement (`_rejected_core`), polynomial in that graph and the
+    condition's Zielonka tree.
     """
-    memory.validate(game)
+    choice, update, start = _memory_tables(game, memory)
     colours = condition.condition if isinstance(condition, ZielonkaTree) else condition
-    return _memory_strategy_wins(game, memory, _colour_bit(colours), _refiner(condition))
+    bits = _node_bits(game.arena, colours)[game.arena.base :]
+    _, rows, _ = _walk(game.arena, memory.size, choice, update, start, bits)
+    return _rejected_core(range(len(rows)), rows, _refiner(condition)) is None
 
 
 def is_chromatic(memory: MemoryStructure, game: GameGraph) -> bool:
     """True iff the reachable part of the update function factors through
-    edge colours, with silent edges leaving the memory unchanged."""
-    seen: dict[tuple[Hashable, Optional[str]], Hashable] = {}
-    for (_, m), outs in _memory_product(game, memory).items():
-        for e, (_, next_m) in outs:
-            if e.colour is None:
-                if next_m != m:
-                    return False
-                continue
-            key = (m, e.colour)
-            if key in seen and seen[key] != next_m:
+    edge colours, with silent edges leaving the memory unchanged.  Raises
+    `GameError` as `verify_strategy` does on a malformed memory."""
+    choice, update, start = _memory_tables(game, memory)
+    width, arena = memory.size, game.arena
+    nodes, rows, _ = _walk(arena, width, choice, update, start, arena.colours[arena.base :])
+    seen: dict[tuple[int, str], int] = {}
+    for node, row in zip(nodes, rows):
+        m = node % width
+        for p, colour in row:
+            next_m = nodes[p] % width
+            expected = m if colour is None else seen.setdefault((m, colour), next_m)
+            if next_m != expected:
                 return False
-            seen[key] = next_m
     return True
 
 
@@ -858,69 +900,40 @@ def brute_force_winner(
     """Exhaustively enumerate Exist strategies with memory up to memtree and
     check each complete one by the cycle check of `verify_strategy`; `budget`
     caps the enumeration.  The condition may be given as its Zielonka tree.
-    Test oracle only."""
+    Test oracle only.  Each search node walks (`_walk`) tables shaped like
+    `_memory_tables`' to the first -1 slot and tries its edges or memory
+    states in order there; a walk that needs none goes to `_rejected_core`."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("brute_force_winner expects a Muller condition")
     tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
-    states = tuple(range(tree.memtree()))
-    counter = [0]
-
-    bit = _colour_bit(tree.condition)
+    arena, width = game.arena, tree.memtree()
+    succ, base = arena.succ, arena.base
+    bits = _node_bits(arena, tree.condition)[base:]
     refine = _refiner(tree)
-    start = (game.initial, 0)
+    choice = [-1] * (base * width)
+    update = [-1] * ((len(succ) - base) * width)
+    start = arena.initial * width
+    searched = 0
 
-    def missing_decision(sigma, mu):
-        """The first decision a reachable (vertex, memory) node lacks, or None."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            x, m = stack.pop()
-            if game.owner(x) == EXIST:
-                e = sigma.get((m, x))
-                if e is None:
-                    return "sigma", (m, x)
-                moves = [e]
-            else:
-                moves = game.out(x)
-            for e in moves:
-                m2 = mu.get((m, e))
-                if m2 is None:
-                    return "mu", (m, e)
-                nxt = (e.dst, m2)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return None
-
-    def search(sigma, mu) -> bool:
-        counter[0] += 1
-        if counter[0] > budget:
+    def search() -> bool:
+        nonlocal searched
+        searched += 1
+        if searched > budget:
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
-        missing = missing_decision(sigma, mu)
-        if missing is None:
-            return _memory_strategy_wins(
-                game, MemoryStructure(states, 0, mu, sigma), bit, refine
-            )
-        kind, key = missing
-        if kind == "sigma":
-            m, x = key
-            for e in game.out(x):
-                sigma[key] = e
-                if search(sigma, mu):
-                    del sigma[key]
-                    return True
-            del sigma[key]
-            return False
-        for m2 in states:
-            mu[key] = m2
-            if search(sigma, mu):
-                del mu[key]
+        _, rows, gap = _walk(arena, width, choice, update, start, bits)
+        if gap is None:
+            return _rejected_core(range(len(rows)), rows, refine) is None
+        table, slot = gap
+        options = range(width) if table is update else [m - base for m in succ[slot // width]]
+        for option in options:
+            table[slot] = option
+            if search():
                 return True
-        del mu[key]
+        table[slot] = -1
         return False
 
-    return EXIST if search({}, {}) else UNIV
+    return EXIST if search() else UNIV
 
 
 # -- document formats --------------------------------------------------------------

@@ -1,7 +1,8 @@
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
 
 import pytest
 
+from mullergames._graph import dense_components
 from mullergames.automata import Automaton, AutomatonError, State, Transition
 from mullergames.conditions import Alphabet, MullerCondition, RabinCondition
 from mullergames.zielonka import build_zielonka
@@ -54,6 +55,38 @@ def table_oracle_conditions():
         yield random_muller_condition(rng, Alphabet("abcde"[: rng.choice((4, 5))]))
 
 
+N = TypeVar("N", bound=Hashable)
+
+
+def strongly_connected_components(
+    nodes: Iterable[N], succ: Callable[[N], Iterable[N]]
+) -> list[list[N]]:
+    """Tarjan's algorithm, iterative; components in reverse topological order.
+
+    Numbers the nodes reachable from `nodes` and runs `dense_components`."""
+    roots = list(nodes)
+    ids: dict[N, int] = {}
+    names: list[N] = []
+    for node in roots:
+        if node not in ids:
+            ids[node] = len(names)
+            names.append(node)
+    adjacency: list[list[int]] = []
+    while len(adjacency) < len(names):
+        row = []
+        for nxt in succ(names[len(adjacency)]):
+            i = ids.get(nxt)
+            if i is None:
+                i = ids[nxt] = len(names)
+                names.append(nxt)
+            row.append(i)
+        adjacency.append(row)
+    components = dense_components(
+        adjacency.__getitem__, [ids[node] for node in roots], [-1] * len(names)
+    )
+    return [[names[i] for i in component] for component in components]
+
+
 def reference_root_path(tree, n):
     """Root-to-n path by parent pointers."""
     path = [n]
@@ -89,8 +122,6 @@ def reference_realisable_cores(vertex_set, avail):
     vertices carry exactly one edge); vertices without an edge staying in
     the component cannot recur and are pruned.
     """
-    from mullergames._graph import strongly_connected_components
-
     out = []
 
     def explore(members):
@@ -266,7 +297,7 @@ class ReferenceRabinLassoChecker:
         return out
 
     def _analyse_period(self, period):
-        from mullergames._graph import reachable, strongly_connected_components
+        from mullergames._graph import reachable
 
         if period in self._period_memo:
             return self._period_memo[period]
@@ -401,3 +432,114 @@ def reference_simplify_rabin(automaton: Automaton) -> Automaton:
         transitions,
         RabinCondition(colours, pairs),
     )
+
+
+def reference_brute_force_winner(game, condition=None, budget=2_000_000):
+    """The name-keyed brute force the table search replaced, returning
+    (winner, search nodes visited).  It grows `sigma` and `mu` dicts, walks
+    the reachable (vertex, memory) pairs from scratch for the first missing
+    decision, and checks each complete candidate on a fresh memory product."""
+    from mullergames.automata import condition_colours
+    from mullergames.games import (
+        EXIST,
+        UNIV,
+        GameError,
+        MemoryStructure,
+        _refiner,
+        _rejected_core,
+    )
+    from mullergames.zielonka import ZielonkaTree
+
+    def _memory_product(game, memory):
+        start = (game.initial, memory.initial)
+        nodes = {start}
+        queue = [start]
+        moves_of = {}
+        while queue:
+            node = queue.pop()
+            x, m = node
+            if game.owner(x) == EXIST:
+                moves = [memory.strategy[(m, x)]]
+            else:
+                moves = game.out(x)
+            outs = moves_of[node] = []
+            for e in moves:
+                nxt = (e.dst, memory.update[(m, e)])
+                outs.append((e, nxt))
+                if nxt not in nodes:
+                    nodes.add(nxt)
+                    queue.append(nxt)
+        return moves_of
+
+    def _memory_strategy_wins(game, memory, bit, refine):
+        moves_of = _memory_product(game, memory)
+        index = {node: i for i, node in enumerate(moves_of)}
+        out = [[(index[nxt], bit(e.colour)) for e, nxt in outs] for outs in moves_of.values()]
+        return _rejected_core(moves_of, out, refine) is None
+
+    def _colour_bit(condition):
+        index = condition_colours(condition).index
+        return lambda colour: 0 if colour is None else 1 << index(colour)
+
+    condition = condition if condition is not None else game.condition
+    if not isinstance(condition, (MullerCondition, ZielonkaTree)):
+        raise GameError("brute_force_winner expects a Muller condition")
+    tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
+    states = tuple(range(tree.memtree()))
+    counter = [0]
+
+    bit = _colour_bit(tree.condition)
+    refine = _refiner(tree)
+    start = (game.initial, 0)
+
+    def missing_decision(sigma, mu):
+        """The first decision a reachable (vertex, memory) node lacks, or None."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            x, m = stack.pop()
+            if game.owner(x) == EXIST:
+                e = sigma.get((m, x))
+                if e is None:
+                    return "sigma", (m, x)
+                moves = [e]
+            else:
+                moves = game.out(x)
+            for e in moves:
+                m2 = mu.get((m, e))
+                if m2 is None:
+                    return "mu", (m, e)
+                nxt = (e.dst, m2)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return None
+
+    def search(sigma, mu) -> bool:
+        counter[0] += 1
+        if counter[0] > budget:
+            raise GameError(f"brute-force enumeration budget exceeded ({budget})")
+        missing = missing_decision(sigma, mu)
+        if missing is None:
+            return _memory_strategy_wins(
+                game, MemoryStructure(states, 0, mu, sigma), bit, refine
+            )
+        kind, key = missing
+        if kind == "sigma":
+            m, x = key
+            for e in game.out(x):
+                sigma[key] = e
+                if search(sigma, mu):
+                    del sigma[key]
+                    return True
+            del sigma[key]
+            return False
+        for m2 in states:
+            mu[key] = m2
+            if search(sigma, mu):
+                del mu[key]
+                return True
+        del mu[key]
+        return False
+
+    return (EXIST if search({}, {}) else UNIV), counter[0]

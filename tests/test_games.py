@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from mullergames.automata import condition_colours
 from mullergames.conditions import (
     Alphabet,
+    ConditionError,
     MullerCondition,
     ParityCondition,
     RabinCondition,
@@ -38,9 +40,11 @@ from mullergames.games import (
 from mullergames.zielonka import build_zielonka
 from conftest import (
     random_muller_condition,
+    reference_brute_force_winner,
     reference_product,
     reference_recurrence_sets_satisfy,
     reference_split_edges,
+    strongly_connected_components,
 )
 
 
@@ -578,6 +582,32 @@ def test_verify_strategy_validates_moves(running_condition):
         verify_strategy(game, running_condition, broken)
 
 
+def test_memory_is_held_to_its_declared_states(running_condition):
+    game = one_vertex_abc_game(running_condition)
+    memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
+    assert memory.states == (1, 2)
+    assert any(memory.update[(1, e)] == 2 for e in game.edges)
+    # Declared with one state, the memory still updates to state 2.
+    shrunk = MemoryStructure((1,), 1, memory.update, memory.strategy)
+    assert shrunk.size == 1
+    with pytest.raises(GameError, match="undeclared state 2"):
+        verify_strategy(game, running_condition, shrunk)
+    with pytest.raises(GameError, match="undeclared state 2"):
+        is_chromatic(shrunk, game)
+    stray = MemoryStructure(memory.states, 3, memory.update, memory.strategy)
+    with pytest.raises(GameError, match="initial memory state 3"):
+        verify_strategy(game, running_condition, stray)
+    with pytest.raises(GameError, match="initial memory state 3"):
+        is_chromatic(stray, game)
+
+
+def test_verify_strategy_names_a_colour_outside_the_condition(running_condition):
+    game = GameGraph([("x", EXIST)], [("x", "d", "x")], "x")
+    memory = MemoryStructure((1,), 1, {(1, e): 1 for e in game.edges}, {(1, "x"): game.edges[0]})
+    with pytest.raises(ConditionError, match="'d'"):
+        verify_strategy(game, running_condition, memory)
+
+
 def test_parity_positional_passes_verify(running_condition):
     parity = build_parity_automaton(running_condition)
     product = product_with_automaton(one_vertex_abc_game(running_condition), parity)
@@ -630,7 +660,8 @@ def test_rejected_core_agrees_with_subset_scan():
     for _ in range(6000):
         kind, condition, graph = random_cycle_check_case(rng)
         avail = {v: [GameEdge(v, c, w) for w, c in outs] for v, outs in graph.items()}
-        bit = games._colour_bit(condition)
+        index = condition_colours(condition).index
+        bit = lambda colour: 0 if colour is None else 1 << index(colour)
         out = {v: [(w, bit(c)) for w, c in outs] for v, outs in graph.items()}
         sides = [(condition, 1, condition)]
         if kind == "parity":
@@ -719,6 +750,47 @@ def test_winner_agrees_with_brute_force():
     assert checked == 40
 
 
+def random_f5_game(rng, condition):
+    """Eight vertices, most of them Exist's, out-degree 1-3 over F_5's
+    letters, silent edges only forward."""
+    names = [f"v{i}" for i in range(8)]
+    vertices = [(v, EXIST if rng.random() < 0.7 else UNIV) for v in names]
+    edges = []
+    for i, v in enumerate(names):
+        for _ in range(rng.choice((1, 2, 2, 3))):
+            j = rng.randrange(8)
+            silent = j > i and rng.random() < 0.05
+            edges.append((v, None if silent else rng.choice(condition.alphabet.symbols), names[j]))
+    return GameGraph(vertices, edges, names[0], condition)
+
+
+def test_brute_force_search_follows_the_reference():
+    """The table search makes the name-keyed search's decisions in its
+    order: the same winner with the reference's count of search nodes as
+    budget, and a budget error with one node less."""
+    from mullergames.succinctness import condition_fn
+
+    rng = random.Random(2204)
+    cases = []
+    for _ in range(250):
+        cond = random_muller_condition(rng, Alphabet("abc"[: rng.choice((2, 2, 3))]))
+        cases.append(("small", random_game(rng, cond, eps_prob=0.1), cond))
+    f5 = condition_fn(5)
+    cases += [("F_5", random_f5_game(rng, f5), f5) for _ in range(16)]
+    seen = collections.Counter()
+    for kind, game, cond in cases:
+        try:
+            winner, count = reference_brute_force_winner(game, cond, budget=3000)
+        except GameError:
+            continue
+        assert brute_force_winner(game, cond, budget=count) == winner
+        with pytest.raises(GameError, match="budget exceeded"):
+            brute_force_winner(game, cond, budget=count - 1)
+        seen[kind, winner] += 1
+    assert min(seen[kind, w] for kind in ("small", "F_5") for w in (EXIST, UNIV)) >= 2, seen
+    assert seen["small", EXIST] + seen["small", UNIV] >= 200, seen
+
+
 def test_epsilon_never_sole_cycle_in_products(running_condition):
     rng = random.Random(7)
     gfg = build_gfg_rabin(running_condition)
@@ -731,8 +803,6 @@ def test_epsilon_never_sole_cycle_in_products(running_condition):
             v: [e.dst for e in product.game.out(v) if e.colour is None]
             for v in product.game.vertices
         }
-        from mullergames._graph import strongly_connected_components
-
         for comp in strongly_connected_components(
             product.game.vertices, lambda v: eps_succ[v]
         ):

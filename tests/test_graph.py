@@ -1,6 +1,7 @@
 import random
 
-from mullergames._graph import dense_components, reachable, strongly_connected_components
+from mullergames._graph import dense_components, reachable
+from conftest import strongly_connected_components
 
 
 def random_graph(rng):
