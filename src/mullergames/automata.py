@@ -552,6 +552,14 @@ def parse_hoa(text: str) -> Automaton:
     starts = [integer(*entry) for entry in headers.get("Start", [])]
     alphabet = Alphabet(header("AP")[0].split('"')[1::2])
     acc_name, acc_no, acc_line = header("acc-name")
+    # The acceptance sets declared: a mark is one of 0..sets-1.
+    words = acc_name.split()
+    if acc_name.startswith("Rabin"):
+        sets = 2 * integer(words[1], acc_no, acc_line) if len(words) > 1 else 0
+    elif acc_name.startswith("parity max even"):
+        sets = integer(words[3] if len(words) > 3 else "", acc_no, acc_line)
+    else:
+        raise AutomatonError(f"unsupported acc-name: {acc_name!r}")
 
     # Transitions, keyed by the current "State:" block.
     transitions: list[tuple[int, str, tuple[int, ...], int]] = []
@@ -578,6 +586,10 @@ def parse_hoa(text: str) -> Automaton:
         if "{" in rest:
             dst_text, marks_text = rest.split("{", 1)
             marks = tuple(sorted(integer(m, no, line) for m in marks_text.rstrip("}").split()))
+            if marks and not 0 <= marks[0] <= marks[-1] < sets:
+                raise AutomatonError(
+                    f"HOA line {no}: acceptance mark outside the {sets} declared sets in {line!r}"
+                )
         else:
             dst_text, marks = rest, ()
         dst = integer(dst_text.strip(), no, line)
@@ -589,14 +601,13 @@ def parse_hoa(text: str) -> Automaton:
 
     acceptance: AnyCondition
     if acc_name.startswith("Rabin"):
-        r = integer(acc_name.split()[1], acc_no, acc_line) if len(acc_name.split()) > 1 else 0
         pairs = []
-        for i in range(r):
+        for i in range(sets // 2):
             green = [colour_names[m] for m in mark_sets if 2 * i + 1 in m]
             red = [colour_names[m] for m in mark_sets if 2 * i in m]
             pairs.append((green, red))
         acceptance = RabinCondition(colours, pairs)
-    elif acc_name.startswith("parity max even"):
+    else:
         priorities = {}
         for marks in mark_sets:
             if len(marks) != 1:
@@ -605,8 +616,6 @@ def parse_hoa(text: str) -> Automaton:
         if not mark_sets:
             priorities["-"] = 1
         acceptance = ParityCondition(colours, priorities)
-    else:
-        raise AutomatonError(f"unsupported acc-name: {acc_name!r}")
 
     return Automaton(
         range(n_states),

@@ -144,7 +144,11 @@ def cmd_check(args) -> int:
         }
     else:
         with open(args.automaton, encoding="utf-8") as handle:
-            rabin = parse_hoa(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as err:
+                raise AutomatonError(f"{args.automaton}: not UTF-8 text ({err})") from None
+        rabin = parse_hoa(text)
         if rabin.alphabet != condition.alphabet:
             raise AutomatonError("checked automaton runs over a different alphabet")
         checkers = {"rabin": RabinLassoChecker.from_automaton(rabin)}
@@ -253,10 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ConditionError, AutomatonError, GameError, SearchBudgetError) as err:
+    except (OSError, ConditionError, AutomatonError, GameError, SearchBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -356,7 +356,7 @@ def load_condition(path: str) -> MullerCondition:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON is UTF-8 text
             raise ConditionError(f"{path}: invalid JSON ({err})") from None
     return condition_from_dict(doc)
 

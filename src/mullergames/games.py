@@ -7,12 +7,15 @@ of the Rabin product, whose automaton component becomes the memory
 structure for the original game.
 
 Every game has one integer form, its `Arena`, with each edge split by a
-midpoint.  A product is built straight into it and names its vertices only
+midpoint.  Its colours are ids into a palette of names: a game's palette is
+its condition's colours and a product's its automaton's colour alphabet.
+A product is built straight into it and names its vertices and edges only
 when a caller reads them.  There is one solver per kind of game, both on
-the arena: Zielonka's recursion for parity games (`solve_parity_game`) and
-its Rabin form, where Exist always has a positional strategy
-(`positional_rabin_strategy`).  Each result is re-checked before it is
-returned, and the two products must agree on the initial vertex's winner.
+the arena and each under its own game's condition: Zielonka's recursion
+for parity games (`solve_parity_game`) and its Rabin form, where Exist
+always has a positional strategy (`positional_rabin_strategy`).  Each
+result is re-checked before it is returned, and the two products must
+agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -73,18 +76,22 @@ class GameEdge(NamedTuple):
 
 class Arena(NamedTuple):
     """A game on integer node ids: node v < base is a vertex, and node
-    base + j the midpoint of edge j, carrying its colour (None if silent).
-    Owner 0 is Exist and 1 Univ, which owns every (one-successor) midpoint."""
+    base + j the midpoint of edge j, carrying its colour as an index into
+    `palette` (-1 at vertices and silent midpoints).  Owner 0 is Exist and
+    1 Univ, which owns every (one-successor) midpoint."""
 
     succ: list[list[int]]
     preds: list[list[int]]
     owners: list[int]
-    colours: list[Optional[str]]
+    colours: list[int]
     base: int
     initial: int
+    palette: tuple[str, ...]
 
 
-def _split(owners: list[int], edges: list[tuple[int, int, Optional[str]]], initial: int) -> Arena:
+def _split(
+    owners: list[int], edges: list[tuple[int, int, int]], initial: int, palette: tuple[str, ...]
+) -> Arena:
     base = len(owners)
     succ: list[list[int]] = [[] for _ in owners]
     preds: list[list[int]] = [[] for _ in owners]
@@ -93,8 +100,8 @@ def _split(owners: list[int], edges: list[tuple[int, int, Optional[str]]], initi
         preds[dst].append(m)
     succ += [[dst] for _, dst, _ in edges]
     preds += [[src] for src, _, _ in edges]
-    colours = [None] * base + [colour for _, _, colour in edges]
-    return Arena(succ, preds, owners + [1] * len(edges), colours, base, initial)
+    colours = [-1] * base + [colour for _, _, colour in edges]
+    return Arena(succ, preds, owners + [1] * len(edges), colours, base, initial, palette)
 
 
 class GameGraph:
@@ -119,22 +126,26 @@ class GameGraph:
             owner[name] = who
         if initial not in owner:
             raise GameError(f"initial vertex {initial!r} is not a vertex")
-        colours = condition_colours(condition).symbols if condition is not None else None
+        palette = condition_colours(condition).symbols if condition is not None else None
         unique: dict[GameEdge, None] = {}
         for e in edges:
             e = e if isinstance(e, GameEdge) else GameEdge(*e)
             if e.src not in owner or e.dst not in owner:
                 raise GameError(f"edge {e} uses an unknown vertex")
-            if e.colour is not None and colours is not None and e.colour not in colours:
+            if e.colour is not None and palette is not None and e.colour not in palette:
                 raise GameError(f"edge colour {e.colour!r} is not a condition colour")
             unique[e] = None
         self.vertices, self.edges, self._owner = tuple(owner), tuple(unique), owner
         self.initial, self.condition = initial, condition
+        if palette is None:  # the colours in the order first seen
+            palette = tuple(dict.fromkeys(e.colour for e in self.edges if e.colour is not None))
+        colour_id = {c: i for i, c in enumerate(palette)}
         index = {v: i for i, v in enumerate(owner)}
         self.arena = _split(
             [0 if who == EXIST else 1 for who in owner.values()],
-            [(index[e.src], index[e.dst], e.colour) for e in self.edges],
+            [(index[e.src], index[e.dst], colour_id.get(e.colour, -1)) for e in self.edges],
             index[initial],
+            palette,
         )
         succ, colour = self.arena.succ, self.arena.colours
         for v, moves in zip(self.vertices, succ):
@@ -142,7 +153,7 @@ class GameGraph:
                 raise GameError(
                     f"vertex {v!r} violates 'at least one move from every position'"
                 )
-        silent = [[succ[m][0] for m in moves if colour[m] is None] for moves in succ[: len(owner)]]
+        silent = [[succ[m][0] for m in moves if colour[m] < 0] for moves in succ[: len(owner)]]
         for comp in dense_components(silent.__getitem__, range(len(owner)), [-1] * len(owner)):
             if len(comp) > 1 or comp[0] in silent[comp[0]]:
                 raise GameError("game violates 'no cycle is labelled exclusively by ε'")
@@ -154,9 +165,10 @@ class GameGraph:
     @cached_property
     def edges(self) -> tuple[GameEdge, ...]:
         names = self.vertices
-        succ, preds, _, colours, base, _ = self.arena
+        succ, preds, _, colours, base, _, palette = self.arena
+        named = palette + (None,)  # colour -1 (silent) reads the last entry
         return tuple(
-            GameEdge(names[preds[m][0]], colours[m], names[succ[m][0]])
+            GameEdge(names[preds[m][0]], named[colours[m]], names[succ[m][0]])
             for m in range(base, len(succ))
         )
 
@@ -241,20 +253,21 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     vertex, so it projects to a game cycle, which `GameGraph` rejects."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
-    alphabet, states = automaton.alphabet, automaton.states
-    succ, owner, colours, base = game.arena.succ, game.arena.owners, game.arena.colours, game.arena.base
-    for colour in colours[base:]:
-        if colour is not None and colour not in alphabet:
+    alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
+    succ, _, owner, colours, base, _, palette = game.arena
+    # The letter index of each palette colour, then -1 for colour -1 (silent).
+    to_letter = [alphabet.index(c) if c in alphabet else None for c in palette] + [-1]
+    for c in colours[base:]:
+        if to_letter[c] is None:
             raise GameError(
-                f"alphabet mismatch: game colour {colour!r} unknown to the automaton"
+                f"alphabet mismatch: game colour {palette[c]!r} unknown to the automaton"
             )
     width, letters = len(states), len(alphabet)
-    letter = [-1 if c is None else alphabet.index(c) for c in colours]
-    moves, colour_names = automaton.moves, automaton.colour_alphabet.symbols
+    letter = [to_letter[c] for c in colours]
     ids = [-1] * ((base + base * letters) * width)
     keys: list[int] = []
     owners: list[int] = []
-    edges: list[tuple[int, int, Optional[str]]] = []
+    edges: list[tuple[int, int, int]] = []
     stack: list[int] = []
 
     def visit(key: int, who: int) -> int:
@@ -275,7 +288,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
             for m in succ[x]:
                 y, a = succ[m][0], letter[m]
                 target = (y if a < 0 else base + y * letters + a) * width + q
-                edges.append((node, visit(target, owner[y] if a < 0 else 0), None))
+                edges.append((node, visit(target, owner[y] if a < 0 else 0), -1))
             continue
         y, a = divmod(x - base, letters)
         options = moves[q][a]
@@ -285,7 +298,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                 f"from {states[q]!r}"
             )
         for c, r in options:
-            edges.append((node, visit(y * width + r, owner[y]), colour_names[c]))
+            edges.append((node, visit(y * width + r, owner[y]), c))
 
     def name(v: int) -> tuple:
         x, q = divmod(keys[v], width)
@@ -295,7 +308,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
         return ("c", game.vertices[y], alphabet.symbols[a], states[q])
 
     product = GameGraph.__new__(GameGraph)
-    product.arena, product._name = _split(owners, edges, 0), name
+    product.arena, product._name = _split(owners, edges, 0, automaton.colour_alphabet.symbols), name
     product.initial, product.condition = name(0), automaton.acceptance
     return ProductGame(product, game, automaton, ids, keys)
 
@@ -426,27 +439,23 @@ def _zielonka_solve(nodes: frozenset, arena: Arena, prio: Sequence[int]) -> tupl
     return set(w_even2) | oattr, w_odd2, merged
 
 
-def solve_parity_game(
-    game: GameGraph, condition: Optional[ParityCondition] = None
-) -> GameSolution:
+def solve_parity_game(game: GameGraph) -> GameSolution:
     """Winning regions and positional strategies for an edge-coloured
     max-even parity game; silent edges never dominate a cycle.
 
     Both strategies are re-verified by cycle analysis before returning.
     """
-    condition = condition if condition is not None else game.condition
+    condition = game.condition
     if not isinstance(condition, ParityCondition):
         raise GameError("solve_parity_game expects a parity condition")
-    lowest = min(condition.priorities.values())
-    shift = 0
-    if lowest < 1:
-        shift = 1 - lowest
-        shift += shift % 2  # keep parities intact
+    shift = max(0, 1 - min(condition.priorities.values()))
+    shift += shift % 2  # keep parities intact
 
     # Midpoints carry their edge's priority and original vertices are
     # neutral.  No silent-only cycles, so priority 0 never decides anything.
     arena = game.arena
-    prio = [0 if c is None else condition.priority(c) + shift for c in arena.colours]
+    by_colour = [condition.priority(c) + shift for c in arena.palette] + [0]
+    prio = [by_colour[c] for c in arena.colours]
     w_even, _, strat = _zielonka_solve(frozenset(range(len(prio))), arena, prio)
     solution = GameSolution(game, w_even, strat)
     _verify_solution(solution, condition)
@@ -603,19 +612,19 @@ def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
 def _node_bits(arena: Arena, condition: AnyCondition) -> list[int]:
     """Each node's colour bit in the condition's colour masks; 0 when none."""
     bit = {c: 1 << i for i, c in enumerate(condition_colours(condition))}
-    bit[None] = 0
-    try:
-        return [bit[c] for c in arena.colours]
-    except KeyError as err:
-        raise ConditionError(f"letter {err.args[0]!r} not in alphabet") from None
+    # The bit of each palette colour, then 0 for colour -1 (none).
+    by_colour = [bit.get(c) for c in arena.palette] + [0]
+    bits = [by_colour[c] for c in arena.colours]
+    if None in bits:
+        colour = arena.palette[arena.colours[bits.index(None)]]
+        raise ConditionError(f"letter {colour!r} not in alphabet")
+    return bits
 
 
 # -- Rabin games ---------------------------------------------------------------
 
 
-def positional_rabin_strategy(
-    game: GameGraph, condition: Optional[RabinCondition] = None
-) -> GameSolution:
+def positional_rabin_strategy(game: GameGraph) -> GameSolution:
     """Exist's whole winning region of an edge-coloured Rabin game, with one
     positional strategy that wins from all of it.
 
@@ -630,7 +639,7 @@ def positional_rabin_strategy(
     there is hers.  Every recursive call has strictly fewer colours
     present.  The strategy is re-checked by `_verify_solution`.
     """
-    condition = condition if condition is not None else game.condition
+    condition = game.condition
     if not isinstance(condition, RabinCondition):
         raise GameError("positional_rabin_strategy expects a Rabin condition")
     arena = game.arena
@@ -681,35 +690,28 @@ def positional_rabin_strategy(
 # -- memory extraction and Muller solving ---------------------------------------
 
 
-def memory_from_gfg(
-    game: GameGraph,
-    gfg: GfgRabinAutomaton,
-    condition: Optional[MullerCondition] = None,
-) -> MemoryStructure:
+def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     """Project a positional strategy of the Rabin product onto the game: the
     automaton component becomes the memory, silent moves leave it unchanged."""
-    condition = condition if condition is not None else game.condition
-    if not isinstance(condition, MullerCondition):
-        raise GameError("memory_from_gfg expects a game with a Muller condition")
-    if condition.alphabet != gfg.automaton.alphabet:
-        raise GameError("alphabet mismatch between game condition and automaton")
-    product = _build_product(game, gfg.automaton, [game.arena.initial])
+    product = product_with_automaton(game, gfg.automaton)
     solution = positional_rabin_strategy(product.game)
     if product.game.arena.initial not in solution.won:
         raise NotWonByExist("the existential player does not win this game")
 
     automaton = gfg.automaton
-    states, letter = automaton.states, automaton.alphabet.index
-    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    states = automaton.states
+    # The game's palette is its condition's alphabet, which the product
+    # checked is the automaton's, so a colour id is a letter index.
+    succ, _, owners, letter, base, _, _ = game.arena
     target = product.game.arena.succ
     update: dict[tuple[Hashable, GameEdge], Hashable] = {}
     strategy: dict[tuple[Hashable, Vertex], GameEdge] = {}
     for qi, q in enumerate(states):
         for m, e in enumerate(game.edges, base):
-            if e.colour is None:
+            a = letter[m]
+            if a < 0:
                 update[(q, e)] = q
                 continue
-            a = letter(e.colour)
             chosen = solution.moves.get(product.node(succ[m][0], qi, a))
             if chosen is not None:  # to the state vertex (e.dst, next state)
                 update[(q, e)] = states[product.keys[target[chosen][0]] % len(states)]
@@ -736,8 +738,9 @@ def solve_muller_game(
     """Decide a Muller game through the parity-automaton product; when Exist
     wins, extract a memory structure of size memtree from the GFG product.
 
-    One Zielonka tree (built here, or given for the condition) serves both
-    automata, and each product is built straight into its arena, numbered
+    One Zielonka tree (built here, or given for the game's condition)
+    serves both automata; a condition other than the game's raises
+    `GameError`.  Each product is built straight into its arena, numbered
     as `_build_product` explores it.  The products are independent
     certificates of the initial vertex's winner: if the parity product says
     Exist but her Rabin region in the GFG product misses its initial
@@ -746,21 +749,14 @@ def solve_muller_game(
     if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("solve_muller_game expects a Muller condition")
     tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
-    condition = tree.condition
-    parity_automaton = build_parity_automaton(tree)
-    if game.condition is not condition:
-        game = GameGraph(
-            [(v, game.owner(v)) for v in game.vertices],
-            game.edges,
-            game.initial,
-            condition,
-        )
-    product = product_with_automaton(game, parity_automaton)
+    if tree.condition != game.condition:
+        raise GameError("solve_muller_game: the condition given is not the game's condition")
+    product = product_with_automaton(game, build_parity_automaton(tree))
     solution = solve_parity_game(product.game)
     if product.game.arena.initial not in solution.won:
         return MullerSolution(UNIV, None)
     try:
-        memory = memory_from_gfg(game, build_gfg_rabin(tree), condition)
+        memory = memory_from_gfg(game, build_gfg_rabin(tree))
     except NotWonByExist:
         raise GameError(
             "internal: parity product and GFG Rabin product disagree on the "
@@ -878,12 +874,12 @@ def is_chromatic(memory: MemoryStructure, game: GameGraph) -> bool:
     choice, update, start = _memory_tables(game, memory)
     width, arena = memory.size, game.arena
     nodes, rows, _ = _walk(arena, width, choice, update, start, arena.colours[arena.base :])
-    seen: dict[tuple[int, str], int] = {}
+    seen: dict[tuple[int, int], int] = {}
     for node, row in zip(nodes, rows):
         m = node % width
         for p, colour in row:
             next_m = nodes[p] % width
-            expected = m if colour is None else seen.setdefault((m, colour), next_m)
+            expected = m if colour < 0 else seen.setdefault((m, colour), next_m)
             if next_m != expected:
                 return False
     return True
@@ -979,7 +975,7 @@ def load_game(path: str, condition: Optional[AnyCondition] = None) -> GameGraph:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON is UTF-8 text
             raise GameError(f"{path}: invalid JSON ({err})") from None
     return game_from_dict(doc, condition)
 

@@ -441,6 +441,23 @@ def test_parse_hoa_names_the_offending_line(running_condition, defect):
     assert where in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "acc_name, marks",
+    [("Rabin 1", "{7}"), ("Rabin 1", "{1 2}"), ("Rabin 0", "{0}"), ("parity max even 3", "{3}"),
+     ("parity max even 3", "{-1}")],
+)
+def test_parse_hoa_rejects_marks_outside_the_declared_sets(acc_name, marks):
+    def document(marks):
+        return "\n".join([
+            "HOA: v1", "States: 1", "Start: 0", 'AP: 1 "a"', f"acc-name: {acc_name}",
+            "--BODY--", "State: 0", f"[0] 0 {marks}", "--END--",
+        ])
+
+    parse_hoa(document("{0}" if acc_name != "Rabin 0" else ""))
+    with pytest.raises(AutomatonError, match="HOA line 8: acceptance mark outside"):
+        parse_hoa(document(marks))
+
+
 def random_table_automaton_args(rng, acceptance_kind):
     """The constructor arguments of a random automaton: 1-6 states over 1-3
     letters, 0-3 moves per (state, letter) with some repeated verbatim, in

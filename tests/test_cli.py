@@ -599,6 +599,52 @@ def test_cli_outputs_deterministic(capsys, condition_file, tmp_path):
     assert once == again
 
 
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff{}")
+    return str(path)
+
+
+def _exist_game(tmp_path):
+    doc = {
+        "vertices": [{"name": "x", "owner": "Exist"}],
+        "edges": [{"src": "x", "colour": c, "dst": "x"} for c in "abc"],
+        "initial": "x",
+    }
+    return game_file(tmp_path, doc)
+
+
+# Each case: (argv, the path its error names) for a tmp_path directory
+# `d` and the running example's condition file `c`.
+FILE_ERRORS = {
+    "zielonka-dir": lambda d, c: (["zielonka", str(d)], str(d)),
+    "solve-game-dir": lambda d, c: (["solve", "--game", str(d), "--condition", c], str(d)),
+    "check-automaton-dir": lambda d, c: (["check", c, "--automaton", str(d)], str(d)),
+    "memory-out-dir": lambda d, c: (
+        ["solve", "--game", _exist_game(d), "--condition", c, "--memory-out", str(d)], str(d)
+    ),
+    "hoa-dir": lambda d, c: (["build", c, "--kind", "gfg-rabin", "--hoa", str(d)], str(d)),
+    "dot-dir": lambda d, c: (["build", c, "--kind", "parity", "--dot", str(d)], str(d)),
+    "json-dir": lambda d, c: (["succinctness", "--n", "3", "--json", str(d)], str(d)),
+    "condition-0xff": lambda d, c: (["zielonka", _not_utf8(d, "c.json")], str(d / "c.json")),
+    "game-0xff": lambda d, c: (
+        ["solve", "--game", _not_utf8(d, "g.json"), "--condition", c], str(d / "g.json")
+    ),
+    "hoa-0xff": lambda d, c: (
+        ["check", c, "--automaton", _not_utf8(d, "a.hoa"), "--bound", "1"], str(d / "a.hoa")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_cli_file_errors_exit_2_with_one_line(capsys, condition_file, tmp_path, case):
+    argv, path = FILE_ERRORS[case](tmp_path, condition_file)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert path in err
+
+
 def test_cli_missing_file(capsys):
     assert main(["zielonka", "/nonexistent/cond.json"]) == 2
     assert "error" in capsys.readouterr().err

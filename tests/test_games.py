@@ -156,6 +156,10 @@ def product_cases(count):
 
 
 def test_product_arena_matches_reference():
+    def named(arena):  # arena[:4] with each colour id named through the palette
+        succ, preds, owners, colours = arena[:4]
+        return succ, preds, owners, [None if c < 0 else arena.palette[c] for c in colours]
+
     silent = 0
     for game, automaton, ids, reference in product_cases(300):
         product = _build_product(game, automaton, ids)
@@ -163,8 +167,8 @@ def test_product_arena_matches_reference():
         assert product.game.edges == reference.edges
         assert product.game.initial == reference.initial
         split = reference_split_edges(reference)
-        assert tuple(product.game.arena[:4]) == split
-        assert tuple(reference.arena[:4]) == split  # a named game's own arena
+        assert named(product.game.arena) == split
+        assert named(reference.arena) == split  # a named game's own arena
         assert all(product.ids[key] == v for v, key in enumerate(product.keys))
         assert sum(i >= 0 for i in product.ids) == len(product.keys)
         silent += any(e.colour is None for e in game.edges)
@@ -533,6 +537,15 @@ def test_solve_muller_reports_product_disagreement(running_condition, monkeypatc
     assert not isinstance(err.value, NotWonByExist)
 
 
+def test_solve_muller_refuses_a_condition_not_the_games(running_condition):
+    other = MullerCondition(Alphabet("abc"), [["a"]])
+    with pytest.raises(GameError, match="not the game's condition"):
+        solve_muller_game(alternation_game(running_condition), other)
+    bare = GameGraph([("x", EXIST)], [("x", "a", "x")], "x")
+    with pytest.raises(GameError, match="not the game's condition"):
+        solve_muller_game(bare, build_zielonka(running_condition))
+
+
 def test_solve_muller_builds_one_tree(running_condition, monkeypatch):
     from mullergames import construction
 
@@ -599,6 +612,51 @@ def test_memory_is_held_to_its_declared_states(running_condition):
         verify_strategy(game, running_condition, stray)
     with pytest.raises(GameError, match="initial memory state 3"):
         is_chromatic(stray, game)
+
+
+def test_colour_ids_without_a_condition_map_to_the_same_bits():
+    """A game built without a condition numbers its colours in the order
+    first seen, here unlike its condition's (c before b before a).  Through
+    its palette it must get the verdicts of the same game built with the
+    condition, and the same product."""
+    rng = random.Random(1112)
+    reordered = decided = 0
+    verdicts = collections.Counter()
+    for _ in range(60):
+        condition = random_muller_condition(rng, Alphabet("cba"[-rng.randint(2, 3) :]))
+        game = random_game(rng, condition, max_vertices=3, max_edges=6)
+        bare = GameGraph([(v, game.owner(v)) for v in game.vertices], game.edges, game.initial)
+        assert bare.edges == game.edges
+        palette = bare.arena.palette
+        reordered += palette != tuple(c for c in condition.alphabet if c in palette)
+        tree = build_zielonka(condition)
+        automaton = build_gfg_rabin(tree).automaton
+        seeds = [game.arena.initial]
+        product = _build_product(game, automaton, seeds).game
+        assert _build_product(bare, automaton, seeds).game.edges == product.edges
+        try:
+            winner = brute_force_winner(game, tree, budget=20_000)
+        except GameError:
+            with pytest.raises(GameError, match="budget"):
+                brute_force_winner(bare, tree, budget=20_000)
+        else:
+            assert brute_force_winner(bare, tree, budget=20_000) == winner
+            decided += 1
+        # The solver's memory when Exist wins, and a one-state memory that
+        # always takes a vertex's first move.
+        first = {(0, v): game.out(v)[0] for v in game.exist_vertices()}
+        memories = [MemoryStructure((0,), 0, {(0, e): 0 for e in game.edges}, first)]
+        solution = solve_muller_game(game, tree)
+        if solution.memory is not None:
+            memories.append(solution.memory)
+        for memory in memories:
+            verdict = verify_strategy(game, tree, memory)
+            assert verify_strategy(bare, tree, memory) == verdict
+            assert verify_strategy(bare, condition, memory) == verdict
+            assert is_chromatic(memory, bare) == is_chromatic(memory, game)
+            verdicts[verdict] += 1
+    assert reordered >= 20 and decided >= 40
+    assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
 def test_verify_strategy_names_a_colour_outside_the_condition(running_condition):
