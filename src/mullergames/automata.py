@@ -436,13 +436,22 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
 
 
 def _parity_formula(top: int) -> str:
-    atom = ("Inf(%d)" if top % 2 == 0 else "Fin(%d)") % top
-    if top == 0:
-        return atom
-    inner = _parity_formula(top - 1)
-    wrapped = inner if " " not in inner else f"({inner})"
-    op = "|" if top % 2 == 0 else "&"
-    return f"{atom} {op} {wrapped}"
+    """Inf(top) | (Fin(top-1) & (... Inf(0))) for an even top, with Fin and
+    & at the odd priorities."""
+    heads = [
+        ("Inf(%d) | " if p % 2 == 0 else "Fin(%d) & ") % p + ("(" if p > 1 else "")
+        for p in range(top, 0, -1)
+    ]
+    return "".join(heads) + "Inf(0)" + ")" * max(top - 1, 0)
+
+
+def _hoa_acceptance(rabin: bool, count: int) -> tuple[str, str]:
+    """The `acc-name:` and `Acceptance:` values for `count` Rabin pairs, or
+    for parity max even over `count` priorities."""
+    if rabin:
+        formula = "|".join(f"(Fin({2 * i})&Inf({2 * i + 1}))" for i in range(count)) or "f"
+        return f"Rabin {count}", f"{2 * count} {formula}"
+    return f"parity max even {count}", f"{count} {_parity_formula(count - 1)}"
 
 
 def _colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:
@@ -477,16 +486,9 @@ def export_hoa(automaton: Automaton) -> str:
     """
     acc = automaton.acceptance
     if isinstance(acc, RabinCondition):
-        r = len(acc.pairs)
-        acc_name = f"Rabin {r}"
-        formula = (
-            "|".join(f"(Fin({2 * i})&Inf({2 * i + 1}))" for i in range(r)) if r else "f"
-        )
-        n_sets = 2 * r
+        acc_name, acceptance = _hoa_acceptance(True, len(acc.pairs))
     elif isinstance(acc, ParityCondition):
-        n_sets = max(acc.priorities.values()) + 1
-        acc_name = f"parity max even {n_sets}"
-        formula = _parity_formula(n_sets - 1)
+        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities.values()) + 1)
     else:
         raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
@@ -496,7 +498,7 @@ def export_hoa(automaton: Automaton) -> str:
     aps = " ".join(f'"{a}"' for a in automaton.alphabet.symbols)
     lines.append(f"AP: {len(automaton.alphabet)} {aps}")
     lines.append(f"acc-name: {acc_name}")
-    lines.append(f"Acceptance: {n_sets} {formula}")
+    lines.append(f"Acceptance: {acceptance}")
     lines.append("properties: trans-labels explicit-labels trans-acc")
     lines.append("--BODY--")
     n_ap = len(automaton.alphabet)
@@ -550,16 +552,31 @@ def parse_hoa(text: str) -> Automaton:
 
     n_states = integer(*header("States"))
     starts = [integer(*entry) for entry in headers.get("Start", [])]
-    alphabet = Alphabet(header("AP")[0].split('"')[1::2])
+    ap_value, ap_no, ap_line = header("AP")
+    alphabet = Alphabet(ap_value.split('"')[1::2])
+    if integer(ap_value.partition(" ")[0], ap_no, ap_line) != len(alphabet):
+        raise AutomatonError(
+            f"HOA line {ap_no}: AP count differs from the {len(alphabet)} names in {ap_line!r}"
+        )
     acc_name, acc_no, acc_line = header("acc-name")
     # The acceptance sets declared: a mark is one of 0..sets-1.
     words = acc_name.split()
-    if acc_name.startswith("Rabin"):
-        sets = 2 * integer(words[1], acc_no, acc_line) if len(words) > 1 else 0
+    rabin = acc_name.startswith("Rabin")
+    if rabin:
+        count = integer(words[1], acc_no, acc_line) if len(words) > 1 else 0
+        sets = 2 * count
     elif acc_name.startswith("parity max even"):
-        sets = integer(words[3] if len(words) > 3 else "", acc_no, acc_line)
+        count = sets = integer(words[3] if len(words) > 3 else "", acc_no, acc_line)
     else:
         raise AutomatonError(f"unsupported acc-name: {acc_name!r}")
+    if count < (0 if rabin else 1):
+        raise AutomatonError(f"HOA line {acc_no}: too few acceptance sets in {acc_line!r}")
+    # The Acceptance: formula must be the one the acc-name stands for.  It
+    # names every set, so a line shorter than the set count cannot match.
+    value, no, line = header("Acceptance")
+    expected = _hoa_acceptance(rabin, count)[1] if sets <= len(value) else ""
+    if "".join(value.split()) != "".join(expected.split()):
+        raise AutomatonError(f"HOA line {no}: {line!r} does not match acc-name {acc_name!r}")
 
     # Transitions, keyed by the current "State:" block.
     transitions: list[tuple[int, str, tuple[int, ...], int]] = []
@@ -600,7 +617,7 @@ def parse_hoa(text: str) -> Automaton:
     colours = Alphabet([colour_names[m] for m in mark_sets]) if mark_sets else Alphabet(["-"])
 
     acceptance: AnyCondition
-    if acc_name.startswith("Rabin"):
+    if rabin:
         pairs = []
         for i in range(sets // 2):
             green = [colour_names[m] for m in mark_sets if 2 * i + 1 in m]

@@ -65,9 +65,6 @@ class ConditionGraph:
     def neighbours(self, mask: int) -> frozenset[int]:
         return frozenset(self.adjacency.get(mask, ()))
 
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adjacency.values()) // 2
-
     def edges(self) -> set[frozenset[int]]:
         return {
             frozenset((a, b)) for a, nbrs in self.adjacency.items() for b in nbrs
@@ -334,18 +331,23 @@ def succinctness_report(
     gfg_size = tree.memtree()
     det_parity_upper = len(tree.leaves())
     use_exact = exact_chi if exact_chi is not None else n <= 6
-    binomial = None
+    graph, binomial, note = None, None, ""
     if use_exact:
-        lower = det_rabin_lower_bound(condition, budget)
-        method = "exact-chi"
-    elif n % 5 == 0 and _is_prime(n // 5):
+        graph = build_condition_graph(condition)
+        try:
+            lower, _ = chromatic_number(graph, "exact", budget)
+            return SuccinctnessRow(n, gfg_size, det_parity_upper, lower, "exact-chi")
+        except SearchBudgetError:
+            # Report what the default mode proves, and say the search ran out.
+            note = " (exact search over budget)"
+    if n % 5 == 0 and _is_prime(n // 5):
         binomial = binomial_lower_bound(n)
         lower = binomial.bound
         method = "binomial"
     else:
-        lower = clique_lower_bound(build_condition_graph(condition))
+        lower = clique_lower_bound(graph or build_condition_graph(condition))
         method = "clique bound only"
-    return SuccinctnessRow(n, gfg_size, det_parity_upper, lower, method, binomial)
+    return SuccinctnessRow(n, gfg_size, det_parity_upper, lower, method + note, binomial)
 
 
 def report_to_dict(row: SuccinctnessRow) -> dict:

@@ -6,31 +6,23 @@ label with the opposite membership.  Node ids are dense integers in BFS
 construction order and children are kept sorted by label bit pattern, so
 the whole structure is reproducible.
 
-The constructor also fills integer tables that every later query reads:
-depth-first pre-order numbers with the last number inside each subtree (so
-`is_ancestor` is an interval test), the leftmost leaf and the cyclic next
-sibling of every node, the leaf tuple with each node's slice of it, and
-`step_table`, which maps a leaf and a letter index to the tree walk's
-(witness, target) move.  The automaton builders, the resolver and the
-quotient check all read that one table.
+The tree is stored once, as integer lists indexed by node id: the label's
+letter mask, the round flag, the parent, the children and the depth.  A
+label is made into a `LetterSet` only when `label` reads it.  One
+depth-first numbering then fills the tables that every later query reads:
+pre-order numbers with the last number inside each subtree (so
+`is_ancestor` is an interval test), memtree, the leftmost leaf and the
+cyclic next sibling of every node, the leaf tuple with each node's slice of
+it, and `step_table`, which maps a leaf and a letter index to the tree
+walk's (witness, target) move.  The automaton builders, the resolver and
+the quotient check all read that one table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .conditions import ConditionError, LetterSet, MullerCondition
-
-
-@dataclass
-class ZNode:
-    ident: int
-    label: LetterSet
-    round: bool
-    parent: Optional[int]
-    children: list[int] = field(default_factory=list)
-
 
 ChildOrder = Callable[[list[int]], list[int]]
 
@@ -42,57 +34,57 @@ class ZielonkaTree:
         self.condition = condition
         self.alphabet = condition.alphabet
         order = child_order if child_order is not None else sorted
-        self.nodes: list[ZNode] = []
-        root_mask = self.alphabet.full().mask
-        self._add_node(root_mask, None)
-        # BFS so that ids go level by level, left to right.
+        self._mask = [self.alphabet.full().mask]
+        self._parent: list[Optional[int]] = [None]
+        self._children: list[tuple[int, ...]] = []
+        self._depth = [0]
+        # BFS so that ids go level by level, left to right: node `head`'s
+        # children take the next free ids, in one run.
         head = 0
-        while head < len(self.nodes):
-            node = self.nodes[head]
-            for mask in order(_maximal_flipped_subsets(condition, node.label.mask)):
-                node.children.append(self._add_node(mask, node.ident))
+        while head < len(self._mask):
+            kids = order(_maximal_flipped_subsets(condition, self._mask[head]))
+            first = len(self._mask)
+            self._children.append(tuple(range(first, first + len(kids))))
+            self._mask.extend(kids)
+            self._parent.extend([head] * len(kids))
+            self._depth.extend([self._depth[head] + 1] * len(kids))
             head += 1
-        count = len(self.nodes)
-        self._depth = [0] * count
-        for node in self.nodes[1:]:
-            self._depth[node.ident] = self._depth[node.parent] + 1
+        self._round = [condition.accepts_mask(mask) for mask in self._mask]
         self._height = 1 + max(self._depth)
-        self._memtree = [1] * count
-        for node in reversed(self.nodes):
-            kids = node.children
-            if kids:
-                parts = [self._memtree[k] for k in kids]
-                self._memtree[node.ident] = sum(parts) if node.round else max(parts)
         self._number_depth_first()
         self.step_table = self._step_table()
 
     def _number_depth_first(self) -> None:
-        """Pre-order numbers, subtree intervals, leftmost leaves, the leaf
-        tuple with each node's slice of it, and cyclic next siblings."""
-        count = len(self.nodes)
+        """Pre-order numbers, subtree intervals, memtree, leftmost leaves, the
+        leaf tuple with each node's slice of it, and cyclic next siblings."""
+        count = len(self._mask)
         order: list[int] = []
         stack = [self.root]
         while stack:
             n = stack.pop()
             order.append(n)
-            stack.extend(reversed(self.nodes[n].children))
+            stack.extend(reversed(self._children[n]))
         self._pre = [0] * count
         for i, n in enumerate(order):
             self._pre[n] = i
-        leaves = [n for n in order if not self.nodes[n].children]
+        leaves = [n for n in order if not self._children[n]]
         self._leaves = tuple(leaves)
         leaf_index = {leaf: i for i, leaf in enumerate(leaves)}
         self._last = [0] * count  # largest pre-order number in n's subtree
+        self._memtree = [1] * count
         self._leftmost = [0] * count
         self._leaf_span = [(0, 0)] * count
         self._next_sibling = list(range(count))
+        # Reversed pre-order: every child is finished before its parent.
         for n in reversed(order):
-            kids = self.nodes[n].children
+            kids = self._children[n]
             if not kids:
                 self._last[n] = self._pre[n]
                 self._leftmost[n] = n
                 self._leaf_span[n] = (leaf_index[n], leaf_index[n] + 1)
                 continue
+            parts = [self._memtree[k] for k in kids]
+            self._memtree[n] = sum(parts) if self._round[n] else max(parts)
             self._last[n] = self._last[kids[-1]]
             self._leftmost[n] = self._leftmost[kids[0]]
             self._leaf_span[n] = (self._leaf_span[kids[0]][0], self._leaf_span[kids[-1]][1])
@@ -111,26 +103,19 @@ class ZielonkaTree:
         whose witness was the parent now knows which child the path took.
         """
         rows = {self.root: [(self.root, self.root)] * len(self.alphabet)}
-        for node in self.nodes:  # BFS: every parent before its children
-            if not node.children:
+        for n, kids in enumerate(self._children):  # BFS: parents first
+            if not kids:
                 continue
-            n = node.ident
             row = rows.pop(n)
             # The parent is the witness of exactly the letters of its label.
-            letters = [i for i in range(len(row)) if node.label.mask >> i & 1]
-            for c in node.children:
-                mask = self.nodes[c].label.mask
+            letters = [i for i in range(len(row)) if self._mask[n] >> i & 1]
+            for c in kids:
+                mask = self._mask[c]
                 here, jump = (c, c), (n, self._leftmost[self._next_sibling[c]])
                 rows[c] = child_row = row.copy()
                 for i in letters:
                     child_row[i] = here if mask >> i & 1 else jump
         return {leaf: tuple(rows[leaf]) for leaf in self._leaves}
-
-    def _add_node(self, mask: int, parent: Optional[int]) -> int:
-        ident = len(self.nodes)
-        label = self.alphabet.from_mask(mask)
-        self.nodes.append(ZNode(ident, label, self.condition.accepts_mask(mask), parent))
-        return ident
 
     # -- structure queries ------------------------------------------------
 
@@ -139,22 +124,22 @@ class ZielonkaTree:
         return 0
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._mask)
 
     def label(self, n: int) -> LetterSet:
-        return self.nodes[n].label
+        return self.alphabet.from_mask(self._mask[n])
 
     def is_round(self, n: int) -> bool:
-        return self.nodes[n].round
+        return self._round[n]
 
     def is_leaf(self, n: int) -> bool:
-        return not self.nodes[n].children
+        return not self._children[n]
 
     def children(self, n: int) -> tuple[int, ...]:
-        return tuple(self.nodes[n].children)
+        return self._children[n]
 
     def parent(self, n: int) -> Optional[int]:
-        return self.nodes[n].parent
+        return self._parent[n]
 
     def depth(self, n: int) -> int:
         return self._depth[n]
@@ -169,8 +154,8 @@ class ZielonkaTree:
     def ancestors(self, n: int) -> list[int]:
         """Path from the root down to n, inclusive."""
         path = [n]
-        while self.nodes[path[-1]].parent is not None:
-            path.append(self.nodes[path[-1]].parent)
+        while self._parent[path[-1]] is not None:
+            path.append(self._parent[path[-1]])
         path.reverse()
         return path
 
@@ -192,7 +177,7 @@ class ZielonkaTree:
     # -- navigation --------------------------------------------------------
 
     def next_child(self, n: int, c: int) -> int:
-        if not 0 <= c < len(self.nodes) or self.nodes[c].parent != n:
+        if not 0 <= c < len(self._mask) or self._parent[c] != n:
             raise ConditionError(f"node {c} is not a child of node {n}")
         return self._next_sibling[c]
 
@@ -204,8 +189,8 @@ class ZielonkaTree:
         if not self.is_ancestor(n, leaf):
             raise ConditionError(f"node {n} is not an ancestor of leaf {leaf}")
         branch = leaf
-        while self.nodes[branch].parent != n:
-            branch = self.nodes[branch].parent
+        while self._parent[branch] != n:
+            branch = self._parent[branch]
         target = self._next_sibling[branch]
         return frozenset(self.leaves_below(target)), self._leftmost[target]
 
@@ -227,10 +212,10 @@ class ZielonkaTree:
         out: dict[int, int] = {}
 
         def assign(n: int, offset: int) -> None:
-            kids = self.nodes[n].children
+            kids = self._children[n]
             if not kids:
                 out[n] = offset + 1
-            elif self.nodes[n].round:
+            elif self._round[n]:
                 for k in kids:
                     assign(k, offset)
                     offset += self._memtree[k]
@@ -243,13 +228,13 @@ class ZielonkaTree:
 
     def to_dot(self) -> str:
         lines = ["digraph zielonka {", "  ordering=out;"]
-        for node in self.nodes:
-            shape = "ellipse" if node.round else "box"
-            text = "{%s}" % ",".join(node.label)
-            lines.append(f'  {self.node_name(node.ident)} [shape={shape}, label="{text}"];')
-        for node in self.nodes:
-            for k in node.children:
-                lines.append(f"  {self.node_name(node.ident)} -> {self.node_name(k)};")
+        for n in range(len(self)):
+            shape = "ellipse" if self._round[n] else "box"
+            text = "{%s}" % ",".join(self.label(n))
+            lines.append(f'  {self.node_name(n)} [shape={shape}, label="{text}"];')
+        for n, kids in enumerate(self._children):
+            for k in kids:
+                lines.append(f"  {self.node_name(n)} -> {self.node_name(k)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -429,6 +429,14 @@ HOA_DEFECTS = {
     "Start-x": (lambda ls: [ln.replace("Start: 0", "Start: x") for ln in ls], "line 3"),
     "State-x": (lambda ls: [ln.replace("State: 1", "State: x") for ln in ls], "line 16"),
     "destination": (lambda ls: ls[:9] + [ls[9].replace("] 0", "] zero")] + ls[10:], "line 10"),
+    # A header that contradicts the body: the acc-name's formula, the
+    # Acceptance: line itself, and the count of quoted AP names.
+    "Acceptance-Inf": (
+        lambda ls: [ln.replace("4 (Fin(0)&Inf(1))|(Fin(2)&Inf(3))", "1 Inf(0)") for ln in ls],
+        "line 6",
+    ),
+    "no-Acceptance": (lambda ls: [ln for ln in ls if not ln.startswith("Acceptance:")], "'Acceptance:'"),
+    "AP-nine": (lambda ls: [ln.replace("AP: 3", "AP: 9") for ln in ls], "line 4"),
 }
 
 
@@ -447,15 +455,46 @@ def test_parse_hoa_names_the_offending_line(running_condition, defect):
      ("parity max even 3", "{-1}")],
 )
 def test_parse_hoa_rejects_marks_outside_the_declared_sets(acc_name, marks):
+    acceptance = {
+        "Rabin 0": "0 f", "Rabin 1": "2 (Fin(0)&Inf(1))",
+        "parity max even 3": "3 Inf(2) | (Fin(1) & Inf(0))",
+    }[acc_name]
+
     def document(marks):
         return "\n".join([
             "HOA: v1", "States: 1", "Start: 0", 'AP: 1 "a"', f"acc-name: {acc_name}",
-            "--BODY--", "State: 0", f"[0] 0 {marks}", "--END--",
+            f"Acceptance: {acceptance}", "--BODY--", "State: 0", f"[0] 0 {marks}", "--END--",
         ])
 
     parse_hoa(document("{0}" if acc_name != "Rabin 0" else ""))
-    with pytest.raises(AutomatonError, match="HOA line 8: acceptance mark outside"):
+    with pytest.raises(AutomatonError, match="HOA line 9: acceptance mark outside"):
         parse_hoa(document(marks))
+
+
+def test_parse_hoa_checks_set_counts():
+    # The formula an acc-name stands for is built only when the Acceptance:
+    # line is long enough to hold it, and without recursing per priority.
+    def document(acc_name, acceptance):
+        return "\n".join([
+            "HOA: v1", "States: 1", "Start: 0", 'AP: 1 "a"', f"acc-name: {acc_name}",
+            f"Acceptance: {acceptance}", "--BODY--", "State: 0", "[0] 0 {0}", "--END--",
+        ])
+
+    with pytest.raises(AutomatonError, match="HOA line 5: too few"):
+        parse_hoa(document("Rabin -1", "-2 f"))
+    with pytest.raises(AutomatonError, match="HOA line 5: too few"):
+        parse_hoa(document("parity max even 0", "0 Inf(0)"))
+    with pytest.raises(AutomatonError, match="HOA line 6"):
+        parse_hoa(document("parity max even 100000000", "100000000 Inf(0)"))
+    with pytest.raises(AutomatonError, match="HOA line 6"):
+        parse_hoa(document("Rabin 100000000", "200000000 f"))
+    top = 3000
+    formula = export_hoa(Automaton(
+        [0], Alphabet("a"), [0], [Transition(0, "a", "c", 0)],
+        ParityCondition(Alphabet(["c"]), {"c": top}),
+    )).splitlines()[5].partition(" ")[2]
+    parsed = parse_hoa(document(f"parity max even {top + 1}", formula))
+    assert parsed.acceptance.priorities == {"m0": 0}
 
 
 def random_table_automaton_args(rng, acceptance_kind):

@@ -307,3 +307,15 @@ def test_report_non_5p_without_exact_flag():
     row = succinctness_report(8, exact_chi=False)
     assert row.method == "clique bound only"
     assert row.det_rabin_lower >= 1
+
+
+def test_exact_chi_over_budget_reports_the_default_bound():
+    # A search that runs out proves nothing exact: the row carries the
+    # default mode's bound and method, and says the search ran out.
+    for n in (7, 10):
+        default = succinctness_report(n)
+        row = succinctness_report(n, exact_chi=True, budget=10)
+        assert row.det_rabin_lower == default.det_rabin_lower
+        assert row.binomial == default.binomial
+        assert row.method == f"{default.method} (exact search over budget)"
+    assert succinctness_report(10, exact_chi=True, budget=10).det_rabin_lower == 12

@@ -6,6 +6,7 @@ import pytest
 from mullergames.conditions import Alphabet, ConditionError, MullerCondition, restrict
 from mullergames.zielonka import ZielonkaTree, build_zielonka
 from conftest import (
+    ReferenceZielonkaTree,
     all_muller_conditions,
     random_muller_condition,
     reference_root_path,
@@ -240,3 +241,44 @@ def test_step_rejects_inner_nodes_and_foreign_letters(running_tree):
         running_tree.step(GAMMA, "a")
     with pytest.raises(ConditionError):
         running_tree.step(DELTA, "z")
+
+
+def reference_oracle_conditions():
+    """F_2..F_10, the running example, and 300 seeded random conditions over
+    at most seven letters."""
+    from mullergames.succinctness import condition_fn
+
+    for n in range(2, 11):
+        yield condition_fn(n)
+    yield MullerCondition(Alphabet("abc"), [["a", "b"], ["a", "c"], ["b"]])
+    rng = random.Random(1998)
+    for _ in range(300):
+        yield random_muller_condition(rng, Alphabet("abcdefg"[: rng.randint(1, 7)]))
+
+
+def test_integer_tree_matches_the_record_tree():
+    for cond in reference_oracle_conditions():
+        for order in (None, lambda ms: sorted(ms, reverse=True)):
+            tree, ref = build_zielonka(cond, order), ReferenceZielonkaTree(cond, order)
+            assert len(tree) == len(ref)
+            ids = range(len(ref))
+            for n in ids:
+                assert tree.label(n) == ref.label(n)  # alphabet and mask
+                assert tree.is_round(n) == ref.is_round(n)
+                assert tree.parent(n) == ref.parent(n)
+                assert tree.children(n) == ref.children(n)
+                assert tree.depth(n) == ref.depth(n)
+                assert tree.memtree(n) == ref.memtree(n)
+                assert tree.leaves_below(n) == ref.leaves_below(n)
+                assert tree.leftmost_leaf(n) == ref.leftmost_leaf(n)
+                if ref.parent(n) is not None:
+                    assert tree.next_child(ref.parent(n), n) == ref.next_child(ref.parent(n), n)
+                # `is_ancestor` on every pair (a, n): a parent's id is below its
+                # children's, so the ancestors come out in root-path order.
+                holds = map(tree.is_ancestor, ids, itertools.repeat(n))
+                assert list(itertools.compress(ids, holds)) == ref.ancestors(n)
+            assert tree.height == ref.height
+            assert tree.leaves() == ref.leaves()
+            assert tree.eta() == ref.eta()
+            assert tree.step_table == ref.step_table
+            assert tree.to_dot() == ref.to_dot()
