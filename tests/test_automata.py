@@ -397,6 +397,11 @@ HOA_DIGESTS = {
     ("F8", "parity"): "32a4ac7bfcbaac906cf6469eab91b02b5e9786417c28da7eb0cf49e1f0ddad46",
     ("random5", "gfg"): "2ff8d9e6d45cc9a5a0b091a4b401e36095f15e7a1f99373281197e57f6aaea27",
     ("random5", "parity"): "3b0b42a5e4012a70db24a69214104b4fece5fa808e8db3eef7adef80b934d9cd",
+    ("running", "simplified"): "9599311d0fb587fdd840640dc1a4bfbfd1ffb65c2d8493a7c9474ea9b8fa1eda",
+    ("F6", "simplified"): "43ede2dc9b7769faa7b6bc68fe77ad2d7ca7b8dbad08b0994ad77ea8ff6b7a6c",
+    ("F8", "simplified"): "6401779b4dc4d8b91320677573345480606fead29dab14d2be8646b885b51bf5",
+    ("random5", "simplified"): "e851065d218a8340b05639abf0a48f27af85cefaa3e577b6f1cfa46d02a61a30",
+    ("zero-pairs", "rabin"): "85a54facec30c2d7b9de1de394d12ef0a963f63650821f566945c8b747198648",
 }
 
 
@@ -408,13 +413,26 @@ def test_export_hoa_bytes_are_pinned(running_condition):
         "random5": random_muller_condition(random.Random(2204), Alphabet("abcde")),
     }
     for name, cond in conditions.items():
+        gfg = build_gfg_rabin(cond).automaton
         built = {
-            "gfg": build_gfg_rabin(cond).automaton,
+            "gfg": gfg,
+            "simplified": simplify_rabin(gfg),
             "parity": build_parity_automaton(cond),
         }
         for kind, aut in built.items():
             digest = hashlib.sha256(export_hoa(aut).encode()).hexdigest()
             assert digest == HOA_DIGESTS[(name, kind)], (name, kind)
+    # No pairs: `Acceptance: 0 f`, and no transition carries a mark.
+    zero = Automaton(
+        [0, 1],
+        Alphabet("ab"),
+        [0],
+        [(0, "a", "x", 1), (0, "b", "y", 0), (1, "a", "x", 1), (1, "b", "x", 0)],
+        RabinCondition(Alphabet(["x", "y"]), []),
+    )
+    text = export_hoa(zero)
+    assert hashlib.sha256(text.encode()).hexdigest() == HOA_DIGESTS[("zero-pairs", "rabin")]
+    assert export_hoa(parse_hoa(text)) == text
 
 
 def running_hoa_lines(running_condition):
