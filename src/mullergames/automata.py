@@ -12,6 +12,7 @@ shares both.  Duplicated edges can be merged without changing the language.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from ._graph import dense_components, reachable
@@ -454,28 +455,39 @@ def _hoa_acceptance(rabin: bool, count: int) -> tuple[str, str]:
     return f"parity max even {count}", f"{count} {_parity_formula(count - 1)}"
 
 
-def _colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:
-    """The HOA marks of each colour index on a transition: 2i when it is red
-    and 2i + 1 when it is green for Rabin pair i, or its priority for parity
-    acceptance."""
+def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]:
+    """The HOA mark text of each colour index on a transition, and a key
+    that orders colours as their tuples of marks do.
+
+    A colour carries mark 2i when it is red and 2i + 1 when it is green for
+    Rabin pair i, or its priority for parity acceptance."""
     acceptance = automaton.acceptance
-    colours = {c for row in automaton.moves for cell in row for c, _ in cell}
+    used = {c for row in automaton.moves for cell in row for c, _ in cell}
     if isinstance(acceptance, RabinCondition):
-        pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
-        out = {}
-        for colour in colours:
-            bit = 1 << colour
-            marks = []
-            for i, (green, red) in enumerate(pairs):
-                if red & bit:
-                    marks.append(2 * i)
-                if green & bit:
-                    marks.append(2 * i + 1)
-            out[colour] = tuple(marks)
-        return out
+        # Row m of `table` selects the colours that carry mark m, one 0/1
+        # byte per colour, so table[c::width] is colour c's selector over
+        # the marks.  Code point m stands for mark m in the sort key.
+        width = len(acceptance.colours)
+        bits = bytes.maketrans(b"01", b"\0\1")
+        rows = [
+            format(mask, f"0{width}b")[::-1].encode().translate(bits)
+            for green, red in acceptance.pairs
+            for mask in (red.mask, green.mask)
+        ]
+        table = b"".join(rows)
+        marks = [str(m) for m in range(len(rows))]
+        points = [chr(m) for m in range(len(rows))]
+        text, key = {}, {}
+        for c in used:
+            column = table[c::width]
+            joined = " ".join(compress(marks, column))
+            text[c] = " {%s}" % joined if joined else ""
+            key[c] = "".join(compress(points, column))
+        return text, key
     if isinstance(acceptance, ParityCondition):
         symbols = acceptance.colours.symbols
-        return {colour: (acceptance.priority(symbols[colour]),) for colour in colours}
+        key = {c: acceptance.priority(symbols[c]) for c in used}
+        return {c: " {%s}" % p for c, p in key.items()}, key
     raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
 
@@ -505,17 +517,12 @@ def export_hoa(automaton: Automaton) -> str:
     labels = [
         "&".join(("%d" if i == ap else "!%d") % i for i in range(n_ap)) for ap in range(n_ap)
     ]
-    marks = _colour_marks(automaton)
-    mark_text = {
-        c: (" {%s}" % " ".join(map(str, m))) if m else "" for c, m in marks.items()
-    }
+    text, key = _hoa_marks(automaton)
     for s, row in enumerate(automaton.moves):
         lines.append(f"State: {s}")
-        rows = sorted(
-            (ap, d, marks[c], mark_text[c]) for ap, cell in enumerate(row) for c, d in cell
-        )
-        for ap, d, _, text in rows:
-            lines.append(f"[{labels[ap]}] {d}{text}")
+        rows = sorted((ap, d, key[c], text[c]) for ap, cell in enumerate(row) for c, d in cell)
+        for ap, d, _, marks in rows:
+            lines.append(f"[{labels[ap]}] {d}{marks}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -580,6 +587,7 @@ def parse_hoa(text: str) -> Automaton:
 
     # Transitions, keyed by the current "State:" block.
     transitions: list[tuple[int, str, tuple[int, ...], int]] = []
+    read_marks: dict[str, tuple[int, ...]] = {}  # a line's mark text -> its sorted marks
     current = None
     for no, line in lines[body_at + 1 :]:
         if line == "--END--":
@@ -602,11 +610,14 @@ def parse_hoa(text: str) -> Automaton:
         rest = rest.strip()
         if "{" in rest:
             dst_text, marks_text = rest.split("{", 1)
-            marks = tuple(sorted(integer(m, no, line) for m in marks_text.rstrip("}").split()))
-            if marks and not 0 <= marks[0] <= marks[-1] < sets:
-                raise AutomatonError(
-                    f"HOA line {no}: acceptance mark outside the {sets} declared sets in {line!r}"
-                )
+            marks = read_marks.get(marks_text)
+            if marks is None:
+                marks = tuple(sorted(integer(m, no, line) for m in marks_text.rstrip("}").split()))
+                if marks and not 0 <= marks[0] <= marks[-1] < sets:
+                    raise AutomatonError(
+                        f"HOA line {no}: acceptance mark outside the {sets} declared sets in {line!r}"
+                    )
+                read_marks[marks_text] = marks
         else:
             dst_text, marks = rest, ()
         dst = integer(dst_text.strip(), no, line)
@@ -618,11 +629,11 @@ def parse_hoa(text: str) -> Automaton:
 
     acceptance: AnyCondition
     if rabin:
-        pairs = []
-        for i in range(sets // 2):
-            green = [colour_names[m] for m in mark_sets if 2 * i + 1 in m]
-            red = [colour_names[m] for m in mark_sets if 2 * i in m]
-            pairs.append((green, red))
+        holders: list[list[str]] = [[] for _ in range(sets)]  # the colours with each mark
+        for marks in mark_sets:
+            for mark in marks:
+                holders[mark].append(colour_names[marks])
+        pairs = [(holders[2 * i + 1], holders[2 * i]) for i in range(sets // 2)]
         acceptance = RabinCondition(colours, pairs)
     else:
         priorities = {}
@@ -648,7 +659,7 @@ def parse_hoa(text: str) -> Automaton:
 
 def hoa_signature(automaton: Automaton):
     """What HOA preserves: sizes, start states, and mark-labelled edges."""
-    marks, letters = _colour_marks(automaton), automaton.alphabet.symbols
+    marks, letters = _hoa_marks(automaton)[0], automaton.alphabet.symbols
     return (
         len(automaton.states),
         tuple(sorted(automaton.start)),

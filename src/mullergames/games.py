@@ -569,7 +569,7 @@ def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
         # when the mask is accepted, and then every rejected subset of the
         # mask lies inside one of that node's children.
         tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
-        labels = [tree.label(n).mask for n in range(len(tree))]
+        labels = [tree.mask(n) for n in range(len(tree))]
 
         def refine(mask: int) -> Optional[list[int]]:
             node = tree.root

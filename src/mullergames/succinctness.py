@@ -206,20 +206,6 @@ def clique_lower_bound(graph: ConditionGraph) -> int:
     return max(1, len(_greedy_clique(active, adj)))
 
 
-def det_rabin_lower_bound(
-    condition: MullerCondition, budget: int = 10**7
-) -> int:
-    """Chromatic number of the condition graph: a lower bound on the size of
-    any deterministic Rabin automaton for the condition.  Falls back to the
-    clique bound when the exact search exceeds its budget."""
-    graph = build_condition_graph(condition)
-    try:
-        k, _ = chromatic_number(graph, "exact", budget)
-        return k
-    except SearchBudgetError:
-        return clique_lower_bound(graph)
-
-
 def independent_bound_chi(graph_or_size, m: int) -> int:
     """ceil(|V| / m) for an upper bound m on independent-set size."""
     if m < 1:

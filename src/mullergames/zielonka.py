@@ -129,6 +129,10 @@ class ZielonkaTree:
     def label(self, n: int) -> LetterSet:
         return self.alphabet.from_mask(self._mask[n])
 
+    def mask(self, n: int) -> int:
+        """The letter mask of node n's label."""
+        return self._mask[n]
+
     def is_round(self, n: int) -> bool:
         return self._round[n]
 

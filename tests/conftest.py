@@ -4,8 +4,21 @@ from typing import Callable, Hashable, Iterable, Optional, TypeVar
 import pytest
 
 from mullergames._graph import dense_components
-from mullergames.automata import Automaton, AutomatonError, State, Transition
-from mullergames.conditions import Alphabet, ConditionError, LetterSet, MullerCondition, RabinCondition
+from mullergames.automata import Automaton, AutomatonError, State, Transition, _hoa_acceptance
+from mullergames.conditions import (
+    Alphabet,
+    ConditionError,
+    LetterSet,
+    MullerCondition,
+    ParityCondition,
+    RabinCondition,
+)
+from mullergames.succinctness import (
+    SearchBudgetError,
+    build_condition_graph,
+    chromatic_number,
+    clique_lower_bound,
+)
 from mullergames.zielonka import ChildOrder, build_zielonka
 
 
@@ -688,6 +701,93 @@ def reference_simplify_rabin(automaton: Automaton) -> Automaton:
     )
 
 
+def _reference_colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:
+    """The HOA marks of each colour index on a transition: 2i when it is red
+    and 2i + 1 when it is green for Rabin pair i, or its priority for parity
+    acceptance."""
+    acceptance = automaton.acceptance
+    colours = {c for row in automaton.moves for cell in row for c, _ in cell}
+    if isinstance(acceptance, RabinCondition):
+        pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
+        out = {}
+        for colour in colours:
+            bit = 1 << colour
+            marks = []
+            for i, (green, red) in enumerate(pairs):
+                if red & bit:
+                    marks.append(2 * i)
+                if green & bit:
+                    marks.append(2 * i + 1)
+            out[colour] = tuple(marks)
+        return out
+    if isinstance(acceptance, ParityCondition):
+        symbols = acceptance.colours.symbols
+        return {colour: (acceptance.priority(symbols[colour]),) for colour in colours}
+    raise AutomatonError("HOA export supports Rabin and parity acceptance only")
+
+
+def reference_export_hoa(automaton: Automaton) -> str:
+    """The HOA writer the selector table replaced: it loops over every
+    colour and every pair for the marks, and sorts each state's lines by
+    their mark tuples.
+
+    HOA v1 text with transition-based acceptance.
+
+    Input letter k is encoded as the minterm where only AP k holds.
+    """
+    acc = automaton.acceptance
+    if isinstance(acc, RabinCondition):
+        acc_name, acceptance = _hoa_acceptance(True, len(acc.pairs))
+    elif isinstance(acc, ParityCondition):
+        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities.values()) + 1)
+    else:
+        raise AutomatonError("HOA export supports Rabin and parity acceptance only")
+
+    lines = ["HOA: v1", f"States: {len(automaton.states)}"]
+    for s in sorted(automaton.start):
+        lines.append(f"Start: {s}")
+    aps = " ".join(f'"{a}"' for a in automaton.alphabet.symbols)
+    lines.append(f"AP: {len(automaton.alphabet)} {aps}")
+    lines.append(f"acc-name: {acc_name}")
+    lines.append(f"Acceptance: {acceptance}")
+    lines.append("properties: trans-labels explicit-labels trans-acc")
+    lines.append("--BODY--")
+    n_ap = len(automaton.alphabet)
+    labels = [
+        "&".join(("%d" if i == ap else "!%d") % i for i in range(n_ap)) for ap in range(n_ap)
+    ]
+    marks = _reference_colour_marks(automaton)
+    mark_text = {
+        c: (" {%s}" % " ".join(map(str, m))) if m else "" for c, m in marks.items()
+    }
+    for s, row in enumerate(automaton.moves):
+        lines.append(f"State: {s}")
+        rows = sorted(
+            (ap, d, marks[c], mark_text[c]) for ap, cell in enumerate(row) for c, d in cell
+        )
+        for ap, d, _, text in rows:
+            lines.append(f"[{labels[ap]}] {d}{text}")
+    lines.append("--END--")
+    return "\n".join(lines) + "\n"
+
+
+def reference_hoa_signature(automaton: Automaton):
+    """The signature over mark tuples that mark texts replaced.
+
+    What HOA preserves: sizes, start states, and mark-labelled edges."""
+    marks, letters = _reference_colour_marks(automaton), automaton.alphabet.symbols
+    return (
+        len(automaton.states),
+        tuple(sorted(automaton.start)),
+        frozenset(
+            (s, letters[a], marks[c], d)
+            for s, row in enumerate(automaton.moves)
+            for a, cell in enumerate(row)
+            for c, d in cell
+        ),
+    )
+
+
 def reference_brute_force_winner(game, condition=None, budget=2_000_000):
     """The name-keyed brute force the table search replaced, returning
     (winner, search nodes visited).  It grows `sigma` and `mu` dicts, walks
@@ -797,3 +897,17 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         return False
 
     return (EXIST if search({}, {}) else UNIV), counter[0]
+
+
+def det_rabin_lower_bound(
+    condition: MullerCondition, budget: int = 10**7
+) -> int:
+    """Chromatic number of the condition graph: a lower bound on the size of
+    any deterministic Rabin automaton for the condition.  Falls back to the
+    clique bound when the exact search exceeds its budget."""
+    graph = build_condition_graph(condition)
+    try:
+        k, _ = chromatic_number(graph, "exact", budget)
+        return k
+    except SearchBudgetError:
+        return clique_lower_bound(graph)

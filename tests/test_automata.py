@@ -32,6 +32,8 @@ from mullergames.zielonka import build_zielonka
 from conftest import (
     ReferenceRabinLassoChecker,
     random_muller_condition,
+    reference_export_hoa,
+    reference_hoa_signature,
     reference_simplify_rabin,
 )
 
@@ -433,6 +435,40 @@ def test_export_hoa_bytes_are_pinned(running_condition):
     text = export_hoa(zero)
     assert hashlib.sha256(text.encode()).hexdigest() == HOA_DIGESTS[("zero-pairs", "rabin")]
     assert export_hoa(parse_hoa(text)) == text
+
+
+def hoa_oracle_automata():
+    """(automaton, whether to round-trip it) for the writer oracle: the GFG,
+    simplified and parity automata of F_2..F_11 and of 16 seeded random
+    conditions over at most 7 letters.  Parsing F_10's and F_11's GFG files
+    (6 and 21 MB) takes about 2 s, so those two are written but not re-read."""
+    conditions = [condition_fn(n) for n in range(2, 12)]
+    rng = random.Random(1411)
+    conditions += [
+        random_muller_condition(rng, Alphabet("abcdefg"[: rng.randint(1, 7)])) for _ in range(16)
+    ]
+    for cond in conditions:
+        gfg = build_gfg_rabin(cond).automaton
+        yield gfg, len(gfg.transitions) < 5000
+        yield simplify_rabin(gfg), True
+        yield build_parity_automaton(cond), True
+
+
+def test_export_hoa_matches_the_reference_writer():
+    previous = None
+    for aut, round_trip in hoa_oracle_automata():
+        text = export_hoa(aut)
+        assert text == reference_export_hoa(aut)
+        signatures = (hoa_signature(aut), reference_hoa_signature(aut))
+        others = [previous] if previous is not None else []
+        if round_trip:
+            parsed = parse_hoa(text)
+            assert export_hoa(parsed) == reference_export_hoa(parsed) == text
+            others.append((hoa_signature(parsed), reference_hoa_signature(parsed)))
+        # Signatures agree with the reference's verdicts, equal or not.
+        for new, old in others:
+            assert (new == signatures[0]) == (old == signatures[1])
+        previous = signatures
 
 
 def running_hoa_lines(running_condition):

@@ -20,7 +20,6 @@ from mullergames.succinctness import (
     chromatic_number,
     clique_lower_bound,
     condition_fn,
-    det_rabin_lower_bound,
     fscc,
     independent_bound_chi,
     report_to_dict,
@@ -29,7 +28,7 @@ from mullergames.succinctness import (
     verify_disjoint_fscc,
 )
 from mullergames.zielonka import build_zielonka
-from conftest import random_muller_condition
+from conftest import det_rabin_lower_bound, random_muller_condition
 
 
 def test_condition_fn_examples():

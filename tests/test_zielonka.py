@@ -264,6 +264,7 @@ def test_integer_tree_matches_the_record_tree():
             ids = range(len(ref))
             for n in ids:
                 assert tree.label(n) == ref.label(n)  # alphabet and mask
+                assert tree.mask(n) == ref.label(n).mask
                 assert tree.is_round(n) == ref.is_round(n)
                 assert tree.parent(n) == ref.parent(n)
                 assert tree.children(n) == ref.children(n)
