@@ -557,7 +557,8 @@ def parse_hoa(text: str) -> Automaton:
             raise AutomatonError(f"HOA document has no '{name}:' header line")
         return headers[name][0]
 
-    n_states = integer(*header("States"))
+    states_value, states_no, states_line = header("States")
+    n_states = integer(states_value, states_no, states_line)
     starts = [integer(*entry) for entry in headers.get("Start", [])]
     ap_value, ap_no, ap_line = header("AP")
     alphabet = Alphabet(ap_value.split('"')[1::2])
@@ -585,9 +586,12 @@ def parse_hoa(text: str) -> Automaton:
     if "".join(value.split()) != "".join(expected.split()):
         raise AutomatonError(f"HOA line {no}: {line!r} does not match acc-name {acc_name!r}")
 
-    # Transitions, keyed by the current "State:" block.
+    # Transitions, keyed by the current "State:" block.  Each declared
+    # state has exactly one block, so the header cannot make the checkers
+    # allocate for states the body never describes.
     transitions: list[tuple[int, str, tuple[int, ...], int]] = []
     read_marks: dict[str, tuple[int, ...]] = {}  # a line's mark text -> its sorted marks
+    blocks: set[int] = set()
     current = None
     for no, line in lines[body_at + 1 :]:
         if line == "--END--":
@@ -595,8 +599,15 @@ def parse_hoa(text: str) -> Automaton:
         if line.startswith("State:"):
             parts = line.split()
             current = integer(parts[1] if len(parts) > 1 else "", no, line)
+            if not 0 <= current < n_states:
+                raise AutomatonError(
+                    f"HOA line {no}: state {current} is not one of the {n_states} declared"
+                )
+            if current in blocks:
+                raise AutomatonError(f"HOA line {no}: a second block for state {current}")
+            blocks.add(current)
             continue
-        if not line.startswith("[") or "]" not in line:
+        if not line.startswith("[") or "]" not in line or current is None:
             raise AutomatonError(f"HOA line {no}: unexpected body line {line!r}")
         label, rest = line[1:].split("]", 1)
         positive = [term for term in label.split("&") if not term.startswith("!")]
@@ -622,6 +633,13 @@ def parse_hoa(text: str) -> Automaton:
             dst_text, marks = rest, ()
         dst = integer(dst_text.strip(), no, line)
         transitions.append((current, alphabet.symbols[ap], marks, dst))
+
+    if len(blocks) < n_states:
+        missing = next(s for s in range(n_states) if s not in blocks)
+        raise AutomatonError(
+            f"HOA line {states_no}: declared state {missing} has no 'State:' block"
+            f" ({states_line!r})"
+        )
 
     mark_sets = sorted({marks for _, _, marks, _ in transitions})
     colour_names = {marks: ("-" if not marks else "m" + "_".join(map(str, marks))) for marks in mark_sets}

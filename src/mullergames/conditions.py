@@ -74,14 +74,6 @@ class Alphabet:
     def full(self) -> "LetterSet":
         return LetterSet(self, (1 << len(self.symbols)) - 1)
 
-    def empty(self) -> "LetterSet":
-        return LetterSet(self, 0)
-
-    def subsets(self) -> Iterator["LetterSet"]:
-        """All 2^n subsets, in mask order."""
-        for mask in range(1 << len(self.symbols)):
-            yield LetterSet(self, mask)
-
 
 @dataclass(frozen=True)
 class LetterSet:
@@ -104,28 +96,8 @@ class LetterSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def __le__(self, other: "LetterSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def __or__(self, other: "LetterSet") -> "LetterSet":
-        self._check(other)
-        return LetterSet(self.alphabet, self.mask | other.mask)
-
-    def __and__(self, other: "LetterSet") -> "LetterSet":
-        self._check(other)
-        return LetterSet(self.alphabet, self.mask & other.mask)
-
-    def __sub__(self, other: "LetterSet") -> "LetterSet":
-        self._check(other)
-        return LetterSet(self.alphabet, self.mask & ~other.mask)
-
     def __repr__(self) -> str:
         return "{%s}" % ",".join(self)
-
-    def _check(self, other: "LetterSet") -> None:
-        if self.alphabet != other.alphabet:
-            raise ConditionError("letter sets over different alphabets")
 
     def names(self) -> tuple[str, ...]:
         return tuple(self)

@@ -13,7 +13,10 @@ A product is built straight into it and names its vertices and edges only
 when a caller reads them.  There is one solver per kind of game, both on
 the arena and each under its own game's condition: Zielonka's recursion
 for parity games (`solve_parity_game`) and its Rabin form, where Exist
-always has a positional strategy (`positional_rabin_strategy`).  Each
+always has a positional strategy (`positional_rabin_strategy`).  Both are
+written as one loop that removes the opponent's attractor to what it wins
+and continues, so a parity solve recurses at most as deep as its number of
+distinct priorities and a Rabin solve as its number of colours.  Each
 result is re-checked before it is returned, and the two products must
 agree on the initial vertex's winner.
 
@@ -400,50 +403,17 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
     return attr, strat
 
 
-def _zielonka_solve(nodes: frozenset, arena: Arena, prio: Sequence[int]) -> tuple[set, set, dict]:
-    """Recursive attractor decomposition for max-parity vertex games.
-
-    Returns (win_even, win_odd, strategy) where the strategy maps each node
-    to the move its winner takes there.
-    """
-    if not nodes:
-        return set(), set(), {}
-    succ, owners = arena.succ, arena.owners
-    top = max(prio[v] for v in nodes)
-    player = top % 2
-    target = {v for v in nodes if prio[v] == top}
-    attr, attr_strat = _attract(player, target, nodes, arena)
-    rest = frozenset(nodes - attr)
-    w_even, w_odd, strat = _zielonka_solve(rest, arena, prio)
-    w_opp = w_odd if player == 0 else w_even
-    if not w_opp:
-        full_strat = dict(strat)
-        full_strat.update(attr_strat)
-        for v in target:
-            if owners[v] == player and v not in full_strat:
-                full_strat[v] = next(w for w in succ[v] if w in nodes)
-        win = set(nodes)
-        return (win, set(), full_strat) if player == 0 else (set(), win, full_strat)
-    opp = 1 - player
-    oattr, oattr_strat = _attract(opp, set(w_opp), nodes, arena)
-    rest2 = frozenset(nodes - oattr)
-    w_even2, w_odd2, strat2 = _zielonka_solve(rest2, arena, prio)
-    merged = dict(strat2)
-    for v, w in strat.items():
-        if v in w_opp and owners[v] == opp:
-            merged.setdefault(v, w)
-    for v, w in oattr_strat.items():
-        merged.setdefault(v, w)
-    if player == 0:
-        return w_even2, set(w_odd2) | oattr, merged
-    return set(w_even2) | oattr, w_odd2, merged
-
-
 def solve_parity_game(game: GameGraph) -> GameSolution:
     """Winning regions and positional strategies for an edge-coloured
     max-even parity game; silent edges never dominate a cycle.
 
-    Both strategies are re-verified by cycle analysis before returning.
+    Zielonka's recursion in `positional_rabin_strategy`'s loop form: while
+    nodes remain, the player of the top priority attracts to it and the
+    rest is solved.  If the opponent wins nothing there, the player wins
+    all of the nodes; otherwise the opponent's attractor to its region
+    there is the opponent's, and is removed.  The one recursive call has a
+    lower top priority, so the depth is at most the number of distinct
+    priorities.  Both strategies are re-verified by cycle analysis.
     """
     condition = game.condition
     if not isinstance(condition, ParityCondition):
@@ -452,12 +422,34 @@ def solve_parity_game(game: GameGraph) -> GameSolution:
     shift += shift % 2  # keep parities intact
 
     # Midpoints carry their edge's priority and original vertices are
-    # neutral.  No silent-only cycles, so priority 0 never decides anything.
+    # neutral.  No silent-only cycles, so a top priority is never 0 and
+    # its nodes are coloured midpoints, which need no move.
     arena = game.arena
     by_colour = [condition.priority(c) + shift for c in arena.palette] + [0]
     prio = [by_colour[c] for c in arena.colours]
-    w_even, _, strat = _zielonka_solve(frozenset(range(len(prio))), arena, prio)
-    solution = GameSolution(game, w_even, strat)
+
+    def solve(nodes: set) -> tuple[set, dict]:
+        won: set = set()
+        strategy: dict = {}
+        while nodes:
+            top = max(prio[v] for v in nodes)
+            player = top % 2
+            attr, attr_strat = _attract(player, {v for v in nodes if prio[v] == top}, nodes, arena)
+            sub_won, sub_strat = solve(nodes - attr)
+            lost = sub_won if player else nodes - attr - sub_won
+            if not lost:
+                strategy.update(sub_strat)
+                strategy.update(attr_strat)
+                return (won if player else won | nodes), strategy
+            attr, attr_strat = _attract(1 - player, lost, nodes, arena)
+            strategy.update((v, m) for v, m in sub_strat.items() if v in lost)
+            strategy.update(attr_strat)
+            if player:
+                won |= attr
+            nodes = nodes - attr
+        return won, strategy
+
+    solution = GameSolution(game, *solve(set(range(len(prio)))))
     _verify_solution(solution, condition)
     return solution
 

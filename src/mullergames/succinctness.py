@@ -159,8 +159,6 @@ def _exact_chromatic(
     for k in range(lower, upper):
         # The clique forces pairwise-distinct colours 1..|clique|.
         colouring = {v: i + 1 for i, v in enumerate(clique)}
-        if len(clique) > k:
-            continue
         if assign(len(clique), colouring, k):
             return k, colouring
     return upper, greedy

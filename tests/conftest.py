@@ -1,5 +1,5 @@
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 import pytest
 
@@ -13,6 +13,7 @@ from mullergames.conditions import (
     ParityCondition,
     RabinCondition,
 )
+from mullergames.games import Arena, _attract
 from mullergames.succinctness import (
     SearchBudgetError,
     build_condition_graph,
@@ -897,6 +898,49 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         return False
 
     return (EXIST if search({}, {}) else UNIV), counter[0]
+
+
+# The two-call form of Zielonka's recursion that `solve_parity_game`'s loop
+# replaced: the oracle for its winning regions.
+
+
+def reference_zielonka_solve(nodes: frozenset, arena: Arena, prio: Sequence[int]) -> tuple[set, set, dict]:
+    """Recursive attractor decomposition for max-parity vertex games.
+
+    Returns (win_even, win_odd, strategy) where the strategy maps each node
+    to the move its winner takes there.
+    """
+    if not nodes:
+        return set(), set(), {}
+    succ, owners = arena.succ, arena.owners
+    top = max(prio[v] for v in nodes)
+    player = top % 2
+    target = {v for v in nodes if prio[v] == top}
+    attr, attr_strat = _attract(player, target, nodes, arena)
+    rest = frozenset(nodes - attr)
+    w_even, w_odd, strat = reference_zielonka_solve(rest, arena, prio)
+    w_opp = w_odd if player == 0 else w_even
+    if not w_opp:
+        full_strat = dict(strat)
+        full_strat.update(attr_strat)
+        for v in target:
+            if owners[v] == player and v not in full_strat:
+                full_strat[v] = next(w for w in succ[v] if w in nodes)
+        win = set(nodes)
+        return (win, set(), full_strat) if player == 0 else (set(), win, full_strat)
+    opp = 1 - player
+    oattr, oattr_strat = _attract(opp, set(w_opp), nodes, arena)
+    rest2 = frozenset(nodes - oattr)
+    w_even2, w_odd2, strat2 = reference_zielonka_solve(rest2, arena, prio)
+    merged = dict(strat2)
+    for v, w in strat.items():
+        if v in w_opp and owners[v] == opp:
+            merged.setdefault(v, w)
+    for v, w in oattr_strat.items():
+        merged.setdefault(v, w)
+    if player == 0:
+        return w_even2, set(w_odd2) | oattr, merged
+    return set(w_even2) | oattr, w_odd2, merged
 
 
 def det_rabin_lower_bound(

@@ -491,6 +491,26 @@ HOA_DEFECTS = {
     ),
     "no-Acceptance": (lambda ls: [ln for ln in ls if not ln.startswith("Acceptance:")], "'Acceptance:'"),
     "AP-nine": (lambda ls: [ln.replace("AP: 3", "AP: 9") for ln in ls], "line 4"),
+    # One "State:" block for each declared state, and none for any other.
+    "State-5": (lambda ls: [ln.replace("State: 1", "State: 5") for ln in ls], "line 16"),
+    "State-0-twice": (lambda ls: [ln.replace("State: 1", "State: 0") for ln in ls], "line 16"),
+    "States-three": (lambda ls: [ln.replace("States: 2", "States: 3") for ln in ls], "line 2"),
+    "no-State-0": (lambda ls: [ln for ln in ls if ln != "State: 0"], "line 9"),
+    # Body and acceptance lines the parser does not read.
+    "no-BODY": (lambda ls: [ln for ln in ls if ln != "--BODY--"], "--BODY--"),
+    "acc-name-Buchi": (lambda ls: [ln.replace("Rabin 2", "Buchi") for ln in ls], "'Buchi'"),
+    "two-letter-label": (lambda ls: ls[:9] + ["[0&1&!2] 0 {0}"] + ls[10:], "line 10"),
+    "AP-7": (lambda ls: ls[:9] + ["[7] 0 {0}"] + ls[10:], "line 10"),
+    "junk-body-line": (lambda ls: ls[:9] + ["junk"] + ls[10:], "line 10"),
+    "parity-two-marks": (
+        lambda ls: [
+            "acc-name: parity max even 4" if ln.startswith("acc-name:")
+            else "Acceptance: 4 Fin(3) & (Inf(2) | (Fin(1) & Inf(0)))"
+            if ln.startswith("Acceptance:") else ln
+            for ln in ls
+        ],
+        "exactly one mark",
+    ),
 }
 
 

@@ -293,8 +293,8 @@ def test_cmd_check_detects_corruption(capsys, condition_file, tmp_path):
 
 @pytest.mark.parametrize(
     "old, new",
-    [("States: 2", "States: two"), ("States: 2\n", "")],
-    ids=["non-integer-states", "missing-states"],
+    [("States: 2", "States: two"), ("States: 2\n", ""), ("States: 2\n", "States: 200000\n")],
+    ids=["non-integer-states", "missing-states", "states-without-blocks"],
 )
 def test_cmd_check_reports_malformed_hoa(capsys, condition_file, tmp_path, old, new):
     hoa = tmp_path / "rf.hoa"
@@ -419,6 +419,48 @@ def test_cmd_solve_rejects_mistyped_game(
     assert main(["solve", "--game", game, "--condition", condition_file]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _loop_game(**changes):
+    """A one-vertex Exist game with a loop on each letter, with `changes`
+    replacing its fields."""
+    doc = {
+        "vertices": [{"name": "x", "owner": "Exist"}],
+        "edges": [{"src": "x", "colour": c, "dst": "x"} for c in "abc"],
+        "initial": "x",
+    }
+    doc.update(changes)
+    return doc
+
+
+# Each case: (game document, a phrase of its error) under the running
+# example's condition.
+MALFORMED_GAMES = {
+    "not-an-object": (["x"], "must be an object"),
+    "vertex-not-an-object": (_loop_game(vertices=["x"]), "malformed vertex entry"),
+    "edge-without-colour": (_loop_game(edges=[{"src": "x", "dst": "x"}]), "malformed edge entry"),
+    "duplicate-vertex": (
+        _loop_game(vertices=[{"name": "x", "owner": "Exist"}, {"name": "x", "owner": "Univ"}]),
+        "duplicate vertex 'x'",
+    ),
+    "owner-Bob": (_loop_game(vertices=[{"name": "x", "owner": "Bob"}]), "Exist or Univ"),
+    "unknown-target": (
+        _loop_game(edges=[{"src": "x", "colour": "a", "dst": "y"}]), "unknown vertex"
+    ),
+    "foreign-colour": (
+        _loop_game(edges=[{"src": "x", "colour": "d", "dst": "x"}]),
+        "'d' is not a condition colour",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GAMES))
+def test_cmd_solve_rejects_malformed_game(capsys, condition_file, tmp_path, case):
+    doc, phrase = MALFORMED_GAMES[case]
+    assert main(["solve", "--game", game_file(tmp_path, doc), "--condition", condition_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert phrase in err
 
 
 def test_cmd_solve_reports_product_disagreement(capsys, condition_file, tmp_path, monkeypatch):

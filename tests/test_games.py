@@ -44,6 +44,7 @@ from conftest import (
     reference_product,
     reference_recurrence_sets_satisfy,
     reference_split_edges,
+    reference_zielonka_solve,
     strongly_connected_components,
 )
 
@@ -68,7 +69,7 @@ def alternation_game(condition):
 
 
 def random_game(rng, condition, max_vertices=4, max_edges=8, eps_prob=0.15):
-    letters = condition.alphabet.symbols
+    letters = condition_colours(condition).symbols
     while True:
         n = rng.randint(1, max_vertices)
         names = [f"v{i}" for i in range(n)]
@@ -187,6 +188,45 @@ def test_solvers_agree_on_both_arenas():
             ours, theirs = positional_rabin_strategy(product), positional_rabin_strategy(reference)
             assert ours.region == theirs.region
             assert ours.strategy == theirs.strategy
+
+
+def reference_parity_region(game):
+    """Exist's region by the two-call recursion, over every node id, on the
+    node priorities that `solve_parity_game` gives the arena."""
+    condition, arena = game.condition, game.arena
+    shift = max(0, 1 - min(condition.priorities.values()))
+    shift += shift % 2
+    by_colour = [condition.priority(c) + shift for c in arena.palette] + [0]
+    prio = [by_colour[c] for c in arena.colours]
+    return reference_zielonka_solve(frozenset(range(len(prio))), arena, prio)[0]
+
+
+def random_parity_game(rng):
+    """A random game over a run of priorities in 0-5; one with priority 0
+    makes `solve_parity_game` shift every priority."""
+    low = rng.randint(0, 5)
+    priorities = range(low, rng.randint(low, 5) + 1)
+    colours = Alphabet([str(p) for p in priorities])
+    condition = ParityCondition(colours, {str(p): p for p in priorities})
+    return random_game(rng, condition, max_vertices=20, max_edges=40, eps_prob=0.1)
+
+
+def test_parity_solver_agrees_with_the_two_call_recursion():
+    products = [
+        _build_product(game, automaton, ids).game
+        for game, automaton, ids, _ in product_cases(300)
+        if isinstance(automaton.acceptance, ParityCondition)
+    ]
+    rng = random.Random(1998)
+    randoms = [random_parity_game(rng) for _ in range(3000)]
+    shares = set()
+    for game in products + randoms:
+        won = solve_parity_game(game).won
+        assert won == reference_parity_region(game)
+        exist = sum(v < game.arena.base for v in won)
+        shares.add((exist > 0) + (exist == game.arena.base))
+    # Exist wins no vertex, some vertices and every vertex.
+    assert shares == {0, 1, 2}
 
 
 def test_product_builder_names_bad_automata():
