@@ -79,6 +79,23 @@ def test_cmd_build_gfg(capsys, condition_file, tmp_path):
     )
 
 
+# SHA-256 of `build --provenance`, recorded while the GFG builder still
+# named every transition.
+PROVENANCE_DIGESTS = {
+    "running": "8bebcce8910aca3419511c3a65448667154bc97a187a32767ab5728214710382",
+    6: "604857522fab780e38584e3e2c002bb1ed9122fcd4573800c8488ffb647e767d",
+    8: "3117e71acdbc493a6310a7c99c04527ec89c6472cabc408796180d3af3253e79",
+}
+
+
+@pytest.mark.parametrize("name", ["running", 6, 8], ids=str)
+def test_cmd_build_provenance_bytes_are_pinned(capsys, condition_file, tmp_path, name):
+    path = condition_file if name == "running" else fn_file(tmp_path, name)
+    prov = tmp_path / "prov.json"
+    assert main(["build", path, "--kind", "gfg-rabin", "--provenance", str(prov)]) == 0
+    assert hashlib.sha256(prov.read_bytes()).hexdigest() == PROVENANCE_DIGESTS[name]
+
+
 def test_cmd_build_parity(capsys, condition_file):
     assert main(["build", condition_file, "--kind", "parity"]) == 0
     assert "3 states" in capsys.readouterr().out
