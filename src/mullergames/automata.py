@@ -2,8 +2,9 @@
 
 Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
-membership.  An `Automaton` holds its transitions as one integer move
-table, which the lasso checkers, HOA/DOT export and `simplify_rabin` read.
+membership.  An `Automaton` is one integer move table, which the lasso
+checkers, HOA/DOT export and `simplify_rabin` read and which the builders
+write directly; its named `transitions` are made only when first read.
 The checkers compute verdicts per (state, period): each period is analysed
 once for every state and each prefix is run once, so sweeping many lassos
 shares both.  Duplicated edges can be merged without changing the language.
@@ -12,8 +13,9 @@ shares both.  Duplicated edges can be merged without changing the language.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ._graph import dense_components, reachable
 from .conditions import (
@@ -56,9 +58,10 @@ def accepts_colour_set(acceptance: AnyCondition, colours: Iterable[str]) -> bool
 class Automaton:
     """A non-deterministic automaton with colours on transitions.
 
-    `moves[s][a]` lists the (colour index, target index) of each transition
-    from state index s on letter index a, in transition order; `start` holds
-    the indices of the initial states."""
+    An automaton is its move table: `moves[s][a]` lists the (colour index,
+    target index) of each transition from state index s on letter index a,
+    and `start` holds the indices of the initial states.  The named
+    `transitions` are made from the table when first read."""
 
     def __init__(
         self,
@@ -68,24 +71,20 @@ class Automaton:
         transitions: Iterable[Transition | tuple],
         acceptance: AnyCondition,
     ):
-        self.states = tuple(states)
-        index = {q: i for i, q in enumerate(self.states)}
-        if len(index) != len(self.states):
+        states = tuple(states)
+        index = {q: i for i, q in enumerate(states)}
+        if len(index) != len(states):
             raise AutomatonError("duplicate states")
-        self.alphabet = alphabet
-        self.acceptance = acceptance
-        self.initial = tuple(initial)
-        if not self.initial:
+        initial = tuple(initial)
+        if not initial:
             raise AutomatonError("at least one initial state is required")
-        for q in self.initial:
+        for q in initial:
             if q not in index:
                 raise AutomatonError(f"initial state {q!r} not among the states")
-        self.start = tuple(index[q] for q in self.initial)
         letter = {a: i for i, a in enumerate(alphabet.symbols)}
         colour = {c: i for i, c in enumerate(condition_colours(acceptance).symbols)}
         moves: list[list[list[tuple[int, int]]]] = [[[] for _ in letter] for _ in index]
-        seen: set[Transition] = set()
-        ordered: list[Transition] = []
+        ordered: dict[Transition, None] = {}
         for t in transitions:
             t = t if isinstance(t, Transition) else Transition(*t)
             if t.src not in index or t.dst not in index:
@@ -94,25 +93,49 @@ class Automaton:
                 raise AutomatonError(f"transition letter {t.letter!r} not in input alphabet")
             if t.colour not in colour:
                 raise AutomatonError(f"transition colour {t.colour!r} not in output alphabet")
-            if t not in seen:
-                seen.add(t)
-                ordered.append(t)
+            if t not in ordered:
+                ordered[t] = None
                 move = (colour[t.colour], index[t.dst])
                 moves[index[t.src]][letter[t.letter]].append(move)
+        self._set_table(states, alphabet, [index[q] for q in initial], moves, acceptance)
         self.transitions = tuple(ordered)
+
+    @classmethod
+    def from_table(
+        cls, states: Sequence[State], alphabet: Alphabet, start: Iterable[int], moves: MoveTable,
+        acceptance: AnyCondition,
+    ) -> Automaton:
+        """The automaton whose state i is `states[i]`, with initial state
+        indices `start` and move table `moves`."""
+        automaton = cls.__new__(cls)
+        automaton._set_table(tuple(states), alphabet, start, moves, acceptance)
+        return automaton
+
+    def _set_table(self, states, alphabet, start, moves, acceptance) -> None:
+        self.states, self.alphabet, self.acceptance = states, alphabet, acceptance
+        self.start = tuple(start)
+        self.initial = tuple(states[s] for s in self.start)
         self.moves: MoveTable = moves
         self.is_deterministic = len(self.start) == 1 and all(
             len(cell) == 1 for row in moves for cell in row
         )
-        self._by_name: Optional[dict[tuple[State, str], list[Transition]]] = None
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """Every move named, ordered by state, then letter, then move."""
+        states, letters, colours = self.states, self.alphabet.symbols, self.colour_alphabet.symbols
+        return tuple(
+            Transition(q, letters[a], colours[c], states[d])
+            for q, row in zip(states, self.moves) for a, cell in enumerate(row) for c, d in cell
+        )
 
     def transitions_from(self, state: State, letter: str) -> tuple[Transition, ...]:
         """The transitions from `state` on `letter`, in transition order."""
-        if self._by_name is None:
-            self._by_name = {}
-            for t in self.transitions:
-                self._by_name.setdefault((t.src, t.letter), []).append(t)
-        return tuple(self._by_name.get((state, letter), ()))
+        if state not in self.states or letter not in self.alphabet:
+            return ()
+        s, colours = self.states.index(state), self.colour_alphabet.symbols
+        cell = self.moves[s][self.alphabet.index(letter)]
+        return tuple(Transition(state, letter, colours[c], self.states[d]) for c, d in cell)
 
     @property
     def colour_alphabet(self) -> Alphabet:
@@ -120,10 +143,8 @@ class Automaton:
 
     def __repr__(self) -> str:
         kind = type(self.acceptance).__name__.replace("Condition", "")
-        return (
-            f"Automaton({len(self.states)} states, {len(self.transitions)} transitions, "
-            f"{kind} acceptance)"
-        )
+        count = sum(len(cell) for row in self.moves for cell in row)
+        return f"Automaton({len(self.states)} states, {count} transitions, {kind} acceptance)"
 
 
 @dataclass(frozen=True)
@@ -392,12 +413,11 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
     acceptance = automaton.acceptance
     if not isinstance(acceptance, RabinCondition):
         raise AutomatonError("simplify_rabin expects Rabin acceptance")
-    states, letters = automaton.states, automaton.alphabet.symbols
     symbols = list(acceptance.colours.symbols)
     base, taken = len(symbols), set(symbols)
     colour_of = {1 << c: c for c in range(base)}  # bundle mask -> colour
     fresh: list[int] = []  # the bundle of each colour from `base` on
-    transitions = []
+    moves: list[list[list[tuple[int, int]]]] = [[[] for _ in row] for row in automaton.moves]
     for s, row in enumerate(automaton.moves):
         for a, cell in enumerate(row):
             bundles: dict[int, int] = {}
@@ -415,9 +435,7 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
                     colour_of[mask] = len(symbols)
                     symbols.append(name)
                     fresh.append(mask)
-                transitions.append(
-                    Transition(states[s], letters[a], symbols[colour_of[mask]], states[d])
-                )
+                moves[s][a].append((colour_of[mask], d))
     colours = Alphabet(symbols)
     pairs = []
     for green, red in acceptance.pairs:
@@ -428,8 +446,8 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
             if not mask & ~red.mask:
                 r |= 1 << c
         pairs.append((colours.from_mask(g), colours.from_mask(r)))
-    return Automaton(
-        states, automaton.alphabet, automaton.initial, transitions, RabinCondition(colours, pairs)
+    return Automaton.from_table(
+        automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
     )
 
 
@@ -576,7 +594,7 @@ def parse_hoa(text: str) -> Automaton:
     elif acc_name.startswith("parity max even"):
         count = sets = integer(words[3] if len(words) > 3 else "", acc_no, acc_line)
     else:
-        raise AutomatonError(f"unsupported acc-name: {acc_name!r}")
+        raise AutomatonError(f"HOA line {acc_no}: unsupported acc-name: {acc_name!r}")
     if count < (0 if rabin else 1):
         raise AutomatonError(f"HOA line {acc_no}: too few acceptance sets in {acc_line!r}")
     # The Acceptance: formula must be the one the acc-name stands for.  It
@@ -631,6 +649,10 @@ def parse_hoa(text: str) -> Automaton:
                 read_marks[marks_text] = marks
         else:
             dst_text, marks = rest, ()
+        if not rabin and len(marks) != 1:
+            raise AutomatonError(
+                f"HOA line {no}: parity transitions must carry exactly one mark: {line!r}"
+            )
         dst = integer(dst_text.strip(), no, line)
         transitions.append((current, alphabet.symbols[ap], marks, dst))
 
@@ -656,8 +678,6 @@ def parse_hoa(text: str) -> Automaton:
     else:
         priorities = {}
         for marks in mark_sets:
-            if len(marks) != 1:
-                raise AutomatonError("parity transitions must carry exactly one mark")
             priorities[colour_names[marks]] = marks[0]
         if not mark_sets:
             priorities["-"] = 1

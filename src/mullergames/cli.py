@@ -87,7 +87,7 @@ def cmd_build(args) -> int:
         if args.provenance:
             raise AutomatonError("--provenance applies to gfg-rabin only")
         automaton = build_parity_automaton(condition)
-        prios = sorted({int(t.colour) for t in automaton.transitions})
+        prios = sorted(automaton.acceptance.priorities.values())
         print(f"{len(automaton.states)} states, priorities {prios[0]}..{prios[-1]}")
     if args.hoa:
         _write(args.hoa, export_hoa(automaton))

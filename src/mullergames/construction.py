@@ -5,12 +5,16 @@ the leaf-memory resolver tying the two together.
 States of the Rabin automaton are the values of a leaf numbering with
 distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
-node, switch to its next child, descend leftmost".
+node, switch to its next child, descend leftmost".  Both automata are read
+off the tree's integer `step_table` straight into their move tables; the
+`Automaton` names states, colours and transitions only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 from .automata import (
     Automaton,
@@ -100,11 +104,22 @@ class GfgRabinAutomaton:
     automaton: Automaton
     tree: ZielonkaTree
     eta: dict[int, int]
-    provenance: dict[Transition, tuple[int, int, int]]
 
     @property
     def condition(self) -> MullerCondition:
         return self.tree.condition
+
+    @cached_property
+    def provenance(self) -> dict[Transition, tuple[int, int, int]]:
+        """Each transition -> (leaf, witness, next leaf) of the first leaf inducing it."""
+        aut, eta = self.automaton, self.eta
+        letters, colours = aut.alphabet.symbols, aut.colour_alphabet.symbols
+        out: dict[Transition, tuple[int, int, int]] = {}
+        for leaf, row in self.tree.step_table.items():
+            for letter, (witness, target) in zip(letters, row):
+                t = Transition(eta[leaf], letter, colours[witness], eta[target])
+                out.setdefault(t, (leaf, witness, target))
+        return out
 
 
 def _tree(source: MullerCondition | ZielonkaTree) -> ZielonkaTree:
@@ -115,48 +130,43 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     """The GFG Rabin automaton with memtree(Z_F) states recognising L_F, from
     the condition F or its Zielonka tree."""
     tree = _tree(source)
-    condition = tree.condition
     eta = tree.eta()
-    size = tree.memtree()
-    transitions: list[Transition] = []
-    provenance: dict[Transition, tuple[int, int, int]] = {}
-    names = [tree.node_name(n) for n in range(len(tree))]
-    # First leaf provenance wins when two leaves induce the same transition.
+    cells = [[{} for _ in tree.alphabet] for _ in range(tree.memtree())]
+    # Leaf l moves as state eta[l]; a cell keeps each move once, first leaf first.
     for leaf, row in tree.step_table.items():
-        for letter, (witness, target) in zip(condition.alphabet.symbols, row):
-            t = Transition(eta[leaf], letter, names[witness], eta[target])
-            if t not in provenance:
-                provenance[t] = (leaf, witness, target)
-                transitions.append(t)
-    automaton = Automaton(
-        range(1, size + 1),
-        condition.alphabet,
-        [eta[tree.leftmost_leaf(tree.root)]],
-        transitions,
+        for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
+            cell[witness, eta[target] - 1] = None
+    automaton = Automaton.from_table(
+        range(1, tree.memtree() + 1),
+        tree.alphabet,
+        [eta[tree.leftmost_leaf(tree.root)] - 1],
+        [[list(cell) for cell in row] for row in cells],
         node_rabin_pairs(tree),
     )
-    return GfgRabinAutomaton(automaton, tree, eta, provenance)
+    return GfgRabinAutomaton(automaton, tree, eta)
+
+
+def _leaf_table(tree: ZielonkaTree, colour: Sequence[int]) -> list[list[list[tuple[int, int]]]]:
+    """The tree walk as a move table over `tree.leaves()`, the root's leftmost
+    first: a leaf's move on a letter is (colour[witness], next leaf's index)."""
+    leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
+    step = tree.step_table
+    return [[[(colour[w], leaf_index[t])] for w, t in step[leaf]] for leaf in tree.leaves()]
 
 
 def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
     """The deterministic parity automaton whose states are the leaves of the
     Zielonka tree of the condition (or of the given tree)."""
     tree = _tree(source)
-    condition = tree.condition
     prio = node_priorities(tree)
-    colours = Alphabet([str(p) for p in sorted(set(prio.values()))])
-    priorities = {str(p): p for p in set(prio.values())}
-    transitions = [
-        Transition(leaf, letter, str(prio[witness]), target)
-        for leaf, row in tree.step_table.items()
-        for letter, (witness, target) in zip(condition.alphabet.symbols, row)
-    ]
-    return Automaton(
+    values = sorted(set(prio.values()))
+    colour = {p: i for i, p in enumerate(values)}
+    return Automaton.from_table(
         tree.leaves(),
-        condition.alphabet,
-        [tree.leftmost_leaf(tree.root)],
-        transitions,
-        ParityCondition(colours, priorities),
+        tree.alphabet,
+        [0],
+        _leaf_table(tree, [colour[prio[n]] for n in range(len(tree))]),
+        ParityCondition(Alphabet([str(p) for p in values]), {str(p): p for p in values}),
     )
 
 
@@ -220,17 +230,9 @@ def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
     It gives the verdicts of `resolve_run`, computed per (state after
     prefix, period)."""
     tree = gfg.tree
-    leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
     # Colour n of the GFG automaton is node n (`node_alphabet`).
-    table = [
-        [[(witness, leaf_index[target])] for witness, target in tree.step_table[leaf]]
-        for leaf in tree.leaves()
-    ]
     return DeterministicLassoChecker(
-        table,
-        [leaf_index[tree.leftmost_leaf(tree.root)]],
-        tree.alphabet,
-        gfg.automaton.acceptance,
+        _leaf_table(tree, range(len(tree))), [0], tree.alphabet, gfg.automaton.acceptance
     )
 
 
@@ -238,8 +240,7 @@ def provenance_document(gfg: GfgRabinAutomaton) -> list[dict]:
     """The transition -> (leaf, witness node, leaf') map as a plain document."""
     tree = gfg.tree
     rows = []
-    for t in gfg.automaton.transitions:
-        leaf, witness, target = gfg.provenance[t]
+    for t, (leaf, witness, target) in gfg.provenance.items():
         rows.append(
             {
                 "src": t.src,

@@ -181,7 +181,7 @@ def chromatic_number(
     branch-and-bound and honours `budget`.
     """
     active = graph.non_isolated()
-    adj = {v: set(graph.adjacency.get(v, ())) for v in active}
+    adj = graph.adjacency
     if mode == "greedy":
         k, assignment = _greedy_colouring(active, adj)
     elif mode == "exact":
@@ -200,7 +200,7 @@ def clique_lower_bound(graph: ConditionGraph) -> int:
     active = graph.non_isolated()
     if not active:
         return 1
-    adj = {v: set(graph.adjacency.get(v, ())) for v in active}
+    adj = graph.adjacency
     return max(1, len(_greedy_clique(active, adj)))
 
 

@@ -20,7 +20,8 @@ from mullergames.succinctness import (
     chromatic_number,
     clique_lower_bound,
 )
-from mullergames.zielonka import ChildOrder, build_zielonka
+from mullergames.construction import _tree, node_priorities, node_rabin_pairs
+from mullergames.zielonka import ChildOrder, ZielonkaTree, build_zielonka
 
 
 @pytest.fixture
@@ -955,3 +956,69 @@ def det_rabin_lower_bound(
         return k
     except SearchBudgetError:
         return clique_lower_bound(graph)
+
+
+@dataclass
+class ReferenceGfgRabinAutomaton:
+    """What the name-based GFG builder returned: the automaton, its tree and
+    eta, and the provenance map it filled while naming the transitions."""
+
+    automaton: Automaton
+    tree: ZielonkaTree
+    eta: dict[int, int]
+    provenance: dict[Transition, tuple[int, int, int]]
+
+
+def reference_build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> ReferenceGfgRabinAutomaton:
+    """The GFG builder the move table replaced: it names one `Transition`
+    per (leaf, letter), and the named constructor dedupes them.
+
+    The GFG Rabin automaton with memtree(Z_F) states recognising L_F, from
+    the condition F or its Zielonka tree."""
+    tree = _tree(source)
+    condition = tree.condition
+    eta = tree.eta()
+    size = tree.memtree()
+    transitions: list[Transition] = []
+    provenance: dict[Transition, tuple[int, int, int]] = {}
+    names = [tree.node_name(n) for n in range(len(tree))]
+    # First leaf provenance wins when two leaves induce the same transition.
+    for leaf, row in tree.step_table.items():
+        for letter, (witness, target) in zip(condition.alphabet.symbols, row):
+            t = Transition(eta[leaf], letter, names[witness], eta[target])
+            if t not in provenance:
+                provenance[t] = (leaf, witness, target)
+                transitions.append(t)
+    automaton = Automaton(
+        range(1, size + 1),
+        condition.alphabet,
+        [eta[tree.leftmost_leaf(tree.root)]],
+        transitions,
+        node_rabin_pairs(tree),
+    )
+    return ReferenceGfgRabinAutomaton(automaton, tree, eta, provenance)
+
+
+def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
+    """The parity builder the move table replaced: it names one
+    `Transition` per (leaf, letter).
+
+    The deterministic parity automaton whose states are the leaves of the
+    Zielonka tree of the condition (or of the given tree)."""
+    tree = _tree(source)
+    condition = tree.condition
+    prio = node_priorities(tree)
+    colours = Alphabet([str(p) for p in sorted(set(prio.values()))])
+    priorities = {str(p): p for p in set(prio.values())}
+    transitions = [
+        Transition(leaf, letter, str(prio[witness]), target)
+        for leaf, row in tree.step_table.items()
+        for letter, (witness, target) in zip(condition.alphabet.symbols, row)
+    ]
+    return Automaton(
+        tree.leaves(),
+        condition.alphabet,
+        [tree.leftmost_leaf(tree.root)],
+        transitions,
+        ParityCondition(colours, priorities),
+    )

@@ -498,7 +498,7 @@ HOA_DEFECTS = {
     "no-State-0": (lambda ls: [ln for ln in ls if ln != "State: 0"], "line 9"),
     # Body and acceptance lines the parser does not read.
     "no-BODY": (lambda ls: [ln for ln in ls if ln != "--BODY--"], "--BODY--"),
-    "acc-name-Buchi": (lambda ls: [ln.replace("Rabin 2", "Buchi") for ln in ls], "'Buchi'"),
+    "acc-name-Buchi": (lambda ls: [ln.replace("Rabin 2", "Buchi") for ln in ls], "HOA line 5"),
     "two-letter-label": (lambda ls: ls[:9] + ["[0&1&!2] 0 {0}"] + ls[10:], "line 10"),
     "AP-7": (lambda ls: ls[:9] + ["[7] 0 {0}"] + ls[10:], "line 10"),
     "junk-body-line": (lambda ls: ls[:9] + ["junk"] + ls[10:], "line 10"),
@@ -509,7 +509,7 @@ HOA_DEFECTS = {
             if ln.startswith("Acceptance:") else ln
             for ln in ls
         ],
-        "exactly one mark",
+        "HOA line 12",
     ),
 }
 

@@ -7,13 +7,17 @@ from mullergames.automata import (
     DeterministicLassoChecker,
     RabinLassoChecker,
     Transition,
+    export_dot,
+    export_hoa,
     run_deterministic,
+    simplify_rabin,
 )
 from mullergames.conditions import (
     Alphabet,
     ConditionError,
     LassoWord,
     MullerCondition,
+    RabinCondition,
     inf_set,
     satisfies_muller,
 )
@@ -25,14 +29,18 @@ from mullergames.construction import (
     check_quotient,
     node_priorities,
     node_rabin_pairs,
+    provenance_document,
     resolve_run,
     resolver_lasso_checker,
 )
+from mullergames.games import EXIST, GameGraph, product_with_automaton
 from mullergames.succinctness import condition_fn
 from mullergames.zielonka import build_zielonka
 from conftest import (
     all_muller_conditions,
     random_muller_condition,
+    reference_build_gfg_rabin,
+    reference_build_parity_automaton,
     reference_is_ancestor,
     table_oracle_conditions,
 )
@@ -136,6 +144,46 @@ def test_gfg_rabin_matches_fig2(running_condition):
     }
     assert set(aut.transitions) == expected
     assert len(aut.transitions) == 9
+
+
+def acceptance_of(aut):
+    if isinstance(aut.acceptance, RabinCondition):
+        return [(g.mask, r.mask) for g, r in aut.acceptance.pairs]
+    return aut.acceptance.priorities
+
+
+def test_table_builders_match_the_named_builders():
+    for cond in [*table_oracle_conditions(), condition_fn(9), condition_fn(10)]:
+        tree = build_zielonka(cond)
+        gfg, parity = build_gfg_rabin(tree), build_parity_automaton(tree)
+        simple = simplify_rabin(gfg.automaton)
+        game = GameGraph([("x", EXIST)], [("x", a, "x") for a in cond.alphabet], "x", cond)
+        for aut in (gfg.automaton, simple, parity):
+            export_hoa(aut)
+            export_dot(aut)
+            product_with_automaton(game, aut)
+        RabinLassoChecker.from_automaton(gfg.automaton)
+        RabinLassoChecker.from_automaton(simple)
+        DeterministicLassoChecker.from_automaton(parity)
+        provenance_document(gfg)
+        # No program path above names the moves.
+        for aut in (gfg.automaton, simple, parity):
+            assert "transitions" not in vars(aut)
+
+        reference, reference_parity = (
+            reference_build_gfg_rabin(tree), reference_build_parity_automaton(tree)
+        )
+        for got, want in ((gfg.automaton, reference.automaton), (parity, reference_parity)):
+            assert (got.states, got.initial, got.start) == (want.states, want.initial, want.start)
+            assert got.moves == want.moves
+            assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
+            assert acceptance_of(got) == acceptance_of(want)
+            assert set(got.transitions) == set(want.transitions)
+            for q in want.states:
+                for a in cond.alphabet:
+                    assert got.transitions_from(q, a) == want.transitions_from(q, a)
+        assert parity.transitions == reference_parity.transitions
+        assert list(gfg.provenance.items()) == list(reference.provenance.items())
 
 
 def test_gfg_rabin_provenance_first_leaf_wins(running_condition):
