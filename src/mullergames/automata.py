@@ -58,10 +58,9 @@ def accepts_colour_set(acceptance: AnyCondition, colours: Iterable[str]) -> bool
 class Automaton:
     """A non-deterministic automaton with colours on transitions.
 
-    An automaton is its move table: `moves[s][a]` lists the (colour index,
-    target index) of each transition from state index s on letter index a,
-    and `start` holds the indices of the initial states.  The named
-    `transitions` are made from the table when first read."""
+    `moves[s][a]` lists the (colour index, target index) of each transition
+    from state index s on letter index a; `start` holds the indices of the
+    initial states.  `transitions` names the moves when first read."""
 
     def __init__(
         self,
@@ -102,7 +101,11 @@ class Automaton:
 
     @classmethod
     def from_table(
-        cls, states: Sequence[State], alphabet: Alphabet, start: Iterable[int], moves: MoveTable,
+        cls,
+        states: Sequence[State],
+        alphabet: Alphabet,
+        start: Iterable[int],
+        moves: MoveTable,
         acceptance: AnyCondition,
     ) -> Automaton:
         """The automaton whose state i is `states[i]`, with initial state
