@@ -32,7 +32,15 @@ from .construction import (
     provenance_document,
     resolver_lasso_checker,
 )
-from .games import GameError, is_chromatic, load_game, memory_to_json, solve_muller_game, verify_strategy
+from .games import (
+    GameError,
+    is_chromatic,
+    load_game,
+    memory_tables,
+    memory_to_json,
+    solve_muller_game,
+    verify_strategy,
+)
 from .succinctness import (
     SearchBudgetError,
     report_to_dict,
@@ -184,9 +192,10 @@ def cmd_solve(args) -> int:
     if solution.memory is None:
         return 0
     memory = solution.memory
-    if not verify_strategy(game, tree, memory):
+    tables = memory_tables(game, memory)  # decoded once for both checks
+    if not verify_strategy(game, tree, memory, tables=tables):
         raise GameError("extracted memory failed strategy verification")
-    chromatic = is_chromatic(memory, game)
+    chromatic = is_chromatic(memory, game, tables=tables)
     print(f"memory size: {memory.size}")
     print(f"chromatic: {'yes' if chromatic else 'no'}")
     if args.memory_out:

@@ -4,7 +4,10 @@ The pipeline for Muller games: compose the arena with the deterministic
 parity automaton of the condition to decide the winner, then compose it
 with the good-for-games Rabin automaton and extract a positional strategy
 of the Rabin product, whose automaton component becomes the memory
-structure for the original game.
+structure for the original game.  The parity automaton leaves Exist nothing
+to resolve, so its product is the plain (vertex, state) product.  Only a
+product with any other automaton, the GFG one included, has choice
+vertices, where Exist picks the transition that reads a letter.
 
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  Its colours are ids into a palette of names: a game's palette is
@@ -29,7 +32,7 @@ time where a scan of colour subsets would take 2^colours passes.  It runs
 on node indices, and one array kernel (`_graph.dense_components`) finds
 the components of every refinement.
 
-A memory structure is checked on the same ids.  `_memory_tables` decodes
+A memory structure is checked on the same ids.  `memory_tables` decodes
 it once into a choice table and an update table, and rejects a memory that
 leaves the states it declares.  One walk (`_walk`) over the (vertex,
 memory) nodes x|M| + m then serves `verify_strategy`, `is_chromatic` and
@@ -156,8 +159,10 @@ class GameGraph:
                 raise GameError(
                     f"vertex {v!r} violates 'at least one move from every position'"
                 )
+        # Only a vertex with a silent move can lie on a silent cycle.
         silent = [[succ[m][0] for m in moves if colour[m] < 0] for moves in succ[: len(owner)]]
-        for comp in dense_components(silent.__getitem__, range(len(owner)), [-1] * len(owner)):
+        roots = [x for x, targets in enumerate(silent) if targets]
+        for comp in dense_components(silent.__getitem__, roots, [-1] * len(owner)):
             if len(comp) > 1 or comp[0] in silent[comp[0]]:
                 raise GameError("game violates 'no cycle is labelled exclusively by ε'")
 
@@ -211,7 +216,7 @@ class MemoryStructure:
     """Finite-state strategy memory (M, m0, update, choice) keyed by names:
     `update[(m, edge)]` is the state after `edge` from state m, and
     `strategy[(m, v)]` Exist's edge at v in state m.  The checks decode it
-    with `_memory_tables`, which holds it to the `size` states it declares."""
+    with `memory_tables`, which holds it to the `size` states it declares."""
 
     states: tuple[Hashable, ...]
     initial: Hashable
@@ -230,11 +235,12 @@ class MemoryStructure:
 class ProductGame:
     """The arena product of a game with an automaton for its condition.
 
-    State vertices pair a game vertex with an automaton state; choice
-    vertices remember the pending letter and the automaton state before it,
-    so each resolution edge carries the output colour of one transition.
-    `ids` maps a key (see `_build_product`) to its node, or -1, and `keys`
-    a node to its key."""
+    State vertices pair a game vertex with an automaton state.  Unless the
+    automaton is a deterministic parity automaton, whose product is plain,
+    choice vertices remember the pending letter and the automaton state
+    before it, so each resolution edge carries the output colour of one
+    transition.  `ids` maps a key (see `_build_product`) to its node, or -1,
+    and `keys` a node to its key."""
 
     game: GameGraph
     original: GameGraph
@@ -243,7 +249,8 @@ class ProductGame:
     keys: list[int]
 
     def node(self, x: int, q: int, a: int = -1) -> int:
-        """The state vertex (x, q), or the choice vertex (x, a, q)."""
+        """The state vertex (x, q), or the choice vertex (x, a, q) of a
+        product that has choice vertices."""
         base, letters = self.original.arena.base, len(self.automaton.alphabet)
         return self.ids[(x if a < 0 else base + x * letters + a) * len(self.automaton.states) + q]
 
@@ -252,8 +259,17 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     """The product reachable from the game vertices `seeds`, built into
     its arena.  By index, state vertex (x, q) has key x|Q| + q and choice
     vertex (y, a, q) key (|V| + y|A| + a)|Q| + q.  Nodes are numbered as
-    first reached, depth first.  A silent product cycle passes no choice
-    vertex, so it projects to a game cycle, which `GameGraph` rejects."""
+    first reached, depth first.
+
+    A deterministic parity automaton leaves Exist nothing to resolve, so
+    its product is plain: a game edge x -a-> y leads from (x, q) straight
+    to (y, δ(q, a)) with that transition's colour, and parallel edges of
+    one colour are kept once.  Any other automaton (the GFG Rabin one
+    included, whose resolution `memory_from_gfg` reads) sends a lettered
+    game edge to the choice vertex (y, a, q), whose edges are the
+    transitions.  A silent game edge leads from (x, q) to (y, q) in both.
+    A silent product cycle projects to a game cycle, which `GameGraph`
+    rejects."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
     alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
@@ -266,8 +282,9 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                 f"alphabet mismatch: game colour {palette[c]!r} unknown to the automaton"
             )
     width, letters = len(states), len(alphabet)
+    plain = automaton.is_deterministic and isinstance(automaton.acceptance, ParityCondition)
     letter = [to_letter[c] for c in colours]
-    ids = [-1] * ((base + base * letters) * width)
+    ids = [-1] * ((base if plain else base + base * letters) * width)
     keys: list[int] = []
     owners: list[int] = []
     edges: list[tuple[int, int, int]] = []
@@ -287,6 +304,17 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     while stack:
         node = stack.pop()
         x, q = divmod(keys[node], width)
+        if plain:
+            row = moves[q]
+            out: set[tuple[int, int]] = set()
+            for m in succ[x]:
+                y, a = succ[m][0], letter[m]
+                c, r = row[a][0] if a >= 0 else (-1, q)
+                edge = (visit(y * width + r, owner[y]), c)
+                if edge not in out:
+                    out.add(edge)
+                    edges.append((node, *edge))
+            continue
         if x < base:
             for m in succ[x]:
                 y, a = succ[m][0], letter[m]
@@ -321,7 +349,7 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
 
     The automaton's acceptance (Rabin or parity over its output colours)
     becomes the product's winning condition; the game component keeps its
-    owners and Exist owns every resolution vertex.
+    owners and Exist owns every choice vertex, if the product has any.
     """
     condition = game.condition
     if not isinstance(condition, MullerCondition):
@@ -729,6 +757,8 @@ def solve_muller_game(
 ) -> MullerSolution:
     """Decide a Muller game through the parity-automaton product; when Exist
     wins, extract a memory structure of size memtree from the GFG product.
+    The parity product is plain, with no choice vertices; the GFG product
+    has them, and its memory is Exist's choice there.
 
     One Zielonka tree (built here, or given for the game's condition)
     serves both automata; a condition other than the game's raises
@@ -760,7 +790,10 @@ def solve_muller_game(
 # -- strategy verification -------------------------------------------------------
 
 
-def _memory_tables(game: GameGraph, memory: MemoryStructure) -> tuple[list[int], list[int], int]:
+MemoryTables = tuple[list[int], list[int], int]
+
+
+def memory_tables(game: GameGraph, memory: MemoryStructure) -> MemoryTables:
     """`memory` on the game's arena ids, with m the index of a state in
     `memory.states`: `choice[x|M| + m]` is the index of Exist's edge at
     vertex x in state m (-1 at Univ's vertices), `update[j|M| + m]` the
@@ -840,30 +873,38 @@ def _walk(
 
 
 def verify_strategy(
-    game: GameGraph, condition: AnyCondition | ZielonkaTree, memory: MemoryStructure
+    game: GameGraph,
+    condition: AnyCondition | ZielonkaTree,
+    memory: MemoryStructure,
+    *,
+    tables: Optional[MemoryTables] = None,
 ) -> bool:
     """True iff every infinitely recurring edge set that Univ can realise
     against the induced strategy has a colour set satisfying the condition
     (given as such, or for a Muller condition as its Zielonka tree).
 
-    The memory is decoded once (`_memory_tables`, which raises `GameError`
-    on a memory that is incomplete or leaves its declared states), and the
+    The memory is decoded once (`memory_tables`, which raises `GameError`
+    on a memory that is incomplete or leaves its declared states; a caller
+    that also runs `is_chromatic` passes its result as `tables`), and the
     reachable (vertex, memory) graph goes to one condition-driven SCC
     refinement (`_rejected_core`), polynomial in that graph and the
     condition's Zielonka tree.
     """
-    choice, update, start = _memory_tables(game, memory)
+    choice, update, start = memory_tables(game, memory) if tables is None else tables
     colours = condition.condition if isinstance(condition, ZielonkaTree) else condition
     bits = _node_bits(game.arena, colours)[game.arena.base :]
     _, rows, _ = _walk(game.arena, memory.size, choice, update, start, bits)
     return _rejected_core(range(len(rows)), rows, _refiner(condition)) is None
 
 
-def is_chromatic(memory: MemoryStructure, game: GameGraph) -> bool:
+def is_chromatic(
+    memory: MemoryStructure, game: GameGraph, *, tables: Optional[MemoryTables] = None
+) -> bool:
     """True iff the reachable part of the update function factors through
     edge colours, with silent edges leaving the memory unchanged.  Raises
-    `GameError` as `verify_strategy` does on a malformed memory."""
-    choice, update, start = _memory_tables(game, memory)
+    `GameError` as `verify_strategy` does on a malformed memory; `tables`
+    is `memory_tables(game, memory)` when the caller has it already."""
+    choice, update, start = memory_tables(game, memory) if tables is None else tables
     width, arena = memory.size, game.arena
     nodes, rows, _ = _walk(arena, width, choice, update, start, arena.colours[arena.base :])
     seen: dict[tuple[int, int], int] = {}
@@ -889,7 +930,7 @@ def brute_force_winner(
     check each complete one by the cycle check of `verify_strategy`; `budget`
     caps the enumeration.  The condition may be given as its Zielonka tree.
     Test oracle only.  Each search node walks (`_walk`) tables shaped like
-    `_memory_tables`' to the first -1 slot and tries its edges or memory
+    `memory_tables`' to the first -1 slot and tries its edges or memory
     states in order there; a walk that needs none goes to `_rejected_core`."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, (MullerCondition, ZielonkaTree)):

@@ -446,11 +446,15 @@ def reference_recurrence_sets_satisfy(nodes, avail, condition, budget):
     return True
 
 
-def reference_product(game, automaton, seeds):
+def reference_product(game, automaton, seeds, resolve=False):
     """The product builder the arena builder replaced: a name-keyed
     `GameGraph` of ("s", x, q) state and ("c", y, a, q) choice vertices,
     explored depth first from the game vertices `seeds`, with every edge
-    deduplicated through `GameEdge` hashing."""
+    deduplicated through `GameEdge` hashing.  For a deterministic parity
+    automaton it is the plain product, unless `resolve` is set: a lettered
+    game edge leads from ("s", x, q) straight to ("s", y, q') along the one
+    transition."""
+    from mullergames.conditions import ParityCondition
     from mullergames.games import EXIST, GameEdge, GameError, GameGraph
 
     if len(automaton.initial) != 1:
@@ -461,6 +465,8 @@ def reference_product(game, automaton, seeds):
                 f"alphabet mismatch: game colour {e.colour!r} unknown to the automaton"
             )
     q0 = automaton.initial[0]
+    parity = isinstance(automaton.acceptance, ParityCondition)
+    plain = parity and automaton.is_deterministic and not resolve
     vertices, edges, seen, queue, kept = [], [], set(), [], set()
 
     def visit(vertex, owner):
@@ -481,13 +487,18 @@ def reference_product(game, automaton, seeds):
         if vertex[0] == "s":
             _, x, q = vertex
             for e in game.out(x):
+                colour = None
                 if e.colour is None:
                     target = ("s", e.dst, q)
+                    visit(target, game.owner(e.dst))
+                elif plain:
+                    (t,) = automaton.transitions_from(q, e.colour)
+                    target, colour = ("s", e.dst, t.dst), t.colour
                     visit(target, game.owner(e.dst))
                 else:
                     target = ("c", e.dst, e.colour, q)
                     visit(target, EXIST)
-                add(GameEdge(vertex, None, target))
+                add(GameEdge(vertex, colour, target))
         else:
             _, x, letter, q = vertex
             options = automaton.transitions_from(q, letter)

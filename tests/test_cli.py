@@ -388,6 +388,36 @@ def test_cmd_solve_builds_one_tree(capsys, condition_file, tmp_path, monkeypatch
     assert len(built) == 1
 
 
+def test_cmd_solve_decodes_the_memory_once(capsys, condition_file, tmp_path, monkeypatch):
+    # verify_strategy and is_chromatic read one decoding of the memory.
+    from mullergames import cli, games
+
+    decoded = []
+
+    def counting(game, memory, decode=games.memory_tables):
+        decoded.append(memory)
+        return decode(game, memory)
+
+    for module in (cli, games):
+        monkeypatch.setattr(module, "memory_tables", counting)
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "u", "owner": "Univ"}, {"name": "x", "owner": "Exist"}],
+            "edges": [
+                {"src": "u", "colour": "a", "dst": "x"},
+                {"src": "x", "colour": "b", "dst": "u"},
+                {"src": "x", "colour": "c", "dst": "u"},
+            ],
+            "initial": "u",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 0
+    out = capsys.readouterr().out
+    assert "memory size: 2" in out and "chromatic: yes" in out
+    assert len(decoded) == 1
+
+
 def test_cmd_solve_univ_wins(capsys, condition_file, tmp_path):
     game = game_file(
         tmp_path,

@@ -29,6 +29,7 @@ from mullergames.games import (
     is_chromatic,
     load_game,
     memory_from_gfg,
+    memory_tables,
     memory_to_dict,
     memory_to_json,
     positional_rabin_strategy,
@@ -102,6 +103,15 @@ def test_game_graph_invariants(running_condition):
     # Self ep-loop is also a silent cycle.
     with pytest.raises(GameError):
         GameGraph([("x", EXIST)], [("x", None, "x")], "x", running_condition)
+    # A silent 2-cycle on the last vertices, after vertices with no silent move.
+    with pytest.raises(GameError) as err:
+        GameGraph(
+            [("u", UNIV), ("v", EXIST), ("x", EXIST), ("y", UNIV)],
+            [("u", "a", "v"), ("v", "b", "x"), ("x", None, "y"), ("y", None, "x"), ("y", "c", "u")],
+            "u",
+            running_condition,
+        )
+    assert "exclusively" in str(err.value)
 
 
 def test_product_reachable_size(running_condition):
@@ -117,9 +127,17 @@ def test_product_reachable_size(running_condition):
 def test_product_with_deterministic_automaton_collapses(running_condition):
     parity = build_parity_automaton(running_condition)
     product = product_with_automaton(one_vertex_abc_game(running_condition), parity)
-    for v in product.game.vertices:
-        if v[0] == "c":
-            assert len(product.game.out(v)) == 1
+    assert product.game.vertices
+    assert all(v[0] == "s" for v in product.game.vertices)
+    # Each game edge leaves every state vertex once, along its transition.
+    assert all(len(product.game.out(v)) == 3 for v in product.game.vertices)
+    # A deterministic GFG Rabin automaton keeps its choice vertices, which
+    # memory_from_gfg reads.
+    condition = MullerCondition(Alphabet("ab"), [["a", "b"]])
+    gfg = build_gfg_rabin(condition).automaton
+    assert gfg.is_deterministic
+    game = GameGraph([("x", EXIST)], [("x", "a", "x"), ("x", "b", "x")], "x", condition)
+    assert any(v[0] == "c" for v in product_with_automaton(game, gfg).game.vertices)
 
 
 def test_product_alphabet_mismatch(running_condition):
@@ -188,6 +206,26 @@ def test_solvers_agree_on_both_arenas():
             ours, theirs = positional_rabin_strategy(product), positional_rabin_strategy(reference)
             assert ours.region == theirs.region
             assert ours.strategy == theirs.strategy
+
+
+def test_plain_and_resolution_products_agree_on_exist_winners():
+    """The plain product of a parity automaton and its resolution form,
+    where every lettered game edge passes a choice vertex, give Exist the
+    same game vertices at the initial state."""
+    winners = collections.Counter()
+    for game, automaton, ids, _ in product_cases(300):
+        seeds = list(game.vertices)
+        if not isinstance(automaton.acceptance, ParityCondition) or len(ids) < len(seeds):
+            continue
+        plain = _build_product(game, automaton, ids).game
+        resolved = reference_product(game, automaton, seeds, resolve=True)
+        assert not any(v[0] == "c" for v in plain.vertices)
+        assert any(v[0] == "c" for v in resolved.vertices) == any(e.colour for e in game.edges)
+        q0 = automaton.initial[0]
+        ours, theirs = solve_parity_game(plain).winners, solve_parity_game(resolved).winners
+        assert [ours[("s", x, q0)] for x in seeds] == [theirs[("s", x, q0)] for x in seeds]
+        winners.update(ours[("s", x, q0)] for x in seeds)
+    assert winners[EXIST] >= 100 and winners[UNIV] >= 100
 
 
 def reference_parity_region(game):
@@ -694,6 +732,9 @@ def test_colour_ids_without_a_condition_map_to_the_same_bits():
             assert verify_strategy(bare, tree, memory) == verdict
             assert verify_strategy(bare, condition, memory) == verdict
             assert is_chromatic(memory, bare) == is_chromatic(memory, game)
+            tables = memory_tables(game, memory)
+            assert verify_strategy(game, tree, memory, tables=tables) == verdict
+            assert is_chromatic(memory, game, tables=tables) == is_chromatic(memory, game)
             verdicts[verdict] += 1
     assert reordered >= 20 and decided >= 40
     assert verdicts[True] >= 10 and verdicts[False] >= 10
