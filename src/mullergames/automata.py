@@ -50,11 +50,6 @@ def condition_colours(acceptance: AnyCondition) -> Alphabet:
     return acceptance.colours
 
 
-def accepts_colour_set(acceptance: AnyCondition, colours: Iterable[str]) -> bool:
-    alphabet = condition_colours(acceptance)
-    return acceptance.accepts_mask(alphabet.letters(colours).mask)
-
-
 class Automaton:
     """A non-deterministic automaton with colours on transitions.
 
@@ -131,14 +126,6 @@ class Automaton:
             Transition(q, letters[a], colours[c], states[d])
             for q, row in zip(states, self.moves) for a, cell in enumerate(row) for c, d in cell
         )
-
-    def transitions_from(self, state: State, letter: str) -> tuple[Transition, ...]:
-        """The transitions from `state` on `letter`, in transition order."""
-        if state not in self.states or letter not in self.alphabet:
-            return ()
-        s, colours = self.states.index(state), self.colour_alphabet.symbols
-        cell = self.moves[s][self.alphabet.index(letter)]
-        return tuple(Transition(state, letter, colours[c], self.states[d]) for c, d in cell)
 
     @property
     def colour_alphabet(self) -> Alphabet:

@@ -23,6 +23,7 @@ from .automata import (
 from .conditions import (
     ConditionError,
     LassoWord,
+    ParityCondition,
     load_condition,
     satisfies_muller,
 )
@@ -118,7 +119,8 @@ def cmd_check(args) -> int:
     The expected verdict is computed once per period, and each checker
     computes its verdicts per (state after prefix, period).  `self` checks
     the GFG Rabin automaton, the parity automaton and the resolver's leaf
-    walk; a HOA file is checked alone, and nothing else is built for it.
+    walk; a HOA file is checked alone, as `parity` when it has parity
+    acceptance and as `rabin` otherwise, and nothing else is built for it.
     """
     condition = load_condition(args.condition)
     bound = args.bound if args.bound is not None else 2 * len(condition.alphabet)
@@ -156,10 +158,13 @@ def cmd_check(args) -> int:
                 text = handle.read()
             except UnicodeDecodeError as err:
                 raise AutomatonError(f"{args.automaton}: not UTF-8 text ({err})") from None
-        rabin = parse_hoa(text)
-        if rabin.alphabet != condition.alphabet:
+        automaton = parse_hoa(text)
+        if automaton.alphabet != condition.alphabet:
             raise AutomatonError("checked automaton runs over a different alphabet")
-        checkers = {"rabin": RabinLassoChecker.from_automaton(rabin)}
+        if isinstance(automaton.acceptance, ParityCondition):
+            checkers = {"parity": DeterministicLassoChecker.from_automaton(automaton)}
+        else:
+            checkers = {"rabin": RabinLassoChecker.from_automaton(automaton)}
     symbols = condition.alphabet.symbols
     periods = [
         (period, satisfies_muller(condition, period))
@@ -204,7 +209,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_succinctness(args) -> int:
-    row = succinctness_report(args.n, exact_chi=(True if args.exact_chi else None))
+    row = succinctness_report(args.n, exact_chi=args.exact_chi)
     print(report_to_text([row]), end="")
     if args.json:
         _write_json(args.json, report_to_dict(row))

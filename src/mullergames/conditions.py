@@ -289,20 +289,6 @@ def restrict(cond: MullerCondition, letters: LetterLike) -> MullerCondition:
     return MullerCondition(Alphabet(sub.names()), members)
 
 
-def rabin_from_parity(cond: ParityCondition) -> RabinCondition:
-    """The Rabin condition equivalent to a max-even parity condition.
-
-    One pair per even priority d: green = colours of priority d,
-    red = colours of priority above d.
-    """
-    pairs = []
-    for d in sorted({p for p in cond.priorities.values() if p % 2 == 0}):
-        green = [c for c, p in cond.priorities.items() if p == d]
-        red = [c for c, p in cond.priorities.items() if p > d]
-        pairs.append((green, red))
-    return RabinCondition(cond.colours, pairs)
-
-
 def condition_from_dict(doc: Mapping) -> MullerCondition:
     """Build a Muller condition from the document format used by the CLI.
 

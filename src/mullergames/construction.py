@@ -1,6 +1,6 @@
 """From a Zielonka tree to automata: the minimal good-for-games Rabin
-automaton, the deterministic parity automaton over the tree's leaves, and
-the leaf-memory resolver tying the two together.
+automaton and the deterministic parity automaton over the tree's leaves,
+with the leaf-memory resolver's walk as a run and as a lasso checker.
 
 States of the Rabin automaton are the values of a leaf numbering with
 distinct values across branches of round nodes; its transitions follow the
@@ -25,13 +25,10 @@ from .automata import (
 )
 from .conditions import (
     Alphabet,
-    ConditionError,
     LassoWord,
     MullerCondition,
     ParityCondition,
     RabinCondition,
-    inf_set,
-    satisfies_rabin,
 )
 from .zielonka import ZielonkaTree, build_zielonka
 
@@ -59,31 +56,6 @@ def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
             below[tree.parent(n)] |= mask
     pairs.reverse()
     return RabinCondition(colours, pairs)
-
-
-def check_node_sequence(tree: ZielonkaTree, w: LassoWord) -> bool:
-    """Rabin satisfaction of a node sequence, cross-checked against the
-    characterisation "a unique minimal node recurs and it is round"."""
-    pairs = node_rabin_pairs(tree)
-    letters = inf_set(w)
-    by_rabin = satisfies_rabin(pairs, letters)
-
-    name_to_id = {tree.node_name(n): n for n in range(len(tree))}
-    try:
-        members = [name_to_id[name] for name in letters]
-    except KeyError as err:
-        raise ConditionError(f"unknown node id {err.args[0]!r}") from None
-    minimal = [
-        n
-        for n in members
-        if not any(m != n and tree.is_ancestor(m, n) for m in members)
-    ]
-    by_tree = len(minimal) == 1 and tree.is_round(minimal[0])
-    if by_rabin != by_tree:
-        raise AssertionError(
-            "Rabin evaluation and unique-minimal-round characterisation disagree"
-        )
-    return by_rabin
 
 
 def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
@@ -168,48 +140,6 @@ def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
         _leaf_table(tree, [colour[prio[n]] for n in range(len(tree))]),
         ParityCondition(Alphabet([str(p) for p in values]), {str(p): p for p in values}),
     )
-
-
-def check_quotient(parity: Automaton, gfg: GfgRabinAutomaton, eta: dict[int, int]) -> bool:
-    """True iff merging the parity automaton's leaf states through eta and
-    relabelling each transition by its witness node yields exactly the GFG
-    Rabin automaton's transitions."""
-    tree = gfg.tree
-    if set(parity.states) != set(tree.leaves()):
-        raise ConditionError("parity automaton does not run over this tree's leaves")
-    if set(eta) != set(tree.leaves()):
-        raise ConditionError("eta labelling does not cover this tree's leaves")
-    letter_index = tree.alphabet.index
-    merged = set()
-    for t in parity.transitions:
-        witness, expected_target = tree.step_table[t.src][letter_index(t.letter)]
-        if expected_target != t.dst:
-            raise ConditionError("parity automaton does not follow this tree's jumps")
-        merged.add(Transition(eta[t.src], t.letter, tree.node_name(witness), eta[t.dst]))
-    return merged == set(gfg.automaton.transitions)
-
-
-class Resolver:
-    """Letter-by-letter nondeterminism resolution for the GFG automaton,
-    keeping the current tree leaf as memory; the automaton state always
-    equals eta of that leaf."""
-
-    def __init__(self, gfg: GfgRabinAutomaton):
-        self.gfg = gfg
-        self.leaf = gfg.tree.leftmost_leaf(gfg.tree.root)
-
-    @property
-    def state(self):
-        return self.gfg.eta[self.leaf]
-
-    def step(self, letter: str) -> Transition:
-        tree = self.gfg.tree
-        witness, target = tree.step_table[self.leaf][tree.alphabet.index(letter)]
-        t = Transition(
-            self.gfg.eta[self.leaf], letter, tree.node_name(witness), self.gfg.eta[target]
-        )
-        self.leaf = target
-        return t
 
 
 def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:

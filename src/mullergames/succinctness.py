@@ -1,7 +1,6 @@
 """Desk-scale succinctness separation between GFG and deterministic Rabin
 automata: the half-size conditions, their condition graphs, exact and
-greedy chromatic numbers, final strongly connected components, and the
-binomial counting bound.
+greedy chromatic numbers, and the binomial counting bound.
 """
 
 from __future__ import annotations
@@ -11,14 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ._graph import dense_components
-from .automata import Automaton
-from .conditions import (
-    Alphabet,
-    ConditionError,
-    LetterLike,
-    MullerCondition,
-)
+from .conditions import Alphabet, ConditionError, MullerCondition
 from .zielonka import build_zielonka
 
 ASYMPTOTIC_NOTE = (
@@ -204,17 +196,6 @@ def clique_lower_bound(graph: ConditionGraph) -> int:
     return max(1, len(_greedy_clique(active, adj)))
 
 
-def independent_bound_chi(graph_or_size, m: int) -> int:
-    """ceil(|V| / m) for an upper bound m on independent-set size."""
-    if m < 1:
-        raise ValueError("independence bound must be at least 1")
-    if isinstance(graph_or_size, ConditionGraph):
-        size = graph_or_size.n_vertices
-    else:
-        size = int(graph_or_size)
-    return -(-size // m)
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -245,47 +226,6 @@ def binomial_lower_bound(n: int) -> BinomialBound:
     return BinomialBound(n, k, t, -(-vertices // independent))
 
 
-def fscc(automaton: Automaton, letters: LetterLike) -> set[frozenset]:
-    """All final strongly connected components for a letter set: state sets
-    mutually reachable and closed under transitions on those letters."""
-    mask = automaton.alphabet.letters(letters).mask
-    states, symbols = automaton.states, automaton.alphabet.symbols
-    succ: list[list[int]] = []
-    for s, row in enumerate(automaton.moves):
-        for a, cell in enumerate(row):
-            if mask >> a & 1 and len(cell) != 1:
-                raise ConditionError(
-                    f"undefined or ambiguous {symbols[a]!r}-transition from {states[s]!r}"
-                )
-        succ.append([cell[0][1] for a, cell in enumerate(row) if mask >> a & 1])
-    out = set()
-    for comp in dense_components(succ.__getitem__, range(len(states)), [-1] * len(states)):
-        members = set(comp)
-        if all(d in members for s in comp for d in succ[s]):
-            out.add(frozenset(states[s] for s in comp))
-    return out
-
-
-def verify_disjoint_fscc(
-    automaton: Automaton,
-    letters1: LetterLike,
-    letters2: LetterLike,
-    condition: MullerCondition,
-) -> bool:
-    """True iff every FSCC for the first rejecting set is disjoint from every
-    FSCC for the second; a shared state would merge two rejecting cycles
-    into an accepting one, refuting the automaton."""
-    c1 = condition.alphabet.letters(letters1)
-    c2 = condition.alphabet.letters(letters2)
-    if condition.accepts_mask(c1.mask) or condition.accepts_mask(c2.mask):
-        raise ConditionError("both letter sets must be rejecting")
-    if not condition.accepts_mask(c1.mask | c2.mask):
-        raise ConditionError("the union of the letter sets must be accepting")
-    first = fscc(automaton, c1)
-    second = fscc(automaton, c2)
-    return all(not (p1 & p2) for p1 in first for p2 in second)
-
-
 @dataclass
 class SuccinctnessRow:
     n: int
@@ -300,12 +240,11 @@ class SuccinctnessRow:
         return self.det_rabin_lower / self.gfg_size
 
 
-def succinctness_report(
-    n: int, exact_chi: Optional[bool] = None, budget: int = 10**7
-) -> SuccinctnessRow:
+def succinctness_report(n: int, exact_chi: bool = False, budget: int = 10**7) -> SuccinctnessRow:
     """One separation row for the half-size condition over n letters: the
     GFG Rabin size (memtree), the deterministic parity upper bound (leaf
-    count), and the best available deterministic Rabin lower bound."""
+    count), and the best available deterministic Rabin lower bound.  The
+    exact colouring runs for n <= 6, or for every n when `exact_chi` is set."""
     if n < 2:
         raise ConditionError("succinctness report needs n >= 2")
     if n > MAX_REPORT_N:
@@ -314,9 +253,8 @@ def succinctness_report(
     tree = build_zielonka(condition)
     gfg_size = tree.memtree()
     det_parity_upper = len(tree.leaves())
-    use_exact = exact_chi if exact_chi is not None else n <= 6
     graph, binomial, note = None, None, ""
-    if use_exact:
+    if exact_chi or n <= 6:
         graph = build_condition_graph(condition)
         try:
             lower, _ = chromatic_number(graph, "exact", budget)

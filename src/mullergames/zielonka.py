@@ -1,4 +1,4 @@
-"""Ordered Zielonka trees: construction, memtree, cyclic jumps, leaf numbering.
+"""Ordered Zielonka trees: construction, memtree, the tree walk, leaf numbering.
 
 The tree of a Muller condition alternates round (accepting) and square
 (rejecting) nodes; every node's children carry the maximal subsets of its
@@ -9,13 +9,12 @@ the whole structure is reproducible.
 The tree is stored once, as integer lists indexed by node id: the label's
 letter mask, the round flag, the parent, the children and the depth.  A
 label is made into a `LetterSet` only when `label` reads it.  One
-depth-first numbering then fills the tables that every later query reads:
-pre-order numbers with the last number inside each subtree (so
-`is_ancestor` is an interval test), memtree, the leftmost leaf and the
-cyclic next sibling of every node, the leaf tuple with each node's slice of
-it, and `step_table`, which maps a leaf and a letter index to the tree
-walk's (witness, target) move.  The automaton builders, the resolver and
-the quotient check all read that one table.
+depth-first numbering then fills the tables that the automata read:
+memtree, the leftmost leaf and the cyclic next sibling of every node, the
+leaf tuple, and the leaf numbering eta, filled top-down in the same pass.
+From those, `step_table` maps a leaf and a letter index to the tree walk's
+(witness, target) move; both automaton builders and the resolver's walk
+read that one table.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ class ZielonkaTree:
         self.step_table = self._step_table()
 
     def _number_depth_first(self) -> None:
-        """Pre-order numbers, subtree intervals, memtree, leftmost leaves, the
-        leaf tuple with each node's slice of it, and cyclic next siblings."""
+        """Memtree, leftmost leaves, cyclic next siblings, the leaf tuple in
+        depth-first order, and eta."""
         count = len(self._mask)
         order: list[int] = []
         stack = [self.root]
@@ -64,32 +63,30 @@ class ZielonkaTree:
             n = stack.pop()
             order.append(n)
             stack.extend(reversed(self._children[n]))
-        self._pre = [0] * count
-        for i, n in enumerate(order):
-            self._pre[n] = i
-        leaves = [n for n in order if not self._children[n]]
-        self._leaves = tuple(leaves)
-        leaf_index = {leaf: i for i, leaf in enumerate(leaves)}
-        self._last = [0] * count  # largest pre-order number in n's subtree
+        self._leaves = tuple(n for n in order if not self._children[n])
         self._memtree = [1] * count
-        self._leftmost = [0] * count
-        self._leaf_span = [(0, 0)] * count
+        self._leftmost = list(range(count))
         self._next_sibling = list(range(count))
         # Reversed pre-order: every child is finished before its parent.
         for n in reversed(order):
             kids = self._children[n]
             if not kids:
-                self._last[n] = self._pre[n]
-                self._leftmost[n] = n
-                self._leaf_span[n] = (leaf_index[n], leaf_index[n] + 1)
                 continue
             parts = [self._memtree[k] for k in kids]
             self._memtree[n] = sum(parts) if self._round[n] else max(parts)
-            self._last[n] = self._last[kids[-1]]
             self._leftmost[n] = self._leftmost[kids[0]]
-            self._leaf_span[n] = (self._leaf_span[kids[0]][0], self._leaf_span[kids[-1]][1])
             for i, k in enumerate(kids):
                 self._next_sibling[k] = kids[(i + 1) % len(kids)]
+        # Pre-order, parents first: eta counts from a node's offset; a round
+        # node's children take consecutive ranges, a square node's share one.
+        offset = [0] * count
+        for n in order:
+            base = offset[n]
+            for k in self._children[n]:
+                offset[k] = base
+                if self._round[n]:
+                    base += self._memtree[k]
+        self._eta = {leaf: offset[leaf] + 1 for leaf in self._leaves}
 
     def _step_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """leaf -> (witness, target) per letter index.
@@ -155,18 +152,6 @@ class ZielonkaTree:
     def node_name(self, n: int) -> str:
         return f"n{n}"
 
-    def ancestors(self, n: int) -> list[int]:
-        """Path from the root down to n, inclusive."""
-        path = [n]
-        while self._parent[path[-1]] is not None:
-            path.append(self._parent[path[-1]])
-        path.reverse()
-        return path
-
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff a lies on the root path of b (a node is its own ancestor)."""
-        return self._pre[a] <= self._pre[b] <= self._last[a]
-
     def leaves(self) -> tuple[int, ...]:
         """All leaves in leftmost-first (depth-first) order."""
         return self._leaves
@@ -174,29 +159,12 @@ class ZielonkaTree:
     def leftmost_leaf(self, n: int) -> int:
         return self._leftmost[n]
 
-    def leaves_below(self, n: int) -> tuple[int, ...]:
-        lo, hi = self._leaf_span[n]
-        return self._leaves[lo:hi]
-
     # -- navigation --------------------------------------------------------
 
     def next_child(self, n: int, c: int) -> int:
         if not 0 <= c < len(self._mask) or self._parent[c] != n:
             raise ConditionError(f"node {c} is not a child of node {n}")
         return self._next_sibling[c]
-
-    def jump(self, n: int, leaf: int) -> tuple[frozenset[int], int]:
-        """Leaves reachable by going up to n, switching to its next child, and
-        re-descending; plus the leftmost among them."""
-        if n == leaf:
-            return frozenset([leaf]), leaf
-        if not self.is_ancestor(n, leaf):
-            raise ConditionError(f"node {n} is not an ancestor of leaf {leaf}")
-        branch = leaf
-        while self._parent[branch] != n:
-            branch = self._parent[branch]
-        target = self._next_sibling[branch]
-        return frozenset(self.leaves_below(target)), self._leftmost[target]
 
     def step(self, leaf: int, letter: str) -> tuple[int, int]:
         """One move of the tree walk: (witness node, next leaf) for a letter."""
@@ -212,23 +180,9 @@ class ZielonkaTree:
 
     def eta(self) -> dict[int, int]:
         """A leaf numbering into {1..memtree} with distinct values across any
-        two branches of a round node; the leftmost leaf gets 1."""
-        out: dict[int, int] = {}
-
-        def assign(n: int, offset: int) -> None:
-            kids = self._children[n]
-            if not kids:
-                out[n] = offset + 1
-            elif self._round[n]:
-                for k in kids:
-                    assign(k, offset)
-                    offset += self._memtree[k]
-            else:
-                for k in kids:
-                    assign(k, offset)
-
-        assign(self.root, 0)
-        return out
+        two branches of a round node; the leftmost leaf gets 1.  Each call
+        returns a new dict."""
+        return dict(self._eta)
 
     def to_dot(self) -> str:
         lines = ["digraph zielonka {", "  ordering=out;"]

@@ -4,23 +4,36 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 import pytest
 
 from mullergames._graph import dense_components
-from mullergames.automata import Automaton, AutomatonError, State, Transition, _hoa_acceptance
+from mullergames.automata import (
+    Automaton,
+    AutomatonError,
+    State,
+    Transition,
+    _hoa_acceptance,
+    condition_colours,
+)
 from mullergames.conditions import (
     Alphabet,
+    AnyCondition,
     ConditionError,
+    LassoWord,
+    LetterLike,
     LetterSet,
     MullerCondition,
     ParityCondition,
     RabinCondition,
+    inf_set,
+    satisfies_rabin,
 )
 from mullergames.games import Arena, _attract
 from mullergames.succinctness import (
+    ConditionGraph,
     SearchBudgetError,
     build_condition_graph,
     chromatic_number,
     clique_lower_bound,
 )
-from mullergames.construction import _tree, node_priorities, node_rabin_pairs
+from mullergames.construction import GfgRabinAutomaton, _tree, node_priorities, node_rabin_pairs
 from mullergames.zielonka import ChildOrder, ZielonkaTree, build_zielonka
 
 
@@ -113,6 +126,13 @@ def reference_root_path(tree, n):
 
 def reference_is_ancestor(tree, a, b):
     return a in reference_root_path(tree, b)
+
+
+def reference_leaves_below(tree, n):
+    kids = tree.children(n)
+    if not kids:
+        return (n,)
+    return tuple(leaf for k in kids for leaf in reference_leaves_below(tree, k))
 
 
 def reference_step(tree, leaf, letter):
@@ -273,14 +293,6 @@ class ReferenceZielonkaTree:
     def node_name(self, n: int) -> str:
         return f"n{n}"
 
-    def ancestors(self, n: int) -> list[int]:
-        """Path from the root down to n, inclusive."""
-        path = [n]
-        while self.nodes[path[-1]].parent is not None:
-            path.append(self.nodes[path[-1]].parent)
-        path.reverse()
-        return path
-
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff a lies on the root path of b (a node is its own ancestor)."""
         return self._pre[a] <= self._pre[b] <= self._last[a]
@@ -421,7 +433,6 @@ def reference_recurrence_sets_satisfy(nodes, avail, condition, budget):
     restricted graph: scan colour subsets, then the recurrence cores of each
     restricted subgraph (whose colour set is then exactly the scanned one).
     `avail` maps each node to its `GameEdge`s."""
-    from mullergames.automata import accepts_colour_set
     from mullergames.games import GameError
 
     occurring = sorted(
@@ -492,7 +503,7 @@ def reference_product(game, automaton, seeds, resolve=False):
                     target = ("s", e.dst, q)
                     visit(target, game.owner(e.dst))
                 elif plain:
-                    (t,) = automaton.transitions_from(q, e.colour)
+                    (t,) = transitions_from(automaton, q, e.colour)
                     target, colour = ("s", e.dst, t.dst), t.colour
                     visit(target, game.owner(e.dst))
                 else:
@@ -501,7 +512,7 @@ def reference_product(game, automaton, seeds, resolve=False):
                 add(GameEdge(vertex, colour, target))
         else:
             _, x, letter, q = vertex
-            options = automaton.transitions_from(q, letter)
+            options = transitions_from(automaton, q, letter)
             if not options:
                 raise GameError(
                     f"automaton is not complete: no {letter!r}-transition from {q!r}"
@@ -571,7 +582,7 @@ class ReferenceRabinLassoChecker:
             out = frozenset(
                 t.dst
                 for q in before
-                for t in self.automaton.transitions_from(q, prefix[-1])
+                for t in transitions_from(self.automaton, q, prefix[-1])
             )
         self._prefix_memo[prefix] = out
         return out
@@ -593,7 +604,7 @@ class ReferenceRabinLassoChecker:
                 edges.append(
                     [
                         (index[t.dst] * length + phase, bit[t.colour])
-                        for t in aut.transitions_from(q, letter)
+                        for t in transitions_from(aut, q, letter)
                     ]
                 )
         present = 0
@@ -1033,3 +1044,130 @@ def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> 
         transitions,
         ParityCondition(colours, priorities),
     )
+
+
+# Spec-level checks that no command runs: each has its own tests.
+
+
+def transitions_from(automaton: Automaton, state: State, letter: str) -> tuple[Transition, ...]:
+    """The transitions from `state` on `letter`, in transition order."""
+    if state not in automaton.states or letter not in automaton.alphabet:
+        return ()
+    s, colours = automaton.states.index(state), automaton.colour_alphabet.symbols
+    cell = automaton.moves[s][automaton.alphabet.index(letter)]
+    return tuple(Transition(state, letter, colours[c], automaton.states[d]) for c, d in cell)
+
+
+def accepts_colour_set(acceptance: AnyCondition, colours: Iterable[str]) -> bool:
+    alphabet = condition_colours(acceptance)
+    return acceptance.accepts_mask(alphabet.letters(colours).mask)
+
+
+def rabin_from_parity(cond: ParityCondition) -> RabinCondition:
+    """The Rabin condition equivalent to a max-even parity condition.
+
+    One pair per even priority d: green = colours of priority d,
+    red = colours of priority above d.
+    """
+    pairs = []
+    for d in sorted({p for p in cond.priorities.values() if p % 2 == 0}):
+        green = [c for c, p in cond.priorities.items() if p == d]
+        red = [c for c, p in cond.priorities.items() if p > d]
+        pairs.append((green, red))
+    return RabinCondition(cond.colours, pairs)
+
+
+def check_node_sequence(tree: ZielonkaTree, w: LassoWord) -> bool:
+    """Rabin satisfaction of a node sequence, cross-checked against the
+    characterisation "a unique minimal node recurs and it is round"."""
+    pairs = node_rabin_pairs(tree)
+    letters = inf_set(w)
+    by_rabin = satisfies_rabin(pairs, letters)
+
+    name_to_id = {tree.node_name(n): n for n in range(len(tree))}
+    try:
+        members = [name_to_id[name] for name in letters]
+    except KeyError as err:
+        raise ConditionError(f"unknown node id {err.args[0]!r}") from None
+    minimal = [
+        n
+        for n in members
+        if not any(m != n and reference_is_ancestor(tree, m, n) for m in members)
+    ]
+    by_tree = len(minimal) == 1 and tree.is_round(minimal[0])
+    if by_rabin != by_tree:
+        raise AssertionError(
+            "Rabin evaluation and unique-minimal-round characterisation disagree"
+        )
+    return by_rabin
+
+
+def check_quotient(parity: Automaton, gfg: GfgRabinAutomaton, eta: dict[int, int]) -> bool:
+    """True iff merging the parity automaton's leaf states through eta and
+    relabelling each transition by its witness node yields exactly the GFG
+    Rabin automaton's transitions."""
+    tree = gfg.tree
+    if set(parity.states) != set(tree.leaves()):
+        raise ConditionError("parity automaton does not run over this tree's leaves")
+    if set(eta) != set(tree.leaves()):
+        raise ConditionError("eta labelling does not cover this tree's leaves")
+    letter_index = tree.alphabet.index
+    merged = set()
+    for t in parity.transitions:
+        witness, expected_target = tree.step_table[t.src][letter_index(t.letter)]
+        if expected_target != t.dst:
+            raise ConditionError("parity automaton does not follow this tree's jumps")
+        merged.add(Transition(eta[t.src], t.letter, tree.node_name(witness), eta[t.dst]))
+    return merged == set(gfg.automaton.transitions)
+
+
+def independent_bound_chi(graph_or_size, m: int) -> int:
+    """ceil(|V| / m) for an upper bound m on independent-set size."""
+    if m < 1:
+        raise ValueError("independence bound must be at least 1")
+    if isinstance(graph_or_size, ConditionGraph):
+        size = graph_or_size.n_vertices
+    else:
+        size = int(graph_or_size)
+    return -(-size // m)
+
+
+def fscc(automaton: Automaton, letters: LetterLike) -> set[frozenset]:
+    """All final strongly connected components for a letter set: state sets
+    mutually reachable and closed under transitions on those letters."""
+    mask = automaton.alphabet.letters(letters).mask
+    states, symbols = automaton.states, automaton.alphabet.symbols
+    succ: list[list[int]] = []
+    for s, row in enumerate(automaton.moves):
+        for a, cell in enumerate(row):
+            if mask >> a & 1 and len(cell) != 1:
+                raise ConditionError(
+                    f"undefined or ambiguous {symbols[a]!r}-transition from {states[s]!r}"
+                )
+        succ.append([cell[0][1] for a, cell in enumerate(row) if mask >> a & 1])
+    out = set()
+    for comp in dense_components(succ.__getitem__, range(len(states)), [-1] * len(states)):
+        members = set(comp)
+        if all(d in members for s in comp for d in succ[s]):
+            out.add(frozenset(states[s] for s in comp))
+    return out
+
+
+def verify_disjoint_fscc(
+    automaton: Automaton,
+    letters1: LetterLike,
+    letters2: LetterLike,
+    condition: MullerCondition,
+) -> bool:
+    """True iff every FSCC for the first rejecting set is disjoint from every
+    FSCC for the second; a shared state would merge two rejecting cycles
+    into an accepting one, refuting the automaton."""
+    c1 = condition.alphabet.letters(letters1)
+    c2 = condition.alphabet.letters(letters2)
+    if condition.accepts_mask(c1.mask) or condition.accepts_mask(c2.mask):
+        raise ConditionError("both letter sets must be rejecting")
+    if not condition.accepts_mask(c1.mask | c2.mask):
+        raise ConditionError("the union of the letter sets must be accepting")
+    first = fscc(automaton, c1)
+    second = fscc(automaton, c2)
+    return all(not (p1 & p2) for p1 in first for p2 in second)

@@ -27,14 +27,11 @@ from mullergames.conditions import (
     ParityCondition,
     RabinCondition,
     inf_set,
-    rabin_from_parity,
     satisfies_muller,
 )
 from mullergames.construction import (
     build_gfg_rabin,
     build_parity_automaton,
-    check_node_sequence,
-    check_quotient,
     node_rabin_pairs,
     resolve_run,
 )
@@ -54,12 +51,21 @@ from mullergames.succinctness import (
     build_condition_graph,
     chromatic_number,
     condition_fn,
-    fscc,
     succinctness_report,
-    verify_disjoint_fscc,
 )
 from mullergames.zielonka import build_zielonka
-from conftest import all_muller_conditions, random_muller_condition
+from conftest import (
+    all_muller_conditions,
+    check_node_sequence,
+    check_quotient,
+    fscc,
+    rabin_from_parity,
+    random_muller_condition,
+    reference_is_ancestor,
+    reference_leaves_below,
+    transitions_from,
+    verify_disjoint_fscc,
+)
 
 ALPHA, BETA, GAMMA, DELTA, EPS, ZETA = range(6)
 
@@ -150,7 +156,7 @@ def _parity_tails(parity, period):
         cur = s
         best = -1
         for letter in period:
-            t = parity.transitions_from(cur, letter)[0]
+            t = transitions_from(parity, cur, letter)[0]
             best = max(best, int(t.colour))
             cur = t.dst
         step[s] = (cur, best)
@@ -196,7 +202,7 @@ def _resolver_tails(gfg, period):
 def _walk_deterministic(automaton, start, word):
     cur = start
     for letter in word:
-        cur = automaton.transitions_from(cur, letter)[0].dst
+        cur = transitions_from(automaton, cur, letter)[0].dst
     return cur
 
 
@@ -407,8 +413,8 @@ def _check_star(tree, eta):
             continue
         kids = tree.children(n)
         for c1, c2 in itertools.combinations(kids, 2):
-            for l1 in tree.leaves_below(c1):
-                for l2 in tree.leaves_below(c2):
+            for l1 in reference_leaves_below(tree, c1):
+                for l2 in reference_leaves_below(tree, c2):
                     assert eta[l1] != eta[l2]
 
 
@@ -435,7 +441,7 @@ def test_criterion_6_structural_invariants(running_condition):
                 statuses = [name in green, name in red]
                 if m == n:
                     assert statuses == [True, False]
-                elif tree.is_ancestor(n, m):
+                elif reference_is_ancestor(tree, n, m):
                     assert statuses == [False, False]
                 else:
                     assert statuses == [False, True]
@@ -468,7 +474,7 @@ def test_criterion_6_structural_invariants(running_condition):
             seen |= comp
             for q in comp:
                 for a in letters:
-                    assert parity.transitions_from(q, a)[0].dst in comp
+                    assert transitions_from(parity, q, a)[0].dst in comp
 
     # Disjoint-FSCC check: passes on a correct deterministic Rabin automaton
     # for the half-size condition over four letters, fails on an undersized one.

@@ -24,17 +24,18 @@ from mullergames.conditions import (
     MullerCondition,
     ParityCondition,
     RabinCondition,
-    rabin_from_parity,
 )
 from mullergames.construction import build_gfg_rabin, build_parity_automaton
 from mullergames.succinctness import condition_fn
 from mullergames.zielonka import build_zielonka
 from conftest import (
     ReferenceRabinLassoChecker,
+    rabin_from_parity,
     random_muller_condition,
     reference_export_hoa,
     reference_hoa_signature,
     reference_simplify_rabin,
+    transitions_from,
 )
 
 
@@ -617,7 +618,7 @@ def assert_table_matches_transitions(aut):
     for q in aut.states:
         for a in aut.alphabet:
             expected = tuple(t for t in aut.transitions if (t.src, t.letter) == (q, a))
-            assert aut.transitions_from(q, a) == expected
+            assert transitions_from(aut, q, a) == expected
 
 
 def test_automaton_moves_match_transitions():

@@ -308,6 +308,42 @@ def test_cmd_check_detects_corruption(capsys, condition_file, tmp_path):
     assert "counterexample" in capsys.readouterr().out
 
 
+def test_cmd_check_parity_hoa_round_trip(capsys, condition_file, tmp_path):
+    hoa = tmp_path / "parity.hoa"
+    assert main(["build", condition_file, "--kind", "parity", "--hoa", str(hoa)]) == 0
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa), "--bound", "4"]) == 0
+    assert capsys.readouterr().out == "pass: 1560 lassos agree with the condition (bound 4)\n"
+
+
+def test_cmd_check_parity_hoa_detects_a_changed_mark(capsys, condition_file, tmp_path):
+    hoa = tmp_path / "parity.hoa"
+    assert main(["build", condition_file, "--kind", "parity", "--hoa", str(hoa)]) == 0
+    # State 0 (leaf n3) reads a with the odd priority 1; make it even.
+    text = hoa.read_text().replace("[0&!1&!2] 0 {1}", "[0&!1&!2] 0 {2}", 1)
+    assert text != hoa.read_text()
+    hoa.write_text(text)
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa), "--bound", "4"]) == 1
+    out = capsys.readouterr().out
+    assert out == "counterexample: (a)^w expected False but parity gives True\n"
+
+
+def test_cmd_check_rejects_a_nondeterministic_parity_hoa(capsys, condition_file, tmp_path):
+    hoa = tmp_path / "parity.hoa"
+    assert main(["build", condition_file, "--kind", "parity", "--hoa", str(hoa)]) == 0
+    # A second target for state 0 on letter a.
+    text = hoa.read_text().replace("[0&!1&!2] 0 {1}\n", "[0&!1&!2] 0 {1}\n[0&!1&!2] 1 {1}\n", 1)
+    assert text != hoa.read_text()
+    hoa.write_text(text)
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa), "--bound", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "deterministic" in captured.err
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("States: 2", "States: two"), ("States: 2\n", ""), ("States: 2\n", "States: 200000\n")],

@@ -13,12 +13,12 @@ from mullergames.conditions import (
     condition_from_dict,
     inf_set,
     load_condition,
-    rabin_from_parity,
     restrict,
     satisfies_muller,
     satisfies_parity,
     satisfies_rabin,
 )
+from conftest import rabin_from_parity
 
 NODES = Alphabet(["alpha", "beta", "gamma", "delta", "eps", "zeta"])
 

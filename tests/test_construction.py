@@ -22,11 +22,8 @@ from mullergames.conditions import (
     satisfies_muller,
 )
 from mullergames.construction import (
-    Resolver,
     build_gfg_rabin,
     build_parity_automaton,
-    check_node_sequence,
-    check_quotient,
     node_priorities,
     node_rabin_pairs,
     provenance_document,
@@ -38,11 +35,15 @@ from mullergames.succinctness import condition_fn
 from mullergames.zielonka import build_zielonka
 from conftest import (
     all_muller_conditions,
+    check_node_sequence,
+    check_quotient,
     random_muller_condition,
     reference_build_gfg_rabin,
     reference_build_parity_automaton,
     reference_is_ancestor,
+    reference_step,
     table_oracle_conditions,
+    transitions_from,
 )
 
 ALPHA, BETA, GAMMA, DELTA, EPS, ZETA = range(6)
@@ -181,7 +182,7 @@ def test_table_builders_match_the_named_builders():
             assert set(got.transitions) == set(want.transitions)
             for q in want.states:
                 for a in cond.alphabet:
-                    assert got.transitions_from(q, a) == want.transitions_from(q, a)
+                    assert transitions_from(got, q, a) == transitions_from(want, q, a)
         assert parity.transitions == reference_parity.transitions
         assert list(gfg.provenance.items()) == list(reference.provenance.items())
 
@@ -289,15 +290,19 @@ def test_resolve_run_examples(running_condition):
 
 def test_resolver_tracks_eta(running_condition):
     gfg = build_gfg_rabin(running_condition)
-    resolver = Resolver(gfg)
+    tree, transitions = gfg.tree, set(gfg.automaton.transitions)
     rng = random.Random(2)
-    state = gfg.automaton.initial[0]
-    for _ in range(200):
-        assert resolver.state == state
-        letter = rng.choice(running_condition.alphabet.symbols)
-        t = resolver.step(letter)
-        assert t.src == state
-        state = t.dst
+    letters = [rng.choice(running_condition.alphabet.symbols) for _ in range(200)]
+    run, _ = resolve_run(gfg, LassoWord(tuple(letters), ("a",)))
+    assert len(run.prefix) == len(letters)
+    # The resolver's state is always eta of the leaf the tree walk is on.
+    leaf = tree.leftmost_leaf(tree.root)
+    assert gfg.automaton.initial == (gfg.eta[leaf],)
+    for letter, t in zip(letters, run.prefix):
+        witness, target = reference_step(tree, leaf, letter)
+        assert t == Transition(gfg.eta[leaf], letter, tree.node_name(witness), gfg.eta[target])
+        assert t in transitions
+        leaf = target
 
 
 def exhaustive_language_check(cond, max_prefix=2, max_period=None):
@@ -372,7 +377,7 @@ def test_trichotomy_per_transition(running_condition):
                 status = pairs.pair_colour(j, t.colour)
                 if colour_id == n:
                     assert status == "green"
-                elif tree.is_ancestor(n, colour_id):
+                elif reference_is_ancestor(tree, n, colour_id):
                     assert status == "orange"
                 else:
                     assert status == "red"

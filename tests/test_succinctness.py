@@ -10,7 +10,6 @@ from mullergames.conditions import (
     ConditionError,
     MullerCondition,
     ParityCondition,
-    rabin_from_parity,
 )
 from mullergames.construction import build_parity_automaton
 from mullergames.succinctness import (
@@ -20,15 +19,20 @@ from mullergames.succinctness import (
     chromatic_number,
     clique_lower_bound,
     condition_fn,
-    fscc,
-    independent_bound_chi,
     report_to_dict,
     report_to_text,
     succinctness_report,
-    verify_disjoint_fscc,
 )
 from mullergames.zielonka import build_zielonka
-from conftest import det_rabin_lower_bound, random_muller_condition
+from conftest import (
+    det_rabin_lower_bound,
+    fscc,
+    independent_bound_chi,
+    rabin_from_parity,
+    random_muller_condition,
+    transitions_from,
+    verify_disjoint_fscc,
+)
 
 
 def test_condition_fn_examples():
@@ -202,7 +206,7 @@ def test_fscc_outputs_are_closed_and_disjoint(running_condition):
         assert comps
         seen = set()
         moves = {
-            q: [parity.transitions_from(q, a)[0].dst for a in letters]
+            q: [transitions_from(parity, q, a)[0].dst for a in letters]
             for q in parity.states
         }
         for comp in comps:

@@ -9,7 +9,7 @@ from conftest import (
     ReferenceZielonkaTree,
     all_muller_conditions,
     random_muller_condition,
-    reference_root_path,
+    reference_leaves_below,
     reference_step,
     table_oracle_conditions,
 )
@@ -40,8 +40,8 @@ def check_star_property(tree, eta):
             continue
         kids = tree.children(n)
         for c1, c2 in itertools.combinations(kids, 2):
-            for l1 in tree.leaves_below(c1):
-                for l2 in tree.leaves_below(c2):
+            for l1 in reference_leaves_below(tree, c1):
+                for l2 in reference_leaves_below(tree, c2):
                     assert eta[l1] != eta[l2]
 
 
@@ -95,12 +95,13 @@ def test_next_child_examples(running_tree):
         running_tree.next_child(ALPHA, DELTA)
 
 
-def test_jump_examples(running_tree):
-    assert running_tree.jump(ALPHA, DELTA) == (frozenset({EPS, ZETA}), EPS)
-    assert running_tree.jump(GAMMA, ZETA) == (frozenset({EPS}), EPS)
-    assert running_tree.jump(DELTA, DELTA) == (frozenset({DELTA}), DELTA)
+def test_jump_examples(running_condition):
+    tree = ReferenceZielonkaTree(running_condition)
+    assert tree.jump(ALPHA, DELTA) == (frozenset({EPS, ZETA}), EPS)
+    assert tree.jump(GAMMA, ZETA) == (frozenset({EPS}), EPS)
+    assert tree.jump(DELTA, DELTA) == (frozenset({DELTA}), DELTA)
     with pytest.raises(ConditionError):
-        running_tree.jump(BETA, ZETA)
+        tree.jump(BETA, ZETA)
 
 
 def test_eta_running_example(running_tree):
@@ -194,13 +195,6 @@ def test_dot_export_is_stable(running_tree):
     assert dot.index("n0 -> n1") < dot.index("n0 -> n2")
 
 
-def reference_leaves_below(tree, n):
-    kids = tree.children(n)
-    if not kids:
-        return (n,)
-    return tuple(leaf for k in kids for leaf in reference_leaves_below(tree, k))
-
-
 def test_step_table_matches_parent_pointer_walk():
     for cond in table_oracle_conditions():
         tree = build_zielonka(cond)
@@ -211,23 +205,11 @@ def test_step_table_matches_parent_pointer_walk():
                 assert tree.step(leaf, letter) == reference_step(tree, leaf, letter)
 
 
-def test_is_ancestor_matches_parent_pointer_walk():
-    for cond in table_oracle_conditions():
-        tree = build_zielonka(cond)
-        for b in range(len(tree)):
-            path = reference_root_path(tree, b)
-            assert tree.ancestors(b) == path
-            for a in range(len(tree)):
-                assert tree.is_ancestor(a, b) == (a in path)
-
-
 def test_leaf_tables_match_recursive_descent():
     for cond in table_oracle_conditions():
         tree = build_zielonka(cond)
         for n in range(len(tree)):
-            below = reference_leaves_below(tree, n)
-            assert tree.leaves_below(n) == below
-            assert tree.leftmost_leaf(n) == below[0]
+            assert tree.leftmost_leaf(n) == reference_leaves_below(tree, n)[0]
             parent = tree.parent(n)
             if parent is not None:
                 kids = tree.children(parent)
@@ -261,8 +243,7 @@ def test_integer_tree_matches_the_record_tree():
         for order in (None, lambda ms: sorted(ms, reverse=True)):
             tree, ref = build_zielonka(cond, order), ReferenceZielonkaTree(cond, order)
             assert len(tree) == len(ref)
-            ids = range(len(ref))
-            for n in ids:
+            for n in range(len(ref)):
                 assert tree.label(n) == ref.label(n)  # alphabet and mask
                 assert tree.mask(n) == ref.label(n).mask
                 assert tree.is_round(n) == ref.is_round(n)
@@ -270,16 +251,23 @@ def test_integer_tree_matches_the_record_tree():
                 assert tree.children(n) == ref.children(n)
                 assert tree.depth(n) == ref.depth(n)
                 assert tree.memtree(n) == ref.memtree(n)
-                assert tree.leaves_below(n) == ref.leaves_below(n)
                 assert tree.leftmost_leaf(n) == ref.leftmost_leaf(n)
                 if ref.parent(n) is not None:
                     assert tree.next_child(ref.parent(n), n) == ref.next_child(ref.parent(n), n)
-                # `is_ancestor` on every pair (a, n): a parent's id is below its
-                # children's, so the ancestors come out in root-path order.
-                holds = map(tree.is_ancestor, ids, itertools.repeat(n))
-                assert list(itertools.compress(ids, holds)) == ref.ancestors(n)
             assert tree.height == ref.height
             assert tree.leaves() == ref.leaves()
-            assert tree.eta() == ref.eta()
+            assert list(tree.eta().items()) == list(ref.eta().items())
             assert tree.step_table == ref.step_table
             assert tree.to_dot() == ref.to_dot()
+
+
+def test_eta_returns_a_new_dict_on_each_call(running_condition):
+    from mullergames.construction import build_gfg_rabin
+
+    tree = build_zielonka(running_condition)
+    gfg = build_gfg_rabin(tree)
+    first = tree.eta()
+    assert first is not tree.eta()
+    first.clear()
+    assert tree.eta() == {DELTA: 1, EPS: 1, ZETA: 2}
+    assert gfg.eta == {DELTA: 1, EPS: 1, ZETA: 2}
