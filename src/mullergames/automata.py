@@ -137,12 +137,28 @@ class Automaton:
         return f"Automaton({len(self.states)} states, {count} transitions, {kind} acceptance)"
 
 
-@dataclass(frozen=True)
-class Run:
-    """A finite presentation of an ultimately periodic run."""
+Step = tuple[int, int, int, int]  # (state, letter, colour, next state) indices
 
-    prefix: tuple[Transition, ...]
-    cycle: tuple[Transition, ...]
+
+class Run:
+    """A finite presentation of an ultimately periodic run on integer steps,
+    the cycle starting at `steps[begin]`.  `prefix` and `cycle` name them
+    when first read, through `names` = (state names, letters, colours)."""
+
+    def __init__(self, steps: Sequence[Step], begin: int, names: tuple[Sequence, ...]):
+        self.steps, self.begin, self.names = steps, begin, names
+
+    def _named(self, steps: Sequence[Step]) -> tuple[Transition, ...]:
+        state, letters, colours = self.names
+        return tuple(Transition(state[s], letters[a], colours[c], state[d]) for s, a, c, d in steps)
+
+    @cached_property
+    def prefix(self) -> tuple[Transition, ...]:
+        return self._named(self.steps[: self.begin])
+
+    @cached_property
+    def cycle(self) -> tuple[Transition, ...]:
+        return self._named(self.steps[self.begin :])
 
     def cycle_colours(self) -> frozenset[str]:
         return frozenset(t.colour for t in self.cycle)
@@ -164,7 +180,7 @@ def walk_lasso(
     the steps between the two occurrences form the eventual cycle."""
     index = automaton.alphabet.index
     prefix, period = [index(a) for a in w.prefix], [index(a) for a in w.period]
-    steps: list[tuple[int, int, int, int]] = []
+    steps: list[Step] = []
     state = start
     for a in prefix:
         c, d = step(state, a)
@@ -181,11 +197,8 @@ def walk_lasso(
     mask = 0
     for _, _, c, _ in steps[begin:]:
         mask |= 1 << c
-    letters, colours = automaton.alphabet.symbols, automaton.colour_alphabet.symbols
-    named = [
-        Transition(state_name[s], letters[a], colours[c], state_name[d]) for s, a, c, d in steps
-    ]
-    return Run(tuple(named[:begin]), tuple(named[begin:])), automaton.acceptance.accepts_mask(mask)
+    names = (state_name, automaton.alphabet.symbols, automaton.colour_alphabet.symbols)
+    return Run(steps, begin, names), automaton.acceptance.accepts_mask(mask)
 
 
 def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:

@@ -10,18 +10,18 @@ product with any other automaton, the GFG one included, has choice
 vertices, where Exist picks the transition that reads a letter.
 
 Every game has one integer form, its `Arena`, with each edge split by a
-midpoint.  Its colours are ids into a palette of names: a game's palette is
-its condition's colours and a product's its automaton's colour alphabet.
-A product is built straight into it and names its vertices and edges only
-when a caller reads them.  There is one solver per kind of game, both on
-the arena and each under its own game's condition: Zielonka's recursion
-for parity games (`solve_parity_game`) and its Rabin form, where Exist
-always has a positional strategy (`positional_rabin_strategy`).  Both are
-written as one loop that removes the opponent's attractor to what it wins
-and continues, so a parity solve recurses at most as deep as its number of
-distinct priorities and a Rabin solve as its number of colours.  Each
-result is re-checked before it is returned, and the two products must
-agree on the initial vertex's winner.
+midpoint.  A colour id indexes the colours of the game's own condition: a
+game's are the letters its automata read, a product's its automaton's
+output colours.  A product is built straight into its arena and names its
+vertices and edges only when a caller reads them.  There is one solver per
+kind of game, both on the arena and each under its own game's condition:
+Zielonka's recursion for parity games (`solve_parity_game`) and its Rabin
+form, where Exist always has a positional strategy
+(`positional_rabin_strategy`).  Both are written as one loop that removes
+the opponent's attractor to what it wins and continues, so a parity solve
+recurses at most as deep as its number of distinct priorities and a Rabin
+solve as its number of colours.  Each result is re-checked before it is
+returned, and the two products must agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -52,7 +52,6 @@ from ._graph import dense_components
 from .automata import Automaton, condition_colours
 from .conditions import (
     AnyCondition,
-    ConditionError,
     MullerCondition,
     ParityCondition,
     RabinCondition,
@@ -83,8 +82,9 @@ class GameEdge(NamedTuple):
 class Arena(NamedTuple):
     """A game on integer node ids: node v < base is a vertex, and node
     base + j the midpoint of edge j, carrying its colour as an index into
-    `palette` (-1 at vertices and silent midpoints).  Owner 0 is Exist and
-    1 Univ, which owns every (one-successor) midpoint."""
+    `condition_colours` of its game's condition (-1 at vertices and silent
+    midpoints).  Owner 0 is Exist and 1 Univ, which owns every
+    (one-successor) midpoint."""
 
     succ: list[list[int]]
     preds: list[list[int]]
@@ -92,12 +92,9 @@ class Arena(NamedTuple):
     colours: list[int]
     base: int
     initial: int
-    palette: tuple[str, ...]
 
 
-def _split(
-    owners: list[int], edges: list[tuple[int, int, int]], initial: int, palette: tuple[str, ...]
-) -> Arena:
+def _split(owners: list[int], edges: list[tuple[int, int, int]], initial: int) -> Arena:
     base = len(owners)
     succ: list[list[int]] = [[] for _ in owners]
     preds: list[list[int]] = [[] for _ in owners]
@@ -107,12 +104,12 @@ def _split(
     succ += [[dst] for _, dst, _ in edges]
     preds += [[src] for src, _, _ in edges]
     colours = [-1] * base + [colour for _, _, colour in edges]
-    return Arena(succ, preds, owners + [1] * len(edges), colours, base, initial, palette)
+    return Arena(succ, preds, owners + [1] * len(edges), colours, base, initial)
 
 
 class GameGraph:
-    """A two-player arena with colours from an alphabet plus silent edges;
-    `arena` is its integer form.  A product (`_build_product`) is made from
+    """A two-player arena whose edges carry colours of its condition, or
+    none (silent); `arena` is its integer form.  A product (`_build_product`) is made from
     its arena alone and names its vertices and edges when first read."""
 
     def __init__(
@@ -120,7 +117,7 @@ class GameGraph:
         vertices: Iterable[tuple[Vertex, str]],
         edges: Iterable[GameEdge | tuple],
         initial: Vertex,
-        condition: Optional[AnyCondition] = None,
+        condition: AnyCondition,
     ):
         owner: dict[Vertex, str] = {}
         for name, who in vertices:
@@ -132,26 +129,22 @@ class GameGraph:
             owner[name] = who
         if initial not in owner:
             raise GameError(f"initial vertex {initial!r} is not a vertex")
-        palette = condition_colours(condition).symbols if condition is not None else None
+        colour_id = {c: i for i, c in enumerate(condition_colours(condition))}
         unique: dict[GameEdge, None] = {}
         for e in edges:
             e = e if isinstance(e, GameEdge) else GameEdge(*e)
             if e.src not in owner or e.dst not in owner:
                 raise GameError(f"edge {e} uses an unknown vertex")
-            if e.colour is not None and palette is not None and e.colour not in palette:
+            if e.colour is not None and e.colour not in colour_id:
                 raise GameError(f"edge colour {e.colour!r} is not a condition colour")
             unique[e] = None
         self.vertices, self.edges, self._owner = tuple(owner), tuple(unique), owner
         self.initial, self.condition = initial, condition
-        if palette is None:  # the colours in the order first seen
-            palette = tuple(dict.fromkeys(e.colour for e in self.edges if e.colour is not None))
-        colour_id = {c: i for i, c in enumerate(palette)}
         index = {v: i for i, v in enumerate(owner)}
         self.arena = _split(
             [0 if who == EXIST else 1 for who in owner.values()],
             [(index[e.src], index[e.dst], colour_id.get(e.colour, -1)) for e in self.edges],
             index[initial],
-            palette,
         )
         succ, colour = self.arena.succ, self.arena.colours
         for v, moves in zip(self.vertices, succ):
@@ -173,8 +166,9 @@ class GameGraph:
     @cached_property
     def edges(self) -> tuple[GameEdge, ...]:
         names = self.vertices
-        succ, preds, _, colours, base, _, palette = self.arena
-        named = palette + (None,)  # colour -1 (silent) reads the last entry
+        succ, preds, _, colours, base, _ = self.arena
+        # Colour -1 (silent) reads the last entry.
+        named = condition_colours(self.condition).symbols + (None,)
         return tuple(
             GameEdge(names[preds[m][0]], named[colours[m]], names[succ[m][0]])
             for m in range(base, len(succ))
@@ -273,17 +267,12 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
     alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
-    succ, _, owner, colours, base, _, palette = game.arena
-    # The letter index of each palette colour, then -1 for colour -1 (silent).
-    to_letter = [alphabet.index(c) if c in alphabet else None for c in palette] + [-1]
-    for c in colours[base:]:
-        if to_letter[c] is None:
-            raise GameError(
-                f"alphabet mismatch: game colour {palette[c]!r} unknown to the automaton"
-            )
+    if condition_colours(game.condition) != alphabet:
+        raise GameError("alphabet mismatch between game condition and automaton")
+    # A game colour id is the index of its letter, -1 for a silent edge.
+    succ, _, owner, letter, base, _ = game.arena
     width, letters = len(states), len(alphabet)
     plain = automaton.is_deterministic and isinstance(automaton.acceptance, ParityCondition)
-    letter = [to_letter[c] for c in colours]
     ids = [-1] * ((base if plain else base + base * letters) * width)
     keys: list[int] = []
     owners: list[int] = []
@@ -339,7 +328,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
         return ("c", game.vertices[y], alphabet.symbols[a], states[q])
 
     product = GameGraph.__new__(GameGraph)
-    product.arena, product._name = _split(owners, edges, 0, automaton.colour_alphabet.symbols), name
+    product.arena, product._name = _split(owners, edges, 0), name
     product.initial, product.condition = name(0), automaton.acceptance
     return ProductGame(product, game, automaton, ids, keys)
 
@@ -354,8 +343,6 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
     condition = game.condition
     if not isinstance(condition, MullerCondition):
         raise GameError("product_with_automaton expects a game with a Muller condition")
-    if condition.alphabet != automaton.alphabet:
-        raise GameError("alphabet mismatch between game condition and automaton")
     return _build_product(game, automaton, [game.arena.initial])
 
 
@@ -394,10 +381,6 @@ class GameSolution:
     @cached_property
     def univ_strategy(self) -> dict[Vertex, GameEdge]:
         return self.game._named(self.strategy_of(1))
-
-    @property
-    def strategy(self) -> dict[Vertex, GameEdge]:
-        return self.exist_strategy
 
 
 def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dict]:
@@ -453,7 +436,7 @@ def solve_parity_game(game: GameGraph) -> GameSolution:
     # neutral.  No silent-only cycles, so a top priority is never 0 and
     # its nodes are coloured midpoints, which need no move.
     arena = game.arena
-    by_colour = [condition.priority(c) + shift for c in arena.palette] + [0]
+    by_colour = [condition.priority(c) + shift for c in condition.colours] + [0]
     prio = [by_colour[c] for c in arena.colours]
 
     def solve(nodes: set) -> tuple[set, dict]:
@@ -478,19 +461,20 @@ def solve_parity_game(game: GameGraph) -> GameSolution:
         return won, strategy
 
     solution = GameSolution(game, *solve(set(range(len(prio)))))
-    _verify_solution(solution, condition)
+    _verify_solution(solution)
     return solution
 
 
-def _verify_solution(solution: GameSolution, condition: AnyCondition, players=(0, 1)) -> None:
+def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
     """Certify each player's positional strategy (0 Exist, 1 Univ): it is
     defined on the player's region and stays there, the opponent cannot
-    leave it, and `_rejected_core` finds no cycle the player loses in the
-    one-player graph left.  Raises `GameError` otherwise."""
+    leave it, and `_rejected_core` finds no cycle in the one-player graph
+    left that the game's condition makes the player lose.  Raises `GameError`
+    otherwise."""
     game = solution.game
     succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
     won, moves = solution.won, solution.moves
-    bits = _node_bits(game.arena, condition)
+    bits = _node_bits(game.arena)
     for player in players:
         who = (EXIST, UNIV)[player]
         region = [v for v in range(base) if (v in won) == (player == 0)]
@@ -515,7 +499,7 @@ def _verify_solution(solution: GameSolution, condition: AnyCondition, players=(0
                     raise GameError(f"internal: {who} region is not closed under opponent moves")
                 row.append((j, bits[m]))
             out.append(row)
-        if _rejected_core(region, out, _refiner(condition, 1 - player)) is not None:
+        if _rejected_core(region, out, _refiner(game.condition, 1 - player)) is not None:
             raise GameError(f"internal: cycle analysis refutes the {who} strategy")
 
 
@@ -629,16 +613,9 @@ def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
     return refine
 
 
-def _node_bits(arena: Arena, condition: AnyCondition) -> list[int]:
-    """Each node's colour bit in the condition's colour masks; 0 when none."""
-    bit = {c: 1 << i for i, c in enumerate(condition_colours(condition))}
-    # The bit of each palette colour, then 0 for colour -1 (none).
-    by_colour = [bit.get(c) for c in arena.palette] + [0]
-    bits = [by_colour[c] for c in arena.colours]
-    if None in bits:
-        colour = arena.palette[arena.colours[bits.index(None)]]
-        raise ConditionError(f"letter {colour!r} not in alphabet")
-    return bits
+def _node_bits(arena: Arena) -> list[int]:
+    """Each node's colour bit in its game condition's masks; 0 if it has none."""
+    return [1 << c if c >= 0 else 0 for c in arena.colours]
 
 
 # -- Rabin games ---------------------------------------------------------------
@@ -663,7 +640,7 @@ def positional_rabin_strategy(game: GameGraph) -> GameSolution:
     if not isinstance(condition, RabinCondition):
         raise GameError("positional_rabin_strategy expects a Rabin condition")
     arena = game.arena
-    colour = _node_bits(arena, condition)
+    colour = _node_bits(arena)
     pairs = [(g.mask, r.mask) for g, r in condition.pairs]
 
     def with_colour(nodes: set, mask: int) -> set:
@@ -703,7 +680,7 @@ def positional_rabin_strategy(game: GameGraph) -> GameSolution:
         return won, strategy
 
     solution = GameSolution(game, *solve(set(range(len(colour)))))
-    _verify_solution(solution, condition, (0,))
+    _verify_solution(solution, (0,))
     return solution
 
 
@@ -720,9 +697,9 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
 
     automaton = gfg.automaton
     states = automaton.states
-    # The game's palette is its condition's alphabet, which the product
-    # checked is the automaton's, so a colour id is a letter index.
-    succ, _, owners, letter, base, _, _ = game.arena
+    # The product checked that the game's colours are the automaton's
+    # letters, so a colour id is a letter index.
+    succ, _, owners, letter, base, _ = game.arena
     target = product.game.arena.succ
     update: dict[tuple[Hashable, GameEdge], Hashable] = {}
     strategy: dict[tuple[Hashable, Vertex], GameEdge] = {}
@@ -881,7 +858,8 @@ def verify_strategy(
 ) -> bool:
     """True iff every infinitely recurring edge set that Univ can realise
     against the induced strategy has a colour set satisfying the condition
-    (given as such, or for a Muller condition as its Zielonka tree).
+    (the game's, given as such or for a Muller condition as its Zielonka
+    tree; another condition raises `GameError`).
 
     The memory is decoded once (`memory_tables`, which raises `GameError`
     on a memory that is incomplete or leaves its declared states; a caller
@@ -890,9 +868,11 @@ def verify_strategy(
     refinement (`_rejected_core`), polynomial in that graph and the
     condition's Zielonka tree.
     """
+    given = condition.condition if isinstance(condition, ZielonkaTree) else condition
+    if given != game.condition:
+        raise GameError("verify_strategy: the condition given is not the game's condition")
     choice, update, start = memory_tables(game, memory) if tables is None else tables
-    colours = condition.condition if isinstance(condition, ZielonkaTree) else condition
-    bits = _node_bits(game.arena, colours)[game.arena.base :]
+    bits = _node_bits(game.arena)[game.arena.base :]
     _, rows, _ = _walk(game.arena, memory.size, choice, update, start, bits)
     return _rejected_core(range(len(rows)), rows, _refiner(condition)) is None
 
@@ -928,7 +908,8 @@ def brute_force_winner(
 ) -> str:
     """Exhaustively enumerate Exist strategies with memory up to memtree and
     check each complete one by the cycle check of `verify_strategy`; `budget`
-    caps the enumeration.  The condition may be given as its Zielonka tree.
+    caps the enumeration.  The condition, the game's, may be given as its
+    Zielonka tree; another condition raises `GameError`.
     Test oracle only.  Each search node walks (`_walk`) tables shaped like
     `memory_tables`' to the first -1 slot and tries its edges or memory
     states in order there; a walk that needs none goes to `_rejected_core`."""
@@ -936,9 +917,11 @@ def brute_force_winner(
     if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("brute_force_winner expects a Muller condition")
     tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
+    if tree.condition != game.condition:
+        raise GameError("brute_force_winner: the condition given is not the game's condition")
     arena, width = game.arena, tree.memtree()
     succ, base = arena.succ, arena.base
-    bits = _node_bits(arena, tree.condition)[base:]
+    bits = _node_bits(arena)[base:]
     refine = _refiner(tree)
     choice = [-1] * (base * width)
     update = [-1] * ((len(succ) - base) * width)
@@ -968,7 +951,7 @@ def brute_force_winner(
 # -- document formats --------------------------------------------------------------
 
 
-def game_from_dict(doc: Mapping, condition: Optional[AnyCondition] = None) -> GameGraph:
+def game_from_dict(doc: Mapping, condition: AnyCondition) -> GameGraph:
     """Build a game from the document format used by the CLI: `vertices`
     (name, owner), `edges` (src, colour or null, dst), `initial`."""
     if not isinstance(doc, Mapping):
@@ -1004,7 +987,7 @@ def _text(value: object, what: str) -> str:
     return value
 
 
-def load_game(path: str, condition: Optional[AnyCondition] = None) -> GameGraph:
+def load_game(path: str, condition: AnyCondition) -> GameGraph:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)

@@ -162,24 +162,17 @@ class Colouring:
     assignment: dict[int, int]
 
 
-def chromatic_number(
-    graph: ConditionGraph, mode: str = "exact", budget: int = 10**7
-) -> tuple[int, Colouring]:
+def chromatic_number(graph: ConditionGraph, budget: int = 10**7) -> tuple[int, Colouring]:
     """Chromatic number of the condition graph with a witness colouring.
 
     Isolated vertices (including the empty set and all accepting sets) are
     skipped by the search and coloured 1 afterwards; they never affect the
-    result.  Exact mode runs iterative deepening over a clique-seeded
+    result.  The search is iterative deepening over a clique-seeded
     branch-and-bound and honours `budget`.
     """
     active = graph.non_isolated()
     adj = graph.adjacency
-    if mode == "greedy":
-        k, assignment = _greedy_colouring(active, adj)
-    elif mode == "exact":
-        k, assignment = _exact_chromatic(active, adj, budget)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    k, assignment = _exact_chromatic(active, adj, budget)
     full = {v: assignment.get(v, 1) for v in graph.vertices()}
     for v in active:
         for u in adj[v]:
@@ -257,7 +250,7 @@ def succinctness_report(n: int, exact_chi: bool = False, budget: int = 10**7) ->
     if exact_chi or n <= 6:
         graph = build_condition_graph(condition)
         try:
-            lower, _ = chromatic_number(graph, "exact", budget)
+            lower, _ = chromatic_number(graph, budget)
             return SuccinctnessRow(n, gfg_size, det_parity_upper, lower, "exact-chi")
         except SearchBudgetError:
             # Report what the default mode proves, and say the search ran out.

@@ -974,7 +974,7 @@ def det_rabin_lower_bound(
     clique bound when the exact search exceeds its budget."""
     graph = build_condition_graph(condition)
     try:
-        k, _ = chromatic_number(graph, "exact", budget)
+        k, _ = chromatic_number(graph, budget)
         return k
     except SearchBudgetError:
         return clique_lower_bound(graph)

@@ -7,7 +7,6 @@ import pytest
 from mullergames.automata import condition_colours
 from mullergames.conditions import (
     Alphabet,
-    ConditionError,
     MullerCondition,
     ParityCondition,
     RabinCondition,
@@ -175,9 +174,10 @@ def product_cases(count):
 
 
 def test_product_arena_matches_reference():
-    def named(arena):  # arena[:4] with each colour id named through the palette
-        succ, preds, owners, colours = arena[:4]
-        return succ, preds, owners, [None if c < 0 else arena.palette[c] for c in colours]
+    def named(game):  # arena[:4] with each colour id named through the game's condition
+        succ, preds, owners, colours = game.arena[:4]
+        symbols = condition_colours(game.condition).symbols
+        return succ, preds, owners, [None if c < 0 else symbols[c] for c in colours]
 
     silent = 0
     for game, automaton, ids, reference in product_cases(300):
@@ -186,8 +186,8 @@ def test_product_arena_matches_reference():
         assert product.game.edges == reference.edges
         assert product.game.initial == reference.initial
         split = reference_split_edges(reference)
-        assert named(product.game.arena) == split
-        assert named(reference.arena) == split  # a named game's own arena
+        assert named(product.game) == split
+        assert named(reference) == split  # a named game's own arena
         assert all(product.ids[key] == v for v, key in enumerate(product.keys))
         assert sum(i >= 0 for i in product.ids) == len(product.keys)
         silent += any(e.colour is None for e in game.edges)
@@ -205,7 +205,7 @@ def test_solvers_agree_on_both_arenas():
         else:
             ours, theirs = positional_rabin_strategy(product), positional_rabin_strategy(reference)
             assert ours.region == theirs.region
-            assert ours.strategy == theirs.strategy
+            assert ours.exist_strategy == theirs.exist_strategy
 
 
 def test_plain_and_resolution_products_agree_on_exist_winners():
@@ -234,7 +234,7 @@ def reference_parity_region(game):
     condition, arena = game.condition, game.arena
     shift = max(0, 1 - min(condition.priorities.values()))
     shift += shift % 2
-    by_colour = [condition.priority(c) + shift for c in arena.palette] + [0]
+    by_colour = [condition.priority(c) + shift for c in condition.colours] + [0]
     prio = [by_colour[c] for c in arena.colours]
     return reference_zielonka_solve(frozenset(range(len(prio))), arena, prio)[0]
 
@@ -277,7 +277,7 @@ def test_product_builder_names_bad_automata():
     with pytest.raises(GameError, match="automaton is not complete: no 'b'-transition from 0"):
         product_with_automaton(game, incomplete)
     foreign = Automaton([0], Alphabet("a"), [0], [(0, "a", "1", 0)], parity)
-    with pytest.raises(GameError, match="alphabet mismatch: game colour 'b' unknown"):
+    with pytest.raises(GameError, match="alphabet mismatch between game condition and automaton"):
         _build_product(game, foreign, [0])
     two_initial = Automaton([0, 1], Alphabet("ab"), [0, 1], [], parity)
     with pytest.raises(GameError, match="single initial state"):
@@ -367,7 +367,7 @@ def test_parity_certificate_failures_are_game_errors(
     }
     solution = games.GameSolution(game, even, moves)
     with pytest.raises(GameError, match="internal: " + message):
-        games._verify_solution(solution, game.condition)
+        games._verify_solution(solution)
 
 
 # -- Rabin games: reference solver and agreement ------------------------------
@@ -402,7 +402,7 @@ def solved_rabin(game):
     the reference solver and that the strategy covers Exist's part of it."""
     solution = positional_rabin_strategy(game)
     assert solution.region == _rabin_region_via_parity(game)
-    assert set(solution.strategy) == {
+    assert set(solution.exist_strategy) == {
         v for v in solution.region if game.owner(v) == EXIST
     }
     return solution
@@ -451,7 +451,7 @@ def test_positional_rabin_all_green():
     )
     solution = solved_rabin(game)
     assert solution.region == {"x", "y"}
-    assert set(solution.strategy) == {"x", "y"}
+    assert set(solution.exist_strategy) == {"x", "y"}
 
 
 def test_positional_rabin_on_gfg_product(running_condition):
@@ -471,7 +471,7 @@ def test_positional_rabin_losing_region_empty_domain():
     )
     solution = solved_rabin(game)
     assert solution.region == frozenset()
-    assert solution.strategy == {}
+    assert solution.exist_strategy == {}
 
 
 def test_positional_rabin_requires_pair_switching():
@@ -619,7 +619,7 @@ def test_solve_muller_refuses_a_condition_not_the_games(running_condition):
     other = MullerCondition(Alphabet("abc"), [["a"]])
     with pytest.raises(GameError, match="not the game's condition"):
         solve_muller_game(alternation_game(running_condition), other)
-    bare = GameGraph([("x", EXIST)], [("x", "a", "x")], "x")
+    bare = GameGraph([("x", EXIST)], [("x", "a", "x")], "x", other)
     with pytest.raises(GameError, match="not the game's condition"):
         solve_muller_game(bare, build_zielonka(running_condition))
 
@@ -692,33 +692,24 @@ def test_memory_is_held_to_its_declared_states(running_condition):
         is_chromatic(stray, game)
 
 
-def test_colour_ids_without_a_condition_map_to_the_same_bits():
-    """A game built without a condition numbers its colours in the order
-    first seen, here unlike its condition's (c before b before a).  Through
-    its palette it must get the verdicts of the same game built with the
-    condition, and the same product."""
+def test_verdicts_agree_with_a_tree_and_with_tables():
+    """The checks give a condition's verdicts when handed its Zielonka tree,
+    and `verify_strategy` and `is_chromatic` give the same verdicts on
+    tables decoded beforehand as on the memory itself."""
     rng = random.Random(1112)
-    reordered = decided = 0
+    decided = 0
     verdicts = collections.Counter()
     for _ in range(60):
         condition = random_muller_condition(rng, Alphabet("cba"[-rng.randint(2, 3) :]))
         game = random_game(rng, condition, max_vertices=3, max_edges=6)
-        bare = GameGraph([(v, game.owner(v)) for v in game.vertices], game.edges, game.initial)
-        assert bare.edges == game.edges
-        palette = bare.arena.palette
-        reordered += palette != tuple(c for c in condition.alphabet if c in palette)
         tree = build_zielonka(condition)
-        automaton = build_gfg_rabin(tree).automaton
-        seeds = [game.arena.initial]
-        product = _build_product(game, automaton, seeds).game
-        assert _build_product(bare, automaton, seeds).game.edges == product.edges
         try:
             winner = brute_force_winner(game, tree, budget=20_000)
         except GameError:
             with pytest.raises(GameError, match="budget"):
-                brute_force_winner(bare, tree, budget=20_000)
+                brute_force_winner(game, condition, budget=20_000)
         else:
-            assert brute_force_winner(bare, tree, budget=20_000) == winner
+            assert brute_force_winner(game, condition, budget=20_000) == winner
             decided += 1
         # The solver's memory when Exist wins, and a one-state memory that
         # always takes a vertex's first move.
@@ -729,22 +720,38 @@ def test_colour_ids_without_a_condition_map_to_the_same_bits():
             memories.append(solution.memory)
         for memory in memories:
             verdict = verify_strategy(game, tree, memory)
-            assert verify_strategy(bare, tree, memory) == verdict
-            assert verify_strategy(bare, condition, memory) == verdict
-            assert is_chromatic(memory, bare) == is_chromatic(memory, game)
+            assert verify_strategy(game, condition, memory) == verdict
             tables = memory_tables(game, memory)
             assert verify_strategy(game, tree, memory, tables=tables) == verdict
             assert is_chromatic(memory, game, tables=tables) == is_chromatic(memory, game)
             verdicts[verdict] += 1
-    assert reordered >= 20 and decided >= 40
+    assert decided >= 40
     assert verdicts[True] >= 10 and verdicts[False] >= 10
 
 
-def test_verify_strategy_names_a_colour_outside_the_condition(running_condition):
-    game = GameGraph([("x", EXIST)], [("x", "d", "x")], "x")
-    memory = MemoryStructure((1,), 1, {(1, e): 1 for e in game.edges}, {(1, "x"): game.edges[0]})
-    with pytest.raises(ConditionError, match="'d'"):
-        verify_strategy(game, running_condition, memory)
+def test_checks_refuse_a_condition_not_the_games(running_condition):
+    """A game is judged by its own condition only: `verify_strategy` and
+    `brute_force_winner` refuse another one or its tree, and `GameGraph`
+    refuses an edge colour that is not a colour of its condition."""
+    game = one_vertex_abc_game(running_condition)
+    memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
+    assert verify_strategy(game, running_condition, memory)
+    # Equal to the game's condition but a different object: still the game's.
+    accepting = [["a", "b"], ["a", "c"], ["b"]]
+    twin = MullerCondition(Alphabet("abc"), accepting)
+    assert verify_strategy(game, build_zielonka(twin), memory)
+    assert brute_force_winner(game, twin) == EXIST
+    for other in (
+        MullerCondition(Alphabet("abc"), [["a"]]),
+        MullerCondition(Alphabet("abcd"), accepting),
+    ):
+        for given in (other, build_zielonka(other)):
+            with pytest.raises(GameError, match="verify_strategy: .* not the game's condition"):
+                verify_strategy(game, given, memory)
+            with pytest.raises(GameError, match="brute_force_winner: .* not the game's"):
+                brute_force_winner(game, given)
+    with pytest.raises(GameError, match="edge colour 'd' is not a condition colour"):
+        GameGraph([("x", EXIST)], [("x", "d", "x")], "x", running_condition)
 
 
 def test_parity_positional_passes_verify(running_condition):
@@ -967,7 +974,7 @@ def test_game_documents(tmp_path, running_condition):
     path.write_text(json.dumps(doc))
     assert load_game(str(path), running_condition).vertices == game.vertices
     with pytest.raises(GameError):
-        game_from_dict({"vertices": [], "edges": []})
+        game_from_dict({"vertices": [], "edges": []}, running_condition)
 
 
 def test_memory_document(running_condition):

@@ -14,6 +14,7 @@ from mullergames.conditions import (
 from mullergames.construction import build_parity_automaton
 from mullergames.succinctness import (
     SearchBudgetError,
+    _greedy_colouring,
     binomial_lower_bound,
     build_condition_graph,
     chromatic_number,
@@ -100,12 +101,12 @@ def test_edge_rule_matches_size_rule_for_fn(n):
 
 def test_chromatic_number_examples():
     g4 = build_condition_graph(condition_fn(4))
-    k, colouring = chromatic_number(g4, "exact")
+    k, colouring = chromatic_number(g4)
     assert k == 4 and colouring.size == 4
     edgeless = build_condition_graph(condition_fn(2))
-    assert chromatic_number(edgeless, "exact")[0] == 1
+    assert chromatic_number(edgeless)[0] == 1
     g5 = build_condition_graph(condition_fn(5))
-    assert chromatic_number(g5, "exact")[0] == 5
+    assert chromatic_number(g5)[0] == 5
 
 
 def test_chromatic_witness_is_proper_and_greedy_dominates():
@@ -113,10 +114,10 @@ def test_chromatic_witness_is_proper_and_greedy_dominates():
     for _ in range(20):
         cond = random_muller_condition(rng, Alphabet("abcd"))
         graph = build_condition_graph(cond)
-        exact_k, exact = chromatic_number(graph, "exact")
-        greedy_k, greedy = chromatic_number(graph, "greedy")
+        exact_k, exact = chromatic_number(graph)
+        greedy_k, greedy = _greedy_colouring(graph.non_isolated(), graph.adjacency)
         assert greedy_k >= exact_k
-        for assignment in (exact.assignment, greedy.assignment):
+        for assignment in (exact.assignment, greedy):
             for m in graph.vertices():
                 for other in graph.neighbours(m):
                     assert assignment[m] != assignment[other]
@@ -125,7 +126,7 @@ def test_chromatic_witness_is_proper_and_greedy_dominates():
 def test_chromatic_budget_error():
     graph = build_condition_graph(condition_fn(6))
     with pytest.raises(SearchBudgetError):
-        chromatic_number(graph, "exact", budget=3)
+        chromatic_number(graph, budget=3)
 
 
 def test_det_rabin_lower_bound_values():
@@ -162,7 +163,7 @@ def test_binomial_lower_bound_values():
 
 def test_binomial_bound_consistent_with_exact_when_feasible():
     try:
-        k, _ = chromatic_number(build_condition_graph(condition_fn(10)), "exact", budget=100_000)
+        k, _ = chromatic_number(build_condition_graph(condition_fn(10)), budget=100_000)
     except SearchBudgetError:
         return
     assert binomial_lower_bound(10).bound <= k
