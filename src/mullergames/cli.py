@@ -216,22 +216,12 @@ def cmd_succinctness(args) -> int:
     return 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mullergames",
-        description=(
-            "Zielonka trees, minimal good-for-games Rabin automata, and "
-            "memory-optimal Muller game solving"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("zielonka", help="print a condition's Zielonka tree and memtree")
+def _zielonka_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("condition", help="condition file (JSON)")
     p.add_argument("--dot", metavar="PATH", help="write the tree as DOT")
-    p.set_defaults(handler=cmd_zielonka)
 
-    p = sub.add_parser("build", help="build the GFG Rabin or parity automaton")
+
+def _build_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("condition", help="condition file (JSON)")
     p.add_argument("--kind", choices=["gfg-rabin", "parity"], required=True)
     p.add_argument("--simplify", action="store_true", help="merge duplicated edges")
@@ -240,9 +230,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--provenance", metavar="PATH", help="write the transition provenance map"
     )
-    p.set_defaults(handler=cmd_build)
 
-    p = sub.add_parser("check", help="certify automata against the condition on lassos")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("condition", help="condition file (JSON)")
     p.add_argument(
         "--automaton",
@@ -250,25 +240,59 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="'self' for the built automata, or a HOA file emitted by 'build'",
     )
     p.add_argument("--bound", type=int, default=None, help="max period length")
-    p.set_defaults(handler=cmd_check)
 
-    p = sub.add_parser("solve", help="solve a Muller game and extract a memory")
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--game", required=True, help="game file (JSON)")
     p.add_argument("--condition", required=True, help="condition file (JSON)")
     p.add_argument("--memory-out", metavar="PATH", help="write the memory structure")
-    p.set_defaults(handler=cmd_solve)
 
-    p = sub.add_parser("succinctness", help="print the separation report for F_n")
+
+def _succinctness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exact-chi", action="store_true", help="force the exact colouring")
     p.add_argument("--json", metavar="PATH", help="write the machine-readable report")
-    p.set_defaults(handler=cmd_succinctness)
+
+
+# name -> (help, handler, arguments), in the order `--help` lists them
+COMMANDS = {
+    "zielonka": ("print a condition's Zielonka tree and memtree", cmd_zielonka, _zielonka_args),
+    "build": ("build the GFG Rabin or parity automaton", cmd_build, _build_args),
+    "check": ("certify automata against the condition on lassos", cmd_check, _check_args),
+    "solve": ("solve a Muller game and extract a memory", cmd_solve, _solve_args),
+    "succinctness": ("print the separation report for F_n", cmd_succinctness, _succinctness_args),
+}
+
+
+def build_arg_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `mullergames` parser with every command, or with `command` alone.
+
+    A parser with one command parses that command's arguments as the full
+    one does and prints the same texts: its command metavar spells out all
+    the commands, as the full parser's usage line does.  The full parser
+    serves help, a missing command and an unknown one."""
+    parser = argparse.ArgumentParser(
+        prog="mullergames",
+        description=(
+            "Zielonka trees, minimal good-for-games Rabin automata, and "
+            "memory-optimal Muller game solving"
+        ),
+    )
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, handler, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the command that runs gets a subparser: all five cost three times one.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_arg_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ConditionError, AutomatonError, GameError, SearchBudgetError) as err:

@@ -113,7 +113,7 @@ class MullerCondition:
 
     def __init__(self, alphabet: Alphabet, accepting: Iterable[LetterLike]):
         self.alphabet = alphabet
-        masks = []
+        masks: set[int] = set()
         for member in accepting:
             mask = alphabet.letters(member).mask
             if mask == 0:
@@ -122,7 +122,7 @@ class MullerCondition:
                 raise ConditionError(
                     "duplicate accepting set {%s}" % ",".join(alphabet.from_mask(mask))
                 )
-            masks.append(mask)
+            masks.add(mask)
         self.masks = frozenset(masks)
 
     def __eq__(self, other: object) -> bool:
@@ -165,6 +165,16 @@ class RabinCondition:
             built.append((g, r))
         self.pairs = tuple(built)
 
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, RabinCondition)
+            and self.colours == other.colours
+            and self.pairs == other.pairs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.colours, self.pairs))
+
     def __repr__(self) -> str:
         return f"RabinCondition({self.colours!r}, {self.pairs!r})"
 
@@ -204,6 +214,16 @@ class ParityCondition:
                 f"(missing {missing!r}, extra {extra!r})"
             )
         self.priorities = {c: int(priorities[c]) for c in colours}
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, ParityCondition)
+            and self.colours == other.colours
+            and self.priorities == other.priorities
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.colours, tuple(self.priorities.values())))
 
     def __repr__(self) -> str:
         return f"ParityCondition({self.colours!r}, {self.priorities!r})"

@@ -12,16 +12,17 @@ vertices, where Exist picks the transition that reads a letter.
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  A colour id indexes the colours of the game's own condition: a
 game's are the letters its automata read, a product's its automaton's
-output colours.  A product is built straight into its arena and names its
-vertices and edges only when a caller reads them.  There is one solver per
-kind of game, both on the arena and each under its own game's condition:
-Zielonka's recursion for parity games (`solve_parity_game`) and its Rabin
-form, where Exist always has a positional strategy
-(`positional_rabin_strategy`).  Both are written as one loop that removes
-the opponent's attractor to what it wins and continues, so a parity solve
-recurses at most as deep as its number of distinct priorities and a Rabin
-solve as its number of colours.  Each result is re-checked before it is
-returned, and the two products must agree on the initial vertex's winner.
+output colours.  Every game is built straight into its arena and names its
+edges (a product also its vertices) only when a caller reads them.  There
+is one solver per kind of game, both on the arena and each under its own
+game's condition: Zielonka's recursion for parity games
+(`solve_parity_game`) and its Rabin form, where Exist always has a
+positional strategy (`positional_rabin_strategy`).  Both are written as
+one loop that removes the opponent's attractor to what it wins and
+continues, so a parity solve recurses at most as deep as its number of
+distinct priorities and a Rabin solve as its number of colours.  Each
+result is re-checked before it is returned, and the two products must
+agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -45,7 +46,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._graph import dense_components
@@ -109,8 +109,10 @@ def _split(owners: list[int], edges: list[tuple[int, int, int]], initial: int) -
 
 class GameGraph:
     """A two-player arena whose edges carry colours of its condition, or
-    none (silent); `arena` is its integer form.  A product (`_build_product`) is made from
-    its arena alone and names its vertices and edges when first read."""
+    none (silent); `arena` is its integer form.  Every game is built
+    straight into its arena, a product (`_build_product`) from ids alone,
+    and names its edges and owners (a product also its vertices) when they
+    are first read."""
 
     def __init__(
         self,
@@ -119,43 +121,37 @@ class GameGraph:
         initial: Vertex,
         condition: AnyCondition,
     ):
-        owner: dict[Vertex, str] = {}
+        index: dict[Vertex, int] = {}
+        owners: list[int] = []
         for name, who in vertices:
             who = who.capitalize()
             if who not in (EXIST, UNIV):
                 raise GameError(f"owner of {name!r} must be Exist or Univ")
-            if name in owner:
+            if name in index:
                 raise GameError(f"duplicate vertex {name!r}")
-            owner[name] = who
-        if initial not in owner:
+            index[name] = len(owners)
+            owners.append(0 if who == EXIST else 1)
+        if initial not in index:
             raise GameError(f"initial vertex {initial!r} is not a vertex")
-        colour_id = {c: i for i, c in enumerate(condition_colours(condition))}
-        unique: dict[GameEdge, None] = {}
-        for e in edges:
-            e = e if isinstance(e, GameEdge) else GameEdge(*e)
-            if e.src not in owner or e.dst not in owner:
-                raise GameError(f"edge {e} uses an unknown vertex")
-            if e.colour is not None and e.colour not in colour_id:
-                raise GameError(f"edge colour {e.colour!r} is not a condition colour")
-            unique[e] = None
-        self.vertices, self.edges, self._owner = tuple(owner), tuple(unique), owner
-        self.initial, self.condition = initial, condition
-        index = {v: i for i, v in enumerate(owner)}
-        self.arena = _split(
-            [0 if who == EXIST else 1 for who in owner.values()],
-            [(index[e.src], index[e.dst], colour_id.get(e.colour, -1)) for e in self.edges],
-            index[initial],
-        )
+        colour_id = {c: i for i, c in enumerate(condition_colours(condition))} | {None: -1}
+        unique: dict[tuple[int, int, int], None] = {}  # (source, target, colour) ids
+        for src, colour, dst in edges:
+            x, y, c = index.get(src), index.get(dst), colour_id.get(colour)
+            if x is None or y is None:
+                raise GameError(f"edge {GameEdge(src, colour, dst)} uses an unknown vertex")
+            if c is None:
+                raise GameError(f"edge colour {colour!r} is not a condition colour")
+            unique[x, y, c] = None
+        self.vertices, self.initial, self.condition = tuple(index), initial, condition
+        self.arena = _split(owners, list(unique), index[initial])
         succ, colour = self.arena.succ, self.arena.colours
         for v, moves in zip(self.vertices, succ):
             if not moves:
-                raise GameError(
-                    f"vertex {v!r} violates 'at least one move from every position'"
-                )
+                raise GameError(f"vertex {v!r} violates 'at least one move from every position'")
         # Only a vertex with a silent move can lie on a silent cycle.
-        silent = [[succ[m][0] for m in moves if colour[m] < 0] for moves in succ[: len(owner)]]
+        silent = [[succ[m][0] for m in moves if colour[m] < 0] for moves in succ[: len(owners)]]
         roots = [x for x, targets in enumerate(silent) if targets]
-        for comp in dense_components(silent.__getitem__, roots, [-1] * len(owner)):
+        for comp in dense_components(silent.__getitem__, roots, [-1] * len(owners)):
             if len(comp) > 1 or comp[0] in silent[comp[0]]:
                 raise GameError("game violates 'no cycle is labelled exclusively by ε'")
 
@@ -968,16 +964,22 @@ def game_from_dict(doc: Mapping, condition: AnyCondition) -> GameGraph:
             name, owner = row["name"], row["owner"]
         except (TypeError, KeyError):
             raise GameError(f"malformed vertex entry {row!r}") from None
-        vertices.append((_text(name, "vertex name"), _text(owner, f"owner of {name!r}")))
+        if not (isinstance(name, str) and isinstance(owner, str)):
+            _text(name, "vertex name")
+            _text(owner, f"owner of {name!r}")
+        vertices.append((name, owner))
     edges = []
     for row in doc["edges"]:
         try:
             src, colour, dst = row["src"], row["colour"], row["dst"]
         except (TypeError, KeyError):
             raise GameError(f"malformed edge entry {row!r}") from None
-        if colour is not None:
+        if not isinstance(colour, str) and colour is not None:
             _text(colour, "edge colour")
-        edges.append(GameEdge(_text(src, "edge source"), colour, _text(dst, "edge target")))
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            _text(src, "edge source")
+            _text(dst, "edge target")
+        edges.append((src, colour, dst))
     return GameGraph(vertices, edges, _text(doc["initial"], "initial vertex"), condition)
 
 
@@ -1000,20 +1002,19 @@ def memory_to_dict(memory: MemoryStructure) -> dict:
     def edge_doc(e: GameEdge) -> dict:
         return {"src": e.src, "colour": e.colour, "dst": e.dst}
 
+    def in_order(table: Mapping) -> list:
+        return sorted(table, key=lambda k: (str(k[0]), str(k[1])))
+
     return {
         "states": list(memory.states),
         "initial": memory.initial,
         "update": [
             {"state": m, "edge": edge_doc(e), "next": memory.update[(m, e)]}
-            for (m, e) in sorted(
-                memory.update, key=lambda k: (str(k[0]), str(k[1]))
-            )
+            for (m, e) in in_order(memory.update)
         ],
         "strategy": [
             {"state": m, "vertex": x, "edge": edge_doc(memory.strategy[(m, x)])}
-            for (m, x) in sorted(
-                memory.strategy, key=lambda k: (str(k[0]), str(k[1]))
-            )
+            for (m, x) in in_order(memory.strategy)
         ],
     }
 
@@ -1021,14 +1022,12 @@ def memory_to_dict(memory: MemoryStructure) -> dict:
 def memory_to_json(memory: MemoryStructure) -> str:
     """`json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\\n"`,
     written row by row: `indent` would send `json` to its pure-Python
-    encoder.  Rows keep `memory_to_dict`'s order; each state's and edge's
-    text and sort key is made once per object, and strings and ints go
-    through `json`'s C encoders."""
-    # id(state) and id(edge) -> (str(object), its text in a row)
-    state_made: dict[int, tuple[str, str]] = {}
-    edge_made: dict[int, tuple[str, str]] = {}
+    encoder.  Each table's distinct states and edges or vertices are sorted
+    once by `str` (objects that print alike keep first-seen order) and their
+    texts made once; strings and ints go through `json`'s C encoders."""
+    edge_made: dict[int, str] = {}  # id(edge) -> its text in a row
 
-    def text(value: object, indent: str) -> str:
+    def text(value: object, indent: str = "      ") -> str:
         kind = type(value)
         if kind is str:
             return encode_basestring_ascii(value)
@@ -1038,44 +1037,45 @@ def memory_to_json(memory: MemoryStructure) -> str:
             return "null"
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
-    def state(m: Hashable) -> tuple[str, str]:
-        got = state_made.get(id(m))
-        if got is None:
-            got = state_made[id(m)] = (str(m), text(m, "      "))
-        return got
-
-    def edge(e: GameEdge) -> tuple[str, str]:
+    def edge(e: GameEdge) -> str:
         got = edge_made.get(id(e))
         if got is None:
-            fields = ",\n".join(
-                f'        "{key}": ' + text(value, "        ")
-                for key, value in (("colour", e.colour), ("dst", e.dst), ("src", e.src))
+            src, colour, dst = e
+            got = edge_made[id(e)] = (
+                '    {\n      "edge": {\n        "colour": ' + text(colour, "        ")
+                + ',\n        "dst": ' + text(dst, "        ")
+                + ',\n        "src": ' + text(src, "        ") + "\n      },\n"
             )
-            got = edge_made[id(e)] = (str(e), '    {\n      "edge": {\n' + fields + "\n      },\n")
         return got
 
-    def rows(items: list[tuple[str, str, str]]) -> str:
-        if not items:
-            return "[]"
-        items.sort(key=itemgetter(0, 1))
-        return "[\n" + ",\n".join(row for _, _, row in items) + "\n  ]"
+    def rows(table: Mapping, key_text: Callable, row: Callable) -> str:
+        """`row(text of m, key_text(k), table[(m, k)])` by m, then by k."""
+        states = sorted(dict.fromkeys(m for m, _ in table), key=str)
+        keys = [(k, key_text(k)) for k in sorted(dict.fromkeys(k for _, k in table), key=str)]
+        out = []
+        for m in states:
+            m_text = text(m)
+            for k, k_text in keys:
+                value = table.get((m, k), out)  # `out` marks a missing pair
+                if value is not out:
+                    out.append(row(m_text, k_text, value))
+        return "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
 
-    update = []
-    for (m, e), nxt in memory.update.items():
-        m_key, m_text = state(m)
-        e_key, e_text = edge(e)
-        row = e_text + '      "next": ' + text(nxt, "      ") + ',\n      "state": ' + m_text + "\n    }"
-        update.append((m_key, e_key, row))
-    strategy = []
-    for (m, x), e in memory.strategy.items():
-        m_key, m_text = state(m)
-        row = edge(e)[1] + '      "state": ' + m_text + ',\n      "vertex": ' + text(x, "      ") + "\n    }"
-        strategy.append((m_key, str(x), row))
+    update = rows(
+        memory.update,
+        edge,
+        lambda m, e, nxt: e + '      "next": ' + text(nxt) + ',\n      "state": ' + m + "\n    }",
+    )
+    strategy = rows(
+        memory.strategy,
+        text,
+        lambda m, x, e: edge(e) + '      "state": ' + m + ',\n      "vertex": ' + x + "\n    }",
+    )
     states = ",\n    ".join(text(m, "    ") for m in memory.states)
     return (
         '{\n  "initial": ' + text(memory.initial, "  ")
         + ',\n  "states": ' + ("[\n    " + states + "\n  ]" if memory.states else "[]")
-        + ',\n  "strategy": ' + rows(strategy)
-        + ',\n  "update": ' + rows(update)
+        + ',\n  "strategy": ' + strategy
+        + ',\n  "update": ' + update
         + "\n}\n"
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -534,6 +535,81 @@ MALFORMED_GAMES = {
         _loop_game(edges=[{"src": "x", "colour": "d", "dst": "x"}]),
         "'d' is not a condition colour",
     ),
+    "missing-initial": (
+        {k: v for k, v in _loop_game().items() if k != "initial"},
+        "game document lacks field 'initial'",
+    ),
+    "vertices-object": (_loop_game(vertices={"x": "Exist"}), "field 'vertices' must be a list"),
+    "int-name": (
+        _loop_game(vertices=[{"name": 7, "owner": "Exist"}]), "vertex name must be a string, got 7"
+    ),
+    "int-owner": (
+        _loop_game(vertices=[{"name": "x", "owner": 0}]), "owner of 'x' must be a string, got 0"
+    ),
+    "int-source": (
+        _loop_game(edges=[{"src": 0, "colour": "a", "dst": "x"}]),
+        "edge source must be a string, got 0",
+    ),
+    "int-target": (
+        _loop_game(edges=[{"src": "x", "colour": "a", "dst": 0}]),
+        "edge target must be a string, got 0",
+    ),
+    "int-colour": (
+        _loop_game(edges=[{"src": "x", "colour": 3, "dst": "x"}]),
+        "edge colour must be a string, got 3",
+    ),
+    "int-initial": (_loop_game(initial=0), "initial vertex must be a string, got 0"),
+    "initial-not-a-vertex": (_loop_game(initial="y"), "initial vertex 'y' is not a vertex"),
+    "vertex-without-move": (
+        _loop_game(vertices=[{"name": "x", "owner": "Exist"}, {"name": "y", "owner": "Univ"}]),
+        "vertex 'y' violates 'at least one move from every position'",
+    ),
+    "unknown-source": (
+        _loop_game(edges=[{"src": "y", "colour": "a", "dst": "x"}]),
+        "edge GameEdge(src='y', colour='a', dst='x') uses an unknown vertex",
+    ),
+    # Documents with two faults: the first one checked names the error.
+    "name-before-owner": (
+        _loop_game(vertices=[{"name": 7, "owner": 0}]), "vertex name must be a string"
+    ),
+    "colour-before-source": (
+        _loop_game(edges=[{"src": 0, "colour": 3, "dst": 1}]), "edge colour must be a string"
+    ),
+    "source-before-target": (
+        _loop_game(edges=[{"src": 0, "colour": "a", "dst": 1}]), "edge source must be a string"
+    ),
+    "edge-types-before-vertices": (
+        _loop_game(
+            vertices=[{"name": "x", "owner": "Exist"}, {"name": "x", "owner": "Univ"}],
+            edges=[{"src": 0, "colour": "a", "dst": "x"}],
+        ),
+        "edge source must be a string",
+    ),
+    "initial-type-before-vertices": (
+        _loop_game(vertices=[{"name": "x", "owner": "Bob"}], initial=0),
+        "initial vertex must be a string",
+    ),
+    "owner-before-duplicate": (
+        _loop_game(vertices=[{"name": "x", "owner": "Exist"}, {"name": "x", "owner": "Bob"}]),
+        "owner of 'x' must be Exist or Univ",
+    ),
+    "vertices-before-initial": (
+        _loop_game(vertices=[{"name": "x", "owner": "Bob"}], initial="y"), "Exist or Univ"
+    ),
+    "initial-before-edges": (
+        _loop_game(initial="y", edges=[{"src": "z", "colour": "a", "dst": "x"}]),
+        "initial vertex 'y' is not a vertex",
+    ),
+    "unknown-vertex-before-colour": (
+        _loop_game(edges=[{"src": "x", "colour": "d", "dst": "y"}]), "uses an unknown vertex"
+    ),
+    "edges-before-dead-end": (
+        _loop_game(
+            vertices=[{"name": "x", "owner": "Exist"}, {"name": "y", "owner": "Univ"}],
+            edges=[{"src": "x", "colour": "d", "dst": "x"}],
+        ),
+        "'d' is not a condition colour",
+    ),
 }
 
 
@@ -773,3 +849,67 @@ def test_cli_file_errors_exit_2_with_one_line(capsys, condition_file, tmp_path, 
 def test_cli_missing_file(capsys):
     assert main(["zielonka", "/nonexistent/cond.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# Each probe ends in argparse's help or usage error.  "c" and "g" name no
+# file: the parser stops before any handler runs.
+USAGE_PROBES = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["zielonka", "-h"],
+    ["zielonka"],
+    ["zielonka", "c", "--dot"],
+    ["build", "-h"],
+    ["build", "c"],
+    ["build", "c", "--kind", "dfa"],
+    ["check", "-h"],
+    ["check"],
+    ["check", "c", "--bound", "two"],
+    ["solve", "-h"],
+    ["solve", "--game", "g"],
+    ["solve", "--game", "g", "--condition", "c", "--memory-out"],
+    # The top-level parser reports this one and prints its usage line,
+    # which lists every command.
+    ["solve", "--game", "g", "--condition", "c", "--bogus"],
+    ["succinctness", "-h"],
+    ["succinctness"],
+    ["succinctness", "--n", "six"],
+]
+
+
+def _stopped(capsys, parse):
+    with pytest.raises(SystemExit) as stop:
+        parse()
+    out, err = capsys.readouterr()
+    return stop.value.code, out, err
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", USAGE_PROBES, ids=lambda argv: " ".join(argv) or "none")
+def test_usage_texts_match_the_full_parser(capsys, monkeypatch, argv, columns):
+    from mullergames.cli import build_arg_parser
+
+    monkeypatch.setenv("COLUMNS", columns)  # 40 wraps the top-level usage line
+    expected = _stopped(capsys, lambda: build_arg_parser().parse_args(argv))
+    assert _stopped(capsys, lambda: main(argv)) == expected
+    monkeypatch.setattr(sys, "argv", ["mullergames", *argv])
+    assert _stopped(capsys, lambda: main()) == expected
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch, condition_file):
+    from mullergames import cli
+
+    built, build = [], cli.build_arg_parser
+
+    def recording(command=None):
+        parser = build(command)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        built.append(sorted(sub.choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_arg_parser", recording)
+    assert main(["zielonka", condition_file]) == 0
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert built == [["zielonka"], sorted(cli.COMMANDS)]

@@ -46,6 +46,15 @@ def test_satisfies_muller_rejects_foreign_letters(running_condition):
         satisfies_muller(running_condition, other)
 
 
+def test_muller_condition_names_the_first_duplicate():
+    alphabet = Alphabet("abc")
+    with pytest.raises(ConditionError, match=r"^duplicate accepting set \{a,b\}$"):
+        MullerCondition(alphabet, [["a", "b"], ["c"], ["b", "a"], ["c"]])
+    with pytest.raises(ConditionError, match=r"^duplicate accepting set \{c\}$"):
+        MullerCondition(alphabet, [["c"], ["a"], ["c"], ["a"]])
+    assert MullerCondition(alphabet, [["a"], ["a", "b"]]).masks == {0b001, 0b011}
+
+
 def test_satisfies_rabin_examples():
     assert satisfies_rabin(RUNNING_PAIRS, ["gamma"])
     # alpha is red for both pairs

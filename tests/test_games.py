@@ -754,6 +754,42 @@ def test_checks_refuse_a_condition_not_the_games(running_condition):
         GameGraph([("x", EXIST)], [("x", "d", "x")], "x", running_condition)
 
 
+def test_checks_accept_an_equal_rabin_or_parity_condition():
+    """Rabin and parity conditions compare by content, as Muller conditions
+    do: `verify_strategy` accepts a separately built copy of the game's
+    condition and still refuses a different one."""
+    loop = GameEdge("x", "g", "x")
+    memory = MemoryStructure((0,), 0, {(0, loop): 0}, {(0, "x"): loop})
+    two, three = (["g", "r"], ["g", "r", "o"])
+    cases = [
+        (
+            lambda: RabinCondition(Alphabet(two), [(["g"], ["r"])]),
+            [
+                RabinCondition(Alphabet(two), [(["r"], ["g"])]),
+                RabinCondition(Alphabet(two), [(["g"], ["r"]), (["r"], [])]),
+                RabinCondition(Alphabet(three), [(["g"], ["r"])]),
+            ],
+        ),
+        (
+            lambda: ParityCondition(Alphabet(two), {"g": 2, "r": 1}),
+            [
+                ParityCondition(Alphabet(two), {"g": 0, "r": 1}),
+                ParityCondition(Alphabet(three), {"g": 2, "r": 1, "o": 0}),
+            ],
+        ),
+    ]
+    for make, others in cases:
+        game = GameGraph([("x", EXIST)], [tuple(loop)], "x", make())
+        twin = make()
+        assert twin is not game.condition
+        assert twin == game.condition and hash(twin) == hash(game.condition)
+        assert verify_strategy(game, twin, memory)
+        for other in others:
+            assert other != game.condition
+            with pytest.raises(GameError, match="verify_strategy: .* not the game's condition"):
+                verify_strategy(game, other, memory)
+
+
 def test_parity_positional_passes_verify(running_condition):
     parity = build_parity_automaton(running_condition)
     product = product_with_automaton(one_vertex_abc_game(running_condition), parity)
