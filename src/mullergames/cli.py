@@ -37,7 +37,6 @@ from .games import (
     GameError,
     is_chromatic,
     load_game,
-    memory_tables,
     memory_to_json,
     solve_muller_game,
     verify_strategy,
@@ -86,7 +85,8 @@ def cmd_build(args) -> int:
         automaton = gfg.automaton
         if args.simplify:
             automaton = simplify_rabin(automaton)
-            assert not has_duplicated_edges(automaton)
+            if has_duplicated_edges(automaton):
+                raise AutomatonError("internal: the simplified automaton keeps duplicated edges")
         print(f"{len(automaton.states)} states, {len(automaton.acceptance)} Rabin pairs")
         if args.provenance:
             _write_json(args.provenance, provenance_document(gfg))
@@ -197,12 +197,10 @@ def cmd_solve(args) -> int:
     if solution.memory is None:
         return 0
     memory = solution.memory
-    tables = memory_tables(game, memory)  # decoded once for both checks
-    if not verify_strategy(game, tree, memory, tables=tables):
+    if not verify_strategy(memory, tree):
         raise GameError("extracted memory failed strategy verification")
-    chromatic = is_chromatic(memory, game, tables=tables)
     print(f"memory size: {memory.size}")
-    print(f"chromatic: {'yes' if chromatic else 'no'}")
+    print(f"chromatic: {'yes' if is_chromatic(memory) else 'no'}")
     if args.memory_out:
         _write(args.memory_out, memory_to_json(memory))
     return 0

@@ -33,11 +33,13 @@ time where a scan of colour subsets would take 2^colours passes.  It runs
 on node indices, and one array kernel (`_graph.dense_components`) finds
 the components of every refinement.
 
-A memory structure is checked on the same ids.  `memory_tables` decodes
-it once into a choice table and an update table, and rejects a memory that
-leaves the states it declares.  One walk (`_walk`) over the (vertex,
-memory) nodes x|M| + m then serves `verify_strategy`, `is_chromatic` and
-`brute_force_winner`, which searches by filling those tables in place.
+A memory structure lives on the same ids: a choice table and an update
+table over the game's arena, which `memory_from_gfg` writes straight from
+the product.  Names enter only through `MemoryStructure.from_names`, which
+rejects a memory that leaves the states it declares, and leave only through
+`memory_to_dict` and `memory_to_json`.  One walk (`_walk`) over the
+(vertex, memory) nodes x|M| + m serves `verify_strategy`, `is_chromatic`
+and `brute_force_winner`, which searches by filling the tables in place.
 """
 
 from __future__ import annotations
@@ -203,19 +205,70 @@ class GameGraph:
 
 @dataclass
 class MemoryStructure:
-    """Finite-state strategy memory (M, m0, update, choice) keyed by names:
-    `update[(m, edge)]` is the state after `edge` from state m, and
-    `strategy[(m, v)]` Exist's edge at v in state m.  The checks decode it
-    with `memory_tables`, which holds it to the `size` states it declares."""
+    """Finite-state strategy memory (M, m0, update, choice) on `game`'s
+    arena ids, with m the index of a state in `states` and W their number:
+    `choice[x·W + m]` is the index of Exist's edge at vertex x in state m
+    (-1 at Univ's vertices), `update[j·W + m]` the state after edge j, and
+    `start` the index of the initial state."""
 
+    game: GameGraph
     states: tuple[Hashable, ...]
-    initial: Hashable
-    update: dict[tuple[Hashable, GameEdge], Hashable]
-    strategy: dict[tuple[Hashable, Vertex], GameEdge]
+    start: int
+    choice: list[int]
+    update: list[int]
+
+    @property
+    def initial(self) -> Hashable:
+        return self.states[self.start]
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @classmethod
+    def from_names(
+        cls,
+        game: GameGraph,
+        states: Sequence[Hashable],
+        initial: Hashable,
+        update: Mapping[tuple[Hashable, GameEdge], Hashable],
+        strategy: Mapping[tuple[Hashable, Vertex], GameEdge],
+    ) -> MemoryStructure:
+        """The memory whose `update[(m, edge)]` is the state after `edge`
+        from state m and `strategy[(m, v)]` Exist's edge at v in state m.
+        Raises `GameError` if a choice or an update is missing, a choice is
+        not a move of its vertex, or the initial state or an update is not
+        in `states`."""
+        states = tuple(states)
+        index = {m: i for i, m in enumerate(states)}
+        if initial not in index:
+            raise GameError(f"initial memory state {initial!r} is not a declared state")
+        succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+        choice: list[int] = []
+        for x, v in enumerate(game.vertices):
+            if owners[x]:
+                choice += [-1] * len(states)
+                continue
+            outs, moves = game.out(v), succ[x]
+            for m in states:
+                try:
+                    choice.append(moves[outs.index(strategy.get((m, v)))] - base)
+                except ValueError:
+                    raise GameError(f"strategy at ({m!r}, {v!r}) is not a move of {v!r}") from None
+        after: list[int] = []
+        missing = object()
+        for e in game.edges:
+            for m in states:
+                k = index.get(update.get((m, e), missing))
+                if k is None:
+                    if (m, e) not in update:
+                        raise GameError(f"memory update missing for ({m!r}, {e})")
+                    raise GameError(
+                        f"memory update for ({m!r}, {e}) goes to undeclared state "
+                        f"{update[(m, e)]!r}"
+                    )
+                after.append(k)
+        return cls(game, states, index[initial], choice, after)
 
 
 # -- product games -------------------------------------------------------------
@@ -692,31 +745,30 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
         raise NotWonByExist("the existential player does not win this game")
 
     automaton = gfg.automaton
-    states = automaton.states
+    width = len(automaton.states)
     # The product checked that the game's colours are the automaton's
     # letters, so a colour id is a letter index.
     succ, _, owners, letter, base, _ = game.arena
-    target = product.game.arena.succ
-    update: dict[tuple[Hashable, GameEdge], Hashable] = {}
-    strategy: dict[tuple[Hashable, Vertex], GameEdge] = {}
-    for qi, q in enumerate(states):
-        for m, e in enumerate(game.edges, base):
-            a = letter[m]
-            if a < 0:
-                update[(q, e)] = q
-                continue
-            chosen = solution.moves.get(product.node(succ[m][0], qi, a))
-            if chosen is not None:  # to the state vertex (e.dst, next state)
-                update[(q, e)] = states[product.keys[target[chosen][0]] % len(states)]
-            else:
-                options = automaton.moves[qi][a]
-                update[(q, e)] = states[options[0][1]] if options else q
-        for x, v in enumerate(game.vertices):
+    target, moves = product.game.arena.succ, solution.moves
+    choice = [-1] * (base * width)
+    update = [0] * ((len(succ) - base) * width)
+    for q in range(width):
+        for j, m in enumerate(range(base, len(succ))):
+            a, r = letter[m], q  # a silent edge keeps the state
+            if a >= 0:
+                chosen = moves.get(product.node(succ[m][0], q, a))
+                if chosen is not None:  # to the state vertex (dst, r)
+                    r = product.keys[target[chosen][0]] % width
+                elif automaton.moves[q][a]:
+                    r = automaton.moves[q][a][0][1]
+            update[j * width + q] = r
+        for x in range(base):
             if owners[x] == 0:  # a state vertex has the moves of its game vertex
-                node = product.node(x, qi)
-                chosen = solution.moves.get(node)
-                strategy[(q, v)] = game.out(v)[0 if chosen is None else target[node].index(chosen)]
-    return MemoryStructure(states, automaton.initial[0], update, strategy)
+                node = product.node(x, q)
+                chosen = moves.get(node)
+                k = 0 if chosen is None else target[node].index(chosen)
+                choice[x * width + q] = succ[x][k] - base
+    return MemoryStructure(game, automaton.states, automaton.start[0], choice, update)
 
 
 @dataclass
@@ -763,58 +815,20 @@ def solve_muller_game(
 # -- strategy verification -------------------------------------------------------
 
 
-MemoryTables = tuple[list[int], list[int], int]
-
-
-def memory_tables(game: GameGraph, memory: MemoryStructure) -> MemoryTables:
-    """`memory` on the game's arena ids, with m the index of a state in
-    `memory.states`: `choice[x|M| + m]` is the index of Exist's edge at
-    vertex x in state m (-1 at Univ's vertices), `update[j|M| + m]` the
-    state after edge j, and the start node is initial|M| + m0.  Raises
-    `GameError` if a choice or an update is missing, a choice is not a move
-    of its vertex, or the initial state or an update is not in `states`."""
-    states, update, strategy = memory.states, memory.update, memory.strategy
-    index = {m: i for i, m in enumerate(states)}
-    if memory.initial not in index:
-        raise GameError(f"initial memory state {memory.initial!r} is not a declared state")
-    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
-    choice: list[int] = []
-    for x, v in enumerate(game.vertices):
-        if owners[x]:
-            choice += [-1] * len(states)
-            continue
-        outs, moves = game.out(v), succ[x]
-        for m in states:
-            try:
-                choice.append(moves[outs.index(strategy.get((m, v)))] - base)
-            except ValueError:
-                raise GameError(f"strategy at ({m!r}, {v!r}) is not a move of {v!r}") from None
-    after: list[int] = []
-    missing = object()
-    for e in game.edges:
-        for m in states:
-            k = index.get(update.get((m, e), missing))
-            if k is None:
-                if (m, e) not in update:
-                    raise GameError(f"memory update missing for ({m!r}, {e})")
-                raise GameError(
-                    f"memory update for ({m!r}, {e}) goes to undeclared state {update[(m, e)]!r}"
-                )
-            after.append(k)
-    return choice, after, game.arena.initial * len(states) + index[memory.initial]
-
-
 def _walk(
-    arena: Arena, width: int, choice: list[int], update: list[int], start: int, label: Sequence
+    memory: MemoryStructure, label: Sequence
 ) -> tuple[list[int], list, Optional[tuple[list[int], int]]]:
-    """Depth first over the (vertex, memory) nodes x·width + m reachable
-    from `start`: Exist takes the edge `choice` gives, Univ every edge, and
-    edge j leads from memory m to `update[j·width + m]`.  Returns (nodes,
-    rows, gap): `nodes` in the order first reached, and `rows[i]` the
-    (position of the next node, `label[j]`) pair of each move of nodes[i]
-    along an edge j.  The walk stops at the first -1 entry it needs, with
-    `gap` = (table, slot) and the rows incomplete; `gap` is None otherwise."""
-    succ, owners, base = arena.succ, arena.owners, arena.base
+    """Depth first over the (vertex, memory) nodes x·W + m reachable from
+    the game's initial vertex in the initial state: Exist takes the edge
+    `memory.choice` gives, Univ every edge, and edge j leads from memory m
+    to `memory.update[j·W + m]`.  Returns (nodes, rows, gap): `nodes` in the
+    order first reached, and `rows[i]` the (position of the next node,
+    `label[j]`) pair of each move of nodes[i] along an edge j.  The walk
+    stops at the first -1 entry it needs, with `gap` = (table, slot) and the
+    rows incomplete; `gap` is None otherwise."""
+    width, choice, update = memory.size, memory.choice, memory.update
+    succ, _, owners, _, base, initial = memory.game.arena
+    start = initial * width + memory.start
     nodes, rows, position, stack = [start], [None], {start: 0}, [0]
     while stack:
         i = stack.pop()
@@ -845,44 +859,29 @@ def _walk(
     return nodes, rows, None
 
 
-def verify_strategy(
-    game: GameGraph,
-    condition: AnyCondition | ZielonkaTree,
-    memory: MemoryStructure,
-    *,
-    tables: Optional[MemoryTables] = None,
-) -> bool:
+def verify_strategy(memory: MemoryStructure, condition: AnyCondition | ZielonkaTree) -> bool:
     """True iff every infinitely recurring edge set that Univ can realise
     against the induced strategy has a colour set satisfying the condition
-    (the game's, given as such or for a Muller condition as its Zielonka
-    tree; another condition raises `GameError`).
+    (the memory's game's, given as such or for a Muller condition as its
+    Zielonka tree; another condition raises `GameError`).
 
-    The memory is decoded once (`memory_tables`, which raises `GameError`
-    on a memory that is incomplete or leaves its declared states; a caller
-    that also runs `is_chromatic` passes its result as `tables`), and the
-    reachable (vertex, memory) graph goes to one condition-driven SCC
+    The reachable (vertex, memory) graph goes to one condition-driven SCC
     refinement (`_rejected_core`), polynomial in that graph and the
     condition's Zielonka tree.
     """
     given = condition.condition if isinstance(condition, ZielonkaTree) else condition
-    if given != game.condition:
+    if given != memory.game.condition:
         raise GameError("verify_strategy: the condition given is not the game's condition")
-    choice, update, start = memory_tables(game, memory) if tables is None else tables
-    bits = _node_bits(game.arena)[game.arena.base :]
-    _, rows, _ = _walk(game.arena, memory.size, choice, update, start, bits)
+    arena = memory.game.arena
+    _, rows, _ = _walk(memory, _node_bits(arena)[arena.base :])
     return _rejected_core(range(len(rows)), rows, _refiner(condition)) is None
 
 
-def is_chromatic(
-    memory: MemoryStructure, game: GameGraph, *, tables: Optional[MemoryTables] = None
-) -> bool:
+def is_chromatic(memory: MemoryStructure) -> bool:
     """True iff the reachable part of the update function factors through
-    edge colours, with silent edges leaving the memory unchanged.  Raises
-    `GameError` as `verify_strategy` does on a malformed memory; `tables`
-    is `memory_tables(game, memory)` when the caller has it already."""
-    choice, update, start = memory_tables(game, memory) if tables is None else tables
-    width, arena = memory.size, game.arena
-    nodes, rows, _ = _walk(arena, width, choice, update, start, arena.colours[arena.base :])
+    edge colours, with silent edges leaving the memory unchanged."""
+    width, arena = memory.size, memory.game.arena
+    nodes, rows, _ = _walk(memory, arena.colours[arena.base :])
     seen: dict[tuple[int, int], int] = {}
     for node, row in zip(nodes, rows):
         m = node % width
@@ -906,9 +905,9 @@ def brute_force_winner(
     check each complete one by the cycle check of `verify_strategy`; `budget`
     caps the enumeration.  The condition, the game's, may be given as its
     Zielonka tree; another condition raises `GameError`.
-    Test oracle only.  Each search node walks (`_walk`) tables shaped like
-    `memory_tables`' to the first -1 slot and tries its edges or memory
-    states in order there; a walk that needs none goes to `_rejected_core`."""
+    Test oracle only.  Each search node walks (`_walk`) a `MemoryStructure`
+    of -1 tables to its first -1 slot and tries its edges or memory states
+    in order there; a walk that needs none goes to `_rejected_core`."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("brute_force_winner expects a Muller condition")
@@ -919,9 +918,8 @@ def brute_force_winner(
     succ, base = arena.succ, arena.base
     bits = _node_bits(arena)[base:]
     refine = _refiner(tree)
-    choice = [-1] * (base * width)
-    update = [-1] * ((len(succ) - base) * width)
-    start = arena.initial * width
+    choice, update = [-1] * (base * width), [-1] * ((len(succ) - base) * width)
+    memory = MemoryStructure(game, tuple(range(width)), 0, choice, update)
     searched = 0
 
     def search() -> bool:
@@ -929,7 +927,7 @@ def brute_force_winner(
         searched += 1
         if searched > budget:
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
-        _, rows, gap = _walk(arena, width, choice, update, start, bits)
+        _, rows, gap = _walk(memory, bits)
         if gap is None:
             return _rejected_core(range(len(rows)), rows, refine) is None
         table, slot = gap
@@ -998,23 +996,43 @@ def load_game(path: str, condition: AnyCondition) -> GameGraph:
     return game_from_dict(doc, condition)
 
 
-def memory_to_dict(memory: MemoryStructure) -> dict:
-    def edge_doc(e: GameEdge) -> dict:
-        return {"src": e.src, "colour": e.colour, "dst": e.dst}
+def _rows(memory: MemoryStructure) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """The rows the writers name, in their order: (m, j, next state) for
+    each state m and edge j, and (m, x, j) for each state m and Exist vertex
+    x with its edge j.  States, edges and vertices are each sorted by the
+    text of their names, ties in index order."""
+    game, width = memory.game, memory.size
+    owners, base = game.arena.owners, game.arena.base
 
-    def in_order(table: Mapping) -> list:
-        return sorted(table, key=lambda k: (str(k[0]), str(k[1])))
+    def by_text(names: Sequence, indices: Iterable[int]) -> list[int]:
+        return sorted(indices, key=lambda i: str(names[i]))
+
+    states = by_text(memory.states, range(width))
+    edges = by_text(game.edges, range(len(game.edges)))
+    exist = by_text(game.vertices, [x for x in range(base) if not owners[x]])
+    return (
+        [(m, j, memory.update[j * width + m]) for m in states for j in edges],
+        [(m, x, memory.choice[x * width + m]) for m in states for x in exist],
+    )
+
+
+def memory_to_dict(memory: MemoryStructure) -> dict:
+    """The memory by name, its rows in `_rows`' order."""
+    states, names, edges = memory.states, memory.game.vertices, memory.game.edges
+    update, strategy = _rows(memory)
+
+    def edge_doc(j: int) -> dict:
+        src, colour, dst = edges[j]
+        return {"src": src, "colour": colour, "dst": dst}
 
     return {
-        "states": list(memory.states),
+        "states": list(states),
         "initial": memory.initial,
         "update": [
-            {"state": m, "edge": edge_doc(e), "next": memory.update[(m, e)]}
-            for (m, e) in in_order(memory.update)
+            {"state": states[m], "edge": edge_doc(j), "next": states[k]} for m, j, k in update
         ],
         "strategy": [
-            {"state": m, "vertex": x, "edge": edge_doc(memory.strategy[(m, x)])}
-            for (m, x) in in_order(memory.strategy)
+            {"state": states[m], "vertex": names[x], "edge": edge_doc(j)} for m, x, j in strategy
         ],
     }
 
@@ -1022,10 +1040,8 @@ def memory_to_dict(memory: MemoryStructure) -> dict:
 def memory_to_json(memory: MemoryStructure) -> str:
     """`json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\\n"`,
     written row by row: `indent` would send `json` to its pure-Python
-    encoder.  Each table's distinct states and edges or vertices are sorted
-    once by `str` (objects that print alike keep first-seen order) and their
-    texts made once; strings and ints go through `json`'s C encoders."""
-    edge_made: dict[int, str] = {}  # id(edge) -> its text in a row
+    encoder.  The text of each state, edge and vertex is made once; strings
+    and ints go through `json`'s C encoders."""
 
     def text(value: object, indent: str = "      ") -> str:
         kind = type(value)
@@ -1037,45 +1053,28 @@ def memory_to_json(memory: MemoryStructure) -> str:
             return "null"
         return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
-    def edge(e: GameEdge) -> str:
-        got = edge_made.get(id(e))
-        if got is None:
-            src, colour, dst = e
-            got = edge_made[id(e)] = (
-                '    {\n      "edge": {\n        "colour": ' + text(colour, "        ")
-                + ',\n        "dst": ' + text(dst, "        ")
-                + ',\n        "src": ' + text(src, "        ") + "\n      },\n"
-            )
-        return got
+    def listing(rows: list[str]) -> str:
+        return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
-    def rows(table: Mapping, key_text: Callable, row: Callable) -> str:
-        """`row(text of m, key_text(k), table[(m, k)])` by m, then by k."""
-        states = sorted(dict.fromkeys(m for m, _ in table), key=str)
-        keys = [(k, key_text(k)) for k in sorted(dict.fromkeys(k for _, k in table), key=str)]
-        out = []
-        for m in states:
-            m_text = text(m)
-            for k, k_text in keys:
-                value = table.get((m, k), out)  # `out` marks a missing pair
-                if value is not out:
-                    out.append(row(m_text, k_text, value))
-        return "[\n" + ",\n".join(out) + "\n  ]" if out else "[]"
-
-    update = rows(
-        memory.update,
-        edge,
-        lambda m, e, nxt: e + '      "next": ' + text(nxt) + ',\n      "state": ' + m + "\n    }",
-    )
-    strategy = rows(
-        memory.strategy,
-        text,
-        lambda m, x, e: edge(e) + '      "state": ' + m + ',\n      "vertex": ' + x + "\n    }",
-    )
-    states = ",\n    ".join(text(m, "    ") for m in memory.states)
+    update, strategy = _rows(memory)
+    state = [text(m) for m in memory.states]
+    vertex = [text(v) for v in memory.game.vertices]
+    edge = [
+        '    {\n      "edge": {\n        "colour": ' + text(colour, "        ")
+        + ',\n        "dst": ' + text(dst, "        ")
+        + ',\n        "src": ' + text(src, "        ") + "\n      },\n"
+        for src, colour, dst in memory.game.edges
+    ]
     return (
         '{\n  "initial": ' + text(memory.initial, "  ")
-        + ',\n  "states": ' + ("[\n    " + states + "\n  ]" if memory.states else "[]")
-        + ',\n  "strategy": ' + strategy
-        + ',\n  "update": ' + update
+        + ',\n  "states": ' + listing(["    " + text(m, "    ") for m in memory.states])
+        + ',\n  "strategy": ' + listing([
+            edge[j] + '      "state": ' + state[m] + ',\n      "vertex": ' + vertex[x] + "\n    }"
+            for m, x, j in strategy
+        ])
+        + ',\n  "update": ' + listing([
+            edge[j] + '      "next": ' + state[k] + ',\n      "state": ' + state[m] + "\n    }"
+            for m, j, k in update
+        ])
         + "\n}\n"
     )

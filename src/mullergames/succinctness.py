@@ -177,7 +177,7 @@ def chromatic_number(graph: ConditionGraph, budget: int = 10**7) -> tuple[int, C
     for v in active:
         for u in adj[v]:
             if full[v] == full[u]:
-                raise AssertionError("improper colouring produced")
+                raise ConditionError("internal: improper colouring produced")
     return k, Colouring(k, full)
 
 

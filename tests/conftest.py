@@ -822,14 +822,13 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         EXIST,
         UNIV,
         GameError,
-        MemoryStructure,
         _refiner,
         _rejected_core,
     )
     from mullergames.zielonka import ZielonkaTree
 
-    def _memory_product(game, memory):
-        start = (game.initial, memory.initial)
+    def _memory_product(game, sigma, mu):
+        start = (game.initial, 0)
         nodes = {start}
         queue = [start]
         moves_of = {}
@@ -837,20 +836,20 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
             node = queue.pop()
             x, m = node
             if game.owner(x) == EXIST:
-                moves = [memory.strategy[(m, x)]]
+                moves = [sigma[(m, x)]]
             else:
                 moves = game.out(x)
             outs = moves_of[node] = []
             for e in moves:
-                nxt = (e.dst, memory.update[(m, e)])
+                nxt = (e.dst, mu[(m, e)])
                 outs.append((e, nxt))
                 if nxt not in nodes:
                     nodes.add(nxt)
                     queue.append(nxt)
         return moves_of
 
-    def _memory_strategy_wins(game, memory, bit, refine):
-        moves_of = _memory_product(game, memory)
+    def _memory_strategy_wins(game, sigma, mu, bit, refine):
+        moves_of = _memory_product(game, sigma, mu)
         index = {node: i for i, node in enumerate(moves_of)}
         out = [[(index[nxt], bit(e.colour)) for e, nxt in outs] for outs in moves_of.values()]
         return _rejected_core(moves_of, out, refine) is None
@@ -899,9 +898,7 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
         missing = missing_decision(sigma, mu)
         if missing is None:
-            return _memory_strategy_wins(
-                game, MemoryStructure(states, 0, mu, sigma), bit, refine
-            )
+            return _memory_strategy_wins(game, sigma, mu, bit, refine)
         kind, key = missing
         if kind == "sigma":
             m, x = key

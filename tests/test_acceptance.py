@@ -331,7 +331,7 @@ def test_criterion_3_memory_theorem():
         assert oracle == EXIST
         bound = build_zielonka(cond).memtree()
         assert solution.memory.size <= bound
-        assert verify_strategy(game, cond, solution.memory)
+        assert verify_strategy(solution.memory, cond)
         suite += 1
     assert suite >= 50
     report(f"criterion 3 (memory theorem on {suite} games)", started, 60.0)

@@ -112,6 +112,18 @@ def test_cmd_build_simplify(capsys, condition_file, tmp_path):
     assert dot.read_text().count(" -> ") == 7 + 1
 
 
+def test_cmd_build_simplify_refuses_duplicated_edges(capsys, condition_file, monkeypatch):
+    # The running example's GFG automaton has duplicated edges; a simplifier
+    # that keeps them is an internal fault, reported as an error line.
+    from mullergames import cli
+
+    monkeypatch.setattr(cli, "simplify_rabin", lambda automaton: automaton)
+    assert main(["build", condition_file, "--kind", "gfg-rabin", "--simplify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal:") and captured.err.count("\n") == 1
+
+
 def test_cmd_build_bad_flags(capsys, condition_file):
     assert main(["build", condition_file, "--kind", "parity", "--simplify"]) == 2
     assert "error" in capsys.readouterr().err
@@ -425,36 +437,6 @@ def test_cmd_solve_builds_one_tree(capsys, condition_file, tmp_path, monkeypatch
     assert len(built) == 1
 
 
-def test_cmd_solve_decodes_the_memory_once(capsys, condition_file, tmp_path, monkeypatch):
-    # verify_strategy and is_chromatic read one decoding of the memory.
-    from mullergames import cli, games
-
-    decoded = []
-
-    def counting(game, memory, decode=games.memory_tables):
-        decoded.append(memory)
-        return decode(game, memory)
-
-    for module in (cli, games):
-        monkeypatch.setattr(module, "memory_tables", counting)
-    game = game_file(
-        tmp_path,
-        {
-            "vertices": [{"name": "u", "owner": "Univ"}, {"name": "x", "owner": "Exist"}],
-            "edges": [
-                {"src": "u", "colour": "a", "dst": "x"},
-                {"src": "x", "colour": "b", "dst": "u"},
-                {"src": "x", "colour": "c", "dst": "u"},
-            ],
-            "initial": "u",
-        },
-    )
-    assert main(["solve", "--game", game, "--condition", condition_file]) == 0
-    out = capsys.readouterr().out
-    assert "memory size: 2" in out and "chromatic: yes" in out
-    assert len(decoded) == 1
-
-
 def test_cmd_solve_univ_wins(capsys, condition_file, tmp_path):
     game = game_file(
         tmp_path,
@@ -722,6 +704,37 @@ MEMORY_DIGESTS = {
 }
 
 
+# Two Univ vertices and a silent edge: the -1 choice rows and the
+# silent-update rows of the memory tables.  Digest recorded before the
+# memory was held on arena ids; the same under every hash seed.
+THREE_VERTEX_GAME = {
+    "vertices": [
+        {"name": "u", "owner": "Univ"},
+        {"name": "x", "owner": "Exist"},
+        {"name": "y", "owner": "Univ"},
+    ],
+    "edges": [
+        {"src": "u", "colour": "a", "dst": "x"},
+        {"src": "u", "colour": "b", "dst": "u"},
+        {"src": "x", "colour": "b", "dst": "y"},
+        {"src": "x", "colour": "c", "dst": "u"},
+        {"src": "y", "colour": "b", "dst": "y"},
+        {"src": "y", "colour": None, "dst": "u"},
+    ],
+    "initial": "u",
+}
+THREE_VERTEX_DIGEST = "9043beb1c67629d647baa82bd460d8055f406598d39f1f3b1766e86410f17397"
+
+
+def test_cmd_solve_three_vertex_memory_out_is_pinned(capsys, condition_file, tmp_path):
+    out = tmp_path / "memory.json"
+    game = game_file(tmp_path, THREE_VERTEX_GAME)
+    argv = ["solve", "--game", game, "--condition", condition_file]
+    assert main(argv + ["--memory-out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["winner: Exist", "memory size: 2"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == THREE_VERTEX_DIGEST
+
+
 def pinned_solve_case(seed):
     """A 20-60 vertex game over a random three-letter condition, out-degree
     1-3, with some forward silent edges."""
@@ -761,6 +774,20 @@ def test_cmd_succinctness(capsys, tmp_path):
     doc = json.loads(out_json.read_text())
     assert doc["gfg_rabin_size"] == 2
     assert doc["det_rabin_lower_bound"] == 4
+
+
+def test_cmd_succinctness_reports_an_improper_colouring(capsys, monkeypatch):
+    from mullergames import succinctness
+
+    monkeypatch.setattr(
+        succinctness,
+        "_exact_chromatic",
+        lambda active, adj, budget: (1, {v: 1 for v in active}),
+    )
+    assert main(["succinctness", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: improper colouring produced\n"
 
 
 def test_cmd_succinctness_binomial(capsys):

@@ -28,7 +28,6 @@ from mullergames.games import (
     is_chromatic,
     load_game,
     memory_from_gfg,
-    memory_tables,
     memory_to_dict,
     memory_to_json,
     positional_rabin_strategy,
@@ -512,7 +511,7 @@ def test_memory_from_gfg_running_example(running_condition):
     gfg = build_gfg_rabin(running_condition)
     memory = memory_from_gfg(game, gfg)
     assert memory.size == 2
-    assert verify_strategy(game, running_condition, memory)
+    assert verify_strategy(memory, running_condition)
 
 
 def test_memory_from_gfg_positional_case():
@@ -520,7 +519,7 @@ def test_memory_from_gfg_positional_case():
     game = GameGraph([("x", EXIST)], [("x", "a", "x")], "x", cond)
     memory = memory_from_gfg(game, build_gfg_rabin(cond))
     assert memory.size == 1
-    assert verify_strategy(game, cond, memory)
+    assert verify_strategy(memory, cond)
 
 
 def test_memory_from_gfg_univ_only_game(running_condition):
@@ -531,8 +530,8 @@ def test_memory_from_gfg_univ_only_game(running_condition):
         running_condition,
     )
     memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
-    assert verify_strategy(game, running_condition, memory)
-    assert all(x != "u" for (_, x) in memory.strategy)
+    assert verify_strategy(memory, running_condition)
+    assert memory.choice == [-1] * memory.size
 
 
 def test_memory_from_gfg_reports_univ(running_condition):
@@ -551,9 +550,7 @@ def test_solve_muller_alternation(running_condition):
     assert solution.winner == EXIST
     assert solution.memory is not None
     assert solution.memory.size <= 2
-    assert verify_strategy(
-        alternation_game(running_condition), running_condition, solution.memory
-    )
+    assert verify_strategy(solution.memory, running_condition)
 
 
 def test_solve_muller_single_c_loop(running_condition):
@@ -600,7 +597,7 @@ def test_solve_muller_f5_exist_game():
     solution = solve_muller_game(game)
     assert solution.winner == EXIST
     assert solution.memory.size <= build_zielonka(cond).memtree() == 2
-    assert verify_strategy(game, cond, solution.memory)
+    assert verify_strategy(solution.memory, cond)
     assert brute_force_winner(game, cond) == EXIST
 
 
@@ -643,13 +640,14 @@ def test_solve_muller_builds_one_tree(running_condition, monkeypatch):
 def test_verify_strategy_rejects_bad_loop(running_condition):
     game = one_vertex_abc_game(running_condition)
     edge_c = GameEdge("x", "c", "x")
-    bad = MemoryStructure(
+    bad = MemoryStructure.from_names(
+        game,
         (1,),
         1,
         {(1, e): 1 for e in game.edges},
         {(1, "x"): edge_c},
     )
-    assert not verify_strategy(game, running_condition, bad)
+    assert not verify_strategy(bad, running_condition)
 
 
 def test_verify_strategy_forced_win(running_condition):
@@ -659,43 +657,37 @@ def test_verify_strategy_forced_win(running_condition):
         "u",
         running_condition,
     )
-    memory = MemoryStructure((1,), 1, {(1, e): 1 for e in game.edges}, {})
-    assert verify_strategy(game, running_condition, memory)
+    memory = MemoryStructure.from_names(game, (1,), 1, {(1, e): 1 for e in game.edges}, {})
+    assert verify_strategy(memory, running_condition)
 
 
 def test_verify_strategy_validates_moves(running_condition):
     game = one_vertex_abc_game(running_condition)
     foreign = GameEdge("x", "d", "x")
-    broken = MemoryStructure(
-        (1,), 1, {(1, e): 1 for e in game.edges}, {(1, "x"): foreign}
-    )
-    with pytest.raises(GameError):
-        verify_strategy(game, running_condition, broken)
+    with pytest.raises(GameError, match="strategy at \\(1, 'x'\\) is not a move of 'x'"):
+        MemoryStructure.from_names(
+            game, (1,), 1, {(1, e): 1 for e in game.edges}, {(1, "x"): foreign}
+        )
+    with pytest.raises(GameError, match=r"memory update missing for \(1, GameEdge\(src='x'"):
+        MemoryStructure.from_names(game, (1,), 1, {}, {(1, "x"): game.edges[0]})
 
 
 def test_memory_is_held_to_its_declared_states(running_condition):
     game = one_vertex_abc_game(running_condition)
     memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
     assert memory.states == (1, 2)
-    assert any(memory.update[(1, e)] == 2 for e in game.edges)
+    update, strategy = named_tables(memory_to_dict(memory))
+    assert any(update[(1, e)] == 2 for e in game.edges)
     # Declared with one state, the memory still updates to state 2.
-    shrunk = MemoryStructure((1,), 1, memory.update, memory.strategy)
-    assert shrunk.size == 1
     with pytest.raises(GameError, match="undeclared state 2"):
-        verify_strategy(game, running_condition, shrunk)
-    with pytest.raises(GameError, match="undeclared state 2"):
-        is_chromatic(shrunk, game)
-    stray = MemoryStructure(memory.states, 3, memory.update, memory.strategy)
+        MemoryStructure.from_names(game, (1,), 1, update, strategy)
     with pytest.raises(GameError, match="initial memory state 3"):
-        verify_strategy(game, running_condition, stray)
-    with pytest.raises(GameError, match="initial memory state 3"):
-        is_chromatic(stray, game)
+        MemoryStructure.from_names(game, memory.states, 3, update, strategy)
 
 
 def test_verdicts_agree_with_a_tree_and_with_tables():
-    """The checks give a condition's verdicts when handed its Zielonka tree,
-    and `verify_strategy` and `is_chromatic` give the same verdicts on
-    tables decoded beforehand as on the memory itself."""
+    """The checks on a memory's tables give a condition's verdicts when
+    handed its Zielonka tree."""
     rng = random.Random(1112)
     decided = 0
     verdicts = collections.Counter()
@@ -714,16 +706,15 @@ def test_verdicts_agree_with_a_tree_and_with_tables():
         # The solver's memory when Exist wins, and a one-state memory that
         # always takes a vertex's first move.
         first = {(0, v): game.out(v)[0] for v in game.exist_vertices()}
-        memories = [MemoryStructure((0,), 0, {(0, e): 0 for e in game.edges}, first)]
+        memories = [
+            MemoryStructure.from_names(game, (0,), 0, {(0, e): 0 for e in game.edges}, first)
+        ]
         solution = solve_muller_game(game, tree)
         if solution.memory is not None:
             memories.append(solution.memory)
         for memory in memories:
-            verdict = verify_strategy(game, tree, memory)
-            assert verify_strategy(game, condition, memory) == verdict
-            tables = memory_tables(game, memory)
-            assert verify_strategy(game, tree, memory, tables=tables) == verdict
-            assert is_chromatic(memory, game, tables=tables) == is_chromatic(memory, game)
+            verdict = verify_strategy(memory, tree)
+            assert verify_strategy(memory, condition) == verdict
             verdicts[verdict] += 1
     assert decided >= 40
     assert verdicts[True] >= 10 and verdicts[False] >= 10
@@ -735,11 +726,11 @@ def test_checks_refuse_a_condition_not_the_games(running_condition):
     refuses an edge colour that is not a colour of its condition."""
     game = one_vertex_abc_game(running_condition)
     memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
-    assert verify_strategy(game, running_condition, memory)
+    assert verify_strategy(memory, running_condition)
     # Equal to the game's condition but a different object: still the game's.
     accepting = [["a", "b"], ["a", "c"], ["b"]]
     twin = MullerCondition(Alphabet("abc"), accepting)
-    assert verify_strategy(game, build_zielonka(twin), memory)
+    assert verify_strategy(memory, build_zielonka(twin))
     assert brute_force_winner(game, twin) == EXIST
     for other in (
         MullerCondition(Alphabet("abc"), [["a"]]),
@@ -747,7 +738,7 @@ def test_checks_refuse_a_condition_not_the_games(running_condition):
     ):
         for given in (other, build_zielonka(other)):
             with pytest.raises(GameError, match="verify_strategy: .* not the game's condition"):
-                verify_strategy(game, given, memory)
+                verify_strategy(memory, given)
             with pytest.raises(GameError, match="brute_force_winner: .* not the game's"):
                 brute_force_winner(game, given)
     with pytest.raises(GameError, match="edge colour 'd' is not a condition colour"):
@@ -759,7 +750,6 @@ def test_checks_accept_an_equal_rabin_or_parity_condition():
     do: `verify_strategy` accepts a separately built copy of the game's
     condition and still refuses a different one."""
     loop = GameEdge("x", "g", "x")
-    memory = MemoryStructure((0,), 0, {(0, loop): 0}, {(0, "x"): loop})
     two, three = (["g", "r"], ["g", "r", "o"])
     cases = [
         (
@@ -780,14 +770,15 @@ def test_checks_accept_an_equal_rabin_or_parity_condition():
     ]
     for make, others in cases:
         game = GameGraph([("x", EXIST)], [tuple(loop)], "x", make())
+        memory = MemoryStructure.from_names(game, (0,), 0, {(0, loop): 0}, {(0, "x"): loop})
         twin = make()
         assert twin is not game.condition
         assert twin == game.condition and hash(twin) == hash(game.condition)
-        assert verify_strategy(game, twin, memory)
+        assert verify_strategy(memory, twin)
         for other in others:
             assert other != game.condition
             with pytest.raises(GameError, match="verify_strategy: .* not the game's condition"):
-                verify_strategy(game, other, memory)
+                verify_strategy(memory, other)
 
 
 def test_parity_positional_passes_verify(running_condition):
@@ -802,8 +793,8 @@ def test_parity_positional_passes_verify(running_condition):
     }
     for v in game.exist_vertices():
         strategy.setdefault((1, v), game.out(v)[0])
-    memory = MemoryStructure((1,), 1, {(1, e): 1 for e in game.edges}, strategy)
-    assert verify_strategy(game, game.condition, memory)
+    memory = MemoryStructure.from_names(game, (1,), 1, {(1, e): 1 for e in game.edges}, strategy)
+    assert verify_strategy(memory, game.condition)
 
 
 # -- the cycle check behind every certificate -----------------------------------
@@ -862,7 +853,8 @@ def test_rejected_core_agrees_with_subset_scan():
 
 def test_is_chromatic_examples(running_condition):
     game = alternation_game(running_condition)
-    by_colour = MemoryStructure(
+    by_colour = MemoryStructure.from_names(
+        game,
         (1, 2),
         1,
         {
@@ -875,7 +867,7 @@ def test_is_chromatic_examples(running_condition):
             for m in (1, 2)
         },
     )
-    assert is_chromatic(by_colour, game)
+    assert is_chromatic(by_colour)
 
     two_b_edges = GameGraph(
         [("u", UNIV), ("x", EXIST)],
@@ -883,7 +875,8 @@ def test_is_chromatic_examples(running_condition):
         "u",
         running_condition,
     )
-    edge_sensitive = MemoryStructure(
+    edge_sensitive = MemoryStructure.from_names(
+        two_b_edges,
         (1, 2),
         1,
         {
@@ -893,7 +886,7 @@ def test_is_chromatic_examples(running_condition):
         },
         {(m, "x"): GameEdge("x", "b", "u") for m in (1, 2)},
     )
-    assert not is_chromatic(edge_sensitive, two_b_edges)
+    assert not is_chromatic(edge_sensitive)
 
 
 def test_is_chromatic_of_extracted_memory(running_condition):
@@ -901,7 +894,7 @@ def test_is_chromatic_of_extracted_memory(running_condition):
     memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
     # R_F's transition function is letter-deterministic per state on the
     # reachable part here, so the memory factors through colours.
-    assert is_chromatic(memory, game)
+    assert is_chromatic(memory)
 
 
 def test_memory_theorem_upper_bound_random_games():
@@ -916,7 +909,7 @@ def test_memory_theorem_upper_bound_random_games():
         produced += 1
         bound = build_zielonka(cond).memtree()
         assert solution.memory.size <= bound
-        assert verify_strategy(game, cond, solution.memory)
+        assert verify_strategy(solution.memory, cond)
     assert produced >= 15
 
 
@@ -1023,12 +1016,18 @@ def test_memory_document(running_condition):
     json.dumps(doc)
 
 
-def test_memory_to_json_is_the_indented_dump(running_condition):
-    """The row writer's text is `json.dumps` with `indent=2` and sorted
-    keys, on solved memories (int states) and on random ones (str states),
-    over names that JSON escapes and whose `repr` order differs from their
-    own order ("v1'" is written with double quotes, so its edges sort
-    before those of "v1")."""
+def named_tables(doc):
+    """The name-keyed update and strategy tables of a `memory_to_dict` document."""
+    update = {(row["state"], GameEdge(**row["edge"])): row["next"] for row in doc["update"]}
+    strategy = {(row["state"], row["vertex"]): GameEdge(**row["edge"]) for row in doc["strategy"]}
+    return update, strategy
+
+
+def named_memories(condition):
+    """Solved memories (int states) and random ones (str states) on random
+    games over names that JSON escapes and whose `repr` order differs from
+    their own order ("v1'" is written with double quotes, so its edges sort
+    before those of "v1"), until each kind has been seen ten times."""
     names = ["v1", "v1'", "v10", 'say "hi"', "back\\slash", "café", "dice \U0001F3B2"]
     rng = random.Random(2204)
     seen = collections.Counter()
@@ -1042,27 +1041,48 @@ def test_memory_to_json_is_the_indented_dump(running_condition):
             for _ in range(rng.randint(1, 3))
         }
         try:
-            game = GameGraph(vertices, sorted(edges, key=str), chosen[0], running_condition)
+            game = GameGraph(vertices, sorted(edges, key=str), chosen[0], condition)
         except GameError:  # a silent cycle
             continue
-        memories = []
         solution = solve_muller_game(game)
         if solution.winner == EXIST:
-            memories.append(solution.memory)
+            yield solution.memory
             seen["solved"] += 1
         states = ("m'", "m", "m10")
-        memories.append(
-            MemoryStructure(
-                states,
-                "m",
-                {(m, e): rng.choice(states) for m in states for e in game.edges},
-                {(m, x): rng.choice(game.out(x)) for m in states for x in game.exist_vertices()},
-            )
+        yield MemoryStructure.from_names(
+            game,
+            states,
+            "m",
+            {(m, e): rng.choice(states) for m in states for e in game.edges},
+            {(m, x): rng.choice(game.out(x)) for m in states for x in game.exist_vertices()},
         )
         seen["str states"] += 1
         seen["no exist"] += not game.exist_vertices()
         seen["silent"] += any(e.colour is None for e in game.edges)
         seen["repr order"] += "v1" in chosen and "v1'" in chosen
-        for memory in memories:
-            expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
-            assert memory_to_json(memory) == expected
+
+
+def test_memory_to_json_is_the_indented_dump(running_condition):
+    """The row writer's text is `json.dumps` with `indent=2` and sorted
+    keys."""
+    for memory in named_memories(running_condition):
+        expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
+        assert memory_to_json(memory) == expected
+
+
+def test_memory_names_round_trip(running_condition):
+    """Names to ids and back: `from_names` on the rows `memory_to_dict`
+    writes gives the same tables, which write the same bytes."""
+    for memory in named_memories(running_condition):
+        doc = memory_to_dict(memory)
+        update, strategy = named_tables(doc)
+        again = MemoryStructure.from_names(
+            memory.game, doc["states"], doc["initial"], update, strategy
+        )
+        assert (again.states, again.start, again.choice, again.update) == (
+            memory.states,
+            memory.start,
+            memory.choice,
+            memory.update,
+        )
+        assert memory_to_json(again) == memory_to_json(memory)

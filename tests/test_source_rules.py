@@ -1,0 +1,42 @@
+"""Rules every module of the package keeps, read from its source.
+
+An `assert` vanishes under `python -O`, and an `AssertionError` escapes the
+CLI's error handling as a traceback with exit code 1.  Internal faults raise
+the typed error of their stage instead, with a message that starts with
+"internal:".
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mullergames"
+
+
+def assertion_sites(tree):
+    """(line, kind) of every `assert` and every `raise AssertionError`."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            sites.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "AssertionError":
+                sites.append((node.lineno, "raise AssertionError"))
+    return sites
+
+
+def test_no_module_asserts():
+    sample = "assert x\nraise AssertionError('no')\nraise AssertionError\nraise ValueError\n"
+    assert assertion_sites(ast.parse(sample)) == [
+        (1, "assert"),
+        (2, "raise AssertionError"),
+        (3, "raise AssertionError"),
+    ]
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) >= 8
+    found = [
+        f"{path.name}:{line}: {kind}"
+        for path in modules
+        for line, kind in assertion_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
