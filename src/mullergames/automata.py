@@ -4,7 +4,8 @@ Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
 membership.  An `Automaton` is one integer move table, which the lasso
 checkers, HOA/DOT export and `simplify_rabin` read and which the builders
-write directly; its named `transitions` are made only when first read.
+and `parse_hoa` write directly; its named `transitions` are made only when
+first read.
 The checkers compute verdicts per (state, period): each period is analysed
 once for every state and each prefix is run once, so sweeping many lassos
 shares both.  Duplicated edges can be merged without changing the language.
@@ -21,6 +22,7 @@ from ._graph import dense_components, reachable
 from .conditions import (
     Alphabet,
     AnyCondition,
+    ConditionError,
     LassoWord,
     MullerCondition,
     ParityCondition,
@@ -341,7 +343,6 @@ class RabinLassoChecker(_LassoChecker):
         if not isinstance(acceptance, RabinCondition):
             raise AutomatonError("lasso membership oracle expects Rabin acceptance")
         super().__init__(table, initial, alphabet, acceptance)
-        self._pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
 
     def _verdicts(self, period: list[int]) -> list[bool]:
         length = len(period)
@@ -365,7 +366,7 @@ class RabinLassoChecker(_LassoChecker):
         for mask in seen:
             present |= mask
         winning: set[int] = set()
-        for green, red in self._pairs:
+        for green, red in self._acceptance.pairs:
             if not green & present:
                 continue
 
@@ -442,11 +443,11 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
     colours = Alphabet(symbols)
     pairs = []
     for green, red in acceptance.pairs:
-        g, r = green.mask, red.mask
+        g, r = green, red
         for c, mask in enumerate(fresh, base):
-            if mask & green.mask:
+            if mask & green:
                 g |= 1 << c
-            if not mask & ~red.mask:
+            if not mask & ~red:
                 r |= 1 << c
         pairs.append((colours.from_mask(g), colours.from_mask(r)))
     return Automaton.from_table(
@@ -493,7 +494,7 @@ def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]
         rows = [
             format(mask, f"0{width}b")[::-1].encode().translate(bits)
             for green, red in acceptance.pairs
-            for mask in (red.mask, green.mask)
+            for mask in (red, green)
         ]
         table = b"".join(rows)
         marks = [str(m) for m in range(len(rows))]
@@ -506,8 +507,7 @@ def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]
             key[c] = "".join(compress(points, column))
         return text, key
     if isinstance(acceptance, ParityCondition):
-        symbols = acceptance.colours.symbols
-        key = {c: acceptance.priority(symbols[c]) for c in used}
+        key = {c: acceptance.priorities[c] for c in used}
         return {c: " {%s}" % p for c, p in key.items()}, key
     raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
@@ -521,7 +521,7 @@ def export_hoa(automaton: Automaton) -> str:
     if isinstance(acc, RabinCondition):
         acc_name, acceptance = _hoa_acceptance(True, len(acc.pairs))
     elif isinstance(acc, ParityCondition):
-        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities.values()) + 1)
+        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities) + 1)
     else:
         raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
@@ -552,7 +552,8 @@ def parse_hoa(text: str) -> Automaton:
     """Parse a document produced by export_hoa.
 
     Output colours are reconstructed from acceptance marks, so the result
-    equals the exported automaton up to colour renaming.
+    equals the exported automaton up to colour renaming.  Every error names
+    the line it was found on, or the header line that is missing.
     """
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
 
@@ -580,9 +581,20 @@ def parse_hoa(text: str) -> Automaton:
 
     states_value, states_no, states_line = header("States")
     n_states = integer(states_value, states_no, states_line)
-    starts = [integer(*entry) for entry in headers.get("Start", [])]
+
+    def state(value: str, no: int, line: str, what: str) -> int:
+        s = integer(value, no, line)
+        if not 0 <= s < n_states:
+            raise AutomatonError(f"HOA line {no}: {what} {s} is not one of the {n_states} declared")
+        return s
+
+    header("Start")
+    starts = [state(*entry, "initial state") for entry in headers["Start"]]
     ap_value, ap_no, ap_line = header("AP")
-    alphabet = Alphabet(ap_value.split('"')[1::2])
+    try:
+        alphabet = Alphabet(ap_value.split('"')[1::2])
+    except ConditionError as err:
+        raise AutomatonError(f"HOA line {ap_no}: {err}") from None
     if integer(ap_value.partition(" ")[0], ap_no, ap_line) != len(alphabet):
         raise AutomatonError(
             f"HOA line {ap_no}: AP count differs from the {len(alphabet)} names in {ap_line!r}"
@@ -607,11 +619,13 @@ def parse_hoa(text: str) -> Automaton:
     if "".join(value.split()) != "".join(expected.split()):
         raise AutomatonError(f"HOA line {no}: {line!r} does not match acc-name {acc_name!r}")
 
-    # Transitions, keyed by the current "State:" block.  Each declared
-    # state has exactly one block, so the header cannot make the checkers
-    # allocate for states the body never describes.
-    transitions: list[tuple[int, str, tuple[int, ...], int]] = []
-    read_marks: dict[str, tuple[int, ...]] = {}  # a line's mark text -> its sorted marks
+    # Distinct (state, letter, marks, target) edges in order of appearance,
+    # keyed by the current "State:" block.  Each declared state has exactly
+    # one block, so the move table is allocated only for states the body
+    # describes.  Labels and mark texts repeat, so each is read once.
+    edges: dict[tuple[int, int, tuple[int, ...], int], None] = {}
+    read_label: dict[str, int] = {}  # a label -> its letter index
+    read_marks: dict[str, tuple[int, ...]] = {"": ()}  # a mark text -> its sorted marks
     blocks: set[int] = set()
     current = None
     for no, line in lines[body_at + 1 :]:
@@ -619,45 +633,39 @@ def parse_hoa(text: str) -> Automaton:
             break
         if line.startswith("State:"):
             parts = line.split()
-            current = integer(parts[1] if len(parts) > 1 else "", no, line)
-            if not 0 <= current < n_states:
-                raise AutomatonError(
-                    f"HOA line {no}: state {current} is not one of the {n_states} declared"
-                )
+            current = state(parts[1] if len(parts) > 1 else "", no, line, "state")
             if current in blocks:
                 raise AutomatonError(f"HOA line {no}: a second block for state {current}")
             blocks.add(current)
             continue
-        if not line.startswith("[") or "]" not in line or current is None:
+        label, bracket, rest = line[1:].partition("]")
+        if not line.startswith("[") or not bracket or current is None:
             raise AutomatonError(f"HOA line {no}: unexpected body line {line!r}")
-        label, rest = line[1:].split("]", 1)
-        positive = [term for term in label.split("&") if not term.startswith("!")]
-        if len(positive) != 1:
-            raise AutomatonError(
-                f"HOA line {no}: expected an exactly-one letter encoding: {label!r}"
-            )
-        ap = integer(positive[0], no, line)
-        if not 0 <= ap < len(alphabet):
-            raise AutomatonError(f"HOA line {no}: atomic proposition {ap} out of range")
-        rest = rest.strip()
-        if "{" in rest:
-            dst_text, marks_text = rest.split("{", 1)
-            marks = read_marks.get(marks_text)
-            if marks is None:
-                marks = tuple(sorted(integer(m, no, line) for m in marks_text.rstrip("}").split()))
-                if marks and not 0 <= marks[0] <= marks[-1] < sets:
-                    raise AutomatonError(
-                        f"HOA line {no}: acceptance mark outside the {sets} declared sets in {line!r}"
-                    )
-                read_marks[marks_text] = marks
-        else:
-            dst_text, marks = rest, ()
+        ap = read_label.get(label)
+        if ap is None:
+            positive = [term for term in label.split("&") if not term.startswith("!")]
+            if len(positive) != 1:
+                raise AutomatonError(
+                    f"HOA line {no}: expected an exactly-one letter encoding: {label!r}"
+                )
+            ap = integer(positive[0], no, line)
+            if not 0 <= ap < len(alphabet):
+                raise AutomatonError(f"HOA line {no}: atomic proposition {ap} out of range")
+            read_label[label] = ap
+        dst_text, _, marks_text = rest.partition("{")
+        marks = read_marks.get(marks_text)
+        if marks is None:
+            marks = tuple(sorted(integer(m, no, line) for m in marks_text.rstrip("}").split()))
+            if marks and not 0 <= marks[0] <= marks[-1] < sets:
+                raise AutomatonError(
+                    f"HOA line {no}: acceptance mark outside the {sets} declared sets in {line!r}"
+                )
+            read_marks[marks_text] = marks
         if not rabin and len(marks) != 1:
             raise AutomatonError(
                 f"HOA line {no}: parity transitions must carry exactly one mark: {line!r}"
             )
-        dst = integer(dst_text.strip(), no, line)
-        transitions.append((current, alphabet.symbols[ap], marks, dst))
+        edges[current, ap, marks, state(dst_text, no, line, "target state")] = None
 
     if len(blocks) < n_states:
         missing = next(s for s in range(n_states) if s not in blocks)
@@ -666,36 +674,25 @@ def parse_hoa(text: str) -> Automaton:
             f" ({states_line!r})"
         )
 
-    mark_sets = sorted({marks for _, _, marks, _ in transitions})
-    colour_names = {marks: ("-" if not marks else "m" + "_".join(map(str, marks))) for marks in mark_sets}
-    colours = Alphabet([colour_names[m] for m in mark_sets]) if mark_sets else Alphabet(["-"])
-
+    # Colour c is the c-th distinct mark set in sorted order.
+    mark_sets = sorted({marks for _, _, marks, _ in edges})
+    colour = {marks: c for c, marks in enumerate(mark_sets)}
+    moves: list[list[list[tuple[int, int]]]] = [[[] for _ in alphabet] for _ in range(n_states)]
+    for src, ap, marks, dst in edges:
+        moves[src][ap].append((colour[marks], dst))
+    colours = Alphabet(["m" + "_".join(map(str, m)) if m else "-" for m in mark_sets] or ["-"])
     acceptance: AnyCondition
     if rabin:
-        holders: list[list[str]] = [[] for _ in range(sets)]  # the colours with each mark
-        for marks in mark_sets:
+        holders = [0] * sets  # the colours with each mark
+        for c, marks in enumerate(mark_sets):
             for mark in marks:
-                holders[mark].append(colour_names[marks])
-        pairs = [(holders[2 * i + 1], holders[2 * i]) for i in range(sets // 2)]
+                holders[mark] |= 1 << c
+        green, red = holders[1::2], holders[::2]
+        pairs = [(colours.from_mask(g), colours.from_mask(r)) for g, r in zip(green, red)]
         acceptance = RabinCondition(colours, pairs)
     else:
-        priorities = {}
-        for marks in mark_sets:
-            priorities[colour_names[marks]] = marks[0]
-        if not mark_sets:
-            priorities["-"] = 1
-        acceptance = ParityCondition(colours, priorities)
-
-    return Automaton(
-        range(n_states),
-        alphabet,
-        starts,
-        [
-            Transition(src, letter, colour_names[marks], dst)
-            for src, letter, marks, dst in transitions
-        ],
-        acceptance,
-    )
+        acceptance = ParityCondition(colours, dict(zip(colours, [m[0] for m in mark_sets] or [1])))
+    return Automaton.from_table(range(n_states), alphabet, starts, moves, acceptance)
 
 
 def hoa_signature(automaton: Automaton):

@@ -96,8 +96,8 @@ def cmd_build(args) -> int:
         if args.provenance:
             raise AutomatonError("--provenance applies to gfg-rabin only")
         automaton = build_parity_automaton(condition)
-        prios = sorted(automaton.acceptance.priorities.values())
-        print(f"{len(automaton.states)} states, priorities {prios[0]}..{prios[-1]}")
+        prios = automaton.acceptance.priorities
+        print(f"{len(automaton.states)} states, priorities {min(prios)}..{max(prios)}")
     if args.hoa:
         _write(args.hoa, export_hoa(automaton))
     if args.dot:

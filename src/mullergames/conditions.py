@@ -2,8 +2,11 @@
 
 Letter sets are bit-indexed subsets of a fixed alphabet, so all the
 subset combinatorics downstream (trees, acceptance tests, condition
-graphs) reduce to integer mask operations.  Everything here is immutable
-after construction.
+graphs) reduce to integer mask operations.  Acceptance conditions are held
+on colour ids the same way: a Rabin pair is a (green, red) pair of masks
+and a parity condition a tuple of priorities indexed by colour.  Colour
+names appear only in what the constructors take and what `repr` prints.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -146,7 +149,9 @@ class MullerCondition:
 
 
 class RabinCondition:
-    """Rabin pairs (G_i, R_i) over an output alphabet, with G_i and R_i disjoint."""
+    """Rabin pairs over an output alphabet: `pairs[i]` is the (green, red)
+    pair of disjoint colour masks of pair i.  Pairs are given by colour
+    names or letter sets and printed by name."""
 
     __slots__ = ("colours", "pairs")
 
@@ -158,12 +163,12 @@ class RabinCondition:
         self.colours = colours
         built = []
         for green, red in pairs:
-            g = colours.letters(green)
-            r = colours.letters(red)
-            if g.mask & r.mask:
+            g = colours.letters(green).mask
+            r = colours.letters(red).mask
+            if g & r:
                 raise ConditionError("green and red sets of a Rabin pair must be disjoint")
             built.append((g, r))
-        self.pairs = tuple(built)
+        self.pairs: tuple[tuple[int, int], ...] = tuple(built)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -176,31 +181,35 @@ class RabinCondition:
         return hash((self.colours, self.pairs))
 
     def __repr__(self) -> str:
-        return f"RabinCondition({self.colours!r}, {self.pairs!r})"
+        named = tuple((self.colours.from_mask(g), self.colours.from_mask(r)) for g, r in self.pairs)
+        return f"RabinCondition({self.colours!r}, {named!r})"
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def pair_accepts_mask(self, j: int, mask: int) -> bool:
         g, r = self.pairs[j]
-        return bool(mask & g.mask) and not mask & r.mask
+        return bool(mask & g) and not mask & r
 
     def accepts_mask(self, mask: int) -> bool:
-        return any(self.pair_accepts_mask(j, mask) for j in range(len(self.pairs)))
+        return any(mask & g and not mask & r for g, r in self.pairs)
 
     def pair_colour(self, j: int, colour: str) -> str:
         """The green / red / orange status of an output colour for pair j."""
         g, r = self.pairs[j]
-        if colour in g:
+        bit = 1 << self.colours.index(colour)
+        if g & bit:
             return "green"
-        if colour in r:
+        if r & bit:
             return "red"
         return "orange"
 
 
 class ParityCondition:
-    """A priority for every output colour; accepting iff the max priority
-    seen infinitely often is even."""
+    """A priority for every output colour, `priorities[c]` for colour id c;
+    accepting iff the max priority seen infinitely often is even.  The
+    priorities are given as a colour name -> priority mapping and printed
+    that way."""
 
     __slots__ = ("colours", "priorities")
 
@@ -213,7 +222,7 @@ class ParityCondition:
                 f"priorities must cover the colour alphabet exactly "
                 f"(missing {missing!r}, extra {extra!r})"
             )
-        self.priorities = {c: int(priorities[c]) for c in colours}
+        self.priorities: tuple[int, ...] = tuple(int(priorities[c]) for c in colours)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -223,26 +232,16 @@ class ParityCondition:
         )
 
     def __hash__(self) -> int:
-        return hash((self.colours, tuple(self.priorities.values())))
+        return hash((self.colours, self.priorities))
 
     def __repr__(self) -> str:
-        return f"ParityCondition({self.colours!r}, {self.priorities!r})"
-
-    def priority(self, colour: str) -> int:
-        try:
-            return self.priorities[colour]
-        except KeyError:
-            raise ConditionError(f"colour {colour!r} has no priority") from None
+        named = dict(zip(self.colours.symbols, self.priorities))
+        return f"ParityCondition({self.colours!r}, {named!r})"
 
     def accepts_mask(self, mask: int) -> bool:
         if mask == 0:
             raise ConditionError("empty letter set has no maximal priority")
-        best = max(
-            self.priorities[c]
-            for i, c in enumerate(self.colours.symbols)
-            if mask >> i & 1
-        )
-        return best % 2 == 0
+        return max(p for i, p in enumerate(self.priorities) if mask >> i & 1) % 2 == 0
 
 
 AnyCondition = Union[MullerCondition, RabinCondition, ParityCondition]

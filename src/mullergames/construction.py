@@ -77,10 +77,6 @@ class GfgRabinAutomaton:
     tree: ZielonkaTree
     eta: dict[int, int]
 
-    @property
-    def condition(self) -> MullerCondition:
-        return self.tree.condition
-
     @cached_property
     def provenance(self) -> dict[Transition, tuple[int, int, int]]:
         """Each transition -> (leaf, witness, next leaf) of the first leaf inducing it."""

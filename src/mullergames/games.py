@@ -478,14 +478,14 @@ def solve_parity_game(game: GameGraph) -> GameSolution:
     condition = game.condition
     if not isinstance(condition, ParityCondition):
         raise GameError("solve_parity_game expects a parity condition")
-    shift = max(0, 1 - min(condition.priorities.values()))
+    shift = max(0, 1 - min(condition.priorities))
     shift += shift % 2  # keep parities intact
 
     # Midpoints carry their edge's priority and original vertices are
     # neutral.  No silent-only cycles, so a top priority is never 0 and
     # its nodes are coloured midpoints, which need no move.
     arena = game.arena
-    by_colour = [condition.priority(c) + shift for c in condition.colours] + [0]
+    by_colour = [p + shift for p in condition.priorities] + [0]
     prio = [by_colour[c] for c in arena.colours]
 
     def solve(nodes: set) -> tuple[set, dict]:
@@ -634,22 +634,20 @@ def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
                 node = deeper
 
     elif isinstance(condition, RabinCondition):
-        pairs = [(g.mask, r.mask) for g, r in condition.pairs]
 
         def refine(mask: int) -> Optional[list[int]]:
             # A rejected subset fails every pair the mask satisfies, and it
             # avoids their reds already, so it must avoid their greens.
             greens = 0
-            for g, r in pairs:
+            for g, r in condition.pairs:
                 if g & mask and not r & mask:
                     greens |= g
             return [mask & ~greens] if greens else None
 
     else:
-        prio = [condition.priority(c) for c in condition.colours]
 
         def refine(mask: int) -> Optional[list[int]]:
-            present = [(p, 1 << i) for i, p in enumerate(prio) if mask >> i & 1]
+            present = [(p, 1 << i) for i, p in enumerate(condition.priorities) if mask >> i & 1]
             if max(p for p, _ in present) % 2 == losing:
                 return None
             # A subset whose top priority loses stays at or below the
@@ -690,7 +688,7 @@ def positional_rabin_strategy(game: GameGraph) -> GameSolution:
         raise GameError("positional_rabin_strategy expects a Rabin condition")
     arena = game.arena
     colour = _node_bits(arena)
-    pairs = [(g.mask, r.mask) for g, r in condition.pairs]
+    pairs = condition.pairs
 
     def with_colour(nodes: set, mask: int) -> set:
         return {v for v in nodes if colour[v] & mask}

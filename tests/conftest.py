@@ -560,7 +560,7 @@ class ReferenceRabinLassoChecker:
         self.automaton = automaton
         colours = automaton.colour_alphabet
         self._bit = {c: 1 << i for i, c in enumerate(colours.symbols)}
-        self._pairs = [(g.mask, r.mask) for g, r in automaton.acceptance.pairs]
+        self._pairs = automaton.acceptance.pairs
         self._state_index = {q: i for i, q in enumerate(automaton.states)}
         self._period_memo = {}
         self._prefix_memo = {}
@@ -700,7 +700,7 @@ def reference_simplify_rabin(automaton: Automaton) -> Automaton:
 
     old = automaton.acceptance
     pairs = []
-    for green, red in old.pairs:
+    for green, red in letter_pairs(old):
         new_green = list(green)
         new_red = list(red)
         for bundle, name in names.items():
@@ -732,7 +732,7 @@ def _reference_colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:
     acceptance = automaton.acceptance
     colours = {c for row in automaton.moves for cell in row for c, _ in cell}
     if isinstance(acceptance, RabinCondition):
-        pairs = [(g.mask, r.mask) for g, r in acceptance.pairs]
+        pairs = acceptance.pairs
         out = {}
         for colour in colours:
             bit = 1 << colour
@@ -745,8 +745,7 @@ def _reference_colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:
             out[colour] = tuple(marks)
         return out
     if isinstance(acceptance, ParityCondition):
-        symbols = acceptance.colours.symbols
-        return {colour: (acceptance.priority(symbols[colour]),) for colour in colours}
+        return {colour: (acceptance.priorities[colour],) for colour in colours}
     raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
 
@@ -763,7 +762,7 @@ def reference_export_hoa(automaton: Automaton) -> str:
     if isinstance(acc, RabinCondition):
         acc_name, acceptance = _hoa_acceptance(True, len(acc.pairs))
     elif isinstance(acc, ParityCondition):
-        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities.values()) + 1)
+        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities) + 1)
     else:
         raise AutomatonError("HOA export supports Rabin and parity acceptance only")
 
@@ -1060,6 +1059,11 @@ def accepts_colour_set(acceptance: AnyCondition, colours: Iterable[str]) -> bool
     return acceptance.accepts_mask(alphabet.letters(colours).mask)
 
 
+def letter_pairs(cond: RabinCondition) -> list[tuple[LetterSet, LetterSet]]:
+    """The (green, red) colour masks of each Rabin pair, as letter sets."""
+    return [(cond.colours.from_mask(g), cond.colours.from_mask(r)) for g, r in cond.pairs]
+
+
 def rabin_from_parity(cond: ParityCondition) -> RabinCondition:
     """The Rabin condition equivalent to a max-even parity condition.
 
@@ -1067,9 +1071,10 @@ def rabin_from_parity(cond: ParityCondition) -> RabinCondition:
     red = colours of priority above d.
     """
     pairs = []
-    for d in sorted({p for p in cond.priorities.values() if p % 2 == 0}):
-        green = [c for c, p in cond.priorities.items() if p == d]
-        red = [c for c, p in cond.priorities.items() if p > d]
+    named = dict(zip(cond.colours, cond.priorities))
+    for d in sorted({p for p in cond.priorities if p % 2 == 0}):
+        green = [c for c, p in named.items() if p == d]
+        red = [c for c, p in named.items() if p > d]
         pairs.append((green, red))
     return RabinCondition(cond.colours, pairs)
 

@@ -59,6 +59,7 @@ from conftest import (
     check_node_sequence,
     check_quotient,
     fscc,
+    letter_pairs,
     rabin_from_parity,
     random_muller_condition,
     reference_is_ancestor,
@@ -109,7 +110,7 @@ def test_criterion_1_running_example(running_condition):
         Transition(2, "c", "n5", 2),
     }
     pairs = gfg.automaton.acceptance
-    assert [(set(g.names()), set(r.names())) for g, r in pairs.pairs] == [
+    assert [(set(g.names()), set(r.names())) for g, r in letter_pairs(pairs)] == [
         ({"n1"}, {"n0", "n2", "n4", "n5"}),
         ({"n2"}, {"n0", "n1", "n3"}),
     ]
@@ -124,7 +125,7 @@ def test_criterion_1_running_example(running_condition):
         Transition(2, "b", "n0", 1),
         Transition(2, "c", "n5", 2),
     }
-    assert [(set(g.names()), set(r.names())) for g, r in simplified.acceptance.pairs] == [
+    assert [(set(g.names()), set(r.names())) for g, r in letter_pairs(simplified.acceptance)] == [
         ({"n1", "(n0n1)"}, {"n0", "n2", "n4", "n5"}),
         ({"n2"}, {"n0", "n1", "n3", "(n0n1)"}),
     ]
@@ -437,7 +438,7 @@ def test_criterion_6_structural_invariants(running_condition):
         for j, n in enumerate(round_nodes):
             for m in range(len(tree)):
                 name = tree.node_name(m)
-                green, red = pairs.pairs[j]
+                green, red = letter_pairs(pairs)[j]
                 statuses = [name in green, name in red]
                 if m == n:
                     assert statuses == [True, False]

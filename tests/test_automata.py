@@ -30,6 +30,7 @@ from mullergames.succinctness import condition_fn
 from mullergames.zielonka import build_zielonka
 from conftest import (
     ReferenceRabinLassoChecker,
+    letter_pairs,
     rabin_from_parity,
     random_muller_condition,
     reference_export_hoa,
@@ -207,8 +208,7 @@ def test_simplify_rabin_matches_fig4(running_condition):
     assert set(fig4.transitions) == expected
     pairs = fig4.acceptance
     assert len(pairs) == 2
-    g0, r0 = pairs.pairs[0]
-    g1, r1 = pairs.pairs[1]
+    (g0, r0), (g1, r1) = letter_pairs(pairs)
     assert set(g0.names()) == {"n1", "(n0n1)"}
     assert set(r0.names()) == {"n0", "n2", "n4", "n5"}
     assert set(g1.names()) == {"n2"}
@@ -225,7 +225,7 @@ def test_simplify_rabin_without_duplicates_is_identity_up_to_colours():
     )
     out = simplify_rabin(aut)
     assert set(out.transitions) == set(aut.transitions)
-    assert [(g.names(), r.names()) for g, r in out.acceptance.pairs] == [
+    assert [(g.names(), r.names()) for g, r in letter_pairs(out.acceptance)] == [
         (("c0",), ("c1",))
     ]
 
@@ -569,7 +569,7 @@ def test_parse_hoa_checks_set_counts():
         ParityCondition(Alphabet(["c"]), {"c": top}),
     )).splitlines()[5].partition(" ")[2]
     parsed = parse_hoa(document(f"parity max even {top + 1}", formula))
-    assert parsed.acceptance.priorities == {"m0": 0}
+    assert dict(zip(parsed.colour_alphabet, parsed.acceptance.priorities)) == {"m0": 0}
 
 
 def random_table_automaton_args(rng, acceptance_kind):
@@ -666,9 +666,7 @@ def assert_simplified_like_reference(aut):
     got, want = simplify_rabin(aut), reference_simplify_rabin(aut)
     assert got.transitions == want.transitions
     assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
-    assert [(g.mask, r.mask) for g, r in got.acceptance.pairs] == [
-        (g.mask, r.mask) for g, r in want.acceptance.pairs
-    ]
+    assert got.acceptance.pairs == want.acceptance.pairs
     assert (got.states, got.initial) == (want.states, want.initial)
     return got
 

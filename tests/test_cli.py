@@ -373,6 +373,29 @@ def test_cmd_check_reports_malformed_hoa(capsys, condition_file, tmp_path, old, 
     assert "States" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("] 1 {3}", "] 9 {3}", "HOA line 12: target state 9 is not one of the 3 declared"),
+        ("Start: 0", "Start: 9", "HOA line 3: initial state 9 is not one of the 3 declared"),
+        ("Start: 0\n", "", "HOA document has no 'Start:' header line"),
+        ('"b" "c"', '"a" "c"', "HOA line 4: alphabet symbols must be unique"),
+    ],
+    ids=["unknown-target", "unknown-start", "missing-start", "duplicate-ap"],
+)
+def test_cmd_check_names_the_hoa_line_of_an_error(
+    capsys, condition_file, tmp_path, old, new, message
+):
+    hoa = tmp_path / "parity.hoa"
+    assert main(["build", condition_file, "--kind", "parity", "--hoa", str(hoa)]) == 0
+    text = hoa.read_text()
+    assert text.count(old) == 1
+    hoa.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def game_file(tmp_path, doc):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
@@ -833,6 +856,22 @@ def _not_utf8(tmp_path, name):
     return str(path)
 
 
+def _json_file(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _hoa_over_ab(tmp_path):
+    from mullergames.automata import export_hoa
+    from mullergames.conditions import Alphabet, MullerCondition
+    from mullergames.construction import build_parity_automaton
+
+    path = tmp_path / "ab.hoa"
+    path.write_text(export_hoa(build_parity_automaton(MullerCondition(Alphabet("ab"), [["a"]]))))
+    return str(path)
+
+
 def _exist_game(tmp_path):
     doc = {
         "vertices": [{"name": "x", "owner": "Exist"}],
@@ -842,8 +881,9 @@ def _exist_game(tmp_path):
     return game_file(tmp_path, doc)
 
 
-# Each case: (argv, the path its error names) for a tmp_path directory
-# `d` and the running example's condition file `c`.
+# Each case: (argv, a phrase its error names: the path of a file that
+# cannot be read) for a tmp_path directory `d` and the running example's
+# condition file `c`.
 FILE_ERRORS = {
     "zielonka-dir": lambda d, c: (["zielonka", str(d)], str(d)),
     "solve-game-dir": lambda d, c: (["solve", "--game", str(d), "--condition", c], str(d)),
@@ -861,16 +901,35 @@ FILE_ERRORS = {
     "hoa-0xff": lambda d, c: (
         ["check", c, "--automaton", _not_utf8(d, "a.hoa"), "--bound", "1"], str(d / "a.hoa")
     ),
+    "condition-not-an-object": lambda d, c: (
+        ["zielonka", _json_file(d, "c.json", [])], "condition document must be an object"
+    ),
+    "accepting-not-a-list": lambda d, c: (
+        ["zielonka", _json_file(d, "c.json", {"alphabet": ["a", "b"], "accepting": "ab"})],
+        "field 'accepting' must be a list of letter lists",
+    ),
+    "int-letter": lambda d, c: (
+        ["zielonka", _json_file(d, "c.json", {"alphabet": ["a", 1], "accepting": []})],
+        "alphabet must contain only strings, got 1",
+    ),
+    "hoa-other-alphabet": lambda d, c: (
+        ["check", c, "--automaton", _hoa_over_ab(d)],
+        "checked automaton runs over a different alphabet",
+    ),
+    "parity-provenance": lambda d, c: (
+        ["build", c, "--kind", "parity", "--provenance", str(d / "p.json")],
+        "--provenance applies to gfg-rabin only",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FILE_ERRORS))
 def test_cli_file_errors_exit_2_with_one_line(capsys, condition_file, tmp_path, case):
-    argv, path = FILE_ERRORS[case](tmp_path, condition_file)
+    argv, phrase = FILE_ERRORS[case](tmp_path, condition_file)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert path in err
+    assert phrase in err
 
 
 def test_cli_missing_file(capsys):

@@ -18,7 +18,7 @@ from mullergames.conditions import (
     satisfies_parity,
     satisfies_rabin,
 )
-from conftest import rabin_from_parity
+from conftest import letter_pairs, rabin_from_parity
 
 NODES = Alphabet(["alpha", "beta", "gamma", "delta", "eps", "zeta"])
 
@@ -90,14 +90,14 @@ def test_red_growth_only_turns_pairs_rejecting():
         for j in range(n_pairs):
             before = cond.pair_accepts_mask(j, cmask)
             for letter in c_letters:
-                green, red = cond.pairs[j]
+                green, red = letter_pairs(cond)[j]
                 if letter in green:
                     continue
                 grown = RabinCondition(
                     NODES,
                     [
                         (g, r) if i != j else (g, list(r) + [letter])
-                        for i, (g, r) in enumerate(cond.pairs)
+                        for i, (g, r) in enumerate(letter_pairs(cond))
                     ],
                 )
                 after = grown.pair_accepts_mask(j, cmask)
@@ -120,7 +120,7 @@ def test_parity_requires_total_priorities():
     with pytest.raises(ConditionError):
         ParityCondition(Alphabet(["x", "y"]), {"x": 1})
     with pytest.raises(ConditionError):
-        ParityCondition(Alphabet(["x"]), {"x": 1, "y": 2}).priority("z")
+        ParityCondition(Alphabet(["x"]), {"x": 1, "y": 2})
 
 
 def test_restrict_examples(running_condition):

@@ -37,6 +37,7 @@ from conftest import (
     all_muller_conditions,
     check_node_sequence,
     check_quotient,
+    letter_pairs,
     random_muller_condition,
     reference_build_gfg_rabin,
     reference_build_parity_automaton,
@@ -68,8 +69,7 @@ def all_lassos(alphabet, max_prefix, max_period):
 def test_node_rabin_pairs_running_example(running_tree):
     pairs = node_rabin_pairs(running_tree)
     assert len(pairs) == 2
-    g0, r0 = pairs.pairs[0]
-    g1, r1 = pairs.pairs[1]
+    (g0, r0), (g1, r1) = letter_pairs(pairs)
     assert g0.names() == ("n1",) and set(r0.names()) == {"n0", "n2", "n4", "n5"}
     assert g1.names() == ("n2",) and set(r1.names()) == {"n0", "n1", "n3"}
 
@@ -90,7 +90,7 @@ def test_node_rabin_pairs_match_ancestor_comprehension():
             for n in range(len(tree))
             if tree.is_round(n)
         ]
-        got = [(g.names(), r.names()) for g, r in node_rabin_pairs(tree).pairs]
+        got = [(g.names(), r.names()) for g, r in letter_pairs(node_rabin_pairs(tree))]
         assert got == expected
 
 
@@ -98,8 +98,8 @@ def test_node_rabin_pairs_degenerate_trees():
     single = build_zielonka(MullerCondition(Alphabet("a"), [["a"]]))
     pairs = node_rabin_pairs(single)
     assert len(pairs) == 1
-    assert pairs.pairs[0][0].names() == ("n0",)
-    assert pairs.pairs[0][1].names() == ()
+    assert letter_pairs(pairs)[0][0].names() == ("n0",)
+    assert letter_pairs(pairs)[0][1].names() == ()
     empty = build_zielonka(MullerCondition(Alphabet("a"), []))
     assert len(node_rabin_pairs(empty)) == 0
 
@@ -149,7 +149,7 @@ def test_gfg_rabin_matches_fig2(running_condition):
 
 def acceptance_of(aut):
     if isinstance(aut.acceptance, RabinCondition):
-        return [(g.mask, r.mask) for g, r in aut.acceptance.pairs]
+        return aut.acceptance.pairs
     return aut.acceptance.priorities
 
 
@@ -201,7 +201,7 @@ def test_gfg_rabin_single_letter():
     assert aut.states == (1,)
     assert set(aut.transitions) == {Transition(1, "a", "n0", 1)}
     assert len(aut.acceptance) == 1
-    assert aut.acceptance.pairs[0][1].names() == ()
+    assert letter_pairs(aut.acceptance)[0][1].names() == ()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -231,9 +231,9 @@ def reference_parity_region(game):
     """Exist's region by the two-call recursion, over every node id, on the
     node priorities that `solve_parity_game` gives the arena."""
     condition, arena = game.condition, game.arena
-    shift = max(0, 1 - min(condition.priorities.values()))
+    shift = max(0, 1 - min(condition.priorities))
     shift += shift % 2
-    by_colour = [condition.priority(c) + shift for c in condition.colours] + [0]
+    by_colour = [p + shift for p in condition.priorities] + [0]
     prio = [by_colour[c] for c in arena.colours]
     return reference_zielonka_solve(frozenset(range(len(prio))), arena, prio)[0]
 
@@ -840,7 +840,7 @@ def test_rejected_core_agrees_with_subset_scan():
         if kind == "parity":
             # Univ's side: even priorities lose, which is Exist's view once
             # every priority is raised by one.
-            raised = {c: p + 1 for c, p in condition.priorities.items()}
+            raised = {c: p + 1 for c, p in zip(condition.colours, condition.priorities)}
             sides.append((condition, 0, ParityCondition(condition.colours, raised)))
         for checked, losing, reference in sides:
             expected = reference_recurrence_sets_satisfy(graph, avail, reference, 1 << 16)
@@ -1023,15 +1023,23 @@ def named_tables(doc):
     return update, strategy
 
 
-def named_memories(condition):
+# Vertex names that JSON escapes and whose `repr` order differs from their
+# own order ("v1'" is written with double quotes, so its edges sort before
+# those of "v1").
+STRING_NAMES = ["v1", "v1'", "v10", 'say "hi"', "back\\slash", "café", "dice \U0001F3B2"]
+# Vertex names that are other JSON values: tuples become lists, which the
+# row writer indents through `json.dumps`.
+OTHER_NAMES = [("v", 1), ("v", ("w", None)), 7, -2, None]
+
+
+def named_memories(condition, names=STRING_NAMES):
     """Solved memories (int states) and random ones (str states) on random
-    games over names that JSON escapes and whose `repr` order differs from
-    their own order ("v1'" is written with double quotes, so its edges sort
-    before those of "v1"), until each kind has been seen ten times."""
-    names = ["v1", "v1'", "v10", 'say "hi"', "back\\slash", "café", "dice \U0001F3B2"]
+    games over `names`, until each kind has been seen ten times; over
+    STRING_NAMES, that includes games holding both "v1" and "v1'"."""
+    kinds = ["solved", "no exist", "silent", "str states"] + ["repr order"] * ("v1'" in names)
     rng = random.Random(2204)
     seen = collections.Counter()
-    while min(seen[k] for k in ("solved", "no exist", "silent", "repr order", "str states")) < 10:
+    while min(seen[k] for k in kinds) < 10:
         chosen = rng.sample(names, rng.randint(1, len(names)))
         no_exist = rng.random() < 0.2
         vertices = [(v, UNIV if no_exist else rng.choice([EXIST, UNIV])) for v in chosen]
@@ -1064,10 +1072,11 @@ def named_memories(condition):
 
 def test_memory_to_json_is_the_indented_dump(running_condition):
     """The row writer's text is `json.dumps` with `indent=2` and sorted
-    keys."""
-    for memory in named_memories(running_condition):
-        expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
-        assert memory_to_json(memory) == expected
+    keys, over string vertex names and over other JSON values."""
+    for names in (STRING_NAMES, OTHER_NAMES):
+        for memory in named_memories(running_condition, names):
+            expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
+            assert memory_to_json(memory) == expected
 
 
 def test_memory_names_round_trip(running_condition):
