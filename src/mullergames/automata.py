@@ -13,6 +13,7 @@ shares both.  Duplicated edges can be merged without changing the language.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -27,6 +28,7 @@ from .conditions import (
     MullerCondition,
     ParityCondition,
     RabinCondition,
+    quoted,
 )
 
 State = Hashable
@@ -528,7 +530,7 @@ def export_hoa(automaton: Automaton) -> str:
     lines = ["HOA: v1", f"States: {len(automaton.states)}"]
     for s in sorted(automaton.start):
         lines.append(f"Start: {s}")
-    aps = " ".join(f'"{a}"' for a in automaton.alphabet.symbols)
+    aps = " ".join(map(quoted, automaton.alphabet.symbols))
     lines.append(f"AP: {len(automaton.alphabet)} {aps}")
     lines.append(f"acc-name: {acc_name}")
     lines.append(f"Acceptance: {acceptance}")
@@ -546,6 +548,10 @@ def export_hoa(automaton: Automaton) -> str:
             lines.append(f"[{labels[ap]}] {d}{marks}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
+
+
+# A double-quoted HOA v1 string, and an escape (`\"` or `\\`) in its body.
+_HOA_STRING, _HOA_ESCAPE = re.compile(r'"((?:[^"\\]|\\.)*)"'), re.compile(r"\\(.)")
 
 
 def parse_hoa(text: str) -> Automaton:
@@ -591,8 +597,9 @@ def parse_hoa(text: str) -> Automaton:
     header("Start")
     starts = [state(*entry, "initial state") for entry in headers["Start"]]
     ap_value, ap_no, ap_line = header("AP")
+    names = [_HOA_ESCAPE.sub(r"\1", name) for name in _HOA_STRING.findall(ap_value)]
     try:
-        alphabet = Alphabet(ap_value.split('"')[1::2])
+        alphabet = Alphabet(names)
     except ConditionError as err:
         raise AutomatonError(f"HOA line {ap_no}: {err}") from None
     if integer(ap_value.partition(" ")[0], ap_no, ap_line) != len(alphabet):
@@ -713,7 +720,7 @@ def hoa_signature(automaton: Automaton):
 def export_dot(automaton: Automaton) -> str:
     lines = ["digraph automaton {", "  rankdir=LR;"]
     for s, q in enumerate(automaton.states):
-        lines.append(f'  q{s} [shape=circle, label="{q}"];')
+        lines.append(f"  q{s} [shape=circle, label={quoted(q)}];")
     for s in sorted(automaton.start):
         lines.append(f"  init{s} [shape=point];")
         lines.append(f"  init{s} -> q{s};")
@@ -725,6 +732,6 @@ def export_dot(automaton: Automaton) -> str:
         for c, d in cell
     )
     for s, a, d, colour in rows:
-        lines.append(f'  q{s} -> q{d} [label="{letters[a]} : {colour}"];')
+        lines.append(f"  q{s} -> q{d} [label={quoted(f'{letters[a]} : {colour}')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -345,6 +345,12 @@ def condition_to_dict(cond: MullerCondition) -> dict:
     }
 
 
+def quoted(text: object) -> str:
+    """The text of `text` in double quotes, with `\\` and `"` escaped as
+    HOA v1 and DOT strings write them."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _string_list(value: object, what: str) -> list[str]:
     if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
         raise ConditionError(f"{what} must be a list of strings")

@@ -14,15 +14,14 @@ midpoint.  A colour id indexes the colours of the game's own condition: a
 game's are the letters its automata read, a product's its automaton's
 output colours.  Every game is built straight into its arena and names its
 edges (a product also its vertices) only when a caller reads them.  There
-is one solver per kind of game, both on the arena and each under its own
-game's condition: Zielonka's recursion for parity games
-(`solve_parity_game`) and its Rabin form, where Exist always has a
-positional strategy (`positional_rabin_strategy`).  Both are written as
-one loop that removes the opponent's attractor to what it wins and
-continues, so a parity solve recurses at most as deep as its number of
-distinct priorities and a Rabin solve as its number of colours.  Each
-result is re-checked before it is returned, and the two products must
-agree on the initial vertex's winner.
+is one loop of Zielonka's recursion (`_zielonka`) on the arena for both
+kinds of product: parity games (`solve_parity_game`) and Rabin games,
+where Exist always has a positional strategy (`positional_rabin_strategy`).
+Only how a condition splits a subgame (`_split`) tells them apart.  Each
+recursive call sees fewer colours, so a parity solve recurses at most as
+deep as its number of distinct priorities and a Rabin solve as its number
+of colours.  Each result is re-checked before it is returned, and the two
+products must agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -96,7 +95,7 @@ class Arena(NamedTuple):
     initial: int
 
 
-def _split(owners: list[int], edges: list[tuple[int, int, int]], initial: int) -> Arena:
+def _arena(owners: list[int], edges: list[tuple[int, int, int]], initial: int) -> Arena:
     base = len(owners)
     succ: list[list[int]] = [[] for _ in owners]
     preds: list[list[int]] = [[] for _ in owners]
@@ -145,7 +144,7 @@ class GameGraph:
                 raise GameError(f"edge colour {colour!r} is not a condition colour")
             unique[x, y, c] = None
         self.vertices, self.initial, self.condition = tuple(index), initial, condition
-        self.arena = _split(owners, list(unique), index[initial])
+        self.arena = _arena(owners, list(unique), index[initial])
         succ, colour = self.arena.succ, self.arena.colours
         for v, moves in zip(self.vertices, succ):
             if not moves:
@@ -377,7 +376,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
         return ("c", game.vertices[y], alphabet.symbols[a], states[q])
 
     product = GameGraph.__new__(GameGraph)
-    product.arena, product._name = _split(owners, edges, 0), name
+    product.arena, product._name = _arena(owners, edges, 0), name
     product.initial, product.condition = name(0), automaton.acceptance
     return ProductGame(product, game, automaton, ids, keys)
 
@@ -395,7 +394,7 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
     return _build_product(game, automaton, [game.arena.initial])
 
 
-# -- parity games --------------------------------------------------------------
+# -- solvers -------------------------------------------------------------------
 
 
 class GameSolution:
@@ -463,54 +462,69 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
     return attr, strat
 
 
-def solve_parity_game(game: GameGraph) -> GameSolution:
-    """Winning regions and positional strategies for an edge-coloured
-    max-even parity game; silent edges never dominate a cycle.
-
-    Zielonka's recursion in `positional_rabin_strategy`'s loop form: while
-    nodes remain, the player of the top priority attracts to it and the
-    rest is solved.  If the opponent wins nothing there, the player wins
-    all of the nodes; otherwise the opponent's attractor to its region
-    there is the opponent's, and is removed.  The one recursive call has a
-    lower top priority, so the depth is at most the number of distinct
-    priorities.  Both strategies are re-verified by cycle analysis.
-    """
-    condition = game.condition
-    if not isinstance(condition, ParityCondition):
-        raise GameError("solve_parity_game expects a parity condition")
-    shift = max(0, 1 - min(condition.priorities))
-    shift += shift % 2  # keep parities intact
-
-    # Midpoints carry their edge's priority and original vertices are
-    # neutral.  No silent-only cycles, so a top priority is never 0 and
-    # its nodes are coloured midpoints, which need no move.
-    arena = game.arena
-    by_colour = [p + shift for p in condition.priorities] + [0]
-    prio = [by_colour[c] for c in arena.colours]
+def _zielonka(game: GameGraph) -> GameSolution:
+    """Zielonka's recursion as one loop on the arena, for a parity or Rabin
+    game.  While nodes remain, `_split` names the player who attracts and
+    the colour masks to try; per mask the player attracts to its nodes and
+    the rest is solved.  Once the opponent wins some of the rest, its
+    attractor to that is its own and is removed; if it wins none under any
+    mask, the player wins every node.  Each recursive call sees fewer
+    colours.  Both players' moves are kept, each in its own region."""
+    arena, split = game.arena, _split(game.condition)
+    bits = _node_bits(arena)
 
     def solve(nodes: set) -> tuple[set, dict]:
         won: set = set()
         strategy: dict = {}
         while nodes:
-            top = max(prio[v] for v in nodes)
-            player = top % 2
-            attr, attr_strat = _attract(player, {v for v in nodes if prio[v] == top}, nodes, arena)
-            sub_won, sub_strat = solve(nodes - attr)
-            lost = sub_won if player else nodes - attr - sub_won
-            if not lost:
-                strategy.update(sub_strat)
-                strategy.update(attr_strat)
+            present = 0
+            for v in nodes:
+                present |= bits[v]
+            player, targets = split(present)
+            moves: dict = {}
+            for target in targets:
+                attr, moves = _attract(player, {v for v in nodes if bits[v] & target}, nodes, arena)
+                sub_won, sub_moves = solve(nodes - attr)
+                lost = sub_won if player else nodes - attr - sub_won
+                if lost:
+                    break
+                moves.update(sub_moves)
+            else:
+                strategy.update(moves)
                 return (won if player else won | nodes), strategy
-            attr, attr_strat = _attract(1 - player, lost, nodes, arena)
-            strategy.update((v, m) for v, m in sub_strat.items() if v in lost)
-            strategy.update(attr_strat)
+            attr, moves = _attract(1 - player, lost, nodes, arena)
+            strategy.update((v, m) for v, m in sub_moves.items() if v in lost)
+            strategy.update(moves)
             if player:
                 won |= attr
             nodes = nodes - attr
         return won, strategy
 
-    solution = GameSolution(game, *solve(set(range(len(prio)))))
+    return GameSolution(game, *solve(set(range(len(bits)))))
+
+
+def solve_parity_game(game: GameGraph) -> GameSolution:
+    """Winning regions and positional strategies for an edge-coloured
+    max-even parity game; silent edges never dominate a cycle.  `_zielonka`
+    recurses at most as deep as the number of distinct priorities, and both
+    strategies are re-verified by cycle analysis."""
+    if not isinstance(game.condition, ParityCondition):
+        raise GameError("solve_parity_game expects a parity condition")
+    solution = _zielonka(game)
     _verify_solution(solution)
+    return solution
+
+
+def positional_rabin_strategy(game: GameGraph) -> GameSolution:
+    """Exist's whole winning region of an edge-coloured Rabin game, with one
+    positional strategy that wins from all of it.  `_zielonka` recurses at
+    most as deep as the number of colours.  Univ may need memory to win a
+    Rabin game, so only Exist's moves are kept, and re-verified."""
+    if not isinstance(game.condition, RabinCondition):
+        raise GameError("positional_rabin_strategy expects a Rabin condition")
+    solution = _zielonka(game)
+    solution.moves = solution.strategy_of(0)
+    _verify_solution(solution, (0,))
     return solution
 
 
@@ -660,75 +674,41 @@ def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
     return refine
 
 
+def _split(condition: AnyCondition) -> Callable[[int], tuple[int, Sequence[int]]]:
+    """For `_zielonka`, from the colour mask `present` of a subgame: the
+    player who attracts (0 Exist, 1 Univ) and the masks to attract to, in
+    order; with none, Univ wins.  Parity: the top priority's player, to its
+    colours.  Rabin: Exist, to the green of a live pair (green present, red
+    absent); with none live, Univ, to the colours outside each child
+    `present & ~red` of a pair whose green is present."""
+    if isinstance(condition, RabinCondition):
+        pairs = condition.pairs
+
+        def split(present: int) -> tuple[int, Sequence[int]]:
+            live = next((g for g, r in pairs if g & present and not r & present), 0)
+            if live:
+                return 0, (live,)
+            # No pair is live, so each child misses a red that is present.
+            return 1, [~child for child in sorted({present & ~r for g, r in pairs if g & present})]
+
+    else:
+        levels: dict[int, int] = {}
+        for c, p in enumerate(condition.priorities):
+            levels[p] = levels.get(p, 0) | 1 << c
+        top_down = sorted(levels.items(), reverse=True)
+
+        def split(present: int) -> tuple[int, Sequence[int]]:
+            for p, colours in top_down:
+                if colours & present:
+                    return p % 2, (colours,)
+            return 1, ()
+
+    return split
+
+
 def _node_bits(arena: Arena) -> list[int]:
     """Each node's colour bit in its game condition's masks; 0 if it has none."""
     return [1 << c if c >= 0 else 0 for c in arena.colours]
-
-
-# -- Rabin games ---------------------------------------------------------------
-
-
-def positional_rabin_strategy(game: GameGraph) -> GameSolution:
-    """Exist's whole winning region of an edge-coloured Rabin game, with one
-    positional strategy that wins from all of it.
-
-    Zielonka's recursion over the set of colours present in a subgame, on
-    the arena (so the result does not depend on string hashing).  If some
-    pair (g, r) is live on the present colours -- g present, r absent --
-    Exist attracts to g and the rest is solved; she wins everything once
-    Univ wins nothing in the rest, and otherwise Univ's attractor to his
-    region there is removed.  If no pair is live, each child `present & ~r`
-    that still meets its g is tried inside the complement of Univ's
-    attractor to the colours outside it; Exist's attractor to what she wins
-    there is hers.  Every recursive call has strictly fewer colours
-    present.  The strategy is re-checked by `_verify_solution`.
-    """
-    condition = game.condition
-    if not isinstance(condition, RabinCondition):
-        raise GameError("positional_rabin_strategy expects a Rabin condition")
-    arena = game.arena
-    colour = _node_bits(arena)
-    pairs = condition.pairs
-
-    def with_colour(nodes: set, mask: int) -> set:
-        return {v for v in nodes if colour[v] & mask}
-
-    def solve(nodes: set) -> tuple[set, dict]:
-        won: set = set()
-        strategy: dict = {}
-        while nodes:
-            present = 0
-            for v in nodes:
-                present |= colour[v]
-            live = next((g for g, r in pairs if g & present and not r & present), 0)
-            if live:
-                attr, attr_strat = _attract(0, with_colour(nodes, live), nodes, arena)
-                sub_won, sub_strat = solve(nodes - attr)
-                lost = nodes - attr - sub_won
-                if not lost:
-                    strategy.update(sub_strat)
-                    strategy.update(attr_strat)
-                    return won | nodes, strategy
-                nodes = nodes - _attract(1, lost, nodes, arena)[0]
-                continue
-            children = {present & ~r for g, r in pairs if g & present}
-            for child in sorted(children):
-                rest = nodes - _attract(1, with_colour(nodes, ~child), nodes, arena)[0]
-                sub_won, sub_strat = solve(rest)
-                if sub_won:
-                    attr, attr_strat = _attract(0, sub_won, nodes, arena)
-                    strategy.update(sub_strat)
-                    strategy.update(attr_strat)
-                    won |= attr
-                    nodes = nodes - attr
-                    break
-            else:
-                return won, strategy
-        return won, strategy
-
-    solution = GameSolution(game, *solve(set(range(len(colour)))))
-    _verify_solution(solution, (0,))
-    return solution
 
 
 # -- memory extraction and Muller solving ---------------------------------------

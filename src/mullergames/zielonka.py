@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .conditions import ConditionError, LetterSet, MullerCondition
+from .conditions import ConditionError, LetterSet, MullerCondition, quoted
 
 ChildOrder = Callable[[list[int]], list[int]]
 
@@ -188,8 +188,8 @@ class ZielonkaTree:
         lines = ["digraph zielonka {", "  ordering=out;"]
         for n in range(len(self)):
             shape = "ellipse" if self._round[n] else "box"
-            text = "{%s}" % ",".join(self.label(n))
-            lines.append(f'  {self.node_name(n)} [shape={shape}, label="{text}"];')
+            text = quoted("{%s}" % ",".join(self.label(n)))
+            lines.append(f"  {self.node_name(n)} [shape={shape}, label={text}];")
         for n, kids in enumerate(self._children):
             for k in kids:
                 lines.append(f"  {self.node_name(n)} -> {self.node_name(k)};")

@@ -25,7 +25,15 @@ from mullergames.conditions import (
     inf_set,
     satisfies_rabin,
 )
-from mullergames.games import Arena, _attract
+from mullergames.games import (
+    Arena,
+    GameError,
+    GameGraph,
+    GameSolution,
+    _attract,
+    _node_bits,
+    _verify_solution,
+)
 from mullergames.succinctness import (
     ConditionGraph,
     SearchBudgetError,
@@ -960,6 +968,125 @@ def reference_zielonka_solve(nodes: frozenset, arena: Arena, prio: Sequence[int]
     if player == 0:
         return w_even2, set(w_odd2) | oattr, merged
     return set(w_even2) | oattr, w_odd2, merged
+
+
+# The two hand-written forms of Zielonka's recursion that `_zielonka` in
+# games.py replaced, one per kind of game: the oracle for its regions and
+# moves.
+
+
+def reference_solve_parity_game(game: GameGraph) -> GameSolution:
+    """Winning regions and positional strategies for an edge-coloured
+    max-even parity game; silent edges never dominate a cycle.
+
+    Zielonka's recursion in `positional_rabin_strategy`'s loop form: while
+    nodes remain, the player of the top priority attracts to it and the
+    rest is solved.  If the opponent wins nothing there, the player wins
+    all of the nodes; otherwise the opponent's attractor to its region
+    there is the opponent's, and is removed.  The one recursive call has a
+    lower top priority, so the depth is at most the number of distinct
+    priorities.  Both strategies are re-verified by cycle analysis.
+    """
+    condition = game.condition
+    if not isinstance(condition, ParityCondition):
+        raise GameError("solve_parity_game expects a parity condition")
+    shift = max(0, 1 - min(condition.priorities))
+    shift += shift % 2  # keep parities intact
+
+    # Midpoints carry their edge's priority and original vertices are
+    # neutral.  No silent-only cycles, so a top priority is never 0 and
+    # its nodes are coloured midpoints, which need no move.
+    arena = game.arena
+    by_colour = [p + shift for p in condition.priorities] + [0]
+    prio = [by_colour[c] for c in arena.colours]
+
+    def solve(nodes: set) -> tuple[set, dict]:
+        won: set = set()
+        strategy: dict = {}
+        while nodes:
+            top = max(prio[v] for v in nodes)
+            player = top % 2
+            attr, attr_strat = _attract(player, {v for v in nodes if prio[v] == top}, nodes, arena)
+            sub_won, sub_strat = solve(nodes - attr)
+            lost = sub_won if player else nodes - attr - sub_won
+            if not lost:
+                strategy.update(sub_strat)
+                strategy.update(attr_strat)
+                return (won if player else won | nodes), strategy
+            attr, attr_strat = _attract(1 - player, lost, nodes, arena)
+            strategy.update((v, m) for v, m in sub_strat.items() if v in lost)
+            strategy.update(attr_strat)
+            if player:
+                won |= attr
+            nodes = nodes - attr
+        return won, strategy
+
+    solution = GameSolution(game, *solve(set(range(len(prio)))))
+    _verify_solution(solution)
+    return solution
+
+
+def reference_positional_rabin_strategy(game: GameGraph) -> GameSolution:
+    """Exist's whole winning region of an edge-coloured Rabin game, with one
+    positional strategy that wins from all of it.
+
+    Zielonka's recursion over the set of colours present in a subgame, on
+    the arena (so the result does not depend on string hashing).  If some
+    pair (g, r) is live on the present colours -- g present, r absent --
+    Exist attracts to g and the rest is solved; she wins everything once
+    Univ wins nothing in the rest, and otherwise Univ's attractor to his
+    region there is removed.  If no pair is live, each child `present & ~r`
+    that still meets its g is tried inside the complement of Univ's
+    attractor to the colours outside it; Exist's attractor to what she wins
+    there is hers.  Every recursive call has strictly fewer colours
+    present.  The strategy is re-checked by `_verify_solution`.
+    """
+    condition = game.condition
+    if not isinstance(condition, RabinCondition):
+        raise GameError("positional_rabin_strategy expects a Rabin condition")
+    arena = game.arena
+    colour = _node_bits(arena)
+    pairs = condition.pairs
+
+    def with_colour(nodes: set, mask: int) -> set:
+        return {v for v in nodes if colour[v] & mask}
+
+    def solve(nodes: set) -> tuple[set, dict]:
+        won: set = set()
+        strategy: dict = {}
+        while nodes:
+            present = 0
+            for v in nodes:
+                present |= colour[v]
+            live = next((g for g, r in pairs if g & present and not r & present), 0)
+            if live:
+                attr, attr_strat = _attract(0, with_colour(nodes, live), nodes, arena)
+                sub_won, sub_strat = solve(nodes - attr)
+                lost = nodes - attr - sub_won
+                if not lost:
+                    strategy.update(sub_strat)
+                    strategy.update(attr_strat)
+                    return won | nodes, strategy
+                nodes = nodes - _attract(1, lost, nodes, arena)[0]
+                continue
+            children = {present & ~r for g, r in pairs if g & present}
+            for child in sorted(children):
+                rest = nodes - _attract(1, with_colour(nodes, ~child), nodes, arena)[0]
+                sub_won, sub_strat = solve(rest)
+                if sub_won:
+                    attr, attr_strat = _attract(0, sub_won, nodes, arena)
+                    strategy.update(sub_strat)
+                    strategy.update(attr_strat)
+                    won |= attr
+                    nodes = nodes - attr
+                    break
+            else:
+                return won, strategy
+        return won, strategy
+
+    solution = GameSolution(game, *solve(set(range(len(colour)))))
+    _verify_solution(solution, (0,))
+    return solution
 
 
 def det_rabin_lower_bound(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -308,6 +309,43 @@ def test_export_dot(running_condition):
     )
     assert nodes_only.count("shape=circle") == 1
     assert nodes_only.count('label="a') == 0
+
+
+QUOTED_LETTERS = ["a\"b", "c\\d", "e f"]
+
+
+def dot_labels(dot):
+    """Every `label="..."` of a DOT text, its `\\"` and `\\\\` escapes read back."""
+    return [
+        re.sub(r"\\(.)", r"\1", text)
+        for text in re.findall(r'label="((?:[^"\\]|\\.)*)"', dot)
+    ]
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    condition = MullerCondition(Alphabet(QUOTED_LETTERS), [QUOTED_LETTERS[:2], QUOTED_LETTERS[2:]])
+    tree = build_zielonka(condition)
+    assert dot_labels(tree.to_dot()) == [
+        "{%s}" % ",".join(tree.label(n)) for n in range(len(tree))
+    ]
+    named = Automaton(
+        ['s"0', "t\\1"],
+        Alphabet(QUOTED_LETTERS[:2]),
+        ['s"0'],
+        [Transition('s"0', 'a"b', 'x"y', "t\\1"), Transition("t\\1", "c\\d", 'x"y', 's"0')],
+        RabinCondition(Alphabet(['x"y']), [(['x"y'], [])]),
+    )
+    for automaton in (build_gfg_rabin(condition).automaton, build_parity_automaton(tree), named):
+        letters, colours = automaton.alphabet.symbols, automaton.colour_alphabet.symbols
+        edges = sorted(
+            (s, a, d, colours[c])
+            for s, row in enumerate(automaton.moves)
+            for a, cell in enumerate(row)
+            for c, d in cell
+        )
+        assert dot_labels(export_dot(automaton)) == [str(q) for q in automaton.states] + [
+            f"{letters[a]} : {colour}" for _, a, _, colour in edges
+        ]
 
 
 def test_accepts_lasso_agrees_with_deterministic(running_condition):

@@ -329,6 +329,20 @@ def test_cmd_check_parity_hoa_round_trip(capsys, condition_file, tmp_path):
     assert capsys.readouterr().out == "pass: 1560 lassos agree with the condition (bound 4)\n"
 
 
+@pytest.mark.parametrize("kind", ["gfg-rabin", "parity"])
+def test_cmd_check_reads_back_letters_with_quotes_and_backslashes(capsys, tmp_path, kind):
+    """HOA names escape `"` and `\\`, so `check` reads the file `build` wrote."""
+    letters = ["a\"b", "c\\d", "e f"]
+    condition = tmp_path / "quoted.json"
+    condition.write_text(json.dumps({"alphabet": letters, "accepting": [letters[:2], letters[2:]]}))
+    hoa = tmp_path / f"{kind}.hoa"
+    assert main(["build", str(condition), "--kind", kind, "--hoa", str(hoa)]) == 0
+    assert 'AP: 3 "a\\"b" "c\\\\d" "e f"\n' in hoa.read_text()
+    capsys.readouterr()
+    assert main(["check", str(condition), "--automaton", str(hoa), "--bound", "3"]) == 0
+    assert capsys.readouterr().out == "pass: 507 lassos agree with the condition (bound 3)\n"
+
+
 def test_cmd_check_parity_hoa_detects_a_changed_mark(capsys, condition_file, tmp_path):
     hoa = tmp_path / "parity.hoa"
     assert main(["build", condition_file, "--kind", "parity", "--hoa", str(hoa)]) == 0

@@ -40,8 +40,10 @@ from mullergames.zielonka import build_zielonka
 from conftest import (
     random_muller_condition,
     reference_brute_force_winner,
+    reference_positional_rabin_strategy,
     reference_product,
     reference_recurrence_sets_satisfy,
+    reference_solve_parity_game,
     reference_split_edges,
     reference_zielonka_solve,
     strongly_connected_components,
@@ -407,10 +409,10 @@ def solved_rabin(game):
     return solution
 
 
-def random_rabin_condition(rng, colours):
-    """One to three pairs, each colour green, red or neither in each."""
+def random_rabin_condition(rng, colours, max_pairs=3):
+    """One to `max_pairs` pairs, each colour green, red or neither in each."""
     pairs = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, max_pairs)):
         marks = [rng.choice("gro") for _ in colours]
         pairs.append(
             (
@@ -504,6 +506,41 @@ def test_positional_rabin_agrees_with_parity_reference():
     assert any(k == 0 for k, _ in regions)
     assert any(0 < k < n for k, n in regions)
     assert any(k == n for k, n in regions)
+
+
+def random_oracle_game(rng):
+    """A game of 1-12 vertices with silent edges, over a run of priorities
+    in -2..6 or over one to four Rabin pairs on 1-5 colours."""
+    if rng.random() < 0.5:
+        low = rng.randint(-2, 6)
+        priorities = range(low, rng.randint(low, 6) + 1)
+        condition = ParityCondition(
+            Alphabet([f"p{p}" for p in priorities]), {f"p{p}": p for p in priorities}
+        )
+    else:
+        colours = list("abcde"[: rng.randint(1, 5)])
+        condition = random_rabin_condition(rng, colours, max_pairs=4)
+    return random_game(rng, condition, max_vertices=12, max_edges=30, eps_prob=0.2)
+
+
+def test_shared_loop_agrees_with_the_two_hand_written_solvers():
+    """Both solvers give the regions and moves of the recursions they
+    replaced: both players' moves in a parity game, Exist's in a Rabin game."""
+    rng = random.Random(1998_23)
+    shares = collections.Counter()
+    for _ in range(2000):
+        game = random_oracle_game(rng)
+        if isinstance(game.condition, ParityCondition):
+            solve, reference = solve_parity_game, reference_solve_parity_game
+        else:
+            solve, reference = positional_rabin_strategy, reference_positional_rabin_strategy
+        ours, theirs = solve(game), reference(game)
+        assert ours.won == theirs.won
+        assert ours.moves == theirs.moves
+        exist = sum(v < game.arena.base for v in ours.won)
+        shares[type(game.condition).__name__, (exist > 0) + (exist == game.arena.base)] += 1
+    # Each kind of game has regions empty, partial and full for Exist.
+    assert len(shares) == 6 and min(shares.values()) >= 50
 
 
 def test_memory_from_gfg_running_example(running_condition):
