@@ -39,7 +39,6 @@ from .games import (
     load_game,
     memory_to_json,
     solve_muller_game,
-    verify_strategy,
 )
 from .succinctness import (
     SearchBudgetError,
@@ -191,14 +190,11 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     condition = load_condition(args.condition)
     game = load_game(args.game, condition)
-    tree = build_zielonka(condition)  # one tree for the solver and the check
-    solution = solve_muller_game(game, tree)
+    solution = solve_muller_game(game)
     print(f"winner: {solution.winner}")
     if solution.memory is None:
         return 0
     memory = solution.memory
-    if not verify_strategy(memory, tree):
-        raise GameError("extracted memory failed strategy verification")
     print(f"memory size: {memory.size}")
     print(f"chromatic: {'yes' if is_chromatic(memory) else 'no'}")
     if args.memory_out:

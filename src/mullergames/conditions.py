@@ -7,13 +7,19 @@ on colour ids the same way: a Rabin pair is a (green, red) pair of masks
 and a parity condition a tuple of priorities indexed by colour.  Colour
 names appear only in what the constructors take and what `repr` prints.
 Everything here is immutable after construction.
+
+Each acceptance type answers what `games` asks of a colour mask:
+`accepts_mask`, `refine` (the cycle check's query: None if the mask is
+rejected, else smaller masks that hold every rejected subset) and `split`
+(who attracts to which colours in Zielonka's recursion).  A Muller
+condition answers `refine` through its Zielonka tree and has no `split`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class ConditionError(ValueError):
@@ -194,6 +200,27 @@ class RabinCondition:
     def accepts_mask(self, mask: int) -> bool:
         return any(mask & g and not mask & r for g, r in self.pairs)
 
+    def refine(self, mask: int) -> Optional[list[int]]:
+        """`mask` without the greens of the pairs it satisfies, or None if
+        there are none: a rejected subset fails those pairs, and it avoids
+        their reds already, so it must avoid their greens."""
+        greens = 0
+        for g, r in self.pairs:
+            if g & mask and not r & mask:
+                greens |= g
+        return [mask & ~greens] if greens else None
+
+    def split(self, present: int) -> tuple[int, Sequence[int]]:
+        """Exist (0) attracts to the green of a live pair (green present,
+        red absent); with none live, Univ (1) to the colours outside each
+        child `present & ~red` of a pair whose green is present, in order,
+        and with no such pair Univ wins."""
+        live = next((g for g, r in self.pairs if g & present and not r & present), 0)
+        if live:
+            return 0, (live,)
+        # No pair is live, so each child misses a red that is present.
+        return 1, [~child for child in sorted({present & ~r for g, r in self.pairs if g & present})]
+
     def pair_colour(self, j: int, colour: str) -> str:
         """The green / red / orange status of an output colour for pair j."""
         g, r = self.pairs[j]
@@ -242,6 +269,24 @@ class ParityCondition:
         if mask == 0:
             raise ConditionError("empty letter set has no maximal priority")
         return max(p for i, p in enumerate(self.priorities) if mask >> i & 1) % 2 == 0
+
+    def refine(self, mask: int, losing: int = 1) -> Optional[list[int]]:
+        """None if the top priority of `mask` has the parity `losing` (1 on
+        Exist's side, 0 on Univ's), else the part of `mask` at or below its
+        highest losing priority (none without one): every losing subset."""
+        present = [(p, 1 << i) for i, p in enumerate(self.priorities) if mask >> i & 1]
+        if max(p for p, _ in present) % 2 == losing:
+            return None
+        cap = max((p for p, _ in present if p % 2 == losing), default=None)
+        if cap is None:
+            return []
+        return [sum(bit for p, bit in present if p <= cap)]
+
+    def split(self, present: int) -> tuple[int, Sequence[int]]:
+        """The top priority's player attracts to its colours; `present`
+        is never 0."""
+        top = max(p for i, p in enumerate(self.priorities) if present >> i & 1)
+        return top % 2, (sum(1 << i for i, p in enumerate(self.priorities) if p == top),)
 
 
 AnyCondition = Union[MullerCondition, RabinCondition, ParityCondition]
@@ -319,7 +364,11 @@ def condition_from_dict(doc: Mapping) -> MullerCondition:
     for field in ("alphabet", "accepting"):
         if field not in doc:
             raise ConditionError(f"condition document lacks field {field!r}")
-    alphabet = Alphabet(_string_list(doc["alphabet"], "alphabet"))
+    letters = _string_list(doc["alphabet"], "alphabet")
+    for letter in letters:  # HOA files are read line by line
+        if letter.splitlines() not in ([], [letter]):
+            raise ConditionError(f"alphabet letter {letter!r} holds a line break")
+    alphabet = Alphabet(letters)
     accepting = doc["accepting"]
     if not isinstance(accepting, Sequence) or isinstance(accepting, (str, bytes)):
         raise ConditionError("field 'accepting' must be a list of letter lists")

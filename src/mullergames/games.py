@@ -17,7 +17,7 @@ edges (a product also its vertices) only when a caller reads them.  There
 is one loop of Zielonka's recursion (`_zielonka`) on the arena for both
 kinds of product: parity games (`solve_parity_game`) and Rabin games,
 where Exist always has a positional strategy (`positional_rabin_strategy`).
-Only how a condition splits a subgame (`_split`) tells them apart.  Each
+Only the condition's own `split` of a subgame tells them apart.  Each
 recursive call sees fewer colours, so a parity solve recurses at most as
 deep as its number of distinct priorities and a Rabin solve as its number
 of colours.  Each result is re-checked before it is returned, and the two
@@ -26,11 +26,11 @@ products must agree on the initial vertex's winner.
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
 whether a one-player graph has a cycle whose colour set the condition
-rejects.  It refines strongly connected components as the condition directs
-(for a Muller condition, down its Zielonka tree), so it takes polynomial
-time where a scan of colour subsets would take 2^colours passes.  It runs
-on node indices, and one array kernel (`_graph.dense_components`) finds
-the components of every refinement.
+rejects.  It refines strongly connected components by the `refine` of a
+Rabin or parity condition, or of a Muller condition's Zielonka tree, so
+it takes polynomial time where a scan of colour subsets would take
+2^colours passes.  It runs on node indices, and one array kernel
+(`_graph.dense_components`) finds the components of every refinement.
 
 A memory structure lives on the same ids: a choice table and an update
 table over the game's arena, which `memory_from_gfg` writes straight from
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -399,18 +399,18 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
 
 class GameSolution:
     """A solver's result on node ids: `won` holds the nodes Exist wins and
-    `moves` maps a node to its winner's successor.  Named when read."""
+    `moves` maps a vertex to the midpoint its winner takes.  Named when read."""
 
     def __init__(self, game: GameGraph, won: set, moves: dict[int, int]):
         self.game, self.won, self.moves = game, won, moves
 
     def strategy_of(self, player: int) -> dict[int, int]:
         """The moves of `player` (0 Exist, 1 Univ) in its region."""
-        base, owners = self.game.arena.base, self.game.arena.owners
+        owners = self.game.arena.owners
         return {
             v: m
             for v, m in self.moves.items()
-            if v < base and owners[v] == player and (v in self.won) == (player == 0)
+            if owners[v] == player and (v in self.won) == (player == 0)
         }
 
     @cached_property
@@ -433,9 +433,10 @@ class GameSolution:
 
 def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dict]:
     """Attractor of `base` for `player` inside `nodes`, with the moves that
-    player uses to advance towards the base.  An opponent node with one
-    successor (every midpoint) joins as soon as that successor does."""
-    succ, preds, owners = arena.succ, arena.preds, arena.owners
+    player makes at vertices to advance towards the base.  An opponent node
+    with one successor (every midpoint) joins as soon as that successor
+    does."""
+    succ, preds, owners, first_mid = arena.succ, arena.preds, arena.owners, arena.base
     attr = set(base)
     strat: dict = {}
     degree: dict = {}  # opponent node -> its successors in `nodes` not yet in attr
@@ -447,7 +448,8 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
                 continue
             if owners[p] == player:
                 attr.add(p)
-                strat[p] = n
+                if p < first_mid:  # a midpoint's one move needs no record
+                    strat[p] = n
                 queue.append(p)
             elif len(succ[p]) == 1:
                 attr.add(p)
@@ -464,13 +466,16 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
 
 def _zielonka(game: GameGraph) -> GameSolution:
     """Zielonka's recursion as one loop on the arena, for a parity or Rabin
-    game.  While nodes remain, `_split` names the player who attracts and
-    the colour masks to try; per mask the player attracts to its nodes and
-    the rest is solved.  Once the opponent wins some of the rest, its
-    attractor to that is its own and is removed; if it wins none under any
-    mask, the player wins every node.  Each recursive call sees fewer
-    colours.  Both players' moves are kept, each in its own region."""
-    arena, split = game.arena, _split(game.condition)
+    game.  While nodes remain, the condition's `split` of their colour mask
+    names the player who attracts and the colour masks to try.  That mask
+    is never 0: every subgame is an attractor's complement, so it holds a
+    cycle, and no cycle is silent.  Per mask the player attracts to its
+    nodes and the rest is solved.  Once the opponent wins some of the rest,
+    its attractor to that is its own and is removed; if it wins none under
+    any mask, the player wins every node.  Each recursive call sees fewer
+    colours.  Both players' moves at vertices are kept, each in its own
+    region."""
+    arena, split = game.arena, game.condition.split
     bits = _node_bits(arena)
 
     def solve(nodes: set) -> tuple[set, dict]:
@@ -538,6 +543,9 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
     succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
     won, moves = solution.won, solution.moves
     bits = _node_bits(game.arena)
+    # Exist loses on the cycles the condition rejects; Univ, who has a
+    # certificate only in a parity game, on those whose top priority is even.
+    refiners = (game.condition.refine, partial(game.condition.refine, losing=0))
     for player in players:
         who = (EXIST, UNIV)[player]
         region = [v for v in range(base) if (v in won) == (player == 0)]
@@ -562,20 +570,17 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
                     raise GameError(f"internal: {who} region is not closed under opponent moves")
                 row.append((j, bits[m]))
             out.append(row)
-        if _rejected_core(region, out, _refiner(game.condition, 1 - player)) is not None:
+        if _rejected_core(region, out, refiners[player]) is not None:
             raise GameError(f"internal: cycle analysis refutes the {who} strategy")
 
 
 # -- the one cycle check behind every certificate --------------------------------
 
 
-Refine = Callable[[int], Optional[Sequence[int]]]
-
-
 def _rejected_core(
     nodes: Iterable[Vertex],
     out: Sequence[Sequence[tuple[int, int]]],
-    refine: Refine,
+    refine: Callable[[int], Optional[Sequence[int]]],
 ) -> Optional[frozenset]:
     """A strongly connected set of nodes whose colours a play can repeat
     forever and the condition rejects, or None if there is none.
@@ -627,85 +632,6 @@ def _rejected_core(
     return None
 
 
-def _refiner(condition: AnyCondition | ZielonkaTree, losing: int = 1) -> Refine:
-    """`refine` for `_rejected_core` under a condition, or under a Muller
-    condition's Zielonka tree.  For a parity condition, `losing` is the
-    parity of the priorities that lose (1 for Exist's side, 0 for Univ's)."""
-    if isinstance(condition, (MullerCondition, ZielonkaTree)):
-        # The deepest tree node whose label holds the mask is round exactly
-        # when the mask is accepted, and then every rejected subset of the
-        # mask lies inside one of that node's children.
-        tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
-        labels = [tree.mask(n) for n in range(len(tree))]
-
-        def refine(mask: int) -> Optional[list[int]]:
-            node = tree.root
-            while True:
-                kids = tree.children(node)
-                deeper = next((k for k in kids if not mask & ~labels[k]), None)
-                if deeper is None:
-                    return [labels[k] for k in kids] if tree.is_round(node) else None
-                node = deeper
-
-    elif isinstance(condition, RabinCondition):
-
-        def refine(mask: int) -> Optional[list[int]]:
-            # A rejected subset fails every pair the mask satisfies, and it
-            # avoids their reds already, so it must avoid their greens.
-            greens = 0
-            for g, r in condition.pairs:
-                if g & mask and not r & mask:
-                    greens |= g
-            return [mask & ~greens] if greens else None
-
-    else:
-
-        def refine(mask: int) -> Optional[list[int]]:
-            present = [(p, 1 << i) for i, p in enumerate(condition.priorities) if mask >> i & 1]
-            if max(p for p, _ in present) % 2 == losing:
-                return None
-            # A subset whose top priority loses stays at or below the
-            # highest losing priority present.
-            cap = max((p for p, _ in present if p % 2 == losing), default=None)
-            if cap is None:
-                return []
-            return [sum(bit for p, bit in present if p <= cap)]
-
-    return refine
-
-
-def _split(condition: AnyCondition) -> Callable[[int], tuple[int, Sequence[int]]]:
-    """For `_zielonka`, from the colour mask `present` of a subgame: the
-    player who attracts (0 Exist, 1 Univ) and the masks to attract to, in
-    order; with none, Univ wins.  Parity: the top priority's player, to its
-    colours.  Rabin: Exist, to the green of a live pair (green present, red
-    absent); with none live, Univ, to the colours outside each child
-    `present & ~red` of a pair whose green is present."""
-    if isinstance(condition, RabinCondition):
-        pairs = condition.pairs
-
-        def split(present: int) -> tuple[int, Sequence[int]]:
-            live = next((g for g, r in pairs if g & present and not r & present), 0)
-            if live:
-                return 0, (live,)
-            # No pair is live, so each child misses a red that is present.
-            return 1, [~child for child in sorted({present & ~r for g, r in pairs if g & present})]
-
-    else:
-        levels: dict[int, int] = {}
-        for c, p in enumerate(condition.priorities):
-            levels[p] = levels.get(p, 0) | 1 << c
-        top_down = sorted(levels.items(), reverse=True)
-
-        def split(present: int) -> tuple[int, Sequence[int]]:
-            for p, colours in top_down:
-                if colours & present:
-                    return p % 2, (colours,)
-            return 1, ()
-
-    return split
-
-
 def _node_bits(arena: Arena) -> list[int]:
     """Each node's colour bit in its game condition's masks; 0 if it has none."""
     return [1 << c if c >= 0 else 0 for c in arena.colours]
@@ -716,7 +642,8 @@ def _node_bits(arena: Arena) -> list[int]:
 
 def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     """Project a positional strategy of the Rabin product onto the game: the
-    automaton component becomes the memory, silent moves leave it unchanged."""
+    automaton component becomes the memory, silent moves leave it unchanged.
+    The memory is certified by `verify_strategy` on the GFG's own tree."""
     product = product_with_automaton(game, gfg.automaton)
     solution = positional_rabin_strategy(product.game)
     if product.game.arena.initial not in solution.won:
@@ -746,7 +673,10 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
                 chosen = moves.get(node)
                 k = 0 if chosen is None else target[node].index(chosen)
                 choice[x * width + q] = succ[x][k] - base
-    return MemoryStructure(game, automaton.states, automaton.start[0], choice, update)
+    memory = MemoryStructure(game, automaton.states, automaton.start[0], choice, update)
+    if not verify_strategy(memory, gfg.tree):
+        raise GameError("internal: extracted memory failed strategy verification")
+    return memory
 
 
 @dataclass
@@ -763,13 +693,13 @@ def solve_muller_game(
     The parity product is plain, with no choice vertices; the GFG product
     has them, and its memory is Exist's choice there.
 
-    One Zielonka tree (built here, or given for the game's condition)
-    serves both automata; a condition other than the game's raises
-    `GameError`.  Each product is built straight into its arena, numbered
-    as `_build_product` explores it.  The products are independent
-    certificates of the initial vertex's winner: if the parity product says
-    Exist but her Rabin region in the GFG product misses its initial
-    vertex, this raises `GameError`."""
+    One Zielonka tree (built here, or given for the game's condition) serves
+    both automata and the memory's certificate; a condition other than the
+    game's raises `GameError`.  Each product is built straight into its
+    arena, numbered as `_build_product` explores it.  The products are
+    independent certificates of the initial vertex's winner: if the parity
+    product says Exist but her Rabin region in the GFG product misses its
+    initial vertex, this raises `GameError`."""
     condition = condition if condition is not None else game.condition
     if not isinstance(condition, (MullerCondition, ZielonkaTree)):
         raise GameError("solve_muller_game expects a Muller condition")
@@ -852,7 +782,9 @@ def verify_strategy(memory: MemoryStructure, condition: AnyCondition | ZielonkaT
         raise GameError("verify_strategy: the condition given is not the game's condition")
     arena = memory.game.arena
     _, rows, _ = _walk(memory, _node_bits(arena)[arena.base :])
-    return _rejected_core(range(len(rows)), rows, _refiner(condition)) is None
+    if isinstance(condition, MullerCondition):
+        condition = build_zielonka(condition)
+    return _rejected_core(range(len(rows)), rows, condition.refine) is None
 
 
 def is_chromatic(memory: MemoryStructure) -> bool:
@@ -895,7 +827,7 @@ def brute_force_winner(
     arena, width = game.arena, tree.memtree()
     succ, base = arena.succ, arena.base
     bits = _node_bits(arena)[base:]
-    refine = _refiner(tree)
+    refine = tree.refine
     choice, update = [-1] * (base * width), [-1] * ((len(succ) - base) * width)
     memory = MemoryStructure(game, tuple(range(width)), 0, choice, update)
     searched = 0

@@ -173,6 +173,19 @@ class ZielonkaTree:
             raise ConditionError(f"node {leaf} is not a leaf of this tree")
         return row[self.alphabet.index(letter)]
 
+    def refine(self, mask: int) -> Optional[list[int]]:
+        """None if the condition rejects `mask`, else the children's labels
+        of the deepest node whose label holds it.  That node is round
+        exactly when the mask is accepted, and then every rejected subset of
+        the mask lies inside one of its children."""
+        labels, node = self._mask, self.root
+        while True:
+            kids = self._children[node]
+            deeper = next((k for k in kids if not mask & ~labels[k]), None)
+            if deeper is None:
+                return [labels[k] for k in kids] if self._round[node] else None
+            node = deeper
+
     # -- derived quantities -------------------------------------------------
 
     def memtree(self, n: Optional[int] = None) -> int:

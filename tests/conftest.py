@@ -829,7 +829,6 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         EXIST,
         UNIV,
         GameError,
-        _refiner,
         _rejected_core,
     )
     from mullergames.zielonka import ZielonkaTree
@@ -873,7 +872,7 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
     counter = [0]
 
     bit = _colour_bit(tree.condition)
-    refine = _refiner(tree)
+    refine = tree.refine
     start = (game.initial, 0)
 
     def missing_decision(sigma, mu):

@@ -728,3 +728,30 @@ def test_simplify_rabin_matches_reference():
     assert out.colour_alphabet.symbols[-1] == "(c0c1)''"
     assert Transition(0, "a", "(c0c1)''", 1) in out.transitions
 
+
+
+@pytest.mark.parametrize(
+    "states, initial, transitions, message",
+    [
+        (["p", "p"], ["p"], [], "duplicate states"),
+        (["p"], [], [], "at least one initial state is required"),
+        (["p"], ["q"], [], "initial state 'q' not among the states"),
+        (["p"], ["p"], [("p", "a", "x", "q")], "uses an unknown state"),
+        (["p"], ["p"], [("p", "z", "x", "p")], "transition letter 'z' not in input alphabet"),
+        (["p"], ["p"], [("p", "a", "y", "p")], "transition colour 'y' not in output alphabet"),
+    ],
+    ids=["duplicate-state", "no-initial", "unknown-initial", "unknown-target",
+         "unknown-letter", "unknown-colour"],
+)
+def test_named_automaton_constructor_errors(states, initial, transitions, message):
+    acceptance = ParityCondition(Alphabet(["x"]), {"x": 0})
+    with pytest.raises(AutomatonError, match=message):
+        Automaton(states, Alphabet("ab"), initial, transitions, acceptance)
+
+
+def test_rabin_tools_refuse_a_parity_automaton(running_condition):
+    parity = build_parity_automaton(running_condition)
+    with pytest.raises(AutomatonError, match="lasso membership oracle expects Rabin acceptance"):
+        RabinLassoChecker.from_automaton(parity)
+    with pytest.raises(AutomatonError, match="simplify_rabin expects Rabin acceptance"):
+        simplify_rabin(parity)

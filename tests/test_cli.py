@@ -371,6 +371,22 @@ def test_cmd_check_rejects_a_nondeterministic_parity_hoa(capsys, condition_file,
     assert "deterministic" in captured.err
 
 
+# Every break at which `str.splitlines`, and so the HOA reader, ends a line.
+LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_cmd_build_refuses_a_letter_with_a_line_break(capsys, tmp_path, brk):
+    # Its HOA `AP:` line would end at the break, and `check` could not read it.
+    letter = f"a{brk}b"
+    condition = tmp_path / "broken.json"
+    condition.write_text(json.dumps({"alphabet": [letter, "c"], "accepting": [[letter], ["c"]]}))
+    hoa = tmp_path / "broken.hoa"
+    assert main(["build", str(condition), "--kind", "parity", "--hoa", str(hoa)]) == 2
+    assert capsys.readouterr() == ("", f"error: alphabet letter {letter!r} holds a line break\n")
+    assert not hoa.exists()
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("States: 2", "States: two"), ("States: 2\n", ""), ("States: 2\n", "States: 200000\n")],
@@ -472,6 +488,30 @@ def test_cmd_solve_builds_one_tree(capsys, condition_file, tmp_path, monkeypatch
     assert main(["solve", "--game", game, "--condition", condition_file]) == 0
     assert "memory size: 2" in capsys.readouterr().out
     assert len(built) == 1
+
+
+def test_cmd_solve_failed_memory_certificate_prints_no_winner(
+    capsys, condition_file, tmp_path, monkeypatch
+):
+    from mullergames import games
+
+    monkeypatch.setattr(games, "verify_strategy", lambda memory, condition: False)
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "u", "owner": "Univ"}, {"name": "x", "owner": "Exist"}],
+            "edges": [
+                {"src": "u", "colour": "a", "dst": "x"},
+                {"src": "x", "colour": "b", "dst": "u"},
+                {"src": "x", "colour": "c", "dst": "u"},
+            ],
+            "initial": "u",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 2
+    assert capsys.readouterr() == (
+        "", "error: internal: extracted memory failed strategy verification\n"
+    )
 
 
 def test_cmd_solve_univ_wins(capsys, condition_file, tmp_path):

@@ -132,6 +132,13 @@ def test_restrict_examples(running_condition):
     assert to_c.members() == ()
 
 
+def test_parity_mask_and_restriction_refuse_the_empty_set(running_condition):
+    with pytest.raises(ConditionError, match="empty letter set has no maximal priority"):
+        ParityCondition(Alphabet(["x"]), {"x": 1}).accepts_mask(0)
+    with pytest.raises(ConditionError, match="cannot restrict a condition to the empty letter set"):
+        restrict(running_condition, [])
+
+
 def test_restrict_composes(running_condition):
     rng = random.Random(11)
     alphabet = running_condition.alphabet
@@ -209,3 +216,8 @@ def test_condition_file_rejects_duplicates_and_junk(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConditionError):
         load_condition(str(bad))
+
+
+def test_condition_letters_may_hold_spaces_and_tabs_or_be_empty():
+    doc = {"alphabet": ["", "a b", "c\td"], "accepting": [[""], ["a b", "c\td"]]}
+    assert condition_from_dict(doc).alphabet.symbols == ("", "a b", "c\td")

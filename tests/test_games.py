@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import random
 
@@ -881,11 +882,49 @@ def test_rejected_core_agrees_with_subset_scan():
             sides.append((condition, 0, ParityCondition(condition.colours, raised)))
         for checked, losing, reference in sides:
             expected = reference_recurrence_sets_satisfy(graph, avail, reference, 1 << 16)
-            core = games._rejected_core(graph, out, games._refiner(checked, losing))
+            refine = build_zielonka(checked).refine if kind == "muller" else checked.refine
+            if losing == 0:
+                refine = functools.partial(refine, losing=0)
+            core = games._rejected_core(graph, out, refine)
             assert (core is None) == expected, (condition, losing, graph)
             verdicts[kind, expected] += 1
     for kind in ("muller", "rabin", "parity"):
         assert verdicts[kind, True] >= 300 and verdicts[kind, False] >= 300, verdicts
+
+
+def test_rejected_core_refuses_a_refinement_that_keeps_the_mask():
+    # One node with a loop of colour bit 1: a refiner that hands the mask
+    # back would search the same component forever.
+    with pytest.raises(GameError, match="internal: a refinement kept the whole colour set"):
+        games._rejected_core([0], [[(0, 1)]], lambda mask: [mask])
+
+
+@pytest.mark.parametrize(
+    "solve, kind, message",
+    [
+        (lambda game: product_with_automaton(game, build_parity_automaton(
+            MullerCondition(Alphabet(["1", "2"]), [["2"]]))), "parity",
+         "product_with_automaton expects a game with a Muller condition"),
+        (solve_parity_game, "muller", "solve_parity_game expects a parity condition"),
+        (positional_rabin_strategy, "parity", "positional_rabin_strategy expects a Rabin condition"),
+        (solve_muller_game, "parity", "solve_muller_game expects a Muller condition"),
+        (brute_force_winner, "parity", "brute_force_winner expects a Muller condition"),
+    ],
+    ids=["product", "parity-solver", "rabin-solver", "muller-solver", "brute-force"],
+)
+def test_a_condition_of_the_wrong_kind_is_a_game_error(running_condition, solve, kind, message):
+    game = {
+        "muller": one_vertex_abc_game(running_condition),
+        "parity": GameGraph([("x", EXIST)], [("x", "2", "x")], "x", single_priority_condition()),
+    }[kind]
+    with pytest.raises(GameError, match=message):
+        solve(game)
+
+
+def test_brute_force_budget_names_its_size(running_condition):
+    # The first search node finds Exist's choice open; trying it is the second.
+    with pytest.raises(GameError, match=r"brute-force enumeration budget exceeded \(1\)"):
+        brute_force_winner(one_vertex_abc_game(running_condition), budget=1)
 
 
 def test_is_chromatic_examples(running_condition):

@@ -323,3 +323,11 @@ def test_exact_chi_over_budget_reports_the_default_bound():
         assert row.binomial == default.binomial
         assert row.method == f"{default.method} (exact search over budget)"
     assert succinctness_report(10, exact_chi=True, budget=10).det_rabin_lower == 12
+
+
+def test_condition_graph_and_report_refuse_sizes_out_of_range():
+    letters = Alphabet([f"l{i}" for i in range(21)])
+    with pytest.raises(ConditionError, match="alphabet too large to materialise 2\\^n vertices"):
+        build_condition_graph(MullerCondition(letters, []))
+    with pytest.raises(ConditionError, match="succinctness report needs n >= 2"):
+        succinctness_report(1)
