@@ -6,9 +6,9 @@ membership.  An `Automaton` is one integer move table, which the lasso
 checkers, HOA/DOT export and `simplify_rabin` read and which the builders
 and `parse_hoa` write directly; its named `transitions` are made only when
 first read.
-The checkers compute verdicts per (state, period): each period is analysed
-once for every state and each prefix is run once, so sweeping many lassos
-shares both.  Duplicated edges can be merged without changing the language.
+The checkers run one verdict search per Lyndon root of the periods and
+each prefix once, so sweeping many lassos shares both.  Duplicated edges
+can be merged without changing the language.
 """
 
 from __future__ import annotations
@@ -223,9 +223,10 @@ class _LassoChecker:
     index i turned into its bit `1 << i`.  A prefix maps to the tuple of
     states it reaches, and a subclass's `_verdicts` gives, for one period,
     each state's verdict on that period repeated forever; u v^omega is
-    accepted when some state after u accepts v.  Verdicts are computed once
-    per (state, period) and each prefix is run once, so sweeping many lassos
-    shares both.
+    accepted when some state after u accepts v.  As v^omega = t r^omega
+    for the Lyndon root r of v and a prefix t of v, `_verdicts` runs once
+    per root and v's verdicts step back from r's through t.  Each prefix is
+    run once, so sweeping many lassos shares both.
     """
 
     def __init__(
@@ -235,6 +236,7 @@ class _LassoChecker:
         self._letter = {symbol: a for a, symbol in enumerate(alphabet.symbols)}
         self._acceptance = acceptance
         self._period_memo: dict[tuple[str, ...], list[bool]] = {}
+        self._root_memo: dict[str, list[bool]] = {}  # Lyndon root, letter ids as chr
         self._prefix_memo: dict[tuple[str, ...], tuple[int, ...]] = {(): tuple(initial)}
 
     @classmethod
@@ -245,7 +247,7 @@ class _LassoChecker:
     def accepts(self, w: LassoWord) -> bool:
         verdict = self._period_memo.get(w.period)
         if verdict is None:
-            verdict = self._verdicts([self._index(symbol) for symbol in w.period])
+            verdict = self._period_verdicts([self._index(symbol) for symbol in w.period])
             self._period_memo[w.period] = verdict
         states = self._prefix_memo.get(w.prefix)
         if states is None:
@@ -254,6 +256,21 @@ class _LassoChecker:
             if verdict[state]:
                 return True
         return False
+
+    def _period_verdicts(self, period: list[int]) -> list[bool]:
+        # v = s^k for its primitive root s, and s^omega = s[:i] r^omega for
+        # the least rotation r = s[i:] + s[:i], a Lyndon word.
+        word = "".join(map(chr, period))
+        root = word[: (word + word).find(word, 1)]
+        lyndon, i = min((root[j:] + root[:j], j) for j in range(len(root)))
+        verdict = self._root_memo.get(lyndon)
+        if verdict is None:
+            verdict = self._root_memo[lyndon] = self._verdicts(list(map(ord, lyndon)))
+        # A state accepts a.x when one of its moves on a reaches a state
+        # that accepts x.
+        for a in reversed(period[:i]):
+            verdict = [any(verdict[d] for _, d in row[a]) for row in self._table]
+        return verdict
 
     def _index(self, symbol: str) -> int:
         a = self._letter.get(symbol)

@@ -113,13 +113,15 @@ def lasso_count(letters: int, bound: int) -> int:
 
 def cmd_check(args) -> int:
     """Certify automata against L_F on every lasso u v^omega with |u| <= 2
-    and 1 <= |v| <= bound, in the order of u, then |v|, then v.
+    and 1 <= |v| <= bound, and print the first failure in the order of u,
+    then |v|, then v, then checker.
 
-    The expected verdict is computed once per period, and each checker
-    computes its verdicts per (state after prefix, period).  `self` checks
-    the GFG Rabin automaton, the parity automaton and the resolver's leaf
-    walk; a HOA file is checked alone, as `parity` when it has parity
-    acceptance and as `rabin` otherwise, and nothing else is built for it.
+    The expected verdict is computed once per period.  Each checker runs
+    one verdict search per Lyndon root and is asked once per period and
+    class of prefixes that reach the same states.  `self` checks the GFG
+    Rabin automaton, the parity automaton and the resolver's leaf walk; a
+    HOA file is checked alone, as `parity` when it has parity acceptance
+    and as `rabin` otherwise, and nothing else is built for it.
     """
     condition = load_condition(args.condition)
     bound = args.bound if args.bound is not None else 2 * len(condition.alphabet)
@@ -165,25 +167,29 @@ def cmd_check(args) -> int:
         else:
             checkers = {"rabin": RabinLassoChecker.from_automaton(automaton)}
     symbols = condition.alphabet.symbols
+    prefixes = [p for length in range(3) for p in itertools.product(symbols, repeat=length)]
     periods = [
         (period, satisfies_muller(condition, period))
         for length in range(1, bound + 1)
         for period in itertools.product(symbols, repeat=length)
     ]
-    checked = 0
-    for length in range(3):
-        for prefix in itertools.product(symbols, repeat=length):
-            for period, expected in periods:
-                w = LassoWord(prefix, period)
-                for name, checker in checkers.items():
-                    got = checker.accepts(w)
-                    if got != expected:
-                        print(
-                            f"counterexample: {w!r} expected {expected} but {name} gives {got}"
-                        )
-                        return 1
-                checked += 1
-    print(f"pass: {checked} lassos agree with the condition (bound {bound})")
+    found = []  # each failing checker's least (prefix index, period index, checker index)
+    for c, checker in enumerate(checkers.values()):
+        # Prefixes that reach the same states get the same verdicts: ask the first.
+        classes: dict[tuple[int, ...], int] = {}
+        for i, prefix in enumerate(prefixes):
+            classes.setdefault(checker._states_after(prefix), i)
+        for i, k in itertools.product(classes.values(), range(len(periods))):
+            if checker.accepts(LassoWord(prefixes[i], periods[k][0])) != periods[k][1]:
+                found.append((i, k, c))
+                break
+    if found:
+        i, k, c = min(found)
+        period, expected = periods[k]
+        w, name = LassoWord(prefixes[i], period), list(checkers)[c]
+        print(f"counterexample: {w!r} expected {expected} but {name} gives {not expected}")
+        return 1
+    print(f"pass: {len(prefixes) * len(periods)} lassos agree with the condition (bound {bound})")
     return 0
 
 

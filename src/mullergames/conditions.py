@@ -35,6 +35,9 @@ class Alphabet:
         syms = tuple(symbols)
         if not syms:
             raise ConditionError("alphabet must be non-empty")
+        if len(("".join(syms) + "_").splitlines()) > 1:  # HOA files are read line by line
+            letter = next(s for s in syms if len((s + "_").splitlines()) > 1)
+            raise ConditionError(f"alphabet letter {letter!r} holds a line break")
         if len(set(syms)) != len(syms):
             raise ConditionError("alphabet symbols must be unique")
         self.symbols = syms
@@ -364,11 +367,7 @@ def condition_from_dict(doc: Mapping) -> MullerCondition:
     for field in ("alphabet", "accepting"):
         if field not in doc:
             raise ConditionError(f"condition document lacks field {field!r}")
-    letters = _string_list(doc["alphabet"], "alphabet")
-    for letter in letters:  # HOA files are read line by line
-        if letter.splitlines() not in ([], [letter]):
-            raise ConditionError(f"alphabet letter {letter!r} holds a line break")
-    alphabet = Alphabet(letters)
+    alphabet = Alphabet(_string_list(doc["alphabet"], "alphabet"))
     accepting = doc["accepting"]
     if not isinstance(accepting, Sequence) or isinstance(accepting, (str, bytes)):
         raise ConditionError("field 'accepting' must be a list of letter lists")

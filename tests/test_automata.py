@@ -408,6 +408,19 @@ def test_rabin_lasso_checker_agrees_with_reference_random():
             assert checker.accepts(w) == reference.accepts(w), (trial, w)
 
 
+def test_rabin_lasso_checker_agrees_with_reference_on_longer_periods():
+    # Periods of length 4 include powers such as `abab` and rotations of
+    # one Lyndon word, whose verdicts the checker derives from that word's;
+    # the reference searches every period from scratch.
+    rng = random.Random(2204)
+    for trial in range(200):
+        aut = random_nondeterministic_rabin_automaton(rng)
+        checker = RabinLassoChecker.from_automaton(aut)
+        reference = ReferenceRabinLassoChecker(aut)
+        for w in lassos_up_to(aut.alphabet, 4, max_prefix=2):
+            assert checker.accepts(w) == reference.accepts(w), (trial, w)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_rabin_lasso_checker_agrees_with_reference_on_fn(n):
     aut = build_gfg_rabin(condition_fn(n)).automaton

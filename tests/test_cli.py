@@ -152,6 +152,47 @@ def test_cmd_check_counts_every_lasso(capsys, tmp_path):
     assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
 
 
+def test_cmd_check_searches_each_lyndon_root_once(capsys, monkeypatch, tmp_path):
+    # The 340 periods of length 1..4 over 4 letters have 4 + 6 + 20 + 60 = 90
+    # Lyndon roots, and each checker searches each root once.  The Rabin
+    # checker is asked once per period and class of prefixes reaching the
+    # same states.
+    from mullergames.automata import DeterministicLassoChecker, RabinLassoChecker
+    from mullergames.conditions import load_condition
+    from mullergames.construction import build_gfg_rabin
+
+    from conftest import ReferenceRabinLassoChecker
+
+    path = tmp_path / "four.json"
+    path.write_text(
+        json.dumps({"alphabet": ["a", "b", "c", "d"], "accepting": [["a", "b"], ["c"], ["a", "c", "d"]]})
+    )
+    searches, asked = {}, []
+    for cls in (DeterministicLassoChecker, RabinLassoChecker):
+
+        def counting(self, period, verdicts=cls._verdicts):
+            searches[self] = searches.get(self, 0) + 1
+            return verdicts(self, period)
+
+        monkeypatch.setattr(cls, "_verdicts", counting)
+    accepts = RabinLassoChecker.accepts
+
+    def counting_accepts(self, w):
+        asked.append(w)
+        return accepts(self, w)
+
+    monkeypatch.setattr(RabinLassoChecker, "accepts", counting_accepts)
+    assert main(["check", str(path), "--bound", "4"]) == 0
+    assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
+    assert sorted(searches.values()) == [90, 90, 90]
+    reference = ReferenceRabinLassoChecker(build_gfg_rabin(load_condition(str(path))).automaton)
+    symbols = "abcd"
+    prefixes = [p for n in range(3) for p in itertools.product(symbols, repeat=n)]
+    classes = {reference._reach_after(prefix) for prefix in prefixes}
+    assert 1 < len(classes) < len(prefixes)
+    assert len(asked) == 340 * len(classes)
+
+
 def test_cmd_check_refuses_too_many_lassos(capsys, tmp_path):
     path = tmp_path / "five.json"
     path.write_text(json.dumps({"alphabet": list("abcde"), "accepting": [["a", "b"], ["c"]]}))
@@ -165,17 +206,12 @@ def test_cmd_check_refuses_too_many_lassos(capsys, tmp_path):
     assert "more than" in capsys.readouterr().err
 
 
-def per_lasso_check(condition, gfg, parity, bound):
+def per_lasso_line(condition, verdicts, bound):
     """The first counterexample line of the per-lasso loop: every lasso in
-    `check`'s order, the Rabin checker, then one parity run and one resolver
-    run each, against the condition."""
-    from mullergames.automata import run_deterministic
+    `check`'s order, then each (name, verdict function) of `verdicts` in
+    turn, against the condition."""
     from mullergames.conditions import LassoWord, inf_set, satisfies_muller
-    from mullergames.construction import resolve_run
 
-    from conftest import ReferenceRabinLassoChecker
-
-    checker = ReferenceRabinLassoChecker(gfg.automaton)
     symbols = condition.alphabet.symbols
     for lu in range(3):
         for prefix in itertools.product(symbols, repeat=lu):
@@ -183,15 +219,27 @@ def per_lasso_check(condition, gfg, parity, bound):
                 for period in itertools.product(symbols, repeat=lv):
                     w = LassoWord(prefix, period)
                     expected = satisfies_muller(condition, inf_set(w))
-                    verdicts = {
-                        "rabin": checker.accepts(w),
-                        "parity": run_deterministic(parity, w)[1],
-                        "resolver": resolve_run(gfg, w)[1],
-                    }
-                    for name, got in verdicts.items():
+                    for name, verdict in verdicts.items():
+                        got = verdict(w)
                         if got != expected:
                             return f"counterexample: {w!r} expected {expected} but {name} gives {got}\n"
     return None
+
+
+def per_lasso_check(condition, gfg, parity, bound):
+    """The first counterexample line of the per-lasso loop on the Rabin
+    checker, then one parity run and one resolver run each."""
+    from mullergames.automata import run_deterministic
+    from mullergames.construction import resolve_run
+
+    from conftest import ReferenceRabinLassoChecker
+
+    verdicts = {
+        "rabin": ReferenceRabinLassoChecker(gfg.automaton).accepts,
+        "parity": lambda w: run_deterministic(parity, w)[1],
+        "resolver": lambda w: resolve_run(gfg, w)[1],
+    }
+    return per_lasso_line(condition, verdicts, bound)
 
 
 def assert_same_verdict_as_per_lasso_loop(capsys, condition_file, condition, gfg, parity):
@@ -261,6 +309,109 @@ def test_cmd_check_corrupted_step_table_witness(capsys, monkeypatch, condition_f
                 capsys, condition_file, condition, corrupted_gfg(condition), parity
             )
     assert detected, "no corrupted witness was detected"
+
+
+@pytest.mark.parametrize("kind", ["gfg-rabin", "parity"])
+def test_cmd_check_hoa_mutation_keeps_the_first_counterexample(capsys, tmp_path, kind):
+    # One move's target or colour (so its marks) changed, in the automata
+    # of the running example and of random 4-letter conditions: check reads
+    # the HOA file and prints the per-lasso loop's first counterexample.
+    from mullergames.automata import Automaton, export_hoa, run_deterministic
+    from mullergames.conditions import Alphabet, MullerCondition, condition_to_dict
+    from mullergames.construction import build_gfg_rabin, build_parity_automaton
+
+    from conftest import ReferenceRabinLassoChecker, random_muller_condition
+
+    rng = random.Random(1)
+    running = MullerCondition(Alphabet("abc"), [["a", "b"], ["a", "c"], ["b"]])
+    conditions = [running] + [random_muller_condition(rng, Alphabet("abcd")) for _ in range(3)]
+    condition_path, hoa = tmp_path / "condition.json", tmp_path / "mutated.hoa"
+    lines = []
+    for condition in conditions:
+        condition_path.write_text(json.dumps(condition_to_dict(condition)))
+        if kind == "gfg-rabin":
+            automaton = build_gfg_rabin(condition).automaton
+        else:
+            automaton = build_parity_automaton(condition)
+        bound = 7 - len(condition.alphabet)
+        for _ in range(8):
+            moves = [[list(cell) for cell in row] for row in automaton.moves]
+            s, a = rng.choice([(s, a) for s, row in enumerate(moves) for a in range(len(row))])
+            m = rng.randrange(len(moves[s][a]))
+            c, d = moves[s][a][m]
+            if len(moves) > 1 and rng.random() < 0.5:
+                d = rng.choice([q for q in range(len(moves)) if q != d])
+            else:
+                c = rng.choice([x for x in range(len(automaton.colour_alphabet)) if x != c])
+            moves[s][a][m] = (c, d)
+            mutated = Automaton.from_table(
+                automaton.states, automaton.alphabet, automaton.start, moves, automaton.acceptance
+            )
+            hoa.write_text(export_hoa(mutated))
+            if kind == "gfg-rabin":
+                verdicts = {"rabin": ReferenceRabinLassoChecker(mutated).accepts}
+            else:
+                verdicts = {"parity": lambda w: run_deterministic(mutated, w)[1]}
+            expected_line = per_lasso_line(condition, verdicts, bound)
+            code = main(["check", str(condition_path), "--automaton", str(hoa), "--bound", str(bound)])
+            out = capsys.readouterr().out
+            if expected_line is None:
+                assert code == 0 and out.startswith("pass: ")
+            else:
+                assert code == 1 and out == expected_line
+                lines.append(out)
+    assert lines, "no mutation was detected"
+    assert any(not line.startswith("counterexample: (") for line in lines), lines
+
+
+def test_cmd_check_reports_the_first_of_several_failing_checkers(
+    capsys, monkeypatch, condition_file
+):
+    # A parity move given another priority and a corrupted resolver witness:
+    # each checker finds its own first counterexample, and check prints the
+    # one the per-lasso loop meets first, which may be the later checker's.
+    from mullergames import cli
+    from mullergames.automata import Automaton, run_deterministic
+    from mullergames.conditions import load_condition
+    from mullergames.construction import build_gfg_rabin, build_parity_automaton, resolve_run
+
+    condition = load_condition(condition_file)
+    parity = build_parity_automaton(condition)
+    tree = build_gfg_rabin(condition).tree
+    rng = random.Random(5)
+    cells = [(s, a) for s in range(len(parity.states)) for a in range(len(condition.alphabet))]
+    leaves = list(tree.leaves())
+    earlier = [0, 0]  # cases where parity's, or the resolver's, comes first
+    for _ in range(40):
+        s, a = rng.choice(cells)
+        moves = [[list(cell) for cell in row] for row in parity.moves]
+        c, d = moves[s][a][0]
+        moves[s][a][0] = (rng.choice([x for x in range(len(parity.colour_alphabet)) if x != c]), d)
+        corrupted = Automaton.from_table(
+            parity.states, parity.alphabet, parity.start, moves, parity.acceptance
+        )
+        leaf, letter = rng.choice(leaves), rng.randrange(len(condition.alphabet))
+
+        def corrupted_gfg(cond, leaf=leaf, letter=letter):
+            gfg = build_gfg_rabin(cond)
+            row = list(gfg.tree.step_table[leaf])
+            witness, target = row[letter]
+            row[letter] = ((witness + 1) % len(gfg.tree), target)
+            gfg.tree.step_table[leaf] = tuple(row)
+            return gfg
+
+        monkeypatch.setattr(cli, "build_parity_automaton", lambda _cond: corrupted)
+        monkeypatch.setattr(cli, "build_gfg_rabin", corrupted_gfg)
+        gfg = corrupted_gfg(condition)
+        assert_same_verdict_as_per_lasso_loop(capsys, condition_file, condition, gfg, corrupted)
+        alone = [
+            per_lasso_line(condition, {"parity": lambda w: run_deterministic(corrupted, w)[1]}, 4),
+            per_lasso_line(condition, {"resolver": lambda w: resolve_run(gfg, w)[1]}, 4),
+        ]
+        if all(alone) and alone[0] != alone[1]:
+            first = per_lasso_check(condition, gfg, corrupted, 4)
+            earlier[first == alone[1]] += 1
+    assert all(earlier), earlier
 
 
 def test_cmd_check_hoa_file_builds_no_automaton(capsys, monkeypatch, condition_file, tmp_path):

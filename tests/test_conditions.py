@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -53,6 +54,24 @@ def test_muller_condition_names_the_first_duplicate():
     with pytest.raises(ConditionError, match=r"^duplicate accepting set \{c\}$"):
         MullerCondition(alphabet, [["c"], ["a"], ["c"], ["a"]])
     assert MullerCondition(alphabet, [["a"], ["a", "b"]]).masks == {0b001, 0b011}
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x85", "\u2028"])
+def test_alphabet_refuses_a_line_break_in_code(brk):
+    # A built automaton's HOA `AP:` line would split at the break, so the
+    # alphabet itself refuses it, as a condition document does.
+    from mullergames.automata import export_hoa
+    from mullergames.construction import build_parity_automaton
+
+    letter = f"a{brk}b"
+    message = f"^alphabet letter {re.escape(repr(letter))} holds a line break$"
+    with pytest.raises(ConditionError, match=message):
+        export_hoa(
+            build_parity_automaton(MullerCondition(Alphabet([letter, "c"]), [[letter], ["c"]]))
+        )
+    with pytest.raises(ConditionError, match=message):
+        Alphabet(["", "x", letter, f"{letter}!"])
+    assert Alphabet(["", "a b", "a\tb"]).symbols == ("", "a b", "a\tb")
 
 
 def test_satisfies_rabin_examples():
