@@ -468,7 +468,7 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
                 g |= 1 << c
             if not mask & ~red:
                 r |= 1 << c
-        pairs.append((colours.from_mask(g), colours.from_mask(r)))
+        pairs.append((g, r))
     return Automaton.from_table(
         automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
     )
@@ -507,7 +507,8 @@ def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]
     if isinstance(acceptance, RabinCondition):
         # Row m of `table` selects the colours that carry mark m, one 0/1
         # byte per colour, so table[c::width] is colour c's selector over
-        # the marks.  Code point m stands for mark m in the sort key.
+        # the marks.  The sort key writes a held mark as 1 and a missing one
+        # as 2 up to the last held mark, so keys sort as the mark tuples do.
         width = len(acceptance.colours)
         bits = bytes.maketrans(b"01", b"\0\1")
         rows = [
@@ -517,13 +518,13 @@ def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]
         ]
         table = b"".join(rows)
         marks = [str(m) for m in range(len(rows))]
-        points = [chr(m) for m in range(len(rows))]
+        ranks = bytes.maketrans(b"\0\1", b"\2\1")
         text, key = {}, {}
         for c in used:
             column = table[c::width]
             joined = " ".join(compress(marks, column))
             text[c] = " {%s}" % joined if joined else ""
-            key[c] = "".join(compress(points, column))
+            key[c] = column.rstrip(b"\0").translate(ranks)
         return text, key
     if isinstance(acceptance, ParityCondition):
         key = {c: acceptance.priorities[c] for c in used}
@@ -712,8 +713,7 @@ def parse_hoa(text: str) -> Automaton:
             for mark in marks:
                 holders[mark] |= 1 << c
         green, red = holders[1::2], holders[::2]
-        pairs = [(colours.from_mask(g), colours.from_mask(r)) for g, r in zip(green, red)]
-        acceptance = RabinCondition(colours, pairs)
+        acceptance = RabinCondition(colours, zip(green, red))
     else:
         acceptance = ParityCondition(colours, dict(zip(colours, [m[0] for m in mark_sets] or [1])))
     return Automaton.from_table(range(n_states), alphabet, starts, moves, acceptance)

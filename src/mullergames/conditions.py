@@ -68,20 +68,28 @@ class Alphabet:
             raise ConditionError(f"letter {symbol!r} not in alphabet") from None
 
     def letters(self, members: "LetterLike") -> "LetterSet":
-        """Coerce a LetterSet or an iterable of symbols into a LetterSet."""
+        """Coerce a LetterSet, a mask or an iterable of symbols into a LetterSet."""
+        if isinstance(members, LetterSet) and members.alphabet == self:
+            return members
+        return LetterSet(self, self.mask_of(members))
+
+    def mask_of(self, members: "LetterLike") -> int:
+        """The mask of a LetterSet, a range-checked mask or symbols."""
         if isinstance(members, LetterSet):
             if members.alphabet != self:
                 raise ConditionError("letter set belongs to a different alphabet")
+            return members.mask
+        if isinstance(members, int):
+            if members < 0 or members >> len(self.symbols):
+                raise ConditionError("mask out of range for this alphabet")
             return members
         mask = 0
         for symbol in members:
             mask |= 1 << self.index(symbol)
-        return LetterSet(self, mask)
+        return mask
 
     def from_mask(self, mask: int) -> "LetterSet":
-        if mask < 0 or mask >> len(self.symbols):
-            raise ConditionError("mask out of range for this alphabet")
-        return LetterSet(self, mask)
+        return LetterSet(self, self.mask_of(mask))
 
     def full(self) -> "LetterSet":
         return LetterSet(self, (1 << len(self.symbols)) - 1)
@@ -115,7 +123,7 @@ class LetterSet:
         return tuple(self)
 
 
-LetterLike = Union[LetterSet, Iterable[str]]
+LetterLike = Union[LetterSet, int, Iterable[str]]
 
 
 class MullerCondition:
@@ -127,7 +135,7 @@ class MullerCondition:
         self.alphabet = alphabet
         masks: set[int] = set()
         for member in accepting:
-            mask = alphabet.letters(member).mask
+            mask = alphabet.mask_of(member)
             if mask == 0:
                 raise ConditionError("accepting sets must be non-empty")
             if mask in masks:
@@ -160,7 +168,7 @@ class MullerCondition:
 class RabinCondition:
     """Rabin pairs over an output alphabet: `pairs[i]` is the (green, red)
     pair of disjoint colour masks of pair i.  Pairs are given by colour
-    names or letter sets and printed by name."""
+    names, letter sets or masks and printed by name."""
 
     __slots__ = ("colours", "pairs")
 
@@ -172,8 +180,7 @@ class RabinCondition:
         self.colours = colours
         built = []
         for green, red in pairs:
-            g = colours.letters(green).mask
-            r = colours.letters(red).mask
+            g, r = colours.mask_of(green), colours.mask_of(red)
             if g & r:
                 raise ConditionError("green and red sets of a Rabin pair must be disjoint")
             built.append((g, r))
@@ -325,7 +332,7 @@ def satisfies_muller(cond: MullerCondition, letters: LetterLike) -> bool:
 
     The empty set never satisfies: members of F are non-empty.
     """
-    return cond.accepts_mask(cond.alphabet.letters(letters).mask)
+    return cond.accepts_mask(cond.alphabet.mask_of(letters))
 
 
 def satisfies_rabin(cond: RabinCondition, letters: LetterLike) -> bool:

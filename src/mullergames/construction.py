@@ -51,7 +51,7 @@ def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
         mask = below[n] | (1 << n)
         below[n] = 0
         if tree.is_round(n):
-            pairs.append((colours.from_mask(1 << n), colours.from_mask(full & ~mask)))
+            pairs.append((1 << n, full & ~mask))
         if n:
             below[tree.parent(n)] |= mask
     pairs.reverse()

@@ -6,6 +6,11 @@ label with the opposite membership.  Node ids are dense integers in BFS
 construction order and children are kept sorted by label bit pattern, so
 the whole structure is reproducible.
 
+Nodes with equal labels have equal children, so a build finds each
+label's children once (the build-time half of Hunter & Dawar's Zielonka
+DAG), from F_S, the members of F inside label S, instead of from the 2^|S|
+subsets of S.  A child's F_S is filtered from its parent's.
+
 The tree is stored once, as integer lists indexed by node id: the label's
 letter mask, the round flag, the parent, the children and the depth.  A
 label is made into a `LetterSet` only when `label` reads it.  One
@@ -38,10 +43,20 @@ class ZielonkaTree:
         self._children: list[tuple[int, ...]] = []
         self._depth = [0]
         # BFS so that ids go level by level, left to right: node `head`'s
-        # children take the next free ids, in one run.
+        # children take the next free ids, in one run.  Each label's
+        # children, and F_S for label S, are found once per build.
+        kids_of: dict[int, list[int]] = {}
+        inside = {self._mask[0]: list(condition.masks)}
         head = 0
         while head < len(self._mask):
-            kids = order(_maximal_flipped_subsets(condition, self._mask[head]))
+            mask = self._mask[head]
+            if mask not in kids_of:
+                members = inside.pop(mask)
+                kids_of[mask] = _maximal_flipped_subsets(condition, mask, members)
+                for k in kids_of[mask]:
+                    if k not in kids_of and k not in inside:
+                        inside[k] = _masks_inside(condition, k, members)
+            kids = order(list(kids_of[mask]))
             first = len(self._mask)
             self._children.append(tuple(range(first, first + len(kids))))
             self._mask.extend(kids)
@@ -210,27 +225,37 @@ class ZielonkaTree:
         return "\n".join(lines) + "\n"
 
 
-def _maximal_flipped_subsets(condition: MullerCondition, mask: int) -> list[int]:
-    """Maximal non-empty subsets of `mask` whose F-membership differs from it.
+def _maximal_flipped_subsets(condition: MullerCondition, mask: int, inside: list[int]) -> list[int]:
+    """Maximal non-empty subsets of label S = `mask` whose F-membership
+    differs from S's, in (-popcount, mask) order, from `inside` = F_S.
 
-    Candidates are scanned from largest cardinality down; a candidate is kept
-    when it is not contained in an already-kept one.
-    """
-    want = not condition.accepts_mask(mask)
-    candidates = []
-    sub = mask
-    while True:
-        if sub and condition.accepts_mask(sub) == want:
-            candidates.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    candidates.sort(key=lambda m: (-m.bit_count(), m))
+    For a rejected S the candidates are F_S.  For an accepted S, a maximal
+    rejected T gains membership with any letter a of S - T, so it is one of
+    the rejected A - {a} for A in F_S.  Sets of one size never contain each
+    other, so a candidate is tested only against the larger kept sets."""
+    candidates = inside
+    if condition.accepts_mask(mask):
+        drops = {a & ~(1 << i) for a in inside for i in range(a.bit_length())}
+        candidates = [t for t in drops if t and t not in condition.masks]
     kept: list[int] = []
-    for cand in candidates:
-        if not any(cand & ~k == 0 for k in kept):
+    larger, size = (), 0
+    for cand in sorted(candidates, key=lambda m: (-m.bit_count(), m)):
+        if cand.bit_count() != size:
+            larger, size = tuple(kept), cand.bit_count()
+        if not any(cand & ~k == 0 for k in larger):
             kept.append(cand)
     return kept
+
+
+def _masks_inside(condition: MullerCondition, mask: int, pool: list[int]) -> list[int]:
+    """F's members within `mask`, filtered from `pool`, a list that holds
+    them all, or from mask's subsets when those are fewer."""
+    if 1 << mask.bit_count() < len(pool):
+        pool, sub = [], mask
+        while sub:
+            pool.append(sub)
+            sub = (sub - 1) & mask
+    return [a for a in pool if not a & ~mask and a in condition.masks]
 
 
 # -- spec-level operation surface -------------------------------------------

@@ -523,6 +523,45 @@ def test_export_hoa_matches_the_reference_writer():
         previous = signatures
 
 
+def mark_column_automata():
+    """Seeded Rabin automata whose colours share mark columns: each colour
+    copies one of three columns, the first of them empty, and each
+    (state, letter) sends two to five colours to one target."""
+    rng = random.Random(1128)
+    for _ in range(40):
+        colours = Alphabet([f"c{i}" for i in range(rng.randint(2, 6))])
+        column = {c: rng.randrange(3) for c in colours}
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            green, red = rng.choice([({1}, {2}), ({2}, {1}), ({1, 2}, set()), (set(), {1, 2})])
+            pairs.append(tuple([c for c in colours if column[c] in side] for side in (green, red)))
+        states = list(range(rng.randint(1, 3)))
+        alphabet = Alphabet("ab"[: rng.randint(1, 2)])
+        transitions = [
+            Transition(q, a, c, d)
+            for q in states
+            for a in alphabet
+            for d in [rng.choice(states)]
+            for c in rng.sample(colours.symbols, rng.randint(2, len(colours)))
+        ]
+        yield Automaton(states, alphabet, states[:1], transitions, RabinCondition(colours, pairs))
+
+
+def test_export_hoa_orders_shared_cells_as_the_reference_writer():
+    # Lines of one (state, letter, target) cell differ only in their marks,
+    # so their order is the sort key's alone.
+    rng = random.Random(2204)
+    automata = [random_nondeterministic_rabin_automaton(rng) for _ in range(200)]
+    shared = 0
+    for aut in automata + list(mark_column_automata()):
+        assert export_hoa(aut) == reference_export_hoa(aut)
+        for row in aut.moves:
+            for cell in row:
+                targets = [d for _, d in set(cell)]
+                shared += sum(1 for d in set(targets) if targets.count(d) > 1)
+    assert shared >= 50
+
+
 def running_hoa_lines(running_condition):
     return export_hoa(fig2_automaton(running_condition)).splitlines()
 

@@ -92,6 +92,24 @@ def test_rabin_pair_invariants():
     assert RUNNING_PAIRS.pair_colour(0, "delta") == "orange"
 
 
+def test_rabin_pairs_given_as_masks():
+    # beta = 1 << 1, and alpha, gamma, eps, zeta = 1 << 0, 2, 4, 5.
+    masks = RabinCondition(NODES, [(0b10, 0b110101), (0b100, 0b1011)])
+    assert masks == RUNNING_PAIRS
+    assert masks.pairs == ((0b10, 0b110101), (0b100, 0b1011))
+    as_sets = [(NODES.from_mask(g), NODES.from_mask(r)) for g, r in masks.pairs]
+    assert RabinCondition(NODES, as_sets) == masks
+    assert NODES.letters(0b110101) == NODES.from_mask(0b110101)
+    assert NODES.letters(0b110101).names() == ("alpha", "gamma", "eps", "zeta")
+    for green, red in ((1 << 6, 0), (0, 1 << 6), (-1, 0)):
+        with pytest.raises(ConditionError, match="^mask out of range for this alphabet$"):
+            RabinCondition(NODES, [(green, red)])
+    with pytest.raises(ConditionError, match="^mask out of range for this alphabet$"):
+        NODES.letters(1 << 6)
+    with pytest.raises(ConditionError, match="must be disjoint"):
+        RabinCondition(NODES, [(0b11, 0b110)])
+
+
 def test_red_growth_only_turns_pairs_rejecting():
     # Adding a colour of C to some red set can only flip that pair from
     # accepting to rejecting, never the other way round.

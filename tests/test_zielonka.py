@@ -261,6 +261,92 @@ def test_integer_tree_matches_the_record_tree():
             assert tree.to_dot() == ref.to_dot()
 
 
+def assert_same_tree(tree, ref):
+    """Every node field of `tree` equals that of the record-based `ref`."""
+    assert len(tree) == len(ref)
+    for n in range(len(ref)):
+        assert tree.label(n) == ref.label(n)
+        assert tree.mask(n) == ref.label(n).mask
+        assert tree.is_round(n) == ref.is_round(n)
+        assert tree.parent(n) == ref.parent(n)
+        assert tree.children(n) == ref.children(n)
+        assert tree.depth(n) == ref.depth(n)
+        assert tree.memtree(n) == ref.memtree(n)
+        assert tree.leftmost_leaf(n) == ref.leftmost_leaf(n)
+        if ref.parent(n) is not None:
+            assert tree.next_child(ref.parent(n), n) == ref.next_child(ref.parent(n), n)
+    assert tree.height == ref.height
+    assert tree.leaves() == ref.leaves()
+    assert list(tree.eta().items()) == list(ref.eta().items())
+    assert tree.step_table == ref.step_table
+    assert tree.to_dot() == ref.to_dot()
+
+
+def density_oracle_conditions():
+    """Seeded random conditions over 1-8 letters at densities 0.05, 0.2, 0.8
+    and 0.95, each also with the full set added, F = {} and F = {full} over
+    every alphabet, then F_11 and F_12."""
+    from mullergames.succinctness import condition_fn
+
+    rng = random.Random(2005)
+    for letters in range(1, 9):
+        alphabet, full = Alphabet("abcdefgh"[:letters]), (1 << letters) - 1
+        yield MullerCondition(alphabet, [])
+        yield MullerCondition(alphabet, [full])
+        for density in (0.05, 0.2, 0.8, 0.95):
+            for _ in range(3):
+                masks = {m for m in range(1, full + 1) if rng.random() < density}
+                yield MullerCondition(alphabet, sorted(masks))
+                yield MullerCondition(alphabet, sorted(masks | {full}))
+    yield condition_fn(11)
+    yield condition_fn(12)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [None, lambda ks: ks.sort(reverse=True) or ks, lambda ks: ks.reverse() or ks],
+    ids=["sorted", "sorted-in-place-reversed", "reversed-in-place"],
+)
+def test_integer_tree_matches_the_record_tree_at_other_densities(order):
+    # An order that changes its argument in place must not reach the
+    # children that the builder keeps for a label seen again; reversing in
+    # place would show it, as a second reversal undoes the first.
+    for cond in density_oracle_conditions():
+        assert_same_tree(build_zielonka(cond, order), ReferenceZielonkaTree(cond, order))
+
+
+def test_tree_meets_its_definition_on_24_letter_conditions():
+    # No subset scan can run over 24 letters, so each node is checked
+    # against F directly: the children flip membership, form an antichain,
+    # and hold every maximal flipped subset, each of which is a member of
+    # F_S below a square node and some rejected S - {a} or A - {a} below a
+    # round one.
+    rng = random.Random(24)
+    alphabet = Alphabet([f"x{i}" for i in range(24)])
+    for _ in range(5):
+        accepting = set()
+        while len(accepting) < 30:
+            accepting.add(rng.randrange(1, 1 << 24))
+        tree = build_zielonka(MullerCondition(alphabet, sorted(accepting)))
+        assert tree.mask(tree.root) == (1 << 24) - 1
+        for n in range(len(tree)):
+            label, kids = tree.mask(n), [tree.mask(k) for k in tree.children(n)]
+            assert tree.is_round(n) == (label in accepting)
+            for k in kids:
+                assert k and not k & ~label and k != label
+                assert (k in accepting) != tree.is_round(n)
+            for a, b in itertools.permutations(kids, 2):
+                assert a & ~b
+            inside = [a for a in accepting | {label} if not a & ~label]
+            if tree.is_round(n):
+                drops = {a & ~(1 << i) for a in inside for i in range(24) if a >> i & 1}
+                must = [t for t in drops if t and t not in accepting]
+            else:
+                must = [a for a in inside if a != label]
+            for t in must:
+                assert any(not t & ~k for k in kids), (n, t)
+
+
 def test_eta_returns_a_new_dict_on_each_call(running_condition):
     from mullergames.construction import build_gfg_rabin
 
