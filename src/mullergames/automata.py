@@ -2,10 +2,10 @@
 
 Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
-membership.  An `Automaton` is one integer move table, which the lasso
-checkers, HOA/DOT export and `simplify_rabin` read and which the builders
-and `parse_hoa` write directly; its named `transitions` are made only when
-first read.
+membership.  An `Automaton` is built from one integer move table, which
+the builders and `parse_hoa` write and the lasso checkers, HOA/DOT export
+and `simplify_rabin` read; its named `transitions` are made only when first
+read.
 The checkers run one verdict search per Lyndon root of the periods and
 each prefix once, so sweeping many lassos shares both.  Duplicated edges
 can be merged without changing the language.
@@ -57,66 +57,22 @@ def condition_colours(acceptance: AnyCondition) -> Alphabet:
 class Automaton:
     """A non-deterministic automaton with colours on transitions.
 
-    `moves[s][a]` lists the (colour index, target index) of each transition
-    from state index s on letter index a; `start` holds the indices of the
-    initial states.  `transitions` names the moves when first read."""
+    State i is `states[i]`.  `moves[s][a]` lists the (colour index, target
+    index) of each transition from state index s on letter index a; `start`
+    holds the indices of the initial states.  `transitions` names the moves
+    when first read."""
 
     def __init__(
         self,
         states: Sequence[State],
         alphabet: Alphabet,
-        initial: Iterable[State],
-        transitions: Iterable[Transition | tuple],
-        acceptance: AnyCondition,
-    ):
-        states = tuple(states)
-        index = {q: i for i, q in enumerate(states)}
-        if len(index) != len(states):
-            raise AutomatonError("duplicate states")
-        initial = tuple(initial)
-        if not initial:
-            raise AutomatonError("at least one initial state is required")
-        for q in initial:
-            if q not in index:
-                raise AutomatonError(f"initial state {q!r} not among the states")
-        letter = {a: i for i, a in enumerate(alphabet.symbols)}
-        colour = {c: i for i, c in enumerate(condition_colours(acceptance).symbols)}
-        moves: list[list[list[tuple[int, int]]]] = [[[] for _ in letter] for _ in index]
-        ordered: dict[Transition, None] = {}
-        for t in transitions:
-            t = t if isinstance(t, Transition) else Transition(*t)
-            if t.src not in index or t.dst not in index:
-                raise AutomatonError(f"transition {t} uses an unknown state")
-            if t.letter not in letter:
-                raise AutomatonError(f"transition letter {t.letter!r} not in input alphabet")
-            if t.colour not in colour:
-                raise AutomatonError(f"transition colour {t.colour!r} not in output alphabet")
-            if t not in ordered:
-                ordered[t] = None
-                move = (colour[t.colour], index[t.dst])
-                moves[index[t.src]][letter[t.letter]].append(move)
-        self._set_table(states, alphabet, [index[q] for q in initial], moves, acceptance)
-        self.transitions = tuple(ordered)
-
-    @classmethod
-    def from_table(
-        cls,
-        states: Sequence[State],
-        alphabet: Alphabet,
         start: Iterable[int],
         moves: MoveTable,
         acceptance: AnyCondition,
-    ) -> Automaton:
-        """The automaton whose state i is `states[i]`, with initial state
-        indices `start` and move table `moves`."""
-        automaton = cls.__new__(cls)
-        automaton._set_table(tuple(states), alphabet, start, moves, acceptance)
-        return automaton
-
-    def _set_table(self, states, alphabet, start, moves, acceptance) -> None:
-        self.states, self.alphabet, self.acceptance = states, alphabet, acceptance
+    ):
+        self.states, self.alphabet, self.acceptance = tuple(states), alphabet, acceptance
         self.start = tuple(start)
-        self.initial = tuple(states[s] for s in self.start)
+        self.initial = tuple(self.states[s] for s in self.start)
         self.moves: MoveTable = moves
         self.is_deterministic = len(self.start) == 1 and all(
             len(cell) == 1 for row in moves for cell in row
@@ -469,7 +425,7 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
             if not mask & ~red:
                 r |= 1 << c
         pairs.append((g, r))
-    return Automaton.from_table(
+    return Automaton(
         automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
     )
 
@@ -716,7 +672,7 @@ def parse_hoa(text: str) -> Automaton:
         acceptance = RabinCondition(colours, zip(green, red))
     else:
         acceptance = ParityCondition(colours, dict(zip(colours, [m[0] for m in mark_sets] or [1])))
-    return Automaton.from_table(range(n_states), alphabet, starts, moves, acceptance)
+    return Automaton(range(n_states), alphabet, starts, moves, acceptance)
 
 
 def hoa_signature(automaton: Automaton):

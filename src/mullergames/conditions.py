@@ -203,10 +203,6 @@ class RabinCondition:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def pair_accepts_mask(self, j: int, mask: int) -> bool:
-        g, r = self.pairs[j]
-        return bool(mask & g) and not mask & r
-
     def accepts_mask(self, mask: int) -> bool:
         return any(mask & g and not mask & r for g, r in self.pairs)
 
@@ -230,16 +226,6 @@ class RabinCondition:
             return 0, (live,)
         # No pair is live, so each child misses a red that is present.
         return 1, [~child for child in sorted({present & ~r for g, r in self.pairs if g & present})]
-
-    def pair_colour(self, j: int, colour: str) -> str:
-        """The green / red / orange status of an output colour for pair j."""
-        g, r = self.pairs[j]
-        bit = 1 << self.colours.index(colour)
-        if g & bit:
-            return "green"
-        if r & bit:
-            return "red"
-        return "orange"
 
 
 class ParityCondition:

@@ -104,7 +104,7 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     for leaf, row in tree.step_table.items():
         for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
             cell[witness, eta[target] - 1] = None
-    automaton = Automaton.from_table(
+    automaton = Automaton(
         range(1, tree.memtree() + 1),
         tree.alphabet,
         [eta[tree.leftmost_leaf(tree.root)] - 1],
@@ -129,7 +129,7 @@ def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
     prio = node_priorities(tree)
     values = sorted(set(prio.values()))
     colour = {p: i for i, p in enumerate(values)}
-    return Automaton.from_table(
+    return Automaton(
         tree.leaves(),
         tree.alphabet,
         [0],

@@ -34,9 +34,9 @@ it takes polynomial time where a scan of colour subsets would take
 
 A memory structure lives on the same ids: a choice table and an update
 table over the game's arena, which `memory_from_gfg` writes straight from
-the product.  Names enter only through `MemoryStructure.from_names`, which
-rejects a memory that leaves the states it declares, and leave only through
-`memory_to_dict` and `memory_to_json`.  One walk (`_walk`) over the
+the product.  Its names leave only through `memory_to_json`; a game's
+names enter only through `GameGraph` and leave through its `vertices` and
+`edges` and a solution's `winners`.  One walk (`_walk`) over the
 (vertex, memory) nodes x|M| + m serves `verify_strategy`, `is_chromatic`
 and `brute_force_winner`, which searches by filling the tables in place.
 """
@@ -112,8 +112,8 @@ class GameGraph:
     """A two-player arena whose edges carry colours of its condition, or
     none (silent); `arena` is its integer form.  Every game is built
     straight into its arena, a product (`_build_product`) from ids alone,
-    and names its edges and owners (a product also its vertices) when they
-    are first read."""
+    and names its edges (a product also its vertices) when they are first
+    read."""
 
     def __init__(
         self,
@@ -171,32 +171,6 @@ class GameGraph:
             for m in range(base, len(succ))
         )
 
-    @cached_property
-    def _owner(self) -> dict[Vertex, str]:
-        return {v: (EXIST, UNIV)[who] for v, who in zip(self.vertices, self.arena.owners)}
-
-    @cached_property
-    def _out(self) -> dict[Vertex, tuple[GameEdge, ...]]:
-        edges, base = self.edges, self.arena.base
-        return {
-            v: tuple(edges[m - base] for m in moves)
-            for v, moves in zip(self.vertices, self.arena.succ)
-        }
-
-    def _named(self, moves: Mapping[int, int]) -> dict[Vertex, GameEdge]:
-        """A strategy on node ids (vertex -> midpoint) by name."""
-        names, edges, base = self.vertices, self.edges, self.arena.base
-        return {names[v]: edges[moves[v] - base] for v in range(base) if v in moves}
-
-    def owner(self, v: Vertex) -> str:
-        return self._owner[v]
-
-    def out(self, v: Vertex) -> tuple[GameEdge, ...]:
-        return self._out[v]
-
-    def exist_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if self._owner[v] == EXIST)
-
     def __repr__(self) -> str:
         base = self.arena.base
         return f"GameGraph({base} vertices, {len(self.arena.succ) - base} edges)"
@@ -223,51 +197,6 @@ class MemoryStructure:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    @classmethod
-    def from_names(
-        cls,
-        game: GameGraph,
-        states: Sequence[Hashable],
-        initial: Hashable,
-        update: Mapping[tuple[Hashable, GameEdge], Hashable],
-        strategy: Mapping[tuple[Hashable, Vertex], GameEdge],
-    ) -> MemoryStructure:
-        """The memory whose `update[(m, edge)]` is the state after `edge`
-        from state m and `strategy[(m, v)]` Exist's edge at v in state m.
-        Raises `GameError` if a choice or an update is missing, a choice is
-        not a move of its vertex, or the initial state or an update is not
-        in `states`."""
-        states = tuple(states)
-        index = {m: i for i, m in enumerate(states)}
-        if initial not in index:
-            raise GameError(f"initial memory state {initial!r} is not a declared state")
-        succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
-        choice: list[int] = []
-        for x, v in enumerate(game.vertices):
-            if owners[x]:
-                choice += [-1] * len(states)
-                continue
-            outs, moves = game.out(v), succ[x]
-            for m in states:
-                try:
-                    choice.append(moves[outs.index(strategy.get((m, v)))] - base)
-                except ValueError:
-                    raise GameError(f"strategy at ({m!r}, {v!r}) is not a move of {v!r}") from None
-        after: list[int] = []
-        missing = object()
-        for e in game.edges:
-            for m in states:
-                k = index.get(update.get((m, e), missing))
-                if k is None:
-                    if (m, e) not in update:
-                        raise GameError(f"memory update missing for ({m!r}, {e})")
-                    raise GameError(
-                        f"memory update for ({m!r}, {e}) goes to undeclared state "
-                        f"{update[(m, e)]!r}"
-                    )
-                after.append(k)
-        return cls(game, states, index[initial], choice, after)
 
 
 # -- product games -------------------------------------------------------------
@@ -399,7 +328,8 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
 
 class GameSolution:
     """A solver's result on node ids: `won` holds the nodes Exist wins and
-    `moves` maps a vertex to the midpoint its winner takes.  Named when read."""
+    `moves` maps a vertex to the midpoint its winner takes; `winners` names
+    each vertex's winner when first read."""
 
     def __init__(self, game: GameGraph, won: set, moves: dict[int, int]):
         self.game, self.won, self.moves = game, won, moves
@@ -416,19 +346,6 @@ class GameSolution:
     @cached_property
     def winners(self) -> dict[Vertex, str]:
         return {v: EXIST if i in self.won else UNIV for i, v in enumerate(self.game.vertices)}
-
-    @cached_property
-    def region(self) -> frozenset:
-        """Exist's winning region."""
-        return frozenset(v for v, w in self.winners.items() if w == EXIST)
-
-    @cached_property
-    def exist_strategy(self) -> dict[Vertex, GameEdge]:
-        return self.game._named(self.strategy_of(0))
-
-    @cached_property
-    def univ_strategy(self) -> dict[Vertex, GameEdge]:
-        return self.game._named(self.strategy_of(1))
 
 
 def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dict]:
@@ -907,7 +824,7 @@ def load_game(path: str, condition: AnyCondition) -> GameGraph:
 
 
 def _rows(memory: MemoryStructure) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """The rows the writers name, in their order: (m, j, next state) for
+    """The rows `memory_to_json` names, in its order: (m, j, next state) for
     each state m and edge j, and (m, x, j) for each state m and Exist vertex
     x with its edge j.  States, edges and vertices are each sorted by the
     text of their names, ties in index order."""
@@ -926,32 +843,14 @@ def _rows(memory: MemoryStructure) -> tuple[list[tuple[int, int, int]], list[tup
     )
 
 
-def memory_to_dict(memory: MemoryStructure) -> dict:
-    """The memory by name, its rows in `_rows`' order."""
-    states, names, edges = memory.states, memory.game.vertices, memory.game.edges
-    update, strategy = _rows(memory)
-
-    def edge_doc(j: int) -> dict:
-        src, colour, dst = edges[j]
-        return {"src": src, "colour": colour, "dst": dst}
-
-    return {
-        "states": list(states),
-        "initial": memory.initial,
-        "update": [
-            {"state": states[m], "edge": edge_doc(j), "next": states[k]} for m, j, k in update
-        ],
-        "strategy": [
-            {"state": states[m], "vertex": names[x], "edge": edge_doc(j)} for m, x, j in strategy
-        ],
-    }
-
-
 def memory_to_json(memory: MemoryStructure) -> str:
-    """`json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\\n"`,
-    written row by row: `indent` would send `json` to its pure-Python
-    encoder.  The text of each state, edge and vertex is made once; strings
-    and ints go through `json`'s C encoders."""
+    """The memory by name, as `json.dumps(doc, indent=2, sort_keys=True)`
+    and a newline would write it: `doc` holds `states`, `initial`, `update`
+    rows {state, edge, next} and `strategy` rows {state, vertex, edge} in
+    `_rows`' order, each edge as {src, colour, dst}.  It is written row by
+    row: `indent` would send `json` to its pure-Python encoder.  The text of
+    each state, edge and vertex is made once; strings and ints go through
+    `json`'s C encoders."""
 
     def text(value: object, indent: str = "      ") -> str:
         kind = type(value)

@@ -19,11 +19,12 @@ memtree, the leftmost leaf and the cyclic next sibling of every node, the
 leaf tuple, and the leaf numbering eta, filled top-down in the same pass.
 From those, `step_table` maps a leaf and a letter index to the tree walk's
 (witness, target) move; both automaton builders and the resolver's walk
-read that one table.
+read that one table, which is built when first read.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Optional
 
 from .conditions import ConditionError, LetterSet, MullerCondition, quoted
@@ -66,7 +67,6 @@ class ZielonkaTree:
         self._round = [condition.accepts_mask(mask) for mask in self._mask]
         self._height = 1 + max(self._depth)
         self._number_depth_first()
-        self.step_table = self._step_table()
 
     def _number_depth_first(self) -> None:
         """Memtree, leftmost leaves, cyclic next siblings, the leaf tuple in
@@ -103,8 +103,9 @@ class ZielonkaTree:
                     base += self._memtree[k]
         self._eta = {leaf: offset[leaf] + 1 for leaf in self._leaves}
 
-    def _step_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """leaf -> (witness, target) per letter index.
+    @cached_property
+    def step_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """leaf -> (witness, target) per letter index, built on first read.
 
         The witness is the deepest node on the leaf's root path whose label
         holds the letter (labels shrink along the path, and the root holds

@@ -26,12 +26,17 @@ from mullergames.conditions import (
     satisfies_rabin,
 )
 from mullergames.games import (
+    EXIST,
+    UNIV,
     Arena,
+    GameEdge,
     GameError,
     GameGraph,
     GameSolution,
+    MemoryStructure,
     _attract,
     _node_bits,
+    _rows,
     _verify_solution,
 )
 from mullergames.succinctness import (
@@ -90,6 +95,160 @@ def table_oracle_conditions():
     rng = random.Random(3311)
     for _ in range(200):
         yield random_muller_condition(rng, Alphabet("abcde"[: rng.choice((4, 5))]))
+
+
+# Name-keyed constructors and views, for the tests only: the package builds
+# and reads its types on ids.  `memory_to_dict` is the oracle that
+# `memory_to_json` is checked against.
+
+
+def named_automaton(
+    states: Sequence[State],
+    alphabet: Alphabet,
+    initial: Iterable[State],
+    transitions: Iterable[Transition | tuple],
+    acceptance: AnyCondition,
+) -> Automaton:
+    """The automaton on named states and transitions.  It keeps
+    `transitions` in the order given, duplicates dropped."""
+    states = tuple(states)
+    index = {q: i for i, q in enumerate(states)}
+    if len(index) != len(states):
+        raise AutomatonError("duplicate states")
+    initial = tuple(initial)
+    if not initial:
+        raise AutomatonError("at least one initial state is required")
+    for q in initial:
+        if q not in index:
+            raise AutomatonError(f"initial state {q!r} not among the states")
+    letter = {a: i for i, a in enumerate(alphabet.symbols)}
+    colour = {c: i for i, c in enumerate(condition_colours(acceptance).symbols)}
+    moves: list[list[list[tuple[int, int]]]] = [[[] for _ in letter] for _ in index]
+    ordered: dict[Transition, None] = {}
+    for t in transitions:
+        t = t if isinstance(t, Transition) else Transition(*t)
+        if t.src not in index or t.dst not in index:
+            raise AutomatonError(f"transition {t} uses an unknown state")
+        if t.letter not in letter:
+            raise AutomatonError(f"transition letter {t.letter!r} not in input alphabet")
+        if t.colour not in colour:
+            raise AutomatonError(f"transition colour {t.colour!r} not in output alphabet")
+        if t not in ordered:
+            ordered[t] = None
+            move = (colour[t.colour], index[t.dst])
+            moves[index[t.src]][letter[t.letter]].append(move)
+    automaton = Automaton(states, alphabet, [index[q] for q in initial], moves, acceptance)
+    automaton.transitions = tuple(ordered)
+    return automaton
+
+
+def owner(game: GameGraph, v) -> str:
+    """EXIST or UNIV, the owner of vertex v."""
+    return (EXIST, UNIV)[game.arena.owners[game.vertices.index(v)]]
+
+
+def out(game: GameGraph, v) -> tuple[GameEdge, ...]:
+    """The edges from vertex v, in arena order."""
+    base = game.arena.base
+    return tuple(game.edges[m - base] for m in game.arena.succ[game.vertices.index(v)])
+
+
+def exist_vertices(game: GameGraph) -> tuple:
+    return tuple(v for v, who in zip(game.vertices, game.arena.owners) if who == 0)
+
+
+def named_moves(game: GameGraph, moves: dict[int, int]) -> dict:
+    """A strategy on node ids (vertex -> midpoint) by name."""
+    names, edges, base = game.vertices, game.edges, game.arena.base
+    return {names[v]: edges[moves[v] - base] for v in range(base) if v in moves}
+
+
+def region(solution: GameSolution) -> frozenset:
+    """Exist's winning region."""
+    return frozenset(v for v, w in solution.winners.items() if w == EXIST)
+
+
+def exist_strategy(solution: GameSolution) -> dict:
+    return named_moves(solution.game, solution.strategy_of(0))
+
+
+def univ_strategy(solution: GameSolution) -> dict:
+    return named_moves(solution.game, solution.strategy_of(1))
+
+
+def memory_from_names(game: GameGraph, states, initial, update, strategy) -> MemoryStructure:
+    """The memory whose `update[(m, edge)]` is the state after `edge`
+    from state m and `strategy[(m, v)]` Exist's edge at v in state m.
+    Raises `GameError` if a choice or an update is missing, a choice is
+    not a move of its vertex, or the initial state or an update is not
+    in `states`."""
+    states = tuple(states)
+    index = {m: i for i, m in enumerate(states)}
+    if initial not in index:
+        raise GameError(f"initial memory state {initial!r} is not a declared state")
+    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    choice: list[int] = []
+    for x, v in enumerate(game.vertices):
+        if owners[x]:
+            choice += [-1] * len(states)
+            continue
+        outs, moves = out(game, v), succ[x]
+        for m in states:
+            try:
+                choice.append(moves[outs.index(strategy.get((m, v)))] - base)
+            except ValueError:
+                raise GameError(f"strategy at ({m!r}, {v!r}) is not a move of {v!r}") from None
+    after: list[int] = []
+    missing = object()
+    for e in game.edges:
+        for m in states:
+            k = index.get(update.get((m, e), missing))
+            if k is None:
+                if (m, e) not in update:
+                    raise GameError(f"memory update missing for ({m!r}, {e})")
+                raise GameError(
+                    f"memory update for ({m!r}, {e}) goes to undeclared state "
+                    f"{update[(m, e)]!r}"
+                )
+            after.append(k)
+    return MemoryStructure(game, states, index[initial], choice, after)
+
+
+def memory_to_dict(memory: MemoryStructure) -> dict:
+    """The memory by name, its rows in `_rows`' order."""
+    states, names, edges = memory.states, memory.game.vertices, memory.game.edges
+    update, strategy = _rows(memory)
+
+    def edge_doc(j: int) -> dict:
+        src, colour, dst = edges[j]
+        return {"src": src, "colour": colour, "dst": dst}
+
+    return {
+        "states": list(states),
+        "initial": memory.initial,
+        "update": [
+            {"state": states[m], "edge": edge_doc(j), "next": states[k]} for m, j, k in update
+        ],
+        "strategy": [
+            {"state": states[m], "vertex": names[x], "edge": edge_doc(j)} for m, x, j in strategy
+        ],
+    }
+
+
+def pair_accepts_mask(cond: RabinCondition, j: int, mask: int) -> bool:
+    g, r = cond.pairs[j]
+    return bool(mask & g) and not mask & r
+
+
+def pair_colour(cond: RabinCondition, j: int, colour: str) -> str:
+    """The green / red / orange status of an output colour for pair j."""
+    g, r = cond.pairs[j]
+    bit = 1 << cond.colours.index(colour)
+    if g & bit:
+        return "green"
+    if r & bit:
+        return "red"
+    return "orange"
 
 
 N = TypeVar("N", bound=Hashable)
@@ -500,20 +659,20 @@ def reference_product(game, automaton, seeds, resolve=False):
             edges.append(edge)
 
     for x in seeds:
-        visit(("s", x, q0), game.owner(x))
+        visit(("s", x, q0), owner(game, x))
     while queue:
         vertex = queue.pop()
         if vertex[0] == "s":
             _, x, q = vertex
-            for e in game.out(x):
+            for e in out(game, x):
                 colour = None
                 if e.colour is None:
                     target = ("s", e.dst, q)
-                    visit(target, game.owner(e.dst))
+                    visit(target, owner(game, e.dst))
                 elif plain:
                     (t,) = transitions_from(automaton, q, e.colour)
                     target, colour = ("s", e.dst, t.dst), t.colour
-                    visit(target, game.owner(e.dst))
+                    visit(target, owner(game, e.dst))
                 else:
                     target = ("c", e.dst, e.colour, q)
                     visit(target, EXIST)
@@ -527,7 +686,7 @@ def reference_product(game, automaton, seeds, resolve=False):
                 )
             for t in options:
                 target = ("s", x, t.dst)
-                visit(target, game.owner(x))
+                visit(target, owner(game, x))
                 add(GameEdge(vertex, t.colour, target))
     return GameGraph(vertices, edges, ("s", seeds[0], q0), condition=automaton.acceptance)
 
@@ -548,7 +707,7 @@ def reference_split_edges(game):
     for u, outs in enumerate(succ):
         for w in outs:
             preds[w].append(u)
-    owners = [0 if game.owner(v) == EXIST else 1 for v in game.vertices]
+    owners = [0 if owner(game, v) == EXIST else 1 for v in game.vertices]
     owners += [1] * len(game.edges)
     colours = [None] * len(index) + [e.colour for e in game.edges]
     return succ, preds, owners, colours
@@ -724,7 +883,7 @@ def reference_simplify_rabin(automaton: Automaton) -> Automaton:
         Transition(src, letter, names[bundle], dst)
         for src, letter, dst, bundle in merged
     ]
-    return Automaton(
+    return named_automaton(
         automaton.states,
         automaton.alphabet,
         automaton.initial,
@@ -833,6 +992,9 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
     )
     from mullergames.zielonka import ZielonkaTree
 
+    owner_of = {v: owner(game, v) for v in game.vertices}
+    moves_from = {v: out(game, v) for v in game.vertices}
+
     def _memory_product(game, sigma, mu):
         start = (game.initial, 0)
         nodes = {start}
@@ -841,10 +1003,10 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         while queue:
             node = queue.pop()
             x, m = node
-            if game.owner(x) == EXIST:
+            if owner_of[x] == EXIST:
                 moves = [sigma[(m, x)]]
             else:
-                moves = game.out(x)
+                moves = moves_from[x]
             outs = moves_of[node] = []
             for e in moves:
                 nxt = (e.dst, mu[(m, e)])
@@ -881,13 +1043,13 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         stack = [start]
         while stack:
             x, m = stack.pop()
-            if game.owner(x) == EXIST:
+            if owner_of[x] == EXIST:
                 e = sigma.get((m, x))
                 if e is None:
                     return "sigma", (m, x)
                 moves = [e]
             else:
-                moves = game.out(x)
+                moves = moves_from[x]
             for e in moves:
                 m2 = mu.get((m, e))
                 if m2 is None:
@@ -908,7 +1070,7 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
         kind, key = missing
         if kind == "sigma":
             m, x = key
-            for e in game.out(x):
+            for e in moves_from[x]:
                 sigma[key] = e
                 if search(sigma, mu):
                     del sigma[key]
@@ -1133,7 +1295,7 @@ def reference_build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> Referen
             if t not in provenance:
                 provenance[t] = (leaf, witness, target)
                 transitions.append(t)
-    automaton = Automaton(
+    automaton = named_automaton(
         range(1, size + 1),
         condition.alphabet,
         [eta[tree.leftmost_leaf(tree.root)]],
@@ -1159,7 +1321,7 @@ def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> 
         for leaf, row in tree.step_table.items()
         for letter, (witness, target) in zip(condition.alphabet.symbols, row)
     ]
-    return Automaton(
+    return named_automaton(
         tree.leaves(),
         condition.alphabet,
         [tree.leftmost_leaf(tree.root)],

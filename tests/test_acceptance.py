@@ -12,7 +12,6 @@ import time
 import pytest
 
 from mullergames.automata import (
-    Automaton,
     RabinLassoChecker,
     Transition,
     has_duplicated_edges,
@@ -60,6 +59,7 @@ from conftest import (
     check_quotient,
     fscc,
     letter_pairs,
+    named_automaton,
     rabin_from_parity,
     random_muller_condition,
     reference_is_ancestor,
@@ -359,7 +359,7 @@ def _random_rabin_automaton(rng):
         green = [c for c in colours if rng.random() < 0.4]
         red = [c for c in colours if c not in green and rng.random() < 0.4]
         pairs.append((green, red))
-    return Automaton(
+    return named_automaton(
         states, alphabet, [rng.choice(states)], transitions, RabinCondition(colours, pairs)
     )
 
@@ -481,11 +481,11 @@ def test_criterion_6_structural_invariants(running_condition):
     # for the half-size condition over four letters, fails on an undersized one.
     cond4 = condition_fn(4)
     p4 = build_parity_automaton(cond4)
-    correct = Automaton(
+    correct = named_automaton(
         p4.states, p4.alphabet, p4.initial, p4.transitions,
         rabin_from_parity(p4.acceptance),
     )
-    tiny = Automaton(
+    tiny = named_automaton(
         [0],
         cond4.alphabet,
         [0],

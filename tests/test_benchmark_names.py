@@ -3,15 +3,34 @@
 `perfbench/tracing.py` wraps its targets by name and skips one that is gone,
 so a deleted target would read as a layer that costs nothing; the benchmark's
 scripts import the rest by name.  These tests read both without running the
-benchmark.
+benchmark, and run the attributes it reads off results: the traced run's
+size probes and `record.py`'s winner.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+from mullergames.automata import export_hoa
+from mullergames.conditions import condition_from_dict
+from mullergames.construction import build_gfg_rabin, build_parity_automaton
+from mullergames.games import game_from_dict, memory_from_gfg, product_with_automaton
+from mullergames.zielonka import build_zielonka
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+RUNNING = {"alphabet": ["a", "b", "c"], "accepting": [["a", "b"], ["a", "c"], ["b"]]}
+
+
+def one_vertex_game(owner, letters):
+    return {
+        "vertices": [{"name": "v", "owner": owner}],
+        "edges": [{"src": "v", "colour": a, "dst": "v"} for a in letters],
+        "initial": "v",
+    }
 
 
 def load_tracing():
@@ -79,3 +98,48 @@ def test_every_name_the_benchmark_imports_exists():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_every_size_probe_reads_its_targets_result():
+    # Only the benchmark's traced run calls these probes; each one reads
+    # attributes off what its target returns on the running example.
+    condition = condition_from_dict(RUNNING)
+    game = game_from_dict(one_vertex_game("Exist", "abc"), condition)
+    results = {
+        "zielonka.build_zielonka": lambda: build_zielonka(condition),
+        "construction.build_gfg_rabin": lambda: build_gfg_rabin(condition),
+        "construction.build_parity_automaton": lambda: build_parity_automaton(condition),
+        "automata.export_hoa": lambda: export_hoa(build_parity_automaton(condition)),
+        "games.product_with_automaton": lambda: product_with_automaton(
+            game, build_parity_automaton(condition)
+        ),
+        "games.memory_from_gfg": lambda: memory_from_gfg(game, build_gfg_rabin(condition)),
+    }
+    probed = []
+    for module, attr, count in load_tracing().SPANNED:
+        if count is None:
+            continue
+        name = f"{module}.{attr}"
+        sizes = count(results[name]())
+        assert sizes and all(key.startswith(f"{module}.") for key in sizes), name
+        assert all(type(value) is int and value > 0 for value in sizes.values()), (name, sizes)
+        probed.append(name)
+    assert sorted(probed) == sorted(results)
+
+
+def test_record_reads_the_winner_off_a_parity_solution(monkeypatch):
+    # record.py imports its sibling scripts by their bare names.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = {name: sys.modules.get(name) for name in ("worker", "instances")}
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_record", PERFBENCH / "record.py")
+        record = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(record)
+        assert record.parity_winner(one_vertex_game("Univ", "c"), RUNNING) == "Univ"
+        assert record.parity_winner(one_vertex_game("Univ", "b"), RUNNING) == "Exist"
+    finally:
+        for name, module in loaded.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module

@@ -256,9 +256,11 @@ def assert_same_verdict_as_per_lasso_loop(capsys, condition_file, condition, gfg
 
 def test_cmd_check_flipped_parity_priority(capsys, monkeypatch, condition_file):
     from mullergames import cli
-    from mullergames.automata import Automaton, Transition
+    from mullergames.automata import Transition
     from mullergames.conditions import Alphabet, ParityCondition, load_condition
     from mullergames.construction import build_gfg_rabin, build_parity_automaton
+
+    from conftest import named_automaton
 
     condition = load_condition(condition_file)
     parity = build_parity_automaton(condition)
@@ -269,7 +271,7 @@ def test_cmd_check_flipped_parity_priority(capsys, monkeypatch, condition_file):
         names = [str(p) for p in sorted(priorities | {flipped})]
         transitions = list(parity.transitions)
         transitions[i] = Transition(t.src, t.letter, str(flipped), t.dst)
-        corrupted = Automaton(
+        corrupted = named_automaton(
             parity.states,
             parity.alphabet,
             parity.initial,
@@ -344,7 +346,7 @@ def test_cmd_check_hoa_mutation_keeps_the_first_counterexample(capsys, tmp_path,
             else:
                 c = rng.choice([x for x in range(len(automaton.colour_alphabet)) if x != c])
             moves[s][a][m] = (c, d)
-            mutated = Automaton.from_table(
+            mutated = Automaton(
                 automaton.states, automaton.alphabet, automaton.start, moves, automaton.acceptance
             )
             hoa.write_text(export_hoa(mutated))
@@ -387,7 +389,7 @@ def test_cmd_check_reports_the_first_of_several_failing_checkers(
         moves = [[list(cell) for cell in row] for row in parity.moves]
         c, d = moves[s][a][0]
         moves[s][a][0] = (rng.choice([x for x in range(len(parity.colour_alphabet)) if x != c]), d)
-        corrupted = Automaton.from_table(
+        corrupted = Automaton(
             parity.states, parity.alphabet, parity.start, moves, parity.acceptance
         )
         leaf, letter = rng.choice(leaves), rng.randrange(len(condition.alphabet))

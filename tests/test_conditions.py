@@ -19,7 +19,7 @@ from mullergames.conditions import (
     satisfies_parity,
     satisfies_rabin,
 )
-from conftest import letter_pairs, rabin_from_parity
+from conftest import letter_pairs, pair_accepts_mask, pair_colour, rabin_from_parity
 
 NODES = Alphabet(["alpha", "beta", "gamma", "delta", "eps", "zeta"])
 
@@ -87,9 +87,9 @@ def test_satisfies_rabin_examples():
 def test_rabin_pair_invariants():
     with pytest.raises(ConditionError):
         RabinCondition(NODES, [(["alpha"], ["alpha"])])
-    assert RUNNING_PAIRS.pair_colour(0, "beta") == "green"
-    assert RUNNING_PAIRS.pair_colour(0, "alpha") == "red"
-    assert RUNNING_PAIRS.pair_colour(0, "delta") == "orange"
+    assert pair_colour(RUNNING_PAIRS, 0, "beta") == "green"
+    assert pair_colour(RUNNING_PAIRS, 0, "alpha") == "red"
+    assert pair_colour(RUNNING_PAIRS, 0, "delta") == "orange"
 
 
 def test_rabin_pairs_given_as_masks():
@@ -125,7 +125,7 @@ def test_red_growth_only_turns_pairs_rejecting():
         c_letters = [c for c in NODES if rng.random() < 0.5] or ["alpha"]
         cmask = NODES.letters(c_letters).mask
         for j in range(n_pairs):
-            before = cond.pair_accepts_mask(j, cmask)
+            before = pair_accepts_mask(cond, j, cmask)
             for letter in c_letters:
                 green, red = letter_pairs(cond)[j]
                 if letter in green:
@@ -137,7 +137,7 @@ def test_red_growth_only_turns_pairs_rejecting():
                         for i, (g, r) in enumerate(letter_pairs(cond))
                     ],
                 )
-                after = grown.pair_accepts_mask(j, cmask)
+                after = pair_accepts_mask(grown, j, cmask)
                 assert not after
                 assert before or not after
 

@@ -38,6 +38,7 @@ from conftest import (
     check_node_sequence,
     check_quotient,
     letter_pairs,
+    pair_colour,
     random_muller_condition,
     reference_build_gfg_rabin,
     reference_build_parity_automaton,
@@ -374,7 +375,7 @@ def test_trichotomy_per_transition(running_condition):
         for t in gfg.automaton.transitions:
             colour_id = int(t.colour[1:])
             for j, n in enumerate(round_nodes):
-                status = pairs.pair_colour(j, t.colour)
+                status = pair_colour(pairs, j, t.colour)
                 if colour_id == n:
                     assert status == "green"
                 elif reference_is_ancestor(tree, n, colour_id):

@@ -21,7 +21,6 @@ from mullergames.games import (
     GameError,
     GameGraph,
     GameSolution,
-    MemoryStructure,
     NotWonByExist,
     _build_product,
     brute_force_winner,
@@ -29,7 +28,6 @@ from mullergames.games import (
     is_chromatic,
     load_game,
     memory_from_gfg,
-    memory_to_dict,
     memory_to_json,
     positional_rabin_strategy,
     product_with_automaton,
@@ -39,6 +37,13 @@ from mullergames.games import (
 )
 from mullergames.zielonka import build_zielonka
 from conftest import (
+    exist_strategy,
+    exist_vertices,
+    memory_from_names,
+    memory_to_dict,
+    named_automaton,
+    out,
+    owner,
     random_muller_condition,
     reference_brute_force_winner,
     reference_positional_rabin_strategy,
@@ -47,7 +52,9 @@ from conftest import (
     reference_solve_parity_game,
     reference_split_edges,
     reference_zielonka_solve,
+    region,
     strongly_connected_components,
+    univ_strategy,
 )
 
 
@@ -131,7 +138,7 @@ def test_product_with_deterministic_automaton_collapses(running_condition):
     assert product.game.vertices
     assert all(v[0] == "s" for v in product.game.vertices)
     # Each game edge leaves every state vertex once, along its transition.
-    assert all(len(product.game.out(v)) == 3 for v in product.game.vertices)
+    assert all(len(out(product.game, v)) == 3 for v in product.game.vertices)
     # A deterministic GFG Rabin automaton keeps its choice vertices, which
     # memory_from_gfg reads.
     condition = MullerCondition(Alphabet("ab"), [["a", "b"]])
@@ -202,12 +209,12 @@ def test_solvers_agree_on_both_arenas():
         if isinstance(automaton.acceptance, ParityCondition):
             ours, theirs = solve_parity_game(product), solve_parity_game(reference)
             assert ours.winners == theirs.winners
-            assert ours.exist_strategy == theirs.exist_strategy
-            assert ours.univ_strategy == theirs.univ_strategy
+            assert exist_strategy(ours) == exist_strategy(theirs)
+            assert univ_strategy(ours) == univ_strategy(theirs)
         else:
             ours, theirs = positional_rabin_strategy(product), positional_rabin_strategy(reference)
-            assert ours.region == theirs.region
-            assert ours.exist_strategy == theirs.exist_strategy
+            assert region(ours) == region(theirs)
+            assert exist_strategy(ours) == exist_strategy(theirs)
 
 
 def test_plain_and_resolution_products_agree_on_exist_winners():
@@ -270,18 +277,16 @@ def test_parity_solver_agrees_with_the_two_call_recursion():
 
 
 def test_product_builder_names_bad_automata():
-    from mullergames.automata import Automaton
-
     condition = MullerCondition(Alphabet("ab"), [["a"]])
     game = GameGraph([("x", EXIST)], [("x", "a", "x"), ("x", "b", "x")], "x", condition)
     parity = ParityCondition(Alphabet(["1"]), {"1": 1})
-    incomplete = Automaton([0], Alphabet("ab"), [0], [(0, "a", "1", 0)], parity)
+    incomplete = named_automaton([0], Alphabet("ab"), [0], [(0, "a", "1", 0)], parity)
     with pytest.raises(GameError, match="automaton is not complete: no 'b'-transition from 0"):
         product_with_automaton(game, incomplete)
-    foreign = Automaton([0], Alphabet("a"), [0], [(0, "a", "1", 0)], parity)
+    foreign = named_automaton([0], Alphabet("a"), [0], [(0, "a", "1", 0)], parity)
     with pytest.raises(GameError, match="alphabet mismatch between game condition and automaton"):
         _build_product(game, foreign, [0])
-    two_initial = Automaton([0, 1], Alphabet("ab"), [0, 1], [], parity)
+    two_initial = named_automaton([0, 1], Alphabet("ab"), [0, 1], [], parity)
     with pytest.raises(GameError, match="single initial state"):
         product_with_automaton(game, two_initial)
 
@@ -296,7 +301,7 @@ def test_solve_parity_trivial_even_loop():
     )
     solution = solve_parity_game(game)
     assert solution.winners["x"] == EXIST
-    assert solution.exist_strategy["x"] == GameEdge("x", "2", "x")
+    assert exist_strategy(solution)["x"] == GameEdge("x", "2", "x")
 
 
 def test_solve_parity_univ_picks_odd():
@@ -308,7 +313,7 @@ def test_solve_parity_univ_picks_odd():
     )
     solution = solve_parity_game(game)
     assert solution.winners["u"] == UNIV
-    assert solution.univ_strategy["u"] == GameEdge("u", "1", "u")
+    assert univ_strategy(solution)["u"] == GameEdge("u", "1", "u")
 
 
 def test_solve_parity_on_parity_product(running_condition):
@@ -334,7 +339,7 @@ def test_solve_parity_mixed_game():
     solution = solve_parity_game(game)
     # Exist can cycle a->b->a with priorities {2,1}: max 2, even.
     assert solution.winners["a"] == EXIST
-    assert solution.exist_strategy["a"] == GameEdge("a", "2", "b")
+    assert exist_strategy(solution)["a"] == GameEdge("a", "2", "b")
 
 
 @pytest.mark.parametrize(
@@ -403,9 +408,9 @@ def solved_rabin(game):
     """The solver's region and strategy, after checking the region against
     the reference solver and that the strategy covers Exist's part of it."""
     solution = positional_rabin_strategy(game)
-    assert solution.region == _rabin_region_via_parity(game)
-    assert set(solution.exist_strategy) == {
-        v for v in solution.region if game.owner(v) == EXIST
+    assert region(solution) == _rabin_region_via_parity(game)
+    assert set(exist_strategy(solution)) == {
+        v for v in region(solution) if owner(game, v) == EXIST
     }
     return solution
 
@@ -452,15 +457,15 @@ def test_positional_rabin_all_green():
         all_green_condition(),
     )
     solution = solved_rabin(game)
-    assert solution.region == {"x", "y"}
-    assert set(solution.exist_strategy) == {"x", "y"}
+    assert region(solution) == {"x", "y"}
+    assert set(exist_strategy(solution)) == {"x", "y"}
 
 
 def test_positional_rabin_on_gfg_product(running_condition):
     gfg = build_gfg_rabin(running_condition)
     product = product_with_automaton(one_vertex_abc_game(running_condition), gfg.automaton)
     solution = solved_rabin(product.game)
-    assert product.game.initial in solution.region
+    assert product.game.initial in region(solution)
 
 
 def test_positional_rabin_losing_region_empty_domain():
@@ -472,8 +477,8 @@ def test_positional_rabin_losing_region_empty_domain():
         cond,
     )
     solution = solved_rabin(game)
-    assert solution.region == frozenset()
-    assert solution.exist_strategy == {}
+    assert region(solution) == frozenset()
+    assert exist_strategy(solution) == {}
 
 
 def test_positional_rabin_requires_pair_switching():
@@ -493,7 +498,7 @@ def test_positional_rabin_requires_pair_switching():
         cond,
     )
     solution = solved_rabin(game)
-    assert solution.region == {"u", "a", "b"}
+    assert region(solution) == {"u", "a", "b"}
 
 
 def test_positional_rabin_agrees_with_parity_reference():
@@ -502,7 +507,7 @@ def test_positional_rabin_agrees_with_parity_reference():
     for _ in range(3000):
         game = random_rabin_game(rng, list("abcd"[: rng.randint(1, 4)]))
         solution = solved_rabin(game)
-        regions.add((len(solution.region), len(game.vertices)))
+        regions.add((len(region(solution)), len(game.vertices)))
     # Both empty, partial and full regions occur.
     assert any(k == 0 for k, _ in regions)
     assert any(0 < k < n for k, n in regions)
@@ -678,7 +683,7 @@ def test_solve_muller_builds_one_tree(running_condition, monkeypatch):
 def test_verify_strategy_rejects_bad_loop(running_condition):
     game = one_vertex_abc_game(running_condition)
     edge_c = GameEdge("x", "c", "x")
-    bad = MemoryStructure.from_names(
+    bad = memory_from_names(
         game,
         (1,),
         1,
@@ -695,7 +700,7 @@ def test_verify_strategy_forced_win(running_condition):
         "u",
         running_condition,
     )
-    memory = MemoryStructure.from_names(game, (1,), 1, {(1, e): 1 for e in game.edges}, {})
+    memory = memory_from_names(game, (1,), 1, {(1, e): 1 for e in game.edges}, {})
     assert verify_strategy(memory, running_condition)
 
 
@@ -703,11 +708,11 @@ def test_verify_strategy_validates_moves(running_condition):
     game = one_vertex_abc_game(running_condition)
     foreign = GameEdge("x", "d", "x")
     with pytest.raises(GameError, match="strategy at \\(1, 'x'\\) is not a move of 'x'"):
-        MemoryStructure.from_names(
+        memory_from_names(
             game, (1,), 1, {(1, e): 1 for e in game.edges}, {(1, "x"): foreign}
         )
     with pytest.raises(GameError, match=r"memory update missing for \(1, GameEdge\(src='x'"):
-        MemoryStructure.from_names(game, (1,), 1, {}, {(1, "x"): game.edges[0]})
+        memory_from_names(game, (1,), 1, {}, {(1, "x"): game.edges[0]})
 
 
 def test_memory_is_held_to_its_declared_states(running_condition):
@@ -718,9 +723,9 @@ def test_memory_is_held_to_its_declared_states(running_condition):
     assert any(update[(1, e)] == 2 for e in game.edges)
     # Declared with one state, the memory still updates to state 2.
     with pytest.raises(GameError, match="undeclared state 2"):
-        MemoryStructure.from_names(game, (1,), 1, update, strategy)
+        memory_from_names(game, (1,), 1, update, strategy)
     with pytest.raises(GameError, match="initial memory state 3"):
-        MemoryStructure.from_names(game, memory.states, 3, update, strategy)
+        memory_from_names(game, memory.states, 3, update, strategy)
 
 
 def test_verdicts_agree_with_a_tree_and_with_tables():
@@ -743,9 +748,9 @@ def test_verdicts_agree_with_a_tree_and_with_tables():
             decided += 1
         # The solver's memory when Exist wins, and a one-state memory that
         # always takes a vertex's first move.
-        first = {(0, v): game.out(v)[0] for v in game.exist_vertices()}
+        first = {(0, v): out(game, v)[0] for v in exist_vertices(game)}
         memories = [
-            MemoryStructure.from_names(game, (0,), 0, {(0, e): 0 for e in game.edges}, first)
+            memory_from_names(game, (0,), 0, {(0, e): 0 for e in game.edges}, first)
         ]
         solution = solve_muller_game(game, tree)
         if solution.memory is not None:
@@ -808,7 +813,7 @@ def test_checks_accept_an_equal_rabin_or_parity_condition():
     ]
     for make, others in cases:
         game = GameGraph([("x", EXIST)], [tuple(loop)], "x", make())
-        memory = MemoryStructure.from_names(game, (0,), 0, {(0, loop): 0}, {(0, "x"): loop})
+        memory = memory_from_names(game, (0,), 0, {(0, loop): 0}, {(0, "x"): loop})
         twin = make()
         assert twin is not game.condition
         assert twin == game.condition and hash(twin) == hash(game.condition)
@@ -825,13 +830,13 @@ def test_parity_positional_passes_verify(running_condition):
     solution = solve_parity_game(product.game)
     game = product.game
     strategy = {
-        (1, v): solution.exist_strategy[v]
+        (1, v): exist_strategy(solution)[v]
         for v in game.vertices
-        if game.owner(v) == EXIST and solution.winners[v] == EXIST
+        if owner(game, v) == EXIST and solution.winners[v] == EXIST
     }
-    for v in game.exist_vertices():
-        strategy.setdefault((1, v), game.out(v)[0])
-    memory = MemoryStructure.from_names(game, (1,), 1, {(1, e): 1 for e in game.edges}, strategy)
+    for v in exist_vertices(game):
+        strategy.setdefault((1, v), out(game, v)[0])
+    memory = memory_from_names(game, (1,), 1, {(1, e): 1 for e in game.edges}, strategy)
     assert verify_strategy(memory, game.condition)
 
 
@@ -929,7 +934,7 @@ def test_brute_force_budget_names_its_size(running_condition):
 
 def test_is_chromatic_examples(running_condition):
     game = alternation_game(running_condition)
-    by_colour = MemoryStructure.from_names(
+    by_colour = memory_from_names(
         game,
         (1, 2),
         1,
@@ -951,7 +956,7 @@ def test_is_chromatic_examples(running_condition):
         "u",
         running_condition,
     )
-    edge_sensitive = MemoryStructure.from_names(
+    edge_sensitive = memory_from_names(
         two_b_edges,
         (1, 2),
         1,
@@ -1051,7 +1056,7 @@ def test_epsilon_never_sole_cycle_in_products(running_condition):
         # GameGraph construction would have raised otherwise; assert again
         # structurally on the product.
         eps_succ = {
-            v: [e.dst for e in product.game.out(v) if e.colour is None]
+            v: [e.dst for e in out(product.game, v) if e.colour is None]
             for v in product.game.vertices
         }
         for comp in strongly_connected_components(
@@ -1073,8 +1078,8 @@ def test_game_documents(tmp_path, running_condition):
         "initial": "u",
     }
     game = game_from_dict(doc, running_condition)
-    assert game.owner("u") == UNIV
-    assert game.out("x")[0].colour is None
+    assert owner(game, "u") == UNIV
+    assert out(game, "x")[0].colour is None
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
     assert load_game(str(path), running_condition).vertices == game.vertices
@@ -1133,15 +1138,15 @@ def named_memories(condition, names=STRING_NAMES):
             yield solution.memory
             seen["solved"] += 1
         states = ("m'", "m", "m10")
-        yield MemoryStructure.from_names(
+        yield memory_from_names(
             game,
             states,
             "m",
             {(m, e): rng.choice(states) for m in states for e in game.edges},
-            {(m, x): rng.choice(game.out(x)) for m in states for x in game.exist_vertices()},
+            {(m, x): rng.choice(out(game, x)) for m in states for x in exist_vertices(game)},
         )
         seen["str states"] += 1
-        seen["no exist"] += not game.exist_vertices()
+        seen["no exist"] += not exist_vertices(game)
         seen["silent"] += any(e.colour is None for e in game.edges)
         seen["repr order"] += "v1" in chosen and "v1'" in chosen
 
@@ -1161,7 +1166,7 @@ def test_memory_names_round_trip(running_condition):
     for memory in named_memories(running_condition):
         doc = memory_to_dict(memory)
         update, strategy = named_tables(doc)
-        again = MemoryStructure.from_names(
+        again = memory_from_names(
             memory.game, doc["states"], doc["initial"], update, strategy
         )
         assert (again.states, again.start, again.choice, again.update) == (

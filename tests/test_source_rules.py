@@ -3,7 +3,8 @@
 An `assert` vanishes under `python -O`, and an `AssertionError` escapes the
 CLI's error handling as a traceback with exit code 1.  Internal faults raise
 the typed error of their stage instead, with a message that starts with
-"internal:".
+"internal:".  And a module imports only names it reads, so an import left
+behind when code moves out of the package is caught.
 """
 
 import ast
@@ -38,5 +39,37 @@ def test_no_module_asserts():
         f"{path.name}:{line}: {kind}"
         for path in modules
         for line, kind in assertion_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def unused_imports(tree):
+    """(line, name) of every name an import binds that the module never
+    reads; `from __future__` imports are skipped."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend((node.lineno, alias.asname or alias.name) for alias in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    sample = "from __future__ import annotations\nimport os, re as r\nfrom x import a, b\n"
+    sample += "print(os, a)\n"
+    assert unused_imports(ast.parse(sample)) == [(2, "r"), (3, "b")]
+    modules = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
+    assert len(modules) >= 8
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in modules
+        for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []

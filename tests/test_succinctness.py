@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mullergames.automata import Automaton, Transition
+from mullergames.automata import Transition
 from mullergames.conditions import (
     Alphabet,
     ConditionError,
@@ -29,6 +29,7 @@ from conftest import (
     det_rabin_lower_bound,
     fscc,
     independent_bound_chi,
+    named_automaton,
     rabin_from_parity,
     random_muller_condition,
     transitions_from,
@@ -177,7 +178,7 @@ def test_fscc_examples(running_condition):
     parity = build_parity_automaton(running_condition)
     assert fscc(parity, ["a"]) == {frozenset({3}), frozenset({4})}
     assert fscc(parity, ["a", "b", "c"]) == {frozenset({3, 4, 5})}
-    single = Automaton(
+    single = named_automaton(
         ["q"],
         Alphabet("a"),
         ["q"],
@@ -188,7 +189,7 @@ def test_fscc_examples(running_condition):
 
 
 def test_fscc_requires_defined_transitions():
-    partial = Automaton(
+    partial = named_automaton(
         [0],
         Alphabet("ab"),
         [0],
@@ -230,7 +231,7 @@ def test_fscc_outputs_are_closed_and_disjoint(running_condition):
 
 def deterministic_rabin_for_f4():
     parity = build_parity_automaton(condition_fn(4))
-    return Automaton(
+    return named_automaton(
         parity.states,
         parity.alphabet,
         parity.initial,
@@ -262,7 +263,7 @@ def test_disjoint_fscc_on_correct_automaton():
 def test_disjoint_fscc_refutes_undersized_automaton():
     cond = condition_fn(4)
     colours = Alphabet(["x"])
-    tiny = Automaton(
+    tiny = named_automaton(
         [0],
         cond.alphabet,
         [0],

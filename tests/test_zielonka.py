@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mullergames.conditions import Alphabet, ConditionError, MullerCondition, restrict
+from mullergames.succinctness import condition_fn
 from mullergames.zielonka import ZielonkaTree, build_zielonka
 from conftest import (
     ReferenceZielonkaTree,
@@ -203,6 +204,15 @@ def test_step_table_matches_parent_pointer_walk():
         for leaf in tree.leaves():
             for letter in cond.alphabet:
                 assert tree.step(leaf, letter) == reference_step(tree, leaf, letter)
+
+
+def test_step_table_is_built_on_first_read():
+    # The `zielonka` and `succinctness` commands never read the table.
+    tree = build_zielonka(condition_fn(10))
+    assert "step_table" not in tree.__dict__
+    table = tree.step_table
+    assert tree.__dict__["step_table"] is table is tree.step_table
+    assert tuple(table) == tree.leaves()
 
 
 def test_leaf_tables_match_recursive_descent():
