@@ -1,9 +1,10 @@
-"""Small graph helpers shared across modules: reachability and Tarjan SCCs
-on dense node ids."""
+"""Small graph helpers shared across modules: reachability, Tarjan SCCs
+on dense node ids, and `refined_cores`, the one cycle search that the
+games' certificates and the Rabin lasso checker share."""
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -76,3 +77,47 @@ def dense_components(
                     lows[-1] = low
     return out
 
+
+def refined_cores(
+    out: Sequence[Sequence[tuple[int, int]]],
+    refine: Callable[[int], Optional[Iterable[int]]],
+    roots: Sequence[int],
+    allowed: int = -1,
+) -> Iterator[list[int]]:
+    """The strongly connected sets reachable from `roots` whose colour masks
+    `refine` answers with None.  `out[v]` lists v's (w, colour bits) edges,
+    bits 0 for a silent one; a mask keeps the edges whose bits it holds,
+    starting from `allowed`.  A component's mask is the OR of its inner
+    edges, which a play can all take forever; otherwise `refine` returns
+    masks, each holding a proper subset of it, to search the component under.
+    """
+    # Narrower masks keep fewer edges, so no search reaches a node the one
+    # before left unvisited; `index` keeps each finished node at len(out).
+    index = [-1] * len(out)
+    component = [0] * len(out)
+    found = 0
+    work = [(roots, allowed)]
+    while work:
+        members, allowed = work.pop()
+        blocked = ~allowed
+        for v in members:
+            index[v] = -1
+        for comp in dense_components(
+            lambda v: [w for w, bits in out[v] if not bits & blocked], members, index
+        ):
+            found += 1
+            for v in comp:
+                component[v] = found
+            inner = False
+            mask = 0
+            for v in comp:
+                for w, bits in out[v]:
+                    if component[w] == found and not bits & blocked:
+                        inner = True
+                        mask |= bits
+            parts = refine(mask) if inner else ()
+            if parts is None:
+                yield comp
+            else:
+                for part in parts:
+                    work.append((comp, part & mask))

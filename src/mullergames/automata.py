@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from ._graph import dense_components, reachable
+from ._graph import reachable, refined_cores
 from .conditions import (
     Alphabet,
     AnyCondition,
@@ -307,9 +307,9 @@ class RabinLassoChecker(_LassoChecker):
     """Nondeterministic membership oracle for Rabin automata.
 
     For each new period it builds the graph of (state, phase) nodes once
-    and searches it, pair by pair, for a reachable cycle that avoids the
-    pair's red colours and uses one of its greens.  A node's red edges are
-    filtered out only when the search reaches it.
+    and asks the shared cycle search (`_graph.refined_cores`), pair by pair,
+    for the components reachable from a green edge that avoid the pair's
+    red colours and hold a green one, filtering red edges lazily.
     """
 
     def __init__(
@@ -318,56 +318,34 @@ class RabinLassoChecker(_LassoChecker):
         if not isinstance(acceptance, RabinCondition):
             raise AutomatonError("lasso membership oracle expects Rabin acceptance")
         super().__init__(table, initial, alphabet, acceptance)
+        self._seen = [[sum({b for b, _ in cell}) for cell in row] for row in self._table]
 
     def _verdicts(self, period: list[int]) -> list[bool]:
         length = len(period)
-        # Node s * length + i is state s at phase i of the period; `bits`
-        # holds the colour bit of each edge in `succ`, and `seen` their OR.
-        succ: list[list[int]] = []
-        bits: list[list[int]] = []
-        seen: list[int] = []
-        for row in self._table:
-            for i, a in enumerate(period):
-                phase = (i + 1) % length
-                moves = row[a]
-                succ.append([nxt * length + phase for _, nxt in moves])
-                colours = [b for b, _ in moves]
-                bits.append(colours)
-                mask = 0
-                for b in colours:
-                    mask |= b
-                seen.append(mask)
-        present = 0
-        for mask in seen:
-            present |= mask
+        # Node s * length + i is state s at phase i of the period; `out` holds
+        # its (next node, colour bit) edges, and `seen` their OR, which
+        # `_seen` holds per (state, letter) as the sum of the distinct bits.
+        out = [
+            [(nxt * length + (i + 1) % length, b) for b, nxt in row[a]]
+            for row in self._table
+            for i, a in enumerate(period)
+        ]
+        seen = [masks[a] for masks in self._seen for a in period]
+        present = sum({b for edges in out for _, b in edges})
         winning: set[int] = set()
         for green, red in self._acceptance.pairs:
             if not green & present:
                 continue
-
-            def safe(n: int) -> list[int]:
-                if not seen[n] & red:
-                    return succ[n]
-                return [d for d, b in zip(succ[n], bits[n]) if not b & red]
-
             # Only a component holding a green edge wins, and the search
             # from that edge's source finds it.
             sources = [n for n, mask in enumerate(seen) if mask & green]
-            for component in dense_components(safe, sources, [-1] * len(succ)):
-                members = set(component)
-                # Green and red are disjoint, so a green edge is never red.
-                if any(
-                    b & green and d in members
-                    for n in component
-                    if seen[n] & green
-                    for d, b in zip(succ[n], bits[n])
-                ):
-                    winning.update(component)
+            for core in refined_cores(out, lambda m: None if m & green else [], sources, ~red):
+                winning.update(core)
         # A lasso from s is accepted iff some winning cycle is reachable
         # from (s, 0) in the full period graph.
-        preds: list[list[int]] = [[] for _ in succ]
-        for n, out in enumerate(succ):
-            for d in out:
+        preds: list[list[int]] = [[] for _ in out]
+        for n, edges in enumerate(out):
+            for d, _ in edges:
                 preds[d].append(n)
         good = reachable(winning, preds.__getitem__)
         return [s * length in good for s in range(len(self._table))]
@@ -561,6 +539,8 @@ def parse_hoa(text: str) -> Automaton:
 
     states_value, states_no, states_line = header("States")
     n_states = integer(states_value, states_no, states_line)
+    if n_states < 0:
+        raise AutomatonError(f"HOA line {states_no}: negative state count in {states_line!r}")
 
     def state(value: str, no: int, line: str, what: str) -> int:
         s = integer(value, no, line)

@@ -48,8 +48,9 @@ from .succinctness import (
 )
 from .zielonka import build_zielonka
 
-# `check` refuses to run more lassos than this; 10^7 of them take minutes.
-LASSO_LIMIT = 10**7
+# `check` refuses to run more lassos than this (10^7 take minutes), or to read
+# more period letters than two or more letters ever do within it (two, bound 19).
+LASSO_LIMIT, LETTER_LIMIT = 10**7, 132_120_590
 
 
 def _write(path: str, text: str) -> None:
@@ -104,11 +105,14 @@ def cmd_build(args) -> int:
     return 0
 
 
-def lasso_count(letters: int, bound: int) -> int:
-    """How many lassos `check` runs: (1 + |A| + |A|^2) prefixes times the
-    |A| + |A|^2 + ... + |A|^bound periods."""
-    periods = bound if letters == 1 else (letters ** (bound + 1) - letters) // (letters - 1)
-    return (1 + letters + letters * letters) * periods
+def sweep_size(letters: int, bound: int) -> tuple[int, int]:
+    """How many lassos `check` runs and period letters it reads: each of the
+    1 + |A| + |A|^2 prefixes with the |A|^L periods of each length L <= bound."""
+    prefixes = 1 + letters + letters * letters
+    if letters == 1:
+        return prefixes * bound, prefixes * bound * (bound + 1) // 2
+    periods = [letters**n for n in range(1, bound + 1)]
+    return prefixes * sum(periods), prefixes * sum(n * p for n, p in enumerate(periods, 1))
 
 
 def cmd_check(args) -> int:
@@ -132,15 +136,18 @@ def cmd_check(args) -> int:
     # Two or more letters pass the limit from bound 20 on; counting period
     # lengths up to 64 keeps the number short.
     counted = bound if letters == 1 else min(bound, 64)
-    lassos = lasso_count(letters, counted)
-    if lassos > LASSO_LIMIT:
-        more = "more than " if counted < bound else ""
-        print(
-            f"error: check would run {more}{lassos:,} lassos (bound {bound}), over the "
-            f"limit of {LASSO_LIMIT:,}; pass a smaller --bound",
-            file=sys.stderr,
-        )
-        return 2
+    lassos, read = sweep_size(letters, counted)
+    more = "more than " if counted < bound else ""
+    for verb, size, what, limit in (
+        ("run", lassos, "lassos", LASSO_LIMIT), ("read", read, "period letters", LETTER_LIMIT)
+    ):
+        if size > limit:
+            print(
+                f"error: check would {verb} {more}{size:,} {what} (bound {bound}), over the "
+                f"limit of {limit:,}; pass a smaller --bound",
+                file=sys.stderr,
+            )
+            return 2
     if args.automaton == "self":
         # One tree serves both automata.  The parity automaton is built
         # first: `gfg.tree` is that same tree, and an edit made through it

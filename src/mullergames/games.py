@@ -26,11 +26,11 @@ products must agree on the initial vertex's winner.
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
 whether a one-player graph has a cycle whose colour set the condition
-rejects.  It refines strongly connected components by the `refine` of a
-Rabin or parity condition, or of a Muller condition's Zielonka tree, so
-it takes polynomial time where a scan of colour subsets would take
-2^colours passes.  It runs on node indices, and one array kernel
-(`_graph.dense_components`) finds the components of every refinement.
+rejects.  It runs the cycle search it shares with the Rabin lasso checker,
+`_graph.refined_cores`, which refines strongly connected components by the
+`refine` of a Rabin or parity condition, or of a Muller condition's
+Zielonka tree: polynomial time, where a scan of colour subsets would take
+2^colours passes.
 
 A memory structure lives on the same ids: a choice table and an update
 table over the game's arena, which `memory_from_gfg` writes straight from
@@ -49,7 +49,7 @@ from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from ._graph import dense_components
+from ._graph import dense_components, refined_cores
 from .automata import Automaton, condition_colours
 from .conditions import (
     AnyCondition,
@@ -499,54 +499,21 @@ def _rejected_core(
     out: Sequence[Sequence[tuple[int, int]]],
     refine: Callable[[int], Optional[Sequence[int]]],
 ) -> Optional[frozenset]:
-    """A strongly connected set of nodes whose colours a play can repeat
-    forever and the condition rejects, or None if there is none.
+    """The first set `refined_cores` finds of nodes whose colours a play can
+    repeat forever and `refine` rejects, or None.  `out[i]` lists the (j,
+    colour bit) edges from the i-th node to the j-th, bit 0 for a silent one."""
 
-    The graph is on node indices: `out[i]` lists (j, colour bit) pairs, one
-    per edge from the i-th node to the j-th, bit 0 for a silent edge.  A
-    play can stay in a component forever and take every one of its edges,
-    so the component's colour mask is realisable.  `refine(mask)` returns
-    None when that mask is rejected, and otherwise masks, each a proper
-    subset of it, that between them contain every rejected subset; the
-    component is searched again under each.
-    """
+    def checked(mask: int) -> Optional[Sequence[int]]:
+        if not mask:
+            raise GameError("silent-only recurrence set; the arena is malformed")
+        parts = refine(mask)
+        if any(part & mask == mask for part in parts or ()):  # it would loop forever
+            raise GameError("internal: a refinement kept the whole colour set")
+        return parts
+
     names = list(nodes)
-    done = len(names)
-    # Nodes outside the work item keep index `done`, which the kernel
-    # skips; `component` numbers the components found so far.
-    index = [done] * done
-    succ: list = [()] * done
-    component = [0] * done
-    found = 0
-    work: list = [(range(done), -1)]
-    while work:
-        members, allowed = work.pop()
-        for v in members:
-            index[v] = -1
-            succ[v] = [j for j, bit in out[v] if not bit or bit & allowed]
-        for comp in dense_components(succ.__getitem__, members, index):
-            found += 1
-            for v in comp:
-                component[v] = found
-            inner = False
-            mask = 0
-            for v in comp:
-                for j, bit in out[v]:
-                    if component[j] == found and (not bit or bit & allowed):
-                        inner = True
-                        mask |= bit
-            if not inner:
-                continue
-            if not mask:
-                raise GameError("silent-only recurrence set; the arena is malformed")
-            parts = refine(mask)
-            if parts is None:
-                return frozenset(names[v] for v in comp)
-            for part in parts:
-                if part & mask == mask:  # would search the same component forever
-                    raise GameError("internal: a refinement kept the whole colour set")
-                work.append((comp, part & mask))
-    return None
+    core = next(refined_cores(out, checked, range(len(names))), None)
+    return None if core is None else frozenset(names[v] for v in core)
 
 
 def _node_bits(arena: Arena) -> list[int]:

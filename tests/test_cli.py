@@ -204,6 +204,15 @@ def test_cmd_check_refuses_too_many_lassos(capsys, tmp_path):
     assert "378,417,930 lassos" in captured.err and "--bound" in captured.err
     assert main(["check", str(path), "--bound", "1000000000"]) == 2
     assert "more than" in capsys.readouterr().err
+    # One letter at bound 9,385: 28,155 lassos, but 3 prefixes times
+    # 44,043,805 period letters, whose sweep costs the square of the bound.
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"alphabet": ["a"], "accepting": [["a"]]}))
+    assert main(["check", str(one), "--bound", "9385"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "132,131,415 period letters (bound 9385)" in captured.err
 
 
 def per_lasso_line(condition, verdicts, bound):
@@ -563,8 +572,9 @@ def test_cmd_check_reports_malformed_hoa(capsys, condition_file, tmp_path, old, 
         ("Start: 0", "Start: 9", "HOA line 3: initial state 9 is not one of the 3 declared"),
         ("Start: 0\n", "", "HOA document has no 'Start:' header line"),
         ('"b" "c"', '"a" "c"', "HOA line 4: alphabet symbols must be unique"),
+        ("States: 3", "States: -1", "HOA line 2: negative state count in 'States: -1'"),
     ],
-    ids=["unknown-target", "unknown-start", "missing-start", "duplicate-ap"],
+    ids=["unknown-target", "unknown-start", "missing-start", "duplicate-ap", "negative-states"],
 )
 def test_cmd_check_names_the_hoa_line_of_an_error(
     capsys, condition_file, tmp_path, old, new, message
