@@ -7,8 +7,9 @@ the builders and `parse_hoa` write and the lasso checkers, HOA/DOT export
 and `simplify_rabin` read; its named `transitions` are made only when first
 read.
 The checkers run one verdict search per Lyndon root of the periods and
-each prefix once, so sweeping many lassos shares both.  Duplicated edges
-can be merged without changing the language.
+each prefix once, so sweeping many lassos shares both; a checker whose
+every state gives each root the condition's verdict agrees on every lasso.
+Duplicated edges can be merged without changing the language.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ._graph import reachable, refined_cores
 from .conditions import (
@@ -172,6 +173,21 @@ def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
     )
 
 
+def lyndon_words(letters: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Every Lyndon word of length 1..bound over letter ids 0..letters-1 (the
+    least rotation of each primitive word, once), in lexicographic order, by
+    Duval's algorithm."""
+    word = [-1]
+    while word:
+        word[-1] += 1
+        yield tuple(word)
+        size = len(word)
+        while len(word) < bound:
+            word.append(word[len(word) - size])
+        while word and word[-1] == letters - 1:
+            word.pop()
+
+
 class _LassoChecker:
     """Membership oracle on lasso words u v^omega over an integer table.
 
@@ -183,6 +199,11 @@ class _LassoChecker:
     for the Lyndon root r of v and a prefix t of v, `_verdicts` runs once
     per root and v's verdicts step back from r's through t.  Each prefix is
     run once, so sweeping many lassos shares both.
+
+    So when every state gives each root the condition's verdict on its
+    letters, there is a start state and no cell is empty, every lasso gets
+    that verdict from every prefix: `agrees_on_roots` tells, and `accepts`
+    is needed only to name a lasso that fails.
     """
 
     def __init__(
@@ -213,15 +234,33 @@ class _LassoChecker:
                 return True
         return False
 
+    def agrees_on_roots(self, roots: Iterable[tuple[Sequence[int], bool]]) -> bool:
+        """Whether every lasso whose period has one of `roots` as its Lyndon
+        root gets that root's verdict, from every prefix: `roots` holds
+        (Lyndon word as letter ids, expected verdict) pairs.  Each root is
+        searched, so a later sweep searches none again."""
+        # A verdict every state shares survives the steps back through any
+        # prefix t of a period when no cell is empty, and then every prefix
+        # of a lasso reaches some state when there is a start state.
+        agree = bool(self._prefix_memo[()]) and all(cell for row in self._table for cell in row)
+        for root, expected in roots:
+            if any(verdict != expected for verdict in self._root_verdicts("".join(map(chr, root)))):
+                agree = False
+        return agree
+
+    def _root_verdicts(self, lyndon: str) -> list[bool]:
+        verdict = self._root_memo.get(lyndon)
+        if verdict is None:
+            verdict = self._root_memo[lyndon] = self._verdicts(list(map(ord, lyndon)))
+        return verdict
+
     def _period_verdicts(self, period: list[int]) -> list[bool]:
         # v = s^k for its primitive root s, and s^omega = s[:i] r^omega for
         # the least rotation r = s[i:] + s[:i], a Lyndon word.
         word = "".join(map(chr, period))
         root = word[: (word + word).find(word, 1)]
         lyndon, i = min((root[j:] + root[:j], j) for j in range(len(root)))
-        verdict = self._root_memo.get(lyndon)
-        if verdict is None:
-            verdict = self._root_memo[lyndon] = self._verdicts(list(map(ord, lyndon)))
+        verdict = self._root_verdicts(lyndon)
         # A state accepts a.x when one of its moves on a reaches a state
         # that accepts x.
         for a in reversed(period[:i]):
@@ -441,9 +480,10 @@ def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]
     if isinstance(acceptance, RabinCondition):
         # Row m of `table` selects the colours that carry mark m, one 0/1
         # byte per colour, so table[c::width] is colour c's selector over
-        # the marks.  The sort key writes a held mark as 1 and a missing one
-        # as 2 up to the last held mark, so keys sort as the mark tuples do.
-        width = len(acceptance.colours)
+        # the marks: red bytes at even places, green at odd.  The sort key
+        # writes a held mark as 1 and a missing one as 2 up to the last held
+        # mark, so keys sort as the mark tuples do.
+        width, pairs = len(acceptance.colours), len(acceptance.pairs)
         bits = bytes.maketrans(b"01", b"\0\1")
         rows = [
             format(mask, f"0{width}b")[::-1].encode().translate(bits)
@@ -451,13 +491,33 @@ def _hoa_marks(automaton: Automaton) -> tuple[dict[int, str], dict[int, object]]
             for mask in (red, green)
         ]
         table = b"".join(rows)
-        marks = [str(m) for m in range(len(rows))]
+        # Red marks 2i..2j-2 are the one slice evens[at[i]:at[j]]: in GFG
+        # automata red marks come in long runs and green ones are few.
+        reds = [f"{2 * i} " for i in range(pairs)]
+        at = list(accumulate(map(len, reds), initial=0))
+        evens = "".join(reds)
         ranks = bytes.maketrans(b"\0\1", b"\2\1")
         text, key = {}, {}
         for c in used:
             column = table[c::width]
-            joined = " ".join(compress(marks, column))
-            text[c] = " {%s}" % joined if joined else ""
+            red, green = column[0::2], column[1::2]
+            parts = []
+            i, g = 0, green.find(1)
+            while True:
+                # The red runs up to pair g's, then g's green mark 2g + 1.
+                end = pairs if g < 0 else g + 1
+                i = red.find(1, i, end)
+                while i >= 0:
+                    j = red.find(0, i, end)
+                    j = end if j < 0 else j
+                    parts.append(evens[at[i] : at[j]])
+                    i = red.find(1, j, end)
+                if g < 0:
+                    break
+                parts.append(f"{2 * g + 1} ")
+                i, g = end, green.find(1, end)
+            joined = "".join(parts)
+            text[c] = " {%s}" % joined[:-1] if joined else ""
             key[c] = column.rstrip(b"\0").translate(ranks)
         return text, key
     if isinstance(acceptance, ParityCondition):

@@ -17,6 +17,7 @@ from .automata import (
     export_dot,
     export_hoa,
     has_duplicated_edges,
+    lyndon_words,
     parse_hoa,
     simplify_rabin,
 )
@@ -120,9 +121,13 @@ def cmd_check(args) -> int:
     and 1 <= |v| <= bound, and print the first failure in the order of u,
     then |v|, then v, then checker.
 
-    The expected verdict is computed once per period.  Each checker runs
-    one verdict search per Lyndon root and is asked once per period and
-    class of prefixes that reach the same states.  `self` checks the GFG
+    Each checker first gives every state's verdict on every Lyndon root of
+    length <= bound, one search per root.  A checker with a start state, a
+    move in every cell and each root's verdict from every state agrees on
+    every lasso (`_LassoChecker.agrees_on_roots`).  Only a checker that
+    disagrees runs the per-lasso sweep, which names its first failure: the
+    expected verdict once per period, and the checker asked once per period
+    and class of prefixes that reach the same states.  `self` checks the GFG
     Rabin automaton, the parity automaton and the resolver's leaf walk; a
     HOA file is checked alone, as `parity` when it has parity acceptance
     and as `rabin` otherwise, and nothing else is built for it.
@@ -174,29 +179,39 @@ def cmd_check(args) -> int:
         else:
             checkers = {"rabin": RabinLassoChecker.from_automaton(automaton)}
     symbols = condition.alphabet.symbols
-    prefixes = [p for length in range(3) for p in itertools.product(symbols, repeat=length)]
-    periods = [
-        (period, satisfies_muller(condition, period))
-        for length in range(1, bound + 1)
-        for period in itertools.product(symbols, repeat=length)
+    roots = [
+        (root, satisfies_muller(condition, [symbols[a] for a in root]))
+        for root in lyndon_words(letters, bound)
+    ]
+    suspects = [
+        (c, checker)
+        for c, checker in enumerate(checkers.values())
+        if not checker.agrees_on_roots(roots)
     ]
     found = []  # each failing checker's least (prefix index, period index, checker index)
-    for c, checker in enumerate(checkers.values()):
-        # Prefixes that reach the same states get the same verdicts: ask the first.
-        classes: dict[tuple[int, ...], int] = {}
-        for i, prefix in enumerate(prefixes):
-            classes.setdefault(checker._states_after(prefix), i)
-        for i, k in itertools.product(classes.values(), range(len(periods))):
-            if checker.accepts(LassoWord(prefixes[i], periods[k][0])) != periods[k][1]:
-                found.append((i, k, c))
-                break
+    if suspects:
+        prefixes = [p for length in range(3) for p in itertools.product(symbols, repeat=length)]
+        periods = [
+            (period, satisfies_muller(condition, period))
+            for length in range(1, bound + 1)
+            for period in itertools.product(symbols, repeat=length)
+        ]
+        for c, checker in suspects:
+            # Prefixes that reach the same states get the same verdicts: ask the first.
+            classes: dict[tuple[int, ...], int] = {}
+            for i, prefix in enumerate(prefixes):
+                classes.setdefault(checker._states_after(prefix), i)
+            for i, k in itertools.product(classes.values(), range(len(periods))):
+                if checker.accepts(LassoWord(prefixes[i], periods[k][0])) != periods[k][1]:
+                    found.append((i, k, c))
+                    break
     if found:
         i, k, c = min(found)
         period, expected = periods[k]
         w, name = LassoWord(prefixes[i], period), list(checkers)[c]
         print(f"counterexample: {w!r} expected {expected} but {name} gives {not expected}")
         return 1
-    print(f"pass: {len(prefixes) * len(periods)} lassos agree with the condition (bound {bound})")
+    print(f"pass: {lassos} lassos agree with the condition (bound {bound})")
     return 0
 
 

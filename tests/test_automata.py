@@ -6,6 +6,7 @@ import re
 import pytest
 
 from mullergames.automata import (
+    Automaton,
     AutomatonError,
     DeterministicLassoChecker,
     RabinLassoChecker,
@@ -14,6 +15,7 @@ from mullergames.automata import (
     export_hoa,
     has_duplicated_edges,
     hoa_signature,
+    lyndon_words,
     parse_hoa,
     run_deterministic,
     simplify_rabin,
@@ -553,6 +555,60 @@ def test_export_hoa_orders_shared_cells_as_the_reference_writer():
                 targets = [d for _, d in set(cell)]
                 shared += sum(1 for d in set(targets) if targets.count(d) > 1)
     assert shared >= 50
+
+
+def test_export_hoa_matches_the_reference_writer_on_random_marks():
+    # Seeded Rabin automata with 1-14 colours and 0-12 pairs: red runs long
+    # and short, pairs without red, colours with no mark, and cells that are
+    # empty or hold several moves.  The GFG automata of the pins above have
+    # only the marks of tree nodes.
+    rng = random.Random(3111)
+    seen = dict.fromkeys(["no red", "no mark", "empty cell", "shared cell"], 0)
+    for _ in range(2000):
+        width = rng.randint(1, 14)
+        pairs = []
+        for _ in range(rng.randint(0, 12)):
+            green_share, red_share = rng.choice([0.1, 0.3]), rng.choice([0.0, 0.5, 0.9])
+            green = sum(1 << c for c in range(width) if rng.random() < green_share)
+            red = sum(
+                1 << c for c in range(width) if not green >> c & 1 and rng.random() < red_share
+            )
+            pairs.append((green, red))
+            seen["no red"] += not red
+        states, letters = rng.randint(1, 4), rng.randint(1, 3)
+        moves = [
+            [
+                [(rng.randrange(width), rng.randrange(states)) for _ in range(rng.randint(0, 3))]
+                for _ in range(letters)
+            ]
+            for _ in range(states)
+        ]
+        colours = Alphabet([f"c{i}" for i in range(width)])
+        aut = Automaton(
+            range(states), Alphabet("abc"[:letters]), [0], moves, RabinCondition(colours, pairs)
+        )
+        assert export_hoa(aut) == reference_export_hoa(aut)
+        marked = 0
+        for green, red in pairs:
+            marked |= green | red
+        cells = [cell for row in moves for cell in row]
+        seen["no mark"] += any(not marked >> c & 1 for cell in cells for c, _ in cell)
+        seen["empty cell"] += any(not cell for cell in cells)
+        seen["shared cell"] += any(len(cell) > 1 for cell in cells)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_lyndon_words_are_the_least_rotations_of_primitive_words():
+    for letters in range(1, 5):
+        for bound in range(1, 6):
+            words = [
+                w
+                for n in range(1, bound + 1)
+                for w in itertools.product(range(letters), repeat=n)
+                if all(w < w[i:] + w[:i] for i in range(1, n))
+            ]
+            assert list(lyndon_words(letters, bound)) == sorted(words), (letters, bound)
+    assert len(list(lyndon_words(4, 4))) == 90
 
 
 def running_hoa_lines(running_condition):

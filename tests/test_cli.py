@@ -152,22 +152,45 @@ def test_cmd_check_counts_every_lasso(capsys, tmp_path):
     assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
 
 
-def test_cmd_check_searches_each_lyndon_root_once(capsys, monkeypatch, tmp_path):
-    # The 340 periods of length 1..4 over 4 letters have 4 + 6 + 20 + 60 = 90
-    # Lyndon roots, and each checker searches each root once.  The Rabin
-    # checker is asked once per period and class of prefixes reaching the
-    # same states.
-    from mullergames.automata import DeterministicLassoChecker, RabinLassoChecker
+def with_extra_state(automaton, row, start=False):
+    """`automaton` with one more state, whose moves on letter a are `row[a]`:
+    the only start state when `start`, and otherwise reached from none."""
+    from mullergames.automata import Automaton
+
+    extra = len(automaton.states)
+    return Automaton(
+        tuple(automaton.states) + ("extra",),
+        automaton.alphabet,
+        [extra] if start else automaton.start,
+        list(automaton.moves) + [row],
+        automaton.acceptance,
+    )
+
+
+def with_unreachable_state(automaton):
+    """`automaton` with a state reached from none that loops on every letter
+    with colour 0: it gives every period colour 0's verdict, so it disagrees
+    with any condition that accepts some letter sets and rejects others,
+    and no lasso's verdict changes."""
+    extra = len(automaton.states)
+    return with_extra_state(automaton, [[(0, extra)] for _ in automaton.alphabet])
+
+
+def four_letter_check_work(monkeypatch, tmp_path, edit=lambda automaton: automaton):
+    """Run `check --bound 4` on a 4-letter condition, with `edit` applied to
+    the GFG automaton, and return the GFG automaton checked and the work
+    done: each checker's verdict searches, the periods whose verdicts were
+    built and the lassos the Rabin checker was asked."""
+    from mullergames import cli
+    from mullergames.automata import DeterministicLassoChecker, RabinLassoChecker, _LassoChecker
     from mullergames.conditions import load_condition
     from mullergames.construction import build_gfg_rabin
-
-    from conftest import ReferenceRabinLassoChecker
 
     path = tmp_path / "four.json"
     path.write_text(
         json.dumps({"alphabet": ["a", "b", "c", "d"], "accepting": [["a", "b"], ["c"], ["a", "c", "d"]]})
     )
-    searches, asked = {}, []
+    searches, periods, asked = {}, [], []
     for cls in (DeterministicLassoChecker, RabinLassoChecker):
 
         def counting(self, period, verdicts=cls._verdicts):
@@ -175,22 +198,69 @@ def test_cmd_check_searches_each_lyndon_root_once(capsys, monkeypatch, tmp_path)
             return verdicts(self, period)
 
         monkeypatch.setattr(cls, "_verdicts", counting)
-    accepts = RabinLassoChecker.accepts
+    period_verdicts, accepts = _LassoChecker._period_verdicts, RabinLassoChecker.accepts
+
+    def counting_periods(self, period):
+        periods.append(period)
+        return period_verdicts(self, period)
 
     def counting_accepts(self, w):
         asked.append(w)
         return accepts(self, w)
 
+    monkeypatch.setattr(_LassoChecker, "_period_verdicts", counting_periods)
     monkeypatch.setattr(RabinLassoChecker, "accepts", counting_accepts)
+    gfg = build_gfg_rabin(load_condition(str(path)))
+    gfg.automaton = edit(gfg.automaton)
+    monkeypatch.setattr(cli, "build_gfg_rabin", lambda _tree: gfg)
     assert main(["check", str(path), "--bound", "4"]) == 0
+    return gfg.automaton, sorted(searches.values()), periods, asked
+
+
+def test_cmd_check_searches_each_lyndon_root_once(capsys, monkeypatch, tmp_path):
+    # The 340 periods of length 1..4 over 4 letters have 4 + 6 + 20 + 60 = 90
+    # Lyndon roots, and each checker searches each root once.  All states
+    # of every checker give each root the condition's verdict, so check
+    # builds no period's verdicts and asks no lasso.
+    _, searches, periods, asked = four_letter_check_work(monkeypatch, tmp_path)
     assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
-    assert sorted(searches.values()) == [90, 90, 90]
-    reference = ReferenceRabinLassoChecker(build_gfg_rabin(load_condition(str(path))).automaton)
-    symbols = "abcd"
-    prefixes = [p for n in range(3) for p in itertools.product(symbols, repeat=n)]
+    assert searches == [90, 90, 90]
+    assert asked == [] and periods == []
+
+
+def test_cmd_check_sweeps_a_checker_that_disagrees(capsys, monkeypatch, tmp_path):
+    # An unreachable state that disagrees makes the Rabin checker sweep: it
+    # is asked once per period and class of prefixes reaching the same
+    # states, and passes, as no lasso reaches that state.  Each checker
+    # still searches each of the 90 roots once.
+    from conftest import ReferenceRabinLassoChecker
+
+    automaton, searches, _, asked = four_letter_check_work(
+        monkeypatch, tmp_path, with_unreachable_state
+    )
+    assert capsys.readouterr().out == "pass: 7140 lassos agree with the condition (bound 4)\n"
+    assert searches == [90, 90, 90]
+    reference = ReferenceRabinLassoChecker(automaton)
+    prefixes = [p for n in range(3) for p in itertools.product("abcd", repeat=n)]
     classes = {reference._reach_after(prefix) for prefix in prefixes}
     assert 1 < len(classes) < len(prefixes)
     assert len(asked) == 340 * len(classes)
+
+
+def test_cmd_check_one_letter_builds_no_period(capsys, monkeypatch, tmp_path):
+    # One letter has one Lyndon root, `a`, whichever the bound: a passing
+    # run searches it once per checker and builds none of the periods
+    # a^1..a^9384, whose letters grow like the square of the bound.
+    from mullergames.automata import _LassoChecker
+
+    def refuse(self, period):
+        raise AssertionError("a passing check built a period's verdicts")
+
+    monkeypatch.setattr(_LassoChecker, "_period_verdicts", refuse)
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"alphabet": ["a"], "accepting": [["a"]]}))
+    assert main(["check", str(one), "--bound", "9384"]) == 0
+    assert capsys.readouterr().out == "pass: 28152 lassos agree with the condition (bound 9384)\n"
 
 
 def test_cmd_check_refuses_too_many_lassos(capsys, tmp_path):
@@ -373,6 +443,63 @@ def test_cmd_check_hoa_mutation_keeps_the_first_counterexample(capsys, tmp_path,
                 lines.append(out)
     assert lines, "no mutation was detected"
     assert any(not line.startswith("counterexample: (") for line in lines), lines
+
+
+def test_cmd_check_sweeps_what_the_root_searches_cannot_certify(capsys, monkeypatch, tmp_path):
+    # Two kinds of Rabin HOA mutation that check must sweep.  An added
+    # unreachable state disagrees with the condition on some root but
+    # changes no lasso's verdict, so check passes.  A copy of the start
+    # state with its moves on one letter dropped, made the start, leaves an
+    # empty cell: its other moves reach states that agree, so its root
+    # verdicts can all agree while a period read from the middle of a root
+    # finds no move.  check prints the per-lasso loop's line for each.
+    from mullergames.automata import RabinLassoChecker, export_hoa
+    from mullergames.cli import sweep_size
+    from mullergames.conditions import Alphabet, MullerCondition, condition_to_dict
+    from mullergames.construction import build_gfg_rabin
+
+    from conftest import ReferenceRabinLassoChecker, random_muller_condition
+
+    asked = []
+    accepts = RabinLassoChecker.accepts
+
+    def counting_accepts(self, w):
+        asked.append(w)
+        return accepts(self, w)
+
+    monkeypatch.setattr(RabinLassoChecker, "accepts", counting_accepts)
+    rng = random.Random(31)
+    running = MullerCondition(Alphabet("abc"), [["a", "b"], ["a", "c"], ["b"]])
+    conditions = [running] + [random_muller_condition(rng, Alphabet("abcd")) for _ in range(3)]
+    condition_path, hoa = tmp_path / "condition.json", tmp_path / "mutated.hoa"
+    outcomes = {"pass": 0, "counterexample": 0}
+    for condition in conditions:
+        condition_path.write_text(json.dumps(condition_to_dict(condition)))
+        automaton = build_gfg_rabin(condition).automaton
+        bound = 7 - len(condition.alphabet)
+        mutants = [with_unreachable_state(automaton)]
+        for a in range(len(condition.alphabet)):
+            row = [list(cell) for cell in automaton.moves[automaton.start[0]]]
+            row[a] = []
+            mutants.append(with_extra_state(automaton, row, start=True))
+        for m, mutated in enumerate(mutants):
+            hoa.write_text(export_hoa(mutated))
+            verdicts = {"rabin": ReferenceRabinLassoChecker(mutated).accepts}
+            expected_line = per_lasso_line(condition, verdicts, bound)
+            assert m or expected_line is None
+            asked.clear()
+            code = main(["check", str(condition_path), "--automaton", str(hoa), "--bound", str(bound)])
+            out = capsys.readouterr().out
+            assert asked, "check skipped the sweep"
+            if expected_line is None:
+                lassos = sweep_size(len(condition.alphabet), bound)[0]
+                assert code == 0
+                assert out == f"pass: {lassos} lassos agree with the condition (bound {bound})\n"
+                outcomes["pass"] += 1
+            else:
+                assert code == 1 and out == expected_line
+                outcomes["counterexample"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_cmd_check_reports_the_first_of_several_failing_checkers(
