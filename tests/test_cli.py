@@ -1102,6 +1102,20 @@ def test_cmd_solve_three_vertex_memory_out_is_pinned(capsys, condition_file, tmp
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THREE_VERTEX_DIGEST
 
 
+def random_game_doc(rng, letters, low, high):
+    """A game document of `low`-`high` vertices over `letters`, out-degree
+    1-3, with some forward silent edges."""
+    names = [f"v{i}" for i in range(rng.randint(low, high))]
+    edges = []
+    for i, v in enumerate(names):
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(names))
+            colour = None if j > i and rng.random() < 0.1 else rng.choice(letters)
+            edges.append({"src": v, "colour": colour, "dst": names[j]})
+    owners = [{"name": v, "owner": rng.choice(["Exist", "Univ"])} for v in names]
+    return {"vertices": owners, "edges": edges, "initial": names[0]}
+
+
 def pinned_solve_case(seed):
     """A 20-60 vertex game over a random three-letter condition, out-degree
     1-3, with some forward silent edges."""
@@ -1110,15 +1124,18 @@ def pinned_solve_case(seed):
 
     rng = random.Random(seed)
     condition = random_muller_condition(rng, Alphabet("abc"))
-    names = [f"v{i}" for i in range(rng.randint(20, 60))]
-    edges = []
-    for i, v in enumerate(names):
-        for _ in range(rng.randint(1, 3)):
-            j = rng.randrange(len(names))
-            colour = None if j > i and rng.random() < 0.1 else rng.choice("abc")
-            edges.append({"src": v, "colour": colour, "dst": names[j]})
-    owners = [{"name": v, "owner": rng.choice(["Exist", "Univ"])} for v in names]
-    return condition_to_dict(condition), {"vertices": owners, "edges": edges, "initial": names[0]}
+    return condition_to_dict(condition), random_game_doc(rng, "abc", 20, 60)
+
+
+def pinned_fn_case(n, seed):
+    """A 60-100 vertex game over F_n's letters, built as `pinned_solve_case`
+    builds its games."""
+    from mullergames.conditions import condition_to_dict
+    from mullergames.succinctness import condition_fn
+
+    condition = condition_fn(n)
+    doc = random_game_doc(random.Random(seed), condition.alphabet.symbols, 60, 100)
+    return condition_to_dict(condition), doc
 
 
 @pytest.mark.parametrize("seed", sorted(MEMORY_DIGESTS))
@@ -1131,6 +1148,31 @@ def test_cmd_solve_memory_out_bytes_are_pinned(capsys, tmp_path, seed):
     assert main(argv + ["--memory-out", str(out)]) == 0
     assert "winner: Exist" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MEMORY_DIGESTS[seed]
+
+
+# SHA-256 of `solve --memory-out` on `pinned_fn_case(n, seed)`: Exist wins
+# each, memtree(F_n) = n/2 states, and at several Exist vertices the move
+# depends on the memory state.  Recorded before the attractor stepped
+# through flat midpoint columns.  CI checks the F_6 seed-9 file through the
+# installed script.
+FN_MEMORY_DIGESTS = {
+    (6, 5): "a3a11f9f763a3cbe035253d26d9b225750392e55c44c394f3e4ec0818ef079ac",
+    (6, 9): "a92d4d7e8415454fcbef8498639b00b687f0142440c15e8d69b09fae57ee256d",
+    (8, 41): "052b0a3321e42402f2ae061f379a3661df39e77637d98105c39b792acf05e9e9",
+    (8, 117): "a45288b632e5db4b1e9729d9bffcd4646c62b81300f50d38b414b3fb5ca385a3",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(FN_MEMORY_DIGESTS))
+def test_cmd_solve_fn_memory_out_bytes_are_pinned(capsys, tmp_path, n, seed):
+    condition, doc = pinned_fn_case(n, seed)
+    condition_path = tmp_path / "condition.json"
+    condition_path.write_text(json.dumps(condition))
+    out = tmp_path / "memory.json"
+    argv = ["solve", "--game", game_file(tmp_path, doc), "--condition", str(condition_path)]
+    assert main(argv + ["--memory-out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["winner: Exist", f"memory size: {n // 2}"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FN_MEMORY_DIGESTS[n, seed]
 
 
 def test_cmd_succinctness(capsys, tmp_path):
