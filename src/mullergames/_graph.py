@@ -4,9 +4,11 @@ games' certificates and the Rabin lasso checker share."""
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 N = TypeVar("N", bound=Hashable)
+_target = itemgetter(0)  # of a (target, colour bits) edge
 
 
 def reachable(starts: Iterable[N], succ: Callable[[N], Iterable[N]]) -> set[N]:
@@ -102,9 +104,11 @@ def refined_cores(
         blocked = ~allowed
         for v in members:
             index[v] = -1
-        for comp in dense_components(
-            lambda v: [w for w, bits in out[v] if not bits & blocked], members, index
-        ):
+        if allowed == -1:  # nothing blocked: every edge, unfiltered
+            succ = lambda v: map(_target, out[v])
+        else:
+            succ = lambda v: [w for w, bits in out[v] if not bits & blocked]
+        for comp in dense_components(succ, members, index):
             found += 1
             for v in comp:
                 component[v] = found

@@ -10,9 +10,12 @@ product with any other automaton, the GFG one included, has choice
 vertices, where Exist picks the transition that reads a letter.
 
 Every game has one integer form, its `Arena`, with each edge split by a
-midpoint.  A colour id indexes the colours of the game's own condition: a
-game's are the letters its automata read, a product's its automaton's
-output colours.  Every game is built straight into its arena and names its
+midpoint.  A midpoint has one predecessor and one successor, kept in the
+flat node-indexed columns `src` and `dst`; only vertices have `succ` and
+`preds` lists, of their midpoints.  A colour id indexes the colours of the
+game's own condition: a game's are the letters its automata read, a
+product's its automaton's output colours.  Every game is built straight
+into its arena, from the edge columns its builder appends to, and names its
 edges (a product also its vertices) only when a caller reads them.  There
 is one loop of Zielonka's recursion (`_zielonka`) on the arena for both
 kinds of product: parity games (`solve_parity_game`) and Rabin games,
@@ -20,8 +23,10 @@ where Exist always has a positional strategy (`positional_rabin_strategy`).
 Only the condition's own `split` of a subgame tells them apart.  Each
 recursive call sees fewer colours, so a parity solve recurses at most as
 deep as its number of distinct priorities and a Rabin solve as its number
-of colours.  Each result is re-checked before it is returned, and the two
-products must agree on the initial vertex's winner.
+of colours.  Its attractor (`_attract`) steps from a vertex to its
+in-midpoints and from a midpoint straight to its source vertex.  Each
+result is re-checked before it is returned, and the two products must
+agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -45,8 +50,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._graph import dense_components, refined_cores
@@ -84,28 +91,35 @@ class Arena(NamedTuple):
     """A game on integer node ids: node v < base is a vertex, and node
     base + j the midpoint of edge j, carrying its colour as an index into
     `condition_colours` of its game's condition (-1 at vertices and silent
-    midpoints).  Owner 0 is Exist and 1 Univ, which owns every
-    (one-successor) midpoint."""
+    midpoints).  A midpoint m has one predecessor, the vertex `src[m]`, and
+    one successor, the vertex `dst[m]` (both -1 at vertices); `succ[v]` and
+    `preds[v]` list a vertex's out- and in-midpoints in edge order.  Owner 0
+    is Exist and 1 Univ, which owns every midpoint."""
 
     succ: list[list[int]]
     preds: list[list[int]]
+    src: list[int]
+    dst: list[int]
     owners: list[int]
     colours: list[int]
     base: int
     initial: int
 
 
-def _arena(owners: list[int], edges: list[tuple[int, int, int]], initial: int) -> Arena:
+def _arena(
+    owners: list[int], src: list[int], dst: list[int], colours: list[int], initial: int
+) -> Arena:
+    """The arena of the vertices `owners` and the edges j from `src[j]` to
+    `dst[j]` with colour id `colours[j]`."""
     base = len(owners)
     succ: list[list[int]] = [[] for _ in owners]
     preds: list[list[int]] = [[] for _ in owners]
-    for m, (src, dst, _) in enumerate(edges, base):
-        succ[src].append(m)
-        preds[dst].append(m)
-    succ += [[dst] for _, dst, _ in edges]
-    preds += [[src] for src, _, _ in edges]
-    colours = [-1] * base + [colour for _, _, colour in edges]
-    return Arena(succ, preds, owners + [1] * len(edges), colours, base, initial)
+    for m, (x, y) in enumerate(zip(src, dst), base):
+        succ[x].append(m)
+        preds[y].append(m)
+    pad = [-1] * base
+    owners = owners + [1] * len(src)
+    return Arena(succ, preds, pad + src, pad + dst, owners, pad + colours, base, initial)
 
 
 class GameGraph:
@@ -135,22 +149,29 @@ class GameGraph:
         if initial not in index:
             raise GameError(f"initial vertex {initial!r} is not a vertex")
         colour_id = {c: i for i, c in enumerate(condition_colours(condition))} | {None: -1}
-        unique: dict[tuple[int, int, int], None] = {}  # (source, target, colour) ids
+        seen: set[tuple[int, int, int]] = set()  # (source, target, colour) ids
+        sources: list[int] = []  # the edge columns
+        targets: list[int] = []
+        colours: list[int] = []
         for src, colour, dst in edges:
             x, y, c = index.get(src), index.get(dst), colour_id.get(colour)
             if x is None or y is None:
                 raise GameError(f"edge {GameEdge(src, colour, dst)} uses an unknown vertex")
             if c is None:
                 raise GameError(f"edge colour {colour!r} is not a condition colour")
-            unique[x, y, c] = None
+            if (x, y, c) not in seen:
+                seen.add((x, y, c))
+                sources.append(x)
+                targets.append(y)
+                colours.append(c)
         self.vertices, self.initial, self.condition = tuple(index), initial, condition
-        self.arena = _arena(owners, list(unique), index[initial])
-        succ, colour = self.arena.succ, self.arena.colours
+        self.arena = _arena(owners, sources, targets, colours, index[initial])
+        succ, dst, colour = self.arena.succ, self.arena.dst, self.arena.colours
         for v, moves in zip(self.vertices, succ):
             if not moves:
                 raise GameError(f"vertex {v!r} violates 'at least one move from every position'")
         # Only a vertex with a silent move can lie on a silent cycle.
-        silent = [[succ[m][0] for m in moves if colour[m] < 0] for moves in succ[: len(owners)]]
+        silent = [[dst[m] for m in moves if colour[m] < 0] for moves in succ]
         roots = [x for x, targets in enumerate(silent) if targets]
         for comp in dense_components(silent.__getitem__, roots, [-1] * len(owners)):
             if len(comp) > 1 or comp[0] in silent[comp[0]]:
@@ -162,18 +183,18 @@ class GameGraph:
 
     @cached_property
     def edges(self) -> tuple[GameEdge, ...]:
-        names = self.vertices
-        succ, preds, _, colours, base, _ = self.arena
+        names, arena = self.vertices, self.arena
+        src, dst, colours = arena.src, arena.dst, arena.colours
         # Colour -1 (silent) reads the last entry.
         named = condition_colours(self.condition).symbols + (None,)
         return tuple(
-            GameEdge(names[preds[m][0]], named[colours[m]], names[succ[m][0]])
-            for m in range(base, len(succ))
+            GameEdge(names[src[m]], named[colours[m]], names[dst[m]])
+            for m in range(arena.base, len(dst))
         )
 
     def __repr__(self) -> str:
         base = self.arena.base
-        return f"GameGraph({base} vertices, {len(self.arena.succ) - base} edges)"
+        return f"GameGraph({base} vertices, {len(self.arena.dst) - base} edges)"
 
 
 @dataclass
@@ -247,13 +268,15 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     if condition_colours(game.condition) != alphabet:
         raise GameError("alphabet mismatch between game condition and automaton")
     # A game colour id is the index of its letter, -1 for a silent edge.
-    succ, _, owner, letter, base, _ = game.arena
+    succ, _, _, target, owner, letter, base, _ = game.arena
     width, letters = len(states), len(alphabet)
     plain = automaton.is_deterministic and isinstance(automaton.acceptance, ParityCondition)
     ids = [-1] * ((base if plain else base + base * letters) * width)
     keys: list[int] = []
     owners: list[int] = []
-    edges: list[tuple[int, int, int]] = []
+    sources: list[int] = []  # the product's edge columns
+    targets: list[int] = []
+    colours: list[int] = []
     stack: list[int] = []
 
     def visit(key: int, who: int) -> int:
@@ -274,18 +297,22 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
             row = moves[q]
             out: set[tuple[int, int]] = set()
             for m in succ[x]:
-                y, a = succ[m][0], letter[m]
+                y, a = target[m], letter[m]
                 c, r = row[a][0] if a >= 0 else (-1, q)
                 edge = (visit(y * width + r, owner[y]), c)
                 if edge not in out:
                     out.add(edge)
-                    edges.append((node, *edge))
+                    sources.append(node)
+                    targets.append(edge[0])
+                    colours.append(c)
             continue
         if x < base:
             for m in succ[x]:
-                y, a = succ[m][0], letter[m]
-                target = (y if a < 0 else base + y * letters + a) * width + q
-                edges.append((node, visit(target, owner[y] if a < 0 else 0), -1))
+                y, a = target[m], letter[m]
+                key = (y if a < 0 else base + y * letters + a) * width + q
+                sources.append(node)
+                targets.append(visit(key, owner[y] if a < 0 else 0))
+                colours.append(-1)
             continue
         y, a = divmod(x - base, letters)
         options = moves[q][a]
@@ -294,8 +321,9 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                 f"automaton is not complete: no {alphabet.symbols[a]!r}-transition "
                 f"from {states[q]!r}"
             )
-        for c, r in options:
-            edges.append((node, visit(y * width + r, owner[y]), c))
+        sources += [node] * len(options)
+        targets += [visit(y * width + r, owner[y]) for _, r in options]
+        colours += [c for c, _ in options]
 
     def name(v: int) -> tuple:
         x, q = divmod(keys[v], width)
@@ -305,7 +333,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
         return ("c", game.vertices[y], alphabet.symbols[a], states[q])
 
     product = GameGraph.__new__(GameGraph)
-    product.arena, product._name = _arena(owners, edges, 0), name
+    product.arena, product._name = _arena(owners, sources, targets, colours, 0), name
     product.initial, product.condition = name(0), automaton.acceptance
     return ProductGame(product, game, automaton, ids, keys)
 
@@ -350,34 +378,38 @@ class GameSolution:
 
 def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dict]:
     """Attractor of `base` for `player` inside `nodes`, with the moves that
-    player makes at vertices to advance towards the base.  An opponent node
-    with one successor (every midpoint) joins as soon as that successor
-    does."""
-    succ, preds, owners, first_mid = arena.succ, arena.preds, arena.owners, arena.base
+    player makes at vertices to advance towards the base.  A midpoint has
+    one successor, so it joins as soon as that vertex does; a vertex joins
+    through its in-midpoints, at once if `player` owns it and otherwise
+    once all its moves inside `nodes` have joined.  The queue is a stack."""
+    succ, preds, src, owners = arena.succ, arena.preds, arena.src, arena.owners
+    first_mid = arena.base
     attr = set(base)
+    add = attr.add
     strat: dict = {}
-    degree: dict = {}  # opponent node -> its successors in `nodes` not yet in attr
+    degree = [0] * first_mid  # opponent vertex: its moves in `nodes` not yet in attr
     queue = list(base)
+    push, pop = queue.append, queue.pop
     while queue:
-        n = queue.pop()
-        for p in preds[n]:
-            if p not in nodes or p in attr:
+        n = pop()
+        if n < first_mid:
+            for m in preds[n]:
+                if m in nodes and m not in attr:
+                    add(m)
+                    push(m)
+            continue
+        p = src[n]
+        if p in attr or p not in nodes:
+            continue
+        if owners[p] != player:
+            left = degree[p] or len(nodes.intersection(succ[p]))
+            if left > 1:
+                degree[p] = left - 1
                 continue
-            if owners[p] == player:
-                attr.add(p)
-                if p < first_mid:  # a midpoint's one move needs no record
-                    strat[p] = n
-                queue.append(p)
-            elif len(succ[p]) == 1:
-                attr.add(p)
-                queue.append(p)
-            else:
-                if p not in degree:
-                    degree[p] = sum(1 for w in succ[p] if w in nodes)
-                degree[p] -= 1
-                if degree[p] == 0:
-                    attr.add(p)
-                    queue.append(p)
+        else:
+            strat[p] = n
+        add(p)
+        push(p)
     return attr, strat
 
 
@@ -394,18 +426,19 @@ def _zielonka(game: GameGraph) -> GameSolution:
     region."""
     arena, split = game.arena, game.condition.split
     bits = _node_bits(arena)
+    bit_of = bits.__getitem__
 
     def solve(nodes: set) -> tuple[set, dict]:
         won: set = set()
         strategy: dict = {}
         while nodes:
-            present = 0
-            for v in nodes:
-                present |= bits[v]
+            present = reduce(or_, set(map(bit_of, nodes)))
             player, targets = split(present)
             moves: dict = {}
             for target in targets:
-                attr, moves = _attract(player, {v for v in nodes if bits[v] & target}, nodes, arena)
+                # The nodes of `target`'s colours, added in `nodes`' order.
+                base = set(compress(nodes, map(and_, map(bit_of, nodes), repeat(target))))
+                attr, moves = _attract(player, base, nodes, arena)
                 sub_won, sub_moves = solve(nodes - attr)
                 lost = sub_won if player else nodes - attr - sub_won
                 if lost:
@@ -457,7 +490,7 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
     left that the game's condition makes the player lose.  Raises `GameError`
     otherwise."""
     game = solution.game
-    succ, owners, base = game.arena.succ, game.arena.owners, game.arena.base
+    succ, dst, owners, base = game.arena.succ, game.arena.dst, game.arena.owners, game.arena.base
     won, moves = solution.won, solution.moves
     bits = _node_bits(game.arena)
     # Exist loses on the cycles the condition rejects; Univ, who has a
@@ -475,14 +508,14 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
                 chosen = moves.get(v)
                 if chosen is None:
                     raise GameError(f"internal: missing {who} strategy at {game.vertices[v]!r}")
-                j = position[succ[chosen][0]]
+                j = position[dst[chosen]]
                 if j < 0:
                     raise GameError(f"internal: {who} strategy leaves the winning region")
                 out.append(((j, bits[chosen]),))
                 continue
             row = []
             for m in succ[v]:
-                j = position[succ[m][0]]
+                j = position[dst[m]]
                 if j < 0:
                     raise GameError(f"internal: {who} region is not closed under opponent moves")
                 row.append((j, bits[m]))
@@ -537,17 +570,17 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     width = len(automaton.states)
     # The product checked that the game's colours are the automaton's
     # letters, so a colour id is a letter index.
-    succ, _, owners, letter, base, _ = game.arena
-    target, moves = product.game.arena.succ, solution.moves
+    succ, _, _, dst, owners, letter, base, _ = game.arena
+    out, target, moves = product.game.arena.succ, product.game.arena.dst, solution.moves
     choice = [-1] * (base * width)
-    update = [0] * ((len(succ) - base) * width)
+    update = [0] * ((len(dst) - base) * width)
     for q in range(width):
-        for j, m in enumerate(range(base, len(succ))):
+        for j, m in enumerate(range(base, len(dst))):
             a, r = letter[m], q  # a silent edge keeps the state
             if a >= 0:
-                chosen = moves.get(product.node(succ[m][0], q, a))
+                chosen = moves.get(product.node(dst[m], q, a))
                 if chosen is not None:  # to the state vertex (dst, r)
-                    r = product.keys[target[chosen][0]] % width
+                    r = product.keys[target[chosen]] % width
                 elif automaton.moves[q][a]:
                     r = automaton.moves[q][a][0][1]
             update[j * width + q] = r
@@ -555,7 +588,7 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
             if owners[x] == 0:  # a state vertex has the moves of its game vertex
                 node = product.node(x, q)
                 chosen = moves.get(node)
-                k = 0 if chosen is None else target[node].index(chosen)
+                k = 0 if chosen is None else out[node].index(chosen)
                 choice[x * width + q] = succ[x][k] - base
     memory = MemoryStructure(game, automaton.states, automaton.start[0], choice, update)
     if not verify_strategy(memory, gfg.tree):
@@ -619,7 +652,7 @@ def _walk(
     stops at the first -1 entry it needs, with `gap` = (table, slot) and the
     rows incomplete; `gap` is None otherwise."""
     width, choice, update = memory.size, memory.choice, memory.update
-    succ, _, owners, _, base, initial = memory.game.arena
+    succ, _, _, dst, owners, _, base, initial = memory.game.arena
     start = initial * width + memory.start
     nodes, rows, position, stack = [start], [None], {start: 0}, [0]
     while stack:
@@ -639,7 +672,7 @@ def _walk(
             k = update[j * width + m]
             if k < 0:
                 return nodes, rows, (update, j * width + m)
-            nxt = succ[mid][0] * width + k
+            nxt = dst[mid] * width + k
             p = position.get(nxt)
             if p is None:
                 p = position[nxt] = len(nodes)
@@ -712,7 +745,7 @@ def brute_force_winner(
     succ, base = arena.succ, arena.base
     bits = _node_bits(arena)[base:]
     refine = tree.refine
-    choice, update = [-1] * (base * width), [-1] * ((len(succ) - base) * width)
+    choice, update = [-1] * (base * width), [-1] * ((len(arena.dst) - base) * width)
     memory = MemoryStructure(game, tuple(range(width)), 0, choice, update)
     searched = 0
 

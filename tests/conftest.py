@@ -1088,6 +1088,55 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
     return (EXIST if search({}, {}) else UNIV), counter[0]
 
 
+# The attractor as it was before midpoints kept their one neighbour in the
+# `src`/`dst` columns: the oracle for `_attract`'s set order and moves.  It
+# reads an arena whose `succ` and `preds` have a row for every node
+# (`midpoint_rows`).
+
+
+def midpoint_rows(arena: Arena) -> Arena:
+    """`arena` with each midpoint's one successor and one predecessor
+    appended to `succ` and `preds` as one-element rows."""
+    base = arena.base
+    return arena._replace(
+        succ=arena.succ + [[y] for y in arena.dst[base:]],
+        preds=arena.preds + [[x] for x in arena.src[base:]],
+    )
+
+
+def reference_attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dict]:
+    """Attractor of `base` for `player` inside `nodes`, with the moves that
+    player makes at vertices to advance towards the base.  An opponent node
+    with one successor (every midpoint) joins as soon as that successor
+    does."""
+    succ, preds, owners, first_mid = arena.succ, arena.preds, arena.owners, arena.base
+    attr = set(base)
+    strat: dict = {}
+    degree: dict = {}  # opponent node -> its successors in `nodes` not yet in attr
+    queue = list(base)
+    while queue:
+        n = queue.pop()
+        for p in preds[n]:
+            if p not in nodes or p in attr:
+                continue
+            if owners[p] == player:
+                attr.add(p)
+                if p < first_mid:  # a midpoint's one move needs no record
+                    strat[p] = n
+                queue.append(p)
+            elif len(succ[p]) == 1:
+                attr.add(p)
+                queue.append(p)
+            else:
+                if p not in degree:
+                    degree[p] = sum(1 for w in succ[p] if w in nodes)
+                degree[p] -= 1
+                if degree[p] == 0:
+                    attr.add(p)
+                    queue.append(p)
+    return attr, strat
+
+
 # The two-call form of Zielonka's recursion that `solve_parity_game`'s loop
 # replaced: the oracle for its winning regions.
 
@@ -1113,7 +1162,8 @@ def reference_zielonka_solve(nodes: frozenset, arena: Arena, prio: Sequence[int]
         full_strat.update(attr_strat)
         for v in target:
             if owners[v] == player and v not in full_strat:
-                full_strat[v] = next(w for w in succ[v] if w in nodes)
+                moves = succ[v] if v < arena.base else (arena.dst[v],)
+                full_strat[v] = next(w for w in moves if w in nodes)
         win = set(nodes)
         return (win, set(), full_strat) if player == 0 else (set(), win, full_strat)
     opp = 1 - player

@@ -41,10 +41,12 @@ from conftest import (
     exist_vertices,
     memory_from_names,
     memory_to_dict,
+    midpoint_rows,
     named_automaton,
     out,
     owner,
     random_muller_condition,
+    reference_attract,
     reference_brute_force_winner,
     reference_positional_rabin_strategy,
     reference_product,
@@ -183,10 +185,11 @@ def product_cases(count):
 
 
 def test_product_arena_matches_reference():
-    def named(game):  # arena[:4] with each colour id named through the game's condition
-        succ, preds, owners, colours = game.arena[:4]
+    def named(game):  # each midpoint's rows rebuilt from src/dst, colour ids named
+        arena = midpoint_rows(game.arena)
         symbols = condition_colours(game.condition).symbols
-        return succ, preds, owners, [None if c < 0 else symbols[c] for c in colours]
+        colours = [None if c < 0 else symbols[c] for c in arena.colours]
+        return arena.succ, arena.preds, arena.owners, colours
 
     silent = 0
     for game, automaton, ids, reference in product_cases(300):
@@ -274,6 +277,38 @@ def test_parity_solver_agrees_with_the_two_call_recursion():
         shares.add((exist > 0) + (exist == game.arena.base))
     # Exist wins no vertex, some vertices and every vertex.
     assert shares == {0, 1, 2}
+
+
+def test_attract_matches_the_reference_on_every_call(monkeypatch):
+    """Every `_attract` call that `_zielonka` makes while solving the parity
+    and GFG products of 300 seeded games, and 300 random parity games,
+    gives `reference_attract`'s set in the same order and the same moves in
+    the same order: the order feeds the regions, the next attractor's queue
+    and through them the strategies."""
+    calls = collections.Counter()
+    attract = games._attract
+
+    def checked(player, base, nodes, arena):
+        attr, strat = attract(player, base, nodes, arena)
+        ref_attr, ref_strat = reference_attract(player, base, nodes, rows[id(arena)])
+        assert list(attr) == list(ref_attr)
+        assert list(strat.items()) == list(ref_strat.items())
+        calls[player] += 1
+        return attr, strat
+
+    monkeypatch.setattr(games, "_attract", checked)
+    products = [
+        _build_product(game, automaton, ids).game for game, automaton, ids, _ in product_cases(300)
+    ]
+    rng = random.Random(1998)
+    parity = [random_parity_game(rng) for _ in range(300)]
+    rows = {id(game.arena): midpoint_rows(game.arena) for game in products + parity}
+    for game in products + parity:
+        if isinstance(game.condition, ParityCondition):
+            solve_parity_game(game)
+        else:
+            positional_rabin_strategy(game)
+    assert calls[0] > 1000 and calls[1] > 1000, calls
 
 
 def test_product_builder_names_bad_automata():
