@@ -285,6 +285,12 @@ def test_attract_matches_the_reference_on_every_call(monkeypatch):
     gives `reference_attract`'s set in the same order and the same moves in
     the same order: the order feeds the regions, the next attractor's queue
     and through them the strategies."""
+    products = [
+        _build_product(game, automaton, ids).game for game, automaton, ids, _ in product_cases(300)
+    ]
+    rng = random.Random(1998)
+    parity = [random_parity_game(rng) for _ in range(300)]
+    rows = {id(game.arena): midpoint_rows(game.arena) for game in products + parity}
     calls = collections.Counter()
     attract = games._attract
 
@@ -297,12 +303,6 @@ def test_attract_matches_the_reference_on_every_call(monkeypatch):
         return attr, strat
 
     monkeypatch.setattr(games, "_attract", checked)
-    products = [
-        _build_product(game, automaton, ids).game for game, automaton, ids, _ in product_cases(300)
-    ]
-    rng = random.Random(1998)
-    parity = [random_parity_game(rng) for _ in range(300)]
-    rows = {id(game.arena): midpoint_rows(game.arena) for game in products + parity}
     for game in products + parity:
         if isinstance(game.condition, ParityCondition):
             solve_parity_game(game)
