@@ -15,18 +15,18 @@ flat node-indexed columns `src` and `dst`; only vertices have `succ` and
 `preds` lists, of their midpoints.  A colour id indexes the colours of the
 game's own condition: a game's are the letters its automata read, a
 product's its automaton's output colours.  Every game is built straight
-into its arena, from the edge columns its builder appends to, and names its
-edges (a product also its vertices) only when a caller reads them.  There
-is one loop of Zielonka's recursion (`_zielonka`) on the arena for both
-kinds of product: parity games (`solve_parity_game`) and Rabin games,
-where Exist always has a positional strategy (`positional_rabin_strategy`).
-Only the condition's own `split` of a subgame tells them apart.  Each
-recursive call sees fewer colours, so a parity solve recurses at most as
-deep as its number of distinct priorities and a Rabin solve as its number
-of colours.  Its attractor (`_attract`) steps from a vertex to its
-in-midpoints and from a midpoint straight to its source vertex.  Each
-result is re-checked before it is returned, and the two products must
-agree on the initial vertex's winner.
+into its arena, from edge columns that `GameGraph` and `_build_product`
+append to, and names its edges (a product also its vertices) only when a
+caller reads them.  There is one loop of Zielonka's recursion
+(`_zielonka`) on the arena for both kinds of product: parity games
+(`solve_parity_game`) and Rabin games, where Exist always has a positional
+strategy (`positional_rabin_strategy`).  Only the condition's own `split`
+of a subgame tells them apart.  Each recursive call sees fewer colours, so
+a parity solve recurses at most as deep as its number of distinct
+priorities and a Rabin solve as its number of colours.  Its attractor
+(`_attract`) steps from a vertex to its in-midpoints and from a midpoint
+straight to its source vertex.  Each result is re-checked before it is
+returned, and the two products must agree on the initial vertex's winner.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
