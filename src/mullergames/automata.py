@@ -274,11 +274,14 @@ class _LassoChecker:
         return a
 
     def _states_after(self, prefix: tuple[str, ...]) -> tuple[int, ...]:
+        # A loop, not one call per letter: a prefix may be far longer than
+        # the recursion limit.
         states = self._prefix_memo.get(prefix)
         if states is None:
-            a = self._index(prefix[-1])
-            before = self._states_after(prefix[:-1])
-            states = tuple(sorted({nxt for s in before for _, nxt in self._table[s][a]}))
+            states = self._prefix_memo[()]
+            for symbol in prefix:
+                a = self._index(symbol)
+                states = tuple(sorted({nxt for s in states for _, nxt in self._table[s][a]}))
             self._prefix_memo[prefix] = states
         return states
 

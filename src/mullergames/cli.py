@@ -178,9 +178,9 @@ def cmd_check(args) -> int:
             checkers = {"parity": DeterministicLassoChecker.from_automaton(automaton)}
         else:
             checkers = {"rabin": RabinLassoChecker.from_automaton(automaton)}
-    symbols = condition.alphabet.symbols
+    # The sum of a root's distinct letter bits is the mask of its letters.
     roots = [
-        (root, satisfies_muller(condition, [symbols[a] for a in root]))
+        (root, condition.accepts_mask(sum({1 << a for a in root})))
         for root in lyndon_words(letters, bound)
     ]
     suspects = [
@@ -190,6 +190,7 @@ def cmd_check(args) -> int:
     ]
     found = []  # each failing checker's least (prefix index, period index, checker index)
     if suspects:
+        symbols = condition.alphabet.symbols
         prefixes = [p for length in range(3) for p in itertools.product(symbols, repeat=length)]
         periods = [
             (period, satisfies_muller(condition, period))

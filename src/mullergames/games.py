@@ -12,16 +12,20 @@ vertices, where Exist picks the transition that reads a letter.
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  A midpoint has one predecessor and one successor, kept in the
 flat node-indexed columns `src` and `dst`; only vertices have `succ` and
-`preds` lists, of their midpoints.  A colour id indexes the colours of the
-game's own condition: a game's are the letters its automata read, a
-product's its automaton's output colours.  Every game is built straight
-into its arena, from edge columns that `GameGraph` and `_build_product`
-append to, and names its edges (a product also its vertices) only when a
-caller reads them.  There is one loop of Zielonka's recursion
-(`_zielonka`) on the arena for both kinds of product: parity games
-(`solve_parity_game`) and Rabin games, where Exist always has a positional
-strategy (`positional_rabin_strategy`).  Only the condition's own `split`
-of a subgame tells them apart.  Each recursive call sees fewer colours, so
+`preds` lists, of their midpoints.  Every node carries its colour as a mask
+over the colours of the game's own condition, `1 << i` for colour i and 0
+at vertices and silent midpoints: a game's colours are the letters its
+automata read, a product's its automaton's output colours.  So the
+solvers, the certificates and the walk below read colour sets straight
+off the arena, and only a move table or a name is indexed by a colour's
+id, `mask.bit_length() - 1`.  Every game is built straight into its
+arena, from edge columns that `GameGraph` and `_build_product` append to,
+and names its edges (a product also its vertices) only when a caller reads
+them.  There is one loop of Zielonka's recursion (`_zielonka`) on the
+arena for both kinds of product: parity games (`solve_parity_game`) and
+Rabin games, where Exist always has a positional strategy
+(`positional_rabin_strategy`).  Only the condition's own `split` of a
+subgame tells them apart.  Each recursive call sees fewer colours, so
 a parity solve recurses at most as deep as its number of distinct
 priorities and a Rabin solve as its number of colours.  Its attractor
 (`_attract`) steps from a vertex to its in-midpoints and from a midpoint
@@ -89,12 +93,13 @@ class GameEdge(NamedTuple):
 
 class Arena(NamedTuple):
     """A game on integer node ids: node v < base is a vertex, and node
-    base + j the midpoint of edge j, carrying its colour as an index into
-    `condition_colours` of its game's condition (-1 at vertices and silent
-    midpoints).  A midpoint m has one predecessor, the vertex `src[m]`, and
-    one successor, the vertex `dst[m]` (both -1 at vertices); `succ[v]` and
-    `preds[v]` list a vertex's out- and in-midpoints in edge order.  Owner 0
-    is Exist and 1 Univ, which owns every midpoint."""
+    base + j the midpoint of edge j.  `colours[v]` is node v's colour mask
+    over `condition_colours` of its game's condition: `1 << i` for colour
+    i, and 0 at vertices and silent midpoints.  A midpoint m has one
+    predecessor, the vertex `src[m]`, and one successor, the vertex
+    `dst[m]` (both -1 at vertices); `succ[v]` and `preds[v]` list a
+    vertex's out- and in-midpoints in edge order.  Owner 0 is Exist and 1
+    Univ, which owns every midpoint."""
 
     succ: list[list[int]]
     preds: list[list[int]]
@@ -110,7 +115,7 @@ def _arena(
     owners: list[int], src: list[int], dst: list[int], colours: list[int], initial: int
 ) -> Arena:
     """The arena of the vertices `owners` and the edges j from `src[j]` to
-    `dst[j]` with colour id `colours[j]`."""
+    `dst[j]` with colour mask `colours[j]`; vertices get mask 0."""
     base = len(owners)
     succ: list[list[int]] = [[] for _ in owners]
     preds: list[list[int]] = [[] for _ in owners]
@@ -119,15 +124,15 @@ def _arena(
         preds[y].append(m)
     pad = [-1] * base
     owners = owners + [1] * len(src)
-    return Arena(succ, preds, pad + src, pad + dst, owners, pad + colours, base, initial)
+    return Arena(succ, preds, pad + src, pad + dst, owners, [0] * base + colours, base, initial)
 
 
 class GameGraph:
     """A two-player arena whose edges carry colours of its condition, or
-    none (silent); `arena` is its integer form.  Every game is built
-    straight into its arena, a product (`_build_product`) from ids alone,
-    and names its edges (a product also its vertices) when they are first
-    read."""
+    none (silent); `arena` is its integer form, with each colour as its
+    mask and silent as 0.  Every game is built straight into its arena, a
+    product (`_build_product`) from ids alone, and names its edges (a
+    product also its vertices) when they are first read."""
 
     def __init__(
         self,
@@ -148,13 +153,13 @@ class GameGraph:
             owners.append(0 if who == EXIST else 1)
         if initial not in index:
             raise GameError(f"initial vertex {initial!r} is not a vertex")
-        colour_id = {c: i for i, c in enumerate(condition_colours(condition))} | {None: -1}
-        seen: set[tuple[int, int, int]] = set()  # (source, target, colour) ids
+        colour_bit = {c: 1 << i for i, c in enumerate(condition_colours(condition))} | {None: 0}
+        seen: set[tuple[int, int, int]] = set()  # (source, target, colour mask)
         sources: list[int] = []  # the edge columns
         targets: list[int] = []
         colours: list[int] = []
         for src, colour, dst in edges:
-            x, y, c = index.get(src), index.get(dst), colour_id.get(colour)
+            x, y, c = index.get(src), index.get(dst), colour_bit.get(colour)
             if x is None or y is None:
                 raise GameError(f"edge {GameEdge(src, colour, dst)} uses an unknown vertex")
             if c is None:
@@ -171,7 +176,7 @@ class GameGraph:
             if not moves:
                 raise GameError(f"vertex {v!r} violates 'at least one move from every position'")
         # Only a vertex with a silent move can lie on a silent cycle.
-        silent = [[dst[m] for m in moves if colour[m] < 0] for moves in succ]
+        silent = [[dst[m] for m in moves if not colour[m]] for moves in succ]
         roots = [x for x, targets in enumerate(silent) if targets]
         for comp in dense_components(silent.__getitem__, roots, [-1] * len(owners)):
             if len(comp) > 1 or comp[0] in silent[comp[0]]:
@@ -185,10 +190,10 @@ class GameGraph:
     def edges(self) -> tuple[GameEdge, ...]:
         names, arena = self.vertices, self.arena
         src, dst, colours = arena.src, arena.dst, arena.colours
-        # Colour -1 (silent) reads the last entry.
+        # A mask's colour id; silent, mask 0, reads id -1, the last entry.
         named = condition_colours(self.condition).symbols + (None,)
         return tuple(
-            GameEdge(names[src[m]], named[colours[m]], names[dst[m]])
+            GameEdge(names[src[m]], named[colours[m].bit_length() - 1], names[dst[m]])
             for m in range(arena.base, len(dst))
         )
 
@@ -251,7 +256,8 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     """The product reachable from the game vertices `seeds`, built into
     its arena.  By index, state vertex (x, q) has key x|Q| + q and choice
     vertex (y, a, q) key (|V| + y|A| + a)|Q| + q.  Nodes are numbered as
-    first reached, depth first.
+    first reached, depth first.  Each colour mask is read from one bit
+    table, so equal colours share one int.
 
     A deterministic parity automaton leaves Exist nothing to resolve, so
     its product is plain: a game edge x -a-> y leads from (x, q) straight
@@ -267,8 +273,11 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
     if condition_colours(game.condition) != alphabet:
         raise GameError("alphabet mismatch between game condition and automaton")
-    # A game colour id is the index of its letter, -1 for a silent edge.
-    succ, _, _, target, owner, letter, base, _ = game.arena
+    succ, _, _, target, owner, _, base, _ = game.arena
+    # A game colour's id is the index of its letter, -1 for a silent edge;
+    # an output colour id c has mask bit[c], and bit[-1] is 0.
+    letter = [c.bit_length() - 1 for c in game.arena.colours]
+    bit = [1 << c for c in range(len(automaton.colour_alphabet))] + [0]
     width, letters = len(states), len(alphabet)
     plain = automaton.is_deterministic and isinstance(automaton.acceptance, ParityCondition)
     ids = [-1] * ((base if plain else base + base * letters) * width)
@@ -304,7 +313,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                     out.add(edge)
                     sources.append(node)
                     targets.append(edge[0])
-                    colours.append(c)
+                    colours.append(bit[c])
             continue
         if x < base:
             for m in succ[x]:
@@ -312,7 +321,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                 key = (y if a < 0 else base + y * letters + a) * width + q
                 sources.append(node)
                 targets.append(visit(key, owner[y] if a < 0 else 0))
-                colours.append(-1)
+                colours.append(0)
             continue
         y, a = divmod(x - base, letters)
         options = moves[q][a]
@@ -323,7 +332,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
             )
         sources += [node] * len(options)
         targets += [visit(y * width + r, owner[y]) for _, r in options]
-        colours += [c for c, _ in options]
+        colours += [bit[c] for c, _ in options]
 
     def name(v: int) -> tuple:
         x, q = divmod(keys[v], width)
@@ -425,8 +434,7 @@ def _zielonka(game: GameGraph) -> GameSolution:
     colours.  Both players' moves at vertices are kept, each in its own
     region."""
     arena, split = game.arena, game.condition.split
-    bits = _node_bits(arena)
-    bit_of = bits.__getitem__
+    bit_of = arena.colours.__getitem__
 
     def solve(nodes: set) -> tuple[set, dict]:
         won: set = set()
@@ -455,7 +463,7 @@ def _zielonka(game: GameGraph) -> GameSolution:
             nodes = nodes - attr
         return won, strategy
 
-    return GameSolution(game, *solve(set(range(len(bits)))))
+    return GameSolution(game, *solve(set(range(len(arena.colours)))))
 
 
 def solve_parity_game(game: GameGraph) -> GameSolution:
@@ -490,9 +498,8 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
     left that the game's condition makes the player lose.  Raises `GameError`
     otherwise."""
     game = solution.game
-    succ, dst, owners, base = game.arena.succ, game.arena.dst, game.arena.owners, game.arena.base
+    succ, _, _, dst, owners, colours, base, _ = game.arena
     won, moves = solution.won, solution.moves
-    bits = _node_bits(game.arena)
     # Exist loses on the cycles the condition rejects; Univ, who has a
     # certificate only in a parity game, on those whose top priority is even.
     refiners = (game.condition.refine, partial(game.condition.refine, losing=0))
@@ -511,14 +518,14 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
                 j = position[dst[chosen]]
                 if j < 0:
                     raise GameError(f"internal: {who} strategy leaves the winning region")
-                out.append(((j, bits[chosen]),))
+                out.append(((j, colours[chosen]),))
                 continue
             row = []
             for m in succ[v]:
                 j = position[dst[m]]
                 if j < 0:
                     raise GameError(f"internal: {who} region is not closed under opponent moves")
-                row.append((j, bits[m]))
+                row.append((j, colours[m]))
             out.append(row)
         if _rejected_core(region, out, refiners[player]) is not None:
             raise GameError(f"internal: cycle analysis refutes the {who} strategy")
@@ -549,11 +556,6 @@ def _rejected_core(
     return None if core is None else frozenset(names[v] for v in core)
 
 
-def _node_bits(arena: Arena) -> list[int]:
-    """Each node's colour bit in its game condition's masks; 0 if it has none."""
-    return [1 << c if c >= 0 else 0 for c in arena.colours]
-
-
 # -- memory extraction and Muller solving ---------------------------------------
 
 
@@ -569,8 +571,9 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     automaton = gfg.automaton
     width = len(automaton.states)
     # The product checked that the game's colours are the automaton's
-    # letters, so a colour id is a letter index.
-    succ, _, _, dst, owners, letter, base, _ = game.arena
+    # letters, so a colour's id is a letter index (-1 for silent).
+    succ, _, _, dst, owners, _, base, _ = game.arena
+    letter = [c.bit_length() - 1 for c in game.arena.colours]
     out, target, moves = product.game.arena.succ, product.game.arena.dst, solution.moves
     choice = [-1] * (base * width)
     update = [0] * ((len(dst) - base) * width)
@@ -640,19 +643,17 @@ def solve_muller_game(
 # -- strategy verification -------------------------------------------------------
 
 
-def _walk(
-    memory: MemoryStructure, label: Sequence
-) -> tuple[list[int], list, Optional[tuple[list[int], int]]]:
+def _walk(memory: MemoryStructure) -> tuple[list[int], list, Optional[tuple[list[int], int]]]:
     """Depth first over the (vertex, memory) nodes x·W + m reachable from
     the game's initial vertex in the initial state: Exist takes the edge
     `memory.choice` gives, Univ every edge, and edge j leads from memory m
     to `memory.update[j·W + m]`.  Returns (nodes, rows, gap): `nodes` in the
     order first reached, and `rows[i]` the (position of the next node,
-    `label[j]`) pair of each move of nodes[i] along an edge j.  The walk
-    stops at the first -1 entry it needs, with `gap` = (table, slot) and the
-    rows incomplete; `gap` is None otherwise."""
+    colour mask) pair of each move of nodes[i], mask 0 for a silent one.
+    The walk stops at the first -1 entry it needs, with `gap` = (table,
+    slot) and the rows incomplete; `gap` is None otherwise."""
     width, choice, update = memory.size, memory.choice, memory.update
-    succ, _, _, dst, owners, _, base, initial = memory.game.arena
+    succ, _, _, dst, owners, colours, base, initial = memory.game.arena
     start = initial * width + memory.start
     nodes, rows, position, stack = [start], [None], {start: 0}, [0]
     while stack:
@@ -679,7 +680,7 @@ def _walk(
                 nodes.append(nxt)
                 rows.append(None)
                 stack.append(p)
-            row.append((p, label[j]))
+            row.append((p, colours[mid]))
         rows[i] = row
     return nodes, rows, None
 
@@ -697,8 +698,7 @@ def verify_strategy(memory: MemoryStructure, condition: AnyCondition | ZielonkaT
     given = condition.condition if isinstance(condition, ZielonkaTree) else condition
     if given != memory.game.condition:
         raise GameError("verify_strategy: the condition given is not the game's condition")
-    arena = memory.game.arena
-    _, rows, _ = _walk(memory, _node_bits(arena)[arena.base :])
+    _, rows, _ = _walk(memory)
     if isinstance(condition, MullerCondition):
         condition = build_zielonka(condition)
     return _rejected_core(range(len(rows)), rows, condition.refine) is None
@@ -707,14 +707,14 @@ def verify_strategy(memory: MemoryStructure, condition: AnyCondition | ZielonkaT
 def is_chromatic(memory: MemoryStructure) -> bool:
     """True iff the reachable part of the update function factors through
     edge colours, with silent edges leaving the memory unchanged."""
-    width, arena = memory.size, memory.game.arena
-    nodes, rows, _ = _walk(memory, arena.colours[arena.base :])
+    width = memory.size
+    nodes, rows, _ = _walk(memory)
     seen: dict[tuple[int, int], int] = {}
     for node, row in zip(nodes, rows):
         m = node % width
         for p, colour in row:
             next_m = nodes[p] % width
-            expected = m if colour < 0 else seen.setdefault((m, colour), next_m)
+            expected = m if not colour else seen.setdefault((m, colour), next_m)
             if next_m != expected:
                 return False
     return True
@@ -743,7 +743,6 @@ def brute_force_winner(
         raise GameError("brute_force_winner: the condition given is not the game's condition")
     arena, width = game.arena, tree.memtree()
     succ, base = arena.succ, arena.base
-    bits = _node_bits(arena)[base:]
     refine = tree.refine
     choice, update = [-1] * (base * width), [-1] * ((len(arena.dst) - base) * width)
     memory = MemoryStructure(game, tuple(range(width)), 0, choice, update)
@@ -754,7 +753,7 @@ def brute_force_winner(
         searched += 1
         if searched > budget:
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
-        _, rows, gap = _walk(memory, bits)
+        _, rows, gap = _walk(memory)
         if gap is None:
             return _rejected_core(range(len(rows)), rows, refine) is None
         table, slot = gap

@@ -35,7 +35,6 @@ from mullergames.games import (
     GameSolution,
     MemoryStructure,
     _attract,
-    _node_bits,
     _rows,
     _verify_solution,
 )
@@ -1209,7 +1208,7 @@ def reference_solve_parity_game(game: GameGraph) -> GameSolution:
     # its nodes are coloured midpoints, which need no move.
     arena = game.arena
     by_colour = [p + shift for p in condition.priorities] + [0]
-    prio = [by_colour[c] for c in arena.colours]
+    prio = [by_colour[c.bit_length() - 1] for c in arena.colours]
 
     def solve(nodes: set) -> tuple[set, dict]:
         won: set = set()
@@ -1256,7 +1255,7 @@ def reference_positional_rabin_strategy(game: GameGraph) -> GameSolution:
     if not isinstance(condition, RabinCondition):
         raise GameError("positional_rabin_strategy expects a Rabin condition")
     arena = game.arena
-    colour = _node_bits(arena)
+    colour = arena.colours
     pairs = condition.pairs
 
     def with_colour(nodes: set, mask: int) -> set:

@@ -181,6 +181,12 @@ def test_accepts_lasso_examples(running_condition):
     assert not RabinLassoChecker.from_automaton(partial).accepts(LassoWord.from_letters("", "b"))
 
 
+def test_automaton_repr(running_condition):
+    gfg, parity = build_gfg_rabin(running_condition), build_parity_automaton(running_condition)
+    assert repr(gfg.automaton) == "Automaton(2 states, 9 transitions, Rabin acceptance)"
+    assert repr(parity) == "Automaton(3 states, 9 transitions, Parity acceptance)"
+
+
 def test_has_duplicated_edges(running_condition):
     fig2 = fig2_automaton(running_condition)
     assert has_duplicated_edges(fig2)
@@ -421,6 +427,21 @@ def test_rabin_lasso_checker_agrees_with_reference_on_fn(n):
     reference = ReferenceRabinLassoChecker(aut)
     for w in lassos_up_to(aut.alphabet, 3, max_prefix=2):
         assert checker.accepts(w) == reference.accepts(w), w
+
+
+def test_lasso_checkers_read_a_long_prefix_without_recursion(running_condition):
+    # A prefix far deeper than Python's recursion limit, read by a fresh
+    # checker: the verdict is the short lasso's, and the prefix is memoised.
+    checkers = (
+        RabinLassoChecker.from_automaton(build_gfg_rabin(running_condition).automaton),
+        DeterministicLassoChecker.from_automaton(build_parity_automaton(running_condition)),
+    )
+    for checker in checkers:
+        for prefix in (("a",) * 5000, ("c", "a", "b") * 1667):
+            for period in (("b",), ("a", "c"), ("c",), ("a", "b", "c")):
+                long, short = LassoWord(prefix, period), LassoWord(prefix[-2:], period)
+                assert checker.accepts(long) == checker.accepts(short), (checker, period)
+            assert prefix in checker._prefix_memo
 
 
 def test_lasso_checkers_reject_letters_outside_the_alphabet(running_condition):

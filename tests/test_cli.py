@@ -1153,8 +1153,8 @@ def test_cmd_solve_memory_out_bytes_are_pinned(capsys, tmp_path, seed):
 # SHA-256 of `solve --memory-out` on `pinned_fn_case(n, seed)`: Exist wins
 # each, memtree(F_n) = n/2 states, and at several Exist vertices the move
 # depends on the memory state.  Recorded before the attractor stepped
-# through flat midpoint columns.  CI checks the F_6 seed-9 file through the
-# installed script.
+# through flat midpoint columns.  CI checks the F_6 seed-9 and the F_8
+# seed-41 files through the installed script.
 FN_MEMORY_DIGESTS = {
     (6, 5): "a3a11f9f763a3cbe035253d26d9b225750392e55c44c394f3e4ec0818ef079ac",
     (6, 9): "a92d4d7e8415454fcbef8498639b00b687f0142440c15e8d69b09fae57ee256d",

@@ -258,3 +258,18 @@ def test_condition_file_rejects_duplicates_and_junk(tmp_path):
 def test_condition_letters_may_hold_spaces_and_tabs_or_be_empty():
     doc = {"alphabet": ["", "a b", "c\td"], "accepting": [[""], ["a b", "c\td"]]}
     assert condition_from_dict(doc).alphabet.symbols == ("", "a b", "c\td")
+
+
+def test_conditions_print_by_name_and_hash_by_content(running_condition):
+    letters = running_condition.alphabet
+    assert repr(letters) == "Alphabet(['a', 'b', 'c'])"
+    assert repr(letters.letters(["c", "a"])) == "{a,c}"
+    assert repr(running_condition) == "MullerCondition(Alphabet(['a', 'b', 'c']), [2, 3, 5])"
+    same = MullerCondition(Alphabet("abc"), [["b"], ["a", "c"], ["a", "b"]])
+    assert same == running_condition and hash(same) == hash(running_condition)
+    assert repr(RabinCondition(Alphabet("xy"), [(["x"], ["y"])])) == (
+        "RabinCondition(Alphabet(['x', 'y']), (({x}, {y}),))"
+    )
+    assert repr(ParityCondition(Alphabet("xy"), {"x": 1, "y": 2})) == (
+        "ParityCondition(Alphabet(['x', 'y']), {'x': 1, 'y': 2})"
+    )

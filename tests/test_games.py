@@ -185,10 +185,10 @@ def product_cases(count):
 
 
 def test_product_arena_matches_reference():
-    def named(game):  # each midpoint's rows rebuilt from src/dst, colour ids named
+    def named(game):  # each midpoint's rows rebuilt from src/dst, colour masks named
         arena = midpoint_rows(game.arena)
         symbols = condition_colours(game.condition).symbols
-        colours = [None if c < 0 else symbols[c] for c in arena.colours]
+        colours = [symbols[c.bit_length() - 1] if c else None for c in arena.colours]
         return arena.succ, arena.preds, arena.owners, colours
 
     silent = 0
@@ -204,6 +204,32 @@ def test_product_arena_matches_reference():
         assert sum(i >= 0 for i in product.ids) == len(product.keys)
         silent += any(e.colour is None for e in game.edges)
     assert silent >= 300
+
+
+def test_arena_colours_are_masks():
+    """Every arena holds mask 0 at its vertices and silent midpoints and a
+    single bit of its condition's colours at every other midpoint; a
+    product's equal colours are one int, its bit table's."""
+    from mullergames.succinctness import condition_fn
+
+    cases = [(game, automaton, ids) for game, automaton, ids, _ in product_cases(100)]
+    condition = condition_fn(8)  # a 351-node tree: masks wider than a machine word
+    game = random_game(random.Random(8), condition, max_vertices=5, max_edges=10)
+    cases.append((game, build_gfg_rabin(condition).automaton, [game.vertices.index(game.initial)]))
+    for game, automaton, ids in cases:
+        for g in (game, _build_product(game, automaton, ids).game):
+            colours, base = g.arena.colours, g.arena.base
+            width = len(condition_colours(g.condition))
+            assert not any(colours[:base])
+            assert all(c & (c - 1) == 0 and c.bit_length() <= width for c in colours[base:])
+            assert len({id(c) for c in colours}) == len(set(colours))
+            named = [e.colour for e in g.edges]
+            assert [c == 0 for c in colours[base:]] == [colour is None for colour in named]
+    assert max(g.arena.colours) > 1 << 64  # the F_8 product's
+
+
+def test_game_graph_repr(running_condition):
+    assert repr(one_vertex_abc_game(running_condition)) == "GameGraph(1 vertices, 3 edges)"
 
 
 def test_solvers_agree_on_both_arenas():
@@ -247,7 +273,7 @@ def reference_parity_region(game):
     shift = max(0, 1 - min(condition.priorities))
     shift += shift % 2
     by_colour = [p + shift for p in condition.priorities] + [0]
-    prio = [by_colour[c] for c in arena.colours]
+    prio = [by_colour[c.bit_length() - 1] for c in arena.colours]
     return reference_zielonka_solve(frozenset(range(len(prio))), arena, prio)[0]
 
 
@@ -937,6 +963,12 @@ def test_rejected_core_refuses_a_refinement_that_keeps_the_mask():
     # back would search the same component forever.
     with pytest.raises(GameError, match="internal: a refinement kept the whole colour set"):
         games._rejected_core([0], [[(0, 1)]], lambda mask: [mask])
+
+
+def test_rejected_core_refuses_a_silent_only_cycle():
+    # One node with a silent loop: no colour recurs, which no arena allows.
+    with pytest.raises(GameError, match="silent-only recurrence set; the arena is malformed"):
+        games._rejected_core([0], [[(0, 0)]], lambda mask: None)
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,13 @@ def test_singleton_clique_detected():
         assert clique_lower_bound(graph) >= n
 
 
+def test_clique_bound_is_one_on_an_edgeless_graph():
+    # Every non-empty set accepts, so no two rejecting sets are adjacent.
+    graph = build_condition_graph(MullerCondition(Alphabet("ab"), [["a"], ["b"], ["a", "b"]]))
+    assert not graph.edges()
+    assert clique_lower_bound(graph) == 1
+
+
 def test_independent_bound_chi():
     assert independent_bound_chi(120, 10) == 12
     assert independent_bound_chi(7, 7) == 1
@@ -160,6 +167,8 @@ def test_binomial_lower_bound_values():
         binomial_lower_bound(12)
     with pytest.raises(ConditionError):
         binomial_lower_bound(20)  # 20/5 = 4 is not prime
+    with pytest.raises(ConditionError):
+        binomial_lower_bound(5)  # 5/5 = 1 is not prime
 
 
 def test_binomial_bound_consistent_with_exact_when_feasible():
