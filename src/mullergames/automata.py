@@ -612,7 +612,8 @@ def parse_hoa(text: str) -> Automaton:
         return s
 
     header("Start")
-    starts = [state(*entry, "initial state") for entry in headers["Start"]]
+    # Each start state once, in order of appearance, as repeated edges are.
+    starts = list(dict.fromkeys(state(*entry, "initial state") for entry in headers["Start"]))
     ap_value, ap_no, ap_line = header("AP")
     names = [_HOA_ESCAPE.sub(r"\1", name) for name in _HOA_STRING.findall(ap_value)]
     try:

@@ -4,10 +4,15 @@ The pipeline for Muller games: compose the arena with the deterministic
 parity automaton of the condition to decide the winner, then compose it
 with the good-for-games Rabin automaton and extract a positional strategy
 of the Rabin product, whose automaton component becomes the memory
-structure for the original game.  The parity automaton leaves Exist nothing
-to resolve, so its product is the plain (vertex, state) product.  Only a
-product with any other automaton, the GFG one included, has choice
-vertices, where Exist picks the transition that reads a letter.
+structure for the original game.  Both automata come from one Zielonka
+tree, which must be the game's own condition's (`_game_tree`).  The parity
+automaton leaves Exist nothing to resolve, so its product is the plain
+(vertex, state) product.  Only a product with any other automaton, the GFG
+one included, has choice vertices, where Exist picks the transition that
+reads a letter.  One rule builds a state vertex's moves in both: a silent
+move keeps the state, a lettered one takes its transition in a plain
+product and goes to its choice vertex otherwise.  So a state vertex of a
+product with choice vertices has its game vertex's moves, in order.
 
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  A midpoint has one predecessor and one successor, kept in the
@@ -68,7 +73,7 @@ from .conditions import (
     ParityCondition,
     RabinCondition,
 )
-from .construction import GfgRabinAutomaton, build_gfg_rabin, build_parity_automaton
+from .construction import GfgRabinAutomaton, _tree, build_gfg_rabin, build_parity_automaton
 from .zielonka import ZielonkaTree, build_zielonka
 
 Vertex = Hashable
@@ -259,15 +264,19 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     first reached, depth first.  Each colour mask is read from one bit
     table, so equal colours share one int.
 
-    A deterministic parity automaton leaves Exist nothing to resolve, so
-    its product is plain: a game edge x -a-> y leads from (x, q) straight
-    to (y, δ(q, a)) with that transition's colour, and parallel edges of
-    one colour are kept once.  Any other automaton (the GFG Rabin one
-    included, whose resolution `memory_from_gfg` reads) sends a lettered
-    game edge to the choice vertex (y, a, q), whose edges are the
-    transitions.  A silent game edge leads from (x, q) to (y, q) in both.
-    A silent product cycle projects to a game cycle, which `GameGraph`
-    rejects."""
+    One loop serves every state vertex (x, q), with one rule per game move
+    x -> y.  A silent move leads to (y, q) with colour 0.  A move that reads
+    a leads, in a plain product, straight to (y, δ(q, a)) with that
+    transition's colour: a deterministic parity automaton leaves Exist
+    nothing to resolve.  With any other automaton (the GFG Rabin one
+    included, whose resolution `memory_from_gfg` reads) it leads to the
+    choice vertex (y, a, q) with colour 0, whose edges are the transitions.
+    Each (target, colour) pair is kept once.  Only a plain product can
+    repeat one, as `GameGraph` keeps one edge per (source, target, colour);
+    so a state vertex of any other product has exactly its game vertex's
+    moves, in order, and `memory_from_gfg` maps one to the other by
+    position.  A silent product cycle projects to a game cycle, which
+    `GameGraph` rejects."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
     alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
@@ -302,26 +311,20 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     while stack:
         node = stack.pop()
         x, q = divmod(keys[node], width)
-        if plain:
-            row = moves[q]
-            out: set[tuple[int, int]] = set()
+        if x < base:
+            row, out = moves[q], set()  # out: the (target, colour id) pairs kept
             for m in succ[x]:
                 y, a = target[m], letter[m]
-                c, r = row[a][0] if a >= 0 else (-1, q)
-                edge = (visit(y * width + r, owner[y]), c)
+                if a >= 0 and not plain:  # to the choice vertex (y, a, q)
+                    edge = (visit((base + y * letters + a) * width + q, 0), -1)
+                else:
+                    c, r = row[a][0] if a >= 0 else (-1, q)
+                    edge = (visit(y * width + r, owner[y]), c)
                 if edge not in out:
                     out.add(edge)
                     sources.append(node)
                     targets.append(edge[0])
-                    colours.append(bit[c])
-            continue
-        if x < base:
-            for m in succ[x]:
-                y, a = target[m], letter[m]
-                key = (y if a < 0 else base + y * letters + a) * width + q
-                sources.append(node)
-                targets.append(visit(key, owner[y] if a < 0 else 0))
-                colours.append(0)
+                    colours.append(bit[edge[1]])
             continue
         y, a = divmod(x - base, letters)
         options = moves[q][a]
@@ -559,10 +562,28 @@ def _rejected_core(
 # -- memory extraction and Muller solving ---------------------------------------
 
 
+def _game_tree(
+    game: GameGraph, given: Optional[MullerCondition | ZielonkaTree], who: str
+) -> ZielonkaTree:
+    """The Zielonka tree of `given` (the game's condition when None), which
+    must be the game's own Muller condition or its tree; `who` names the
+    caller in the `GameError` raised otherwise."""
+    given = given if given is not None else game.condition
+    if not isinstance(given, (MullerCondition, ZielonkaTree)):
+        raise GameError(f"{who} expects a Muller condition")
+    tree = _tree(given)
+    if tree.condition != game.condition:
+        raise GameError(f"{who}: the condition given is not the game's condition")
+    return tree
+
+
 def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     """Project a positional strategy of the Rabin product onto the game: the
     automaton component becomes the memory, silent moves leave it unchanged.
-    The memory is certified by `verify_strategy` on the GFG's own tree."""
+    A GFG automaton built for another condition than the game's is refused
+    with `GameError` before any product is built.  The memory is certified
+    by `verify_strategy` on the GFG's own tree."""
+    _game_tree(game, gfg.tree, "memory_from_gfg")
     product = product_with_automaton(game, gfg.automaton)
     solution = positional_rabin_strategy(product.game)
     if product.game.arena.initial not in solution.won:
@@ -620,12 +641,7 @@ def solve_muller_game(
     independent certificates of the initial vertex's winner: if the parity
     product says Exist but her Rabin region in the GFG product misses its
     initial vertex, this raises `GameError`."""
-    condition = condition if condition is not None else game.condition
-    if not isinstance(condition, (MullerCondition, ZielonkaTree)):
-        raise GameError("solve_muller_game expects a Muller condition")
-    tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
-    if tree.condition != game.condition:
-        raise GameError("solve_muller_game: the condition given is not the game's condition")
+    tree = _game_tree(game, condition, "solve_muller_game")
     product = product_with_automaton(game, build_parity_automaton(tree))
     solution = solve_parity_game(product.game)
     if product.game.arena.initial not in solution.won:
@@ -735,12 +751,7 @@ def brute_force_winner(
     Test oracle only.  Each search node walks (`_walk`) a `MemoryStructure`
     of -1 tables to its first -1 slot and tries its edges or memory states
     in order there; a walk that needs none goes to `_rejected_core`."""
-    condition = condition if condition is not None else game.condition
-    if not isinstance(condition, (MullerCondition, ZielonkaTree)):
-        raise GameError("brute_force_winner expects a Muller condition")
-    tree = condition if isinstance(condition, ZielonkaTree) else build_zielonka(condition)
-    if tree.condition != game.condition:
-        raise GameError("brute_force_winner: the condition given is not the game's condition")
+    tree = _game_tree(game, condition, "brute_force_winner")
     arena, width = game.arena, tree.memtree()
     succ, base = arena.succ, arena.base
     refine = tree.refine

@@ -660,6 +660,26 @@ def test_cmd_check_rejects_a_nondeterministic_parity_hoa(capsys, condition_file,
     assert "deterministic" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["gfg-rabin", "parity"])
+def test_cmd_check_reads_a_repeated_start_line_once(capsys, condition_file, tmp_path, kind):
+    """A second `Start: 0` line names the same start state, as a repeated
+    edge line names the same edge: the parity file stays deterministic."""
+    from mullergames.automata import export_hoa, parse_hoa
+
+    hoa = tmp_path / f"{kind}.hoa"
+    assert main(["build", condition_file, "--kind", kind, "--hoa", str(hoa)]) == 0
+    lines = hoa.read_text().splitlines(keepends=True)
+    assert lines[2] == "Start: 0\n"
+    edited = "".join(lines[:3] + ["Start: 0\n"] + lines[3:])
+    hoa.write_text(edited)
+    capsys.readouterr()
+    assert main(["check", condition_file, "--automaton", str(hoa), "--bound", "3"]) == 0
+    assert capsys.readouterr().out == "pass: 507 lassos agree with the condition (bound 3)\n"
+    automaton = parse_hoa(edited)
+    assert automaton.start == (0,)
+    assert export_hoa(automaton) == "".join(lines)
+
+
 # Every break at which `str.splitlines`, and so the HOA reader, ends a line.
 LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 

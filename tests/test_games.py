@@ -191,7 +191,7 @@ def test_product_arena_matches_reference():
         colours = [symbols[c.bit_length() - 1] if c else None for c in arena.colours]
         return arena.succ, arena.preds, arena.owners, colours
 
-    silent = 0
+    silent = merged = 0
     for game, automaton, ids, reference in product_cases(300):
         product = _build_product(game, automaton, ids)
         assert product.game.vertices == reference.vertices
@@ -203,7 +203,21 @@ def test_product_arena_matches_reference():
         assert all(product.ids[key] == v for v, key in enumerate(product.keys))
         assert sum(i >= 0 for i in product.ids) == len(product.keys)
         silent += any(e.colour is None for e in game.edges)
+        # A state vertex's product edges against its game vertex's moves:
+        # a plain product merges moves that meet in one (target, colour)
+        # pair, a GFG product keeps every move.
+        width, base = len(automaton.states), game.arena.base
+        shortfall = [
+            len(game.arena.succ[key // width]) - len(product.game.arena.succ[v])
+            for v, key in enumerate(product.keys)
+            if key // width < base
+        ]
+        if isinstance(automaton.acceptance, ParityCondition):
+            merged += max(shortfall) > 0
+        else:
+            assert not any(shortfall)
     assert silent >= 300
+    assert merged >= 10
 
 
 def test_arena_colours_are_masks():
@@ -725,6 +739,36 @@ def test_solve_muller_refuses_a_condition_not_the_games(running_condition):
         solve_muller_game(bare, build_zielonka(running_condition))
 
 
+def dual_game(game):
+    """The game with every owner swapped and the condition ¬F, the
+    non-empty letter sets outside F: Exist wins it where Univ wins `game`."""
+    condition = game.condition
+    complement = [m for m in range(1, 1 << len(condition.alphabet)) if m not in condition.masks]
+    owners = [(v, (UNIV, EXIST)[who]) for v, who in zip(game.vertices, game.arena.owners)]
+    return GameGraph(
+        owners, game.edges, game.initial, MullerCondition(condition.alphabet, complement)
+    )
+
+
+def test_solve_muller_names_the_other_winner_of_the_dual_game():
+    """Muller games are determined, and Univ's objective is ¬F: the dual
+    game's winner is the other player, and where Univ wins the original,
+    the dual's memory for Exist needs at most memtree(¬F) states."""
+    rng = random.Random(3411)
+    winners = collections.Counter()
+    for _ in range(300):
+        condition = random_muller_condition(rng, Alphabet("abcde"[: rng.randint(2, 5)]))
+        game = random_game(rng, condition, max_vertices=30, max_edges=60)
+        dual = dual_game(game)
+        winner, other = solve_muller_game(game), solve_muller_game(dual)
+        assert {winner.winner, other.winner} == {EXIST, UNIV}
+        winners[winner.winner] += 1
+        if winner.winner == UNIV:
+            assert other.memory.size <= build_zielonka(dual.condition).memtree()
+            assert verify_strategy(other.memory, dual.condition)
+    assert min(winners.values()) >= 100
+
+
 def test_solve_muller_builds_one_tree(running_condition, monkeypatch):
     from mullergames import construction
 
@@ -847,6 +891,19 @@ def test_checks_refuse_a_condition_not_the_games(running_condition):
                 brute_force_winner(game, given)
     with pytest.raises(GameError, match="edge colour 'd' is not a condition colour"):
         GameGraph([("x", EXIST)], [("x", "d", "x")], "x", running_condition)
+    # Exist wins an a-loop under {{a}}; the GFG automaton of {{b}} over the
+    # same letters is refused before a Rabin product is solved, not taken
+    # for a win of Univ.
+    alphabet = Alphabet("ab")
+    loop = GameGraph([("x", EXIST)], [("x", "a", "x")], "x", MullerCondition(alphabet, [["a"]]))
+    assert solve_muller_game(loop).winner == EXIST
+    solved = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "positional_rabin_strategy", lambda game: solved.append(game))
+        with pytest.raises(GameError, match="memory_from_gfg: .* not the game's") as err:
+            memory_from_gfg(loop, build_gfg_rabin(MullerCondition(alphabet, [["b"]])))
+    assert not isinstance(err.value, NotWonByExist)
+    assert solved == []
 
 
 def test_checks_accept_an_equal_rabin_or_parity_condition():
