@@ -870,8 +870,9 @@ def test_verdicts_agree_with_a_tree_and_with_tables():
 
 def test_checks_refuse_a_condition_not_the_games(running_condition):
     """A game is judged by its own condition only: `verify_strategy` and
-    `brute_force_winner` refuse another one or its tree, and `GameGraph`
-    refuses an edge colour that is not a colour of its condition."""
+    `brute_force_winner` refuse another one or its tree, `memory_from_gfg`
+    another condition's GFG automaton, and `GameGraph` refuses an edge
+    colour that is not a colour of its condition."""
     game = one_vertex_abc_game(running_condition)
     memory = memory_from_gfg(game, build_gfg_rabin(running_condition))
     assert verify_strategy(memory, running_condition)
