@@ -400,6 +400,18 @@ def has_duplicated_edges(automaton: Automaton) -> bool:
     )
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of `mask`'s set bits, in increasing order, found by a
+    string search over its binary digits, lowest first."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def simplify_rabin(automaton: Automaton) -> Automaton:
     """Merge duplicated edges of a Rabin automaton, preserving the language.
 
@@ -414,37 +426,42 @@ def simplify_rabin(automaton: Automaton) -> Automaton:
         raise AutomatonError("simplify_rabin expects Rabin acceptance")
     symbols = list(acceptance.colours.symbols)
     base, taken = len(symbols), set(symbols)
-    colour_of = {1 << c: c for c in range(base)}  # bundle mask -> colour
-    fresh: list[int] = []  # the bundle of each colour from `base` on
+    fresh: dict[tuple[int, ...], int] = {}  # bundle -> its colour from `base` on
+    # holders[c]: the fresh colours whose bundle holds colour c, as a mask
+    # with bit i for colour base + i.
+    holders: dict[int, int] = {}
     moves: list[list[list[tuple[int, int]]]] = [[[] for _ in row] for row in automaton.moves]
     for s, row in enumerate(automaton.moves):
         for a, cell in enumerate(row):
-            bundles: dict[int, int] = {}
+            bundles: dict[int, set[int]] = {}
             for c, d in cell:
-                bundles[d] = bundles.get(d, 0) | 1 << c
+                bundles.setdefault(d, set()).add(c)
             for d in sorted(bundles):
-                mask = bundles[d]
-                if mask not in colour_of:
-                    name = "(%s)" % "".join(
-                        symbols[c] for c in range(mask.bit_length()) if mask >> c & 1
-                    )
+                bundle = tuple(sorted(bundles[d]))
+                colour = bundle[0] if len(bundle) == 1 else fresh.get(bundle)
+                if colour is None:
+                    colour = fresh[bundle] = len(symbols)
+                    for c in bundle:
+                        holders[c] = holders.get(c, 0) | 1 << colour - base
+                    name = "(%s)" % "".join(symbols[c] for c in bundle)
                     while name in taken:
                         name += "'"
                     taken.add(name)
-                    colour_of[mask] = len(symbols)
                     symbols.append(name)
-                    fresh.append(mask)
-                moves[s][a].append((colour_of[mask], d))
+                moves[s][a].append((colour, d))
     colours = Alphabet(symbols)
-    pairs = []
-    for green, red in acceptance.pairs:
-        g, r = green, red
-        for c, mask in enumerate(fresh, base):
-            if mask & green:
-                g |= 1 << c
-            if not mask & ~red:
-                r |= 1 << c
-        pairs.append((g, r))
+    pairs = list(acceptance.pairs)
+    if fresh:
+        # A bundle is green for a pair when one of its colours is, and red
+        # when none of its colours lies outside the red mask.
+        everything, outside = (1 << len(fresh)) - 1, (1 << base) - 1
+        for i, (green, red) in enumerate(pairs):
+            g = not_red = 0
+            for c in _bits(green):
+                g |= holders.get(c, 0)
+            for c in _bits(outside & ~red):
+                not_red |= holders.get(c, 0)
+            pairs[i] = (green | g << base, red | (everything & ~not_red) << base)
     return Automaton(
         automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
     )

@@ -68,8 +68,12 @@ def cmd_zielonka(args) -> int:
     tree = build_zielonka(condition)
     eta = tree.eta()
     print("node  label          kind    eta")
+    labels: dict[int, str] = {}  # letter mask -> its text, made once per label
     for n in range(len(tree)):
-        label = "{%s}" % ",".join(tree.label(n))
+        mask = tree.mask(n)
+        label = labels.get(mask)
+        if label is None:
+            label = labels[mask] = "{%s}" % ",".join(tree.label(n))
         kind = "round" if tree.is_round(n) else "square"
         eta_text = str(eta[n]) if n in eta else "-"
         print(f"{tree.node_name(n):<5} {label:<14} {kind:<7} {eta_text}")

@@ -5,14 +5,15 @@ parity automaton of the condition to decide the winner, then compose it
 with the good-for-games Rabin automaton and extract a positional strategy
 of the Rabin product, whose automaton component becomes the memory
 structure for the original game.  Both automata come from one Zielonka
-tree, which must be the game's own condition's (`_game_tree`).  The parity
-automaton leaves Exist nothing to resolve, so its product is the plain
-(vertex, state) product.  Only a product with any other automaton, the GFG
-one included, has choice vertices, where Exist picks the transition that
-reads a letter.  One rule builds a state vertex's moves in both: a silent
-move keeps the state, a lettered one takes its transition in a plain
-product and goes to its choice vertex otherwise.  So a state vertex of a
-product with choice vertices has its game vertex's moves, in order.
+tree, which must be the game's own condition's (`_game_tree`).  The memory
+is extracted on the product with the merged GFG automaton
+(`simplify_rabin`): it keeps the states and one transition per (state,
+letter, target).  One rule builds a state vertex's moves in every
+product: a silent move keeps the state, a lettered move takes the one
+transition of its cell directly, and passes through a choice vertex, where
+Exist picks the transition, only when the cell holds two or more.  So the
+deterministic parity automaton gives the plain (vertex, state) product, and
+the merged GFG automaton a choice vertex only where Exist has a choice.
 
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  A midpoint has one predecessor and one successor, kept in the
@@ -66,7 +67,7 @@ from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from ._graph import dense_components, refined_cores
-from .automata import Automaton, condition_colours
+from .automata import Automaton, condition_colours, simplify_rabin
 from .conditions import (
     AnyCondition,
     MullerCondition,
@@ -237,12 +238,12 @@ class MemoryStructure:
 class ProductGame:
     """The arena product of a game with an automaton for its condition.
 
-    State vertices pair a game vertex with an automaton state.  Unless the
-    automaton is a deterministic parity automaton, whose product is plain,
-    choice vertices remember the pending letter and the automaton state
-    before it, so each resolution edge carries the output colour of one
-    transition.  `ids` maps a key (see `_build_product`) to its node, or -1,
-    and `keys` a node to its key."""
+    State vertices pair a game vertex with an automaton state.  Where the
+    automaton's cell holds two or more transitions, a choice vertex
+    remembers the pending letter and the automaton state before it, so each
+    resolution edge carries the output colour of one transition; a
+    deterministic automaton's product has none.  `ids` maps a key (see
+    `_build_product`) to its node, or -1, and `keys` a node to its key."""
 
     game: GameGraph
     original: GameGraph
@@ -252,7 +253,7 @@ class ProductGame:
 
     def node(self, x: int, q: int, a: int = -1) -> int:
         """The state vertex (x, q), or the choice vertex (x, a, q) of a
-        product that has choice vertices."""
+        product whose automaton is not deterministic."""
         base, letters = self.original.arena.base, len(self.automaton.alphabet)
         return self.ids[(x if a < 0 else base + x * letters + a) * len(self.automaton.states) + q]
 
@@ -260,22 +261,19 @@ class ProductGame:
 def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) -> ProductGame:
     """The product reachable from the game vertices `seeds`, built into
     its arena.  By index, state vertex (x, q) has key x|Q| + q and choice
-    vertex (y, a, q) key (|V| + y|A| + a)|Q| + q.  Nodes are numbered as
-    first reached, depth first.  Each colour mask is read from one bit
+    vertex (y, a, q) key (|V| + y|A| + a)|Q| + q; `ids` has room for choice
+    keys only when the automaton is not deterministic.  Nodes are numbered
+    as first reached, depth first.  Each colour mask is read from one bit
     table, so equal colours share one int.
 
     One loop serves every state vertex (x, q), with one rule per game move
     x -> y.  A silent move leads to (y, q) with colour 0.  A move that reads
-    a leads, in a plain product, straight to (y, δ(q, a)) with that
-    transition's colour: a deterministic parity automaton leaves Exist
-    nothing to resolve.  With any other automaton (the GFG Rabin one
-    included, whose resolution `memory_from_gfg` reads) it leads to the
-    choice vertex (y, a, q) with colour 0, whose edges are the transitions.
-    Each (target, colour) pair is kept once.  Only a plain product can
-    repeat one, as `GameGraph` keeps one edge per (source, target, colour);
-    so a state vertex of any other product has exactly its game vertex's
-    moves, in order, and `memory_from_gfg` maps one to the other by
-    position.  A silent product cycle projects to a game cycle, which
+    a leads straight to (y, r) with colour c when q's cell on a holds the
+    one transition (c, r), and otherwise to the choice vertex (y, a, q) with
+    colour 0, whose edges are the cell's transitions (Exist's resolution,
+    which `memory_from_gfg` reads).  Each (target, colour) pair is kept
+    once, so a state vertex can have fewer edges than its game vertex has
+    moves.  A silent product cycle projects to a game cycle, which
     `GameGraph` rejects."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
@@ -288,8 +286,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     letter = [c.bit_length() - 1 for c in game.arena.colours]
     bit = [1 << c for c in range(len(automaton.colour_alphabet))] + [0]
     width, letters = len(states), len(alphabet)
-    plain = automaton.is_deterministic and isinstance(automaton.acceptance, ParityCondition)
-    ids = [-1] * ((base if plain else base + base * letters) * width)
+    ids = [-1] * ((base if automaton.is_deterministic else base + base * letters) * width)
     keys: list[int] = []
     owners: list[int] = []
     sources: list[int] = []  # the product's edge columns
@@ -315,7 +312,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
             row, out = moves[q], set()  # out: the (target, colour id) pairs kept
             for m in succ[x]:
                 y, a = target[m], letter[m]
-                if a >= 0 and not plain:  # to the choice vertex (y, a, q)
+                if a >= 0 and len(row[a]) != 1:  # to the choice vertex (y, a, q)
                     edge = (visit((base + y * letters + a) * width + q, 0), -1)
                 else:
                     c, r = row[a][0] if a >= 0 else (-1, q)
@@ -580,39 +577,57 @@ def _game_tree(
 def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     """Project a positional strategy of the Rabin product onto the game: the
     automaton component becomes the memory, silent moves leave it unchanged.
-    A GFG automaton built for another condition than the game's is refused
-    with `GameError` before any product is built.  The memory is certified
-    by `verify_strategy` on the GFG's own tree."""
+    The product is built over the merged automaton (`simplify_rabin`), which
+    keeps the states and one transition per (state, letter, target), so
+    Exist's choice vertices are the cells with two or more targets.  A GFG
+    automaton built for another condition than the game's is refused with
+    `GameError` before any product is built.  The memory is certified by
+    `verify_strategy` on the GFG's own tree."""
     _game_tree(game, gfg.tree, "memory_from_gfg")
-    product = product_with_automaton(game, gfg.automaton)
+    automaton = simplify_rabin(gfg.automaton)
+    product = product_with_automaton(game, automaton)
     solution = positional_rabin_strategy(product.game)
     if product.game.arena.initial not in solution.won:
         raise NotWonByExist("the existential player does not win this game")
 
-    automaton = gfg.automaton
-    width = len(automaton.states)
+    width, node = len(automaton.states), product.node
     # The product checked that the game's colours are the automaton's
     # letters, so a colour's id is a letter index (-1 for silent).
     succ, _, _, dst, owners, _, base, _ = game.arena
     letter = [c.bit_length() - 1 for c in game.arena.colours]
-    out, target, moves = product.game.arena.succ, product.game.arena.dst, solution.moves
+    _, _, _, target, _, colours, _, _ = product.game.arena
+    moves = solution.moves
     choice = [-1] * (base * width)
     update = [0] * ((len(dst) - base) * width)
-    for q in range(width):
+    for q, row in enumerate(automaton.moves):
+
+        def image(m: int) -> tuple[int, int]:
+            """The (target, colour mask) of game move m's product edge from
+            state q, by `_build_product`'s rule."""
+            y, a = dst[m], letter[m]
+            if a < 0:
+                return node(y, q), 0
+            if len(row[a]) != 1:
+                return node(y, q, a), 0
+            c, r = row[a][0]
+            return node(y, r), 1 << c
+
         for j, m in enumerate(range(base, len(dst))):
             a, r = letter[m], q  # a silent edge keeps the state
-            if a >= 0:
-                chosen = moves.get(product.node(dst[m], q, a))
-                if chosen is not None:  # to the state vertex (dst, r)
-                    r = product.keys[target[chosen]] % width
-                elif automaton.moves[q][a]:
-                    r = automaton.moves[q][a][0][1]
+            if a >= 0 and row[a]:
+                r = row[a][0][1]
+                if len(row[a]) > 1:  # Exist's choice, where the strategy made one
+                    chosen = moves.get(node(dst[m], q, a))
+                    if chosen is not None:  # to the state vertex (dst, r)
+                        r = product.keys[target[chosen]] % width
             update[j * width + q] = r
         for x in range(base):
-            if owners[x] == 0:  # a state vertex has the moves of its game vertex
-                node = product.node(x, q)
-                chosen = moves.get(node)
-                k = 0 if chosen is None else out[node].index(chosen)
+            if owners[x] == 0:  # the first move whose product edge was chosen
+                chosen = moves.get(node(x, q))
+                k = 0
+                if chosen is not None:
+                    edge = (target[chosen], colours[chosen])
+                    k = next(k for k, m in enumerate(succ[x]) if image(m) == edge)
                 choice[x * width + q] = succ[x][k] - base
     memory = MemoryStructure(game, automaton.states, automaton.start[0], choice, update)
     if not verify_strategy(memory, gfg.tree):
@@ -630,9 +645,10 @@ def solve_muller_game(
     game: GameGraph, condition: Optional[MullerCondition | ZielonkaTree] = None
 ) -> MullerSolution:
     """Decide a Muller game through the parity-automaton product; when Exist
-    wins, extract a memory structure of size memtree from the GFG product.
-    The parity product is plain, with no choice vertices; the GFG product
-    has them, and its memory is Exist's choice there.
+    wins, extract a memory structure of size memtree from the product with
+    the merged GFG automaton.  The parity product is plain, with no choice
+    vertices; the merged GFG product has one where a cell leaves Exist a
+    choice of target, and the memory is her choice there.
 
     One Zielonka tree (built here, or given for the game's condition) serves
     both automata and the memory's certificate; a condition other than the

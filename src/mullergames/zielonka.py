@@ -39,69 +39,80 @@ class ZielonkaTree:
         self.condition = condition
         self.alphabet = condition.alphabet
         order = child_order if child_order is not None else sorted
-        self._mask = [self.alphabet.full().mask]
-        self._parent: list[Optional[int]] = [None]
-        self._children: list[tuple[int, ...]] = []
-        self._depth = [0]
+        full = self.alphabet.full().mask
+        masks, rounds, depth = [full], [full in condition.masks], [0]
+        parents: list[Optional[int]] = [None]
+        children: list[tuple[int, ...]] = []
         # BFS so that ids go level by level, left to right: node `head`'s
-        # children take the next free ids, in one run.  Each label's
-        # children, and F_S for label S, are found once per build.
+        # children take the next free ids, in one run, and have the other
+        # round flag.  Each label's children, and F_S for label S, are found
+        # once per build.
         kids_of: dict[int, list[int]] = {}
-        inside = {self._mask[0]: list(condition.masks)}
+        inside = {full: list(condition.masks)}
         head = 0
-        while head < len(self._mask):
-            mask = self._mask[head]
+        while head < len(masks):
+            mask, accepted = masks[head], rounds[head]
             if mask not in kids_of:
                 members = inside.pop(mask)
-                kids_of[mask] = _maximal_flipped_subsets(condition, mask, members)
+                kids_of[mask] = _maximal_flipped_subsets(condition, mask, accepted, members)
                 for k in kids_of[mask]:
                     if k not in kids_of and k not in inside:
                         inside[k] = _masks_inside(condition, k, members)
             kids = order(list(kids_of[mask]))
-            first = len(self._mask)
-            self._children.append(tuple(range(first, first + len(kids))))
-            self._mask.extend(kids)
-            self._parent.extend([head] * len(kids))
-            self._depth.extend([self._depth[head] + 1] * len(kids))
+            first = len(masks)
+            children.append(tuple(range(first, first + len(kids))))
+            masks += kids
+            rounds += [not accepted] * len(kids)
+            parents += [head] * len(kids)
+            depth += [depth[head] + 1] * len(kids)
             head += 1
-        self._round = [condition.accepts_mask(mask) for mask in self._mask]
-        self._height = 1 + max(self._depth)
+        self._mask, self._round, self._parent, self._children = masks, rounds, parents, children
+        self._depth, self._height = depth, 1 + max(depth)
         self._number_depth_first()
 
     def _number_depth_first(self) -> None:
         """Memtree, leftmost leaves, cyclic next siblings, the leaf tuple in
-        depth-first order, and eta."""
-        count = len(self._mask)
+        depth-first order, and eta.  A node's children have consecutive
+        ids, so each one's next sibling is the next id but for the last."""
+        count, children, memtree = len(self._mask), self._children, [1] * len(self._mask)
         order: list[int] = []
+        leaves: list[int] = []
         stack = [self.root]
         while stack:
             n = stack.pop()
             order.append(n)
-            stack.extend(reversed(self._children[n]))
-        self._leaves = tuple(n for n in order if not self._children[n])
-        self._memtree = [1] * count
-        self._leftmost = list(range(count))
-        self._next_sibling = list(range(count))
+            if children[n]:
+                stack.extend(reversed(children[n]))
+            else:
+                leaves.append(n)
+        self._leaves = tuple(leaves)
+        self._leftmost = leftmost = list(range(count))
+        self._next_sibling = list(range(1, count + 1))
+        self._next_sibling[self.root] = self.root
         # Reversed pre-order: every child is finished before its parent.
         for n in reversed(order):
-            kids = self._children[n]
-            if not kids:
-                continue
-            parts = [self._memtree[k] for k in kids]
-            self._memtree[n] = sum(parts) if self._round[n] else max(parts)
-            self._leftmost[n] = self._leftmost[kids[0]]
-            for i, k in enumerate(kids):
-                self._next_sibling[k] = kids[(i + 1) % len(kids)]
+            kids = children[n]
+            if kids:
+                parts = [memtree[k] for k in kids]
+                memtree[n] = sum(parts) if self._round[n] else max(parts)
+                leftmost[n] = leftmost[kids[0]]
+                self._next_sibling[kids[-1]] = kids[0]
+        self._memtree = memtree
         # Pre-order, parents first: eta counts from a node's offset; a round
         # node's children take consecutive ranges, a square node's share one.
         offset = [0] * count
         for n in order:
-            base = offset[n]
-            for k in self._children[n]:
-                offset[k] = base
+            kids = children[n]
+            if kids:
+                base = offset[n]
                 if self._round[n]:
-                    base += self._memtree[k]
-        self._eta = {leaf: offset[leaf] + 1 for leaf in self._leaves}
+                    for k in kids:
+                        offset[k] = base
+                        base += memtree[k]
+                else:
+                    for k in kids:
+                        offset[k] = base
+        self._eta = {leaf: offset[leaf] + 1 for leaf in leaves}
 
     @cached_property
     def step_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -226,16 +237,19 @@ class ZielonkaTree:
         return "\n".join(lines) + "\n"
 
 
-def _maximal_flipped_subsets(condition: MullerCondition, mask: int, inside: list[int]) -> list[int]:
+def _maximal_flipped_subsets(
+    condition: MullerCondition, mask: int, accepted: bool, inside: list[int]
+) -> list[int]:
     """Maximal non-empty subsets of label S = `mask` whose F-membership
-    differs from S's, in (-popcount, mask) order, from `inside` = F_S.
+    differs from S's, `accepted`, in (-popcount, mask) order, from `inside`
+    = F_S.
 
     For a rejected S the candidates are F_S.  For an accepted S, a maximal
     rejected T gains membership with any letter a of S - T, so it is one of
     the rejected A - {a} for A in F_S.  Sets of one size never contain each
     other, so a candidate is tested only against the larger kept sets."""
     candidates = inside
-    if condition.accepts_mask(mask):
+    if accepted:
         drops = {a & ~(1 << i) for a in inside for i in range(a.bit_length())}
         candidates = [t for t in drops if t and t not in condition.masks]
     kept: list[int] = []

@@ -627,11 +627,10 @@ def reference_product(game, automaton, seeds, resolve=False):
     """The product builder the arena builder replaced: a name-keyed
     `GameGraph` of ("s", x, q) state and ("c", y, a, q) choice vertices,
     explored depth first from the game vertices `seeds`, with every edge
-    deduplicated through `GameEdge` hashing.  For a deterministic parity
-    automaton it is the plain product, unless `resolve` is set: a lettered
-    game edge leads from ("s", x, q) straight to ("s", y, q') along the one
-    transition."""
-    from mullergames.conditions import ParityCondition
+    deduplicated through `GameEdge` hashing.  A lettered game edge leads
+    from ("s", x, q) straight to ("s", y, q') when q has one transition on
+    its letter, along that transition, unless `resolve` is set, and to the
+    choice vertex ("c", y, letter, q) otherwise."""
     from mullergames.games import EXIST, GameEdge, GameError, GameGraph
 
     if len(automaton.initial) != 1:
@@ -642,8 +641,6 @@ def reference_product(game, automaton, seeds, resolve=False):
                 f"alphabet mismatch: game colour {e.colour!r} unknown to the automaton"
             )
     q0 = automaton.initial[0]
-    parity = isinstance(automaton.acceptance, ParityCondition)
-    plain = parity and automaton.is_deterministic and not resolve
     vertices, edges, seen, queue, kept = [], [], set(), [], set()
 
     def visit(vertex, owner):
@@ -665,12 +662,12 @@ def reference_product(game, automaton, seeds, resolve=False):
             _, x, q = vertex
             for e in out(game, x):
                 colour = None
+                options = () if e.colour is None else transitions_from(automaton, q, e.colour)
                 if e.colour is None:
                     target = ("s", e.dst, q)
                     visit(target, owner(game, e.dst))
-                elif plain:
-                    (t,) = transitions_from(automaton, q, e.colour)
-                    target, colour = ("s", e.dst, t.dst), t.colour
+                elif len(options) == 1 and not resolve:
+                    target, colour = ("s", e.dst, options[0].dst), options[0].colour
                     visit(target, owner(game, e.dst))
                 else:
                     target = ("c", e.dst, e.colour, q)
@@ -889,6 +886,93 @@ def reference_simplify_rabin(automaton: Automaton) -> Automaton:
         transitions,
         RabinCondition(colours, pairs),
     )
+
+
+def scan_simplify_rabin(automaton: Automaton) -> Automaton:
+    """The move-table merge before per-colour indexes: each fresh bundle
+    colour is tested against every pair's green and red masks."""
+    acceptance = automaton.acceptance
+    if not isinstance(acceptance, RabinCondition):
+        raise AutomatonError("simplify_rabin expects Rabin acceptance")
+    symbols = list(acceptance.colours.symbols)
+    base, taken = len(symbols), set(symbols)
+    colour_of = {1 << c: c for c in range(base)}  # bundle mask -> colour
+    fresh: list[int] = []  # the bundle of each colour from `base` on
+    moves: list[list[list[tuple[int, int]]]] = [[[] for _ in row] for row in automaton.moves]
+    for s, row in enumerate(automaton.moves):
+        for a, cell in enumerate(row):
+            bundles: dict[int, int] = {}
+            for c, d in cell:
+                bundles[d] = bundles.get(d, 0) | 1 << c
+            for d in sorted(bundles):
+                mask = bundles[d]
+                if mask not in colour_of:
+                    name = "(%s)" % "".join(
+                        symbols[c] for c in range(mask.bit_length()) if mask >> c & 1
+                    )
+                    while name in taken:
+                        name += "'"
+                    taken.add(name)
+                    colour_of[mask] = len(symbols)
+                    symbols.append(name)
+                    fresh.append(mask)
+                moves[s][a].append((colour_of[mask], d))
+    colours = Alphabet(symbols)
+    pairs = []
+    for green, red in acceptance.pairs:
+        g, r = green, red
+        for c, mask in enumerate(fresh, base):
+            if mask & green:
+                g |= 1 << c
+            if not mask & ~red:
+                r |= 1 << c
+        pairs.append((g, r))
+    return Automaton(
+        automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
+    )
+
+
+def reference_memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
+    """The extraction before the merged product: the product of the
+    unmerged GFG automaton with a choice vertex at every lettered move
+    (`reference_product` with `resolve`), so a state vertex has its game
+    vertex's moves in order, and Exist's choice is read off by position."""
+    from mullergames.games import NotWonByExist, positional_rabin_strategy, verify_strategy
+
+    automaton = gfg.automaton
+    product = reference_product(game, automaton, [game.initial], resolve=True)
+    solution = positional_rabin_strategy(product)
+    if product.arena.initial not in solution.won:
+        raise NotWonByExist("the existential player does not win this game")
+    index = {v: i for i, v in enumerate(product.vertices)}
+    states, symbols = automaton.states, automaton.alphabet.symbols
+    width = len(states)
+    succ, _, _, dst, owners, _, base, _ = game.arena
+    names = game.vertices
+    letter = [c.bit_length() - 1 for c in game.arena.colours]
+    out, target, moves = product.arena.succ, product.arena.dst, solution.moves
+    choice = [-1] * (base * width)
+    update = [0] * ((len(dst) - base) * width)
+    for q, state in enumerate(states):
+        for j, m in enumerate(range(base, len(dst))):
+            a, r = letter[m], q  # a silent edge keeps the state
+            if a >= 0:
+                chosen = moves.get(index.get(("c", names[dst[m]], symbols[a], state), -1))
+                if chosen is not None:  # to the state vertex (dst, r)
+                    r = states.index(product.vertices[target[chosen]][2])
+                elif automaton.moves[q][a]:
+                    r = automaton.moves[q][a][0][1]
+            update[j * width + q] = r
+        for x in range(base):
+            if owners[x] == 0:  # a state vertex has the moves of its game vertex
+                node = index.get(("s", names[x], state), -1)
+                chosen = moves.get(node)
+                k = 0 if chosen is None else out[node].index(chosen)
+                choice[x * width + q] = succ[x][k] - base
+    memory = MemoryStructure(game, states, automaton.start[0], choice, update)
+    if not verify_strategy(memory, gfg.tree):
+        raise GameError("internal: extracted memory failed strategy verification")
+    return memory
 
 
 def _reference_colour_marks(automaton: Automaton) -> dict[int, tuple[int, ...]]:

@@ -39,6 +39,7 @@ from conftest import (
     reference_export_hoa,
     reference_hoa_signature,
     reference_simplify_rabin,
+    scan_simplify_rabin,
     transitions_from,
 )
 
@@ -850,6 +851,22 @@ def test_simplify_rabin_matches_reference():
     assert out.colour_alphabet.symbols[-1] == "(c0c1)''"
     assert Transition(0, "a", "(c0c1)''", 1) in out.transitions
 
+
+
+def test_simplify_rabin_matches_the_pair_scan():
+    """The per-colour indexes give every fresh colour the green and red
+    bits that testing it against each pair's masks gives."""
+    rng = random.Random(4112)
+    automata = [random_nondeterministic_rabin_automaton(rng) for _ in range(300)]
+    automata += [build_gfg_rabin(condition_fn(n)).automaton for n in range(4, 9)]
+    fresh = 0
+    for aut in automata:
+        got, want = simplify_rabin(aut), scan_simplify_rabin(aut)
+        assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
+        assert got.acceptance.pairs == want.acceptance.pairs
+        assert got.moves == want.moves
+        fresh += len(got.colour_alphabet) > len(aut.colour_alphabet)
+    assert fresh >= 100
 
 
 @pytest.mark.parametrize(

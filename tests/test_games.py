@@ -49,6 +49,7 @@ from conftest import (
     reference_attract,
     reference_brute_force_winner,
     reference_positional_rabin_strategy,
+    reference_memory_from_gfg,
     reference_product,
     reference_recurrence_sets_satisfy,
     reference_solve_parity_game,
@@ -56,6 +57,7 @@ from conftest import (
     reference_zielonka_solve,
     region,
     strongly_connected_components,
+    transitions_from,
     univ_strategy,
 )
 
@@ -141,13 +143,15 @@ def test_product_with_deterministic_automaton_collapses(running_condition):
     assert all(v[0] == "s" for v in product.game.vertices)
     # Each game edge leaves every state vertex once, along its transition.
     assert all(len(out(product.game, v)) == 3 for v in product.game.vertices)
-    # A deterministic GFG Rabin automaton keeps its choice vertices, which
-    # memory_from_gfg reads.
+    # A deterministic GFG Rabin automaton leaves Exist nothing to choose
+    # either: its product has no choice vertices, and memory_from_gfg still
+    # reads a verified memory off it.
     condition = MullerCondition(Alphabet("ab"), [["a", "b"]])
-    gfg = build_gfg_rabin(condition).automaton
-    assert gfg.is_deterministic
+    gfg = build_gfg_rabin(condition)
+    assert gfg.automaton.is_deterministic
     game = GameGraph([("x", EXIST)], [("x", "a", "x"), ("x", "b", "x")], "x", condition)
-    assert any(v[0] == "c" for v in product_with_automaton(game, gfg).game.vertices)
+    assert not any(v[0] == "c" for v in product_with_automaton(game, gfg.automaton).game.vertices)
+    assert verify_strategy(memory_from_gfg(game, gfg), gfg.tree)
 
 
 def test_product_alphabet_mismatch(running_condition):
@@ -184,6 +188,18 @@ def product_cases(count):
                 yield game, automaton, ids, reference_product(game, automaton, seeds)
 
 
+def product_image(automaton, e, q):
+    """The (target, colour) of game edge e's product edge from state q: a
+    silent move keeps the state, a letter with one transition takes it, any
+    other letter goes to its choice vertex."""
+    if e.colour is None:
+        return ("s", e.dst, q), None
+    options = transitions_from(automaton, q, e.colour)
+    if len(options) == 1:
+        return ("s", e.dst, options[0].dst), options[0].colour
+    return ("c", e.dst, e.colour, q), None
+
+
 def test_product_arena_matches_reference():
     def named(game):  # each midpoint's rows rebuilt from src/dst, colour masks named
         arena = midpoint_rows(game.arena)
@@ -191,7 +207,7 @@ def test_product_arena_matches_reference():
         colours = [symbols[c.bit_length() - 1] if c else None for c in arena.colours]
         return arena.succ, arena.preds, arena.owners, colours
 
-    silent = merged = 0
+    silent, merged = 0, collections.Counter()
     for game, automaton, ids, reference in product_cases(300):
         product = _build_product(game, automaton, ids)
         assert product.game.vertices == reference.vertices
@@ -203,21 +219,48 @@ def test_product_arena_matches_reference():
         assert all(product.ids[key] == v for v, key in enumerate(product.keys))
         assert sum(i >= 0 for i in product.ids) == len(product.keys)
         silent += any(e.colour is None for e in game.edges)
-        # A state vertex's product edges against its game vertex's moves:
-        # a plain product merges moves that meet in one (target, colour)
-        # pair, a GFG product keeps every move.
-        width, base = len(automaton.states), game.arena.base
-        shortfall = [
-            len(game.arena.succ[key // width]) - len(product.game.arena.succ[v])
-            for v, key in enumerate(product.keys)
-            if key // width < base
-        ]
-        if isinstance(automaton.acceptance, ParityCondition):
-            merged += max(shortfall) > 0
-        else:
-            assert not any(shortfall)
+        # A state vertex has one product edge per distinct image of its game
+        # vertex's moves.
+        shortfall = []
+        for v in product.game.vertices:
+            if v[0] == "s":
+                moves = out(game, v[1])
+                images = {product_image(automaton, e, v[2]) for e in moves}
+                assert len(out(product.game, v)) == len(images)
+                shortfall.append(len(moves) - len(images))
+        merged[isinstance(automaton.acceptance, ParityCondition)] += max(shortfall) > 0
     assert silent >= 300
-    assert merged >= 10
+    assert merged[True] >= 10 and merged[False] >= 10, merged
+
+
+def test_merged_extraction_agrees_with_the_unmerged_reference():
+    """`memory_from_gfg` on the merged product against the extraction on the
+    unmerged automaton with a choice vertex at every lettered move: Univ
+    wins the same games, and where Exist wins both memories have the same
+    size and pass verification.  Games over four letters join
+    `product_cases`' games: their merged automata have more bundles that
+    hold colours of different Rabin pairs."""
+    unique = {id(game): game for game, _, _, _ in product_cases(250)}
+    rng = random.Random(35)
+    for _ in range(200):
+        condition = random_muller_condition(rng, Alphabet("abcd"[: rng.randint(2, 4)]))
+        game = random_game(rng, condition, max_vertices=10, max_edges=25, eps_prob=0.1)
+        unique[id(game)] = game
+    wins = collections.Counter()
+    for game in unique.values():
+        gfg = build_gfg_rabin(game.condition)
+        try:
+            want = reference_memory_from_gfg(game, gfg)
+        except NotWonByExist:
+            with pytest.raises(NotWonByExist):
+                memory_from_gfg(game, gfg)
+            wins[UNIV] += 1
+            continue
+        got = memory_from_gfg(game, gfg)
+        assert got.size == want.size
+        assert verify_strategy(got, gfg.tree) and verify_strategy(want, gfg.tree)
+        wins[EXIST] += 1
+    assert len(unique) >= 400 and min(wins.values()) >= 100, wins
 
 
 def test_arena_colours_are_masks():
