@@ -1079,15 +1079,15 @@ def test_cmd_solve_memory_out_independent_of_string_hashing(condition_file, tmp_
     assert outputs[0] == outputs[1]
 
 
-# SHA-256 of `solve --memory-out` on `pinned_solve_case(seed)`, recorded
-# before products were built straight into the solvers' arena.
+# SHA-256 of `solve --memory-out` on `pinned_solve_case(seed)`, re-recorded
+# when the memory came to be extracted on the merged GFG product.
 MEMORY_DIGESTS = {
-    3: "83214093575130598cb697d51449c4fc547a15412f3c71b6612922f3087a27a5",
-    4: "5e3e9d96a4c575ff9e953d3e8c90966ba381efb54d4031fcf9145a1b281d93d6",
-    5: "9b51ba04a52efbe74c31f1803f0ed7a908e650a7c254637fb6520aa95a497144",
-    6: "bc7ad0491ef3b58aad0bb7f3ace2ec22dbc05ed1625de1480e1f2be0a564a225",
-    11: "dd677075c3602ab3ccc00f6e82d3b77f631f51b94ea75525b6f097d8c1e4a27e",
-    13: "526b6f5bb975dba9e13a2ffceb41c069cd2377a6834a8f653d6d7c245138c9ac",
+    3: "945fdf2e5b6ce96ccdbcff113e73c86f2a2e7e3f4b983cf95391dd06f897c417",
+    4: "fc5a0fe45f521b9852287780b4f305b342a251b29bcdd9b18e8cd5114316180d",
+    5: "78a7eb2fd454afbb4ea76721af0721bcfd765415081ee53bb4c6205e2a0db2a1",
+    6: "8cccdcc32446625257835e8498f53322f96af21e07f9734d1b075457228b4887",
+    11: "f4bcec7312820851ccfc18e94632d2f7488adf76fab1b1d8586ea176f75d8fe5",
+    13: "23526051b08c058d105fa024dd042115f1b5cf9fdd3a66398d805ea023d141ed",
 }
 
 
@@ -1172,14 +1172,14 @@ def test_cmd_solve_memory_out_bytes_are_pinned(capsys, tmp_path, seed):
 
 # SHA-256 of `solve --memory-out` on `pinned_fn_case(n, seed)`: Exist wins
 # each, memtree(F_n) = n/2 states, and at several Exist vertices the move
-# depends on the memory state.  Recorded before the attractor stepped
-# through flat midpoint columns.  CI checks the F_6 seed-9 and the F_8
-# seed-41 files through the installed script.
+# depends on the memory state.  Re-recorded when the memory came to be
+# extracted on the merged GFG product.  CI checks the F_6 seed-9 and the
+# F_8 seed-41 files through the installed script.
 FN_MEMORY_DIGESTS = {
-    (6, 5): "a3a11f9f763a3cbe035253d26d9b225750392e55c44c394f3e4ec0818ef079ac",
-    (6, 9): "a92d4d7e8415454fcbef8498639b00b687f0142440c15e8d69b09fae57ee256d",
-    (8, 41): "052b0a3321e42402f2ae061f379a3661df39e77637d98105c39b792acf05e9e9",
-    (8, 117): "a45288b632e5db4b1e9729d9bffcd4646c62b81300f50d38b414b3fb5ca385a3",
+    (6, 5): "72e4cd630cadc4f1e8bb7e35bb0decf8ebac43ab8b7cc9bfec11214cba650873",
+    (6, 9): "94823cca6a4bc04c6dbf887d4c10399194978b66a9e3daaa1f98d7986259b6c2",
+    (8, 41): "667f0eded6fa8729c54eb468127eaaa6c0e268b150360790fe3de023056dfd47",
+    (8, 117): "63701462cd2827ed5e32f99c96f0aab71fd57751fb0cebcdff32b6df7d71ce71",
 }
 
 
