@@ -243,13 +243,16 @@ class ProductGame:
     remembers the pending letter and the automaton state before it, so each
     resolution edge carries the output colour of one transition; a
     deterministic automaton's product has none.  `ids` maps a key (see
-    `_build_product`) to its node, or -1, and `keys` a node to its key."""
+    `_build_product`) to its node, or -1, and `keys` a node to its key.
+    `moved[j]` is the game move (midpoint) that product edge j stands for,
+    the first such move, and -1 for an edge of a choice vertex."""
 
     game: GameGraph
     original: GameGraph
     automaton: Automaton
     ids: list[int]
     keys: list[int]
+    moved: list[int]
 
     def node(self, x: int, q: int, a: int = -1) -> int:
         """The state vertex (x, q), or the choice vertex (x, a, q) of a
@@ -272,9 +275,9 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     one transition (c, r), and otherwise to the choice vertex (y, a, q) with
     colour 0, whose edges are the cell's transitions (Exist's resolution,
     which `memory_from_gfg` reads).  Each (target, colour) pair is kept
-    once, so a state vertex can have fewer edges than its game vertex has
-    moves.  A silent product cycle projects to a game cycle, which
-    `GameGraph` rejects."""
+    once, for the first move that gives it, so a state vertex can have fewer
+    edges than its game vertex has moves.  A silent product cycle projects
+    to a game cycle, which `GameGraph` rejects."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
     alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
@@ -292,6 +295,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     sources: list[int] = []  # the product's edge columns
     targets: list[int] = []
     colours: list[int] = []
+    moved: list[int] = []
     stack: list[int] = []
 
     def visit(key: int, who: int) -> int:
@@ -322,6 +326,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                     sources.append(node)
                     targets.append(edge[0])
                     colours.append(bit[edge[1]])
+                    moved.append(m)
             continue
         y, a = divmod(x - base, letters)
         options = moves[q][a]
@@ -333,6 +338,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
         sources += [node] * len(options)
         targets += [visit(y * width + r, owner[y]) for _, r in options]
         colours += [bit[c] for c, _ in options]
+        moved += [-1] * len(options)
 
     def name(v: int) -> tuple:
         x, q = divmod(keys[v], width)
@@ -344,7 +350,7 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     product = GameGraph.__new__(GameGraph)
     product.arena, product._name = _arena(owners, sources, targets, colours, 0), name
     product.initial, product.condition = name(0), automaton.acceptance
-    return ProductGame(product, game, automaton, ids, keys)
+    return ProductGame(product, game, automaton, ids, keys, moved)
 
 
 def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame:
@@ -595,23 +601,11 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     # letters, so a colour's id is a letter index (-1 for silent).
     succ, _, _, dst, owners, _, base, _ = game.arena
     letter = [c.bit_length() - 1 for c in game.arena.colours]
-    _, _, _, target, _, colours, _, _ = product.game.arena
+    target, first_edge = product.game.arena.dst, product.game.arena.base
     moves = solution.moves
     choice = [-1] * (base * width)
     update = [0] * ((len(dst) - base) * width)
     for q, row in enumerate(automaton.moves):
-
-        def image(m: int) -> tuple[int, int]:
-            """The (target, colour mask) of game move m's product edge from
-            state q, by `_build_product`'s rule."""
-            y, a = dst[m], letter[m]
-            if a < 0:
-                return node(y, q), 0
-            if len(row[a]) != 1:
-                return node(y, q, a), 0
-            c, r = row[a][0]
-            return node(y, r), 1 << c
-
         for j, m in enumerate(range(base, len(dst))):
             a, r = letter[m], q  # a silent edge keeps the state
             if a >= 0 and row[a]:
@@ -622,13 +616,10 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
                         r = product.keys[target[chosen]] % width
             update[j * width + q] = r
         for x in range(base):
-            if owners[x] == 0:  # the first move whose product edge was chosen
+            if owners[x] == 0:  # the game move of the chosen product edge
                 chosen = moves.get(node(x, q))
-                k = 0
-                if chosen is not None:
-                    edge = (target[chosen], colours[chosen])
-                    k = next(k for k, m in enumerate(succ[x]) if image(m) == edge)
-                choice[x * width + q] = succ[x][k] - base
+                m = succ[x][0] if chosen is None else product.moved[chosen - first_edge]
+                choice[x * width + q] = m - base
     memory = MemoryStructure(game, automaton.states, automaton.start[0], choice, update)
     if not verify_strategy(memory, gfg.tree):
         raise GameError("internal: extracted memory failed strategy verification")

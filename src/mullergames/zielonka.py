@@ -102,16 +102,11 @@ class ZielonkaTree:
         # node's children take consecutive ranges, a square node's share one.
         offset = [0] * count
         for n in order:
-            kids = children[n]
-            if kids:
-                base = offset[n]
+            base = offset[n]
+            for k in children[n]:
+                offset[k] = base
                 if self._round[n]:
-                    for k in kids:
-                        offset[k] = base
-                        base += memtree[k]
-                else:
-                    for k in kids:
-                        offset[k] = base
+                    base += memtree[k]
         self._eta = {leaf: offset[leaf] + 1 for leaf in leaves}
 
     @cached_property
