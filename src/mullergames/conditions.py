@@ -12,7 +12,7 @@ Each acceptance type answers what `games` asks of a colour mask:
 `accepts_mask`, `refine` (the cycle check's query: None if the mask is
 rejected, else smaller masks that hold every rejected subset) and `split`
 (who attracts to which colours in Zielonka's recursion).  A Muller
-condition answers `refine` through its Zielonka tree and has no `split`.
+condition answers `refine` and `split` through its Zielonka tree.
 """
 
 from __future__ import annotations

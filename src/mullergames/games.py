@@ -1,19 +1,22 @@
 """Coloured game graphs, memory structures, automaton products, and solvers.
 
-The pipeline for Muller games: compose the arena with the deterministic
-parity automaton of the condition to decide the winner, then compose it
-with the good-for-games Rabin automaton and extract a positional strategy
-of the Rabin product, whose automaton component becomes the memory
-structure for the original game.  Both automata come from one Zielonka
-tree, which must be the game's own condition's (`_game_tree`).  The memory
-is extracted on the product with the merged GFG automaton
-(`simplify_rabin`): it keeps the states and one transition per (state,
-letter, target).  One rule builds a state vertex's moves in every
-product: a silent move keeps the state, a lettered move takes the one
-transition of its cell directly, and passes through a choice vertex, where
-Exist picks the transition, only when the cell holds two or more.  So the
-deterministic parity automaton gives the plain (vertex, state) product, and
-the merged GFG automaton a choice vertex only where Exist has a choice.
+The pipeline for Muller games: decide the winner on the arena itself by
+Zielonka's recursion, split by the condition's Zielonka tree.  When Exist
+wins, compose the arena with the good-for-games Rabin automaton and extract
+a positional strategy of the Rabin product, whose automaton component
+becomes the memory structure for the original game.  When Univ wins,
+compose it with the deterministic parity automaton of the condition, whose
+certified solution is Univ's certificate.  The recursion and both automata
+come from one Zielonka tree, which must be the game's own condition's
+(`_game_tree`).  The memory is extracted on the product with the merged
+GFG automaton (`simplify_rabin`): it keeps the states and one transition
+per (state, letter, target).  One rule builds a state vertex's moves in
+every product: a silent move keeps the state, a lettered move takes the
+one transition of its cell directly, and passes through a choice vertex,
+where Exist picks the transition, only when the cell holds two or more.
+So the deterministic parity automaton gives the plain (vertex, state)
+product, and the merged GFG automaton a choice vertex only where Exist has
+a choice.
 
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  A midpoint has one predecessor and one successor, kept in the
@@ -28,15 +31,19 @@ id, `mask.bit_length() - 1`.  Every game is built straight into its
 arena, from edge columns that `GameGraph` and `_build_product` append to,
 and names its edges (a product also its vertices) only when a caller reads
 them.  There is one loop of Zielonka's recursion (`_zielonka`) on the
-arena for both kinds of product: parity games (`solve_parity_game`) and
-Rabin games, where Exist always has a positional strategy
-(`positional_rabin_strategy`).  Only the condition's own `split` of a
-subgame tells them apart.  Each recursive call sees fewer colours, so
-a parity solve recurses at most as deep as its number of distinct
-priorities and a Rabin solve as its number of colours.  Its attractor
-(`_attract`) steps from a vertex to its in-midpoints and from a midpoint
-straight to its source vertex.  Each result is re-checked before it is
-returned, and the two products must agree on the initial vertex's winner.
+arena for every kind of game: Muller games, split by their tree
+(`solve_muller_game`), and the products, parity games
+(`solve_parity_game`) and Rabin games, where Exist always has a positional
+strategy (`positional_rabin_strategy`), each split by its condition.  Only
+the `split` of a subgame tells them apart.  Each recursive call sees fewer
+colours, so a parity solve recurses at most as deep as its number of
+distinct priorities, a Rabin solve as its number of colours, and a Muller
+solve as its tree's height, since each recursive call's colours lie inside
+the label of a child of the node that split its caller's.  Its attractor (`_attract`) steps from a
+vertex to its in-midpoints and from a midpoint straight to its source
+vertex.  Each result is re-checked before it is returned, and a product
+that names another winner of the initial vertex than the recursion raises
+`GameError`.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -428,18 +435,18 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
     return attr, strat
 
 
-def _zielonka(game: GameGraph) -> GameSolution:
-    """Zielonka's recursion as one loop on the arena, for a parity or Rabin
-    game.  While nodes remain, the condition's `split` of their colour mask
-    names the player who attracts and the colour masks to try.  That mask
-    is never 0: every subgame is an attractor's complement, so it holds a
-    cycle, and no cycle is silent.  Per mask the player attracts to its
-    nodes and the rest is solved.  Once the opponent wins some of the rest,
-    its attractor to that is its own and is removed; if it wins none under
-    any mask, the player wins every node.  Each recursive call sees fewer
-    colours.  Both players' moves at vertices are kept, each in its own
-    region."""
-    arena, split = game.arena, game.condition.split
+def _zielonka(game: GameGraph, split: Callable[[int], tuple[int, Sequence[int]]]) -> GameSolution:
+    """Zielonka's recursion as one loop on the arena, for a parity, Rabin or
+    Muller game.  While nodes remain, `split` of their colour mask (the
+    condition's, or a Muller condition's Zielonka tree's) names the player
+    who attracts and the colour masks to try.  That mask is never 0: every
+    subgame is an attractor's complement, so it holds a cycle, and no cycle
+    is silent.  Per mask the player attracts to its nodes and the rest is
+    solved.  Once the opponent wins some of the rest, its attractor to that
+    is its own and is removed; if it wins none under any mask, the player
+    wins every node.  Each recursive call sees fewer colours.  Both
+    players' moves at vertices are kept, each in its own region."""
+    arena = game.arena
     bit_of = arena.colours.__getitem__
 
     def solve(nodes: set) -> tuple[set, dict]:
@@ -479,7 +486,7 @@ def solve_parity_game(game: GameGraph) -> GameSolution:
     strategies are re-verified by cycle analysis."""
     if not isinstance(game.condition, ParityCondition):
         raise GameError("solve_parity_game expects a parity condition")
-    solution = _zielonka(game)
+    solution = _zielonka(game, game.condition.split)
     _verify_solution(solution)
     return solution
 
@@ -491,7 +498,7 @@ def positional_rabin_strategy(game: GameGraph) -> GameSolution:
     Rabin game, so only Exist's moves are kept, and re-verified."""
     if not isinstance(game.condition, RabinCondition):
         raise GameError("positional_rabin_strategy expects a Rabin condition")
-    solution = _zielonka(game)
+    solution = _zielonka(game, game.condition.split)
     solution.moves = solution.strategy_of(0)
     _verify_solution(solution, (0,))
     return solution
@@ -635,32 +642,48 @@ class MullerSolution:
 def solve_muller_game(
     game: GameGraph, condition: Optional[MullerCondition | ZielonkaTree] = None
 ) -> MullerSolution:
-    """Decide a Muller game through the parity-automaton product; when Exist
-    wins, extract a memory structure of size memtree from the product with
-    the merged GFG automaton.  The parity product is plain, with no choice
-    vertices; the merged GFG product has one where a cell leaves Exist a
-    choice of target, and the memory is her choice there.
+    """Decide a Muller game on its own arena by Zielonka's recursion, split
+    by the condition's Zielonka tree (`ZielonkaTree.split`), and certify
+    the winner of the initial vertex on a product.  When Exist wins, a
+    memory structure of size memtree is extracted from the product with the
+    merged GFG automaton, which has a choice vertex where a cell leaves
+    Exist a choice of target, and the memory is her choice there; its
+    `verify_strategy` check is her certificate.  When Univ wins, the plain
+    product with the deterministic parity automaton is solved, and its
+    certified parity solution is Univ's certificate.
 
     One Zielonka tree (built here, or given for the game's condition) serves
-    both automata and the memory's certificate; a condition other than the
-    game's raises `GameError`.  Each product is built straight into its
-    arena, numbered as `_build_product` explores it.  The products are
-    independent certificates of the initial vertex's winner: if the parity
-    product says Exist but her Rabin region in the GFG product misses its
-    initial vertex, this raises `GameError`."""
+    the recursion, both automata and the memory's certificate; a condition
+    other than the game's raises `GameError`.  Each product is built
+    straight into its arena, numbered as `_build_product` explores it.  A
+    product that names the other winner than the recursion raises
+    `GameError`; when the GFG Rabin product refuses Exist, the parity
+    product is solved to say which side is at fault."""
     tree = _game_tree(game, condition, "solve_muller_game")
+    exist = game.arena.initial in _zielonka(game, tree.split).won
+    if exist:
+        try:
+            return MullerSolution(EXIST, memory_from_gfg(game, build_gfg_rabin(tree)))
+        except NotWonByExist:
+            pass
     product = product_with_automaton(game, build_parity_automaton(tree))
-    solution = solve_parity_game(product.game)
-    if product.game.arena.initial not in solution.won:
-        return MullerSolution(UNIV, None)
-    try:
-        memory = memory_from_gfg(game, build_gfg_rabin(tree))
-    except NotWonByExist:
+    parity_exist = product.game.arena.initial in solve_parity_game(product.game).won
+    if exist and parity_exist:
         raise GameError(
             "internal: parity product and GFG Rabin product disagree on the "
             "winner of the initial vertex"
-        ) from None
-    return MullerSolution(EXIST, memory)
+        )
+    if exist:
+        raise GameError(
+            "internal: the tree-guided recursion names Exist the winner of the "
+            "initial vertex, but the parity and GFG Rabin products name Univ"
+        )
+    if parity_exist:
+        raise GameError(
+            "internal: the tree-guided recursion names Univ the winner of the "
+            "initial vertex, but the parity product names Exist"
+        )
+    return MullerSolution(UNIV, None)
 
 
 # -- strategy verification -------------------------------------------------------

@@ -19,7 +19,9 @@ memtree, the leftmost leaf and the cyclic next sibling of every node, the
 leaf tuple, and the leaf numbering eta, filled top-down in the same pass.
 From those, `step_table` maps a leaf and a letter index to the tree walk's
 (witness, target) move; both automaton builders and the resolver's walk
-read that one table, which is built when first read.
+read that one table, which is built when first read.  `refine` (the cycle
+check's query) and `split` (Zielonka's recursion on a Muller game) share
+one descent to the deepest node whose label holds a colour mask.
 """
 
 from __future__ import annotations
@@ -58,13 +60,16 @@ class ZielonkaTree:
                 for k in kids_of[mask]:
                     if k not in kids_of and k not in inside:
                         inside[k] = _masks_inside(condition, k, members)
-            kids = order(list(kids_of[mask]))
-            first = len(masks)
-            children.append(tuple(range(first, first + len(kids))))
-            masks += kids
-            rounds += [not accepted] * len(kids)
-            parents += [head] * len(kids)
-            depth += [depth[head] + 1] * len(kids)
+            if kids_of[mask]:
+                kids = order(list(kids_of[mask]))
+                first = len(masks)
+                children.append(tuple(range(first, first + len(kids))))
+                masks += kids
+                rounds += [not accepted] * len(kids)
+                parents += [head] * len(kids)
+                depth += [depth[head] + 1] * len(kids)
+            else:  # a leaf
+                children.append(())
             head += 1
         self._mask, self._round, self._parent, self._children = masks, rounds, parents, children
         self._depth, self._height = depth, 1 + max(depth)
@@ -195,18 +200,36 @@ class ZielonkaTree:
             raise ConditionError(f"node {leaf} is not a leaf of this tree")
         return row[self.alphabet.index(letter)]
 
+    def _holder(self, mask: int) -> int:
+        """The deepest node on the leftmost descent whose label holds `mask`:
+        no child's label holds it, so the mask has that node's membership
+        in F, and every subset of the other membership lies inside a child."""
+        labels, children, node = self._mask, self._children, self.root
+        while True:
+            deeper = next((k for k in children[node] if not mask & ~labels[k]), None)
+            if deeper is None:
+                return node
+            node = deeper
+
     def refine(self, mask: int) -> Optional[list[int]]:
         """None if the condition rejects `mask`, else the children's labels
         of the deepest node whose label holds it.  That node is round
         exactly when the mask is accepted, and then every rejected subset of
         the mask lies inside one of its children."""
-        labels, node = self._mask, self.root
-        while True:
-            kids = self._children[node]
-            deeper = next((k for k in kids if not mask & ~labels[k]), None)
-            if deeper is None:
-                return [labels[k] for k in kids] if self._round[node] else None
-            node = deeper
+        node = self._holder(mask)
+        return [self._mask[k] for k in self._children[node]] if self._round[node] else None
+
+    def split(self, present: int) -> tuple[int, list[int]]:
+        """Zielonka's recursion on a Muller game: the owner of the deepest
+        node whose label holds `present` (0 Exist if round, 1 Univ if
+        square) attracts to the colours `present & ~label` outside each
+        child's label, in child order, each distinct target once: a repeat
+        gives the same attractor and subgame.  What is left after one lies
+        inside that child.  A leaf gives no target, and its owner wins."""
+        node = self._holder(present)
+        labels = self._mask
+        targets = dict.fromkeys(present & ~labels[k] for k in self._children[node])
+        return (0 if self._round[node] else 1), list(targets)
 
     # -- derived quantities -------------------------------------------------
 

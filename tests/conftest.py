@@ -35,8 +35,11 @@ from mullergames.games import (
     GameSolution,
     MemoryStructure,
     _attract,
+    _build_product,
     _rows,
     _verify_solution,
+    _zielonka,
+    solve_parity_game,
 )
 from mullergames.succinctness import (
     ConditionGraph,
@@ -45,7 +48,13 @@ from mullergames.succinctness import (
     chromatic_number,
     clique_lower_bound,
 )
-from mullergames.construction import GfgRabinAutomaton, _tree, node_priorities, node_rabin_pairs
+from mullergames.construction import (
+    GfgRabinAutomaton,
+    _tree,
+    build_parity_automaton,
+    node_priorities,
+    node_rabin_pairs,
+)
 from mullergames.zielonka import ChildOrder, ZielonkaTree, build_zielonka
 
 
@@ -173,6 +182,33 @@ def exist_strategy(solution: GameSolution) -> dict:
 
 def univ_strategy(solution: GameSolution) -> dict:
     return named_moves(solution.game, solution.strategy_of(1))
+
+
+def recursion_winners(game: GameGraph, tree: ZielonkaTree) -> list[bool]:
+    """Whether Exist wins each vertex by Zielonka's recursion on the game
+    itself, split by its condition's tree."""
+    won = _zielonka(game, tree.split).won
+    return [x in won for x in range(game.arena.base)]
+
+
+def parity_winners(game: GameGraph, tree: ZielonkaTree) -> list[bool]:
+    """Whether Exist wins each vertex on the parity product, seeded at every
+    game vertex in the automaton's initial state."""
+    automaton = build_parity_automaton(tree)
+    product = _build_product(game, automaton, range(game.arena.base))
+    won = solve_parity_game(product.game).won
+    return [product.node(x, automaton.start[0]) in won for x in range(game.arena.base)]
+
+
+def swap_split_owners(monkeypatch) -> None:
+    """Make `ZielonkaTree.split` name the other player of every node."""
+    split = ZielonkaTree.split
+
+    def swapped(tree, present):
+        player, targets = split(tree, present)
+        return 1 - player, targets
+
+    monkeypatch.setattr(ZielonkaTree, "split", swapped)
 
 
 def memory_from_names(game: GameGraph, states, initial, update, strategy) -> MemoryStructure:

@@ -1013,6 +1013,35 @@ def test_cmd_solve_reports_product_disagreement(capsys, condition_file, tmp_path
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "owner, colour, phrase",
+    [
+        ("Exist", "b", "recursion names Univ the winner of the initial vertex, but the parity"),
+        ("Univ", "a", "recursion names Exist the winner of the initial vertex, but the parity and"),
+    ],
+)
+def test_cmd_solve_reports_a_recursion_that_disagrees(
+    capsys, condition_file, tmp_path, monkeypatch, owner, colour, phrase
+):
+    # The recursion names the loser, and a product refutes it.
+    from conftest import swap_split_owners
+
+    swap_split_owners(monkeypatch)
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "x", "owner": owner}],
+            "edges": [{"src": "x", "colour": colour, "dst": "x"}],
+            "initial": "x",
+        },
+    )
+    assert main(["solve", "--game", game, "--condition", condition_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: internal: the tree-guided " + phrase)
+    assert captured.err.count("\n") == 1
+    assert "winner:" not in captured.out
+
+
 def test_cmd_solve_reports_failed_certificate(capsys, condition_file, tmp_path, monkeypatch):
     from mullergames import games
 
@@ -1193,6 +1222,43 @@ def test_cmd_solve_fn_memory_out_bytes_are_pinned(capsys, tmp_path, n, seed):
     assert main(argv + ["--memory-out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["winner: Exist", f"memory size: {n // 2}"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FN_MEMORY_DIGESTS[n, seed]
+
+
+# `pinned_fn_case(10, 3)`: a 75-vertex game over F_10 that Univ wins.  The
+# recursion decides it and the parity product, over F_10's 1,260 leaves,
+# certifies it.  CI solves it through the installed script under a time
+# limit.
+FN_UNIV_CASE = (10, 3)
+
+
+def test_cmd_solve_fn_univ_win_is_pinned(capsys, tmp_path):
+    condition, doc = pinned_fn_case(*FN_UNIV_CASE)
+    condition_path = tmp_path / "condition.json"
+    condition_path.write_text(json.dumps(condition))
+    argv = ["solve", "--game", game_file(tmp_path, doc), "--condition", str(condition_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "winner: Univ\n"
+
+
+def test_recursion_agrees_with_the_parity_product_on_fn_games():
+    """The tree-guided recursion names the parity product's winner at every
+    vertex of the pinned F_6 and F_8 games and of F_4-F_8 games built the
+    same way, with both players winning some initial vertices."""
+    from conftest import parity_winners, recursion_winners
+    from mullergames.conditions import condition_from_dict
+    from mullergames.games import game_from_dict
+    from mullergames.zielonka import build_zielonka
+
+    cases = sorted(FN_MEMORY_DIGESTS) + [(n, seed) for n in range(4, 9) for seed in (1, 2, 3)]
+    initial = []
+    for n, seed in cases:
+        condition, doc = pinned_fn_case(n, seed)
+        tree = build_zielonka(condition_from_dict(condition))
+        game = game_from_dict(doc, tree.condition)
+        ours = recursion_winners(game, tree)
+        assert ours == parity_winners(game, tree), (n, seed)
+        initial.append(ours[game.arena.initial])
+    assert 5 <= sum(initial) <= len(initial) - 5, initial
 
 
 def test_cmd_succinctness(capsys, tmp_path):

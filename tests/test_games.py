@@ -2,6 +2,7 @@ import collections
 import functools
 import json
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,7 @@ from conftest import (
     named_automaton,
     out,
     owner,
+    parity_winners,
     random_muller_condition,
     reference_attract,
     reference_brute_force_winner,
@@ -55,8 +57,10 @@ from conftest import (
     reference_solve_parity_game,
     reference_split_edges,
     reference_zielonka_solve,
+    recursion_winners,
     region,
     strongly_connected_components,
+    swap_split_owners,
     transitions_from,
     univ_strategy,
 )
@@ -773,6 +777,77 @@ def test_solve_muller_reports_product_disagreement(running_condition, monkeypatc
     assert not isinstance(err.value, NotWonByExist)
 
 
+def seeded_muller_games(seed, count):
+    """`count` random games over 2-5 letters with up to 30 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        condition = random_muller_condition(rng, Alphabet("abcde"[: rng.randint(2, 5)]))
+        yield random_game(rng, condition, max_vertices=30, max_edges=60, eps_prob=0.1)
+
+
+def test_recursion_agrees_with_the_parity_product_at_every_vertex():
+    """The tree-guided recursion names the parity product's winner at every
+    vertex of seeded random games and of the F_5 Exist game; both players
+    win initial vertices and both win inside one game."""
+    cases = list(seeded_muller_games(1998, 200)) + [f5_exist_game()[0]]
+    initial = collections.Counter()
+    mixed = 0
+    for game in cases:
+        tree = build_zielonka(game.condition)
+        ours = recursion_winners(game, tree)
+        assert ours == parity_winners(game, tree)
+        initial[ours[game.arena.initial]] += 1
+        mixed += len(set(ours)) == 2
+    assert min(initial[True], initial[False]) >= 30 and mixed >= 30, (initial, mixed)
+
+
+def test_recursion_nests_at_most_the_tree_height():
+    """The k-th nested call's colours lie inside the label of a node at depth
+    k - 1 or more: a call splits at a node at least that deep, and its
+    recursive calls' colours lie inside a child's label.  A leaf makes no
+    call, so `_zielonka` on a Muller game nests at most the tree's height
+    deep, an empty subgame's call included, and reaches it."""
+    from mullergames.succinctness import condition_fn
+
+    solve = next(c for c in games._zielonka.__code__.co_consts if getattr(c, "co_name", "") == "solve")
+    f8 = condition_fn(8)
+    cases = list(seeded_muller_games(1998, 200))
+    cases.append(random_game(random.Random(8), f8, max_vertices=30, max_edges=60, eps_prob=0.1))
+    deepest = collections.Counter()
+    for game in cases:
+        tree = build_zielonka(game.condition)
+        depth = [0, 0]
+
+        def profile(frame, event, arg):
+            if frame.f_code is solve and event in ("call", "return"):
+                depth[0] += 1 if event == "call" else -1
+                depth[1] = max(depth)
+
+        sys.setprofile(profile)
+        try:
+            games._zielonka(game, tree.split)
+        finally:
+            sys.setprofile(None)
+        assert 1 <= depth[1] <= tree.height
+        deepest[depth[1] == tree.height] += 1
+    assert deepest[True] >= 100, deepest
+
+
+def test_solve_muller_reports_a_recursion_that_disagrees(running_condition, monkeypatch):
+    """With owners swapped the recursion names Univ on a game Exist wins,
+    which the parity product refutes, and Exist on a game Univ wins, which
+    both products refute: each raises `GameError`, not `NotWonByExist`."""
+    swap_split_owners(monkeypatch)
+    exist_wins = GameGraph([("x", EXIST)], [("x", "b", "x")], "x", running_condition)
+    univ_wins = GameGraph([("x", UNIV)], [("x", "a", "x")], "x", running_condition)
+    with pytest.raises(GameError, match="recursion names Univ .* parity product names Exist") as err:
+        solve_muller_game(exist_wins)
+    assert not isinstance(err.value, NotWonByExist)
+    with pytest.raises(GameError, match="recursion names Exist .* parity and GFG Rabin products name Univ") as err:
+        solve_muller_game(univ_wins)
+    assert not isinstance(err.value, NotWonByExist)
+
+
 def test_solve_muller_refuses_a_condition_not_the_games(running_condition):
     other = MullerCondition(Alphabet("abc"), [["a"]])
     with pytest.raises(GameError, match="not the game's condition"):
@@ -1170,6 +1245,7 @@ def test_winner_agrees_with_brute_force():
         game = random_game(rng, cond, max_vertices=3, max_edges=5)
         winner = solve_muller_game(game).winner
         assert brute_force_winner(game, cond) == winner
+        assert recursion_winners(game, build_zielonka(cond))[game.arena.initial] == (winner == EXIST)
         checked += 1
     assert checked == 40
 
@@ -1210,6 +1286,7 @@ def test_brute_force_search_follows_the_reference():
         assert brute_force_winner(game, cond, budget=count) == winner
         with pytest.raises(GameError, match="budget exceeded"):
             brute_force_winner(game, cond, budget=count - 1)
+        assert recursion_winners(game, build_zielonka(cond))[game.arena.initial] == (winner == EXIST)
         seen[kind, winner] += 1
     assert min(seen[kind, w] for kind in ("small", "F_5") for w in (EXIST, UNIV)) >= 2, seen
     assert seen["small", EXIST] + seen["small", UNIV] >= 200, seen
