@@ -124,6 +124,81 @@ def test_cmd_build_simplify_refuses_duplicated_edges(capsys, condition_file, mon
     assert captured.err.startswith("error: internal:") and captured.err.count("\n") == 1
 
 
+PERFBENCH_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+# The benchmark pool's random conditions over five to seven letters.
+POOL_SIMPLIFY_CONDITIONS = ["c5-0", "c5-1", "c6-0", "c6-1", "c7-0", "c7-1", "k5-0", "k5-1"]
+
+# SHA-256 of the HOA and DOT files of `build --kind gfg-rabin --simplify`,
+# recorded while the merged automaton came from the generic edge merge of
+# the unmerged one.
+SIMPLIFY_DIGESTS = {
+    "running": (
+        "9599311d0fb587fdd840640dc1a4bfbfd1ffb65c2d8493a7c9474ea9b8fa1eda",
+        "12bf4e19f97bb19e146632786cebd3357b0745ff899f0bc3d363bb2e303b8fe9",
+    ),
+    6: (
+        "43ede2dc9b7769faa7b6bc68fe77ad2d7ca7b8dbad08b0994ad77ea8ff6b7a6c",
+        "17f24b4d4b7fbfba16ca676ee0fd777eac2fe7b87900e4f34536f227c1ed3e3d",
+    ),
+    8: (
+        "6401779b4dc4d8b91320677573345480606fead29dab14d2be8646b885b51bf5",
+        "d13702572e4a0afd082db44ccf7674c80572d0780fa4e9ad311d5883c909b8fb",
+    ),
+    10: (
+        "1318ba224edf1e099168fab8f772f8922a7b7f7862dc382a000eb1f8debba263",
+        "7811bfd2b0bfa5b0b85d6f3bfd086a9cb98d97f6ac4da7bebafa21ac8297cd84",
+    ),
+    "c5-0": (
+        "46cde6cfd77fa666fdf2f2cbf8fd0cbaae0b0e806f9afccd1460ca0184d261ef",
+        "c63e38e3dc9e24d6edb95cda66f881220f0de2d292c3bcb6ef75df62a786710c",
+    ),
+    "c5-1": (
+        "f99c70bd718febbb7ddf4e179d37ebfb3ef4d0211896161fb0d3c8ddfe9f822d",
+        "fb42b065c1d537befa2fcc48a00a38f0ce79e03016293b768d4ca5c46cf6cc85",
+    ),
+    "c6-0": (
+        "c8c2109739ab2e519b7e61054366e55d2d44bfcd2e0df56ffa4b3d85b1609baa",
+        "336b8184824f0abae138550bef6cf2631137a58f8de10884412524459239457b",
+    ),
+    "c6-1": (
+        "d36b3d98b0015f2a67cdba85ff9bc21e526acdf291fb172af663fb5eae6028c6",
+        "c4dcfde77e2c1eab731009c02145177e603ba0f56ecbf39e4038740bf6760f71",
+    ),
+    "c7-0": (
+        "575abe3f886ac7eb9d78fba2ca5c08e3011c2e1220fd05e68930c29b210fa97b",
+        "2d61d1d8892b5672f88ee92f4fb4bd76fa04cc3e96f425ff3af1ea8871bcd964",
+    ),
+    "c7-1": (
+        "23ddb510cd47cf1ec27a5355fd4d3cebe05801a54f6010c4396749bf15e7ac80",
+        "b5cdf70f02182ef89715add7d5f2f4ea14fc4770cbb3002fe1f2a24298a47d89",
+    ),
+    "k5-0": (
+        "d22de59d201c1e2687cedfc8a80776c303533231e298824c4f48464c5365a1e9",
+        "e12302b60ae043ece726348f3f9429b28f4c09e360f60b1f98c53b771e1f87dc",
+    ),
+    "k5-1": (
+        "787948a897c8d8dcb5cbec1aee9ee71fc547d51c6c196f0b5ea30f122cb6c2f5",
+        "60d9f823112064f0c6225678c686d358b81fb739ffd24444d84a7611863954ce",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SIMPLIFY_DIGESTS), ids=str)
+def test_cmd_build_simplify_bytes_are_pinned(capsys, condition_file, tmp_path, name):
+    if name == "running":
+        path = condition_file
+    elif isinstance(name, int):
+        path = fn_file(tmp_path, name)
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(json.loads(PERFBENCH_POOL.read_text())["conditions"][name]["doc"]))
+    hoa, dot = tmp_path / "simple.hoa", tmp_path / "simple.dot"
+    argv = ["build", str(path), "--kind", "gfg-rabin", "--simplify", "--hoa", str(hoa), "--dot", str(dot)]
+    assert main(argv) == 0
+    digests = hashlib.sha256(hoa.read_bytes()).hexdigest(), hashlib.sha256(dot.read_bytes()).hexdigest()
+    assert digests == SIMPLIFY_DIGESTS[name]
+
+
 def test_cmd_build_bad_flags(capsys, condition_file):
     assert main(["build", condition_file, "--kind", "parity", "--simplify"]) == 2
     assert "error" in capsys.readouterr().err
@@ -1176,14 +1251,14 @@ def pinned_solve_case(seed):
     return condition_to_dict(condition), random_game_doc(rng, "abc", 20, 60)
 
 
-def pinned_fn_case(n, seed):
-    """A 60-100 vertex game over F_n's letters, built as `pinned_solve_case`
-    builds its games."""
+def pinned_fn_case(n, seed, low=60, high=100):
+    """A `low`-`high` vertex game over F_n's letters, built as
+    `pinned_solve_case` builds its games."""
     from mullergames.conditions import condition_to_dict
     from mullergames.succinctness import condition_fn
 
     condition = condition_fn(n)
-    doc = random_game_doc(random.Random(seed), condition.alphabet.symbols, 60, 100)
+    doc = random_game_doc(random.Random(seed), condition.alphabet.symbols, low, high)
     return condition_to_dict(condition), doc
 
 
@@ -1222,6 +1297,25 @@ def test_cmd_solve_fn_memory_out_bytes_are_pinned(capsys, tmp_path, n, seed):
     assert main(argv + ["--memory-out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["winner: Exist", f"memory size: {n // 2}"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FN_MEMORY_DIGESTS[n, seed]
+
+
+# `pinned_fn_case(*F12_CASE)`: an 18-vertex game over F_12 that Exist wins
+# with memtree(F_12) = 6 states; at five Exist vertices the move depends on
+# the memory state.  Recorded while the merged GFG automaton came from the
+# generic edge merge of the unmerged one.
+F12_CASE = (12, 12, 15, 20)
+F12_MEMORY_DIGEST = "0d14e9fa3024de67f999abe5022373872dc1458a3f88707d8b7cd7a273d2975a"
+
+
+def test_cmd_solve_f12_memory_out_is_pinned(capsys, tmp_path):
+    condition, doc = pinned_fn_case(*F12_CASE)
+    condition_path = tmp_path / "condition.json"
+    condition_path.write_text(json.dumps(condition))
+    out = tmp_path / "memory.json"
+    argv = ["solve", "--game", game_file(tmp_path, doc), "--condition", str(condition_path)]
+    assert main(argv + ["--memory-out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["winner: Exist", "memory size: 6"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == F12_MEMORY_DIGEST
 
 
 # `pinned_fn_case(10, 3)`: a 75-vertex game over F_10 that Univ wins.  The
