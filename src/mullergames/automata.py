@@ -3,13 +3,15 @@
 Acceptance (Muller, Rabin, or parity) is evaluated on the colours that a
 run produces infinitely often.  Lasso words give finite witnesses for
 membership.  An `Automaton` is built from one integer move table, which
-the builders and `parse_hoa` write and the lasso checkers, HOA/DOT export
-and `simplify_rabin` read; its named `transitions` are made only when first
+the builders and `parse_hoa` write and the lasso checkers, the products
+and HOA/DOT export read; its named `transitions` are made only when first
 read.
 The checkers run one verdict search per Lyndon root of the periods and
 each prefix once, so sweeping many lassos shares both; a checker whose
 every state gives each root the condition's verdict agrees on every lasso.
-Duplicated edges can be merged without changing the language.
+`has_duplicated_edges` finds two transitions that differ only in their
+colour; the GFG automaton's merged form (`GfgRabinAutomaton.merged`) has
+none.
 """
 
 from __future__ import annotations
@@ -397,73 +399,6 @@ def has_duplicated_edges(automaton: Automaton) -> bool:
     """True iff two transitions share source, input letter, and target."""
     return any(
         len({d for _, d in cell}) < len(cell) for row in automaton.moves for cell in row
-    )
-
-
-def _bits(mask: int) -> list[int]:
-    """The indices of `mask`'s set bits, in increasing order, found by a
-    string search over its binary digits, lowest first."""
-    digits = bin(mask)[:1:-1]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
-
-
-def simplify_rabin(automaton: Automaton) -> Automaton:
-    """Merge duplicated edges of a Rabin automaton, preserving the language.
-
-    Each (state, letter, target) keeps one transition, whose colour stands
-    for the mask of its bundled colours: a fresh colour named like "(ab)"
-    for two or more, green for pair i when some bundled colour was green,
-    red when all of them were red.  States and the number of pairs are
-    unchanged.
-    """
-    acceptance = automaton.acceptance
-    if not isinstance(acceptance, RabinCondition):
-        raise AutomatonError("simplify_rabin expects Rabin acceptance")
-    symbols = list(acceptance.colours.symbols)
-    base, taken = len(symbols), set(symbols)
-    fresh: dict[tuple[int, ...], int] = {}  # bundle -> its colour from `base` on
-    # holders[c]: the fresh colours whose bundle holds colour c, as a mask
-    # with bit i for colour base + i.
-    holders: dict[int, int] = {}
-    moves: list[list[list[tuple[int, int]]]] = [[[] for _ in row] for row in automaton.moves]
-    for s, row in enumerate(automaton.moves):
-        for a, cell in enumerate(row):
-            bundles: dict[int, set[int]] = {}
-            for c, d in cell:
-                bundles.setdefault(d, set()).add(c)
-            for d in sorted(bundles):
-                bundle = tuple(sorted(bundles[d]))
-                colour = bundle[0] if len(bundle) == 1 else fresh.get(bundle)
-                if colour is None:
-                    colour = fresh[bundle] = len(symbols)
-                    for c in bundle:
-                        holders[c] = holders.get(c, 0) | 1 << colour - base
-                    name = "(%s)" % "".join(symbols[c] for c in bundle)
-                    while name in taken:
-                        name += "'"
-                    taken.add(name)
-                    symbols.append(name)
-                moves[s][a].append((colour, d))
-    colours = Alphabet(symbols)
-    pairs = list(acceptance.pairs)
-    if fresh:
-        # A bundle is green for a pair when one of its colours is, and red
-        # when none of its colours lies outside the red mask.
-        everything, outside = (1 << len(fresh)) - 1, (1 << base) - 1
-        for i, (green, red) in enumerate(pairs):
-            g = not_red = 0
-            for c in _bits(green):
-                g |= holders.get(c, 0)
-            for c in _bits(outside & ~red):
-                not_red |= holders.get(c, 0)
-            pairs[i] = (green | g << base, red | (everything & ~not_red) << base)
-    return Automaton(
-        automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
     )
 
 

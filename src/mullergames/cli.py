@@ -19,7 +19,6 @@ from .automata import (
     has_duplicated_edges,
     lyndon_words,
     parse_hoa,
-    simplify_rabin,
 )
 from .conditions import (
     ConditionError,
@@ -66,6 +65,8 @@ def _write_json(path: str, doc) -> None:
 def cmd_zielonka(args) -> int:
     condition = load_condition(args.condition)
     tree = build_zielonka(condition)
+    if args.dot:
+        _write(args.dot, tree.to_dot())
     eta = tree.eta()
     print("node  label          kind    eta")
     labels: dict[int, str] = {}  # letter mask -> its text, made once per label
@@ -78,8 +79,6 @@ def cmd_zielonka(args) -> int:
         eta_text = str(eta[n]) if n in eta else "-"
         print(f"{tree.node_name(n):<5} {label:<14} {kind:<7} {eta_text}")
     print(f"memtree = {tree.memtree()}")
-    if args.dot:
-        _write(args.dot, tree.to_dot())
     return 0
 
 
@@ -87,12 +86,10 @@ def cmd_build(args) -> int:
     condition = load_condition(args.condition)
     if args.kind == "gfg-rabin":
         gfg = build_gfg_rabin(condition)
-        automaton = gfg.automaton
-        if args.simplify:
-            automaton = simplify_rabin(automaton)
-            if has_duplicated_edges(automaton):
-                raise AutomatonError("internal: the simplified automaton keeps duplicated edges")
-        print(f"{len(automaton.states)} states, {len(automaton.acceptance)} Rabin pairs")
+        automaton = gfg.merged if args.simplify else gfg.automaton
+        if args.simplify and has_duplicated_edges(automaton):
+            raise AutomatonError("internal: the simplified automaton keeps duplicated edges")
+        summary = f"{len(automaton.states)} states, {len(automaton.acceptance)} Rabin pairs"
         if args.provenance:
             _write_json(args.provenance, provenance_document(gfg))
     else:
@@ -102,11 +99,12 @@ def cmd_build(args) -> int:
             raise AutomatonError("--provenance applies to gfg-rabin only")
         automaton = build_parity_automaton(condition)
         prios = automaton.acceptance.priorities
-        print(f"{len(automaton.states)} states, priorities {min(prios)}..{max(prios)}")
+        summary = f"{len(automaton.states)} states, priorities {min(prios)}..{max(prios)}"
     if args.hoa:
         _write(args.hoa, export_hoa(automaton))
     if args.dot:
         _write(args.dot, export_dot(automaton))
+    print(summary)
     return 0
 
 
@@ -224,22 +222,22 @@ def cmd_solve(args) -> int:
     condition = load_condition(args.condition)
     game = load_game(args.game, condition)
     solution = solve_muller_game(game)
-    print(f"winner: {solution.winner}")
-    if solution.memory is None:
-        return 0
     memory = solution.memory
+    if memory is not None and args.memory_out:
+        _write(args.memory_out, memory_to_json(memory))
+    print(f"winner: {solution.winner}")
+    if memory is None:
+        return 0
     print(f"memory size: {memory.size}")
     print(f"chromatic: {'yes' if is_chromatic(memory) else 'no'}")
-    if args.memory_out:
-        _write(args.memory_out, memory_to_json(memory))
     return 0
 
 
 def cmd_succinctness(args) -> int:
     row = succinctness_report(args.n, exact_chi=args.exact_chi)
-    print(report_to_text([row]), end="")
     if args.json:
         _write_json(args.json, report_to_dict(row))
+    print(report_to_text([row]), end="")
     return 0
 
 

@@ -1,20 +1,24 @@
 """From a Zielonka tree to automata: the minimal good-for-games Rabin
-automaton and the deterministic parity automaton over the tree's leaves,
-with the leaf-memory resolver's walk as a run and as a lasso checker.
+automaton, its merged form, and the deterministic parity automaton over
+the tree's leaves, with the leaf-memory resolver's walk as a run and as a
+lasso checker.
 
 States of the Rabin automaton are the values of a leaf numbering with
 distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
-node, switch to its next child, descend leftmost".  Both automata are read
-off the tree's integer `step_table` straight into their move tables; the
-`Automaton` names states, colours and transitions only when they are read.
+node, switch to its next child, descend leftmost".  The merged form keeps
+one transition per (state, letter, target), as in the paper's running
+example.  All three are read off the tree's integer `step_table` straight
+into their move tables, and both GFG forms take their Rabin pairs from one
+backward sweep over the tree; the `Automaton` names states, colours and
+transitions only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automata import (
     Automaton,
@@ -37,10 +41,13 @@ def node_alphabet(tree: ZielonkaTree) -> Alphabet:
     return Alphabet([tree.node_name(n) for n in range(len(tree))])
 
 
-def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
-    """One Rabin pair per round node n: green is n itself, red is every node
-    that is neither n nor a descendant of n (strict descendants stay orange)."""
-    colours = node_alphabet(tree)
+def _round_pairs(
+    tree: ZielonkaTree, colours: Alphabet, holders: Callable[[int], int]
+) -> RabinCondition:
+    """One Rabin pair per round node n, in id order: green is `holders(n)`,
+    the mask of the colours that hold n, and red is every colour that holds
+    no node of n's subtree (a colour that holds only strict descendants of
+    n stays orange)."""
     full = colours.full().mask
     # BFS ids put every child after its parent, so a backward sweep has
     # finished a node's subtree mask when it reaches the node: its pair is
@@ -48,14 +55,21 @@ def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
     below = [0] * len(tree)
     pairs = []
     for n in range(len(tree) - 1, -1, -1):
-        mask = below[n] | (1 << n)
+        green = holders(n)
+        mask = below[n] | green
         below[n] = 0
         if tree.is_round(n):
-            pairs.append((1 << n, full & ~mask))
+            pairs.append((green, full & ~mask))
         if n:
             below[tree.parent(n)] |= mask
     pairs.reverse()
     return RabinCondition(colours, pairs)
+
+
+def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
+    """One Rabin pair per round node n: green is n itself, red is every node
+    that is neither n nor a descendant of n (strict descendants stay orange)."""
+    return _round_pairs(tree, node_alphabet(tree), lambda n: 1 << n)
 
 
 def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
@@ -88,6 +102,46 @@ class GfgRabinAutomaton:
                 t = Transition(eta[leaf], letter, colours[witness], eta[target])
                 out.setdefault(t, (leaf, witness, target))
         return out
+
+    @cached_property
+    def merged(self) -> Automaton:
+        """The automaton with one move per (state, letter, target), read
+        off `step_table`: its colour is the witness node, or the bundle of
+        two or more witnesses, named "(" + their names in id order + ")".
+        The colours are the used nodes in id order, then the bundles in
+        first use (by state, letter, target).  A bundle is green for a
+        round node's pair when it holds the node, and red when it holds no
+        node of the node's subtree."""
+        tree, eta = self.tree, self.eta
+        cells = [[{} for _ in tree.alphabet] for _ in range(tree.memtree())]
+        for leaf, row in tree.step_table.items():
+            for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
+                cell.setdefault(eta[target] - 1, set()).add(witness)
+        # Each cell's moves by target: (target, its witnesses in id order).
+        grouped = [
+            [sorted((d, tuple(sorted(w))) for d, w in cell.items()) for cell in row]
+            for row in cells
+        ]
+        used = [g for row in grouped for cell in row for _, g in cell]
+        bundles = dict.fromkeys(g for g in used if len(g) > 1)
+        groups = sorted({g for g in used if len(g) == 1}) + list(bundles)
+        colour = {g: c for c, g in enumerate(groups)}
+        holders = [0] * len(tree)
+        for g, c in colour.items():
+            for n in g:
+                holders[n] |= 1 << c
+        names = Alphabet(
+            "(%s)" % "".join(map(tree.node_name, g)) if len(g) > 1 else tree.node_name(g[0])
+            for g in groups
+        )
+        automaton = self.automaton
+        return Automaton(
+            automaton.states,
+            automaton.alphabet,
+            automaton.start,
+            [[[(colour[g], d) for d, g in cell] for cell in row] for row in grouped],
+            _round_pairs(tree, names, holders.__getitem__),
+        )
 
 
 def _tree(source: MullerCondition | ZielonkaTree) -> ZielonkaTree:

@@ -925,8 +925,12 @@ def reference_simplify_rabin(automaton: Automaton) -> Automaton:
 
 
 def scan_simplify_rabin(automaton: Automaton) -> Automaton:
-    """The move-table merge before per-colour indexes: each fresh bundle
-    colour is tested against every pair's green and red masks."""
+    """Merge duplicated edges of any Rabin automaton, preserving the
+    language: each (state, letter, target) keeps one transition, coloured
+    by its colour or by a fresh colour like "(ab)" for a bundle of two or
+    more, which is tested against every pair's green and red masks.  Every
+    colour of the input is kept.  It is the oracle for
+    `GfgRabinAutomaton.merged`, with `used_colours_only`."""
     acceptance = automaton.acceptance
     if not isinstance(acceptance, RabinCondition):
         raise AutomatonError("simplify_rabin expects Rabin acceptance")
@@ -965,6 +969,26 @@ def scan_simplify_rabin(automaton: Automaton) -> Automaton:
         pairs.append((g, r))
     return Automaton(
         automaton.states, automaton.alphabet, automaton.start, moves, RabinCondition(colours, pairs)
+    )
+
+
+def used_colours_only(automaton: Automaton) -> Automaton:
+    """A Rabin automaton cut to the colours its moves carry, renumbered in
+    their order, with each pair's masks cut to them."""
+    used = sorted({c for row in automaton.moves for cell in row for c, _ in cell})
+    new = {c: i for i, c in enumerate(used)}
+
+    def cut(mask: int) -> int:
+        return sum(1 << i for i, c in enumerate(used) if mask >> c & 1)
+
+    acceptance = automaton.acceptance
+    colours = Alphabet([acceptance.colours.symbols[c] for c in used])
+    return Automaton(
+        automaton.states,
+        automaton.alphabet,
+        automaton.start,
+        [[[(new[c], d) for c, d in cell] for cell in row] for row in automaton.moves],
+        RabinCondition(colours, [(cut(g), cut(r)) for g, r in acceptance.pairs]),
     )
 
 

@@ -16,7 +16,6 @@ from mullergames.automata import (
     Transition,
     has_duplicated_edges,
     run_deterministic,
-    simplify_rabin,
 )
 from mullergames.conditions import (
     Alphabet,
@@ -64,6 +63,7 @@ from conftest import (
     random_muller_condition,
     reference_is_ancestor,
     reference_leaves_below,
+    scan_simplify_rabin,
     transitions_from,
     verify_disjoint_fscc,
 )
@@ -115,7 +115,7 @@ def test_criterion_1_running_example(running_condition):
         ({"n2"}, {"n0", "n1", "n3"}),
     ]
 
-    simplified = simplify_rabin(gfg.automaton)
+    simplified = scan_simplify_rabin(gfg.automaton)
     assert set(simplified.transitions) == {
         Transition(1, "a", "(n3n4)", 1),
         Transition(1, "b", "(n0n1)", 1),
@@ -369,7 +369,7 @@ def test_criterion_4_simplification_soundness():
     rng = random.Random(321)
     for _ in range(200):
         automaton = _random_rabin_automaton(rng)
-        simplified = simplify_rabin(automaton)
+        simplified = scan_simplify_rabin(automaton)
         assert len(simplified.states) == len(automaton.states)
         assert len(simplified.acceptance) == len(automaton.acceptance)
         assert not has_duplicated_edges(simplified)

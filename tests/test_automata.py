@@ -18,7 +18,6 @@ from mullergames.automata import (
     lyndon_words,
     parse_hoa,
     run_deterministic,
-    simplify_rabin,
 )
 from mullergames.conditions import (
     Alphabet,
@@ -191,7 +190,7 @@ def test_automaton_repr(running_condition):
 def test_has_duplicated_edges(running_condition):
     fig2 = fig2_automaton(running_condition)
     assert has_duplicated_edges(fig2)
-    fig4 = simplify_rabin(fig2)
+    fig4 = build_gfg_rabin(running_condition).merged
     assert not has_duplicated_edges(fig4)
     single = named_automaton(
         [0],
@@ -204,7 +203,7 @@ def test_has_duplicated_edges(running_condition):
 
 
 def test_simplify_rabin_matches_fig4(running_condition):
-    fig4 = simplify_rabin(fig2_automaton(running_condition))
+    fig4 = scan_simplify_rabin(fig2_automaton(running_condition))
     assert fig4.states == (1, 2)
     expected = {
         Transition(1, "a", "(n3n4)", 1),
@@ -233,7 +232,7 @@ def test_simplify_rabin_without_duplicates_is_identity_up_to_colours():
         [Transition(0, "a", "c0", 1), Transition(1, "a", "c1", 0)],
         RabinCondition(Alphabet(["c0", "c1"]), [(["c0"], ["c1"])]),
     )
-    out = simplify_rabin(aut)
+    out = scan_simplify_rabin(aut)
     assert set(out.transitions) == set(aut.transitions)
     assert [(g.names(), r.names()) for g, r in letter_pairs(out.acceptance)] == [
         (("c0",), ("c1",))
@@ -244,7 +243,7 @@ def test_simplify_rabin_preserves_language_random():
     rng = random.Random(31)
     for _ in range(40):
         aut = random_rabin_automaton(rng)
-        out = simplify_rabin(aut)
+        out = scan_simplify_rabin(aut)
         assert len(out.states) == len(aut.states)
         assert len(out.acceptance) == len(aut.acceptance)
         assert not has_duplicated_edges(out)
@@ -255,7 +254,7 @@ def test_simplify_rabin_preserves_language_random():
 
 
 def test_export_hoa_rabin_headers(running_condition):
-    fig4 = simplify_rabin(fig2_automaton(running_condition))
+    fig4 = build_gfg_rabin(running_condition).merged
     text = export_hoa(fig4)
     assert "acc-name: Rabin 2" in text
     assert "Acceptance: 4 (Fin(0)&Inf(1))|(Fin(2)&Inf(3))" in text
@@ -278,7 +277,7 @@ def test_export_hoa_parity_header():
 def test_hoa_round_trip(running_condition):
     for aut in (
         fig2_automaton(running_condition),
-        simplify_rabin(fig2_automaton(running_condition)),
+        build_gfg_rabin(running_condition).merged,
         build_parity_automaton(running_condition),
     ):
         text = export_hoa(aut)
@@ -482,10 +481,10 @@ def test_export_hoa_bytes_are_pinned(running_condition):
         "random5": random_muller_condition(random.Random(2204), Alphabet("abcde")),
     }
     for name, cond in conditions.items():
-        gfg = build_gfg_rabin(cond).automaton
+        gfg = build_gfg_rabin(cond)
         built = {
-            "gfg": gfg,
-            "simplified": simplify_rabin(gfg),
+            "gfg": gfg.automaton,
+            "simplified": gfg.merged,
             "parity": build_parity_automaton(cond),
         }
         for kind, aut in built.items():
@@ -515,9 +514,9 @@ def hoa_oracle_automata():
         random_muller_condition(rng, Alphabet("abcdefg"[: rng.randint(1, 7)])) for _ in range(16)
     ]
     for cond in conditions:
-        gfg = build_gfg_rabin(cond).automaton
-        yield gfg, len(gfg.transitions) < 5000
-        yield simplify_rabin(gfg), True
+        gfg = build_gfg_rabin(cond)
+        yield gfg.automaton, len(gfg.automaton.transitions) < 5000
+        yield gfg.merged, True
         yield build_parity_automaton(cond), True
 
 
@@ -812,10 +811,10 @@ DOT_DIGESTS = {
 
 
 def test_export_dot_bytes_are_pinned(running_condition):
-    gfg = fig2_automaton(running_condition)
+    gfg = build_gfg_rabin(running_condition)
     built = {
-        "gfg": gfg,
-        "simplified": simplify_rabin(gfg),
+        "gfg": gfg.automaton,
+        "simplified": gfg.merged,
         "parity": build_parity_automaton(running_condition),
         "F6-gfg": build_gfg_rabin(condition_fn(6)).automaton,
     }
@@ -824,7 +823,7 @@ def test_export_dot_bytes_are_pinned(running_condition):
 
 
 def assert_simplified_like_reference(aut):
-    got, want = simplify_rabin(aut), reference_simplify_rabin(aut)
+    got, want = scan_simplify_rabin(aut), reference_simplify_rabin(aut)
     assert got.transitions == want.transitions
     assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
     assert got.acceptance.pairs == want.acceptance.pairs
@@ -852,23 +851,6 @@ def test_simplify_rabin_matches_reference():
     assert Transition(0, "a", "(c0c1)''", 1) in out.transitions
 
 
-
-def test_simplify_rabin_matches_the_pair_scan():
-    """The per-colour indexes give every fresh colour the green and red
-    bits that testing it against each pair's masks gives."""
-    rng = random.Random(4112)
-    automata = [random_nondeterministic_rabin_automaton(rng) for _ in range(300)]
-    automata += [build_gfg_rabin(condition_fn(n)).automaton for n in range(4, 9)]
-    fresh = 0
-    for aut in automata:
-        got, want = simplify_rabin(aut), scan_simplify_rabin(aut)
-        assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
-        assert got.acceptance.pairs == want.acceptance.pairs
-        assert got.moves == want.moves
-        fresh += len(got.colour_alphabet) > len(aut.colour_alphabet)
-    assert fresh >= 100
-
-
 @pytest.mark.parametrize(
     "states, initial, transitions, message",
     [
@@ -893,4 +875,4 @@ def test_rabin_tools_refuse_a_parity_automaton(running_condition):
     with pytest.raises(AutomatonError, match="lasso membership oracle expects Rabin acceptance"):
         RabinLassoChecker.from_automaton(parity)
     with pytest.raises(AutomatonError, match="simplify_rabin expects Rabin acceptance"):
-        simplify_rabin(parity)
+        scan_simplify_rabin(parity)

@@ -115,9 +115,9 @@ def test_cmd_build_simplify(capsys, condition_file, tmp_path):
 def test_cmd_build_simplify_refuses_duplicated_edges(capsys, condition_file, monkeypatch):
     # The running example's GFG automaton has duplicated edges; a simplifier
     # that keeps them is an internal fault, reported as an error line.
-    from mullergames import cli
+    from mullergames.construction import GfgRabinAutomaton
 
-    monkeypatch.setattr(cli, "simplify_rabin", lambda automaton: automaton)
+    monkeypatch.setattr(GfgRabinAutomaton, "merged", property(lambda gfg: gfg.automaton))
     assert main(["build", condition_file, "--kind", "gfg-rabin", "--simplify"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1496,6 +1496,31 @@ def test_cli_file_errors_exit_2_with_one_line(capsys, condition_file, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert phrase in err
+
+
+# Each case: the argv of a command that writes `path` once it has its
+# result, for the running example's condition file `c` in directory `d`.
+OUTPUT_WRITES = {
+    "zielonka-dot": lambda d, c, path: ["zielonka", c, "--dot", path],
+    "build-hoa": lambda d, c, path: ["build", c, "--kind", "gfg-rabin", "--hoa", path],
+    "build-dot": lambda d, c, path: ["build", c, "--kind", "parity", "--dot", path],
+    "build-provenance": lambda d, c, path: ["build", c, "--kind", "gfg-rabin", "--provenance", path],
+    "solve-memory-out": lambda d, c, path: [
+        "solve", "--game", _exist_game(d), "--condition", c, "--memory-out", path
+    ],
+    "succinctness-json": lambda d, c, path: ["succinctness", "--n", "3", "--json", path],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_WRITES))
+def test_cli_failed_output_write_prints_nothing(capsys, condition_file, tmp_path, case):
+    """A file that cannot be written ends the command before it prints:
+    exit code 2, one `error:` line and an empty stdout."""
+    argv = OUTPUT_WRITES[case](tmp_path, condition_file, str(tmp_path / "missing" / "out"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_cli_missing_file(capsys):

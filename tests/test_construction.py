@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,6 @@ from mullergames.automata import (
     export_dot,
     export_hoa,
     run_deterministic,
-    simplify_rabin,
 )
 from mullergames.conditions import (
     Alphabet,
@@ -18,6 +19,7 @@ from mullergames.conditions import (
     LassoWord,
     MullerCondition,
     RabinCondition,
+    condition_from_dict,
     inf_set,
     satisfies_muller,
 )
@@ -44,11 +46,15 @@ from conftest import (
     reference_build_parity_automaton,
     reference_is_ancestor,
     reference_step,
+    scan_simplify_rabin,
     table_oracle_conditions,
     transitions_from,
+    used_colours_only,
 )
 
 ALPHA, BETA, GAMMA, DELTA, EPS, ZETA = range(6)
+
+PERFBENCH_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
 
 
 def fn_condition(n):
@@ -158,7 +164,7 @@ def test_table_builders_match_the_named_builders():
     for cond in [*table_oracle_conditions(), condition_fn(9), condition_fn(10)]:
         tree = build_zielonka(cond)
         gfg, parity = build_gfg_rabin(tree), build_parity_automaton(tree)
-        simple = simplify_rabin(gfg.automaton)
+        simple = gfg.merged
         game = GameGraph([("x", EXIST)], [("x", a, "x") for a in cond.alphabet], "x", cond)
         for aut in (gfg.automaton, simple, parity):
             export_hoa(aut)
@@ -186,6 +192,31 @@ def test_table_builders_match_the_named_builders():
                     assert transitions_from(got, q, a) == transitions_from(want, q, a)
         assert parity.transitions == reference_parity.transitions
         assert list(gfg.provenance.items()) == list(reference.provenance.items())
+
+
+def test_merged_matches_the_pair_scan():
+    """The merged automaton read off the tree equals the generic merge of
+    the unmerged automaton (each bundle tested against every pair's masks)
+    cut to the colours its moves carry, in their order: colours, pairs,
+    moves, states and start.  On the benchmark pool's 30 conditions,
+    F_4-F_12 and 200 seeded random ones over one to six letters."""
+    pool = json.loads(PERFBENCH_POOL.read_text())["conditions"]
+    conditions = [condition_from_dict(entry["doc"]) for entry in pool.values()]
+    conditions += [condition_fn(n) for n in range(4, 13)]
+    rng = random.Random(4112)
+    conditions += [
+        random_muller_condition(rng, Alphabet("abcdef"[: rng.randint(1, 6)])) for _ in range(200)
+    ]
+    bundled = 0
+    for cond in conditions:
+        gfg = build_gfg_rabin(cond)
+        got, want = gfg.merged, used_colours_only(scan_simplify_rabin(gfg.automaton))
+        assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
+        assert got.acceptance.pairs == want.acceptance.pairs
+        assert got.moves == want.moves
+        assert (got.states, got.start) == (want.states, want.start)
+        bundled += any(name.startswith("(") for name in got.colour_alphabet)
+    assert len(conditions) == 239 and bundled >= 100, bundled
 
 
 def test_gfg_rabin_provenance_first_leaf_wins(running_condition):

@@ -59,6 +59,7 @@ from conftest import (
     reference_zielonka_solve,
     recursion_winners,
     region,
+    scan_simplify_rabin,
     strongly_connected_components,
     swap_split_owners,
     transitions_from,
@@ -265,6 +266,38 @@ def test_merged_extraction_agrees_with_the_unmerged_reference():
         assert verify_strategy(got, gfg.tree) and verify_strategy(want, gfg.tree)
         wins[EXIST] += 1
     assert len(unique) >= 400 and min(wins.values()) >= 100, wins
+
+
+def test_merged_split_agrees_with_the_unmerged_colours():
+    """On every `_zielonka` call that solves the merged GFG products of
+    `product_cases`' games, the merged condition's split equals the split of
+    the generic merge that keeps every colour of the unmerged automaton,
+    mapped through the renumbering: the used colours keep their order, so
+    the same pair is live and Univ's targets come in the same order."""
+    splits = collections.Counter()
+    for game, automaton, ids, _ in product_cases(300):
+        if isinstance(automaton.acceptance, ParityCondition):
+            continue
+        gfg = build_gfg_rabin(game.condition)
+        merged, full = gfg.merged, scan_simplify_rabin(gfg.automaton)
+        used = [full.colour_alphabet.index(c) for c in merged.colour_alphabet]
+
+        def widen(mask, used=used):
+            return sum(1 << c for i, c in enumerate(used) if mask >> i & 1)
+
+        def split(present, merged=merged, full=full, widen=widen):
+            player, targets = merged.acceptance.split(present)
+            want_player, want = full.acceptance.split(widen(present))
+            assert player == want_player
+            if player:  # complements of children of the present colours
+                assert [widen(~t) for t in targets] == [~t for t in want]
+            else:  # the live pair's green
+                assert [widen(t) for t in targets] == [t & widen(-1) for t in want]
+            splits[player] += 1
+            return player, targets
+
+        games._zielonka(_build_product(game, merged, ids).game, split)
+    assert min(splits[0], splits[1]) >= 300, splits
 
 
 def test_arena_colours_are_masks():
