@@ -125,12 +125,11 @@ def test_cmd_build_simplify_refuses_duplicated_edges(capsys, condition_file, mon
 
 
 PERFBENCH_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
-# The benchmark pool's random conditions over five to seven letters.
-POOL_SIMPLIFY_CONDITIONS = ["c5-0", "c5-1", "c6-0", "c6-1", "c7-0", "c7-1", "k5-0", "k5-1"]
 
 # SHA-256 of the HOA and DOT files of `build --kind gfg-rabin --simplify`,
 # recorded while the merged automaton came from the generic edge merge of
-# the unmerged one.
+# the unmerged one: the running example, F_6, F_8, F_10 and the benchmark
+# pool's random conditions over five to seven letters.
 SIMPLIFY_DIGESTS = {
     "running": (
         "9599311d0fb587fdd840640dc1a4bfbfd1ffb65c2d8493a7c9474ea9b8fa1eda",
