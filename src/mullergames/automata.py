@@ -10,8 +10,9 @@ The checkers run one verdict search per Lyndon root of the periods and
 each prefix once, so sweeping many lassos shares both; a checker whose
 every state gives each root the condition's verdict agrees on every lasso.
 `has_duplicated_edges` finds two transitions that differ only in their
-colour; the GFG automaton's merged form (`GfgRabinAutomaton.merged`) has
-none.
+colour; the GFG automaton's merged form (`GfgRabinAutomaton.merged`,
+regrouped from its unmerged move table, whose automaton is built only when
+first read) has none.
 """
 
 from __future__ import annotations

@@ -8,16 +8,19 @@ distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
 node, switch to its next child, descend leftmost".  The merged form keeps
 one transition per (state, letter, target), as in the paper's running
-example.  All three are read off the tree's integer `step_table` straight
-into their move tables, and both GFG forms take their Rabin pairs from one
-backward sweep over the tree; the `Automaton` names states, colours and
-transitions only when they are read.
+example.  The GFG move table and the parity automaton are read off the
+tree's integer `step_table`; the merged form is regrouped from the
+unmerged GFG move table by target, and the unmerged automaton is built
+only when first read.  Both GFG forms take their Rabin pairs from one
+backward sweep over the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .automata import (
@@ -35,10 +38,6 @@ from .conditions import (
     RabinCondition,
 )
 from .zielonka import ZielonkaTree, build_zielonka
-
-
-def node_alphabet(tree: ZielonkaTree) -> Alphabet:
-    return Alphabet([tree.node_name(n) for n in range(len(tree))])
 
 
 def _round_pairs(
@@ -69,7 +68,8 @@ def _round_pairs(
 def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
     """One Rabin pair per round node n: green is n itself, red is every node
     that is neither n nor a descendant of n (strict descendants stay orange)."""
-    return _round_pairs(tree, node_alphabet(tree), lambda n: 1 << n)
+    names = Alphabet([tree.node_name(n) for n in range(len(tree))])
+    return _round_pairs(tree, names, lambda n: 1 << n)
 
 
 def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
@@ -85,11 +85,24 @@ def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
 
 @dataclass
 class GfgRabinAutomaton:
-    """The good-for-games Rabin automaton plus its construction context."""
+    """The good-for-games Rabin automaton's move table plus its construction
+    context: `moves[s][a]` holds each (witness node, target state index) of
+    state index s on letter a once, first leaf first.  The unmerged
+    `automaton` and the `merged` one are both built from it when first read."""
 
-    automaton: Automaton
     tree: ZielonkaTree
     eta: dict[int, int]
+    moves: list[list[list[tuple[int, int]]]]
+
+    @cached_property
+    def automaton(self) -> Automaton:
+        """The move table as an automaton: colour n is node n."""
+        return self._over(self.moves, node_rabin_pairs(self.tree))
+
+    def _over(self, moves: list, acceptance: RabinCondition) -> Automaton:
+        """An automaton on the GFG states, letters and start state."""
+        tree, start = self.tree, self.eta[self.tree.leftmost_leaf(self.tree.root)] - 1
+        return Automaton(range(1, tree.memtree() + 1), tree.alphabet, [start], moves, acceptance)
 
     @cached_property
     def provenance(self) -> dict[Transition, tuple[int, int, int]]:
@@ -105,23 +118,17 @@ class GfgRabinAutomaton:
 
     @cached_property
     def merged(self) -> Automaton:
-        """The automaton with one move per (state, letter, target), read
-        off `step_table`: its colour is the witness node, or the bundle of
-        two or more witnesses, named "(" + their names in id order + ")".
-        The colours are the used nodes in id order, then the bundles in
-        first use (by state, letter, target).  A bundle is green for a
-        round node's pair when it holds the node, and red when it holds no
-        node of the node's subtree."""
-        tree, eta = self.tree, self.eta
-        cells = [[{} for _ in tree.alphabet] for _ in range(tree.memtree())]
-        for leaf, row in tree.step_table.items():
-            for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
-                cell.setdefault(eta[target] - 1, set()).add(witness)
+        """The automaton with one move per (state, letter, target),
+        regrouped from the unmerged move table: its colour is the witness
+        node, or the bundle of two or more witnesses, named "(" + their
+        names in id order + ")".  The colours are the used nodes in id
+        order, then the bundles in first use (by state, letter, target).
+        A bundle is green for a round node's pair when it holds the node,
+        and red when it holds no node of the node's subtree."""
+        tree, flip, target = self.tree, itemgetter(1, 0), itemgetter(1)
         # Each cell's moves by target: (target, its witnesses in id order).
-        grouped = [
-            [sorted((d, tuple(sorted(w))) for d, w in cell.items()) for cell in row]
-            for row in cells
-        ]
+        runs = [[groupby(sorted(cell, key=flip), target) for cell in row] for row in self.moves]
+        grouped = [[[(d, tuple(w for w, _ in g)) for d, g in cell] for cell in row] for row in runs]
         used = [g for row in grouped for cell in row for _, g in cell]
         bundles = dict.fromkeys(g for g in used if len(g) > 1)
         groups = sorted({g for g in used if len(g) == 1}) + list(bundles)
@@ -134,11 +141,7 @@ class GfgRabinAutomaton:
             "(%s)" % "".join(map(tree.node_name, g)) if len(g) > 1 else tree.node_name(g[0])
             for g in groups
         )
-        automaton = self.automaton
-        return Automaton(
-            automaton.states,
-            automaton.alphabet,
-            automaton.start,
+        return self._over(
             [[[(colour[g], d) for d, g in cell] for cell in row] for row in grouped],
             _round_pairs(tree, names, holders.__getitem__),
         )
@@ -158,14 +161,7 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     for leaf, row in tree.step_table.items():
         for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
             cell[witness, eta[target] - 1] = None
-    automaton = Automaton(
-        range(1, tree.memtree() + 1),
-        tree.alphabet,
-        [eta[tree.leftmost_leaf(tree.root)] - 1],
-        [[list(cell) for cell in row] for row in cells],
-        node_rabin_pairs(tree),
-    )
-    return GfgRabinAutomaton(automaton, tree, eta)
+    return GfgRabinAutomaton(tree, eta, [[list(cell) for cell in row] for row in cells])
 
 
 def _leaf_table(tree: ZielonkaTree, colour: Sequence[int]) -> list[list[list[tuple[int, int]]]]:
@@ -210,7 +206,7 @@ def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
     It gives the verdicts of `resolve_run`, computed per (state after
     prefix, period)."""
     tree = gfg.tree
-    # Colour n of the GFG automaton is node n (`node_alphabet`).
+    # Colour n of the GFG automaton is node n (`node_rabin_pairs`).
     return DeterministicLassoChecker(
         _leaf_table(tree, range(len(tree))), [0], tree.alphabet, gfg.automaton.acceptance
     )

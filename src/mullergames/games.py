@@ -9,8 +9,9 @@ compose it with the deterministic parity automaton of the condition, whose
 certified solution is Univ's certificate.  The recursion and both automata
 come from one Zielonka tree, which must be the game's own condition's
 (`_game_tree`).  The memory is extracted on the product with the merged
-GFG automaton (`GfgRabinAutomaton.merged`, read off the tree): it keeps
-the states and one transition per (state, letter, target), and only the
+GFG automaton (`GfgRabinAutomaton.merged`, regrouped from the unmerged
+move table; the unmerged automaton is built only when first read): it
+keeps the states, one transition per (state, letter, target), and only the
 colours its moves carry.  One rule builds a state vertex's moves in
 every product: a silent move keeps the state, a lettered move takes the
 one transition of its cell directly, and passes through a choice vertex,
@@ -592,11 +593,12 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     """Project a positional strategy of the Rabin product onto the game: the
     automaton component becomes the memory, silent moves leave it unchanged.
     The product is built over the merged automaton (`gfg.merged`), which
-    keeps the states, one transition per (state, letter, target) and only
-    the colours its moves carry, so Exist's choice vertices are the cells
-    with two or more targets.  A GFG
-    automaton built for another condition than the game's is refused with
-    `GameError` before any product is built.  The memory is certified by
+    is regrouped from the unmerged move table and keeps the states, one
+    transition per (state, letter, target) and only the colours its moves
+    carry, so Exist's choice vertices are the cells with two or more
+    targets; the unmerged `gfg.automaton`, built when first read, is not
+    read.  A GFG automaton built for another condition than the game's is
+    refused with `GameError` before any product is built.  The memory is certified by
     `verify_strategy` on the GFG's own tree."""
     _game_tree(game, gfg.tree, "memory_from_gfg")
     automaton = gfg.merged

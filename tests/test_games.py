@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import json
 import random
 import sys
@@ -741,6 +742,31 @@ def test_memory_from_gfg_reports_univ(running_condition):
     )
     with pytest.raises(NotWonByExist):
         memory_from_gfg(game, build_gfg_rabin(running_condition))
+
+
+def test_solve_builds_no_unmerged_gfg_automaton(monkeypatch):
+    # The memory is extracted on the merged GFG automaton, regrouped from
+    # the unmerged move table: the node-named Rabin pairs and the unmerged
+    # automaton are built only when `gfg.automaton` is read, which `solve`
+    # never does.  The memory is still the pinned F_6 seed-9 file.
+    from mullergames import construction
+    from mullergames.conditions import condition_from_dict
+    from test_cli import FN_MEMORY_DIGESTS, pinned_fn_case
+
+    def refuse(tree):
+        raise AssertionError("the unmerged Rabin pairs were built")
+
+    monkeypatch.setattr(construction, "node_rabin_pairs", refuse)
+    condition_doc, doc = pinned_fn_case(6, 9)
+    condition = condition_from_dict(condition_doc)
+    game = game_from_dict(doc, condition)
+    solution = solve_muller_game(game)
+    assert solution.winner == EXIST
+    text = memory_to_json(solution.memory)
+    assert hashlib.sha256(text.encode()).hexdigest() == FN_MEMORY_DIGESTS[6, 9]
+    gfg = build_gfg_rabin(condition)
+    memory_from_gfg(game, gfg)
+    assert "automaton" not in vars(gfg)
 
 
 def test_solve_muller_alternation(running_condition):
