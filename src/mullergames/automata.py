@@ -10,9 +10,8 @@ The checkers run one verdict search per Lyndon root of the periods and
 each prefix once, so sweeping many lassos shares both; a checker whose
 every state gives each root the condition's verdict agrees on every lasso.
 `has_duplicated_edges` finds two transitions that differ only in their
-colour; the GFG automaton's merged form (`GfgRabinAutomaton.merged`,
-regrouped from its unmerged move table, whose automaton is built only when
-first read) has none.
+colour; the GFG automaton's merged form (`GfgRabinAutomaton.merged`) has
+none.
 """
 
 from __future__ import annotations
@@ -123,9 +122,6 @@ class Run:
     @cached_property
     def cycle(self) -> tuple[Transition, ...]:
         return self._named(self.steps[self.begin :])
-
-    def cycle_colours(self) -> frozenset[str]:
-        return frozenset(t.colour for t in self.cycle)
 
 
 def walk_lasso(

@@ -8,11 +8,10 @@ distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
 node, switch to its next child, descend leftmost".  The merged form keeps
 one transition per (state, letter, target), as in the paper's running
-example.  The GFG move table and the parity automaton are read off the
-tree's integer `step_table`; the merged form is regrouped from the
-unmerged GFG move table by target, and the unmerged automaton is built
-only when first read.  Both GFG forms take their Rabin pairs from one
-backward sweep over the tree.
+example.  The GFG move table, the parity automaton and the provenance
+document are read off the tree's integer `step_table`; the merged form is
+regrouped from the GFG move table by target.  Both GFG forms take their
+Rabin pairs from one backward sweep over the tree.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .automata import (
     Automaton,
     DeterministicLassoChecker,
     Run,
-    Transition,
     walk_lasso,
 )
 from .conditions import (
@@ -88,7 +86,10 @@ class GfgRabinAutomaton:
     """The good-for-games Rabin automaton's move table plus its construction
     context: `moves[s][a]` holds each (witness node, target state index) of
     state index s on letter a once, first leaf first.  The unmerged
-    `automaton` and the `merged` one are both built from it when first read."""
+    `automaton` and the `merged` one are both built from it when first
+    read.  Only `build` without `--simplify`, `check` and the benchmark's
+    traced `build_gfg_rabin` size probe build the unmerged automaton;
+    `solve` reads `merged`, and `provenance_document` the tree and eta."""
 
     tree: ZielonkaTree
     eta: dict[int, int]
@@ -103,18 +104,6 @@ class GfgRabinAutomaton:
         """An automaton on the GFG states, letters and start state."""
         tree, start = self.tree, self.eta[self.tree.leftmost_leaf(self.tree.root)] - 1
         return Automaton(range(1, tree.memtree() + 1), tree.alphabet, [start], moves, acceptance)
-
-    @cached_property
-    def provenance(self) -> dict[Transition, tuple[int, int, int]]:
-        """Each transition -> (leaf, witness, next leaf) of the first leaf inducing it."""
-        aut, eta = self.automaton, self.eta
-        letters, colours = aut.alphabet.symbols, aut.colour_alphabet.symbols
-        out: dict[Transition, tuple[int, int, int]] = {}
-        for leaf, row in self.tree.step_table.items():
-            for letter, (witness, target) in zip(letters, row):
-                t = Transition(eta[leaf], letter, colours[witness], eta[target])
-                out.setdefault(t, (leaf, witness, target))
-        return out
 
     @cached_property
     def merged(self) -> Automaton:
@@ -213,19 +202,24 @@ def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
 
 
 def provenance_document(gfg: GfgRabinAutomaton) -> list[dict]:
-    """The transition -> (leaf, witness node, leaf') map as a plain document."""
-    tree = gfg.tree
-    rows = []
-    for t, (leaf, witness, target) in gfg.provenance.items():
-        rows.append(
-            {
-                "src": t.src,
-                "letter": t.letter,
-                "colour": t.colour,
-                "dst": t.dst,
-                "from_leaf": tree.node_name(leaf),
-                "witness": tree.node_name(witness),
-                "to_leaf": tree.node_name(target),
-            }
-        )
-    return rows
+    """Each GFG transition with the (leaf, witness node, leaf') of the first
+    leaf that induces it, read off one walk over `step_table`: a transition
+    is the id tuple (state, letter index, witness, next state), named only
+    as a row of the document."""
+    tree, eta, letters, name = gfg.tree, gfg.eta, gfg.tree.alphabet.symbols, gfg.tree.node_name
+    first: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    for leaf, row in tree.step_table.items():
+        for a, (witness, target) in enumerate(row):
+            first.setdefault((eta[leaf], a, witness, eta[target]), (leaf, target))
+    return [
+        {
+            "src": src,
+            "letter": letters[a],
+            "colour": name(witness),
+            "dst": dst,
+            "from_leaf": name(leaf),
+            "witness": name(witness),
+            "to_leaf": name(target),
+        }
+        for (src, a, witness, dst), (leaf, target) in first.items()
+    ]

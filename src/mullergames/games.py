@@ -9,16 +9,14 @@ compose it with the deterministic parity automaton of the condition, whose
 certified solution is Univ's certificate.  The recursion and both automata
 come from one Zielonka tree, which must be the game's own condition's
 (`_game_tree`).  The memory is extracted on the product with the merged
-GFG automaton (`GfgRabinAutomaton.merged`, regrouped from the unmerged
-move table; the unmerged automaton is built only when first read): it
-keeps the states, one transition per (state, letter, target), and only the
-colours its moves carry.  One rule builds a state vertex's moves in
-every product: a silent move keeps the state, a lettered move takes the
-one transition of its cell directly, and passes through a choice vertex,
-where Exist picks the transition, only when the cell holds two or more.
-So the deterministic parity automaton gives the plain (vertex, state)
-product, and the merged GFG automaton a choice vertex only where Exist has
-a choice.
+GFG automaton (`GfgRabinAutomaton.merged`): it keeps the states, one
+transition per (state, letter, target), and only the colours its moves
+carry.  One rule builds a state vertex's moves in every product: a silent
+move keeps the state, a lettered move takes the one transition of its
+cell directly, and passes through a choice vertex, where Exist picks the
+transition, only when the cell holds two or more.  So the deterministic
+parity automaton gives the plain (vertex, state) product, and the merged
+GFG automaton a choice vertex only where Exist has a choice.
 
 Every game has one integer form, its `Arena`, with each edge split by a
 midpoint.  A midpoint has one predecessor and one successor, kept in the
@@ -41,11 +39,11 @@ the `split` of a subgame tells them apart.  Each recursive call sees fewer
 colours, so a parity solve recurses at most as deep as its number of
 distinct priorities, a Rabin solve as its number of colours, and a Muller
 solve as its tree's height, since each recursive call's colours lie inside
-the label of a child of the node that split its caller's.  Its attractor (`_attract`) steps from a
-vertex to its in-midpoints and from a midpoint straight to its source
-vertex.  Each result is re-checked before it is returned, and a product
-that names another winner of the initial vertex than the recursion raises
-`GameError`.
+the label of a child of the node that split its caller's.  Its attractor
+(`_attract`) steps from a vertex to its in-midpoints and from a midpoint
+straight to its source vertex.  Each result is re-checked before it is
+returned, and a product that names another winner of the initial vertex
+than the recursion raises `GameError`.
 
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
@@ -593,13 +591,12 @@ def memory_from_gfg(game: GameGraph, gfg: GfgRabinAutomaton) -> MemoryStructure:
     """Project a positional strategy of the Rabin product onto the game: the
     automaton component becomes the memory, silent moves leave it unchanged.
     The product is built over the merged automaton (`gfg.merged`), which
-    is regrouped from the unmerged move table and keeps the states, one
-    transition per (state, letter, target) and only the colours its moves
-    carry, so Exist's choice vertices are the cells with two or more
-    targets; the unmerged `gfg.automaton`, built when first read, is not
-    read.  A GFG automaton built for another condition than the game's is
-    refused with `GameError` before any product is built.  The memory is certified by
-    `verify_strategy` on the GFG's own tree."""
+    keeps the states, one transition per (state, letter, target) and only
+    the colours its moves carry, so Exist's choice vertices are the cells
+    with two or more targets.  A GFG automaton built for another condition
+    than the game's is refused with `GameError` before any product is
+    built.  The memory is certified by `verify_strategy` on the GFG's own
+    tree."""
     _game_tree(game, gfg.tree, "memory_from_gfg")
     automaton = gfg.merged
     product = product_with_automaton(game, automaton)

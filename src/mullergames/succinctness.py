@@ -54,14 +54,6 @@ class ConditionGraph:
     def vertices(self) -> range:
         return range(self.n_vertices)
 
-    def neighbours(self, mask: int) -> frozenset[int]:
-        return frozenset(self.adjacency.get(mask, ()))
-
-    def edges(self) -> set[frozenset[int]]:
-        return {
-            frozenset((a, b)) for a, nbrs in self.adjacency.items() for b in nbrs
-        }
-
     def non_isolated(self) -> list[int]:
         return sorted(m for m, nbrs in self.adjacency.items() if nbrs)
 
@@ -156,14 +148,9 @@ def _exact_chromatic(
     return upper, greedy
 
 
-@dataclass
-class Colouring:
-    size: int
-    assignment: dict[int, int]
-
-
-def chromatic_number(graph: ConditionGraph, budget: int = 10**7) -> tuple[int, Colouring]:
-    """Chromatic number of the condition graph with a witness colouring.
+def chromatic_number(graph: ConditionGraph, budget: int = 10**7) -> tuple[int, dict[int, int]]:
+    """Chromatic number of the condition graph with a witness colouring,
+    vertex -> colour in 1..k.
 
     Isolated vertices (including the empty set and all accepting sets) are
     skipped by the search and coloured 1 afterwards; they never affect the
@@ -178,7 +165,7 @@ def chromatic_number(graph: ConditionGraph, budget: int = 10**7) -> tuple[int, C
         for u in adj[v]:
             if full[v] == full[u]:
                 raise ConditionError("internal: improper colouring produced")
-    return k, Colouring(k, full)
+    return k, full
 
 
 def clique_lower_bound(graph: ConditionGraph) -> int:

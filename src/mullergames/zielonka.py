@@ -27,20 +27,17 @@ one descent to the deepest node whose label holds a colour mask.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from .conditions import ConditionError, LetterSet, MullerCondition, quoted
-
-ChildOrder = Callable[[list[int]], list[int]]
 
 
 class ZielonkaTree:
     """The ordered Zielonka tree of a Muller condition."""
 
-    def __init__(self, condition: MullerCondition, child_order: Optional[ChildOrder] = None):
+    def __init__(self, condition: MullerCondition):
         self.condition = condition
         self.alphabet = condition.alphabet
-        order = child_order if child_order is not None else sorted
         full = self.alphabet.full().mask
         masks, rounds, depth = [full], [full in condition.masks], [0]
         parents: list[Optional[int]] = [None]
@@ -61,7 +58,7 @@ class ZielonkaTree:
                     if k not in kids_of and k not in inside:
                         inside[k] = _masks_inside(condition, k, members)
             if kids_of[mask]:
-                kids = order(list(kids_of[mask]))
+                kids = sorted(kids_of[mask])
                 first = len(masks)
                 children.append(tuple(range(first, first + len(kids))))
                 masks += kids
@@ -294,7 +291,5 @@ def _masks_inside(condition: MullerCondition, mask: int, pool: list[int]) -> lis
 # -- spec-level operation surface -------------------------------------------
 
 
-def build_zielonka(
-    condition: MullerCondition, child_order: Optional[ChildOrder] = None
-) -> ZielonkaTree:
-    return ZielonkaTree(condition, child_order)
+def build_zielonka(condition: MullerCondition) -> ZielonkaTree:
+    return ZielonkaTree(condition)

@@ -55,7 +55,9 @@ from mullergames.construction import (
     node_priorities,
     node_rabin_pairs,
 )
-from mullergames.zielonka import ChildOrder, ZielonkaTree, build_zielonka
+from mullergames.zielonka import ZielonkaTree, build_zielonka
+
+ChildOrder = Callable[[list[int]], list[int]]
 
 
 @pytest.fixture
@@ -1496,6 +1498,26 @@ def reference_build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> Referen
         node_rabin_pairs(tree),
     )
     return ReferenceGfgRabinAutomaton(automaton, tree, eta, provenance)
+
+
+def provenance_rows(
+    provenance: dict[Transition, tuple[int, int, int]], tree: ZielonkaTree
+) -> list[dict]:
+    """A transition -> (leaf, witness node, leaf') map as the rows of
+    `provenance_document`, in the map's order."""
+    name = tree.node_name
+    return [
+        {
+            "src": t.src,
+            "letter": t.letter,
+            "colour": t.colour,
+            "dst": t.dst,
+            "from_leaf": name(leaf),
+            "witness": name(witness),
+            "to_leaf": name(target),
+        }
+        for t, (leaf, witness, target) in provenance.items()
+    ]
 
 
 def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:

@@ -88,7 +88,7 @@ def test_run_deterministic_examples(running_condition):
     parity = build_parity_automaton(running_condition)
     run, ok = run_deterministic(parity, LassoWord.from_letters("", "ab"))
     assert ok
-    assert run.cycle_colours() <= {"1", "2"}
+    assert {t.colour for t in run.cycle} <= {"1", "2"}
     _, ok = run_deterministic(parity, LassoWord.from_letters("", "c"))
     assert not ok
     loop = named_automaton(

@@ -97,6 +97,17 @@ def test_cmd_build_provenance_bytes_are_pinned(capsys, condition_file, tmp_path,
     assert hashlib.sha256(prov.read_bytes()).hexdigest() == PROVENANCE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", ["running", 6, 8], ids=str)
+def test_cmd_build_simplify_provenance_bytes_are_pinned(capsys, condition_file, tmp_path, name):
+    # The provenance document describes the unmerged automaton's
+    # transitions, so `--simplify` writes the same bytes.
+    path = condition_file if name == "running" else fn_file(tmp_path, name)
+    prov = tmp_path / "prov.json"
+    args = ["build", path, "--kind", "gfg-rabin", "--simplify", "--provenance", str(prov)]
+    assert main(args) == 0
+    assert hashlib.sha256(prov.read_bytes()).hexdigest() == PROVENANCE_DIGESTS[name]
+
+
 def test_cmd_build_parity(capsys, condition_file):
     assert main(["build", condition_file, "--kind", "parity"]) == 0
     assert "3 states" in capsys.readouterr().out
@@ -648,9 +659,9 @@ def test_cmd_check_self_builds_one_tree(capsys, monkeypatch, condition_file):
 
     built = []
 
-    def counting(condition, child_order=None):
+    def counting(condition):
         built.append(condition)
-        return build_zielonka(condition, child_order)
+        return build_zielonka(condition)
 
     monkeypatch.setattr(cli, "build_zielonka", counting)
     monkeypatch.setattr(construction, "build_zielonka", counting)
@@ -851,9 +862,9 @@ def test_cmd_solve_builds_one_tree(capsys, condition_file, tmp_path, monkeypatch
 
     built = []
 
-    def counting(condition, child_order=None):
+    def counting(condition):
         built.append(condition)
-        return build_zielonka(condition, child_order)
+        return build_zielonka(condition)
 
     for module in (cli, construction, games):
         monkeypatch.setattr(module, "build_zielonka", counting)

@@ -41,6 +41,7 @@ from conftest import (
     check_quotient,
     letter_pairs,
     pair_colour,
+    provenance_rows,
     random_muller_condition,
     reference_build_gfg_rabin,
     reference_build_parity_automaton,
@@ -191,7 +192,7 @@ def test_table_builders_match_the_named_builders():
                 for a in cond.alphabet:
                     assert transitions_from(got, q, a) == transitions_from(want, q, a)
         assert parity.transitions == reference_parity.transitions
-        assert list(gfg.provenance.items()) == list(reference.provenance.items())
+        assert provenance_document(gfg) == provenance_rows(reference.provenance, tree)
 
 
 def test_merged_matches_the_pair_scan():
@@ -221,10 +222,22 @@ def test_merged_matches_the_pair_scan():
 
 def test_gfg_rabin_provenance_first_leaf_wins(running_condition):
     gfg = build_gfg_rabin(running_condition)
+    document = provenance_document(gfg)
     # Reading b from leaf eps(4) produces the same quadruple as no other
     # leaf; reading a from delta(3) yields (1,a,n3,1) with witness delta.
-    assert gfg.provenance[Transition(1, "a", "n3", 1)] == (3, 3, 3)
-    assert gfg.provenance[Transition(1, "b", "n0", 1)] == (4, 0, 3)
+    first = {Transition(1, "a", "n3", 1): (3, 3, 3), Transition(1, "b", "n0", 1): (4, 0, 3)}
+    for row in provenance_rows(first, gfg.tree):
+        assert row in document
+    assert document == provenance_rows(reference_build_gfg_rabin(gfg.tree).provenance, gfg.tree)
+
+
+def test_provenance_document_builds_no_unmerged_automaton(running_condition):
+    # The document is read off the tree walk: the unmerged automaton, its
+    # node-name colours and its Rabin pairs are never built.
+    for condition in (running_condition, condition_fn(6)):
+        gfg = build_gfg_rabin(condition)
+        provenance_document(gfg)
+        assert "automaton" not in vars(gfg)
 
 
 def test_gfg_rabin_single_letter():
@@ -309,7 +322,7 @@ def test_resolve_run_examples(running_condition):
     gfg = build_gfg_rabin(running_condition)
     run, ok = resolve_run(gfg, LassoWord.from_letters("", "ac"))
     assert ok
-    cycle_colours = run.cycle_colours()
+    cycle_colours = {t.colour for t in run.cycle}
     assert "n2" in cycle_colours
     assert cycle_colours <= {"n2", "n4", "n5"}
     _, ok = resolve_run(gfg, LassoWord.from_letters("", "c"))

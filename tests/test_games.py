@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import json
+import operator
 import random
 import sys
 
@@ -860,6 +861,24 @@ def test_recursion_agrees_with_the_parity_product_at_every_vertex():
     assert min(initial[True], initial[False]) >= 30 and mixed >= 30, (initial, mixed)
 
 
+def recursion_depth(game, split):
+    """How deep `_zielonka(game, split)` nests its recursive `solve`."""
+    solve = next(c for c in games._zielonka.__code__.co_consts if getattr(c, "co_name", "") == "solve")
+    depth = [0, 0]
+
+    def profile(frame, event, arg):
+        if frame.f_code is solve and event in ("call", "return"):
+            depth[0] += 1 if event == "call" else -1
+            depth[1] = max(depth)
+
+    sys.setprofile(profile)
+    try:
+        games._zielonka(game, split)
+    finally:
+        sys.setprofile(None)
+    return depth[1]
+
+
 def test_recursion_nests_at_most_the_tree_height():
     """The k-th nested call's colours lie inside the label of a node at depth
     k - 1 or more: a call splits at a node at least that deep, and its
@@ -868,28 +887,47 @@ def test_recursion_nests_at_most_the_tree_height():
     deep, an empty subgame's call included, and reaches it."""
     from mullergames.succinctness import condition_fn
 
-    solve = next(c for c in games._zielonka.__code__.co_consts if getattr(c, "co_name", "") == "solve")
     f8 = condition_fn(8)
     cases = list(seeded_muller_games(1998, 200))
     cases.append(random_game(random.Random(8), f8, max_vertices=30, max_edges=60, eps_prob=0.1))
     deepest = collections.Counter()
     for game in cases:
         tree = build_zielonka(game.condition)
-        depth = [0, 0]
-
-        def profile(frame, event, arg):
-            if frame.f_code is solve and event in ("call", "return"):
-                depth[0] += 1 if event == "call" else -1
-                depth[1] = max(depth)
-
-        sys.setprofile(profile)
-        try:
-            games._zielonka(game, tree.split)
-        finally:
-            sys.setprofile(None)
-        assert 1 <= depth[1] <= tree.height
-        deepest[depth[1] == tree.height] += 1
+        depth = recursion_depth(game, tree.split)
+        assert 1 <= depth <= tree.height
+        deepest[depth == tree.height] += 1
     assert deepest[True] >= 100, deepest
+
+
+def test_product_recursion_nests_at_most_one_deeper_than_its_colours():
+    """Each recursive call of `_zielonka` sees fewer colours, and the
+    deepest may be on an empty subgame, so on a parity product it nests at
+    most one deeper than the distinct priorities present, and on the merged
+    GFG Rabin product at most one deeper than the colours present: under
+    Python's recursion limit of 1,000 on seeded random games and the pinned
+    F_8 and F_10 games, and reaching the bound on many of them."""
+    from mullergames.conditions import condition_from_dict
+    from test_cli import FN_UNIV_CASE, pinned_fn_case
+
+    cases = list(seeded_muller_games(1998, 200))
+    for n, seed in ((8, 41), (10, 4), FN_UNIV_CASE):
+        condition_doc, doc = pinned_fn_case(n, seed)
+        cases.append(game_from_dict(doc, condition_from_dict(condition_doc)))
+    reached = collections.Counter()
+    for game in cases:
+        tree = build_zielonka(game.condition)
+        for automaton in (build_parity_automaton(tree), build_gfg_rabin(tree).merged):
+            product = product_with_automaton(game, automaton).game
+            present = functools.reduce(operator.or_, product.arena.colours)
+            colours = [c for c in range(present.bit_length()) if present >> c & 1]
+            if isinstance(product.condition, ParityCondition):
+                bound = len({product.condition.priorities[c] for c in colours})
+            else:
+                bound = len(colours)
+            depth = recursion_depth(product, product.condition.split)
+            assert 1 <= depth <= bound + 1 < 1000, (type(product.condition).__name__, depth, bound)
+            reached[type(product.condition).__name__] += depth == bound + 1
+    assert min(reached["ParityCondition"], reached["RabinCondition"]) >= 20, reached
 
 
 def test_solve_muller_reports_a_recursion_that_disagrees(running_condition, monkeypatch):
@@ -951,9 +989,9 @@ def test_solve_muller_builds_one_tree(running_condition, monkeypatch):
 
     built = []
 
-    def counting(condition, child_order=None):
+    def counting(condition):
         built.append(condition)
-        return build_zielonka(condition, child_order)
+        return build_zielonka(condition)
 
     monkeypatch.setattr(games, "build_zielonka", counting)
     monkeypatch.setattr(construction, "build_zielonka", counting)

@@ -3,14 +3,19 @@
 An `assert` vanishes under `python -O`, and an `AssertionError` escapes the
 CLI's error handling as a traceback with exit code 1.  Internal faults raise
 the typed error of their stage instead, with a message that starts with
-"internal:".  And a module imports only names it reads, so an import left
-behind when code moves out of the package is caught.
+"internal:".  A module imports only names it reads, so an import left
+behind when code moves out of the package is caught.  And every function
+the package defines is named by the package, the benchmark's scripts or
+the CI workflow, so a helper that only the tests call lives in the tests.
 """
 
 import ast
+import collections
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mullergames"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mullergames"
 
 
 def assertion_sites(tree):
@@ -73,3 +78,80 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def function_definitions(tree):
+    """(qualified name, def node, enclosing class or None) of every function
+    and method a module defines, nested ones included."""
+    found = []
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + child.name, child, owner))
+                visit(child, f"{prefix}{child.name}.", None)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            else:
+                visit(child, prefix, owner)
+
+    visit(tree, "", None)
+    return found
+
+
+def names_read(tree):
+    """Every identifier a tree reads: names, attributes and imported names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.extend(alias.name for alias in node.names)
+    return out
+
+
+def unnamed_functions(package, others):
+    """`module: qualified name` of every function or method defined in the
+    package that no code of the package names outside its own body and no
+    text in `others` names as a word; dunders and the methods of classes
+    that the package's `__init__.py` exports are skipped.  By name: a method
+    that shares its name with one that is read counts as read."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = set(names_read(init))
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.rglob("*.py"))
+    }
+    read = collections.Counter(name for tree in trees.values() for name in names_read(tree))
+    found = []
+    for module, tree in trees.items():
+        for qualified, node, owner in function_definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or owner in exported:
+                continue
+            if read[name] > names_read(node).count(name):
+                continue
+            if not any(re.search(rf"\b{name}\b", text) for text in others):
+                found.append(f"{module}: {qualified}")
+    return found
+
+
+def test_every_function_is_named_outside_the_tests(tmp_path):
+    sample = (
+        "class Kept:\n    def quiet(self): ...\n"
+        "class Other:\n    def loud(self): ...\n    def helper(self): self.helper()\n"
+        "def used(): ...\ndef spoken(): ...\ndef dead():\n    def inner(): ...\n    inner()\n"
+        "used()\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .m import Kept\n", encoding="utf-8")
+    (tmp_path / "m.py").write_text(sample, encoding="utf-8")
+    assert unnamed_functions(tmp_path, ["spoken()"]) == [
+        "m.py: Other.loud",
+        "m.py: Other.helper",
+        "m.py: dead",
+    ]
+    others = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    others.append((ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
+    assert unnamed_functions(PACKAGE, others) == []
