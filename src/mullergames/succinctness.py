@@ -1,13 +1,13 @@
 """Desk-scale succinctness separation between GFG and deterministic Rabin
-automata: the half-size conditions, their condition graphs, exact and
-greedy chromatic numbers, and the binomial counting bound.
-"""
+automata: the half-size conditions, their condition graphs as one neighbour
+bitset per letter subset, exact and greedy chromatic numbers over those
+bitsets, and the binomial counting bound."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .conditions import Alphabet, ConditionError, MullerCondition
@@ -39,32 +39,15 @@ def condition_fn(n: int) -> MullerCondition:
     )
 
 
-@dataclass
-class ConditionGraph:
-    """Undirected graph on all letter subsets: two rejecting sets are
-    adjacent exactly when their union is accepting."""
-
-    condition: MullerCondition
-    adjacency: dict[int, set[int]] = field(repr=False)
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << len(self.condition.alphabet)
-
-    def vertices(self) -> range:
-        return range(self.n_vertices)
-
-    def non_isolated(self) -> list[int]:
-        return sorted(m for m, nbrs in self.adjacency.items() if nbrs)
-
-
-def build_condition_graph(condition: MullerCondition) -> ConditionGraph:
-    """Materialise the condition graph; edges are enumerated per accepting
-    set by splitting it into two covering rejecting subsets."""
+def build_condition_graph(condition: MullerCondition) -> list[int]:
+    """The condition graph on all letter subsets as neighbour bitsets: bit u
+    of entry m is set when m and u are rejecting with an accepting union.
+    Each edge splits an accepting set into two covering rejecting subsets,
+    and is met once from each end and recorded there."""
     n = len(condition.alphabet)
     if n > 20:
         raise ConditionError("alphabet too large to materialise 2^n vertices")
-    adjacency: dict[int, set[int]] = {}
+    adjacency = [0] * (1 << n)
     for accepted in condition.masks:
         sub = accepted
         while True:
@@ -75,105 +58,103 @@ def build_condition_graph(condition: MullerCondition) -> ConditionGraph:
                 while True:
                     c2 = rest | extra
                     if c1 != c2 and not condition.accepts_mask(c2):
-                        adjacency.setdefault(c1, set()).add(c2)
-                        adjacency.setdefault(c2, set()).add(c1)
+                        adjacency[c1] |= 1 << c2
                     if extra == 0:
                         break
                     extra = (extra - 1) & c1
             if sub == 0:
                 break
             sub = (sub - 1) & accepted
-    return ConditionGraph(condition, adjacency)
+    return adjacency
 
 
-def _greedy_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
+def _by_degree(vertices: list[int], adj: list[int]) -> list[int]:
+    return sorted(vertices, key=lambda v: (-adj[v].bit_count(), v))
+
+
+def _colours(classes: list[int], vertices: list[int]) -> dict[int, int]:
+    # classes[c] is the bitset of the vertices coloured c + 1.
+    return {v: c + 1 for c, members in enumerate(classes) for v in vertices if members >> v & 1}
+
+
+def _greedy_clique(vertices: list[int], adj: list[int]) -> list[int]:
     clique: list[int] = []
-    candidates = sorted(vertices, key=lambda v: (-len(adj[v]), v))
-    for v in candidates:
-        if all(v in adj[u] for u in clique):
+    common = -1  # the vertices adjacent to every clique member
+    for v in _by_degree(vertices, adj):
+        if common >> v & 1:
             clique.append(v)
+            common &= adj[v]
     return clique
 
 
-def _greedy_colouring(
-    vertices: list[int], adj: dict[int, set[int]]
-) -> tuple[int, dict[int, int]]:
-    colouring: dict[int, int] = {}
-    for v in sorted(vertices, key=lambda v: (-len(adj[v]), v)):
-        used = {colouring[u] for u in adj[v] if u in colouring}
-        c = 1
-        while c in used:
-            c += 1
-        colouring[v] = c
-    return max(colouring.values(), default=1), colouring
+def _greedy_colouring(vertices: list[int], adj: list[int]) -> tuple[int, dict[int, int]]:
+    classes: list[int] = []
+    for v in _by_degree(vertices, adj):
+        c = next((c for c, members in enumerate(classes) if not members & adj[v]), len(classes))
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
+    return max(1, len(classes)), _colours(classes, vertices)
 
 
 def _exact_chromatic(
-    vertices: list[int], adj: dict[int, set[int]], budget: int
+    vertices: list[int], adj: list[int], budget: int
 ) -> tuple[int, dict[int, int]]:
-    if not vertices:
-        return 1, {}
     clique = _greedy_clique(vertices, adj)
     upper, greedy = _greedy_colouring(vertices, adj)
-    lower = max(1, len(clique))
-    rest = sorted(
-        (v for v in vertices if v not in clique), key=lambda v: (-len(adj[v]), v)
-    )
-    order = clique + rest
+    order = clique + [v for v in _by_degree(vertices, adj) if v not in clique]
     visited = [0]
 
-    def assign(i: int, colouring: dict[int, int], k: int) -> bool:
+    def assign(i: int, k: int) -> bool:
         visited[0] += 1
         if visited[0] > budget:
             raise SearchBudgetError(f"exact colouring exceeded {budget} nodes")
         if i == len(order):
             return True
         v = order[i]
-        taken = {colouring[u] for u in adj[v] if u in colouring}
-        top = min(k, max(colouring.values(), default=0) + 1)
-        for c in range(1, top + 1):
-            if c in taken:
+        # Colours 1..len(classes) are in use; at most one new one opens.
+        for c in range(min(k, len(classes) + 1)):
+            if c == len(classes):
+                classes.append(0)
+            elif classes[c] & adj[v]:
                 continue
-            colouring[v] = c
-            if assign(i + 1, colouring, k):
+            classes[c] |= 1 << v
+            if assign(i + 1, k):
                 return True
-            del colouring[v]
+            classes[c] ^= 1 << v
+            if not classes[c]:
+                classes.pop()
         return False
 
-    for k in range(lower, upper):
+    for k in range(max(1, len(clique)), upper):
         # The clique forces pairwise-distinct colours 1..|clique|.
-        colouring = {v: i + 1 for i, v in enumerate(clique)}
-        if assign(len(clique), colouring, k):
-            return k, colouring
+        classes = [1 << v for v in clique]
+        if assign(len(clique), k):
+            return k, _colours(classes, vertices)
     return upper, greedy
 
 
-def chromatic_number(graph: ConditionGraph, budget: int = 10**7) -> tuple[int, dict[int, int]]:
-    """Chromatic number of the condition graph with a witness colouring,
-    vertex -> colour in 1..k.
-
-    Isolated vertices (including the empty set and all accepting sets) are
-    skipped by the search and coloured 1 afterwards; they never affect the
-    result.  The search is iterative deepening over a clique-seeded
-    branch-and-bound and honours `budget`.
-    """
-    active = graph.non_isolated()
-    adj = graph.adjacency
-    k, assignment = _exact_chromatic(active, adj, budget)
-    full = {v: assignment.get(v, 1) for v in graph.vertices()}
+def chromatic_number(adjacency: list[int], budget: int = 10**7) -> tuple[int, dict[int, int]]:
+    """Chromatic number of the condition graph, given as neighbour bitsets,
+    with a witness colouring, vertex -> colour in 1..k.  The search skips the
+    isolated vertices (the empty set and all accepting sets among them) and
+    colours them 1.  It is iterative deepening over a clique-seeded
+    branch-and-bound, and honours `budget`."""
+    active = [v for v, nbrs in enumerate(adjacency) if nbrs]
+    k, assignment = _exact_chromatic(active, adjacency, budget)
+    full = {v: assignment.get(v, 1) for v in range(len(adjacency))}
+    classes: dict[int, int] = {}
     for v in active:
-        for u in adj[v]:
-            if full[v] == full[u]:
-                raise ConditionError("internal: improper colouring produced")
+        classes[full[v]] = classes.get(full[v], 0) | 1 << v
+    if any(adjacency[v] & classes[full[v]] for v in active):
+        raise ConditionError("internal: improper colouring produced")
     return k, full
 
 
-def clique_lower_bound(graph: ConditionGraph) -> int:
-    active = graph.non_isolated()
-    if not active:
-        return 1
-    adj = graph.adjacency
-    return max(1, len(_greedy_clique(active, adj)))
+def clique_lower_bound(adjacency: list[int]) -> int:
+    """Size of a greedy clique of the bitset graph: a lower bound on its chromatic number."""
+    active = [v for v, nbrs in enumerate(adjacency) if nbrs]
+    return max(1, len(_greedy_clique(active, adjacency)))
 
 
 def _is_prime(p: int) -> bool:

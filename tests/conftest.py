@@ -42,7 +42,6 @@ from mullergames.games import (
     solve_parity_game,
 )
 from mullergames.succinctness import (
-    ConditionGraph,
     SearchBudgetError,
     build_condition_graph,
     chromatic_number,
@@ -1459,6 +1458,78 @@ def det_rabin_lower_bound(
         return clique_lower_bound(graph)
 
 
+# The set-based colouring searches the condition graph was coloured with
+# while it was a dict of neighbour sets.  The bitset searches of
+# mullergames.succinctness must return the same cliques, the same greedy
+# colourings, and the same (chi, witness) or the same SearchBudgetError.
+def set_adjacency(adjacency: list[int]) -> dict[int, set[int]]:
+    """Neighbour bitsets as the neighbour sets of the non-isolated vertices."""
+    vertices = range(len(adjacency))
+    return {m: {u for u in vertices if nbrs >> u & 1} for m, nbrs in enumerate(adjacency) if nbrs}
+
+
+def reference_greedy_clique(vertices: list[int], adj: dict[int, set[int]]) -> list[int]:
+    clique: list[int] = []
+    candidates = sorted(vertices, key=lambda v: (-len(adj[v]), v))
+    for v in candidates:
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
+def reference_greedy_colouring(
+    vertices: list[int], adj: dict[int, set[int]]
+) -> tuple[int, dict[int, int]]:
+    colouring: dict[int, int] = {}
+    for v in sorted(vertices, key=lambda v: (-len(adj[v]), v)):
+        used = {colouring[u] for u in adj[v] if u in colouring}
+        c = 1
+        while c in used:
+            c += 1
+        colouring[v] = c
+    return max(colouring.values(), default=1), colouring
+
+
+def reference_exact_chromatic(
+    vertices: list[int], adj: dict[int, set[int]], budget: int
+) -> tuple[int, dict[int, int]]:
+    if not vertices:
+        return 1, {}
+    clique = reference_greedy_clique(vertices, adj)
+    upper, greedy = reference_greedy_colouring(vertices, adj)
+    lower = max(1, len(clique))
+    rest = sorted(
+        (v for v in vertices if v not in clique), key=lambda v: (-len(adj[v]), v)
+    )
+    order = clique + rest
+    visited = [0]
+
+    def assign(i: int, colouring: dict[int, int], k: int) -> bool:
+        visited[0] += 1
+        if visited[0] > budget:
+            raise SearchBudgetError(f"exact colouring exceeded {budget} nodes")
+        if i == len(order):
+            return True
+        v = order[i]
+        taken = {colouring[u] for u in adj[v] if u in colouring}
+        top = min(k, max(colouring.values(), default=0) + 1)
+        for c in range(1, top + 1):
+            if c in taken:
+                continue
+            colouring[v] = c
+            if assign(i + 1, colouring, k):
+                return True
+            del colouring[v]
+        return False
+
+    for k in range(lower, upper):
+        # The clique forces pairwise-distinct colours 1..|clique|.
+        colouring = {v: i + 1 for i, v in enumerate(clique)}
+        if assign(len(clique), colouring, k):
+            return k, colouring
+    return upper, greedy
+
+
 @dataclass
 class ReferenceGfgRabinAutomaton:
     """What the name-based GFG builder returned: the automaton, its tree and
@@ -1630,8 +1701,8 @@ def independent_bound_chi(graph_or_size, m: int) -> int:
     """ceil(|V| / m) for an upper bound m on independent-set size."""
     if m < 1:
         raise ValueError("independence bound must be at least 1")
-    if isinstance(graph_or_size, ConditionGraph):
-        size = graph_or_size.n_vertices
+    if isinstance(graph_or_size, list):
+        size = len(graph_or_size)
     else:
         size = int(graph_or_size)
     return -(-size // m)

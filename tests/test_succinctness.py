@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from mullergames.conditions import (
 from mullergames.construction import build_parity_automaton
 from mullergames.succinctness import (
     SearchBudgetError,
+    _exact_chromatic,
+    _greedy_clique,
     _greedy_colouring,
     binomial_lower_bound,
     build_condition_graph,
@@ -32,6 +36,10 @@ from conftest import (
     named_automaton,
     rabin_from_parity,
     random_muller_condition,
+    reference_exact_chromatic,
+    reference_greedy_clique,
+    reference_greedy_colouring,
+    set_adjacency,
     transitions_from,
     verify_disjoint_fscc,
 )
@@ -51,9 +59,18 @@ def test_condition_fn_memtree(n):
     assert build_zielonka(condition_fn(n)).memtree() == n // 2
 
 
+def neighbours(graph, m):
+    """The masks adjacent to m in the condition graph's neighbour bitsets."""
+    return [u for u in range(len(graph)) if graph[m] >> u & 1]
+
+
+def non_isolated(graph):
+    return [m for m, nbrs in enumerate(graph) if nbrs]
+
+
 def edges(graph):
     """The condition graph's edges, each as the pair of its end masks."""
-    return {frozenset((a, b)) for a, nbrs in graph.adjacency.items() for b in nbrs}
+    return {frozenset((a, b)) for a in range(len(graph)) for b in neighbours(graph, a)}
 
 
 def test_condition_graph_f4_is_singleton_clique():
@@ -61,7 +78,7 @@ def test_condition_graph_f4_is_singleton_clique():
     singles = [1 << i for i in range(4)]
     expected = {frozenset((a, b)) for a, b in itertools.combinations(singles, 2)}
     assert edges(graph) == expected
-    assert set(graph.non_isolated()) == set(singles)
+    assert set(non_isolated(graph)) == set(singles)
 
 
 def test_condition_graph_full_set_condition():
@@ -73,16 +90,16 @@ def test_condition_graph_full_set_condition():
 
 def test_condition_graph_f6_structure():
     graph = build_condition_graph(condition_fn(6))
-    two_sets = [m for m in graph.vertices() if bin(m).count("1") == 2]
+    two_sets = [m for m in range(len(graph)) if bin(m).count("1") == 2]
     for m1, m2 in itertools.combinations(two_sets, 2):
         shared = bin(m1 & m2).count("1")
-        assert (m2 in graph.adjacency.get(m1, ())) == (shared == 1)
+        assert (m2 in neighbours(graph, m1)) == (shared == 1)
     singles = [1 << i for i in range(6)]
     for s in singles:
         for m in two_sets:
-            assert (m in graph.adjacency.get(s, ())) == (m & s == 0)
+            assert (m in neighbours(graph, s)) == (m & s == 0)
         for s2 in singles:
-            assert s2 not in graph.adjacency.get(s, ())
+            assert s2 not in neighbours(graph, s)
 
 
 def size_rule_edges(n):
@@ -121,11 +138,11 @@ def test_chromatic_witness_is_proper_and_greedy_dominates():
         cond = random_muller_condition(rng, Alphabet("abcd"))
         graph = build_condition_graph(cond)
         exact_k, exact = chromatic_number(graph)
-        greedy_k, greedy = _greedy_colouring(graph.non_isolated(), graph.adjacency)
+        greedy_k, greedy = _greedy_colouring(non_isolated(graph), graph)
         assert greedy_k >= exact_k
         for assignment in (exact, greedy):
-            for m in graph.vertices():
-                for other in graph.adjacency.get(m, ()):
+            for m in range(len(graph)):
+                for other in neighbours(graph, m):
                     assert assignment[m] != assignment[other]
 
 
@@ -133,6 +150,52 @@ def test_chromatic_budget_error():
     graph = build_condition_graph(condition_fn(6))
     with pytest.raises(SearchBudgetError):
         chromatic_number(graph, budget=3)
+
+
+def oracle_conditions():
+    """F_2..F_8, then 30 seeded random conditions over each of 3, 4 and 5
+    letters."""
+    for n in range(2, 9):
+        yield f"F{n}", condition_fn(n)
+    rng = random.Random(7)
+    for letters in ("abc", "abcd", "abcde"):
+        for i in range(30):
+            yield f"{letters}-{i}", random_muller_condition(rng, Alphabet(letters))
+
+
+def test_greedy_bounds_match_the_set_based_references():
+    for name, condition in oracle_conditions():
+        graph = build_condition_graph(condition)
+        vertices, adj = non_isolated(graph), set_adjacency(graph)
+        assert _greedy_clique(vertices, graph) == reference_greedy_clique(vertices, adj), name
+        assert _greedy_colouring(vertices, graph) == reference_greedy_colouring(vertices, adj), name
+
+
+def exact_or_error(search, vertices, adj, budget):
+    try:
+        return search(vertices, adj, budget)
+    except SearchBudgetError as err:
+        return "SearchBudgetError", str(err)
+
+
+@pytest.mark.parametrize("budget", [3, 50, 10**5, 10**7])
+def test_exact_search_matches_the_set_based_reference(budget):
+    for name, condition in oracle_conditions():
+        if name == "F8" and budget > 10**5:
+            continue  # both searches run out after a minute; 10**5 nodes pin the order
+        graph = build_condition_graph(condition)
+        vertices, adj = non_isolated(graph), set_adjacency(graph)
+        ours = exact_or_error(_exact_chromatic, vertices, graph, budget)
+        assert ours == exact_or_error(reference_exact_chromatic, vertices, adj, budget), name
+
+
+@pytest.mark.parametrize("n, chi, nodes", [(6, 6, 190), (7, 8, 54_564)])
+def test_exact_search_visits_a_pinned_number_of_nodes(n, chi, nodes):
+    # The node at which the budget runs out pins the search order.
+    graph = build_condition_graph(condition_fn(n))
+    assert chromatic_number(graph, budget=nodes)[0] == chi
+    with pytest.raises(SearchBudgetError):
+        chromatic_number(graph, budget=nodes - 1)
 
 
 def test_det_rabin_lower_bound_values():
@@ -159,7 +222,7 @@ def test_independent_bound_chi():
     assert independent_bound_chi(7, 7) == 1
     assert independent_bound_chi(9, 1) == 9
     graph = build_condition_graph(condition_fn(4))
-    assert independent_bound_chi(graph, graph.n_vertices) == 1
+    assert independent_bound_chi(graph, len(graph)) == 1
 
 
 def test_binomial_lower_bound_values():
@@ -182,6 +245,21 @@ def test_binomial_bound_consistent_with_exact_when_feasible():
     except SearchBudgetError:
         return
     assert binomial_lower_bound(10).bound <= k
+
+
+PERFBENCH_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
+
+
+def test_report_rows_match_the_benchmark_pool():
+    entries = json.loads(PERFBENCH_POOL.read_text())["classes"]["construct/succinctness"]
+    assert [entry["n"] for entry in entries] == list(range(2, 11))
+    for entry in entries:
+        row = succinctness_report(entry["n"])
+        cells = [row.n, row.gfg_size, row.det_rabin_lower, row.det_parity_upper, row.method]
+        assert cells == entry["row"]
+    # The exact search proves the separation the default row's clique bound hides.
+    row = succinctness_report(7, exact_chi=True)
+    assert (row.gfg_size, row.det_rabin_lower, row.method) == (3, 8, "exact-chi")
 
 
 def running_parity(running_condition):
