@@ -1,6 +1,7 @@
 """Command-line interface: inspect Zielonka trees, build automata, certify
 them on lasso words, solve games with minimal memory, and print the
-succinctness separation report."""
+succinctness separation report.  One parser, `PARSER`, built at import
+from the command table `COMMANDS`, serves every `main` call."""
 
 from __future__ import annotations
 
@@ -76,8 +77,7 @@ def cmd_zielonka(args) -> int:
         if label is None:
             label = labels[mask] = "{%s}" % ",".join(tree.label(n))
         kind = "round" if tree.is_round(n) else "square"
-        eta_text = str(eta[n]) if n in eta else "-"
-        print(f"{tree.node_name(n):<5} {label:<14} {kind:<7} {eta_text}")
+        print(f"{tree.node_name(n):<5} {label:<14} {kind:<7} {eta.get(n, '-')}")
     print(f"memtree = {tree.memtree()}")
     return 0
 
@@ -226,10 +226,9 @@ def cmd_solve(args) -> int:
     if memory is not None and args.memory_out:
         _write(args.memory_out, memory_to_json(memory))
     print(f"winner: {solution.winner}")
-    if memory is None:
-        return 0
-    print(f"memory size: {memory.size}")
-    print(f"chromatic: {'yes' if is_chromatic(memory) else 'no'}")
+    if memory is not None:
+        print(f"memory size: {memory.size}")
+        print(f"chromatic: {'yes' if is_chromatic(memory) else 'no'}")
     return 0
 
 
@@ -289,13 +288,8 @@ COMMANDS = {
 }
 
 
-def build_arg_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The `mullergames` parser with every command, or with `command` alone.
-
-    A parser with one command parses that command's arguments as the full
-    one does and prints the same texts: its command metavar spells out all
-    the commands, as the full parser's usage line does.  The full parser
-    serves help, a missing command and an unknown one."""
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The `mullergames` parser, with one subparser per entry of `COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="mullergames",
         description=(
@@ -303,21 +297,20 @@ def build_arg_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             "memory-optimal Muller game solving"
         ),
     )
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, handler, arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=text)
-            arguments(p)
-            p.set_defaults(handler=handler)
+        p = sub.add_parser(name, help=text)
+        arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
+PARSER = build_arg_parser()  # from static tables; each parse makes a fresh namespace
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # Only the command that runs gets a subparser: all five cost three times one.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_arg_parser(command).parse_args(argv)
+    """Run the command `argv` names (`sys.argv[1:]` when None); return its exit code."""
+    args = PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ConditionError, AutomatonError, GameError, SearchBudgetError) as err:

@@ -1,7 +1,8 @@
 """Coloured game graphs, memory structures, automaton products, and solvers.
 
-The pipeline for Muller games: decide the winner on the arena itself by
-Zielonka's recursion, split by the condition's Zielonka tree.  When Exist
+The pipeline for Muller games: decide the initial vertex's winner by
+Zielonka's recursion, split by the condition's Zielonka tree, on the part
+of the arena that vertex reaches, which every move keeps to.  When Exist
 wins, compose the arena with the good-for-games Rabin automaton and extract
 a positional strategy of the Rabin product, whose automaton component
 becomes the memory structure for the original game.  When Univ wins,
@@ -73,7 +74,7 @@ from json.encoder import encode_basestring_ascii
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from ._graph import dense_components, refined_cores
+from ._graph import dense_components, reachable, refined_cores
 from .automata import Automaton, condition_colours
 from .conditions import (
     AnyCondition,
@@ -435,17 +436,20 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
     return attr, strat
 
 
-def _zielonka(game: GameGraph, split: Callable[[int], tuple[int, Sequence[int]]]) -> GameSolution:
+def _zielonka(
+    game: GameGraph, split: Callable[[int], tuple[int, Sequence[int]]], nodes: Optional[set] = None
+) -> GameSolution:
     """Zielonka's recursion as one loop on the arena, for a parity, Rabin or
-    Muller game.  While nodes remain, `split` of their colour mask (the
+    Muller game, on `nodes` (the whole arena when None), which every move
+    keeps to.  While nodes remain, `split` of their colour mask (the
     condition's, or a Muller condition's Zielonka tree's) names the player
     who attracts and the colour masks to try.  That mask is never 0: every
     subgame is an attractor's complement, so it holds a cycle, and no cycle
     is silent.  Per mask the player attracts to its nodes and the rest is
     solved.  Once the opponent wins some of the rest, its attractor to that
     is its own and is removed; if it wins none under any mask, the player
-    wins every node.  Each recursive call sees fewer colours.  Both
-    players' moves at vertices are kept, each in its own region."""
+    wins every node.  Each recursive call sees fewer colours.  Both players'
+    moves at vertices are kept, each in its own region."""
     arena = game.arena
     bit_of = arena.colours.__getitem__
 
@@ -476,7 +480,7 @@ def _zielonka(game: GameGraph, split: Callable[[int], tuple[int, Sequence[int]]]
             nodes = nodes - attr
         return won, strategy
 
-    return GameSolution(game, *solve(set(range(len(arena.colours)))))
+    return GameSolution(game, *solve(set(range(len(arena.colours))) if nodes is None else nodes))
 
 
 def solve_parity_game(game: GameGraph) -> GameSolution:
@@ -643,9 +647,10 @@ class MullerSolution:
 def solve_muller_game(
     game: GameGraph, condition: Optional[MullerCondition | ZielonkaTree] = None
 ) -> MullerSolution:
-    """Decide a Muller game on its own arena by Zielonka's recursion, split
-    by the condition's Zielonka tree (`ZielonkaTree.split`), and certify
-    the winner of the initial vertex on a product.  When Exist wins, a
+    """Decide a Muller game by Zielonka's recursion, split by the
+    condition's Zielonka tree (`ZielonkaTree.split`), on the part of the
+    arena its initial vertex reaches, where that vertex has its winner in
+    the whole game, and certify that winner on a product.  When Exist wins, a
     memory structure of size memtree is extracted from the product with the
     merged GFG automaton, which has a choice vertex where a cell leaves
     Exist a choice of target, and the memory is her choice there; its
@@ -661,7 +666,9 @@ def solve_muller_game(
     `GameError`; when the GFG Rabin product refuses Exist, the parity
     product is solved to say which side is at fault."""
     tree = _game_tree(game, condition, "solve_muller_game")
-    exist = game.arena.initial in _zielonka(game, tree.split).won
+    succ, _, _, dst, _, _, base, initial = game.arena
+    nodes = reachable((initial,), lambda n: succ[n] if n < base else (dst[n],))
+    exist = initial in _zielonka(game, tree.split, nodes).won
     if exist:
         try:
             return MullerSolution(EXIST, memory_from_gfg(game, build_gfg_rabin(tree)))

@@ -1584,19 +1584,31 @@ def test_usage_texts_match_the_full_parser(capsys, monkeypatch, argv, columns):
     assert _stopped(capsys, lambda: main()) == expected
 
 
-def test_main_builds_only_the_named_command(capsys, monkeypatch, condition_file):
+def test_main_builds_no_parser_per_call(capsys, monkeypatch, condition_file, tmp_path):
     from mullergames import cli
 
-    built, build = [], cli.build_arg_parser
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a parser")
 
-    def recording(command=None):
-        parser = build(command)
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        built.append(sorted(sub.choices))
-        return parser
-
-    monkeypatch.setattr(cli, "build_arg_parser", recording)
-    assert main(["zielonka", condition_file]) == 0
-    with pytest.raises(SystemExit):
+    monkeypatch.setattr(cli, "build_arg_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    game = game_file(
+        tmp_path,
+        {
+            "vertices": [{"name": "x", "owner": "Exist"}],
+            "edges": [{"src": "x", "colour": "c", "dst": "x"}],
+            "initial": "x",
+        },
+    )
+    for argv in (
+        ["zielonka", condition_file],
+        ["build", condition_file, "--kind", "parity"],
+        ["check", condition_file, "--bound", "1"],
+        ["solve", "--game", game, "--condition", condition_file],
+        ["succinctness", "--n", "2"],
+    ):
+        assert main(argv) == 0, argv
+    with pytest.raises(SystemExit) as stop:
         main(["-h"])
-    assert built == [["zielonka"], sorted(cli.COMMANDS)]
+    assert stop.value.code == 0
+    assert "{zielonka,build,check,solve,succinctness}" in capsys.readouterr().out

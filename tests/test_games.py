@@ -38,7 +38,7 @@ from mullergames.games import (
     solve_parity_game,
     verify_strategy,
 )
-from mullergames.zielonka import build_zielonka
+from mullergames.zielonka import ZielonkaTree, build_zielonka
 from conftest import (
     exist_strategy,
     exist_vertices,
@@ -783,6 +783,27 @@ def test_solve_muller_single_c_loop(running_condition):
     solution = solve_muller_game(game)
     assert solution.winner == UNIV
     assert solution.memory is None
+
+
+def test_solve_muller_splits_only_what_the_initial_vertex_reaches(running_condition, monkeypatch):
+    # x reaches only its own a-loop; y, which x never reaches, reads b and c.
+    game = GameGraph(
+        [("x", EXIST), ("y", UNIV)],
+        [("x", "a", "x"), ("y", "b", "y"), ("y", "c", "x")],
+        "x",
+        running_condition,
+    )
+    symbols = condition_colours(running_condition).symbols
+    unreachable = (1 << symbols.index("b")) | (1 << symbols.index("c"))
+    masks, split = [], ZielonkaTree.split
+
+    def recording(tree, present):
+        masks.append(present)
+        return split(tree, present)
+
+    monkeypatch.setattr(ZielonkaTree, "split", recording)
+    assert solve_muller_game(game).winner == UNIV
+    assert masks and not any(mask & unreachable for mask in masks)
 
 
 def test_solve_muller_accept_everything():
