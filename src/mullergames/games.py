@@ -650,9 +650,9 @@ def solve_muller_game(
     """Decide a Muller game by Zielonka's recursion, split by the
     condition's Zielonka tree (`ZielonkaTree.split`), on the part of the
     arena its initial vertex reaches, where that vertex has its winner in
-    the whole game, and certify that winner on a product.  When Exist wins, a
-    memory structure of size memtree is extracted from the product with the
-    merged GFG automaton, which has a choice vertex where a cell leaves
+    the whole game, and certify that winner on a product.  When Exist wins,
+    a memory structure of size memtree is extracted from the product with
+    the merged GFG automaton, which has a choice vertex where a cell leaves
     Exist a choice of target, and the memory is her choice there; its
     `verify_strategy` check is her certificate.  When Univ wins, the plain
     product with the deterministic parity automaton is solved, and its
