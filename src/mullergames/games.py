@@ -883,7 +883,9 @@ def _rows(memory: MemoryStructure) -> tuple[list[tuple[int, int, int]], list[tup
         return sorted(indices, key=lambda i: str(names[i]))
 
     states = by_text(memory.states, range(width))
-    edges = by_text(game.edges, range(len(game.edges)))
+    # The text of str(GameEdge), without its Python-level __repr__.
+    edge_text = list(map("GameEdge(src=%r, colour=%r, dst=%r)".__mod__, game.edges))
+    edges = by_text(edge_text, range(len(edge_text)))
     exist = by_text(game.vertices, [x for x in range(base) if not owners[x]])
     return (
         [(m, j, memory.update[j * width + m]) for m in states for j in edges],
@@ -916,21 +918,21 @@ def memory_to_json(memory: MemoryStructure) -> str:
     update, strategy = _rows(memory)
     state = [text(m) for m in memory.states]
     vertex = [text(v) for v in memory.game.vertices]
+    in_edge = {v: text(v, "        ") for v in memory.game.vertices}
     edge = [
-        '    {\n      "edge": {\n        "colour": ' + text(colour, "        ")
-        + ',\n        "dst": ' + text(dst, "        ")
-        + ',\n        "src": ' + text(src, "        ") + "\n      },\n"
+        '    {\n      "edge": {\n        "colour": %s,\n        "dst": %s,\n        "src": %s\n'
+        "      },\n" % (text(colour), in_edge[dst], in_edge[src])
         for src, colour, dst in memory.game.edges
     ]
     return (
         '{\n  "initial": ' + text(memory.initial, "  ")
         + ',\n  "states": ' + listing(["    " + text(m, "    ") for m in memory.states])
         + ',\n  "strategy": ' + listing([
-            edge[j] + '      "state": ' + state[m] + ',\n      "vertex": ' + vertex[x] + "\n    }"
+            '%s      "state": %s,\n      "vertex": %s\n    }' % (edge[j], state[m], vertex[x])
             for m, x, j in strategy
         ])
         + ',\n  "update": ' + listing([
-            edge[j] + '      "next": ' + state[k] + ',\n      "state": ' + state[m] + "\n    }"
+            '%s      "next": %s,\n      "state": %s\n    }' % (edge[j], state[k], state[m])
             for m, j, k in update
         ])
         + "\n}\n"

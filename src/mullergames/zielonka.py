@@ -9,14 +9,15 @@ the whole structure is reproducible.
 Nodes with equal labels have equal children, so a build finds each
 label's children once (the build-time half of Hunter & Dawar's Zielonka
 DAG), from F_S, the members of F inside label S, instead of from the 2^|S|
-subsets of S.  A child's F_S is filtered from its parent's.
+subsets of S.  A rejected S's children are its maximal members, whose F_T
+gather the rest ([T] if F_S has one size); an accepted S's F_T filter F_S.
 
 The tree is stored once, as integer lists indexed by node id: the label's
 letter mask, the round flag, the parent, the children and the depth.  A
-label is made into a `LetterSet` only when `label` reads it.  One
-depth-first numbering then fills the tables that the automata read:
+label is made into a `LetterSet` only when `label` reads it.  A backward
+and a forward sweep over ids then fill the tables that the automata read:
 memtree, the leftmost leaf and the cyclic next sibling of every node, the
-leaf tuple, and the leaf numbering eta, filled top-down in the same pass.
+leaf tuple in depth-first order, and the leaf numbering eta.
 From those, `step_table` maps a leaf and a letter index to the tree walk's
 (witness, target) move; both automaton builders and the resolver's walk
 read that one table, which is built when first read.  `refine` (the cycle
@@ -26,8 +27,9 @@ one descent to the deepest node whose label holds a colour mask.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .conditions import ConditionError, LetterSet, MullerCondition, quoted
 
@@ -38,77 +40,66 @@ class ZielonkaTree:
     def __init__(self, condition: MullerCondition):
         self.condition = condition
         self.alphabet = condition.alphabet
-        full = self.alphabet.full().mask
-        masks, rounds, depth = [full], [full in condition.masks], [0]
+        full, accepting = self.alphabet.full().mask, condition.masks
+        masks, rounds, depth = [full], [full in accepting], [0]
         parents: list[Optional[int]] = [None]
         children: list[tuple[int, ...]] = []
         # BFS so that ids go level by level, left to right: node `head`'s
-        # children take the next free ids, in one run, and have the other
-        # round flag.  Each label's children, and F_S for label S, are found
-        # once per build.
+        # children take the next free ids, in one run, with the other round
+        # flag.  Each label's children are found once, from its F_S.
         kids_of: dict[int, list[int]] = {}
-        inside = {full: list(condition.masks)}
-        head = 0
-        while head < len(masks):
-            mask, accepted = masks[head], rounds[head]
-            if mask not in kids_of:
-                members = inside.pop(mask)
-                kids_of[mask] = _maximal_flipped_subsets(condition, mask, accepted, members)
-                for k in kids_of[mask]:
-                    if k not in kids_of and k not in inside:
-                        inside[k] = _masks_inside(condition, k, members)
-            if kids_of[mask]:
-                kids = sorted(kids_of[mask])
-                first = len(masks)
-                children.append(tuple(range(first, first + len(kids))))
+        inside = {full: sorted(accepting, key=_larger_first)}
+        for head, mask in enumerate(masks):
+            kids = kids_of.get(mask)
+            if kids is None:
+                found = _flipped_children(accepting, mask, rounds[head], inside.pop(mask))
+                inside.update(found)  # each F_T is the same from every parent
+                kids = kids_of[mask] = sorted(found)
+            if kids:
+                first, count = len(masks), len(kids)
+                children.append(tuple(range(first, first + count)))
                 masks += kids
-                rounds += [not accepted] * len(kids)
-                parents += [head] * len(kids)
-                depth += [depth[head] + 1] * len(kids)
+                rounds += [not rounds[head]] * count
+                parents += [head] * count
+                depth += [depth[head] + 1] * count
             else:  # a leaf
                 children.append(())
-            head += 1
         self._mask, self._round, self._parent, self._children = masks, rounds, parents, children
         self._depth, self._height = depth, 1 + max(depth)
-        self._number_depth_first()
+        self._number_by_sweeps()
 
-    def _number_depth_first(self) -> None:
-        """Memtree, leftmost leaves, cyclic next siblings, the leaf tuple in
-        depth-first order, and eta.  A node's children have consecutive
-        ids, so each one's next sibling is the next id but for the last."""
-        count, children, memtree = len(self._mask), self._children, [1] * len(self._mask)
-        order: list[int] = []
-        leaves: list[int] = []
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            if children[n]:
-                stack.extend(reversed(children[n]))
-            else:
-                leaves.append(n)
-        self._leaves = tuple(leaves)
+    def _number_by_sweeps(self) -> None:
+        """Memtree, leftmost leaves and next siblings children first, then the
+        depth-first leaf tuple and eta parents first: in depth-first order, a
+        node's subtree is followed by its next sibling's leftmost leaf, or
+        for a last child by what follows its parent's."""
+        count, children, rounds = len(self._mask), self._children, self._round
+        self._memtree = memtree = [1] * count
         self._leftmost = leftmost = list(range(count))
-        self._next_sibling = list(range(1, count + 1))
-        self._next_sibling[self.root] = self.root
-        # Reversed pre-order: every child is finished before its parent.
-        for n in reversed(order):
+        self._next_sibling = [self.root, *range(2, count + 1)]  # the root's is itself
+        after, offset = [-1] * count, [0] * count
+        for n in range(count - 1, -1, -1):
             kids = children[n]
             if kids:
-                parts = [memtree[k] for k in kids]
-                memtree[n] = sum(parts) if self._round[n] else max(parts)
-                leftmost[n] = leftmost[kids[0]]
-                self._next_sibling[kids[-1]] = kids[0]
-        self._memtree = memtree
-        # Pre-order, parents first: eta counts from a node's offset; a round
-        # node's children take consecutive ranges, a square node's share one.
-        offset = [0] * count
-        for n in order:
-            base = offset[n]
-            for k in children[n]:
-                offset[k] = base
-                if self._round[n]:
-                    base += memtree[k]
+                a, b = kids[0], kids[-1] + 1
+                memtree[n] = sum(memtree[a:b]) if rounds[n] else max(memtree[a:b])
+                leftmost[n] = leftmost[a]
+                self._next_sibling[b - 1] = a
+        # eta counts from a node's offset: a round node's children take
+        # consecutive ranges, a square node's share one.
+        for n, kids in enumerate(children):
+            if kids:
+                a, b, base = kids[0], kids[-1] + 1, offset[n]
+                after[a : b - 1], after[b - 1] = leftmost[a + 1 : b], after[n]
+                for k in kids:
+                    offset[k] = base
+                    if rounds[n]:
+                        base += memtree[k]
+        leaves, leaf = [], leftmost[self.root]
+        while leaf >= 0:
+            leaves.append(leaf)
+            leaf = after[leaf]
+        self._leaves = tuple(leaves)
         self._eta = {leaf: offset[leaf] + 1 for leaf in leaves}
 
     @cached_property
@@ -252,40 +243,64 @@ class ZielonkaTree:
         return "\n".join(lines) + "\n"
 
 
-def _maximal_flipped_subsets(
-    condition: MullerCondition, mask: int, accepted: bool, inside: list[int]
-) -> list[int]:
-    """Maximal non-empty subsets of label S = `mask` whose F-membership
-    differs from S's, `accepted`, in (-popcount, mask) order, from `inside`
-    = F_S.
+def _larger_first(mask: int) -> tuple[int, int]:
+    return -mask.bit_count(), mask
 
-    For a rejected S the candidates are F_S.  For an accepted S, a maximal
-    rejected T gains membership with any letter a of S - T, so it is one of
-    the rejected A - {a} for A in F_S.  Sets of one size never contain each
-    other, so a candidate is tested only against the larger kept sets."""
-    candidates = inside
+
+def _subsets(mask: int) -> Iterator[int]:
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _flipped_children(
+    accepting: frozenset[int], mask: int, accepted: bool, inside: list[int]
+) -> dict[int, list[int]]:
+    """The maximal non-empty subsets T of label S = `mask` whose F-membership
+    differs from S's, `accepted`, each mapped to F_T, from `inside` = F_S,
+    all larger first.  For a rejected S the candidates are F_S.  For an
+    accepted S, a maximal rejected T is put back in F by every letter of
+    S - T, so it is such a rejected A - {a}, A in F_S (the S - {a} if F_S
+    is {S}), or, if S has fewer subsets than drops, a rejected subset of S.
+    Sets of one size never contain each other, so a candidate is kept, or
+    joins the list of each larger kept set holding it: F_T if S is rejected.
+    Else F_T is filtered from F_S, or tested among T's subsets where those
+    cost less, at about four filtered members a subset."""
+    found: dict[int, list[int]] = {}
+    width, candidates, larger, size = mask.bit_count(), inside, (), 0
+    if accepted and len(inside) == 1:
+        rest = mask if width > 1 else 0
+        while rest:  # the S - {a}, in increasing order
+            top = 1 << rest.bit_length() - 1
+            rest ^= top
+            found[mask ^ top] = []
+        return found
     if accepted:
-        drops = {a & ~(1 << i) for a in inside for i in range(a.bit_length())}
-        candidates = [t for t in drops if t and t not in condition.masks]
-    kept: list[int] = []
-    larger, size = (), 0
-    for cand in sorted(candidates, key=lambda m: (-m.bit_count(), m)):
-        if cand.bit_count() != size:
-            larger, size = tuple(kept), cand.bit_count()
-        if not any(cand & ~k == 0 for k in larger):
-            kept.append(cand)
-    return kept
-
-
-def _masks_inside(condition: MullerCondition, mask: int, pool: list[int]) -> list[int]:
-    """F's members within `mask`, filtered from `pool`, a list that holds
-    them all, or from mask's subsets when those are fewer."""
-    if 1 << mask.bit_count() < len(pool):
-        pool, sub = [], mask
-        while sub:
-            pool.append(sub)
-            sub = (sub - 1) & mask
-    return [a for a in pool if not a & ~mask and a in condition.masks]
+        if 1 << width <= len(inside) * width:
+            candidates = _subsets(mask)
+        else:
+            bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+            drops = Counter(a ^ b for a in inside for b in bits if a & b and a != b)
+            candidates = [t for t, c in drops.items() if c + t.bit_count() == width]
+        candidates = sorted([t for t in candidates if t not in accepting], key=_larger_first)
+    for a in candidates:
+        if a.bit_count() != size:
+            larger, size = tuple(found), a.bit_count()
+        held = False
+        for t in larger:
+            if not a & ~t:
+                found[t].append(a)
+                held = True
+        if not held:
+            found[a] = [a]
+    if not accepted:
+        return found
+    return {
+        t: [a for a in inside if not a & ~t] if 4 << t.bit_count() >= len(inside)
+        else sorted([a for a in _subsets(t) if a in accepting], key=_larger_first)
+        for t in found
+    }
 
 
 # -- spec-level operation surface -------------------------------------------

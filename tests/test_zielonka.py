@@ -156,16 +156,23 @@ def test_subtrees_are_restriction_trees(running_tree, running_condition):
     assert [sub.label(k).names() for k in sub.children(sub.root)] == [("a",), ("c",)]
 
 
-def test_leaf_count_formula_even_n():
+def test_fn_tree_shape_formulas():
+    # F_n's root is rejected, with F_n's C(n, k) members as round children;
+    # each k-set's k children are its rejected (k-1)-subsets, which are
+    # leaves.  For n = 2 and 3 the round singletons are the leaves.
     import math
 
-    for n in (2, 4, 6):
-        alphabet = Alphabet([str(i) for i in range(1, n + 1)])
-        cond = MullerCondition(
-            alphabet, list(itertools.combinations(alphabet.symbols, n // 2))
-        )
-        t = build_zielonka(cond)
-        assert len(t.leaves()) == math.comb(n, n // 2) * (n // 2)
+    for n in range(2, 15):
+        k = n // 2
+        t = build_zielonka(condition_fn(n))
+        labels = {t.mask(v) for v in range(len(t))}
+        if n < 4:
+            assert (len(t), len(labels), len(t.leaves())) == (1 + n, 1 + n, n)
+        else:
+            assert len(t) == 1 + math.comb(n, k) * (1 + k)
+            assert len(labels) == 1 + math.comb(n, k) + math.comb(n, k - 1)
+            assert len(t.leaves()) == k * math.comb(n, k)
+        assert t.memtree() == k
 
 
 def test_size_and_memtree_independent_of_child_order():
@@ -341,6 +348,18 @@ def test_integer_tree_matches_the_record_tree_at_other_densities(order):
     # place would show it, as a second reversal undoes the first.
     for cond in density_oracle_conditions():
         assert_same_tree(build_in_order(cond, order), ReferenceZielonkaTree(cond, order))
+
+
+def test_mixed_sizes_under_a_rejected_label():
+    # F_6..F_10 with one extra set of size k - 1 or k + 1: the root's members
+    # have two sizes, so a child's F_T is not itself alone, and a smaller
+    # member falls into the F_T of every larger child that holds it.
+    for n in range(6, 11):
+        base, k = condition_fn(n), n // 2
+        for extra in ((1 << k - 1) - 1, (1 << k + 1) - 1):
+            cond = MullerCondition(base.alphabet, sorted(base.masks | {extra}))
+            for order in (None, lambda ms: sorted(ms, reverse=True)):
+                assert_same_tree(build_in_order(cond, order), ReferenceZielonkaTree(cond, order))
 
 
 def test_tree_meets_its_definition_on_24_letter_conditions():
