@@ -227,7 +227,7 @@ class _LassoChecker:
             self._period_memo[w.period] = verdict
         states = self._prefix_memo.get(w.prefix)
         if states is None:
-            states = self._states_after(w.prefix)
+            states = self.states_after(w.prefix)
         for state in states:
             if verdict[state]:
                 return True
@@ -272,7 +272,7 @@ class _LassoChecker:
             raise AutomatonError(f"lasso letter {symbol!r} not in the automaton's alphabet")
         return a
 
-    def _states_after(self, prefix: tuple[str, ...]) -> tuple[int, ...]:
+    def states_after(self, prefix: tuple[str, ...]) -> tuple[int, ...]:
         # A loop, not one call per letter: a prefix may be far longer than
         # the recursion limit.
         states = self._prefix_memo.get(prefix)

@@ -1,7 +1,9 @@
 """Command-line interface: inspect Zielonka trees, build automata, certify
 them on lasso words, solve games with minimal memory, and print the
 succinctness separation report.  One parser, `PARSER`, built at import
-from the command table `COMMANDS`, serves every `main` call."""
+from the command table `COMMANDS`, serves every `main` call.  Each `cmd_*`
+handler writes its files and returns (exit code, stdout text); only `main`
+writes stdout and stderr, so a typed error leaves stdout empty."""
 
 from __future__ import annotations
 
@@ -63,26 +65,26 @@ def _write_json(path: str, doc) -> None:
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_zielonka(args) -> int:
+def cmd_zielonka(args) -> tuple[int, str]:
     condition = load_condition(args.condition)
     tree = build_zielonka(condition)
     if args.dot:
         _write(args.dot, tree.to_dot())
     eta = tree.eta()
-    print("node  label          kind    eta")
+    lines = ["node  label          kind    eta"]
     labels: dict[int, str] = {}  # letter mask -> its text, made once per label
     for n in range(len(tree)):
         mask = tree.mask(n)
         label = labels.get(mask)
         if label is None:
-            label = labels[mask] = "{%s}" % ",".join(tree.label(n))
+            label = labels[mask] = repr(tree.label(n))
         kind = "round" if tree.is_round(n) else "square"
-        print(f"{tree.node_name(n):<5} {label:<14} {kind:<7} {eta.get(n, '-')}")
-    print(f"memtree = {tree.memtree()}")
-    return 0
+        lines.append(f"{tree.node_name(n):<5} {label:<14} {kind:<7} {eta.get(n, '-')}")
+    lines.append(f"memtree = {tree.memtree()}\n")
+    return 0, "\n".join(lines)
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[int, str]:
     condition = load_condition(args.condition)
     if args.kind == "gfg-rabin":
         gfg = build_gfg_rabin(condition)
@@ -104,8 +106,7 @@ def cmd_build(args) -> int:
         _write(args.hoa, export_hoa(automaton))
     if args.dot:
         _write(args.dot, export_dot(automaton))
-    print(summary)
-    return 0
+    return 0, summary + "\n"
 
 
 def sweep_size(letters: int, bound: int) -> tuple[int, int]:
@@ -118,9 +119,9 @@ def sweep_size(letters: int, bound: int) -> tuple[int, int]:
     return prefixes * sum(periods), prefixes * sum(n * p for n, p in enumerate(periods, 1))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     """Certify automata against L_F on every lasso u v^omega with |u| <= 2
-    and 1 <= |v| <= bound, and print the first failure in the order of u,
+    and 1 <= |v| <= bound, and report the first failure in the order of u,
     then |v|, then v, then checker.
 
     Each checker first gives every state's verdict on every Lyndon root of
@@ -137,8 +138,7 @@ def cmd_check(args) -> int:
     condition = load_condition(args.condition)
     bound = args.bound if args.bound is not None else 2 * len(condition.alphabet)
     if bound < 1:
-        print(f"error: --bound must be at least 1, not {bound}", file=sys.stderr)
-        return 2
+        raise ConditionError(f"--bound must be at least 1, not {bound}")
     letters = len(condition.alphabet)
     # Two or more letters pass the limit from bound 20 on; counting period
     # lengths up to 64 keeps the number short.
@@ -149,12 +149,10 @@ def cmd_check(args) -> int:
         ("run", lassos, "lassos", LASSO_LIMIT), ("read", read, "period letters", LETTER_LIMIT)
     ):
         if size > limit:
-            print(
-                f"error: check would {verb} {more}{size:,} {what} (bound {bound}), over the "
-                f"limit of {limit:,}; pass a smaller --bound",
-                file=sys.stderr,
+            raise ConditionError(
+                f"check would {verb} {more}{size:,} {what} (bound {bound}), over the "
+                f"limit of {limit:,}; pass a smaller --bound"
             )
-            return 2
     if args.automaton == "self":
         # One tree serves both automata.  The parity automaton is built
         # first: `gfg.tree` is that same tree, and an edit made through it
@@ -203,7 +201,7 @@ def cmd_check(args) -> int:
             # Prefixes that reach the same states get the same verdicts: ask the first.
             classes: dict[tuple[int, ...], int] = {}
             for i, prefix in enumerate(prefixes):
-                classes.setdefault(checker._states_after(prefix), i)
+                classes.setdefault(checker.states_after(prefix), i)
             for i, k in itertools.product(classes.values(), range(len(periods))):
                 if checker.accepts(LassoWord(prefixes[i], periods[k][0])) != periods[k][1]:
                     found.append((i, k, c))
@@ -212,32 +210,29 @@ def cmd_check(args) -> int:
         i, k, c = min(found)
         period, expected = periods[k]
         w, name = LassoWord(prefixes[i], period), list(checkers)[c]
-        print(f"counterexample: {w!r} expected {expected} but {name} gives {not expected}")
-        return 1
-    print(f"pass: {lassos} lassos agree with the condition (bound {bound})")
-    return 0
+        return 1, f"counterexample: {w!r} expected {expected} but {name} gives {not expected}\n"
+    return 0, f"pass: {lassos} lassos agree with the condition (bound {bound})\n"
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str]:
     condition = load_condition(args.condition)
     game = load_game(args.game, condition)
     solution = solve_muller_game(game)
     memory = solution.memory
     if memory is not None and args.memory_out:
         _write(args.memory_out, memory_to_json(memory))
-    print(f"winner: {solution.winner}")
+    out = f"winner: {solution.winner}\n"
     if memory is not None:
-        print(f"memory size: {memory.size}")
-        print(f"chromatic: {'yes' if is_chromatic(memory) else 'no'}")
-    return 0
+        chromatic = "yes" if is_chromatic(memory) else "no"
+        out += f"memory size: {memory.size}\nchromatic: {chromatic}\n"
+    return 0, out
 
 
-def cmd_succinctness(args) -> int:
+def cmd_succinctness(args) -> tuple[int, str]:
     row = succinctness_report(args.n, exact_chi=args.exact_chi)
     if args.json:
         _write_json(args.json, report_to_dict(row))
-    print(report_to_text([row]), end="")
-    return 0
+    return 0, report_to_text([row])
 
 
 def _zielonka_args(p: argparse.ArgumentParser) -> None:
@@ -309,10 +304,14 @@ PARSER = build_arg_parser()  # from static tables; each parse makes a fresh name
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the command `argv` names (`sys.argv[1:]` when None); return its exit code."""
+    """Run the command `argv` names (`sys.argv[1:]` when None), write its stdout
+    once it returns, and return its exit code: 2, with one `error:` line on
+    stderr and nothing on stdout, when a typed error ends it."""
     args = PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        code, out = args.handler(args)
+        sys.stdout.write(out)
+        return code
     except (OSError, ConditionError, AutomatonError, GameError, SearchBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

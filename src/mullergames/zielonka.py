@@ -234,7 +234,7 @@ class ZielonkaTree:
         lines = ["digraph zielonka {", "  ordering=out;"]
         for n in range(len(self)):
             shape = "ellipse" if self._round[n] else "box"
-            text = quoted("{%s}" % ",".join(self.label(n)))
+            text = quoted(repr(self.label(n)))
             lines.append(f"  {self.node_name(n)} [shape={shape}, label={text}];")
         for n, kids in enumerate(self._children):
             for k in kids:

@@ -1533,6 +1533,38 @@ def test_cli_failed_output_write_prints_nothing(capsys, condition_file, tmp_path
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+# Each case: (argv, the last library call it makes) of a command on the
+# running example's condition file `c` in directory `d`.
+LAST_CALLS = {
+    "zielonka": lambda d, c: (["zielonka", c], "mullergames.zielonka.ZielonkaTree.memtree"),
+    "build": lambda d, c: (
+        ["build", c, "--kind", "gfg-rabin", "--hoa", str(d / "a.hoa")], "mullergames.cli.export_hoa"
+    ),
+    "check": lambda d, c: (["check", c], "mullergames.cli.lyndon_words"),
+    "solve": lambda d, c: (
+        ["solve", "--game", _exist_game(d), "--condition", c], "mullergames.cli.is_chromatic"
+    ),
+    "succinctness": lambda d, c: (["succinctness", "--n", "3"], "mullergames.cli.report_to_text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAST_CALLS))
+def test_cli_error_in_the_last_call_prints_nothing(
+    capsys, monkeypatch, condition_file, tmp_path, case
+):
+    """A typed error raised by a command's last library call leaves stdout
+    empty: `main` writes a command's stdout only once it has returned."""
+    from mullergames.games import GameError
+
+    def injected(*args, **kwargs):
+        raise GameError("internal: injected")
+
+    argv, target = LAST_CALLS[case](tmp_path, condition_file)
+    monkeypatch.setattr(target, injected)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: internal: injected\n")
+
+
 def test_cli_missing_file(capsys):
     assert main(["zielonka", "/nonexistent/cond.json"]) == 2
     assert "error" in capsys.readouterr().err

@@ -7,6 +7,8 @@ the typed error of their stage instead, with a message that starts with
 behind when code moves out of the package is caught.  And every function
 the package defines is named by the package, the benchmark's scripts or
 the CI workflow, so a helper that only the tests call lives in the tests.
+Only `cli.main` writes stdout and stderr, and the CLI reads no private
+attribute of the library.
 """
 
 import ast
@@ -155,3 +157,58 @@ def test_every_function_is_named_outside_the_tests(tmp_path):
     others = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     others.append((ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8"))
     assert unnamed_functions(PACKAGE, others) == []
+
+
+def stream_sites(tree):
+    """(line, name) of every read of `print`, `sys.stdout` and `sys.stderr`."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "print":
+            sites.append((node.lineno, "print"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            sites.append((node.lineno, f"sys.{node.attr}"))
+    return sorted(sites)
+
+
+def test_only_cli_main_writes_stdout_and_stderr():
+    """Every command returns its stdout text and `main` writes it, so a
+    failed command leaves stdout empty and one `error:` line on stderr."""
+    sample = "import sys\nprint(1)\nsys.stderr.write('x')\nsys.exit(sys.stdout)\n"
+    expected = [(2, "print"), (3, "sys.stderr"), (4, "sys.stdout")]
+    assert stream_sites(ast.parse(sample)) == expected
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) >= 8
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in modules
+        for line, name in stream_sites(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for name, node, _ in function_definitions(cli) if name == "main")
+    in_main = [f"cli.py:{line}: {name}" for line, name in stream_sites(main)]
+    assert len(in_main) >= 2
+    assert found == in_main
+
+
+def private_reads(tree):
+    """(line, attribute) of every read of a `_`-prefixed attribute that is
+    not a dunder."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+    ]
+
+
+def test_cli_reads_no_private_attribute():
+    """The CLI uses the library through its public names only."""
+    sample = "x._hidden()\nx.__class__\nx.shown\n_local()\n"
+    assert private_reads(ast.parse(sample)) == [(1, "_hidden")]
+    assert private_reads(ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))) == []
