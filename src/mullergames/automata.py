@@ -483,13 +483,12 @@ def export_hoa(automaton: Automaton) -> str:
 
     Input letter k is encoded as the minterm where only AP k holds.
     """
+    text, key = _hoa_marks(automaton)  # refuses other than Rabin or parity acceptance
     acc = automaton.acceptance
     if isinstance(acc, RabinCondition):
         acc_name, acceptance = _hoa_acceptance(True, len(acc.pairs))
-    elif isinstance(acc, ParityCondition):
-        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities) + 1)
     else:
-        raise AutomatonError("HOA export supports Rabin and parity acceptance only")
+        acc_name, acceptance = _hoa_acceptance(False, max(acc.priorities) + 1)
 
     lines = ["HOA: v1", f"States: {len(automaton.states)}"]
     for s in sorted(automaton.start):
@@ -504,7 +503,6 @@ def export_hoa(automaton: Automaton) -> str:
     labels = [
         "&".join(("%d" if i == ap else "!%d") % i for i in range(n_ap)) for ap in range(n_ap)
     ]
-    text, key = _hoa_marks(automaton)
     for s, row in enumerate(automaton.moves):
         lines.append(f"State: {s}")
         rows = sorted((ap, d, key[c], text[c]) for ap, cell in enumerate(row) for c, d in cell)

@@ -8,6 +8,7 @@ writes stdout and stderr, so a typed error leaves stdout empty."""
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import sys
@@ -304,13 +305,23 @@ PARSER = build_arg_parser()  # from static tables; each parse makes a fresh name
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the command `argv` names (`sys.argv[1:]` when None), write its stdout
-    once it returns, and return its exit code: 2, with one `error:` line on
-    stderr and nothing on stdout, when a typed error ends it."""
+    """Run the command `argv` names (`sys.argv[1:]` when None), write all of
+    its stdout once it returns, and return its exit code: 2, with one
+    `error:` line on stderr and nothing on stdout, when a typed error ends
+    it, and also when the write fails, as into a pipe closed early."""
     args = PARSER.parse_args(argv)
     try:
         code, out = args.handler(args)
-        sys.stdout.write(out)
+        raw = getattr(sys.stdout, "buffer", None)
+        if isinstance(raw, io.RawIOBase):
+            # Unbuffered stdout (`python -u`) hands the text to its file in
+            # one raw write and drops what a short write leaves; the rest is
+            # written again, so a closed pipe raises.
+            data = memoryview(out.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[raw.write(data) :]
+        else:
+            sys.stdout.write(out)
         return code
     except (OSError, ConditionError, AutomatonError, GameError, SearchBudgetError) as err:
         print(f"error: {err}", file=sys.stderr)

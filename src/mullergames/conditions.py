@@ -9,17 +9,18 @@ names appear only in what the constructors take and what `repr` prints.
 Everything here is immutable after construction.
 
 Each acceptance type answers what `games` asks of a colour mask:
-`accepts_mask`, `refine` (the cycle check's query: None if the mask is
-rejected, else smaller masks that hold every rejected subset) and `split`
-(who attracts to which colours in Zielonka's recursion).  A Muller
-condition answers `refine` and `split` through its Zielonka tree.
+`accepts_mask`, and `split`, the player who wins a cycle on exactly those
+colours and the colour masks that player attracts to.  Zielonka's
+recursion attracts to them, and the certificates' cycle search goes on
+under the mask without each one.  A Muller condition answers `split`
+through its Zielonka tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
 class ConditionError(ValueError):
@@ -206,16 +207,6 @@ class RabinCondition:
     def accepts_mask(self, mask: int) -> bool:
         return any(mask & g and not mask & r for g, r in self.pairs)
 
-    def refine(self, mask: int) -> Optional[list[int]]:
-        """`mask` without the greens of the pairs it satisfies, or None if
-        there are none: a rejected subset fails those pairs, and it avoids
-        their reds already, so it must avoid their greens."""
-        greens = 0
-        for g, r in self.pairs:
-            if g & mask and not r & mask:
-                greens |= g
-        return [mask & ~greens] if greens else None
-
     def split(self, present: int) -> tuple[int, Sequence[int]]:
         """Exist (0) attracts to the green of a live pair (green present,
         red absent); with none live, Univ (1) to the colours outside each
@@ -265,18 +256,6 @@ class ParityCondition:
         if mask == 0:
             raise ConditionError("empty letter set has no maximal priority")
         return max(p for i, p in enumerate(self.priorities) if mask >> i & 1) % 2 == 0
-
-    def refine(self, mask: int, losing: int = 1) -> Optional[list[int]]:
-        """None if the top priority of `mask` has the parity `losing` (1 on
-        Exist's side, 0 on Univ's), else the part of `mask` at or below its
-        highest losing priority (none without one): every losing subset."""
-        present = [(p, 1 << i) for i, p in enumerate(self.priorities) if mask >> i & 1]
-        if max(p for p, _ in present) % 2 == losing:
-            return None
-        cap = max((p for p, _ in present if p % 2 == losing), default=None)
-        if cap is None:
-            return []
-        return [sum(bit for p, bit in present if p <= cap)]
 
     def split(self, present: int) -> tuple[int, Sequence[int]]:
         """The top priority's player attracts to its colours; `present`

@@ -49,11 +49,11 @@ than the recursion raises `GameError`.
 One cycle check backs every certificate: the solvers' strategies,
 `verify_strategy` and the brute-force oracle all ask `_rejected_core`
 whether a one-player graph has a cycle whose colour set the condition
-rejects.  It runs the cycle search it shares with the Rabin lasso checker,
-`_graph.refined_cores`, which refines strongly connected components by the
-`refine` of a Rabin or parity condition, or of a Muller condition's
-Zielonka tree: polynomial time, where a scan of colour subsets would take
-2^colours passes.
+gives to the player's opponent.  It asks the `split` that drives the
+recursion, in the cycle search it shares with the Rabin lasso checker,
+`_graph.refined_cores`, which searches a component whose colours `split`
+gives to the player again without each target: polynomial time, where a
+scan of colour subsets would take 2^colours passes.
 
 A memory structure lives on the same ids: a choice table and an update
 table over the game's arena, which `memory_from_gfg` writes straight from
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import and_, or_
@@ -517,9 +517,6 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
     game = solution.game
     succ, _, _, dst, owners, colours, base, _ = game.arena
     won, moves = solution.won, solution.moves
-    # Exist loses on the cycles the condition rejects; Univ, who has a
-    # certificate only in a parity game, on those whose top priority is even.
-    refiners = (game.condition.refine, partial(game.condition.refine, losing=0))
     for player in players:
         who = (EXIST, UNIV)[player]
         region = [v for v in range(base) if (v in won) == (player == 0)]
@@ -544,7 +541,7 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
                     raise GameError(f"internal: {who} region is not closed under opponent moves")
                 row.append((j, colours[m]))
             out.append(row)
-        if _rejected_core(region, out, refiners[player]) is not None:
+        if _rejected_core(out, game.condition.split, player) is not None:
             raise GameError(f"internal: cycle analysis refutes the {who} strategy")
 
 
@@ -552,25 +549,30 @@ def _verify_solution(solution: GameSolution, players=(0, 1)) -> None:
 
 
 def _rejected_core(
-    nodes: Iterable[Vertex],
     out: Sequence[Sequence[tuple[int, int]]],
-    refine: Callable[[int], Optional[Sequence[int]]],
-) -> Optional[frozenset]:
-    """The first set `refined_cores` finds of nodes whose colours a play can
-    repeat forever and `refine` rejects, or None.  `out[i]` lists the (j,
-    colour bit) edges from the i-th node to the j-th, bit 0 for a silent one."""
+    split: Callable[[int], tuple[int, Sequence[int]]],
+    player: int = 0,
+) -> Optional[list[int]]:
+    """The first set `refined_cores` finds of positions whose colours a play
+    can repeat forever and `split` gives to the opponent of `player` (0
+    Exist, 1 Univ), or None.  `out[i]` lists the (j, colour bit) edges from
+    position i to position j, bit 0 for a silent one.  Colours that `split`
+    gives to `player` are searched again without each of its targets in
+    turn: every subset the opponent wins misses one of them, as it lies
+    inside a child's label of a Muller tree, avoids the green of a Rabin
+    pair that is live, or lacks the top parity priority."""
 
-    def checked(mask: int) -> Optional[Sequence[int]]:
+    def refine(mask: int) -> Optional[list[int]]:
         if not mask:
             raise GameError("silent-only recurrence set; the arena is malformed")
-        parts = refine(mask)
-        if any(part & mask == mask for part in parts or ()):  # it would loop forever
+        winner, targets = split(mask)
+        if winner != player:
+            return None
+        if any(not target & mask for target in targets):  # it would loop forever
             raise GameError("internal: a refinement kept the whole colour set")
-        return parts
+        return [mask & ~target for target in targets]
 
-    names = list(nodes)
-    core = next(refined_cores(out, checked, range(len(names))), None)
-    return None if core is None else frozenset(names[v] for v in core)
+    return next(refined_cores(out, refine, range(len(out))), None)
 
 
 # -- memory extraction and Muller solving ---------------------------------------
@@ -755,7 +757,7 @@ def verify_strategy(memory: MemoryStructure, condition: AnyCondition | ZielonkaT
     _, rows, _ = _walk(memory)
     if isinstance(condition, MullerCondition):
         condition = build_zielonka(condition)
-    return _rejected_core(range(len(rows)), rows, condition.refine) is None
+    return _rejected_core(rows, condition.split) is None
 
 
 def is_chromatic(memory: MemoryStructure) -> bool:
@@ -792,7 +794,6 @@ def brute_force_winner(
     tree = _game_tree(game, condition, "brute_force_winner")
     arena, width = game.arena, tree.memtree()
     succ, base = arena.succ, arena.base
-    refine = tree.refine
     choice, update = [-1] * (base * width), [-1] * ((len(arena.dst) - base) * width)
     memory = MemoryStructure(game, tuple(range(width)), 0, choice, update)
     searched = 0
@@ -804,7 +805,7 @@ def brute_force_winner(
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
         _, rows, gap = _walk(memory)
         if gap is None:
-            return _rejected_core(range(len(rows)), rows, refine) is None
+            return _rejected_core(rows, tree.split) is None
         table, slot = gap
         options = range(width) if table is update else [m - base for m in succ[slot // width]]
         for option in options:

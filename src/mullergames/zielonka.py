@@ -20,9 +20,10 @@ memtree, the leftmost leaf and the cyclic next sibling of every node, the
 leaf tuple in depth-first order, and the leaf numbering eta.
 From those, `step_table` maps a leaf and a letter index to the tree walk's
 (witness, target) move; both automaton builders and the resolver's walk
-read that one table, which is built when first read.  `refine` (the cycle
-check's query) and `split` (Zielonka's recursion on a Muller game) share
-one descent to the deepest node whose label holds a colour mask.
+read that one table, which is built when first read.  `split`, the one
+query that both Zielonka's recursion on a Muller game and the
+certificates' cycle search ask, descends to the deepest node whose label
+holds a colour mask.
 """
 
 from __future__ import annotations
@@ -199,21 +200,15 @@ class ZielonkaTree:
                 return node
             node = deeper
 
-    def refine(self, mask: int) -> Optional[list[int]]:
-        """None if the condition rejects `mask`, else the children's labels
-        of the deepest node whose label holds it.  That node is round
-        exactly when the mask is accepted, and then every rejected subset of
-        the mask lies inside one of its children."""
-        node = self._holder(mask)
-        return [self._mask[k] for k in self._children[node]] if self._round[node] else None
-
     def split(self, present: int) -> tuple[int, list[int]]:
-        """Zielonka's recursion on a Muller game: the owner of the deepest
-        node whose label holds `present` (0 Exist if round, 1 Univ if
-        square) attracts to the colours `present & ~label` outside each
+        """The owner of the deepest node whose label holds `present` (0
+        Exist if round, 1 Univ if square), who wins a cycle on exactly those
+        colours, attracts to the colours `present & ~label` outside each
         child's label, in child order, each distinct target once: a repeat
         gives the same attractor and subgame.  What is left after one lies
-        inside that child.  A leaf gives no target, and its owner wins."""
+        inside that child, and every subset of `present` that the other
+        player wins lies inside some child.  A leaf gives no target, and its
+        owner wins."""
         node = self._holder(present)
         labels = self._mask
         targets = dict.fromkeys(present & ~labels[k] for k in self._children[node])

@@ -1160,11 +1160,11 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
                     queue.append(nxt)
         return moves_of
 
-    def _memory_strategy_wins(game, sigma, mu, bit, refine):
+    def _memory_strategy_wins(game, sigma, mu, bit, split):
         moves_of = _memory_product(game, sigma, mu)
         index = {node: i for i, node in enumerate(moves_of)}
         out = [[(index[nxt], bit(e.colour)) for e, nxt in outs] for outs in moves_of.values()]
-        return _rejected_core(moves_of, out, refine) is None
+        return _rejected_core(out, split) is None
 
     def _colour_bit(condition):
         index = condition_colours(condition).index
@@ -1178,7 +1178,7 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
     counter = [0]
 
     bit = _colour_bit(tree.condition)
-    refine = tree.refine
+    split = tree.split
     start = (game.initial, 0)
 
     def missing_decision(sigma, mu):
@@ -1210,7 +1210,7 @@ def reference_brute_force_winner(game, condition=None, budget=2_000_000):
             raise GameError(f"brute-force enumeration budget exceeded ({budget})")
         missing = missing_decision(sigma, mu)
         if missing is None:
-            return _memory_strategy_wins(game, sigma, mu, bit, refine)
+            return _memory_strategy_wins(game, sigma, mu, bit, split)
         kind, key = missing
         if kind == "sigma":
             m, x = key

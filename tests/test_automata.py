@@ -298,6 +298,20 @@ def test_export_hoa_rejects_muller():
         export_hoa(aut)
 
 
+@pytest.mark.parametrize("write", [export_hoa, hoa_signature], ids=lambda f: f.__name__)
+def test_hoa_writers_refuse_muller_acceptance(write):
+    # Both read the marks through one check of the acceptance type.
+    aut = named_automaton(
+        [0],
+        Alphabet("a"),
+        [0],
+        [Transition(0, "a", "x", 0)],
+        MullerCondition(Alphabet(["x"]), [["x"]]),
+    )
+    with pytest.raises(AutomatonError, match="HOA export supports Rabin and parity acceptance only"):
+        write(aut)
+
+
 def test_export_dot(running_condition):
     fig2 = fig2_automaton(running_condition)
     dot = export_dot(fig2)

@@ -1130,7 +1130,7 @@ def test_cmd_solve_reports_a_recursion_that_disagrees(
 def test_cmd_solve_reports_failed_certificate(capsys, condition_file, tmp_path, monkeypatch):
     from mullergames import games
 
-    monkeypatch.setattr(games, "_rejected_core", lambda nodes, out, refine: frozenset(nodes))
+    monkeypatch.setattr(games, "_rejected_core", lambda out, split, player=0: [0])
     game = game_file(
         tmp_path,
         {
@@ -1563,6 +1563,29 @@ def test_cli_error_in_the_last_call_prints_nothing(
     monkeypatch.setattr(target, injected)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: internal: injected\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_pipe_closed_early_exits_2_with_one_line(tmp_path, unbuffered):
+    """F_12's table (201,144 bytes) overflows a pipe whose reader takes 10
+    bytes and closes it.  Unbuffered, stdout's raw write stops short there
+    instead of failing, and the rest of the text must still raise."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mullergames.cli", "zielonka", fn_file(tmp_path, 12)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_missing_file(capsys):

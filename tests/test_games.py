@@ -1234,35 +1234,33 @@ def test_rejected_core_agrees_with_subset_scan():
         index = condition_colours(condition).index
         bit = lambda colour: 0 if colour is None else 1 << index(colour)
         out = {v: [(w, bit(c)) for w, c in outs] for v, outs in graph.items()}
-        sides = [(condition, 1, condition)]
+        sides = [(condition, 0, condition)]
         if kind == "parity":
             # Univ's side: even priorities lose, which is Exist's view once
             # every priority is raised by one.
             raised = {c: p + 1 for c, p in zip(condition.colours, condition.priorities)}
-            sides.append((condition, 0, ParityCondition(condition.colours, raised)))
-        for checked, losing, reference in sides:
+            sides.append((condition, 1, ParityCondition(condition.colours, raised)))
+        for checked, player, reference in sides:
             expected = reference_recurrence_sets_satisfy(graph, avail, reference, 1 << 16)
-            refine = build_zielonka(checked).refine if kind == "muller" else checked.refine
-            if losing == 0:
-                refine = functools.partial(refine, losing=0)
-            core = games._rejected_core(graph, out, refine)
-            assert (core is None) == expected, (condition, losing, graph)
+            split = build_zielonka(checked).split if kind == "muller" else checked.split
+            core = games._rejected_core(out, split, player)
+            assert (core is None) == expected, (condition, player, graph)
             verdicts[kind, expected] += 1
     for kind in ("muller", "rabin", "parity"):
         assert verdicts[kind, True] >= 300 and verdicts[kind, False] >= 300, verdicts
 
 
 def test_rejected_core_refuses_a_refinement_that_keeps_the_mask():
-    # One node with a loop of colour bit 1: a refiner that hands the mask
-    # back would search the same component forever.
+    # One node with a loop of colour bit 1: a target that misses the mask
+    # would search the same component forever.
     with pytest.raises(GameError, match="internal: a refinement kept the whole colour set"):
-        games._rejected_core([0], [[(0, 1)]], lambda mask: [mask])
+        games._rejected_core([[(0, 1)]], lambda mask: (0, [0]))
 
 
 def test_rejected_core_refuses_a_silent_only_cycle():
     # One node with a silent loop: no colour recurs, which no arena allows.
     with pytest.raises(GameError, match="silent-only recurrence set; the arena is malformed"):
-        games._rejected_core([0], [[(0, 0)]], lambda mask: None)
+        games._rejected_core([[(0, 0)]], lambda mask: (1, []))
 
 
 @pytest.mark.parametrize(

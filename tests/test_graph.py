@@ -114,7 +114,12 @@ def test_refined_cores_agree_with_subset_scan():
         roots = rng.sample(range(n), rng.randint(1, n))
         if case % 2:
             kind, allowed = "zielonka", -1
-            refine = build_zielonka(random_muller_condition(rng, Alphabet("abcd"[:colours]))).refine
+            split = build_zielonka(random_muller_condition(rng, Alphabet("abcd"[:colours]))).split
+
+            def refine(mask, split=split):
+                player, targets = split(mask)
+                return None if player else [mask & ~t for t in targets]
+
         else:
             kind = "rabin pair"
             green, red = rng.sample([1 << c for c in range(colours)] + [0], 2)
