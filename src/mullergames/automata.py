@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from ._graph import reachable, refined_cores
 from .conditions import (
@@ -124,52 +124,35 @@ class Run:
         return self._named(self.steps[self.begin :])
 
 
-def walk_lasso(
-    automaton: Automaton,
-    step: Callable[[int, int], tuple[int, int]],
-    start: int,
-    state_name: Sequence[State] | Mapping[int, State],
-    w: LassoWord,
-) -> tuple[Run, bool]:
-    """The run on u v^omega of a deterministic walk over `automaton`'s
-    letters and colours, and whether its eventual cycle's colours satisfy
-    the acceptance.  `step(s, a)` is the (colour index, next state) of state
-    s on letter index a, and `state_name[s]` is the automaton state s names.
+def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
+    """The unique run of a deterministic complete automaton on u v^omega,
+    and whether the colours of its eventual cycle satisfy the acceptance.
 
     Whole periods are walked until the state at a period boundary repeats;
     the steps between the two occurrences form the eventual cycle."""
-    index = automaton.alphabet.index
+    if not automaton.is_deterministic:
+        raise AutomatonError("run_deterministic needs a deterministic, complete automaton")
+    index, moves = automaton.alphabet.index, automaton.moves
     prefix, period = [index(a) for a in w.prefix], [index(a) for a in w.period]
     steps: list[Step] = []
-    state = start
+    state = automaton.start[0]
     for a in prefix:
-        c, d = step(state, a)
+        c, d = moves[state][a][0]
         steps.append((state, a, c, d))
         state = d
     seen: dict[int, int] = {}
     while state not in seen:
         seen[state] = len(steps)
         for a in period:
-            c, d = step(state, a)
+            c, d = moves[state][a][0]
             steps.append((state, a, c, d))
             state = d
     begin = seen[state]
     mask = 0
     for _, _, c, _ in steps[begin:]:
         mask |= 1 << c
-    names = (state_name, automaton.alphabet.symbols, automaton.colour_alphabet.symbols)
+    names = (automaton.states, automaton.alphabet.symbols, automaton.colour_alphabet.symbols)
     return Run(steps, begin, names), automaton.acceptance.accepts_mask(mask)
-
-
-def run_deterministic(automaton: Automaton, w: LassoWord) -> tuple[Run, bool]:
-    """The unique run of a deterministic complete automaton on u v^omega,
-    and whether the colours of its eventual cycle satisfy the acceptance."""
-    if not automaton.is_deterministic:
-        raise AutomatonError("run_deterministic needs a deterministic, complete automaton")
-    moves = automaton.moves
-    return walk_lasso(
-        automaton, lambda s, a: moves[s][a][0], automaton.start[0], automaton.states, w
-    )
 
 
 def lyndon_words(letters: int, bound: int) -> Iterator[tuple[int, ...]]:

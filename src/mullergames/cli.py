@@ -35,7 +35,6 @@ from .construction import (
     build_gfg_rabin,
     build_parity_automaton,
     provenance_document,
-    resolver_lasso_checker,
 )
 from .games import (
     GameError,
@@ -155,16 +154,14 @@ def cmd_check(args) -> tuple[int, str]:
                 f"limit of {limit:,}; pass a smaller --bound"
             )
     if args.automaton == "self":
-        # One tree serves both automata.  The parity automaton is built
-        # first: `gfg.tree` is that same tree, and an edit made through it
-        # must not reach the parity checker.
+        # One tree serves all three automata; each builder walks it anew.
         tree = build_zielonka(condition)
         parity = build_parity_automaton(tree)
         gfg = build_gfg_rabin(tree)
         checkers = {
             "rabin": RabinLassoChecker.from_automaton(gfg.automaton),
             "parity": DeterministicLassoChecker.from_automaton(parity),
-            "resolver": resolver_lasso_checker(gfg),
+            "resolver": DeterministicLassoChecker.from_automaton(gfg.resolver),
         }
     else:
         with open(args.automaton, encoding="utf-8") as handle:

@@ -1,17 +1,17 @@
 """From a Zielonka tree to automata: the minimal good-for-games Rabin
-automaton, its merged form, and the deterministic parity automaton over
-the tree's leaves, with the leaf-memory resolver's walk as a run and as a
-lasso checker.
+automaton, its merged form, its leaf-memory resolver, and the
+deterministic parity automaton over the tree's leaves.
 
 States of the Rabin automaton are the values of a leaf numbering with
 distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
 node, switch to its next child, descend leftmost".  The merged form keeps
 one transition per (state, letter, target), as in the paper's running
-example.  The GFG move table, the parity automaton and the provenance
-document are read off the tree's integer `step_table`; the merged form is
-regrouped from the GFG move table by target.  Both GFG forms take their
-Rabin pairs from one backward sweep over the tree.
+example.  The GFG move table, the resolver, the parity automaton and the
+provenance document each read the rows of one pass of the tree's `walk`,
+which keeps no table; the GFG automaton is the resolver's quotient by eta,
+and the merged form is regrouped from its move table by target.  Both GFG
+forms take their Rabin pairs from one backward sweep over the tree.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .automata import (
-    Automaton,
-    DeterministicLassoChecker,
-    Run,
-    walk_lasso,
-)
+from .automata import Automaton, Run, run_deterministic
 from .conditions import (
     Alphabet,
     LassoWord,
@@ -87,9 +82,11 @@ class GfgRabinAutomaton:
     context: `moves[s][a]` holds each (witness node, target state index) of
     state index s on letter a once, first leaf first.  The unmerged
     `automaton` and the `merged` one are both built from it when first
-    read.  Only `build` without `--simplify`, `check` and the benchmark's
-    traced `build_gfg_rabin` size probe build the unmerged automaton;
-    `solve` reads `merged`, and `provenance_document` the tree and eta."""
+    read, and so is `resolver`, the deterministic automaton over the
+    tree's leaves whose quotient by eta the unmerged automaton is.  Only
+    `build` without `--simplify`, `check` and the benchmark's traced
+    `build_gfg_rabin` size probe build the unmerged automaton; `solve`
+    reads `merged`, and `provenance_document` the tree and eta."""
 
     tree: ZielonkaTree
     eta: dict[int, int]
@@ -99,6 +96,16 @@ class GfgRabinAutomaton:
     def automaton(self) -> Automaton:
         """The move table as an automaton: colour n is node n."""
         return self._over(self.moves, node_rabin_pairs(self.tree))
+
+    @cached_property
+    def resolver(self) -> Automaton:
+        """The leaf-memory resolver: state i is leaf `tree.leaves()[i]`,
+        named by its eta value, the state of `automaton` it stands for.  It
+        starts at the root's leftmost leaf and moves by the tree walk, with
+        colour n node n under `automaton`'s pairs."""
+        tree, acceptance = self.tree, self.automaton.acceptance
+        states = [self.eta[leaf] for leaf in tree.leaves()]
+        return Automaton(states, tree.alphabet, [0], _leaf_table(tree, range(len(tree))), acceptance)
 
     def _over(self, moves: list, acceptance: RabinCondition) -> Automaton:
         """An automaton on the GFG states, letters and start state."""
@@ -147,7 +154,7 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     eta = tree.eta()
     cells = [[{} for _ in tree.alphabet] for _ in range(tree.memtree())]
     # Leaf l moves as state eta[l]; a cell keeps each move once, first leaf first.
-    for leaf, row in tree.step_table.items():
+    for leaf, row in tree.walk():
         for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
             cell[witness, eta[target] - 1] = None
     return GfgRabinAutomaton(tree, eta, [[list(cell) for cell in row] for row in cells])
@@ -157,8 +164,7 @@ def _leaf_table(tree: ZielonkaTree, colour: Sequence[int]) -> list[list[list[tup
     """The tree walk as a move table over `tree.leaves()`, the root's leftmost
     first: a leaf's move on a letter is (colour[witness], next leaf's index)."""
     leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
-    step = tree.step_table
-    return [[[(colour[w], leaf_index[t])] for w, t in step[leaf]] for leaf in tree.leaves()]
+    return [[[(colour[w], leaf_index[t])] for w, t in row] for _, row in tree.walk()]
 
 
 def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
@@ -178,37 +184,24 @@ def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
 
 
 def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:
-    """The run of the GFG automaton driven by the leaf-memory resolver.
+    """The run of the GFG automaton driven by the leaf-memory resolver, as
+    the run of `gfg.resolver`, whose states are named as the GFG states
+    they stand for.
 
     Accepting whenever the lasso's letter set is a member of the condition:
-    this is the good-for-games guarantee.  The walk is on the tree's
-    `step_table` (leaf, letter index) -> (witness, next leaf); colour n of
-    the automaton is node n, and leaf l stands for state eta[l].
+    this is the good-for-games guarantee.
     """
-    table, start = gfg.tree.step_table, gfg.tree.leftmost_leaf(gfg.tree.root)
-    return walk_lasso(gfg.automaton, lambda leaf, a: table[leaf][a], start, gfg.eta, w)
-
-
-def resolver_lasso_checker(gfg: GfgRabinAutomaton) -> DeterministicLassoChecker:
-    """The leaf-memory resolver's walk as a lasso checker: its states are the
-    tree's leaves, and each move outputs the colour bit of its witness node.
-    It gives the verdicts of `resolve_run`, computed per (state after
-    prefix, period)."""
-    tree = gfg.tree
-    # Colour n of the GFG automaton is node n (`node_rabin_pairs`).
-    return DeterministicLassoChecker(
-        _leaf_table(tree, range(len(tree))), [0], tree.alphabet, gfg.automaton.acceptance
-    )
+    return run_deterministic(gfg.resolver, w)
 
 
 def provenance_document(gfg: GfgRabinAutomaton) -> list[dict]:
     """Each GFG transition with the (leaf, witness node, leaf') of the first
-    leaf that induces it, read off one walk over `step_table`: a transition
+    leaf that induces it, read off one pass of the tree's `walk`: a transition
     is the id tuple (state, letter index, witness, next state), named only
     as a row of the document."""
     tree, eta, letters, name = gfg.tree, gfg.eta, gfg.tree.alphabet.symbols, gfg.tree.node_name
     first: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for leaf, row in tree.step_table.items():
+    for leaf, row in tree.walk():
         for a, (witness, target) in enumerate(row):
             first.setdefault((eta[leaf], a, witness, eta[target]), (leaf, target))
     return [

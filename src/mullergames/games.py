@@ -570,7 +570,8 @@ def _rejected_core(
             return None
         if any(not target & mask for target in targets):  # it would loop forever
             raise GameError("internal: a refinement kept the whole colour set")
-        return [mask & ~target for target in targets]
+        # A target holding every colour left leaves no colour to recur.
+        return [part for part in (mask & ~target for target in targets) if part]
 
     return next(refined_cores(out, refine, range(len(out))), None)
 

@@ -18,18 +18,17 @@ label is made into a `LetterSet` only when `label` reads it.  A backward
 and a forward sweep over ids then fill the tables that the automata read:
 memtree, the leftmost leaf and the cyclic next sibling of every node, the
 leaf tuple in depth-first order, and the leaf numbering eta.
-From those, `step_table` maps a leaf and a letter index to the tree walk's
-(witness, target) move; both automaton builders and the resolver's walk
-read that one table, which is built when first read.  `split`, the one
-query that both Zielonka's recursion on a Muller game and the
-certificates' cycle search ask, descends to the deepest node whose label
-holds a colour mask.
+From those, `walk` yields each leaf's row of the tree walk's (witness,
+target) moves per letter index, pushed down from the root, and keeps no
+row; each automaton builder reads the rows of its own pass, and `step`
+climbs one leaf's root path for one move.  `split`, the one query that
+both Zielonka's recursion on a Muller game and the certificates' cycle
+search ask, descends to the deepest node whose label holds a colour mask.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from typing import Iterator, Optional
 
 from .conditions import ConditionError, LetterSet, MullerCondition, quoted
@@ -103,32 +102,28 @@ class ZielonkaTree:
         self._leaves = tuple(leaves)
         self._eta = {leaf: offset[leaf] + 1 for leaf in leaves}
 
-    @cached_property
-    def step_table(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """leaf -> (witness, target) per letter index, built on first read.
-
-        The witness is the deepest node on the leaf's root path whose label
-        holds the letter (labels shrink along the path, and the root holds
-        every letter).  The target is the leaf itself when the witness is the
-        leaf, and otherwise the leftmost leaf below the next sibling of the
-        path's child of the witness.  Rows are pushed down from the root: a
-        letter in the child's label gets the child as witness, and a letter
-        whose witness was the parent now knows which child the path took.
-        """
-        rows = {self.root: [(self.root, self.root)] * len(self.alphabet)}
-        for n, kids in enumerate(self._children):  # BFS: parents first
+    def walk(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """Each leaf with its row of `step`'s (witness, target) moves per
+        letter index, in `leaves()` order; nothing is kept.  Rows are pushed
+        down from the root, depth first and last child first: a letter in
+        the child's label gets the child as witness, and a letter whose
+        witness was the parent now knows which child the path took."""
+        stack = [(self.root, [(self.root, self.root)] * len(self.alphabet))]
+        while stack:
+            n, row = stack.pop()
+            kids = self._children[n]
             if not kids:
+                yield n, row
                 continue
-            row = rows.pop(n)
             # The parent is the witness of exactly the letters of its label.
             letters = [i for i in range(len(row)) if self._mask[n] >> i & 1]
-            for c in kids:
+            for c in reversed(kids):
                 mask = self._mask[c]
                 here, jump = (c, c), (n, self._leftmost[self._next_sibling[c]])
-                rows[c] = child_row = row.copy()
+                child_row = row.copy()
                 for i in letters:
                     child_row[i] = here if mask >> i & 1 else jump
-        return {leaf: tuple(rows[leaf]) for leaf in self._leaves}
+                stack.append((c, child_row))
 
     # -- structure queries ------------------------------------------------
 
@@ -183,11 +178,22 @@ class ZielonkaTree:
         return self._next_sibling[c]
 
     def step(self, leaf: int, letter: str) -> tuple[int, int]:
-        """One move of the tree walk: (witness node, next leaf) for a letter."""
-        row = self.step_table.get(leaf)
-        if row is None:
+        """One move of the tree walk: (witness node, next leaf) for a letter.
+
+        The witness is the deepest node on the leaf's root path whose label
+        holds the letter (labels shrink along the path, and the root holds
+        every letter).  The target is the leaf itself when the witness is the
+        leaf, and otherwise the leftmost leaf below the next sibling of the
+        path's child of the witness."""
+        if not 0 <= leaf < len(self._mask) or self._children[leaf]:
             raise ConditionError(f"node {leaf} is not a leaf of this tree")
-        return row[self.alphabet.index(letter)]
+        bit = 1 << self.alphabet.index(letter)
+        child, node = leaf, leaf
+        while not self._mask[node] & bit:
+            child, node = node, self._parent[node]
+        if node == leaf:
+            return leaf, leaf
+        return node, self._leftmost[self._next_sibling[child]]
 
     def _holder(self, mask: int) -> int:
         """The deepest node on the leftmost descent whose label holds `mask`:

@@ -1555,7 +1555,7 @@ def reference_build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> Referen
     provenance: dict[Transition, tuple[int, int, int]] = {}
     names = [tree.node_name(n) for n in range(len(tree))]
     # First leaf provenance wins when two leaves induce the same transition.
-    for leaf, row in tree.step_table.items():
+    for leaf, row in tree.walk():
         for letter, (witness, target) in zip(condition.alphabet.symbols, row):
             t = Transition(eta[leaf], letter, names[witness], eta[target])
             if t not in provenance:
@@ -1604,7 +1604,7 @@ def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> 
     priorities = {str(p): p for p in set(prio.values())}
     transitions = [
         Transition(leaf, letter, str(prio[witness]), target)
-        for leaf, row in tree.step_table.items()
+        for leaf, row in tree.walk()
         for letter, (witness, target) in zip(condition.alphabet.symbols, row)
     ]
     return named_automaton(
@@ -1687,10 +1687,9 @@ def check_quotient(parity: Automaton, gfg: GfgRabinAutomaton, eta: dict[int, int
         raise ConditionError("parity automaton does not run over this tree's leaves")
     if set(eta) != set(tree.leaves()):
         raise ConditionError("eta labelling does not cover this tree's leaves")
-    letter_index = tree.alphabet.index
     merged = set()
     for t in parity.transitions:
-        witness, expected_target = tree.step_table[t.src][letter_index(t.letter)]
+        witness, expected_target = tree.step(t.src, t.letter)
         if expected_target != t.dst:
             raise ConditionError("parity automaton does not follow this tree's jumps")
         merged.add(Transition(eta[t.src], t.letter, tree.node_name(witness), eta[t.dst]))

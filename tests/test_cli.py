@@ -464,10 +464,9 @@ def test_cmd_check_corrupted_step_table_witness(capsys, monkeypatch, condition_f
 
             def corrupted_gfg(cond, leaf=leaf, a=a):
                 gfg = build_gfg_rabin(cond)
-                row = list(gfg.tree.step_table[leaf])
-                witness, target = row[a]
-                row[a] = ((witness + 1) % len(gfg.tree), target)
-                gfg.tree.step_table[leaf] = tuple(row)
+                cell = gfg.resolver.moves[gfg.tree.leaves().index(leaf)][a]
+                witness, target = cell[0]
+                cell[0] = ((witness + 1) % len(gfg.tree), target)
                 return gfg
 
             monkeypatch.setattr(cli, "build_gfg_rabin", corrupted_gfg)
@@ -617,10 +616,9 @@ def test_cmd_check_reports_the_first_of_several_failing_checkers(
 
         def corrupted_gfg(cond, leaf=leaf, letter=letter):
             gfg = build_gfg_rabin(cond)
-            row = list(gfg.tree.step_table[leaf])
-            witness, target = row[letter]
-            row[letter] = ((witness + 1) % len(gfg.tree), target)
-            gfg.tree.step_table[leaf] = tuple(row)
+            cell = gfg.resolver.moves[gfg.tree.leaves().index(leaf)][letter]
+            witness, target = cell[0]
+            cell[0] = ((witness + 1) % len(gfg.tree), target)
             return gfg
 
         monkeypatch.setattr(cli, "build_parity_automaton", lambda _cond: corrupted)

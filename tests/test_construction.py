@@ -30,7 +30,6 @@ from mullergames.construction import (
     node_rabin_pairs,
     provenance_document,
     resolve_run,
-    resolver_lasso_checker,
 )
 from mullergames.games import EXIST, GameGraph, product_with_automaton
 from mullergames.succinctness import condition_fn
@@ -350,6 +349,15 @@ def test_resolver_tracks_eta(running_condition):
         leaf = target
 
 
+def test_gfg_automaton_is_the_resolvers_quotient_by_eta():
+    for cond in table_oracle_conditions():
+        gfg = build_gfg_rabin(cond)
+        resolver = gfg.resolver
+        assert resolver.is_deterministic
+        assert resolver.initial == gfg.automaton.initial
+        assert set(resolver.transitions) == set(gfg.automaton.transitions)
+
+
 def exhaustive_language_check(cond, max_prefix=2, max_period=None):
     max_period = max_period if max_period is not None else 2 * len(cond.alphabet)
     gfg = build_gfg_rabin(cond)
@@ -388,7 +396,7 @@ def test_lasso_checkers_agree_with_runs(family):
         gfg = build_gfg_rabin(cond)
         parity = build_parity_automaton(cond)
         parity_checker = DeterministicLassoChecker.from_automaton(parity)
-        leaf_walk = resolver_lasso_checker(gfg)
+        leaf_walk = DeterministicLassoChecker.from_automaton(gfg.resolver)
         for w in all_lassos(cond.alphabet, 2, 4):
             assert parity_checker.accepts(w) == run_deterministic(parity, w)[1], (cond, w)
             assert leaf_walk.accepts(w) == resolve_run(gfg, w)[1], (cond, w)

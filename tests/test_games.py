@@ -1263,6 +1263,28 @@ def test_rejected_core_refuses_a_silent_only_cycle():
         games._rejected_core([[(0, 0)]], lambda mask: (1, []))
 
 
+def test_rejected_core_hands_the_cycle_search_no_empty_part(monkeypatch):
+    # A target holding every colour left would leave a part of 0: a search
+    # over silent edges alone, which no recurrence set can use.
+    returned = []
+    search = games.refined_cores
+
+    def recording(out, refine, roots, allowed=-1):
+        def recorded(mask):
+            parts = refine(mask)
+            if parts is not None:
+                returned.append(parts)
+            return parts
+
+        return search(out, recorded, roots, allowed)
+
+    monkeypatch.setattr(games, "refined_cores", recording)
+    for game in seeded_muller_games(46, 40):
+        solve_muller_game(game)
+    assert any(returned)
+    assert all(part for parts in returned for part in parts)
+
+
 @pytest.mark.parametrize(
     "solve, kind, message",
     [

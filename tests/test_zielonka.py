@@ -208,19 +208,30 @@ def test_step_table_matches_parent_pointer_walk():
     for cond in table_oracle_conditions():
         tree = build_zielonka(cond)
         assert tree.leaves() == reference_leaves_below(tree, tree.root)
-        assert tuple(tree.step_table) == tree.leaves()
-        for leaf in tree.leaves():
-            for letter in cond.alphabet:
-                assert tree.step(leaf, letter) == reference_step(tree, leaf, letter)
+        walked = list(tree.walk())
+        assert tuple(leaf for leaf, _ in walked) == tree.leaves()
+        for leaf, row in walked:
+            for letter, move in zip(cond.alphabet.symbols, row, strict=True):
+                assert move == tree.step(leaf, letter) == reference_step(tree, leaf, letter)
 
 
-def test_step_table_is_built_on_first_read():
-    # The `zielonka` and `succinctness` commands never read the table.
-    tree = build_zielonka(condition_fn(10))
-    assert "step_table" not in tree.__dict__
-    table = tree.step_table
-    assert tree.__dict__["step_table"] is table is tree.step_table
-    assert tuple(table) == tree.leaves()
+def test_builders_leave_the_tree_as_built():
+    # The tree keeps no walk table: its rows stream to each builder, and
+    # the resolver is an automaton of its own.
+    from mullergames.construction import (
+        build_gfg_rabin,
+        build_parity_automaton,
+        provenance_document,
+    )
+
+    tree = build_zielonka(condition_fn(6))
+    before = set(vars(tree))
+    gfg = build_gfg_rabin(tree)
+    build_parity_automaton(tree)
+    provenance_document(gfg)
+    assert set(vars(tree)) == before
+    gfg.resolver
+    assert set(vars(tree)) == before
 
 
 def test_leaf_tables_match_recursive_descent():
@@ -292,7 +303,7 @@ def test_integer_tree_matches_the_record_tree():
             assert tree.height == ref.height
             assert tree.leaves() == ref.leaves()
             assert list(tree.eta().items()) == list(ref.eta().items())
-            assert tree.step_table == ref.step_table
+            assert {leaf: tuple(row) for leaf, row in tree.walk()} == ref.step_table
             assert tree.to_dot() == ref.to_dot()
 
 
@@ -313,7 +324,7 @@ def assert_same_tree(tree, ref):
     assert tree.height == ref.height
     assert tree.leaves() == ref.leaves()
     assert list(tree.eta().items()) == list(ref.eta().items())
-    assert tree.step_table == ref.step_table
+    assert {leaf: tuple(row) for leaf, row in tree.walk()} == ref.step_table
     assert tree.to_dot() == ref.to_dot()
 
 
