@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._graph import reachable, refined_cores
 from .conditions import (
@@ -57,13 +57,37 @@ def condition_colours(acceptance: AnyCondition) -> Alphabet:
     return acceptance.colours
 
 
+class RowsOnDemand:
+    """A deterministic move table over `size` states whose row s
+    is `row(s)`, made when first read and kept: a reader that reaches few
+    states makes few rows.  Each cell of a row must hold one move, which is
+    checked as the row is made, so `Automaton` knows the table deterministic
+    without reading it."""
+
+    def __init__(self, size: int, row: Callable[[int], list[list[tuple[int, int]]]]):
+        self._rows: list = [None] * size
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, s: int) -> list[list[tuple[int, int]]]:
+        row = self._rows[s]
+        if row is None:
+            row = self._rows[s] = self._row(s)
+            if any(len(cell) != 1 for cell in row):
+                raise AutomatonError(f"internal: row {s} of an on-demand table is not deterministic")
+        return row
+
+
 class Automaton:
     """A non-deterministic automaton with colours on transitions.
 
     State i is `states[i]`.  `moves[s][a]` lists the (colour index, target
     index) of each transition from state index s on letter index a; `start`
     holds the indices of the initial states.  `transitions` names the moves
-    when first read."""
+    when first read.  A `RowsOnDemand` table is deterministic by its type,
+    and no row of it is read here."""
 
     def __init__(
         self,
@@ -77,8 +101,8 @@ class Automaton:
         self.start = tuple(start)
         self.initial = tuple(self.states[s] for s in self.start)
         self.moves: MoveTable = moves
-        self.is_deterministic = len(self.start) == 1 and all(
-            len(cell) == 1 for row in moves for cell in row
+        self.is_deterministic = len(self.start) == 1 and (
+            isinstance(moves, RowsOnDemand) or all(len(cell) == 1 for row in moves for cell in row)
         )
 
     @cached_property

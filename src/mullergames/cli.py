@@ -154,13 +154,12 @@ def cmd_check(args) -> tuple[int, str]:
                 f"limit of {limit:,}; pass a smaller --bound"
             )
     if args.automaton == "self":
-        # One tree serves all three automata; each builder walks it anew.
-        tree = build_zielonka(condition)
-        parity = build_parity_automaton(tree)
-        gfg = build_gfg_rabin(tree)
+        # One tree serves all three automata, and the parity automaton is
+        # read off the resolver's moves: each leaf's row is made once.
+        gfg = build_gfg_rabin(build_zielonka(condition))
         checkers = {
             "rabin": RabinLassoChecker.from_automaton(gfg.automaton),
-            "parity": DeterministicLassoChecker.from_automaton(parity),
+            "parity": DeterministicLassoChecker.from_automaton(build_parity_automaton(gfg)),
             "resolver": DeterministicLassoChecker.from_automaton(gfg.resolver),
         }
     else:

@@ -7,11 +7,17 @@ distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
 node, switch to its next child, descend leftmost".  The merged form keeps
 one transition per (state, letter, target), as in the paper's running
-example.  The GFG move table, the resolver, the parity automaton and the
-provenance document each read the rows of one pass of the tree's `walk`,
-which keeps no table; the GFG automaton is the resolver's quotient by eta,
-and the merged form is regrouped from its move table by target.  Both GFG
-forms take their Rabin pairs from one backward sweep over the tree.
+example.  The GFG move table and the provenance document each read the
+rows of one pass of the tree's `walk`, which keeps no table.  The resolver
+and the parity automaton are tables over the tree's leaves, and one
+function gives a leaf's row of either from one climb of its root path
+(`ZielonkaTree.row`).  `build_parity_automaton` makes every row, and reads
+them off the resolver's moves when it has one; `solve` certifies Univ on
+`parity_automaton_on_demand`, which makes a row when a product first reads
+it, so a product that reaches few leaves pays for few rows.  The GFG
+automaton is the resolver's quotient by eta, and the merged form is
+regrouped from its move table by target.  Both GFG forms take their Rabin
+pairs from one backward sweep over the tree.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .automata import Automaton, Run, run_deterministic
+from .automata import Automaton, Run, RowsOnDemand, run_deterministic
 from .conditions import (
     Alphabet,
     LassoWord,
@@ -105,7 +111,8 @@ class GfgRabinAutomaton:
         colour n node n under `automaton`'s pairs."""
         tree, acceptance = self.tree, self.automaton.acceptance
         states = [self.eta[leaf] for leaf in tree.leaves()]
-        return Automaton(states, tree.alphabet, [0], _leaf_table(tree, range(len(tree))), acceptance)
+        moves = list(map(_leaf_rows(tree, range(len(tree))), range(len(states))))
+        return Automaton(states, tree.alphabet, [0], moves, acceptance)
 
     def _over(self, moves: list, acceptance: RabinCondition) -> Automaton:
         """An automaton on the GFG states, letters and start state."""
@@ -160,27 +167,48 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     return GfgRabinAutomaton(tree, eta, [[list(cell) for cell in row] for row in cells])
 
 
-def _leaf_table(tree: ZielonkaTree, colour: Sequence[int]) -> list[list[list[tuple[int, int]]]]:
-    """The tree walk as a move table over `tree.leaves()`, the root's leftmost
-    first: a leaf's move on a letter is (colour[witness], next leaf's index)."""
-    leaf_index = {leaf: i for i, leaf in enumerate(tree.leaves())}
-    return [[[(colour[w], leaf_index[t])] for w, t in row] for _, row in tree.walk()]
+def _leaf_rows(tree: ZielonkaTree, colour: Sequence[int]) -> Callable[[int], list[list[tuple[int, int]]]]:
+    """The row of the leaf at index i of `tree.leaves()`, the root's leftmost
+    first, as a function of i: its move on a letter is (colour[witness],
+    next leaf's index), from the one climb of `ZielonkaTree.row`."""
+    leaves = tree.leaves()
+    index = dict(zip(leaves, range(len(leaves))))
+    return lambda i: [[(colour[w], index[t])] for w, t in tree.row(leaves[i])]
 
 
-def build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:
-    """The deterministic parity automaton whose states are the leaves of the
-    Zielonka tree of the condition (or of the given tree)."""
-    tree = _tree(source)
+def _parity_colours(tree: ZielonkaTree) -> tuple[list[int], ParityCondition]:
+    """Each node's output colour, the rank of its priority, and the parity
+    condition on the priorities' names."""
     prio = node_priorities(tree)
     values = sorted(set(prio.values()))
     colour = {p: i for i, p in enumerate(values)}
-    return Automaton(
-        tree.leaves(),
-        tree.alphabet,
-        [0],
-        _leaf_table(tree, [colour[prio[n]] for n in range(len(tree))]),
-        ParityCondition(Alphabet([str(p) for p in values]), {str(p): p for p in values}),
-    )
+    acceptance = ParityCondition(Alphabet([str(p) for p in values]), {str(p): p for p in values})
+    return [colour[prio[n]] for n in range(len(tree))], acceptance
+
+
+def build_parity_automaton(source: MullerCondition | ZielonkaTree | GfgRabinAutomaton) -> Automaton:
+    """The deterministic parity automaton whose states are the leaves of the
+    Zielonka tree of the condition (or of the given tree), with every row
+    made.  From a GFG automaton it is read off the resolver's moves, whose
+    colours are the witness nodes, so the tree's rows are made once for
+    both."""
+    if isinstance(source, GfgRabinAutomaton):
+        tree = source.tree
+        colour, acceptance = _parity_colours(tree)
+        moves = [[[(colour[w], t)] for ((w, t),) in row] for row in source.resolver.moves]
+    else:
+        tree = _tree(source)
+        colour, acceptance = _parity_colours(tree)
+        moves = list(map(_leaf_rows(tree, colour), range(len(tree.leaves()))))
+    return Automaton(tree.leaves(), tree.alphabet, [0], moves, acceptance)
+
+
+def parity_automaton_on_demand(tree: ZielonkaTree) -> Automaton:
+    """`build_parity_automaton(tree)` with each row made when first read: a
+    product reads only the rows of the states it reaches."""
+    colour, acceptance = _parity_colours(tree)
+    rows = RowsOnDemand(len(tree.leaves()), _leaf_rows(tree, colour))
+    return Automaton(tree.leaves(), tree.alphabet, [0], rows, acceptance)
 
 
 def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:

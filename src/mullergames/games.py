@@ -2,12 +2,16 @@
 
 The pipeline for Muller games: decide the initial vertex's winner by
 Zielonka's recursion, split by the condition's Zielonka tree, on the part
-of the arena that vertex reaches, which every move keeps to.  When Exist
+of the arena that vertex reaches, which every move keeps to, and stop as
+soon as an attractor the top level removes holds that vertex.  When Exist
 wins, compose the arena with the good-for-games Rabin automaton and extract
 a positional strategy of the Rabin product, whose automaton component
 becomes the memory structure for the original game.  When Univ wins,
-compose it with the deterministic parity automaton of the condition, whose
-certified solution is Univ's certificate.  The recursion and both automata
+compose it with the deterministic parity automaton of the condition,
+explored from the initial vertex with Univ's moves kept to the region the
+recursion gave it and Exist's all, and made row by row as the product
+reads it; the certified solution of that product is Univ's certificate,
+which a wrong region cannot pass.  The recursion and both automata
 come from one Zielonka tree, which must be the game's own condition's
 (`_game_tree`).  The memory is extracted on the product with the merged
 GFG automaton (`GfgRabinAutomaton.merged`): it keeps the states, one
@@ -57,7 +61,8 @@ scan of colour subsets would take 2^colours passes.
 
 A memory structure lives on the same ids: a choice table and an update
 table over the game's arena, which `memory_from_gfg` writes straight from
-the product.  Its names leave only through `memory_to_json`; a game's
+the product.  Its names leave only through `memory_to_json`, which reads
+the arena's edge columns with the text of each name made once; a game's
 names enter only through `GameGraph` and leave through its `vertices` and
 `edges` and a solution's `winners`.  One walk (`_walk`) over the
 (vertex, memory) nodes x|M| + m serves `verify_strategy`, `is_chromatic`
@@ -82,7 +87,7 @@ from .conditions import (
     ParityCondition,
     RabinCondition,
 )
-from .construction import GfgRabinAutomaton, _tree, build_gfg_rabin, build_parity_automaton
+from .construction import GfgRabinAutomaton, _tree, build_gfg_rabin, parity_automaton_on_demand
 from .zielonka import ZielonkaTree, build_zielonka
 
 Vertex = Hashable
@@ -269,13 +274,17 @@ class ProductGame:
         return self.ids[(x if a < 0 else base + x * letters + a) * len(self.automaton.states) + q]
 
 
-def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) -> ProductGame:
+def _build_product(
+    game: GameGraph, automaton: Automaton, seeds: Iterable[int], region: Optional[set] = None
+) -> ProductGame:
     """The product reachable from the game vertices `seeds`, built into
-    its arena.  By index, state vertex (x, q) has key x|Q| + q and choice
-    vertex (y, a, q) key (|V| + y|A| + a)|Q| + q; `ids` has room for choice
-    keys only when the automaton is not deterministic.  Nodes are numbered
-    as first reached, depth first.  Each colour mask is read from one bit
-    table, so equal colours share one int.
+    its arena, where a Univ vertex keeps only its moves to vertices in
+    `region` when one is given (Exist keeps every move).  By index, state
+    vertex (x, q) has key x|Q| + q and choice vertex (y, a, q) key
+    (|V| + y|A| + a)|Q| + q; `ids` has room for choice keys only when the
+    automaton is not deterministic.  Nodes are numbered as first reached,
+    depth first.  Each colour mask is read from one bit table, so equal
+    colours share one int.
 
     One loop serves every state vertex (x, q), with one rule per game move
     x -> y.  A silent move leads to (y, q) with colour 0.  A move that reads
@@ -285,13 +294,16 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
     which `memory_from_gfg` reads).  Each (target, colour) pair is kept
     once, for the first move that gives it, so a state vertex can have fewer
     edges than its game vertex has moves.  A silent product cycle projects
-    to a game cycle, which `GameGraph` rejects."""
+    to a game cycle, which `GameGraph` rejects.  A state vertex left with no
+    move, which only `region` can cause, raises `GameError`."""
     if len(automaton.initial) != 1:
         raise GameError("product requires an automaton with a single initial state")
     alphabet, states, moves = automaton.alphabet, automaton.states, automaton.moves
     if condition_colours(game.condition) != alphabet:
         raise GameError("alphabet mismatch between game condition and automaton")
     succ, _, _, target, owner, _, base, _ = game.arena
+    if region is not None:
+        succ = [[m for m in ms if target[m] in region] if owner[x] else ms for x, ms in enumerate(succ)]
     # A game colour's id is the index of its letter, -1 for a silent edge;
     # an output colour id c has mask bit[c], and bit[-1] is 0.
     letter = [c.bit_length() - 1 for c in game.arena.colours]
@@ -335,6 +347,10 @@ def _build_product(game: GameGraph, automaton: Automaton, seeds: Iterable[int]) 
                     targets.append(edge[0])
                     colours.append(bit[edge[1]])
                     moved.append(m)
+            if not out:
+                raise GameError(
+                    f"internal: Univ has no move at {game.vertices[x]!r} in the region it was given"
+                )
             continue
         y, a = divmod(x - base, letters)
         options = moves[q][a]
@@ -378,12 +394,14 @@ def product_with_automaton(game: GameGraph, automaton: Automaton) -> ProductGame
 
 
 class GameSolution:
-    """A solver's result on node ids: `won` holds the nodes Exist wins and
-    `moves` maps a vertex to the midpoint its winner takes; `winners` names
-    each vertex's winner when first read."""
+    """A solver's result on node ids: `won` holds the nodes Exist wins,
+    `lost` those Univ wins, and `moves` maps a vertex to the midpoint its
+    winner takes; `winners` names each vertex's winner when first read.  A
+    decision stopped early (`_zielonka`'s `stop`) leaves some nodes in
+    neither region."""
 
-    def __init__(self, game: GameGraph, won: set, moves: dict[int, int]):
-        self.game, self.won, self.moves = game, won, moves
+    def __init__(self, game: GameGraph, won: set, moves: dict[int, int], lost: Optional[set] = None):
+        self.game, self.won, self.moves, self.lost = game, won, moves, lost
 
     def strategy_of(self, player: int) -> dict[int, int]:
         """The moves of `player` (0 Exist, 1 Univ) in its region."""
@@ -437,7 +455,10 @@ def _attract(player: int, base: set, nodes: set, arena: Arena) -> tuple[set, dic
 
 
 def _zielonka(
-    game: GameGraph, split: Callable[[int], tuple[int, Sequence[int]]], nodes: Optional[set] = None
+    game: GameGraph,
+    split: Callable[[int], tuple[int, Sequence[int]]],
+    nodes: Optional[set] = None,
+    stop: int = -1,
 ) -> GameSolution:
     """Zielonka's recursion as one loop on the arena, for a parity, Rabin or
     Muller game, on `nodes` (the whole arena when None), which every move
@@ -449,12 +470,17 @@ def _zielonka(
     solved.  Once the opponent wins some of the rest, its attractor to that
     is its own and is removed; if it wins none under any mask, the player
     wins every node.  Each recursive call sees fewer colours.  Both players'
-    moves at vertices are kept, each in its own region."""
+    moves at vertices are kept, each in its own region.
+
+    The top level stops as soon as an attractor it removes holds the node
+    `stop`, which then has its winner: the nodes not yet removed are in
+    neither region.  Univ's region is still a trap for Exist, in which
+    every Univ vertex has a move, as each attractor Univ removed is."""
     arena = game.arena
     bit_of = arena.colours.__getitem__
 
-    def solve(nodes: set) -> tuple[set, dict]:
-        won: set = set()
+    def solve(nodes: set, stop: int = -1) -> tuple[tuple[set, set], dict]:
+        regions: tuple[set, set] = (set(), set())  # Exist's, Univ's
         strategy: dict = {}
         while nodes:
             present = reduce(or_, set(map(bit_of, nodes)))
@@ -464,23 +490,26 @@ def _zielonka(
                 # The nodes of `target`'s colours, added in `nodes`' order.
                 base = set(compress(nodes, map(and_, map(bit_of, nodes), repeat(target))))
                 attr, moves = _attract(player, base, nodes, arena)
-                sub_won, sub_moves = solve(nodes - attr)
-                lost = sub_won if player else nodes - attr - sub_won
+                sub_regions, sub_moves = solve(nodes - attr)
+                lost = sub_regions[1 - player]
                 if lost:
                     break
                 moves.update(sub_moves)
             else:
                 strategy.update(moves)
-                return (won if player else won | nodes), strategy
+                regions[player].update(nodes)
+                return regions, strategy
             attr, moves = _attract(1 - player, lost, nodes, arena)
             strategy.update((v, m) for v, m in sub_moves.items() if v in lost)
             strategy.update(moves)
-            if player:
-                won |= attr
+            regions[1 - player].update(attr)
+            if stop in attr:
+                break
             nodes = nodes - attr
-        return won, strategy
+        return regions, strategy
 
-    return GameSolution(game, *solve(set(range(len(arena.colours))) if nodes is None else nodes))
+    (won, lost), strategy = solve(set(range(len(arena.colours))) if nodes is None else nodes, stop)
+    return GameSolution(game, won, strategy, lost)
 
 
 def solve_parity_game(game: GameGraph) -> GameSolution:
@@ -653,13 +682,19 @@ def solve_muller_game(
     """Decide a Muller game by Zielonka's recursion, split by the
     condition's Zielonka tree (`ZielonkaTree.split`), on the part of the
     arena its initial vertex reaches, where that vertex has its winner in
-    the whole game, and certify that winner on a product.  When Exist wins,
+    the whole game; the recursion stops once an attractor it removes holds
+    that vertex.  Then certify that winner on a product.  When Exist wins,
     a memory structure of size memtree is extracted from the product with
     the merged GFG automaton, which has a choice vertex where a cell leaves
     Exist a choice of target, and the memory is her choice there; its
-    `verify_strategy` check is her certificate.  When Univ wins, the plain
+    `verify_strategy` check is her certificate.  When Univ wins, the
     product with the deterministic parity automaton is solved, and its
-    certified parity solution is Univ's certificate.
+    certified parity solution is Univ's certificate.  That product is
+    explored from the initial vertex with Univ's moves kept to the region
+    the recursion gave it, and Exist's all: only the rows it reaches of
+    the parity automaton are made (`parity_automaton_on_demand`).  A wrong
+    region cannot pass, as Exist then wins the product or a Univ vertex in
+    it has no move.
 
     One Zielonka tree (built here, or given for the game's condition) serves
     the recursion, both automata and the memory's certificate; a condition
@@ -667,17 +702,19 @@ def solve_muller_game(
     straight into its arena, numbered as `_build_product` explores it.  A
     product that names the other winner than the recursion raises
     `GameError`; when the GFG Rabin product refuses Exist, the parity
-    product is solved to say which side is at fault."""
+    product is solved on the whole game to say which side is at fault."""
     tree = _game_tree(game, condition, "solve_muller_game")
     succ, _, _, dst, _, _, base, initial = game.arena
     nodes = reachable((initial,), lambda n: succ[n] if n < base else (dst[n],))
-    exist = initial in _zielonka(game, tree.split, nodes).won
+    decision = _zielonka(game, tree.split, nodes, initial)
+    exist = initial in decision.won
     if exist:
         try:
             return MullerSolution(EXIST, memory_from_gfg(game, build_gfg_rabin(tree)))
         except NotWonByExist:
             pass
-    product = product_with_automaton(game, build_parity_automaton(tree))
+    region = None if exist else decision.lost
+    product = _build_product(game, parity_automaton_on_demand(tree), [initial], region)
     parity_exist = product.game.arena.initial in solve_parity_game(product.game).won
     if exist and parity_exist:
         raise GameError(
@@ -877,16 +914,24 @@ def _rows(memory: MemoryStructure) -> tuple[list[tuple[int, int, int]], list[tup
     """The rows `memory_to_json` names, in its order: (m, j, next state) for
     each state m and edge j, and (m, x, j) for each state m and Exist vertex
     x with its edge j.  States, edges and vertices are each sorted by the
-    text of their names, ties in index order."""
+    text of their names, ties in index order: an edge's is the text of
+    `str(GameEdge(...))`, read off the arena's columns with the `repr` of
+    each name made once."""
     game, width = memory.game, memory.size
-    owners, base = game.arena.owners, game.arena.base
+    _, _, src, dst, owners, colours, base, _ = game.arena
 
     def by_text(names: Sequence, indices: Iterable[int]) -> list[int]:
         return sorted(indices, key=lambda i: str(names[i]))
 
     states = by_text(memory.states, range(width))
-    # The text of str(GameEdge), without its Python-level __repr__.
-    edge_text = list(map("GameEdge(src=%r, colour=%r, dst=%r)".__mod__, game.edges))
+    vertex = list(map(repr, game.vertices))
+    # A mask's colour id; silent, mask 0, reads id -1, the last entry.
+    colour = list(map(repr, condition_colours(game.condition).symbols)) + ["None"]
+    edge_text = [
+        "GameEdge(src=%s, colour=%s, dst=%s)"
+        % (vertex[src[m]], colour[colours[m].bit_length() - 1], vertex[dst[m]])
+        for m in range(base, len(dst))
+    ]
     edges = by_text(edge_text, range(len(edge_text)))
     exist = by_text(game.vertices, [x for x in range(base) if not owners[x]])
     return (
@@ -901,8 +946,8 @@ def memory_to_json(memory: MemoryStructure) -> str:
     rows {state, edge, next} and `strategy` rows {state, vertex, edge} in
     `_rows`' order, each edge as {src, colour, dst}.  It is written row by
     row: `indent` would send `json` to its pure-Python encoder.  The text of
-    each state, edge and vertex is made once; strings and ints go through
-    `json`'s C encoders."""
+    each state, vertex and colour is made once, and each edge's is read off
+    the arena's columns; strings and ints go through `json`'s C encoders."""
 
     def text(value: object, indent: str = "      ") -> str:
         kind = type(value)
@@ -917,14 +962,17 @@ def memory_to_json(memory: MemoryStructure) -> str:
     def listing(rows: list[str]) -> str:
         return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
+    game = memory.game
+    _, _, src, dst, _, colours, base, _ = game.arena
     update, strategy = _rows(memory)
     state = [text(m) for m in memory.states]
-    vertex = [text(v) for v in memory.game.vertices]
-    in_edge = {v: text(v, "        ") for v in memory.game.vertices}
+    vertex = [text(v) for v in game.vertices]
+    in_edge = [text(v, "        ") for v in game.vertices]
+    colour = [text(c) for c in condition_colours(game.condition).symbols] + ["null"]
     edge = [
         '    {\n      "edge": {\n        "colour": %s,\n        "dst": %s,\n        "src": %s\n'
-        "      },\n" % (text(colour), in_edge[dst], in_edge[src])
-        for src, colour, dst in memory.game.edges
+        "      },\n" % (colour[colours[m].bit_length() - 1], in_edge[dst[m]], in_edge[src[m]])
+        for m in range(base, len(dst))
     ]
     return (
         '{\n  "initial": ' + text(memory.initial, "  ")

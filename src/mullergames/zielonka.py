@@ -20,10 +20,12 @@ memtree, the leftmost leaf and the cyclic next sibling of every node, the
 leaf tuple in depth-first order, and the leaf numbering eta.
 From those, `walk` yields each leaf's row of the tree walk's (witness,
 target) moves per letter index, pushed down from the root, and keeps no
-row; each automaton builder reads the rows of its own pass, and `step`
-climbs one leaf's root path for one move.  `split`, the one query that
-both Zielonka's recursion on a Muller game and the certificates' cycle
-search ask, descends to the deepest node whose label holds a colour mask.
+row; the GFG builder and the provenance document read the rows of their
+own pass.  `row` climbs one leaf's root path for that leaf's row, which
+the parity automaton and the resolver read, and `step` is one move of it.
+`split`, the one query that both Zielonka's recursion on a Muller game and
+the certificates' cycle search ask, descends to the deepest node whose
+label holds a colour mask.
 """
 
 from __future__ import annotations
@@ -177,23 +179,37 @@ class ZielonkaTree:
             raise ConditionError(f"node {c} is not a child of node {n}")
         return self._next_sibling[c]
 
-    def step(self, leaf: int, letter: str) -> tuple[int, int]:
-        """One move of the tree walk: (witness node, next leaf) for a letter.
+    def row(self, leaf: int) -> list[tuple[int, int]]:
+        """The tree walk's (witness node, next leaf) move of a leaf for every
+        letter index, from one climb of its root path.
 
-        The witness is the deepest node on the leaf's root path whose label
-        holds the letter (labels shrink along the path, and the root holds
-        every letter).  The target is the leaf itself when the witness is the
-        leaf, and otherwise the leftmost leaf below the next sibling of the
-        path's child of the witness."""
+        A letter's witness is the deepest node on the path whose label holds
+        it (labels shrink along the path, and the root holds every letter).
+        Its target is the leaf itself when the witness is the leaf, and
+        otherwise the leftmost leaf below the next sibling of the path's
+        child of the witness.  `walk` yields the same rows for every leaf."""
         if not 0 <= leaf < len(self._mask) or self._children[leaf]:
             raise ConditionError(f"node {leaf} is not a leaf of this tree")
-        bit = 1 << self.alphabet.index(letter)
-        child, node = leaf, leaf
-        while not self._mask[node] & bit:
-            child, node = node, self._parent[node]
-        if node == leaf:
-            return leaf, leaf
-        return node, self._leftmost[self._next_sibling[child]]
+        masks, parent, leftmost, after = self._mask, self._parent, self._leftmost, self._next_sibling
+        row = [(leaf, leaf)] * len(self.alphabet)
+        left, child = masks[self.root] & ~masks[leaf], leaf
+        while left:  # the letters no node below `child`'s parent holds
+            node = parent[child]
+            held = left & masks[node]
+            if held:
+                move = (node, leftmost[after[child]])
+                left ^= held
+                while held:
+                    low = held & -held
+                    row[low.bit_length() - 1] = move
+                    held ^= low
+            child = node
+        return row
+
+    def step(self, leaf: int, letter: str) -> tuple[int, int]:
+        """One move of the tree walk: `row`'s (witness node, next leaf) for
+        one letter."""
+        return self.row(leaf)[self.alphabet.index(letter)]
 
     def _holder(self, mask: int) -> int:
         """The deepest node on the leftmost descent whose label holds `mask`:

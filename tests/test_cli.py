@@ -456,7 +456,6 @@ def test_cmd_check_corrupted_step_table_witness(capsys, monkeypatch, condition_f
     from mullergames.construction import build_gfg_rabin, build_parity_automaton
 
     condition = load_condition(condition_file)
-    parity = build_parity_automaton(condition)
     tree = build_gfg_rabin(condition).tree
     detected = 0
     for leaf in tree.leaves():
@@ -470,8 +469,9 @@ def test_cmd_check_corrupted_step_table_witness(capsys, monkeypatch, condition_f
                 return gfg
 
             monkeypatch.setattr(cli, "build_gfg_rabin", corrupted_gfg)
+            gfg = corrupted_gfg(condition)
             detected += assert_same_verdict_as_per_lasso_loop(
-                capsys, condition_file, condition, corrupted_gfg(condition), parity
+                capsys, condition_file, condition, gfg, build_parity_automaton(gfg)
             )
     assert detected, "no corrupted witness was detected"
 

@@ -194,6 +194,39 @@ def test_table_builders_match_the_named_builders():
         assert provenance_document(gfg) == provenance_rows(reference.provenance, tree)
 
 
+def test_parity_rows_on_demand_match_the_named_builder(monkeypatch):
+    """`parity_automaton_on_demand` climbs no leaf until a row is read, then
+    each leaf once, and its rows are the named builder's moves; so are the
+    rows `build_parity_automaton` reads off the resolver.  Over every
+    condition on at most three letters, F_2-F_10 and 200 seeded conditions
+    over 4-6 letters."""
+    from mullergames.construction import parity_automaton_on_demand
+    from mullergames.zielonka import ZielonkaTree
+
+    climbs = []
+    row = ZielonkaTree.row
+    monkeypatch.setattr(ZielonkaTree, "row", lambda tree, leaf: climbs.append(leaf) or row(tree, leaf))
+    rng = random.Random(2026)
+    conditions = [
+        *(c for letters in ("a", "ab", "abc") for c in all_muller_conditions(Alphabet(letters))),
+        *map(condition_fn, range(2, 11)),
+        *(random_muller_condition(rng, Alphabet("abcdef"[: rng.randint(4, 6)])) for _ in range(200)),
+    ]
+    for cond in conditions:
+        tree = build_zielonka(cond)
+        want = reference_build_parity_automaton(tree)
+        climbs.clear()
+        lazy = parity_automaton_on_demand(tree)
+        assert lazy.is_deterministic and not climbs
+        assert (lazy.states, lazy.initial, lazy.start) == (want.states, want.initial, want.start)
+        assert lazy.colour_alphabet.symbols == want.colour_alphabet.symbols
+        assert acceptance_of(lazy) == acceptance_of(want)
+        rows = [lazy.moves[q] for q in reversed(range(len(lazy.states)))][::-1]
+        assert rows == want.moves and [lazy.moves[q] for q in range(len(rows))] == rows
+        assert sorted(climbs) == sorted(tree.leaves())
+        assert build_parity_automaton(build_gfg_rabin(tree)).moves == want.moves
+
+
 def test_merged_matches_the_pair_scan():
     """The merged automaton read off the tree equals the generic merge of
     the unmerged automaton (each bundle tested against every pair's masks)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from mullergames.automata import condition_colours
+from mullergames._graph import reachable
 from mullergames.conditions import (
     Alphabet,
     MullerCondition,
@@ -770,6 +771,50 @@ def test_solve_builds_no_unmerged_gfg_automaton(monkeypatch):
     assert "automaton" not in vars(gfg)
 
 
+def test_univ_solve_makes_only_the_parity_rows_it_reaches(monkeypatch):
+    # Univ's win is certified on the parity automaton made row by row, as
+    # the product reads it: `solve` never builds the whole automaton, and
+    # on the pinned F_10 game it climbs fewer leaves than F_10's 1,260.
+    from mullergames import construction
+    from mullergames.conditions import condition_from_dict
+    from test_cli import FN_UNIV_CASE, pinned_fn_case
+
+    def refuse(source):
+        raise AssertionError("the whole parity automaton was built")
+
+    monkeypatch.setattr(construction, "build_parity_automaton", refuse)
+    monkeypatch.setattr(games, "build_parity_automaton", refuse, raising=False)
+    climbs = []
+    row = ZielonkaTree.row
+    monkeypatch.setattr(ZielonkaTree, "row", lambda tree, leaf: climbs.append(leaf) or row(tree, leaf))
+    condition_doc, doc = pinned_fn_case(*FN_UNIV_CASE)
+    game = game_from_dict(doc, condition_from_dict(condition_doc))
+    assert solve_muller_game(game).winner == UNIV
+    assert 0 < len(climbs) < len(build_zielonka(game.condition).leaves()) == 1260
+
+
+def test_products_over_rows_on_demand_equal_the_materialised():
+    """The product over `parity_automaton_on_demand` is the product over
+    `build_parity_automaton`, arena for arena, seeded at the initial vertex
+    and at every vertex, on seeded games and the pinned F_8 and F_10 games."""
+    from mullergames.conditions import condition_from_dict
+    from mullergames.construction import parity_automaton_on_demand
+    from test_cli import FN_UNIV_CASE, pinned_fn_case
+
+    cases = list(seeded_muller_games(4711, 100))
+    for n, seed in ((8, 41), (10, 4), FN_UNIV_CASE):
+        condition_doc, doc = pinned_fn_case(n, seed)
+        cases.append(game_from_dict(doc, condition_from_dict(condition_doc)))
+    for game in cases:
+        tree = build_zielonka(game.condition)
+        for seeds in ([game.arena.initial], range(game.arena.base)):
+            lazy = _build_product(game, parity_automaton_on_demand(tree), seeds)
+            whole = _build_product(game, build_parity_automaton(tree), seeds)
+            assert lazy.game.arena == whole.game.arena
+            assert (lazy.ids, lazy.keys, lazy.moved) == (whole.ids, whole.keys, whole.moved)
+            assert lazy.game.vertices == whole.game.vertices
+
+
 def test_solve_muller_alternation(running_condition):
     solution = solve_muller_game(alternation_game(running_condition))
     assert solution.winner == EXIST
@@ -964,6 +1009,99 @@ def test_solve_muller_reports_a_recursion_that_disagrees(running_condition, monk
     with pytest.raises(GameError, match="recursion names Exist .* parity and GFG Rabin products name Univ") as err:
         solve_muller_game(univ_wins)
     assert not isinstance(err.value, NotWonByExist)
+
+
+def test_swapped_owners_are_refuted_on_multi_vertex_exist_wins(monkeypatch):
+    """With owners swapped the recursion names Univ on seeded multi-vertex
+    games that Exist wins, and the parity product, where Univ keeps to the
+    region it was given and Exist keeps every move, refutes each."""
+    cases = [
+        game
+        for game in seeded_muller_games(1877, 300)
+        if game.arena.base > 1 and solve_muller_game(game).winner == EXIST
+    ]
+    swap_split_owners(monkeypatch)
+    refuted = 0
+    for game in cases:
+        if recursion_winners(game, build_zielonka(game.condition))[game.arena.initial]:
+            continue  # Exist wins the complement too, so the swap names her
+        with pytest.raises(GameError, match="recursion names Univ .* parity product names Exist"):
+            solve_muller_game(game)
+        refuted += 1
+    assert refuted >= 20, refuted
+
+
+def test_a_region_univ_cannot_keep_to_is_refuted(running_condition, monkeypatch):
+    """A decision that names Univ with a region Exist can leave, or one in
+    which a Univ vertex has no move, ends in an internal `GameError`."""
+    zielonka, given = games._zielonka, set()
+
+    def lying(game, split, nodes=None, stop=-1):
+        if stop < 0:  # a product's solve
+            return zielonka(game, split, nodes)
+        return GameSolution(game, set(), {}, set(given))
+
+    monkeypatch.setattr(games, "_zielonka", lying)
+    # Univ wins x's c-loop, but Exist can move on to y and loop on b.
+    leave = GameGraph(
+        [("x", EXIST), ("y", EXIST)],
+        [("x", "c", "x"), ("x", "a", "y"), ("y", "b", "y")],
+        "x",
+        running_condition,
+    )
+    given.add(0)
+    with pytest.raises(GameError, match="internal: .* recursion names Univ .* parity product names Exist"):
+        solve_muller_game(leave)
+    stuck = GameGraph([("x", UNIV)], [("x", "b", "x")], "x", running_condition)
+    given.clear()
+    with pytest.raises(GameError, match="internal: Univ has no move at 'x'"):
+        solve_muller_game(stuck)
+
+
+def pinned_games():
+    """The games the CLI tests pin: the memory files' games, the F_n ones
+    and the F_10 game Univ wins."""
+    from mullergames.conditions import condition_from_dict
+    from test_cli import (
+        F12_CASE,
+        FN_MEMORY_DIGESTS,
+        FN_UNIV_CASE,
+        MEMORY_DIGESTS,
+        pinned_fn_case,
+        pinned_solve_case,
+    )
+
+    docs = [pinned_solve_case(seed) for seed in sorted(MEMORY_DIGESTS)]
+    docs += [pinned_fn_case(*case) for case in [*sorted(FN_MEMORY_DIGESTS), F12_CASE, FN_UNIV_CASE]]
+    return [game_from_dict(doc, condition_from_dict(condition)) for condition, doc in docs]
+
+
+def test_stopped_decision_names_the_full_recursions_winner():
+    """Stopped once an attractor it removes holds the initial vertex, the
+    top level of the recursion names the winner that the full recursion
+    names, with part of each full region, on 300 seeded games and every
+    pinned game, and asks `split` fewer times on some of them."""
+    fewer = 0
+    for game in [*seeded_muller_games(4242, 300), *pinned_games()]:
+        tree = build_zielonka(game.condition)
+        succ, _, _, dst, _, _, base, initial = game.arena
+        nodes = reachable((initial,), lambda n: succ[n] if n < base else (dst[n],))
+        calls = collections.Counter()
+
+        def counted(stopped):
+            def split(present):
+                calls[stopped] += 1
+                return tree.split(present)
+
+            return split
+
+        full = games._zielonka(game, counted(False), set(nodes))
+        stopped = games._zielonka(game, counted(True), set(nodes), initial)
+        assert (initial in stopped.won) == (initial in full.won) != (initial in stopped.lost)
+        assert stopped.won <= full.won and stopped.lost <= full.lost
+        assert calls[True] <= calls[False]
+        fewer += calls[True] < calls[False]
+    assert fewer >= 10, fewer
 
 
 def test_solve_muller_refuses_a_condition_not_the_games(running_condition):
@@ -1534,13 +1672,38 @@ def named_memories(condition, names=STRING_NAMES):
         seen["repr order"] += "v1" in chosen and "v1'" in chosen
 
 
+def escaped_letter_memories():
+    """Exist's memories of n/2 states on pinned F_n games, over letters
+    renamed so that JSON escapes them."""
+    from mullergames.conditions import condition_from_dict
+    from test_cli import pinned_fn_case
+
+    for n, seed in ((6, 5), (6, 9)):
+        condition_doc, doc = pinned_fn_case(n, seed)
+        name = {a: f'{a} "\\é' for a in condition_doc["alphabet"]}
+        condition = condition_from_dict(
+            {
+                "alphabet": [name[a] for a in condition_doc["alphabet"]],
+                "accepting": [[name[a] for a in member] for member in condition_doc["accepting"]],
+            }
+        )
+        edges = [dict(edge, colour=name.get(edge["colour"])) for edge in doc["edges"]]
+        solution = solve_muller_game(game_from_dict(dict(doc, edges=edges), condition))
+        assert solution.winner == EXIST and solution.memory.size == n // 2
+        yield solution.memory
+
+
 def test_memory_to_json_is_the_indented_dump(running_condition):
     """The row writer's text is `json.dumps` with `indent=2` and sorted
-    keys, over string vertex names and over other JSON values."""
+    keys, over string vertex names, over other JSON values, and over
+    letters that JSON escapes."""
     for names in (STRING_NAMES, OTHER_NAMES):
         for memory in named_memories(running_condition, names):
             expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
             assert memory_to_json(memory) == expected
+    for memory in escaped_letter_memories():
+        expected = json.dumps(memory_to_dict(memory), indent=2, sort_keys=True) + "\n"
+        assert memory_to_json(memory) == expected
 
 
 def test_memory_names_round_trip(running_condition):
