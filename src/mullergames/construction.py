@@ -7,11 +7,11 @@ distinct values across branches of round nodes; its transitions follow the
 tree walk "climb to the deepest ancestor containing the letter, output that
 node, switch to its next child, descend leftmost".  The merged form keeps
 one transition per (state, letter, target), as in the paper's running
-example.  The GFG move table and the provenance document each read the
-rows of one pass of the tree's `walk`, which keeps no table.  The resolver
-and the parity automaton are tables over the tree's leaves, and one
-function gives a leaf's row of either from one climb of its root path
-(`ZielonkaTree.row`).  `build_parity_automaton` makes every row, and reads
+example.  Every leaf row comes from one climb of the leaf's root path
+(`ZielonkaTree.row`), which keeps no table: the GFG move table and the
+provenance document climb each leaf once, first leaf first, and the
+resolver and the parity automaton are tables over the tree's leaves, one
+row per climb.  `build_parity_automaton` makes every row, and reads
 them off the resolver's moves when it has one; `solve` certifies Univ on
 `parity_automaton_on_demand`, which makes a row when a product first reads
 it, so a product that reaches few leaves pays for few rows.  The GFG
@@ -161,8 +161,8 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     eta = tree.eta()
     cells = [[{} for _ in tree.alphabet] for _ in range(tree.memtree())]
     # Leaf l moves as state eta[l]; a cell keeps each move once, first leaf first.
-    for leaf, row in tree.walk():
-        for cell, (witness, target) in zip(cells[eta[leaf] - 1], row):
+    for leaf in tree.leaves():
+        for cell, (witness, target) in zip(cells[eta[leaf] - 1], tree.row(leaf)):
             cell[witness, eta[target] - 1] = None
     return GfgRabinAutomaton(tree, eta, [[list(cell) for cell in row] for row in cells])
 
@@ -224,13 +224,13 @@ def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:
 
 def provenance_document(gfg: GfgRabinAutomaton) -> list[dict]:
     """Each GFG transition with the (leaf, witness node, leaf') of the first
-    leaf that induces it, read off one pass of the tree's `walk`: a transition
-    is the id tuple (state, letter index, witness, next state), named only
-    as a row of the document."""
+    leaf that induces it, read off one `row` climb per leaf, first leaf
+    first: a transition is the id tuple (state, letter index, witness, next
+    state), named only as a row of the document."""
     tree, eta, letters, name = gfg.tree, gfg.eta, gfg.tree.alphabet.symbols, gfg.tree.node_name
     first: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for leaf, row in tree.walk():
-        for a, (witness, target) in enumerate(row):
+    for leaf in tree.leaves():
+        for a, (witness, target) in enumerate(tree.row(leaf)):
             first.setdefault((eta[leaf], a, witness, eta[target]), (leaf, target))
     return [
         {

@@ -255,23 +255,24 @@ class ProductGame:
     automaton's cell holds two or more transitions, a choice vertex
     remembers the pending letter and the automaton state before it, so each
     resolution edge carries the output colour of one transition; a
-    deterministic automaton's product has none.  `ids` maps a key (see
-    `_build_product`) to its node, or -1, and `keys` a node to its key.
+    deterministic automaton's product has none.  `ids` maps the key (see
+    `_build_product`) of each node to the node, and `keys` a node to its key.
     `moved[j]` is the game move (midpoint) that product edge j stands for,
     the first such move, and -1 for an edge of a choice vertex."""
 
     game: GameGraph
     original: GameGraph
     automaton: Automaton
-    ids: list[int]
+    ids: dict[int, int]
     keys: list[int]
     moved: list[int]
 
     def node(self, x: int, q: int, a: int = -1) -> int:
-        """The state vertex (x, q), or the choice vertex (x, a, q) of a
-        product whose automaton is not deterministic."""
+        """The state vertex (x, q), or the choice vertex (x, a, q), or -1 if
+        the product does not reach it."""
         base, letters = self.original.arena.base, len(self.automaton.alphabet)
-        return self.ids[(x if a < 0 else base + x * letters + a) * len(self.automaton.states) + q]
+        key = (x if a < 0 else base + x * letters + a) * len(self.automaton.states) + q
+        return self.ids.get(key, -1)
 
 
 def _build_product(
@@ -281,10 +282,9 @@ def _build_product(
     its arena, where a Univ vertex keeps only its moves to vertices in
     `region` when one is given (Exist keeps every move).  By index, state
     vertex (x, q) has key x|Q| + q and choice vertex (y, a, q) key
-    (|V| + y|A| + a)|Q| + q; `ids` has room for choice keys only when the
-    automaton is not deterministic.  Nodes are numbered as first reached,
-    depth first.  Each colour mask is read from one bit table, so equal
-    colours share one int.
+    (|V| + y|A| + a)|Q| + q, and `ids` holds only the keys reached.  Nodes
+    are numbered as first reached, depth first.  Each colour mask is read
+    from one bit table, so equal colours share one int.
 
     One loop serves every state vertex (x, q), with one rule per game move
     x -> y.  A silent move leads to (y, q) with colour 0.  A move that reads
@@ -309,7 +309,7 @@ def _build_product(
     letter = [c.bit_length() - 1 for c in game.arena.colours]
     bit = [1 << c for c in range(len(automaton.colour_alphabet))] + [0]
     width, letters = len(states), len(alphabet)
-    ids = [-1] * ((base if automaton.is_deterministic else base + base * letters) * width)
+    ids: dict[int, int] = {}
     keys: list[int] = []
     owners: list[int] = []
     sources: list[int] = []  # the product's edge columns
@@ -319,7 +319,7 @@ def _build_product(
     stack: list[int] = []
 
     def visit(key: int, who: int) -> int:
-        node = ids[key]
+        node = ids.get(key, -1)
         if node < 0:
             node = ids[key] = len(keys)
             keys.append(key)

@@ -18,11 +18,9 @@ label is made into a `LetterSet` only when `label` reads it.  A backward
 and a forward sweep over ids then fill the tables that the automata read:
 memtree, the leftmost leaf and the cyclic next sibling of every node, the
 leaf tuple in depth-first order, and the leaf numbering eta.
-From those, `walk` yields each leaf's row of the tree walk's (witness,
-target) moves per letter index, pushed down from the root, and keeps no
-row; the GFG builder and the provenance document read the rows of their
-own pass.  `row` climbs one leaf's root path for that leaf's row, which
-the parity automaton and the resolver read, and `step` is one move of it.
+From those, `row` climbs one leaf's root path for that leaf's row of the
+tree walk's (witness, target) moves per letter index, and keeps no row;
+every builder reads its rows from it, and `step` is one move of it.
 `split`, the one query that both Zielonka's recursion on a Muller game and
 the certificates' cycle search ask, descends to the deepest node whose
 label holds a colour mask.
@@ -104,29 +102,6 @@ class ZielonkaTree:
         self._leaves = tuple(leaves)
         self._eta = {leaf: offset[leaf] + 1 for leaf in leaves}
 
-    def walk(self) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-        """Each leaf with its row of `step`'s (witness, target) moves per
-        letter index, in `leaves()` order; nothing is kept.  Rows are pushed
-        down from the root, depth first and last child first: a letter in
-        the child's label gets the child as witness, and a letter whose
-        witness was the parent now knows which child the path took."""
-        stack = [(self.root, [(self.root, self.root)] * len(self.alphabet))]
-        while stack:
-            n, row = stack.pop()
-            kids = self._children[n]
-            if not kids:
-                yield n, row
-                continue
-            # The parent is the witness of exactly the letters of its label.
-            letters = [i for i in range(len(row)) if self._mask[n] >> i & 1]
-            for c in reversed(kids):
-                mask = self._mask[c]
-                here, jump = (c, c), (n, self._leftmost[self._next_sibling[c]])
-                child_row = row.copy()
-                for i in letters:
-                    child_row[i] = here if mask >> i & 1 else jump
-                stack.append((c, child_row))
-
     # -- structure queries ------------------------------------------------
 
     @property
@@ -187,7 +162,7 @@ class ZielonkaTree:
         it (labels shrink along the path, and the root holds every letter).
         Its target is the leaf itself when the witness is the leaf, and
         otherwise the leftmost leaf below the next sibling of the path's
-        child of the witness.  `walk` yields the same rows for every leaf."""
+        child of the witness."""
         if not 0 <= leaf < len(self._mask) or self._children[leaf]:
             raise ConditionError(f"node {leaf} is not a leaf of this tree")
         masks, parent, leftmost, after = self._mask, self._parent, self._leftmost, self._next_sibling

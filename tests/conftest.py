@@ -354,6 +354,31 @@ def reference_step(tree, leaf, letter):
     return witness, target
 
 
+def reference_walk(tree):
+    """Each leaf with its row of the tree walk's (witness, target) moves per
+    letter index, in `leaves()` order, pushed down from the root depth
+    first and last child first: a letter in the child's label gets the
+    child as witness, and a letter whose witness was the parent now knows
+    which child the path took."""
+    root = tree.root
+    stack = [(root, [(root, root)] * len(tree.alphabet))]
+    while stack:
+        n, row = stack.pop()
+        kids = tree.children(n)
+        if not kids:
+            yield n, row
+            continue
+        # The parent is the witness of exactly the letters of its label.
+        letters = [i for i in range(len(row)) if tree.mask(n) >> i & 1]
+        for c in reversed(kids):
+            mask = tree.mask(c)
+            here, jump = (c, c), (n, tree.leftmost_leaf(tree.next_child(n, c)))
+            child_row = row.copy()
+            for i in letters:
+                child_row[i] = here if mask >> i & 1 else jump
+            stack.append((c, child_row))
+
+
 @dataclass
 class ZNode:
     ident: int
@@ -1555,7 +1580,7 @@ def reference_build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> Referen
     provenance: dict[Transition, tuple[int, int, int]] = {}
     names = [tree.node_name(n) for n in range(len(tree))]
     # First leaf provenance wins when two leaves induce the same transition.
-    for leaf, row in tree.walk():
+    for leaf, row in reference_walk(tree):
         for letter, (witness, target) in zip(condition.alphabet.symbols, row):
             t = Transition(eta[leaf], letter, names[witness], eta[target])
             if t not in provenance:
@@ -1604,7 +1629,7 @@ def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> 
     priorities = {str(p): p for p in set(prio.values())}
     transitions = [
         Transition(leaf, letter, str(prio[witness]), target)
-        for leaf, row in tree.walk()
+        for leaf, row in reference_walk(tree)
         for letter, (witness, target) in zip(condition.alphabet.symbols, row)
     ]
     return named_automaton(

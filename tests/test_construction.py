@@ -197,9 +197,10 @@ def test_table_builders_match_the_named_builders():
 def test_parity_rows_on_demand_match_the_named_builder(monkeypatch):
     """`parity_automaton_on_demand` climbs no leaf until a row is read, then
     each leaf once, and its rows are the named builder's moves; so are the
-    rows `build_parity_automaton` reads off the resolver.  Over every
-    condition on at most three letters, F_2-F_10 and 200 seeded conditions
-    over 4-6 letters."""
+    rows `build_parity_automaton` reads off the resolver.  `build_gfg_rabin`
+    and `provenance_document` each climb every leaf once, first leaf
+    first.  Over every condition on at most three letters, F_2-F_10 and 200
+    seeded conditions over 4-6 letters."""
     from mullergames.construction import parity_automaton_on_demand
     from mullergames.zielonka import ZielonkaTree
 
@@ -224,7 +225,13 @@ def test_parity_rows_on_demand_match_the_named_builder(monkeypatch):
         rows = [lazy.moves[q] for q in reversed(range(len(lazy.states)))][::-1]
         assert rows == want.moves and [lazy.moves[q] for q in range(len(rows))] == rows
         assert sorted(climbs) == sorted(tree.leaves())
-        assert build_parity_automaton(build_gfg_rabin(tree)).moves == want.moves
+        climbs.clear()
+        gfg = build_gfg_rabin(tree)
+        assert climbs == list(tree.leaves())
+        climbs.clear()
+        provenance_document(gfg)
+        assert climbs == list(tree.leaves())
+        assert build_parity_automaton(gfg).moves == want.moves
 
 
 def test_merged_matches_the_pair_scan():

@@ -812,6 +812,7 @@ def test_products_over_rows_on_demand_equal_the_materialised():
             whole = _build_product(game, build_parity_automaton(tree), seeds)
             assert lazy.game.arena == whole.game.arena
             assert (lazy.ids, lazy.keys, lazy.moved) == (whole.ids, whole.keys, whole.moved)
+            assert len(lazy.ids) == len(lazy.keys)
             assert lazy.game.vertices == whole.game.vertices
 
 

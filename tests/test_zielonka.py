@@ -13,6 +13,7 @@ from conftest import (
     random_muller_condition,
     reference_leaves_below,
     reference_step,
+    reference_walk,
     table_oracle_conditions,
 )
 
@@ -208,7 +209,7 @@ def test_step_table_matches_parent_pointer_walk():
     for cond in table_oracle_conditions():
         tree = build_zielonka(cond)
         assert tree.leaves() == reference_leaves_below(tree, tree.root)
-        walked = list(tree.walk())
+        walked = list(reference_walk(tree))
         assert tuple(leaf for leaf, _ in walked) == tree.leaves()
         for leaf, row in walked:
             for letter, move in zip(cond.alphabet.symbols, row, strict=True):
@@ -216,8 +217,8 @@ def test_step_table_matches_parent_pointer_walk():
 
 
 def test_builders_leave_the_tree_as_built():
-    # The tree keeps no walk table: its rows stream to each builder, and
-    # the resolver is an automaton of its own.
+    # The tree keeps no row table: each builder climbs the leaves it
+    # reads, and the resolver is an automaton of its own.
     from mullergames.construction import (
         build_gfg_rabin,
         build_parity_automaton,
@@ -303,7 +304,7 @@ def test_integer_tree_matches_the_record_tree():
             assert tree.height == ref.height
             assert tree.leaves() == ref.leaves()
             assert list(tree.eta().items()) == list(ref.eta().items())
-            assert {leaf: tuple(row) for leaf, row in tree.walk()} == ref.step_table
+            assert {leaf: tuple(tree.row(leaf)) for leaf in tree.leaves()} == ref.step_table
             assert tree.to_dot() == ref.to_dot()
 
 
@@ -324,7 +325,7 @@ def assert_same_tree(tree, ref):
     assert tree.height == ref.height
     assert tree.leaves() == ref.leaves()
     assert list(tree.eta().items()) == list(ref.eta().items())
-    assert {leaf: tuple(row) for leaf, row in tree.walk()} == ref.step_table
+    assert {leaf: tuple(tree.row(leaf)) for leaf in tree.leaves()} == ref.step_table
     assert tree.to_dot() == ref.to_dot()
 
 
