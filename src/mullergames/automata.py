@@ -60,9 +60,11 @@ def condition_colours(acceptance: AnyCondition) -> Alphabet:
 class RowsOnDemand:
     """A deterministic move table over `size` states whose row s
     is `row(s)`, made when first read and kept: a reader that reaches few
-    states makes few rows.  Each cell of a row must hold one move, which is
-    checked as the row is made, so `Automaton` knows the table deterministic
-    without reading it."""
+    states makes few rows.  It is the one table form of every automaton over
+    a Zielonka tree's leaves.  Each cell of a row must hold one move, which
+    is checked as the row is made, so `Automaton` knows the table
+    deterministic without reading it.  It indexes and iterates as a
+    sequence but compares by identity: `list(table)` makes every row."""
 
     def __init__(self, size: int, row: Callable[[int], list[list[tuple[int, int]]]]):
         self._rows: list = [None] * size
@@ -87,7 +89,8 @@ class Automaton:
     index) of each transition from state index s on letter index a; `start`
     holds the indices of the initial states.  `transitions` names the moves
     when first read.  A `RowsOnDemand` table is deterministic by its type,
-    and no row of it is read here."""
+    and no row of it is read here or by `repr`, which counts a
+    deterministic automaton's moves as one per cell."""
 
     def __init__(
         self,
@@ -120,7 +123,9 @@ class Automaton:
 
     def __repr__(self) -> str:
         kind = type(self.acceptance).__name__.replace("Condition", "")
-        count = sum(len(cell) for row in self.moves for cell in row)
+        count = len(self.states) * len(self.alphabet) if self.is_deterministic else sum(
+            len(cell) for row in self.moves for cell in row
+        )
         return f"Automaton({len(self.states)} states, {count} transitions, {kind} acceptance)"
 
 

@@ -154,8 +154,9 @@ def cmd_check(args) -> tuple[int, str]:
                 f"limit of {limit:,}; pass a smaller --bound"
             )
     if args.automaton == "self":
-        # One tree serves all three automata, and the parity automaton is
-        # read off the resolver's moves: each leaf's row is made once.
+        # One tree serves all three automata, and the parity automaton
+        # recolours the resolver's rows as the checkers read them: each
+        # leaf's row is made once.
         gfg = build_gfg_rabin(build_zielonka(condition))
         checkers = {
             "rabin": RabinLassoChecker.from_automaton(gfg.automaton),

@@ -9,15 +9,15 @@ node, switch to its next child, descend leftmost".  The merged form keeps
 one transition per (state, letter, target), as in the paper's running
 example.  Every leaf row comes from one climb of the leaf's root path
 (`ZielonkaTree.row`), which keeps no table: the GFG move table and the
-provenance document climb each leaf once, first leaf first, and the
-resolver and the parity automaton are tables over the tree's leaves, one
-row per climb.  `build_parity_automaton` makes every row, and reads
-them off the resolver's moves when it has one; `solve` certifies Univ on
-`parity_automaton_on_demand`, which makes a row when a product first reads
-it, so a product that reaches few leaves pays for few rows.  The GFG
-automaton is the resolver's quotient by eta, and the merged form is
-regrouped from its move table by target.  Both GFG forms take their Rabin
-pairs from one backward sweep over the tree.
+provenance document climb each leaf once, first leaf first, and every
+automaton over the tree's leaves, the resolver and the parity automaton,
+is a `RowsOnDemand` table that makes a row when it is first read, so a
+product that reaches few leaves pays for few rows.  The parity automaton
+of a GFG automaton recolours the resolver's rows as they are read, so the
+two climb each leaf once between them.  The GFG automaton is the
+resolver's quotient by eta, and the merged form is regrouped from its
+move table by target.  Both GFG forms take their Rabin pairs from one
+backward sweep over the tree.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ def node_rabin_pairs(tree: ZielonkaTree) -> RabinCondition:
     return _round_pairs(tree, names, lambda n: 1 << n)
 
 
-def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
-    """Priorities decreasing with depth, parity-aligned so that round nodes
-    are even; the unique minimal node recurring in a run then decides
-    acceptance through the maximum."""
-    height = tree.height
-    base = {n: height - tree.depth(n) for n in range(len(tree))}
-    root_even = base[tree.root] % 2 == 0
-    offset = 0 if root_even == tree.is_round(tree.root) else 1
-    return {n: p + offset for n, p in base.items()}
-
-
 @dataclass
 class GfgRabinAutomaton:
     """The good-for-games Rabin automaton's move table plus its construction
@@ -108,11 +97,11 @@ class GfgRabinAutomaton:
         """The leaf-memory resolver: state i is leaf `tree.leaves()[i]`,
         named by its eta value, the state of `automaton` it stands for.  It
         starts at the root's leftmost leaf and moves by the tree walk, with
-        colour n node n under `automaton`'s pairs."""
+        colour n node n under `automaton`'s pairs; each row is made when
+        first read."""
         tree, acceptance = self.tree, self.automaton.acceptance
         states = [self.eta[leaf] for leaf in tree.leaves()]
-        moves = list(map(_leaf_rows(tree, range(len(tree))), range(len(states))))
-        return Automaton(states, tree.alphabet, [0], moves, acceptance)
+        return Automaton(states, tree.alphabet, [0], _leaf_rows(tree, range(len(tree))), acceptance)
 
     def _over(self, moves: list, acceptance: RabinCondition) -> Automaton:
         """An automaton on the GFG states, letters and start state."""
@@ -167,48 +156,47 @@ def build_gfg_rabin(source: MullerCondition | ZielonkaTree) -> GfgRabinAutomaton
     return GfgRabinAutomaton(tree, eta, [[list(cell) for cell in row] for row in cells])
 
 
-def _leaf_rows(tree: ZielonkaTree, colour: Sequence[int]) -> Callable[[int], list[list[tuple[int, int]]]]:
-    """The row of the leaf at index i of `tree.leaves()`, the root's leftmost
-    first, as a function of i: its move on a letter is (colour[witness],
-    next leaf's index), from the one climb of `ZielonkaTree.row`."""
-    leaves = tree.leaves()
-    index = dict(zip(leaves, range(len(leaves))))
-    return lambda i: [[(colour[w], index[t])] for w, t in tree.row(leaves[i])]
+def _leaf_rows(tree: ZielonkaTree, colour: Sequence[int]) -> RowsOnDemand:
+    """The table over `tree.leaves()`, the root's leftmost first, whose row
+    i is made when first read from one climb of `ZielonkaTree.row` of the
+    leaf at index i: its move on a letter is (colour[witness], next leaf's
+    index), the index read from a list over the node ids."""
+    leaves, index = tree.leaves(), [0] * len(tree)
+    for i, leaf in enumerate(leaves):
+        index[leaf] = i
+    return RowsOnDemand(len(leaves), lambda i: [[(colour[w], index[t])] for w, t in tree.row(leaves[i])])
 
 
 def _parity_colours(tree: ZielonkaTree) -> tuple[list[int], ParityCondition]:
-    """Each node's output colour, the rank of its priority, and the parity
-    condition on the priorities' names."""
-    prio = node_priorities(tree)
-    values = sorted(set(prio.values()))
-    colour = {p: i for i, p in enumerate(values)}
-    acceptance = ParityCondition(Alphabet([str(p) for p in values]), {str(p): p for p in values})
-    return [colour[prio[n]] for n in range(len(tree))], acceptance
+    """Each node's output colour and the parity condition on the priorities'
+    names.  Node n's priority is height - depth(n) + offset, decreasing
+    with depth and parity-aligned so that round nodes are even: the unique
+    minimal node recurring in a run then decides acceptance through the
+    maximum.  Every depth occurs, so the priorities are 1 + offset ..
+    height + offset, and a node's colour, its priority's rank among them,
+    is its distance from the deepest level."""
+    height = tree.height
+    offset = int((height % 2 == 0) != tree.is_round(tree.root))
+    priorities = range(1 + offset, height + 1 + offset)
+    acceptance = ParityCondition(Alphabet(map(str, priorities)), {str(p): p for p in priorities})
+    return [height - 1 - tree.depth(n) for n in range(len(tree))], acceptance
 
 
 def build_parity_automaton(source: MullerCondition | ZielonkaTree | GfgRabinAutomaton) -> Automaton:
     """The deterministic parity automaton whose states are the leaves of the
-    Zielonka tree of the condition (or of the given tree), with every row
-    made.  From a GFG automaton it is read off the resolver's moves, whose
-    colours are the witness nodes, so the tree's rows are made once for
-    both."""
-    if isinstance(source, GfgRabinAutomaton):
-        tree = source.tree
-        colour, acceptance = _parity_colours(tree)
-        moves = [[[(colour[w], t)] for ((w, t),) in row] for row in source.resolver.moves]
-    else:
-        tree = _tree(source)
-        colour, acceptance = _parity_colours(tree)
-        moves = list(map(_leaf_rows(tree, colour), range(len(tree.leaves()))))
-    return Automaton(tree.leaves(), tree.alphabet, [0], moves, acceptance)
-
-
-def parity_automaton_on_demand(tree: ZielonkaTree) -> Automaton:
-    """`build_parity_automaton(tree)` with each row made when first read: a
-    product reads only the rows of the states it reaches."""
+    Zielonka tree of the condition (or of the given tree), with each row
+    made when first read: a product reads only the rows of the states it
+    reaches.  From a GFG automaton each row is recoloured from the
+    resolver's row, whose colours are the witness nodes, so the tree's rows
+    are made once for both."""
+    tree = source.tree if isinstance(source, GfgRabinAutomaton) else _tree(source)
     colour, acceptance = _parity_colours(tree)
-    rows = RowsOnDemand(len(tree.leaves()), _leaf_rows(tree, colour))
-    return Automaton(tree.leaves(), tree.alphabet, [0], rows, acceptance)
+    if isinstance(source, GfgRabinAutomaton):
+        rows = source.resolver.moves
+        moves = RowsOnDemand(len(rows), lambda i: [[(colour[w], t)] for ((w, t),) in rows[i]])
+    else:
+        moves = _leaf_rows(tree, colour)
+    return Automaton(tree.leaves(), tree.alphabet, [0], moves, acceptance)
 
 
 def resolve_run(gfg: GfgRabinAutomaton, w: LassoWord) -> tuple[Run, bool]:

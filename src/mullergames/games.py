@@ -9,16 +9,16 @@ a positional strategy of the Rabin product, whose automaton component
 becomes the memory structure for the original game.  When Univ wins,
 compose it with the deterministic parity automaton of the condition,
 explored from the initial vertex with Univ's moves kept to the region the
-recursion gave it and Exist's all, and made row by row as the product
-reads it; the certified solution of that product is Univ's certificate,
-which a wrong region cannot pass.  The recursion and both automata
-come from one Zielonka tree, which must be the game's own condition's
-(`_game_tree`).  The memory is extracted on the product with the merged
-GFG automaton (`GfgRabinAutomaton.merged`): it keeps the states, one
-transition per (state, letter, target), and only the colours its moves
+recursion gave it and Exist's all; `build_parity_automaton` makes each row
+when the product first reads it.  The certified solution of that product is
+Univ's certificate, which a wrong region cannot pass.  The recursion and
+both automata come from one Zielonka tree, which must be the game's own
+condition's (`_game_tree`).  The memory is extracted on the product with
+the merged GFG automaton (`GfgRabinAutomaton.merged`): it keeps the states,
+one transition per (state, letter, target), and only the colours its moves
 carry.  One rule builds a state vertex's moves in every product: a silent
-move keeps the state, a lettered move takes the one transition of its
-cell directly, and passes through a choice vertex, where Exist picks the
+move keeps the state, a lettered move takes the one transition of its cell
+directly, and passes through a choice vertex, where Exist picks the
 transition, only when the cell holds two or more.  So the deterministic
 parity automaton gives the plain (vertex, state) product, and the merged
 GFG automaton a choice vertex only where Exist has a choice.
@@ -87,7 +87,7 @@ from .conditions import (
     ParityCondition,
     RabinCondition,
 )
-from .construction import GfgRabinAutomaton, _tree, build_gfg_rabin, parity_automaton_on_demand
+from .construction import GfgRabinAutomaton, _tree, build_gfg_rabin, build_parity_automaton
 from .zielonka import ZielonkaTree, build_zielonka
 
 Vertex = Hashable
@@ -691,10 +691,10 @@ def solve_muller_game(
     product with the deterministic parity automaton is solved, and its
     certified parity solution is Univ's certificate.  That product is
     explored from the initial vertex with Univ's moves kept to the region
-    the recursion gave it, and Exist's all: only the rows it reaches of
-    the parity automaton are made (`parity_automaton_on_demand`).  A wrong
-    region cannot pass, as Exist then wins the product or a Univ vertex in
-    it has no move.
+    the recursion gave it, and Exist's all: `build_parity_automaton` makes
+    a row when first read, so only the rows the product reaches are made.
+    A wrong region cannot pass, as Exist then wins the product or a Univ
+    vertex in it has no move.
 
     One Zielonka tree (built here, or given for the game's condition) serves
     the recursion, both automata and the memory's certificate; a condition
@@ -714,7 +714,7 @@ def solve_muller_game(
         except NotWonByExist:
             pass
     region = None if exist else decision.lost
-    product = _build_product(game, parity_automaton_on_demand(tree), [initial], region)
+    product = _build_product(game, build_parity_automaton(tree), [initial], region)
     parity_exist = product.game.arena.initial in solve_parity_game(product.game).won
     if exist and parity_exist:
         raise GameError(

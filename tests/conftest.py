@@ -51,7 +51,6 @@ from mullergames.construction import (
     GfgRabinAutomaton,
     _tree,
     build_parity_automaton,
-    node_priorities,
     node_rabin_pairs,
 )
 from mullergames.zielonka import ZielonkaTree, build_zielonka
@@ -1614,6 +1613,17 @@ def provenance_rows(
         }
         for t, (leaf, witness, target) in provenance.items()
     ]
+
+
+def node_priorities(tree: ZielonkaTree) -> dict[int, int]:
+    """Priorities decreasing with depth, parity-aligned so that round nodes
+    are even; the unique minimal node recurring in a run then decides
+    acceptance through the maximum."""
+    height = tree.height
+    base = {n: height - tree.depth(n) for n in range(len(tree))}
+    root_even = base[tree.root] % 2 == 0
+    offset = 0 if root_even == tree.is_round(tree.root) else 1
+    return {n: p + offset for n, p in base.items()}
 
 
 def reference_build_parity_automaton(source: MullerCondition | ZielonkaTree) -> Automaton:

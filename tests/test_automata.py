@@ -187,6 +187,19 @@ def test_automaton_repr(running_condition):
     assert repr(parity) == "Automaton(3 states, 9 transitions, Parity acceptance)"
 
 
+def test_automaton_repr_makes_no_parity_row(monkeypatch):
+    # A deterministic automaton has one move per cell, so its repr counts
+    # them without reading a row: F_10's 1,260 leaves are never climbed.
+    from mullergames.zielonka import ZielonkaTree
+
+    climbs = []
+    row = ZielonkaTree.row
+    monkeypatch.setattr(ZielonkaTree, "row", lambda tree, leaf: climbs.append(leaf) or row(tree, leaf))
+    parity = build_parity_automaton(build_zielonka(condition_fn(10)))
+    assert repr(parity) == "Automaton(1260 states, 12600 transitions, Parity acceptance)"
+    assert not climbs
+
+
 def test_has_duplicated_edges(running_condition):
     fig2 = fig2_automaton(running_condition)
     assert has_duplicated_edges(fig2)

@@ -26,7 +26,6 @@ from mullergames.conditions import (
 from mullergames.construction import (
     build_gfg_rabin,
     build_parity_automaton,
-    node_priorities,
     node_rabin_pairs,
     provenance_document,
     resolve_run,
@@ -39,6 +38,7 @@ from conftest import (
     check_node_sequence,
     check_quotient,
     letter_pairs,
+    node_priorities,
     pair_colour,
     provenance_rows,
     random_muller_condition,
@@ -183,7 +183,7 @@ def test_table_builders_match_the_named_builders():
         )
         for got, want in ((gfg.automaton, reference.automaton), (parity, reference_parity)):
             assert (got.states, got.initial, got.start) == (want.states, want.initial, want.start)
-            assert got.moves == want.moves
+            assert list(got.moves) == want.moves
             assert got.colour_alphabet.symbols == want.colour_alphabet.symbols
             assert acceptance_of(got) == acceptance_of(want)
             assert set(got.transitions) == set(want.transitions)
@@ -195,13 +195,14 @@ def test_table_builders_match_the_named_builders():
 
 
 def test_parity_rows_on_demand_match_the_named_builder(monkeypatch):
-    """`parity_automaton_on_demand` climbs no leaf until a row is read, then
+    """`build_parity_automaton` climbs no leaf until a row is read, then
     each leaf once, and its rows are the named builder's moves; so are the
-    rows `build_parity_automaton` reads off the resolver.  `build_gfg_rabin`
+    rows `build_parity_automaton(gfg)` recolours from the resolver, and
+    neither the resolver nor that automaton climbs a leaf until its rows
+    are read, and then each leaf once between them.  `build_gfg_rabin`
     and `provenance_document` each climb every leaf once, first leaf
     first.  Over every condition on at most three letters, F_2-F_10 and 200
     seeded conditions over 4-6 letters."""
-    from mullergames.construction import parity_automaton_on_demand
     from mullergames.zielonka import ZielonkaTree
 
     climbs = []
@@ -217,7 +218,7 @@ def test_parity_rows_on_demand_match_the_named_builder(monkeypatch):
         tree = build_zielonka(cond)
         want = reference_build_parity_automaton(tree)
         climbs.clear()
-        lazy = parity_automaton_on_demand(tree)
+        lazy = build_parity_automaton(tree)
         assert lazy.is_deterministic and not climbs
         assert (lazy.states, lazy.initial, lazy.start) == (want.states, want.initial, want.start)
         assert lazy.colour_alphabet.symbols == want.colour_alphabet.symbols
@@ -231,7 +232,13 @@ def test_parity_rows_on_demand_match_the_named_builder(monkeypatch):
         climbs.clear()
         provenance_document(gfg)
         assert climbs == list(tree.leaves())
-        assert build_parity_automaton(gfg).moves == want.moves
+        climbs.clear()
+        gfg.resolver
+        recoloured = build_parity_automaton(gfg)
+        assert not climbs
+        assert list(recoloured.moves) == want.moves
+        list(gfg.resolver.moves)
+        assert sorted(climbs) == sorted(tree.leaves())
 
 
 def test_merged_matches_the_pair_scan():

@@ -53,6 +53,7 @@ from conftest import (
     random_muller_condition,
     reference_attract,
     reference_brute_force_winner,
+    reference_build_parity_automaton,
     reference_positional_rabin_strategy,
     reference_memory_from_gfg,
     reference_product,
@@ -773,17 +774,11 @@ def test_solve_builds_no_unmerged_gfg_automaton(monkeypatch):
 
 def test_univ_solve_makes_only_the_parity_rows_it_reaches(monkeypatch):
     # Univ's win is certified on the parity automaton made row by row, as
-    # the product reads it: `solve` never builds the whole automaton, and
+    # the product reads it: `solve` makes only the rows it reaches, and
     # on the pinned F_10 game it climbs fewer leaves than F_10's 1,260.
-    from mullergames import construction
     from mullergames.conditions import condition_from_dict
     from test_cli import FN_UNIV_CASE, pinned_fn_case
 
-    def refuse(source):
-        raise AssertionError("the whole parity automaton was built")
-
-    monkeypatch.setattr(construction, "build_parity_automaton", refuse)
-    monkeypatch.setattr(games, "build_parity_automaton", refuse, raising=False)
     climbs = []
     row = ZielonkaTree.row
     monkeypatch.setattr(ZielonkaTree, "row", lambda tree, leaf: climbs.append(leaf) or row(tree, leaf))
@@ -794,11 +789,11 @@ def test_univ_solve_makes_only_the_parity_rows_it_reaches(monkeypatch):
 
 
 def test_products_over_rows_on_demand_equal_the_materialised():
-    """The product over `parity_automaton_on_demand` is the product over
-    `build_parity_automaton`, arena for arena, seeded at the initial vertex
-    and at every vertex, on seeded games and the pinned F_8 and F_10 games."""
+    """The product over `build_parity_automaton` is the product over
+    the materialised reference automaton, arena for arena, seeded at the
+    initial vertex and at every vertex, on seeded games and the pinned F_8
+    and F_10 games."""
     from mullergames.conditions import condition_from_dict
-    from mullergames.construction import parity_automaton_on_demand
     from test_cli import FN_UNIV_CASE, pinned_fn_case
 
     cases = list(seeded_muller_games(4711, 100))
@@ -808,8 +803,8 @@ def test_products_over_rows_on_demand_equal_the_materialised():
     for game in cases:
         tree = build_zielonka(game.condition)
         for seeds in ([game.arena.initial], range(game.arena.base)):
-            lazy = _build_product(game, parity_automaton_on_demand(tree), seeds)
-            whole = _build_product(game, build_parity_automaton(tree), seeds)
+            lazy = _build_product(game, build_parity_automaton(tree), seeds)
+            whole = _build_product(game, reference_build_parity_automaton(tree), seeds)
             assert lazy.game.arena == whole.game.arena
             assert (lazy.ids, lazy.keys, lazy.moved) == (whole.ids, whole.keys, whole.moved)
             assert len(lazy.ids) == len(lazy.keys)
